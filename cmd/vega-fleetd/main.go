@@ -79,8 +79,9 @@ func main() {
 }
 
 // serve runs the daemon until a signal, then drains: HTTP listener
-// first (no new submissions), then the worker pool (campaigns flush
-// checkpoints and requeue). Exits 130 via sigctx convention.
+// first (no new submissions, parked ?wait= requests answered at once),
+// then the worker pool (campaigns flush checkpoints and requeue). Exits
+// 130 via sigctx convention.
 func serve(addr string, opts fleet.Options) error {
 	s, err := fleet.New(opts)
 	if err != nil {
@@ -97,6 +98,9 @@ func serve(addr string, opts fleet.Options) error {
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
+	// Clients parked in GET /jobs/{id}?wait= hold active connections, and
+	// httpSrv.Shutdown waits for those: release them as the drain starts.
+	httpSrv.RegisterOnShutdown(s.ReleaseWaiters)
 
 	ctx, stop := sigctx.Notify(context.Background())
 	defer stop()

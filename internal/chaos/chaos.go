@@ -47,6 +47,9 @@ type FS interface {
 	ReadDir(name string) ([]os.DirEntry, error)
 	// Rename atomically replaces newpath with oldpath.
 	Rename(oldpath, newpath string) error
+	// Link gives oldname's file a second name, newname, which must not
+	// exist yet.
+	Link(oldname, newname string) error
 	// Remove deletes name.
 	Remove(name string) error
 	// MkdirAll creates name and missing parents.
@@ -67,6 +70,7 @@ func (OS) WriteFile(name string, data []byte, perm os.FileMode) error {
 func (OS) ReadFile(name string) ([]byte, error)       { return os.ReadFile(name) }
 func (OS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
 func (OS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
+func (OS) Link(oldname, newname string) error         { return os.Link(oldname, newname) }
 func (OS) Remove(name string) error                   { return os.Remove(name) }
 func (OS) MkdirAll(name string, perm os.FileMode) error {
 	return os.MkdirAll(name, perm)

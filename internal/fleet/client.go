@@ -249,23 +249,30 @@ func (c *Client) Job(ctx context.Context, id string) (*Job, error) {
 	return &j, nil
 }
 
-// Wait polls until the job leaves the queued/running states, with a
-// short exponential backoff so thousands of concurrent waiters don't
-// hammer the daemon.
+// waitSlice is how long Wait asks the daemon to park one request; the
+// daemon caps it (maxWait), and a job that outlives it is asked again.
+const waitSlice = 20 * time.Second
+
+// Wait blocks until the job leaves the queued/running states. Each
+// request asks the daemon to park it until then (?wait=), so a waiter
+// costs one request and hears the moment the job finishes. A
+// non-terminal answer means the wait ran out, the daemon is draining or
+// the server ignores the parameter; the loop then backs off, so
+// thousands of waiters cannot hammer a daemon that answers at once.
 func (c *Client) Wait(ctx context.Context, id string) (*Job, error) {
 	delay := 2 * time.Millisecond
 	const maxDelay = 250 * time.Millisecond
 	for {
-		j, err := c.Job(ctx, id)
-		if err != nil {
+		var j Job
+		if err := c.getJSON(ctx, "/jobs/"+id+"?wait="+waitSlice.String(), &j); err != nil {
 			return nil, err
 		}
-		if j.Status != StatusQueued && j.Status != StatusRunning {
-			return j, nil
+		if j.terminal() {
+			return &j, nil
 		}
 		select {
 		case <-ctx.Done():
-			return j, ctx.Err()
+			return &j, ctx.Err()
 		case <-time.After(delay):
 		}
 		if delay < maxDelay {

@@ -31,16 +31,23 @@
 // Job state is persisted under Options.Dir with the same atomic-rename
 // discipline as the injection checkpoints, so jobs survive a daemon
 // restart: queued and interrupted-running jobs are requeued, and
-// campaign jobs resume from their per-job checkpoint file.
+// campaign jobs resume from their per-job checkpoint file. A sweep's
+// Verilog is stored once per distinct content under Dir/netlists/ and
+// its records carry only the SHA-256.
 package fleet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/chaos"
 )
@@ -160,10 +167,14 @@ type Progress struct {
 // job-kind-specific payload once Status is done (or a partial campaign
 // report when cancelled mid-run).
 type Job struct {
-	ID     string `json:"id"`
-	Spec   Spec   `json:"spec"`
-	Status string `json:"status"`
-	Error  string `json:"error,omitempty"`
+	ID   string `json:"id"`
+	Spec Spec   `json:"spec"`
+	// NetlistSHA is the SHA-256 of a sweep's Verilog, computed once per
+	// submission: it names the source's blob under Dir/netlists/, keys the
+	// artifact chain in the store, and stands in for the source on disk.
+	NetlistSHA string `json:"netlist_sha256,omitempty"`
+	Status     string `json:"status"`
+	Error      string `json:"error,omitempty"`
 	// CacheHit records whether the job's deepest compile artifact was
 	// already resident in the shared store at submit time — the
 	// warm/cold marker the load-test latency split keys on.
@@ -186,6 +197,14 @@ type Job struct {
 	// and ID by the server (not persisted — the derivation is the
 	// contract, so restarted daemons find the same file).
 	ckpt string
+	// done is closed when the job reaches a terminal status: what the
+	// ?wait= handlers park on. Nil on a record recovered terminal.
+	done chan struct{}
+}
+
+// terminal reports whether the job has left queued/running for good.
+func (j *Job) terminal() bool {
+	return j.Status != StatusQueued && j.Status != StatusRunning
 }
 
 // SweepPoint is one lifetime sample of a sweep job's result, mirroring
@@ -225,10 +244,15 @@ type diskJob struct {
 // and written with the durable atomic sequence (tmp write, fsync,
 // rename, directory fsync): a torn write or power loss can never
 // corrupt the record a restarting daemon recovers from, and silent
-// on-disk corruption is detected — not loaded — by loadJobs.
+// on-disk corruption is detected — not loaded — by loadJobs. A job that
+// carries its netlist hash is written without the source, which lives
+// once, in the blob the hash names.
 func saveJob(fs chaos.FS, dir string, j *Job) error {
 	dj := diskJob{Job: *j, ResultRaw: j.Result}
 	dj.Job.Result = nil
+	if dj.NetlistSHA != "" {
+		dj.Spec.Verilog = ""
+	}
 	data, err := json.MarshalIndent(&dj, "", "  ")
 	if err != nil {
 		return err
@@ -242,7 +266,9 @@ func saveJob(fs chaos.FS, dir string, j *Job) error {
 // dir/quarantine/) and reported by name — one corrupt record must not
 // brick every restart — and leftover .tmp debris from a crashed write
 // is deleted (by the atomic-rename contract it was never committed).
-// Legacy un-sealed records from pre-envelope builds load verbatim.
+// Legacy un-sealed records from pre-envelope builds load verbatim, and
+// so do records that inline spec.verilog; New resolves the others'
+// netlist hashes.
 func loadJobs(fs chaos.FS, dir string) (jobs []*Job, quarantined []string, err error) {
 	ents, err := fs.ReadDir(dir)
 	if err != nil {
@@ -266,29 +292,156 @@ func loadJobs(fs chaos.FS, dir string) (jobs []*Job, quarantined []string, err e
 			return nil, nil, err
 		}
 		payload, _, err := chaos.Open(data)
-		if errors.Is(err, chaos.ErrNewerVersion) {
-			// Not corruption: the record outranks the binary. Refuse to
-			// start rather than quarantine state that is presumed good.
-			return nil, nil, fmt.Errorf("fleet: job record %s: %w", name, err)
-		}
+		var dj diskJob
 		if err == nil {
-			var dj diskJob
-			if jerr := json.Unmarshal(payload, &dj); jerr == nil {
-				j := dj.Job
-				if dj.ResultRaw != nil {
-					j.Result = dj.ResultRaw
-				}
-				jobs = append(jobs, &j)
-				continue
-			} else {
-				err = jerr
+			err = json.Unmarshal(payload, &dj)
+		}
+		if err != nil {
+			if err := setAside(fs, path, err); err != nil {
+				return nil, nil, err
 			}
+			quarantined = append(quarantined, name)
+			continue
 		}
-		if _, qerr := chaos.Quarantine(fs, path); qerr != nil {
-			return nil, nil, fmt.Errorf("fleet: job record %s corrupt (%v) and quarantine failed: %w", name, err, qerr)
+		j := dj.Job
+		if dj.ResultRaw != nil {
+			j.Result = dj.ResultRaw
 		}
-		quarantined = append(quarantined, name)
+		jobs = append(jobs, &j)
 	}
 	sort.Slice(jobs, func(a, b int) bool { return jobs[a].ID < jobs[b].ID })
 	return jobs, quarantined, nil
+}
+
+// setAside is the recovery policy for a record that cannot be trusted:
+// quarantine it and carry on. A record (or the netlist blob it names)
+// from newer tooling is not corruption: the daemon refuses to start
+// rather than quarantine state that is presumed good.
+func setAside(fs chaos.FS, path string, cause error) error {
+	name := filepath.Base(path)
+	if errors.Is(cause, chaos.ErrNewerVersion) {
+		return fmt.Errorf("fleet: job record %s: %w", name, cause)
+	}
+	if _, qerr := chaos.Quarantine(fs, path); qerr != nil {
+		return fmt.Errorf("fleet: job record %s corrupt (%v) and quarantine failed: %w", name, cause, qerr)
+	}
+	return nil
+}
+
+// recycling is the filesystem a daemon persists through: the one it was
+// given, except that files are reused instead of unlinked and created.
+// An atomic replace unlinks the file that held the previous version,
+// and the next one creates a scratch file; on a filesystem where a
+// creation costs more the more files were deleted lately (ext4 without
+// a journal walks past every inode freed in the last minutes), a daemon
+// that does both for every record transition and checkpoint runs at a
+// speed set by what ran before it. So the file a rename is about to
+// unlink first gets a spare name, and the next file to be written is
+// that file: only a name that is new for good — a job's record, its
+// checkpoint, a first-seen netlist — costs a creation, and nothing is
+// deleted. The steps of chaos.WriteAtomic and their order are
+// untouched. Spares live in dir and end in .tmp, so loadJobs clears
+// them like any other debris.
+type recycling struct {
+	chaos.FS
+	dir string
+
+	mu   sync.Mutex
+	idle []string // spare files, each the only name of its inode
+	seq  int
+}
+
+// WriteFile moves an idle spare to name first, if there is one, so the
+// write overwrites a file instead of creating one.
+func (r *recycling) WriteFile(name string, data []byte, perm os.FileMode) error {
+	r.mu.Lock()
+	spare := ""
+	if n := len(r.idle); n > 0 {
+		spare, r.idle = r.idle[n-1], r.idle[:n-1]
+	}
+	r.mu.Unlock()
+	if spare != "" {
+		_ = r.FS.Rename(spare, name) // on failure the write creates name, as it would have
+	}
+	return r.FS.WriteFile(name, data, perm)
+}
+
+// Rename links the file at newpath, if there is one, to a spare name
+// before replacing it, and counts it idle once the rename has made that
+// its only name. A Link that fails (nothing to replace, or a filesystem
+// without hard links) costs the recycling, never the rename.
+func (r *recycling) Rename(oldpath, newpath string) error {
+	r.mu.Lock()
+	r.seq++
+	keep := filepath.Join(r.dir, fmt.Sprintf("spare-%d.tmp", r.seq))
+	r.mu.Unlock()
+	kept := r.FS.Link(newpath, keep) == nil
+	if err := r.FS.Rename(oldpath, newpath); err != nil || !kept {
+		return err
+	}
+	r.mu.Lock()
+	r.idle = append(r.idle, keep)
+	r.mu.Unlock()
+	return nil
+}
+
+// netlistSHA is the content address of a submitted netlist.
+func netlistSHA(src string) string {
+	h := sha256.New()
+	_, _ = io.WriteString(h, src) // a hash.Hash never fails a write
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// netlists stores submitted Verilog once per distinct content: a sealed
+// blob dir/<sha256>.v, written with the same durable atomic sequence as
+// a job record, and one interned string that every resident job of that
+// netlist shares. A hash is in src only after this process wrote its
+// blob or verified it during recovery; a file that merely exists is
+// never trusted, so the next submission of its content heals it.
+type netlists struct {
+	fs  chaos.FS
+	dir string
+	mu  sync.Mutex        // held across a blob write: a hash has one tmp path
+	src map[string]string // sha256 -> source
+}
+
+func (n *netlists) path(h string) string { return filepath.Join(n.dir, h+".v") }
+
+// put makes src durable under its hash h and returns the interned copy.
+// It must return before any record naming h is written.
+func (n *netlists) put(h, src string) (string, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if v, ok := n.src[h]; ok {
+		return v, nil
+	}
+	if err := chaos.WriteAtomic(n.fs, n.path(h), chaos.Seal([]byte(src)), 0o644); err != nil {
+		return "", err
+	}
+	n.src[h] = src
+	return src, nil
+}
+
+// get resolves a recovered record's hash back to its source, trusting
+// the blob only after both its envelope and its SHA-256 check out.
+func (n *netlists) get(h string) (string, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if v, ok := n.src[h]; ok {
+		return v, nil
+	}
+	data, err := n.fs.ReadFile(n.path(h))
+	if err != nil {
+		return "", err
+	}
+	payload, sealed, err := chaos.Open(data)
+	if err != nil {
+		return "", err
+	}
+	src := string(payload)
+	if !sealed || netlistSHA(src) != h {
+		return "", fmt.Errorf("fleet: netlist blob %s.v does not hash to its name", h)
+	}
+	n.src[h] = src
+	return src, nil
 }

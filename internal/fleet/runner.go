@@ -37,15 +37,15 @@ func keyWorkflow(sp *Spec) string {
 	return fmt.Sprintf("workflow:%s:y%g:mit%v", sp.Unit, sp.Years, sp.Mitigation)
 }
 
-// probeKey is the deepest artifact key of sp's chain — resident iff the
+// probeKey is the deepest artifact key of j's chain — resident iff the
 // whole chain was already built, which is what "warm" means to the
 // load-test latency split.
-func probeKey(sp *Spec) string {
-	switch sp.Kind {
+func probeKey(j *Job) string {
+	switch j.Spec.Kind {
 	case KindSweep:
-		return keyGrid(sp, store.HashBytes([]byte(sp.Verilog)))
+		return keyGrid(&j.Spec, j.NetlistSHA)
 	default:
-		return keyWorkflow(sp)
+		return keyWorkflow(&j.Spec)
 	}
 }
 
@@ -70,7 +70,7 @@ func (r *runner) run(ctx context.Context, j *Job, onProgress func(done, total in
 	case KindLift:
 		return r.runLift(&j.Spec)
 	case KindSweep:
-		return r.runSweep(&j.Spec)
+		return r.runSweep(&j.Spec, j.NetlistSHA)
 	case KindCampaign:
 		return r.runCampaign(ctx, j, onProgress)
 	default:
@@ -167,9 +167,9 @@ var errPartial = fmt.Errorf("fleet: campaign interrupted before completion")
 // stage reads through the store: concurrent submissions of one netlist
 // parse and characterize it exactly once, and re-submissions skip
 // straight to the (cheap) per-corner analysis pass against the cached
-// grid — the warm path the daemon's latency headline is built on.
-func (r *runner) runSweep(sp *Spec) (json.RawMessage, error) {
-	h := store.HashBytes([]byte(sp.Verilog))
+// grid — the warm path the daemon's latency headline is built on. h is
+// the SHA-256 of sp.Verilog the job has carried since submission.
+func (r *runner) runSweep(sp *Spec, h string) (json.RawMessage, error) {
 	lib := cell.Lib28()
 
 	nv, _, err := r.store.Do(keyNetlist(h), func() (any, error) {

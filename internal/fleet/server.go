@@ -1,11 +1,13 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -80,10 +82,11 @@ func (o *Options) fill() {
 // Server is the fleet daemon: a job queue, a bounded worker pool built
 // on par.ForEach, and the shared content-addressed artifact store.
 type Server struct {
-	opts   Options
-	store  *store.Store
-	runner *runner
-	fs     chaos.FS
+	opts     Options
+	store    *store.Store
+	runner   *runner
+	fs       chaos.FS
+	netlists *netlists // own locks; never touched under mu
 
 	mu      sync.Mutex
 	jobs    map[string]*Job
@@ -101,6 +104,10 @@ type Server struct {
 	cancel   context.CancelFunc
 	workers  sync.WaitGroup
 	draining bool // set under mu by Shutdown before cancelling
+	// released is cancelled by ReleaseWaiters: handlers parked in ?wait=
+	// answer at once, so a drain never waits out their timeouts.
+	released context.Context
+	release  context.CancelFunc
 
 	// progressHook, when set before Start, observes every progress
 	// update outside the server lock — the deterministic interruption
@@ -116,14 +123,17 @@ const queueCap = 8192
 // done/failed/cancelled records are served as-is, queued records and
 // running records from an interrupted daemon are requeued (campaign
 // jobs then resume from their checkpoint files), and corrupt records
-// are quarantined instead of failing the start. Call Start to launch
-// the workers.
+// are quarantined instead of failing the start, as is a record whose
+// netlist blob is missing or fails its envelope or SHA-256 check. Call
+// Start to launch the workers.
 func New(opts Options) (*Server, error) {
 	opts.fill()
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("fleet: Options.Dir is required")
 	}
-	if err := opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
+	opts.FS = &recycling{FS: opts.FS, dir: opts.Dir}
+	blobs := &netlists{fs: opts.FS, dir: filepath.Join(opts.Dir, "netlists"), src: make(map[string]string)}
+	if err := opts.FS.MkdirAll(blobs.dir, 0o755); err != nil {
 		return nil, err
 	}
 	st := opts.Store
@@ -132,17 +142,19 @@ func New(opts Options) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		opts:    opts,
-		store:   st,
-		runner:  &runner{store: st, parallelism: opts.Parallelism, fs: opts.FS},
-		fs:      opts.FS,
-		jobs:    make(map[string]*Job),
-		cancels: make(map[string]context.CancelFunc),
-		byKey:   make(map[string]string),
-		queue:   make(chan string, queueCap),
-		ctx:     ctx,
-		cancel:  cancel,
+		opts:     opts,
+		store:    st,
+		runner:   &runner{store: st, parallelism: opts.Parallelism, fs: opts.FS},
+		fs:       opts.FS,
+		netlists: blobs,
+		jobs:     make(map[string]*Job),
+		cancels:  make(map[string]context.CancelFunc),
+		byKey:    make(map[string]string),
+		queue:    make(chan string, queueCap),
+		ctx:      ctx,
+		cancel:   cancel,
 	}
+	s.released, s.release = context.WithCancel(context.Background())
 	prior, quarantined, err := loadJobs(opts.FS, opts.Dir)
 	if err != nil {
 		cancel()
@@ -150,8 +162,34 @@ func New(opts Options) (*Server, error) {
 	}
 	s.quarantined = quarantined
 	for _, j := range prior {
+		// Keep seq ahead of every recovered ID (IDs are zero-padded, so
+		// the lexicographic max is the numeric max) — including one set
+		// aside below, whose submitter may still be asking for it.
+		var n int
+		if _, err := fmt.Sscanf(j.ID, "j%06d", &n); err == nil && n > s.seq {
+			s.seq = n
+		}
+		switch {
+		case j.Spec.Verilog != "":
+			// A record that inlines its source (written before the blob
+			// store): move the source in, so one layout leaves recovery.
+			j.NetlistSHA = netlistSHA(j.Spec.Verilog)
+			if j.Spec.Verilog, err = blobs.put(j.NetlistSHA, j.Spec.Verilog); err != nil {
+				cancel()
+				return nil, err
+			}
+		case j.NetlistSHA != "":
+			if j.Spec.Verilog, err = blobs.get(j.NetlistSHA); err != nil {
+				if err := setAside(opts.FS, jobPath(opts.Dir, j.ID), err); err != nil {
+					cancel()
+					return nil, err
+				}
+				s.quarantined = append(s.quarantined, j.ID+".json")
+				continue
+			}
+		}
 		j.ckpt = ckptPath(opts.Dir, j.ID)
-		if j.Status == StatusRunning || j.Status == StatusQueued {
+		if !j.terminal() {
 			if j.Attempts >= opts.MaxAttempts {
 				// Poison-job fuse: a record that keeps getting requeued
 				// (daemon crashed or timed out on it MaxAttempts times)
@@ -161,6 +199,7 @@ func New(opts Options) (*Server, error) {
 					j.Attempts, opts.MaxAttempts)
 			} else {
 				j.Status = StatusQueued
+				j.done = make(chan struct{})
 			}
 			if err := saveJob(opts.FS, opts.Dir, j); err != nil {
 				cancel()
@@ -173,12 +212,6 @@ func New(opts Options) (*Server, error) {
 		s.jobs[j.ID] = j
 		if j.Spec.SubmitKey != "" {
 			s.byKey[j.Spec.SubmitKey] = j.ID
-		}
-		// Keep seq ahead of every recovered ID (IDs are zero-padded,
-		// so the lexicographic max is the numeric max).
-		var n int
-		if _, err := fmt.Sscanf(j.ID, "j%06d", &n); err == nil && n > s.seq {
-			s.seq = n
 		}
 	}
 	return s, nil
@@ -230,13 +263,13 @@ func (s *Server) execute(id string) {
 	j.Status = StatusRunning
 	j.Attempts++
 	s.cancels[id] = jcancel
-	spec := j.Spec // runner reads the copy; record stays handler-owned
-	_ = saveJob(s.fs, s.opts.Dir, j)
+	// The runner reads a copy; the record stays handler-owned.
+	work := &Job{ID: j.ID, Spec: j.Spec, NetlistSHA: j.NetlistSHA, ckpt: j.ckpt}
+	s.commit(j)
 	s.mu.Unlock()
 	defer jcancel()
 
 	started := time.Now()
-	work := &Job{ID: j.ID, Spec: spec, ckpt: j.ckpt}
 	result, err := s.runSafely(jctx, work, func(done, total int) {
 		p := Progress{Done: done, Total: total}
 		s.mu.Lock()
@@ -283,7 +316,18 @@ func (s *Server) execute(id string) {
 			j.Progress.Done = j.Progress.Total
 		}
 	}
+	s.commit(j)
+}
+
+// commit persists j's current state and, once that state is terminal,
+// wakes the job's ?wait= handlers. Every transition of a live job goes
+// through here, and a terminal job never transitions again, so done is
+// closed exactly once. Caller holds s.mu.
+func (s *Server) commit(j *Job) {
 	_ = saveJob(s.fs, s.opts.Dir, j)
+	if j.terminal() {
+		close(j.done)
+	}
 }
 
 // runSafely wraps the runner so a panicking job degrades to a failed
@@ -316,12 +360,13 @@ func (s *Server) requeueOrFail(j *Job, reason string) {
 	}
 }
 
-// specHash is the content address of a spec — what a SubmitKey binds
-// to. The key itself is excluded (it names the submission attempt, not
-// the work), so a replayed key provably carries identical work.
-func specHash(sp *Spec) string {
-	c := *sp
-	c.SubmitKey = ""
+// specHash is the content address of a job's spec — what a SubmitKey
+// binds to. The key itself is excluded (it names the submission
+// attempt, not the work), so a replayed key provably carries identical
+// work; the netlist is represented by its hash.
+func specHash(j *Job) string {
+	c := j.Spec
+	c.SubmitKey, c.Verilog = "", j.NetlistSHA
 	data, _ := json.Marshal(&c)
 	return store.HashBytes(data)
 }
@@ -332,33 +377,39 @@ func specHash(sp *Spec) string {
 // already-accepted job is returned instead of a duplicate — after
 // verifying the spec's content hash matches, so a colliding key can
 // never hand back someone else's work.
+//
+// A sweep's Verilog is hashed once, here, before the server lock is
+// taken. The source is made durable under that hash (written only the
+// first time this process sees the content) before the record that
+// names it, and the job holds the interned copy.
 func (s *Server) Submit(spec Spec) (*Job, error) {
 	spec.fill()
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
+	j := &Job{Spec: spec, Status: StatusQueued, done: make(chan struct{})}
+	if spec.Kind == KindSweep {
+		j.NetlistSHA = netlistSHA(spec.Verilog)
+		var err error
+		if j.Spec.Verilog, err = s.netlists.put(j.NetlistSHA, spec.Verilog); err != nil {
+			return nil, err
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if spec.SubmitKey != "" {
-		if id, ok := s.byKey[spec.SubmitKey]; ok {
-			j := s.jobs[id]
-			if specHash(&j.Spec) != specHash(&spec) {
-				return nil, fmt.Errorf("fleet: submit key %q already bound to different work (job %s)",
-					spec.SubmitKey, id)
-			}
-			return snapshot(j), nil
+	if prior, ok := s.jobs[s.byKey[spec.SubmitKey]]; ok { // byKey never holds the empty key
+		if specHash(prior) != specHash(j) {
+			return nil, fmt.Errorf("fleet: submit key %q already bound to different work (job %s)",
+				spec.SubmitKey, prior.ID)
 		}
+		return snapshot(prior), nil
 	}
 	if s.closed {
 		return nil, errClosed
 	}
 	s.seq++
-	j := &Job{
-		ID:       fmt.Sprintf("j%06d", s.seq),
-		Spec:     spec,
-		Status:   StatusQueued,
-		CacheHit: s.store.Contains(probeKey(&spec)),
-	}
+	j.ID = fmt.Sprintf("j%06d", s.seq)
+	j.CacheHit = s.store.Contains(probeKey(j))
 	if spec.Kind == KindCampaign {
 		j.Progress.Total = CampaignTotal(spec.PerClass)
 	}
@@ -391,7 +442,7 @@ func (s *Server) Cancel(id string) (*Job, error) {
 	switch j.Status {
 	case StatusQueued:
 		j.Status = StatusCancelled
-		_ = saveJob(s.fs, s.opts.Dir, j)
+		s.commit(j)
 	case StatusRunning:
 		if c := s.cancels[id]; c != nil {
 			c()
@@ -452,6 +503,7 @@ func (s *Server) Store() *store.Store { return s.store }
 // flush their current checkpoint wave and are requeued on disk), and
 // waits for the workers to drain, bounded by ctx.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.ReleaseWaiters()
 	s.mu.Lock()
 	s.closed = true
 	s.draining = true
@@ -467,6 +519,26 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// Workers are gone; any job still queued in memory stays queued on
 	// disk for the next daemon instance.
 	return nil
+}
+
+// ReleaseWaiters makes every handler parked in GET /jobs/{id}?wait=
+// answer at once with the job's current record, and later waits not
+// park. Shutdown calls it; an embedder that shuts its http.Server down
+// first registers it there (RegisterOnShutdown), or that shutdown would
+// sit out the parked requests' timeouts.
+func (s *Server) ReleaseWaiters() { s.release() }
+
+// maxWait caps how long one GET /jobs/{id}?wait= request may park.
+const maxWait = 30 * time.Second
+
+// parseWait reads the wait query parameter: absent means no wait, and
+// anything that is not a non-negative duration is the client's error.
+func parseWait(q string) (time.Duration, error) {
+	d, err := time.ParseDuration(cmp.Or(q, "0s"))
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("fleet: wait must be a non-negative duration such as 20s, got %q", q)
+	}
+	return min(d, maxWait), nil
 }
 
 // snapshot deep-copies the fields handlers return, so records mutated
@@ -535,10 +607,29 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, jobs)
 	})
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		wait, err := parseWait(r.URL.Query().Get("wait"))
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
 		j, ok := s.Job(r.PathValue("id"))
 		if !ok {
 			httpError(w, http.StatusNotFound, errNotFound)
 			return
+		}
+		if wait > 0 && !j.terminal() {
+			// Park until the job finishes, the wait runs out, the client
+			// goes away or the daemon drains, then answer with the record
+			// as it stands.
+			t := time.NewTimer(wait)
+			select {
+			case <-j.done:
+			case <-t.C:
+			case <-r.Context().Done():
+			case <-s.released.Done():
+			}
+			t.Stop()
+			j, _ = s.Job(j.ID)
 		}
 		writeJSON(w, http.StatusOK, redact(j))
 	})
