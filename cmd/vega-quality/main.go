@@ -1,7 +1,8 @@
-// vega-quality evaluates the generated test suites against the failing
-// netlists (the emulated aged silicon) and prints the paper's Table 6
-// (detection quality per failure mode, with/without mitigation) and
-// Table 7 (Vega vs random test suites).
+// vega-quality evaluates the generated test suites against the emulated
+// aged silicon — every covered pair's failure model, run as packed fault
+// waves beside a golden lane — and prints the paper's Table 6 (detection
+// quality per failure mode, with/without mitigation) and Table 7 (Vega
+// vs random test suites).
 package main
 
 import (

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/embench"
 	"repro/internal/fault"
+	"repro/internal/inject"
 	"repro/internal/integrate"
 	"repro/internal/isa"
 	"repro/internal/lift"
@@ -203,100 +204,115 @@ func (r QualityRow) Pct(n int) float64 {
 	return 100 * float64(n) / float64(r.Total)
 }
 
-// suitePairs lists the unique pairs that have at least one test case,
-// with the index of their first case in the suite.
-func suitePairs(s *lift.Suite) []struct {
+// suitePair is one unique pair with a test case: its failure site and
+// the index of its first ("own") case in the suite.
+type suitePair struct {
 	Pair   sta.Pair
 	Type   sta.PathType
 	OwnIdx int
-} {
-	type key struct{ s, e int32 }
-	seen := map[key]bool{}
-	var out []struct {
-		Pair   sta.Pair
-		Type   sta.PathType
-		OwnIdx int
-	}
+}
+
+// suitePairs lists the unique pairs that have at least one test case,
+// with the index of their first case in the suite.
+func suitePairs(s *lift.Suite) []suitePair {
+	seen := map[sta.Pair]bool{}
+	var out []suitePair
 	for i, tc := range s.Cases {
-		k := key{int32(tc.Spec.Start), int32(tc.Spec.End)}
-		if seen[k] {
+		p := sta.Pair{Start: tc.Spec.Start, End: tc.Spec.End}
+		if seen[p] {
 			continue
 		}
-		seen[k] = true
-		out = append(out, struct {
-			Pair   sta.Pair
-			Type   sta.PathType
-			OwnIdx int
-		}{sta.Pair{Start: tc.Spec.Start, End: tc.Spec.End}, tc.Spec.Type, i})
+		seen[p] = true
+		out = append(out, suitePair{p, tc.Spec.Type, i})
 	}
 	return out
 }
 
-// runSuiteAgainst executes the suite image on a CPU whose unit is the
-// given failing netlist and classifies the outcome relative to ownIdx.
-// The context is polled during emulation (cpu.RunCtx), so a cancelled
-// replay experiment stops mid-run instead of finishing the image.
-func (w *Workflow) runSuiteAgainst(ctx context.Context, img *isa.Image, spec fault.Spec, ownIdx int) Detection {
-	failing := fault.FailingNetlist(w.Module.Netlist, spec)
-	c := cpu.New(MemSize)
-	if w.Module.Name == "ALU" {
-		c.ALU = cpu.NewNetlistALU(w.Module, failing)
-	} else {
-		c.FPU = cpu.NewNetlistFPU(w.Module, failing)
-	}
-	c.Load(img)
-	switch c.RunCtx(ctx, MaxCycles) {
-	case cpu.HaltBreak:
-		caught := lift.FailedCase(c.X[isa.S1])
+// failureModes are the Table 6/7 rows: the wrong value C a violating
+// flip-flop samples.
+var failureModes = []fault.CValue{fault.C0, fault.C1, fault.CRandom}
+
+// detectionOf classifies one finished replay from its halt reason (as
+// cpu.HaltReason.String renders it) and the case that trapped, relative
+// to the pair's own case. A replay that did not finish has no outcome:
+// Detection's zero value is DetectedOwn, so it must never be tallied.
+func detectionOf(halt string, caught, ownIdx int) (Detection, error) {
+	switch halt {
+	case cpu.HaltBreak.String():
 		switch {
 		case caught == ownIdx:
-			return DetectedOwn
+			return DetectedOwn, nil
 		case caught < ownIdx:
-			return DetectedBefore
+			return DetectedBefore, nil
 		default:
-			return DetectedLater
+			return DetectedLater, nil
 		}
-	case cpu.HaltStalled, cpu.HaltFault:
+	case cpu.HaltStalled.String(), cpu.HaltFault.String():
 		// A hung handshake or a corrupted address that faults are both
 		// software-visible symptoms (the paper's "S" category: the
 		// application stops progressing).
-		return DetectedStall
-	default:
-		return Missed
+		return DetectedStall, nil
+	case cpu.HaltExit.String(), cpu.HaltLimit.String():
+		return Missed, nil
 	}
+	return Missed, fmt.Errorf("core: suite replay did not finish (halt %q)", halt)
+}
+
+// replaySuite runs img on the aged silicon of every (failure mode, pair)
+// and returns one Detection per failing netlist, mode-major in
+// failureModes x pairs order. The failing netlists are never built: each
+// is one stuck-class injection on the pair, so the whole set shares
+// inject's packed fault waves (63 failure models beside a golden lane
+// per gate-level run) and only lanes that physically diverge are
+// replayed further. An incomplete report is an error.
+func (w *Workflow) replaySuite(ctx context.Context, img *isa.Image, pairs []suitePair) ([]Detection, error) {
+	if len(pairs) == 0 {
+		return nil, nil
+	}
+	specs := make([]inject.Spec, 0, len(failureModes)*len(pairs))
+	for _, mode := range failureModes {
+		for _, p := range pairs {
+			specs = append(specs, inject.Spec{Class: inject.StuckAt, Unit: w.Module.Name,
+				Faults: []fault.Spec{{Type: p.Type, Start: p.Pair.Start, End: p.Pair.End, C: mode}}})
+		}
+	}
+	rep, err := inject.Run(ctx, inject.Config{
+		Module: w.Module, Image: img, Specs: specs,
+		MemSize: MemSize, MaxCycles: MaxCycles, Parallelism: w.Config.Parallelism,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if rep.Partial || len(rep.Results) != len(specs) {
+		return nil, fmt.Errorf("core: suite replay classified %d of %d failing netlists", rep.Completed, len(specs))
+	}
+	dets := make([]Detection, len(specs))
+	for i, r := range rep.Results {
+		if dets[i], err = detectionOf(r.Halt, r.Case, pairs[i%len(pairs)].OwnIdx); err != nil {
+			return nil, fmt.Errorf("%s: %w", r.Spec, err)
+		}
+	}
+	return dets, nil
 }
 
 // TestQuality runs the paper's Table 6 experiment for the given suite:
 // for every unique pair with a test case, emulate the aged silicon with
-// the corresponding failing netlist in each failure mode (C=0, C=1,
-// random) and run the whole suite against it. A failed replay task (or a
-// cancelled pool) is an error, not a silently zero-tallied detection.
+// the corresponding failure model in each failure mode (C=0, C=1,
+// random) and run the whole suite against it. A failed or incomplete
+// replay is an error, not a silently zero-tallied detection.
 func (w *Workflow) TestQuality(s *lift.Suite) ([]QualityRow, error) {
 	img, err := s.Image()
 	if err != nil {
 		return nil, err
 	}
 	pairs := suitePairs(s)
-	modes := []fault.CValue{fault.C0, fault.C1, fault.CRandom}
-
-	// One task per (failure mode, failing netlist): every task builds
-	// its own failing netlist and CPU, so the pool shares only the
-	// read-only suite image and module. Outcomes are collected in task
-	// order and tallied sequentially below — identical to the nested
-	// sequential loops at any parallelism.
-	dets, err := par.Map(context.Background(), len(modes)*len(pairs), w.Config.Parallelism,
-		func(ctx context.Context, i int) (Detection, error) {
-			mode := modes[i/len(pairs)]
-			p := pairs[i%len(pairs)]
-			spec := fault.Spec{Type: p.Type, Start: p.Pair.Start, End: p.Pair.End, C: mode}
-			return w.runSuiteAgainst(ctx, img, spec, p.OwnIdx), nil
-		})
+	dets, err := w.replaySuite(context.Background(), img, pairs)
 	if err != nil {
 		return nil, err
 	}
 
 	var rows []QualityRow
-	for mi, mode := range modes {
+	for mi, mode := range failureModes {
 		row := QualityRow{Unit: w.Module.Name, FM: mode, Total: len(pairs)}
 		for pi := range pairs {
 			switch dets[mi*len(pairs)+pi] {
@@ -330,70 +346,48 @@ type VsRandomRow struct {
 
 // VsRandom runs the Table 7 comparison: the Vega suite against random
 // suites of the same size, averaged over the given number of seeds. A
-// failed replay task (or a cancelled pool) is an error, not a silently
-// zero-tallied detection.
+// failed or incomplete replay is an error, not a silently zero-tallied
+// detection.
 func (w *Workflow) VsRandom(s *lift.Suite, seeds int) ([]VsRandomRow, error) {
-	img, err := s.Image()
-	if err != nil {
-		return nil, err
-	}
 	pairs := suitePairs(s)
-	modes := []fault.CValue{fault.C0, fault.C1, fault.CRandom}
 
-	// Random suites are deterministic functions of their seed (the seed
-	// is derived from the suite index, never a shared rand.Rand), so the
-	// images can be built once up front and shared read-only by every
-	// replay task.
-	rImgs := make([]*isa.Image, seeds)
-	for seed := range rImgs {
-		rImgs[seed], err = lift.RandomSuite(w.Module, len(s.Cases), int64(1000+seed)).Image()
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// One task per (mode, pair, suite): suite index 0 is the Vega suite,
-	// 1..seeds are the random suites. Detection booleans are collected
-	// in task order and reduced sequentially, so percentages accumulate
-	// in the same order as the nested sequential loops.
-	perPair := 1 + seeds
-	detected, err := par.Map(context.Background(), len(modes)*len(pairs)*perPair, w.Config.Parallelism,
-		func(ctx context.Context, i int) (bool, error) {
-			mode := modes[i/(len(pairs)*perPair)]
-			rem := i % (len(pairs) * perPair)
-			p := pairs[rem/perPair]
-			k := rem % perPair
-			spec := fault.Spec{Type: p.Type, Start: p.Pair.Start, End: p.Pair.End, C: mode}
-			if k == 0 {
-				return w.runSuiteAgainst(ctx, img, spec, p.OwnIdx) != Missed, nil
+	// One replay per suite: index 0 is the Vega suite, 1..seeds are the
+	// random suites, each a deterministic function of its seed (derived
+	// from the suite index, never a shared rand.Rand). Detections are
+	// collected in suite order and reduced sequentially, so percentages
+	// accumulate in the same order at any parallelism.
+	dets, err := par.Map(context.Background(), 1+seeds, w.Config.Parallelism,
+		func(ctx context.Context, k int) ([]Detection, error) {
+			suite := s
+			if k > 0 {
+				suite = lift.RandomSuite(w.Module, len(s.Cases), int64(1000+k-1))
 			}
-			return w.runSuiteAgainst(ctx, rImgs[k-1], spec, -1) != Missed, nil
+			img, err := suite.Image()
+			if err != nil {
+				return nil, err
+			}
+			return w.replaySuite(ctx, img, pairs)
 		})
 	if err != nil {
 		return nil, err
 	}
 
-	at := func(mi, pi, k int) bool { return detected[(mi*len(pairs)+pi)*perPair+k] }
-	var rows []VsRandomRow
-	for mi, mode := range modes {
-		row := VsRandomRow{Unit: w.Module.Name, FM: mode}
-		vega := 0
+	// pct is suite k's detection rate in failure mode mi.
+	pct := func(mi, k int) float64 {
+		n := 0
 		for pi := range pairs {
-			if at(mi, pi, 0) {
-				vega++
+			if dets[k][mi*len(pairs)+pi] != Missed {
+				n++
 			}
 		}
-		row.VegaPct = 100 * float64(vega) / float64(len(pairs))
-
+		return 100 * float64(n) / float64(len(pairs))
+	}
+	var rows []VsRandomRow
+	for mi, mode := range failureModes {
+		row := VsRandomRow{Unit: w.Module.Name, FM: mode, VegaPct: pct(mi, 0)}
 		var randTotal float64
 		for seed := 0; seed < seeds; seed++ {
-			n := 0
-			for pi := range pairs {
-				if at(mi, pi, 1+seed) {
-					n++
-				}
-			}
-			randTotal += 100 * float64(n) / float64(len(pairs))
+			randTotal += pct(mi, 1+seed)
 		}
 		row.RandomPct = randTotal / float64(seeds)
 		rows = append(rows, row)

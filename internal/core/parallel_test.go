@@ -68,6 +68,19 @@ func TestParallelismDeterminism(t *testing.T) {
 	if len(q1) == 0 || !reflect.DeepEqual(q1, q8) {
 		t.Errorf("TestQuality rows differ:\n  j=1: %+v\n  j=8: %+v", q1, q8)
 	}
+	// A shuffled suite moves the own-case indices, which repopulates the
+	// Before/Later columns.
+	sh1, err := w1.TestQuality(ShuffledSuite(s1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh8, err := w8.TestQuality(ShuffledSuite(s8, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sh1, sh8) {
+		t.Errorf("shuffled-suite rows differ:\n  j=1: %+v\n  j=8: %+v", sh1, sh8)
+	}
 }
 
 // TestParallelismDeterminismSweeps covers the remaining fan-out sites:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/alu"
@@ -474,5 +475,43 @@ func TestHaltStalledOnHungFPUHandshake(t *testing.T) {
 	c.Load(mustAsm(t, a))
 	if got := c.Run(1000); got != HaltStalled {
 		t.Fatalf("halt = %v, want stalled", got)
+	}
+}
+
+// TestRecycledStateEqualsNew: whatever a released CPU held — dirty
+// memory, registers, a halt, a backend — the next Recycled CPU is
+// deep-equal to New's, on a reused arena as on a fresh one, and a
+// request for another size never gets a recycled arena.
+func TestRecycledStateEqualsNew(t *testing.T) {
+	want := New(memSize)
+	reused := 0
+	for i := 0; i < 64; i++ {
+		c := Recycled(memSize)
+		if !reflect.DeepEqual(c, want) {
+			t.Fatalf("iteration %d: recycled CPU differs from New", i)
+		}
+		arena := &c.Mem[0]
+		for j := range c.Mem {
+			c.Mem[j] = byte(j) | 1
+		}
+		c.X[5], c.F[7], c.FFlags, c.PC, c.Cycles, c.Instret = 1, 2, 3, 4, 5, 6
+		c.Halt, c.ExitCode, c.FaultMsg = HaltFault, 9, "dirty"
+		c.ALU = &RecordingALU{}
+		c.decodeCache[0] = isa.Inst{Op: isa.ADD}
+		c.Release()
+		if c.Mem != nil {
+			t.Fatal("a released CPU kept its arena")
+		}
+		next := Recycled(memSize)
+		if &next.Mem[0] == arena {
+			reused++
+		}
+		next.Release()
+	}
+	if reused == 0 {
+		t.Error("no arena was ever reused: the recycle path went untested")
+	}
+	if small := Recycled(memSize / 2); !reflect.DeepEqual(small, New(memSize/2)) {
+		t.Error("a different size must get a fresh CPU")
 	}
 }

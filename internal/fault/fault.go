@@ -134,11 +134,15 @@ func activation(b *netlist.Builder, orig *netlist.Netlist, spec Spec, xQ, xD net
 func addLFSR(b *netlist.Builder, clk netlist.NetID) netlist.NetID {
 	const seed = 0xACE1
 	qs := make([]netlist.NetID, 16)
+	ffs := make([]netlist.CellID, 16)
+	// Placeholder D nets until the flip-flops exist to be chained; they
+	// stay allocated, so net numbering in the exported Verilog is stable.
 	ds := make([]netlist.NetID, 16)
 	for i := range ds {
 		ds[i] = b.Net()
 	}
 	for i := range qs {
+		ffs[i] = netlist.CellID(b.NumCells())
 		qs[i] = b.AddDFFNamed(fmt.Sprintf("fault_lfsr_%d", i), ds[i], clk, seed>>uint(i)&1 == 1)
 	}
 	fb := b.Add(cell.XOR2,
@@ -146,21 +150,10 @@ func addLFSR(b *netlist.Builder, clk netlist.NetID) netlist.NetID {
 		b.Add(cell.XOR2, qs[12], qs[10]))
 	// Shift register: bit0 <- feedback, bit i <- bit i-1.
 	for i := 15; i >= 1; i-- {
-		b.RewireInput(cellOfDFF(b, qs[i]), 0, qs[i-1])
+		b.RewireInput(ffs[i], 0, qs[i-1])
 	}
-	b.RewireInput(cellOfDFF(b, qs[0]), 0, fb)
-	_ = ds
+	b.RewireInput(ffs[0], 0, fb)
 	return qs[15]
-}
-
-// cellOfDFF finds the cell driving net q in the builder.
-func cellOfDFF(b *netlist.Builder, q netlist.NetID) netlist.CellID {
-	for i := 0; i < b.NumCells(); i++ {
-		if b.CellOut(netlist.CellID(i)) == q {
-			return netlist.CellID(i)
-		}
-	}
-	panic("fault: net has no driver in builder")
 }
 
 // FailingNetlist produces the §3.3.2 "failing netlist": a clone of the

@@ -366,6 +366,19 @@ func RunWithStats(ctx context.Context, cfg Config) (*Report, *PackedStats, error
 	return buildReport(&cfg, results, done), stats, nil
 }
 
+// taskOut is one replay's outcome inside a par.Map: ok=false means ctx
+// interrupted it and the injection stays pending.
+type taskOut struct {
+	r  Result
+	ok bool
+}
+
+// interrupted reports whether a pool stopped because its context was
+// cancelled or expired, which ends a campaign gracefully, not in error.
+func interrupted(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
 // runScalar is the baseline campaign loop: every pending injection is
 // one independent full replay, fanned out via par.Map in waves of
 // CheckpointEvery.
@@ -377,10 +390,6 @@ func runScalar(ctx context.Context, cfg *Config, g *goldenInfo, pending []int, r
 		}
 		pending = pending[len(wave):]
 
-		type taskOut struct {
-			r  Result
-			ok bool
-		}
 		outs, err := par.Map(ctx, len(wave), cfg.Parallelism, func(ctx context.Context, i int) (taskOut, error) {
 			idx := wave[i]
 			r, ok, err := runOne(ctx, cfg, idx, g)
@@ -392,7 +401,7 @@ func runScalar(ctx context.Context, cfg *Config, g *goldenInfo, pending []int, r
 				done[wave[i]] = true
 			}
 		}
-		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		if err != nil && !interrupted(err) {
 			return err
 		}
 		if err := persist(cfg, results, done); err != nil {
@@ -466,7 +475,7 @@ func runPacked(ctx context.Context, cfg *Config, g *goldenInfo, stats *PackedSta
 			}
 			stats.merge(cur[i].class, o.acct)
 		}
-		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		if err != nil && !interrupted(err) {
 			return err
 		}
 		if err := persist(cfg, results, done); err != nil {
@@ -510,7 +519,8 @@ func runUnit(ctx context.Context, cfg *Config, g *goldenInfo, u unit) ([]Result,
 // pending for resume.
 func runOne(ctx context.Context, cfg *Config, idx int, g *goldenInfo) (Result, bool, error) {
 	s := cfg.Specs[idx]
-	c := cpu.New(cfg.MemSize)
+	c := cpu.Recycled(cfg.MemSize)
+	defer c.Release()
 	if err := Attach(cfg.Module, c, s); err != nil {
 		return Result{}, false, fmt.Errorf("injection %d (%s): %w", idx, s.String(), err)
 	}

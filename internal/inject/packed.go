@@ -12,6 +12,7 @@ import (
 	"repro/internal/fpu"
 	"repro/internal/module"
 	"repro/internal/netlist"
+	"repro/internal/par"
 	"repro/internal/sta"
 )
 
@@ -77,7 +78,8 @@ func (c countFPU) ExecFPU(op fpu.Op, a, b uint32) (uint32, uint32, bool) {
 // Escape-to-Detected reclassification would be meaningless.
 func goldenRun(cfg *Config) (*goldenInfo, error) {
 	g := &goldenInfo{}
-	c := cpu.New(cfg.MemSize)
+	c := cpu.Recycled(cfg.MemSize)
+	defer c.Release()
 	if cfg.Module.Name == "ALU" {
 		c.ALU = countALU{&g.ops}
 	} else {
@@ -505,7 +507,8 @@ func (w fpuResume) ExecFPU(op fpu.Op, a, b uint32) (uint32, uint32, bool) {
 // run — the injection stays pending.
 func runContinuation(ctx context.Context, cfg *Config, g *goldenInfo, idx int, ret *retirement) (Result, bool, error) {
 	s := cfg.Specs[idx]
-	c := cpu.New(cfg.MemSize)
+	c := cpu.Recycled(cfg.MemSize)
+	defer c.Release()
 	rb := &resumeBackend{m: cfg.Module, spec: s, ret: ret}
 	if s.Unit == "ALU" {
 		c.ALU = aluResume{rb}
@@ -568,7 +571,8 @@ func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) 
 		live:  (uint64(1)<<uint(len(idxs)+1) - 1) &^ 1,
 		ovNet: ovPort.Bits[0], resBits: resPort.Bits, flgBits: flgPort.Bits,
 	}
-	c := cpu.New(cfg.MemSize)
+	c := cpu.Recycled(cfg.MemSize)
+	defer c.Release()
 	if cfg.Module.Name == "ALU" {
 		c.ALU = aluPacked{pb}
 	} else {
@@ -619,20 +623,22 @@ func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) 
 			acct.masked++
 		}
 	}
-	for _, ret := range pb.rets {
-		if ctx.Err() != nil {
-			break
-		}
-		i := ret.lane - 1
-		r, ok, err := runContinuation(ctx, cfg, g, idxs[i], ret)
-		if err != nil {
-			return results, done, acct, err
-		}
-		if ok {
-			results[i], done[i] = r, true
+	// The retired lanes' continuations are independent replays: fan them
+	// out like the waves themselves, each landing in its own lane's slot.
+	outs, err := par.Map(ctx, len(pb.rets), cfg.Parallelism, func(ctx context.Context, k int) (taskOut, error) {
+		r, ok, err := runContinuation(ctx, cfg, g, idxs[pb.rets[k].lane-1], pb.rets[k])
+		return taskOut{r, ok}, err
+	})
+	for k, o := range outs {
+		if o.ok {
+			i := pb.rets[k].lane - 1
+			results[i], done[i] = o.r, true
 		}
 	}
-	return results, done, acct, nil
+	if interrupted(err) {
+		err = nil // unfinished lanes stay pending
+	}
+	return results, done, acct, err
 }
 
 // flipFires reports whether a behavioural injection's flip condition

@@ -14,6 +14,10 @@
 //   - MultiFault: two independent stuck-at sites active at once
 //     (fault.FailingNetlistMulti).
 //
+// The same engine also answers the pipeline's own question: Tables 6/7
+// (core.TestQuality, core.VsRandom) replay a suite against the pairs it
+// WAS built for by submitting one StuckAt spec per (failure mode, pair).
+//
 // Every injection is identified by a Spec with a stable string codec so
 // campaigns can be checkpointed, resumed, and fuzzed.
 package inject
