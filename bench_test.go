@@ -338,14 +338,13 @@ func BenchmarkAblation_PerEndpointCap(b *testing.B) {
 	if err := w.ProfileWorkloads(); err != nil {
 		b.Fatal(err)
 	}
-	lib := aging.NewLibrary(cell.Lib28(), aging.Default(), 10)
 	for _, cap := range []int{1, 10, 40, 400} {
 		b.Run(fmt.Sprintf("cap-%d", cap), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := sta.Analyze(w.Module.Netlist, sta.Config{
-					PeriodPs: w.Module.PeriodPs, Scale: w.Scale,
-					Aged: lib, Profile: w.SPProfile, PerEndpoint: cap,
-				})
+				res := sta.AnalyzeCorners(w.Module.Netlist, sta.BatchConfig{
+					PeriodPs: w.Module.PeriodPs, Scale: w.Scale, Base: cell.Lib28(),
+					Model: aging.Default(), Profile: w.SPProfile, PerEndpoint: cap,
+				}, []sta.Corner{{Years: 10}})[0]
 				b.ReportMetric(float64(res.NumSetupViolations), "paths")
 				b.ReportMetric(float64(len(res.Pairs)), "pairs")
 			}

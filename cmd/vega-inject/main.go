@@ -4,9 +4,8 @@
 // runs every injection under the suite, and prints the escape-rate
 // table per fault class. Injections are classified by packed concurrent
 // fault simulation — 63 faults share one compiled gate-level wave and
-// diverging lanes retire to per-fault continuations — with `-scalar`
-// forcing the one-replay-per-injection baseline and `-stats` printing
-// the wave occupancy and retirement accounting. Campaigns can be
+// diverging lanes retire to per-fault continuations — with `-stats`
+// printing the wave occupancy and retirement accounting. Campaigns can be
 // deadline-bounded (-deadline) and checkpointed (-checkpoint): an
 // interrupted run resumes to the identical final report.
 //
@@ -69,7 +68,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	jsonOut := fs.String("json", "", "write the full report JSON to this file")
 	years := fs.Float64("years", 10, "assumed lifetime in years")
 	jobs := fs.Int("j", 0, "worker parallelism (0 = all CPUs, 1 = sequential)")
-	scalar := fs.Bool("scalar", false, "force the scalar one-replay-per-injection baseline (no packed waves)")
 	chaosPlan := fs.String("chaos", "", "TESTING ONLY: injected fault plan for checkpoint I/O, e.g. \"crash@3,flip@2:9\" (crash points exit the process)")
 	stats := fs.Bool("stats", false, "print packed-simulation accounting (wave occupancy, retired lanes, replay savings)")
 	guards := fs.String("guards", "", "always-on runtime guards: \"all\" or comma-separated guard names (empty = unguarded)")
@@ -121,7 +119,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		MaxCycles:      *maxCycles,
 		CheckpointPath: *checkpoint,
 		FS:             fsys,
-		Scalar:         *scalar,
 		Guards:         guardList(*guards),
 	})
 	if err != nil {
@@ -142,14 +139,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fmt.Fprint(out, report.EscapeTable(rep))
 
 	if *stats {
-		if ps == nil {
-			fmt.Fprintf(out, "\npacked stats: unavailable (scalar baseline path)\n")
-		} else {
-			fmt.Fprintf(out, "\nPacked simulation accounting (golden run: %d unit ops):\n", ps.GoldenOps)
-			fmt.Fprint(out, report.PackedStatsTable(ps))
-			fmt.Fprintf(out, "retired-lane savings: %.1f%% of per-lane unit-op work avoided by wave sharing and early retirement\n",
-				100*ps.TotalSavings())
-		}
+		fmt.Fprintf(out, "\nPacked simulation accounting (golden run: %d unit ops):\n", ps.GoldenOps)
+		fmt.Fprint(out, report.PackedStatsTable(ps))
+		fmt.Fprintf(out, "retired-lane savings: %.1f%% of per-lane unit-op work avoided by wave sharing and early retirement\n",
+			100*ps.TotalSavings())
 	}
 
 	escaped := 0

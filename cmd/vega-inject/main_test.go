@@ -31,26 +31,15 @@ func TestRunSmokeStats(t *testing.T) {
 	}
 }
 
-// TestRunScalarStats pins the -scalar/-stats interaction: the baseline
-// path has no packed accounting to print and must say so rather than
-// fabricate a table.
-func TestRunScalarStats(t *testing.T) {
-	var out strings.Builder
-	err := run(context.Background(), []string{"-unit", "ALU", "-n", "1", "-seed", "3", "-j", "1", "-scalar", "-stats"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "packed stats: unavailable (scalar baseline path)") {
-		t.Errorf("scalar -stats output missing unavailability notice:\n%s", out.String())
-	}
-}
-
-// TestRunBadUnit pins the error path: an unknown unit is an error, not
-// an os.Exit, so the CLI surface stays testable.
-func TestRunBadUnit(t *testing.T) {
-	var out strings.Builder
-	if err := run(context.Background(), []string{"-unit", "VPU"}, &out); err == nil {
-		t.Fatal("expected error for unknown unit")
+// TestRunBadArgs pins the error path: an unknown unit is an error, not
+// an os.Exit, so the CLI surface stays testable — and so is -scalar,
+// now that there is one campaign engine to select.
+func TestRunBadArgs(t *testing.T) {
+	for _, args := range [][]string{{"-unit", "VPU"}, {"-scalar"}} {
+		var out strings.Builder
+		if err := run(context.Background(), args, &out); err == nil {
+			t.Errorf("expected an error for %v", args)
+		}
 	}
 }
 

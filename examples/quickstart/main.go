@@ -53,9 +53,10 @@ func main() {
 	fmt.Println()
 
 	// --- Phase 1b: aging-aware STA (§3.2.2) ---
-	lib := aging.NewLibrary(cell.DemoLibrary(), aging.Default(), 10)
-	fresh := sta.Analyze(nl, sta.Config{PeriodPs: 1000, Base: cell.DemoLibrary()})
-	aged := sta.Analyze(nl, sta.Config{PeriodPs: 1000, Aged: lib, Profile: prof})
+	corners := sta.AnalyzeCorners(nl, sta.BatchConfig{
+		PeriodPs: 1000, Base: cell.DemoLibrary(), Model: aging.Default(), Profile: prof,
+	}, []sta.Corner{{}, {Years: 10}})
+	fresh, aged := corners[0], corners[1]
 	fmt.Printf("\nfresh WNS: setup %+.0fps hold %+.0fps (design meets timing at 1 GHz)\n",
 		fresh.WNSSetup, fresh.WNSHold)
 	fmt.Printf("after 10 years: setup WNS %+.1fps, %d violating path(s)\n",

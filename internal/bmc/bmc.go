@@ -12,9 +12,9 @@
 // activation literal's negation as a unit clause. Learnt clauses survive
 // across all depths, and with the default stride of 1 the reported depth
 // is the provably minimal cover depth — shorter traces mean fewer RISC-V
-// instructions per embedded test. CoverSingleShot retains the
-// from-scratch single-solve path as the differential-testing and
-// benchmarking baseline.
+// instructions per embedded test. The from-scratch single-solve path is
+// the test-only oracle (incremental_test.go) the differential and fuzz
+// targets hold Cover to.
 //
 // Verdicts map to the paper's Table 4 outcomes: Covered (a trace exists —
 // "S" once instruction construction succeeds), Unreachable (the property
@@ -191,33 +191,6 @@ func Cover(nl *netlist.Netlist, covers []fault.CoverPoint, cfg Config) *Result {
 		prev = depth
 	}
 	return &Result{Verdict: Unreachable, Depth: cfg.MaxDepth, Stats: u.stats()}
-}
-
-// CoverSingleShot is the retained from-scratch baseline: a fresh solver,
-// the full MaxDepth-cycle CNF encoded in one pass, the cover disjunction
-// over every cycle added as a plain clause, and a single Solve call. It
-// exists for differential testing and benchmarking against the
-// incremental path; Depth is always MaxDepth (the single-shot bound
-// proves nothing about shallower depths).
-func CoverSingleShot(nl *netlist.Netlist, covers []fault.CoverPoint, cfg Config) *Result {
-	cfg.fill()
-	if len(covers) == 0 {
-		return &Result{Verdict: Unreachable, Depth: 0}
-	}
-	u := newUnroller(engine.Cached(nl), cfg)
-	u.extendTo(cfg.MaxDepth)
-	st := u.solveFinal(covers)
-	res := &Result{Depth: cfg.MaxDepth, Stats: u.stats()}
-	switch st {
-	case sat.Sat:
-		res.Verdict = Covered
-		res.Trace = u.extract(covers)
-	case sat.Unsat:
-		res.Verdict = Unreachable
-	default:
-		res.Verdict = Timeout
-	}
-	return res
 }
 
 // Replay simulates the instrumented netlist under the trace's inputs and
@@ -506,17 +479,6 @@ func (u *unroller) solveWindow(covers []fault.CoverPoint, lo, hi int) sat.Status
 		u.s.AddClause(sat.MkLit(act, true))
 	}
 	return st
-}
-
-// solveFinal is the single-shot variant: the cover disjunction over
-// every encoded cycle as a plain (unguarded) clause, one Solve call.
-func (u *unroller) solveFinal(covers []fault.CoverPoint) sat.Status {
-	var lits []sat.Lit
-	for t := 0; t < len(u.vars); t++ {
-		lits = append(lits, u.coverTargets(covers, t)...)
-	}
-	u.s.AddClause(lits...)
-	return u.solveBudgeted()
 }
 
 // solveBudgeted issues one Solve call against the remaining shared

@@ -7,8 +7,10 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/demo"
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/netlist"
+	"repro/internal/sat"
 	"repro/internal/sta"
 )
 
@@ -290,4 +292,41 @@ func TestCoverStatsAccounting(t *testing.T) {
 	if tiny.Verdict == Unreachable {
 		t.Errorf("budget-starved run claimed a proof: %+v", tiny)
 	}
+}
+
+// CoverSingleShot is the from-scratch oracle: a fresh solver, the full
+// MaxDepth-cycle CNF encoded in one pass, the cover disjunction over
+// every cycle added as a plain clause, and a single Solve call. Depth is
+// always MaxDepth (the single-shot bound proves nothing about shallower
+// depths).
+func CoverSingleShot(nl *netlist.Netlist, covers []fault.CoverPoint, cfg Config) *Result {
+	cfg.fill()
+	if len(covers) == 0 {
+		return &Result{Verdict: Unreachable, Depth: 0}
+	}
+	u := newUnroller(engine.Cached(nl), cfg)
+	u.extendTo(cfg.MaxDepth)
+	st := u.solveFinal(covers)
+	res := &Result{Depth: cfg.MaxDepth, Stats: u.stats()}
+	switch st {
+	case sat.Sat:
+		res.Verdict = Covered
+		res.Trace = u.extract(covers)
+	case sat.Unsat:
+		res.Verdict = Unreachable
+	default:
+		res.Verdict = Timeout
+	}
+	return res
+}
+
+// solveFinal is the single-shot variant: the cover disjunction over
+// every encoded cycle as a plain (unguarded) clause, one Solve call.
+func (u *unroller) solveFinal(covers []fault.CoverPoint) sat.Status {
+	var lits []sat.Lit
+	for t := 0; t < len(u.vars); t++ {
+		lits = append(lits, u.coverTargets(covers, t)...)
+	}
+	u.s.AddClause(lits...)
+	return u.solveBudgeted()
 }

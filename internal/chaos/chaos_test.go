@@ -11,7 +11,8 @@ import (
 )
 
 // TestEnvelopeRoundTrip: Seal then Open returns the payload with
-// sealed=true; a legacy (plain JSON) record passes through verbatim.
+// sealed=true; a plain JSON record, which no build has written since the
+// envelope exists, is an error, not a payload.
 func TestEnvelopeRoundTrip(t *testing.T) {
 	for _, payload := range [][]byte{
 		[]byte(`{"id":"j000001","status":"queued"}`),
@@ -23,19 +24,15 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 			t.Fatalf("round trip of %q: got %q sealed=%v err=%v", payload, got, sealed, err)
 		}
 	}
-	legacy := []byte(`{"Version":1,"Unit":"ALU"}`)
-	got, sealed, err := Open(legacy)
-	if err != nil || sealed || !bytes.Equal(got, legacy) {
-		t.Fatalf("legacy record: got %q sealed=%v err=%v", got, sealed, err)
+	got, sealed, err := Open([]byte(`{"Version":1,"Unit":"ALU"}`))
+	if err == nil || sealed || got != nil {
+		t.Fatalf("unsealed record: got %q sealed=%v err=%v", got, sealed, err)
 	}
 }
 
 // TestEnvelopeDetectsEveryBitFlip: flipping ANY single bit of a sealed
 // record must never make Open return a payload that differs from the
-// original. (A flip in the header that leaves the CRC-verified payload
-// intact — e.g. the version digit dropping to an older accepted
-// version — may still open; what can never happen is silently serving
-// different bytes.) This is the whole point of the envelope.
+// original. This is the whole point of the envelope.
 func TestEnvelopeDetectsEveryBitFlip(t *testing.T) {
 	payload := []byte(`{"id":"j000042","spec":{"kind":"campaign","unit":"ALU"},"status":"done"}`)
 	sealed := Seal(payload)
@@ -43,22 +40,8 @@ func TestEnvelopeDetectsEveryBitFlip(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte(nil), sealed...)
 			mut[i] ^= 1 << bit
-			got, wasSealed, err := Open(mut)
-			if err != nil {
-				continue // detected: good
-			}
-			if wasSealed {
-				if !bytes.Equal(got, payload) {
-					t.Fatalf("byte %d bit %d: corruption served a different payload %q", i, bit, got)
-				}
-				continue
-			}
-			// Flipping inside the magic can demote the record to
-			// "legacy"; that is only acceptable if the result no longer
-			// carries the magic at all (a legacy loader will then fail
-			// JSON parsing — still detected, one layer up).
-			if bytes.HasPrefix(mut, []byte(envelopeMagic)) {
-				t.Fatalf("byte %d bit %d: still magic-prefixed but treated as legacy", i, bit)
+			if got, _, err := Open(mut); err == nil && !bytes.Equal(got, payload) {
+				t.Fatalf("byte %d bit %d: corruption served a different payload %q", i, bit, got)
 			}
 		}
 	}
@@ -69,7 +52,7 @@ func TestEnvelopeDetectsEveryBitFlip(t *testing.T) {
 func TestEnvelopeRejectsTruncation(t *testing.T) {
 	sealed := Seal([]byte(`{"results":[1,2,3,4,5,6,7,8]}`))
 	for n := 0; n < len(sealed); n++ {
-		if _, wasSealed, err := Open(sealed[:n]); wasSealed && err == nil {
+		if _, _, err := Open(sealed[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes opened cleanly", n)
 		}
 	}
@@ -245,8 +228,8 @@ func TestQuarantine(t *testing.T) {
 	}
 }
 
-// FuzzEnvelope: for arbitrary bytes, Open never panics, a legacy
-// verdict returns the input verbatim, and Seal->Open is the identity.
+// FuzzEnvelope: for arbitrary bytes, Open never panics, never opens
+// bytes that lack the magic, and Seal->Open is the identity.
 func FuzzEnvelope(f *testing.F) {
 	f.Add([]byte(`{"id":"j000001"}`))
 	f.Add([]byte(envelopeMagic + "v3 crc32c=00000000 len=0\n"))

@@ -23,20 +23,18 @@ var ErrNewerVersion = errors.New("chaos: stale tooling")
 // caller can quarantine, instead of state that is silently wrong or a
 // record that bricks every restart.
 //
-// Versioning: records written before this envelope existed (the v1/v2
-// era: plain JSON, no header) are still accepted verbatim — Open
-// returns them unchanged with sealed=false, because JSON can never
-// start with the magic. Records claiming a NEWER envelope version than
-// this build understands are rejected as stale tooling rather than
+// Versioning: v3 is the one generation this build accepts. A record
+// without the header, or one claiming an older envelope version, is as
+// untrusted as a corrupt one; a record claiming a NEWER version than
+// this build understands is rejected as stale tooling rather than
 // misparsed.
 
-// EnvelopeVersion is the record-format generation this build writes.
-// v1/v2 are the historical un-checksummed plain-JSON formats; v3 is the
-// first sealed generation.
+// EnvelopeVersion is the record-format generation this build writes and
+// reads (v1/v2 were un-checksummed plain JSON and are no longer read).
 const EnvelopeVersion = 3
 
-// envelopeMagic starts every sealed record. JSON payloads (the legacy
-// format) can never begin with it.
+// envelopeMagic starts every sealed record. A JSON payload can never
+// begin with it.
 const envelopeMagic = "vega-rec "
 
 // crcTable is the Castagnoli polynomial, hardware-accelerated on
@@ -51,15 +49,14 @@ func Seal(payload []byte) []byte {
 	return append(out, payload...)
 }
 
-// Open unwraps a record. Sealed records are verified (version, length,
-// checksum) and return their payload with sealed=true; anything not
-// starting with the envelope magic is a legacy v1/v2 record and is
-// returned verbatim with sealed=false. A sealed record that fails
-// verification returns an error describing exactly what broke — the
-// caller's cue to quarantine the file.
+// Open unwraps a record: it verifies the header (version, length,
+// checksum) and returns the payload. Anything else returns an error
+// describing exactly what broke — the caller's cue to quarantine the
+// file. sealed reports whether data began with the envelope magic at
+// all; it is false only alongside an error.
 func Open(data []byte) (payload []byte, sealed bool, err error) {
 	if !bytes.HasPrefix(data, []byte(envelopeMagic)) {
-		return data, false, nil
+		return nil, false, errors.New("chaos: record is not sealed: no envelope header")
 	}
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
@@ -72,8 +69,11 @@ func Open(data []byte) (payload []byte, sealed bool, err error) {
 		return nil, true, fmt.Errorf("chaos: sealed record corrupt: bad header %q", data[:nl])
 	}
 	if version > EnvelopeVersion {
-		return nil, true, fmt.Errorf("%w: record envelope v%d is newer than this build understands (<= v%d)",
+		return nil, true, fmt.Errorf("%w: record envelope v%d is newer than this build understands (v%d)",
 			ErrNewerVersion, version, EnvelopeVersion)
+	}
+	if version < EnvelopeVersion {
+		return nil, true, fmt.Errorf("chaos: sealed record corrupt: no envelope v%d was ever written", version)
 	}
 	payload = data[nl+1:]
 	if len(payload) != n {

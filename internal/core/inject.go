@@ -42,9 +42,6 @@ type InjectOptions struct {
 	// FS is the filesystem seam checkpoint I/O goes through (nil: the
 	// real filesystem) — see inject.Config.FS and internal/chaos.
 	FS chaos.FS
-	// Scalar forces the one-replay-per-injection baseline path instead
-	// of packed concurrent fault simulation (differential debugging).
-	Scalar bool
 	// Guards names the always-on runtime guards to attach during every
 	// injection ("all" or a subset of guard.Names for the unit); empty
 	// runs unguarded. See inject.Config.Guards.
@@ -64,7 +61,7 @@ func (w *Workflow) InjectionCampaign(ctx context.Context, opts InjectOptions) (*
 
 // InjectionCampaignStats is InjectionCampaign plus the packed
 // simulation accounting (wave occupancy, lane retirement, replay
-// savings). Stats are nil when opts.Scalar forces the baseline path.
+// savings).
 func (w *Workflow) InjectionCampaignStats(ctx context.Context, opts InjectOptions) (*inject.Report, *inject.PackedStats, error) {
 	if w.Results == nil {
 		if _, err := w.ErrorLifting(); err != nil {
@@ -137,7 +134,6 @@ func (w *Workflow) InjectionCampaignStats(ctx context.Context, opts InjectOption
 		CheckpointEvery: opts.CheckpointEvery,
 		OnCheckpoint:    opts.OnCheckpoint,
 		FS:              opts.FS,
-		Scalar:          opts.Scalar,
 		Guards:          opts.Guards,
 	})
 }

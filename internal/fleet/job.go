@@ -233,8 +233,7 @@ func ckptPath(dir, id string) string { return filepath.Join(dir, id+".ckpt") }
 // diskJob is the persisted form of a Job. The result payload moves to
 // a base64 field because encoding/json re-indents an embedded
 // RawMessage, and a result served after a restart must be byte-for-byte
-// the report the job originally produced. Legacy records carry the
-// result in the embedded field and load with normalized whitespace.
+// the report the job originally produced.
 type diskJob struct {
 	Job
 	ResultRaw []byte `json:"result_raw,omitempty"`
@@ -244,15 +243,13 @@ type diskJob struct {
 // and written with the durable atomic sequence (tmp write, fsync,
 // rename, directory fsync): a torn write or power loss can never
 // corrupt the record a restarting daemon recovers from, and silent
-// on-disk corruption is detected — not loaded — by loadJobs. A job that
-// carries its netlist hash is written without the source, which lives
-// once, in the blob the hash names.
+// on-disk corruption is detected — not loaded — by loadJobs. A sweep's
+// record is written without the source, which lives once, in the blob
+// its netlist hash names.
 func saveJob(fs chaos.FS, dir string, j *Job) error {
 	dj := diskJob{Job: *j, ResultRaw: j.Result}
 	dj.Job.Result = nil
-	if dj.NetlistSHA != "" {
-		dj.Spec.Verilog = ""
-	}
+	dj.Spec.Verilog = ""
 	data, err := json.MarshalIndent(&dj, "", "  ")
 	if err != nil {
 		return err
@@ -266,9 +263,7 @@ func saveJob(fs chaos.FS, dir string, j *Job) error {
 // dir/quarantine/) and reported by name — one corrupt record must not
 // brick every restart — and leftover .tmp debris from a crashed write
 // is deleted (by the atomic-rename contract it was never committed).
-// Legacy un-sealed records from pre-envelope builds load verbatim, and
-// so do records that inline spec.verilog; New resolves the others'
-// netlist hashes.
+// New resolves the netlist hashes the records carry.
 func loadJobs(fs chaos.FS, dir string) (jobs []*Job, quarantined []string, err error) {
 	ents, err := fs.ReadDir(dir)
 	if err != nil {
@@ -434,12 +429,12 @@ func (n *netlists) get(h string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	payload, sealed, err := chaos.Open(data)
+	payload, _, err := chaos.Open(data)
 	if err != nil {
 		return "", err
 	}
 	src := string(payload)
-	if !sealed || netlistSHA(src) != h {
+	if netlistSHA(src) != h {
 		return "", fmt.Errorf("fleet: netlist blob %s.v does not hash to its name", h)
 	}
 	n.src[h] = src

@@ -67,60 +67,43 @@ func recordOmitsSource(t *testing.T, dir string, j *Job, src string) {
 }
 
 // TestSweepRestartResume: a sweep accepted and then interrupted before
-// it ran resumes on a restarted daemon to the byte-identical payload —
-// from the hash-only record and its blob, and equally from a record
-// that inlines spec.verilog, which recovery moves into the blob store.
+// it ran resumes on a restarted daemon to the byte-identical payload,
+// from the hash-only record and its blob.
 func TestSweepRestartResume(t *testing.T) {
 	spec := Spec{Kind: KindSweep, Verilog: tinyVerilog(2), SPCycles: 64, SPSeed: 7, YearsGrid: []float64{0, 5, 10}}
 	want := sweepOracle(t, spec)
 
-	for _, layout := range []string{"hash", "inline"} {
-		t.Run(layout, func(t *testing.T) {
-			dir := t.TempDir()
-			j := queueOnDisk(t, dir, spec)
-			if j.NetlistSHA != netlistSHA(spec.Verilog) {
-				t.Fatalf("job carries hash %q, want the SHA-256 of its source", j.NetlistSHA)
-			}
-			if layout == "hash" {
-				recordOmitsSource(t, dir, j, spec.Verilog)
-			} else {
-				// The record as a build before the blob store wrote it:
-				// source inline, no hash, no netlists directory.
-				inline := &Job{ID: j.ID, Spec: j.Spec, Status: StatusRunning}
-				if err := saveJob(chaos.OS{}, dir, inline); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.RemoveAll(filepath.Join(dir, "netlists")); err != nil {
-					t.Fatal(err)
-				}
-			}
+	dir := t.TempDir()
+	j := queueOnDisk(t, dir, spec)
+	if j.NetlistSHA != netlistSHA(spec.Verilog) {
+		t.Fatalf("job carries hash %q, want the SHA-256 of its source", j.NetlistSHA)
+	}
+	recordOmitsSource(t, dir, j, spec.Verilog)
 
-			s, err := New(Options{Dir: dir, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(s.quarantined) != 0 {
-				t.Fatalf("healthy state quarantined: %v", s.quarantined)
-			}
-			s.Start()
-			got := waitServerDone(t, s, j.ID).Result
-			_ = s.Shutdown(context.Background())
-			if !bytes.Equal(got, want) {
-				t.Errorf("resumed sweep diverges from the undisturbed run:\n resumed: %s\n oracle:  %s", got, want)
-			}
-			recordOmitsSource(t, dir, j, spec.Verilog)
+	s, err := New(Options{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.quarantined) != 0 {
+		t.Fatalf("healthy state quarantined: %v", s.quarantined)
+	}
+	s.Start()
+	got := waitServerDone(t, s, j.ID).Result
+	_ = s.Shutdown(context.Background())
+	if !bytes.Equal(got, want) {
+		t.Errorf("resumed sweep diverges from the undisturbed run:\n resumed: %s\n oracle:  %s", got, want)
+	}
+	recordOmitsSource(t, dir, j, spec.Verilog)
 
-			// And once more: the finished record reloads through its blob.
-			s, err = New(Options{Dir: dir, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() { _ = s.Shutdown(context.Background()) }()
-			again, ok := s.Job(j.ID)
-			if !ok || len(s.quarantined) != 0 || !bytes.Equal(again.Result, want) || again.Spec.Verilog != spec.Verilog {
-				t.Errorf("finished sweep did not reload intact (found %v, quarantined %v)", ok, s.quarantined)
-			}
-		})
+	// And once more: the finished record reloads through its blob.
+	s, err = New(Options{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Shutdown(context.Background()) }()
+	again, ok := s.Job(j.ID)
+	if !ok || len(s.quarantined) != 0 || !bytes.Equal(again.Result, want) || again.Spec.Verilog != spec.Verilog {
+		t.Errorf("finished sweep did not reload intact (found %v, quarantined %v)", ok, s.quarantined)
 	}
 }
 

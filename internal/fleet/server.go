@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -161,24 +162,19 @@ func New(opts Options) (*Server, error) {
 		return nil, err
 	}
 	s.quarantined = quarantined
+	// Keep seq ahead of every record name recovery saw, loaded or set
+	// aside (IDs are zero-padded, so the numeric max is what matters): the
+	// submitter of a quarantined job may still be asking for its ID, and a
+	// second quarantine of that name would overwrite the evidence.
+	for _, name := range quarantined {
+		s.seeID(strings.TrimSuffix(name, ".json"))
+	}
 	for _, j := range prior {
-		// Keep seq ahead of every recovered ID (IDs are zero-padded, so
-		// the lexicographic max is the numeric max) — including one set
-		// aside below, whose submitter may still be asking for it.
-		var n int
-		if _, err := fmt.Sscanf(j.ID, "j%06d", &n); err == nil && n > s.seq {
-			s.seq = n
-		}
-		switch {
-		case j.Spec.Verilog != "":
-			// A record that inlines its source (written before the blob
-			// store): move the source in, so one layout leaves recovery.
-			j.NetlistSHA = netlistSHA(j.Spec.Verilog)
-			if j.Spec.Verilog, err = blobs.put(j.NetlistSHA, j.Spec.Verilog); err != nil {
-				cancel()
-				return nil, err
-			}
-		case j.NetlistSHA != "":
+		s.seeID(j.ID)
+		if j.Spec.Kind == KindSweep {
+			// A sweep's record names its source by hash. Without the hash
+			// (the empty one names no blob) or with a blob that fails
+			// verification, the record is as untrusted as a corrupt one.
 			if j.Spec.Verilog, err = blobs.get(j.NetlistSHA); err != nil {
 				if err := setAside(opts.FS, jobPath(opts.Dir, j.ID), err); err != nil {
 					cancel()
@@ -215,6 +211,14 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 	return s, nil
+}
+
+// seeID advances seq past a job ID that is already taken.
+func (s *Server) seeID(id string) {
+	var n int
+	if _, err := fmt.Sscanf(id, "j%06d", &n); err == nil && n > s.seq {
+		s.seq = n
+	}
 }
 
 // Start launches the worker pool: par.ForEach with one task per worker

@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/aging"
 	"repro/internal/cell"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/lift"
 	"repro/internal/netlist"
@@ -348,5 +353,145 @@ func TestValidationAndCancel(t *testing.T) {
 	m := s.MetricsSnapshot()
 	if m.Jobs[StatusCancelled] != 1 {
 		t.Errorf("census %v, want 1 cancelled", m.Jobs)
+	}
+}
+
+// TestUntrustedJobRecordQuarantined: a job record this build cannot
+// trust — one flipped bit, a payload with no envelope around it, an
+// envelope generation no build ever wrote, or a sweep that inlines its
+// source instead of naming it by hash — is quarantined and reported on
+// /metrics, and the daemon keeps serving: one such record used to abort
+// every restart. The untrusted record is the newest one, so this is
+// also the regression test for job IDs: the next submission must not
+// reuse the quarantined ID (its submitter may still ask for it, and a
+// second quarantine of that name would overwrite the evidence).
+func TestUntrustedJobRecordQuarantined(t *testing.T) {
+	damage := map[string]func(t *testing.T, id string, data []byte) []byte{
+		"bit-flip": func(t *testing.T, _ string, data []byte) []byte {
+			data[len(data)/2] ^= 0x04
+			return data
+		},
+		"unsealed": func(t *testing.T, _ string, data []byte) []byte {
+			payload, _, err := chaos.Open(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return payload
+		},
+		"old-envelope": func(t *testing.T, _ string, data []byte) []byte {
+			return bytes.Replace(data, []byte("vega-rec v3 "), []byte("vega-rec v2 "), 1)
+		},
+		"inline": func(t *testing.T, id string, _ []byte) []byte {
+			rec, err := json.Marshal(&Job{ID: id, Spec: sweepSpec(), Status: StatusQueued})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return chaos.Seal(rec)
+		},
+	}
+	for name, hurt := range damage {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			good := queueOnDisk(t, dir, sweepSpec())
+			bad := &Job{ID: "j000002", Spec: sweepSpec(), NetlistSHA: good.NetlistSHA, Status: StatusQueued}
+			if err := saveJob(chaos.OS{}, dir, bad); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(jobPath(dir, bad.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = hurt(t, bad.ID, data)
+			if err := os.WriteFile(jobPath(dir, bad.ID), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s, err := New(Options{Dir: dir, Workers: 1})
+			if err != nil {
+				t.Fatalf("one untrusted record aborted the daemon: %v", err)
+			}
+			defer func() { _ = s.Shutdown(context.Background()) }()
+			s.Start()
+			if _, ok := s.Job(bad.ID); ok {
+				t.Fatal("untrusted record served as a job")
+			}
+			if q := s.MetricsSnapshot().Quarantined; len(q) != 1 || q[0] != bad.ID+".json" {
+				t.Fatalf("metrics quarantine census = %v, want [%s.json]", q, bad.ID)
+			}
+			evidence := filepath.Join(dir, chaos.QuarantineDirName, bad.ID+".json")
+			// The daemon is degraded, not dead: the healthy record next
+			// to the untrusted one runs, and new work gets a fresh ID.
+			waitServerDone(t, s, good.ID)
+			j, err := s.Submit(sweepSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.ID <= bad.ID {
+				t.Errorf("new job %s reuses the quarantined record's ID %s", j.ID, bad.ID)
+			}
+			waitServerDone(t, s, j.ID)
+			if kept, err := os.ReadFile(evidence); err != nil || !bytes.Equal(kept, data) {
+				t.Errorf("quarantined record not preserved intact (err %v)", err)
+			}
+		})
+	}
+}
+
+// TestRecordRoundTripPreservesResultBytes: a done record reloaded from
+// disk must serve the byte-identical result payload — encoding/json
+// would re-indent an embedded raw message, which is why the persisted
+// form carries the result out-of-band.
+func TestRecordRoundTripPreservesResultBytes(t *testing.T) {
+	dir := t.TempDir()
+	result := json.RawMessage("{\n  \"a\": [1, 2,    3],\n\t\"b\": \"x\"\n}")
+	j := &Job{ID: "j000003", Spec: Spec{Kind: KindLift, Unit: "ALU"}, Status: StatusDone, Result: result}
+	if err := saveJob(chaos.OS{}, dir, j); err != nil {
+		t.Fatal(err)
+	}
+	jobs, quarantined, err := loadJobs(chaos.OS{}, dir)
+	if err != nil || len(quarantined) != 0 || len(jobs) != 1 {
+		t.Fatalf("load: jobs=%d quarantined=%v err=%v", len(jobs), quarantined, err)
+	}
+	if !bytes.Equal(jobs[0].Result, result) {
+		t.Fatalf("result bytes mangled by persistence round-trip:\n%q\n%q", jobs[0].Result, result)
+	}
+}
+
+// TestOversizedSubmissionRejected: a submission larger than
+// MaxBodyBytes costs a 413, not the daemon's heap.
+func TestOversizedSubmissionRejected(t *testing.T) {
+	s, err := New(Options{Dir: t.TempDir(), Workers: 1, MaxBodyBytes: 256 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer func() { _ = s.Shutdown(context.Background()) }()
+	h := httptest.NewServer(s.Handler())
+	defer h.Close()
+
+	huge, err := json.Marshal(Spec{Kind: KindSweep, Verilog: strings.Repeat("x", 1<<20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(h.URL+"/jobs", "application/json", bytes.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submission got %d, want 413", resp.StatusCode)
+	}
+	// A normal-sized submission on the same daemon still works.
+	ok, err := json.Marshal(Spec{Kind: KindSweep, Verilog: tinyVerilog(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp2, err := http.Post(h.URL+"/jobs", "application/json", bytes.NewReader(ok))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	if resp2.StatusCode != http.StatusAccepted {
+		t.Fatalf("normal submission after 413 got %d, want 202", resp2.StatusCode)
 	}
 }

@@ -57,8 +57,9 @@ func UnitGateCosts(unit string) ([]GateCost, error) {
 	base := build()
 	lib := cell.Lib28()
 	scale := sta.Calibrate(base.Netlist, lib, base.PeriodPs, base.SynthMargin)
-	cfg := sta.Config{PeriodPs: base.PeriodPs, Scale: scale, Base: lib}
-	baseWNS := sta.Analyze(base.Netlist, cfg).WNSSetup
+	cfg := sta.BatchConfig{PeriodPs: base.PeriodPs, Scale: scale, Base: lib}
+	fresh := []sta.Corner{{}}
+	baseWNS := sta.AnalyzeCorners(base.Netlist, cfg, fresh)[0].WNSSetup
 	baseStats := base.Netlist.Stats()
 
 	prev := baseStats
@@ -66,7 +67,7 @@ func UnitGateCosts(unit string) ([]GateCost, error) {
 	for i := range names {
 		m := buildGuarded(names[:i+1]...)
 		st := m.Netlist.Stats()
-		wns := sta.Analyze(m.Netlist, cfg).WNSSetup
+		wns := sta.AnalyzeCorners(m.Netlist, cfg, fresh)[0].WNSSetup
 		out = append(out, GateCost{
 			Unit:       unit,
 			Guard:      names[i],

@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -157,9 +158,18 @@ func TestGateGuardsSilentFPU(t *testing.T) {
 // TestUnitGateCosts exercises the costing path: every guard must cost a
 // positive number of cells, the swap guards must dominate (they
 // duplicate whole datapaths), and the unknown-unit error must surface.
+// The setup WNS of every cumulative build is pinned to the value the
+// scalar sta.Analyze reported before the costing moved to AnalyzeCorners.
 func TestUnitGateCosts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("STA costing in -short mode")
+	}
+	wantWNS := map[string]uint64{ // math.Float64bits(WNSSetupPs)
+		"ALU/res3": 0xc09d6e9ea81a3e20, "ALU/parity": 0xc09d6e9ea81a3e20,
+		"ALU/bounds": 0xc09d6e9ea81a3e20, "ALU/flags": 0xc09d6e9ea81a3e20,
+		"FPU/sign": 0xc06e42b97b18eb00, "FPU/exprange": 0xc073339b561f6340,
+		"FPU/nanprop": 0xc073339b561f6340, "FPU/addswap": 0xc073339b561f6340,
+		"FPU/mulswap": 0xc073339b561f6340,
 	}
 	for _, unit := range []string{UnitALU, UnitFPU} {
 		costs, err := UnitGateCosts(unit)
@@ -176,6 +186,9 @@ func TestUnitGateCosts(t *testing.T) {
 			}
 			if gc.DFFs < 1 {
 				t.Errorf("%s guard %s: expected at least the alarm DFF, got %d", unit, gc.Guard, gc.DFFs)
+			}
+			if got := math.Float64bits(gc.WNSSetupPs); got != wantWNS[unit+"/"+gc.Guard] {
+				t.Errorf("%s guard %s: WNS %v (%#x), pinned %#x", unit, gc.Guard, gc.WNSSetupPs, got, wantWNS[unit+"/"+gc.Guard])
 			}
 			byName[gc.Guard] = gc
 			t.Logf("%s/%s: +%d cells (%.1f%%), +%d dffs, WNS %.1fps (delta %.1fps)",

@@ -65,66 +65,35 @@ func (w fpuFlipper) ExecFPU(op fpu.Op, a, b uint32) (uint32, uint32, bool) {
 	return w.exec(uint32(op), a, b)
 }
 
-// Attach builds the spec's faulty execution backend and installs it on
-// the CPU's ALU or FPU seam. Netlist classes replace the unit with a
-// gate-level failing netlist; behavioural classes wrap the golden model
-// with a bit flipper.
+// Attach installs a behavioural-class spec's faulty backend on the CPU's
+// ALU or FPU seam: the golden model wrapped with a bit flipper. Netlist
+// classes have no backend of their own — they run as lanes of a packed
+// wave (packed.go).
 func Attach(m *module.Module, c *cpu.CPU, s Spec) error {
 	if s.Unit != m.Name {
 		return fmt.Errorf("inject: spec targets %s but module is %s", s.Unit, m.Name)
 	}
-	var aluB cpu.ALUBackend
-	var fpuB cpu.FPUBackend
+	fl := &flipper{golden: m.Golden, bit: s.Bit}
 	switch s.Class {
-	case StuckAt, MultiFault:
-		for _, f := range s.Faults {
-			if err := checkSite(m, f); err != nil {
-				return err
-			}
-		}
-		var nl = m.Netlist
-		if s.Class == StuckAt {
-			nl = fault.FailingNetlist(m.Netlist, s.Faults[0])
-		} else {
-			var err error
-			nl, err = fault.FailingNetlistMulti(m.Netlist, s.Faults...)
-			if err != nil {
-				return err
-			}
-		}
-		if s.Unit == "ALU" {
-			aluB = cpu.NewNetlistALU(m, nl)
-		} else {
-			fpuB = cpu.NewNetlistFPU(m, nl)
-		}
-	case Transient, Intermittent:
-		fl := &flipper{golden: m.Golden, bit: s.Bit}
-		if s.Class == Transient {
-			fl.transient = true
-			fl.opIndex = s.OpIndex
-		} else {
-			fl.lfsr = lfsr16(s.Seed)
-			fl.period = uint32(s.Period)
-		}
-		if s.Unit == "ALU" {
-			aluB = aluFlipper{fl}
-		} else {
-			fpuB = fpuFlipper{fl}
-		}
+	case Transient:
+		fl.transient = true
+		fl.opIndex = s.OpIndex
+	case Intermittent:
+		fl.lfsr = lfsr16(s.Seed)
+		fl.period = uint32(s.Period)
 	default:
-		return fmt.Errorf("inject: unknown class %v", s.Class)
+		return fmt.Errorf("inject: class %v has no behavioural backend", s.Class)
 	}
-	if aluB != nil {
-		c.ALU = aluB
-	}
-	if fpuB != nil {
-		c.FPU = fpuB
+	if s.Unit == "ALU" {
+		c.ALU = aluFlipper{fl}
+	} else {
+		c.FPU = fpuFlipper{fl}
 	}
 	return nil
 }
 
 // checkSite bounds-checks a failure site against the module's netlist:
-// both cells must exist and be flip-flops, or FailingNetlist would
+// both cells must exist and be flip-flops, or the overlay would
 // instrument garbage (or panic on an out-of-range ID).
 func checkSite(m *module.Module, f fault.Spec) error {
 	nl := m.Netlist

@@ -10,12 +10,12 @@ import (
 	"repro/internal/module"
 )
 
-// benchCampaign runs one campaign per iteration on the configured path.
+// benchCampaign runs one campaign per iteration.
 // The suite image (data segment at 256 KiB) fits in half the default
 // 1 MiB arena; oversizing memory makes the per-injection state digest
 // (a hash over all of memory) dominate and mask the simulation cost
 // the benchmark is measuring.
-func benchCampaign(b *testing.B, m *module.Module, cases int, perClass int, scalar bool) {
+func benchCampaign(b *testing.B, m *module.Module, cases int, perClass int) {
 	suite := lift.RandomSuite(m, cases, 7)
 	img, err := suite.Image()
 	if err != nil {
@@ -30,7 +30,6 @@ func benchCampaign(b *testing.B, m *module.Module, cases int, perClass int, scal
 		MemSize:     1 << 19,
 		MaxCycles:   20_000_000,
 		Parallelism: 1,
-		Scalar:      scalar,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -43,22 +42,13 @@ func benchCampaign(b *testing.B, m *module.Module, cases int, perClass int, scal
 }
 
 // BenchmarkCampaign measures a tiny standalone ALU campaign end to end
-// (golden run + 4 classes x 2 injections, sequential) on the default
-// packed path — the CI bench smoke for the injection plane.
-func BenchmarkCampaign(b *testing.B) { benchCampaign(b, alu.Build(), 6, 2, false) }
+// (golden run + 4 classes x 2 injections, sequential) — the CI bench
+// smoke for the injection plane.
+func BenchmarkCampaign(b *testing.B) { benchCampaign(b, alu.Build(), 6, 2) }
 
 // BenchmarkPackedCampaign measures a full-occupancy FPU campaign — 63
-// injections per class fill the stuck and multi waves completely — on
-// the packed concurrent-fault-simulation path. The FPU is the unit
-// where the packed path earns its keep: the netlist is ~6x the ALU's,
-// so the scalar baseline's per-injection instrumented rebuild, compile,
-// and gate-level replay are all ~6x heavier, while the packed path
-// amortizes one compiled wave across 63 faults and retires diverging
-// lanes early. Compare against BenchmarkScalarCampaign (identical
-// universe, one replay per injection) for the speedup recorded in
-// BENCH_inject.json.
-func BenchmarkPackedCampaign(b *testing.B) { benchCampaign(b, fpu.Build(), 6, 63, false) }
-
-// BenchmarkScalarCampaign is BenchmarkPackedCampaign's baseline: the
-// identical 252-injection universe classified by the scalar path.
-func BenchmarkScalarCampaign(b *testing.B) { benchCampaign(b, fpu.Build(), 6, 63, true) }
+// injections per class fill the stuck and multi waves completely. The
+// FPU is the unit where packing earns its keep: the netlist is ~6x the
+// ALU's, and one compiled wave is amortized across 63 faults whose
+// diverging lanes retire early.
+func BenchmarkPackedCampaign(b *testing.B) { benchCampaign(b, fpu.Build(), 6, 63) }

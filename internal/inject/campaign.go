@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/chaos"
 	"repro/internal/cpu"
@@ -103,12 +102,6 @@ type Config struct {
 	// hook the resume tests use.
 	OnCheckpoint func(done int)
 
-	// Scalar forces the one-replay-per-injection baseline path instead of
-	// the packed concurrent fault simulation. The report is byte-identical
-	// either way (TestPackedMatchesScalar); the scalar path exists as the
-	// differential oracle and for debugging.
-	Scalar bool
-
 	// FS is the filesystem seam checkpoint I/O goes through (nil: the
 	// real filesystem). Tests inject chaos.Plan faults here to prove the
 	// checkpoint discipline survives torn writes, bit flips and crashes
@@ -121,12 +114,11 @@ type Config struct {
 	// guarded campaign replays bit-identically to an unguarded one — but
 	// their verdicts become a detection source: a completed run whose
 	// state diverged from golden AND whose guard log fired is Detected
-	// instead of SDCEscape. Empty disables guards; the report and
-	// checkpoint are then byte-identical to pre-guard campaigns.
+	// instead of SDCEscape. Empty disables guards.
 	Guards []string
 
 	// guardSet is Guards resolved against the module's registry, in
-	// canonical order (filled by RunWithStats).
+	// canonical order (filled by prepare).
 	guardSet []guard.Guard
 }
 
@@ -157,8 +149,7 @@ type Result struct {
 	Halt    string
 	Cycles  uint64
 	// Digest is the final architectural-state hash (equal to the golden
-	// digest exactly for masked runs). Zero only in results resumed from
-	// a pre-versioning checkpoint.
+	// digest exactly for masked runs); zero for runs that did not exit.
 	Digest uint64 `json:",omitempty"`
 	// DivergedAt is 1 + the CPU cycle count at the first unit operation
 	// whose response (result, flags, ok) differed from the golden model;
@@ -223,15 +214,11 @@ type Report struct {
 // by injection index).
 func (r *Report) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
-// checkpointVersion is the current checkpoint schema version. Version 1
-// added the Version field itself plus the per-result Digest/DivergedAt
-// fields; version 2 added the Guards list and the per-result Guard
-// fields. An UNGUARDED campaign still writes version 1 — byte-identical
-// to pre-guard builds — so only guard-enabled campaigns require the new
-// schema. Files without a Version (the pre-packed-path schema, version
-// 0) are still accepted when guards are off — their results carry zero
-// Digest/DivergedAt — while files from a NEWER schema are rejected as
-// stale tooling.
+// checkpointVersion is the one checkpoint schema this build writes and
+// resumes from; the guard list is simply empty for an unguarded
+// campaign. A file from an older schema is set aside like a corrupt one
+// (the deterministic engine re-derives its results), a file from a newer
+// one is refused as stale tooling.
 const checkpointVersion = 2
 
 // checkpoint is the persisted campaign state: identity plus every
@@ -248,8 +235,7 @@ type checkpoint struct {
 }
 
 // Run executes the campaign: one golden run, then every injection
-// classified — by packed concurrent fault simulation by default, or by
-// one scalar replay per injection with cfg.Scalar — in checkpointed
+// classified by packed concurrent fault simulation, in checkpointed
 // batches. Cancel or expire ctx to get a graceful partial report
 // instead of an error; injections that were mid-flight resume from the
 // checkpoint on the next Run.
@@ -258,33 +244,37 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	return rep, err
 }
 
-// RunWithStats is Run plus the packed-path accounting (wave occupancy,
-// lane retirement, replay savings). The stats cover only the work this
-// call performed — injections restored from a checkpoint contribute
-// nothing.
-func RunWithStats(ctx context.Context, cfg Config) (*Report, *PackedStats, error) {
+// prepare fills cfg's defaults, checks the universe against the module,
+// resolves the guard list and runs the golden image: fault-free
+// behavioural execution under the same budget. Its digest is the
+// Masked/SDCEscape oracle; its unit-op count drives the retirement
+// accounting and the behavioural no-fire shortcut.
+func prepare(cfg *Config) (*goldenInfo, error) {
 	cfg.fill()
 	if len(cfg.Specs) == 0 {
-		return nil, nil, errors.New("inject: empty injection universe")
+		return nil, errors.New("inject: empty injection universe")
 	}
 	for _, s := range cfg.Specs {
 		if s.Unit != cfg.Module.Name {
-			return nil, nil, fmt.Errorf("inject: spec %q does not target module %s", s.String(), cfg.Module.Name)
+			return nil, fmt.Errorf("inject: spec %q does not target module %s", s.String(), cfg.Module.Name)
 		}
 	}
 	if len(cfg.Guards) > 0 {
 		gs, err := guard.Select(cfg.Module.Name, cfg.Guards)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cfg.guardSet = gs
 	}
+	return goldenRun(cfg)
+}
 
-	// Golden run: fault-free behavioural execution of the same image
-	// under the same budget. Its digest is the Masked/SDCEscape oracle;
-	// its unit-op count drives the packed path's retirement accounting
-	// and the behavioural no-fire shortcut.
-	g, err := goldenRun(&cfg)
+// RunWithStats is Run plus the packed-path accounting (wave occupancy,
+// lane retirement, replay savings). The stats cover only the work this
+// call performed — injections restored from a checkpoint contribute
+// nothing.
+func RunWithStats(ctx context.Context, cfg Config) (*Report, *PackedStats, error) {
+	g, err := prepare(&cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -340,14 +330,8 @@ func RunWithStats(ctx context.Context, cfg Config) (*Report, *PackedStats, error
 	}
 	pending = unique
 
-	var stats *PackedStats
-	if cfg.Scalar {
-		err = runScalar(ctx, &cfg, g, pending, results, done)
-	} else {
-		stats = newPackedStats(g)
-		err = runPacked(ctx, &cfg, g, stats, pending, results, done)
-	}
-	if err != nil {
+	stats := newPackedStats(g)
+	if err := runPacked(ctx, &cfg, g, stats, pending, results, done); err != nil {
 		return nil, nil, err
 	}
 	if len(dup) > 0 {
@@ -377,38 +361,6 @@ type taskOut struct {
 // cancelled or expired, which ends a campaign gracefully, not in error.
 func interrupted(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// runScalar is the baseline campaign loop: every pending injection is
-// one independent full replay, fanned out via par.Map in waves of
-// CheckpointEvery.
-func runScalar(ctx context.Context, cfg *Config, g *goldenInfo, pending []int, results []Result, done []bool) error {
-	for len(pending) > 0 && ctx.Err() == nil {
-		wave := pending
-		if len(wave) > cfg.CheckpointEvery {
-			wave = wave[:cfg.CheckpointEvery]
-		}
-		pending = pending[len(wave):]
-
-		outs, err := par.Map(ctx, len(wave), cfg.Parallelism, func(ctx context.Context, i int) (taskOut, error) {
-			idx := wave[i]
-			r, ok, err := runOne(ctx, cfg, idx, g)
-			return taskOut{r, ok}, err
-		})
-		for i, o := range outs {
-			if o.ok {
-				results[wave[i]] = o.r
-				done[wave[i]] = true
-			}
-		}
-		if err != nil && !interrupted(err) {
-			return err
-		}
-		if err := persist(cfg, results, done); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // unit is one packed work item: a run of same-class pending injections.
@@ -514,9 +466,9 @@ func runUnit(ctx context.Context, cfg *Config, g *goldenInfo, u unit) ([]Result,
 	return results, done, acct, nil
 }
 
-// runOne executes one injection as a full scalar replay. ok=false means
-// the run was interrupted by ctx before finishing — the injection stays
-// pending for resume.
+// runOne executes one behavioural injection as a full replay. ok=false
+// means the run was interrupted by ctx before finishing — the injection
+// stays pending for resume.
 func runOne(ctx context.Context, cfg *Config, idx int, g *goldenInfo) (Result, bool, error) {
 	s := cfg.Specs[idx]
 	c := cpu.Recycled(cfg.MemSize)
@@ -524,6 +476,12 @@ func runOne(ctx context.Context, cfg *Config, idx int, g *goldenInfo) (Result, b
 	if err := Attach(cfg.Module, c, s); err != nil {
 		return Result{}, false, fmt.Errorf("injection %d (%s): %w", idx, s.String(), err)
 	}
+	return runAttached(ctx, cfg, idx, g, c)
+}
+
+// runAttached runs the image on a CPU whose faulty backend is already
+// installed and classifies the outcome.
+func runAttached(ctx context.Context, cfg *Config, idx int, g *goldenInfo, c *cpu.CPU) (Result, bool, error) {
 	d := track(cfg.Module, c)
 	log := attachGuards(cfg, c)
 	c.Load(cfg.Image)
@@ -535,11 +493,12 @@ func runOne(ctx context.Context, cfg *Config, idx int, g *goldenInfo) (Result, b
 }
 
 // finish classifies a completed (non-interrupted) injection run. Shared
-// by the scalar baseline and the packed path's continuations so both
-// produce byte-identical results. The state digest (an FNV pass over
-// all of memory) is computed only for runs that completed: a trapped or
-// hung run's state is never compared against the golden digest, and
-// skipping the hash there is a large fraction of the campaign cost.
+// by the behavioural replays, the packed path's continuations and the
+// scalar oracle, so all produce byte-identical results. The state digest
+// (an FNV pass over all of memory) is computed only for runs that
+// completed: a trapped or hung run's state is never compared against the
+// golden digest, and skipping the hash there is a large fraction of the
+// campaign cost.
 //
 // A non-nil guard log adds the runtime-guard detection source: the
 // first fire is recorded on every outcome, and a completed run whose
@@ -589,8 +548,8 @@ func finish(cfg *Config, idx int, c *cpu.CPU, halt cpu.HaltReason, g *goldenInfo
 // instead of byte-at-a-time makes the digest ~10x cheaper, and with a
 // megabyte-scale arena per injection the digest is a first-order cost
 // of the whole campaign. Any change to the word stream changes the
-// hash; both the scalar and packed paths share this function, so the
-// cross-path byte-identity contract is unaffected by the exact mix.
+// hash; the packed path and its scalar oracle share this function, so
+// their byte-identity contract is unaffected by the exact mix.
 func digest(c *cpu.CPU) uint64 {
 	const (
 		offset = 14695981039346656037
@@ -631,15 +590,12 @@ func persist(cfg *Config, results []Result, done []bool) error {
 		return nil
 	}
 	cp := checkpoint{
-		Version:   1,
+		Version:   checkpointVersion,
 		Unit:      cfg.Module.Name,
 		Mode:      cfg.Mode,
 		Seed:      cfg.Seed,
 		MaxCycles: cfg.MaxCycles,
-	}
-	if len(cfg.guardSet) > 0 {
-		cp.Version = checkpointVersion
-		cp.Guards = guardNames(cfg.guardSet)
+		Guards:    guardNames(cfg.guardSet),
 	}
 	for _, s := range cfg.Specs {
 		cp.Specs = append(cp.Specs, s.String())
@@ -668,12 +624,13 @@ func persist(cfg *Config, results []Result, done []bool) error {
 }
 
 // loadCheckpoint reads and unseals a checkpoint. A missing file means a
-// fresh campaign. A corrupt file — failed envelope check (flipped bit,
-// torn tail) or unparsable JSON — is quarantined next to the state it
-// failed to load as, and the campaign restarts from scratch: the
-// deterministic engine re-derives every result, so graceful degradation
-// costs recompute, never correctness. Legacy un-sealed (v1/v2 era)
-// checkpoints load verbatim.
+// fresh campaign. A file that cannot be trusted — no envelope, failed
+// envelope check (flipped bit, torn tail), unparsable JSON, or an older
+// schema — is quarantined next to the state it failed to load as, and
+// the campaign restarts from scratch: the deterministic engine
+// re-derives every result, so graceful degradation costs recompute,
+// never correctness. A newer envelope or schema is refused instead: the
+// file is presumed good and the binary stale.
 func loadCheckpoint(fs chaos.FS, path string) (*checkpoint, error) {
 	data, err := fs.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -686,46 +643,36 @@ func loadCheckpoint(fs chaos.FS, path string) (*checkpoint, error) {
 	if errors.Is(err, chaos.ErrNewerVersion) {
 		return nil, fmt.Errorf("inject: checkpoint %s: %w", path, err)
 	}
+	var cp checkpoint
 	if err == nil {
-		var cp checkpoint
-		if jerr := json.Unmarshal(payload, &cp); jerr == nil {
-			return &cp, nil
-		} else {
-			err = jerr
-		}
+		err = json.Unmarshal(payload, &cp)
+	}
+	switch {
+	case err != nil:
+	case cp.Version > checkpointVersion:
+		return nil, fmt.Errorf("inject: checkpoint %s has schema version %d, this build understands %d — "+
+			"refusing a stale resume", path, cp.Version, checkpointVersion)
+	case cp.Version < checkpointVersion:
+		err = fmt.Errorf("schema version %d predates %d", cp.Version, checkpointVersion)
+	default:
+		return &cp, nil
 	}
 	if _, qerr := chaos.Quarantine(fs, path); qerr != nil {
-		return nil, fmt.Errorf("inject: checkpoint %s corrupt (%v) and quarantine failed: %w", path, err, qerr)
+		return nil, fmt.Errorf("inject: checkpoint %s unusable (%v) and quarantine failed: %w", path, err, qerr)
 	}
 	return nil, nil
 }
 
 // validateCheckpoint rejects a checkpoint written by a different
-// campaign (resuming it would silently mix incompatible results) or by
-// a newer schema than this binary understands. Version 0 — the
-// pre-versioning schema — is accepted for unguarded campaigns: its
-// results simply lack the Digest/DivergedAt fields, and the remaining
-// injections resume onto the current (packed) path with identical
-// classifications. Guard-enabled campaigns additionally require a
-// version >= 2 checkpoint carrying the same guard list: results written
-// without guards have no verdicts to reclassify on, so mixing them with
-// guarded results would silently understate detection.
+// campaign: resuming it would silently mix incompatible results. That
+// includes a different guard list — results written without guards have
+// no verdicts to reclassify on, so mixing them with guarded results
+// would silently understate detection.
 func validateCheckpoint(cp *checkpoint, cfg *Config) error {
-	if cp.Version < 0 || cp.Version > checkpointVersion {
-		return fmt.Errorf("inject: checkpoint %s has schema version %d, this build understands <= %d — "+
-			"refusing a stale resume", cfg.CheckpointPath, cp.Version, checkpointVersion)
-	}
-	if len(cfg.guardSet) > 0 {
-		want := guardNames(cfg.guardSet)
-		if cp.Version < 2 || !equalStrings(cp.Guards, want) {
-			return fmt.Errorf("inject: checkpoint %s was written %s but this campaign runs guards %s — "+
-				"resuming would mix unguarded and guarded classifications; delete the checkpoint or drop the guards",
-				cfg.CheckpointPath, describeGuards(cp.Guards), strings.Join(want, ","))
-		}
-	} else if len(cp.Guards) > 0 {
-		return fmt.Errorf("inject: checkpoint %s was written with guards %s but this campaign runs none — "+
-			"delete the checkpoint or pass the same guard list",
-			cfg.CheckpointPath, strings.Join(cp.Guards, ","))
+	if want := guardNames(cfg.guardSet); !equalStrings(cp.Guards, want) {
+		return fmt.Errorf("inject: checkpoint %s was written %s but this campaign runs %s — "+
+			"resuming would mix unguarded and guarded classifications; delete the checkpoint or pass the same guard list",
+			cfg.CheckpointPath, describeGuards(cp.Guards), describeGuards(want))
 	}
 	if cp.Unit != cfg.Module.Name || cp.Mode != cfg.Mode ||
 		cp.Seed != cfg.Seed || cp.MaxCycles != cfg.MaxCycles || len(cp.Specs) != len(cfg.Specs) {

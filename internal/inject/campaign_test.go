@@ -45,9 +45,14 @@ func testCampaign(t testing.TB, perClass int) (Config, *module.Module) {
 	}, m
 }
 
-func runJSON(t *testing.T, cfg Config) []byte {
+// runJSON is the report of the production path; scalarJSON that of its
+// oracle.
+func runJSON(t *testing.T, cfg Config) []byte    { return reportJSON(t, Run, cfg) }
+func scalarJSON(t *testing.T, cfg Config) []byte { return reportJSON(t, runScalar, cfg) }
+
+func reportJSON(t *testing.T, run func(context.Context, Config) (*Report, error), cfg Config) []byte {
 	t.Helper()
-	rep, err := Run(context.Background(), cfg)
+	rep, err := run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +106,8 @@ func TestCampaignCompletes(t *testing.T) {
 // of its spec, so duplicated specs (SampleUniverse drawing more than a
 // small universe holds) are evaluated once and the copies inherit the
 // run byte-for-byte — same outcome, digest, cycles, divergence — with
-// only the index rewritten. Packed and scalar must agree on the whole
-// report with duplicates present.
+// only the index rewritten. The scalar oracle, which evaluates every
+// copy, must agree on the whole report.
 func TestCampaignDuplicateSpecsShareResults(t *testing.T) {
 	cfg, _ := testCampaign(t, 2)
 	cfg.Specs = append(cfg.Specs, cfg.Specs[0], cfg.Specs[3], cfg.Specs[5])
@@ -128,9 +133,7 @@ func TestCampaignDuplicateSpecsShareResults(t *testing.T) {
 			t.Errorf("duplicate of spec %d diverges:\n %+v\n %+v", want, w, g)
 		}
 	}
-	cfg.Scalar = true
-	j := runJSON(t, cfg)
-	cfg.Scalar = false
+	j := scalarJSON(t, cfg)
 	if p := runJSON(t, cfg); !bytes.Equal(j, p) {
 		t.Errorf("packed and scalar reports differ with duplicate specs:\n%s\n---\n%s", p, j)
 	}
@@ -280,10 +283,11 @@ func TestIntermittentFlipperGates(t *testing.T) {
 	}
 }
 
-// TestAttachRejectsBadSites: out-of-range or non-DFF cells must be
-// rejected before they reach the netlist instrumentation.
-func TestAttachRejectsBadSites(t *testing.T) {
-	m := alu.Build()
+// TestBadSitesRejected: a wrong unit, an out-of-range cell or a non-DFF
+// cell must fail the campaign (and the oracle's attach) before it
+// reaches the overlay compiler or the netlist instrumentation.
+func TestBadSitesRejected(t *testing.T) {
+	cfg, m := testCampaign(t, 1)
 	c := cpu.New(memSize)
 	dffs := m.Netlist.DFFs()
 	// Find a combinational (non-DFF) cell for the kind check.
@@ -306,8 +310,12 @@ func TestAttachRejectsBadSites(t *testing.T) {
 		{Class: StuckAt, Unit: "ALU", Faults: site(nonDFF, dffs[0])},  // not a flip-flop
 	}
 	for i, s := range bad {
-		if err := Attach(m, c, s); err == nil {
-			t.Errorf("bad spec %d accepted", i)
+		cfg.Specs = []Spec{s}
+		if rep, err := Run(context.Background(), cfg); err == nil {
+			t.Errorf("bad spec %d classified: %+v", i, rep.Results)
+		}
+		if err := attachScalar(m, c, s); err == nil {
+			t.Errorf("bad spec %d accepted by the oracle", i)
 		}
 	}
 }

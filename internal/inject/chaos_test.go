@@ -10,90 +10,68 @@ import (
 	"repro/internal/chaos"
 )
 
-// TestLegacyCheckpointResumes: checkpoints written by pre-envelope
-// builds are plain JSON. A campaign resumed over one must consume it
-// (not restart from zero) and still produce the byte-identical final
-// report.
-func TestLegacyCheckpointResumes(t *testing.T) {
-	cfg, _ := testCampaign(t, 2)
-	want := runJSON(t, cfg)
+// TestUntrustedCheckpointQuarantinedAndRecomputed: a checkpoint this
+// build cannot trust — one silently flipped bit (caught by the envelope
+// CRC), a payload with no envelope around it, or an older schema version
+// — is quarantined and the campaign recomputed from scratch: same final
+// bytes, the file never consumed.
+func TestUntrustedCheckpointQuarantinedAndRecomputed(t *testing.T) {
+	damage := map[string]func(t *testing.T, data []byte) []byte{
+		"bit-flip": func(t *testing.T, data []byte) []byte {
+			data[len(data)/2] ^= 0x20
+			return data
+		},
+		"unsealed": func(t *testing.T, data []byte) []byte {
+			payload, _, err := chaos.Open(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return payload
+		},
+		"old-version": func(t *testing.T, data []byte) []byte {
+			payload, _, err := chaos.Open(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := bytes.Replace(payload, []byte(`"Version": 2`), []byte(`"Version": 1`), 1)
+			if bytes.Equal(old, payload) {
+				t.Fatal("checkpoint does not carry the version field where expected")
+			}
+			return chaos.Seal(old)
+		},
+	}
+	for name, hurt := range damage {
+		t.Run(name, func(t *testing.T) {
+			cfg, _ := testCampaign(t, 2)
+			dir := t.TempDir()
+			cfg.CheckpointPath = filepath.Join(dir, "campaign.json")
+			cfg.CheckpointEvery = 3
+			want := runJSON(t, cfg) // completes; checkpoint left on disk
 
-	dir := t.TempDir()
-	cfg.CheckpointPath = filepath.Join(dir, "campaign.json")
-	cfg.CheckpointEvery = 3
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg.OnCheckpoint = func(done int) { cancel() }
-	partial, err := Run(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !partial.Partial || partial.Completed == 0 {
-		t.Fatalf("interruption did not leave progress behind: %d/%d", partial.Completed, partial.Total)
-	}
+			data, err := os.ReadFile(cfg.CheckpointPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(cfg.CheckpointPath, hurt(t, data), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	// Strip the envelope: rewrite the checkpoint exactly as a
-	// pre-envelope build would have written it.
-	data, err := os.ReadFile(cfg.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, sealed, err := chaos.Open(data)
-	if err != nil || !sealed {
-		t.Fatalf("fresh checkpoint not sealed (sealed=%v err=%v)", sealed, err)
-	}
-	if err := os.WriteFile(cfg.CheckpointPath, payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg.OnCheckpoint = nil
-	rep, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("resume over legacy checkpoint: %v", err)
-	}
-	got, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("report resumed from legacy checkpoint diverges from uninterrupted run")
-	}
-}
-
-// TestCorruptCheckpointQuarantinedAndRecomputed: one silently flipped
-// bit in a sealed checkpoint must be detected by the envelope CRC, the
-// file quarantined, and the campaign recomputed from scratch — same
-// final bytes, corruption never consumed.
-func TestCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
-	cfg, _ := testCampaign(t, 2)
-	dir := t.TempDir()
-	cfg.CheckpointPath = filepath.Join(dir, "campaign.json")
-	cfg.CheckpointEvery = 3
-	want := runJSON(t, cfg) // completes; checkpoint left on disk
-
-	data, err := os.ReadFile(cfg.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x20
-	if err := os.WriteFile(cfg.CheckpointPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("corrupt checkpoint should quarantine, not error: %v", err)
-	}
-	got, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("report after corrupt-checkpoint recompute diverges")
-	}
-	qdir := filepath.Join(dir, chaos.QuarantineDirName)
-	if ents, err := os.ReadDir(qdir); err != nil || len(ents) != 1 {
-		t.Errorf("corrupt checkpoint not quarantined under %s (err %v)", qdir, err)
+			rep, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("untrusted checkpoint should quarantine, not error: %v", err)
+			}
+			got, err := rep.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("report after the recompute diverges")
+			}
+			qdir := filepath.Join(dir, chaos.QuarantineDirName)
+			if ents, err := os.ReadDir(qdir); err != nil || len(ents) != 1 {
+				t.Errorf("checkpoint not quarantined under %s (err %v)", qdir, err)
+			}
+		})
 	}
 }
 

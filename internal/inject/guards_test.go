@@ -64,14 +64,12 @@ func diffGuardedRun(t *testing.T, m *module.Module, cfg Config) (int, int) {
 	unguarded := runReport(t, cfg)
 
 	cfg.Guards = []string{"all"}
-	cfg.Scalar = false
 	guarded := runReport(t, cfg)
 	gp, err := guarded.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Scalar = true
-	gs := runJSON(t, cfg)
+	gs := scalarJSON(t, cfg)
 	if !bytes.Equal(gp, gs) {
 		t.Errorf("%s mode=%s seed=%d: guarded packed report differs from guarded scalar:\n--- scalar\n%s\n--- packed\n%s",
 			m.Name, cfg.Mode, cfg.Seed, gs, gp)
@@ -291,8 +289,8 @@ func uitoa(v uint64) string {
 	return string(buf[i:])
 }
 
-// TestGuardedCheckpointRoundTrip: a guarded campaign writes the v2
-// checkpoint schema carrying its guard list, and an interrupted guarded
+// TestGuardedCheckpointRoundTrip: a guarded campaign's checkpoint
+// carries its guard list, and an interrupted guarded
 // campaign resumes to the byte-identical report of an uninterrupted
 // guarded run.
 func TestGuardedCheckpointRoundTrip(t *testing.T) {
@@ -338,58 +336,10 @@ func TestGuardedCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyCheckpointGuardGate is the schema-compatibility contract
-// for pre-guard checkpoints: a version-1 checkpoint written by an
-// unguarded campaign (byte-identical to what pre-guard builds wrote)
-// must resume verbatim when guards stay off, and must be cleanly
-// rejected — naming both guard lists — when guards are turned on.
-func TestLegacyCheckpointGuardGate(t *testing.T) {
-	cfg, _ := testCampaign(t, 2)
-	want := runJSON(t, cfg) // uninterrupted unguarded reference
-
-	cfg.CheckpointPath = filepath.Join(t.TempDir(), "campaign.json")
-	cfg.CheckpointEvery = 3
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg.OnCheckpoint = func(done int) { cancel() }
-	partial, err := Run(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !partial.Partial || partial.Completed == 0 {
-		t.Fatalf("interrupted campaign: completed %d/%d", partial.Completed, partial.Total)
-	}
-	cfg.OnCheckpoint = nil
-
-	// Guards on: the unguarded results have no verdicts to reclassify
-	// on, so mixing them with guarded classifications must be refused.
-	gcfg := cfg
-	gcfg.Guards = []string{"all"}
-	_, err = Run(context.Background(), gcfg)
-	if err == nil {
-		t.Fatal("guarded campaign resumed an unguarded checkpoint")
-	}
-	if !strings.Contains(err.Error(), "without guards") {
-		t.Errorf("rejection does not name the missing guards: %v", err)
-	}
-
-	// Guards off: resumes to the byte-identical unguarded report.
-	rep, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("legacy v1 checkpoint rejected with guards off: %v", err)
-	}
-	got, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("legacy resume differs from uninterrupted run:\n%s\n---\n%s", got, want)
-	}
-}
-
 // TestGuardedCheckpointRejectedByMismatch: a guarded checkpoint must not
 // be resumed by an unguarded campaign, nor by one running a different
-// guard list.
+// guard list, nor an unguarded checkpoint by a guarded campaign — its
+// results have no verdicts to reclassify on.
 func TestGuardedCheckpointRejectedByMismatch(t *testing.T) {
 	cfg, _ := testCampaign(t, 1)
 	cfg.Guards = []string{"all"}
@@ -416,5 +366,18 @@ func TestGuardedCheckpointRejectedByMismatch(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "res3") {
 		t.Errorf("rejection does not name the requested guards: %v", err)
+	}
+
+	ucfg.CheckpointPath = filepath.Join(t.TempDir(), "campaign.json")
+	if _, err := Run(context.Background(), ucfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg.CheckpointPath = ucfg.CheckpointPath
+	_, err = Run(context.Background(), cfg)
+	if err == nil {
+		t.Fatal("guarded campaign resumed an unguarded checkpoint")
+	}
+	if !strings.Contains(err.Error(), "without guards") {
+		t.Errorf("rejection does not name the missing guards: %v", err)
 	}
 }

@@ -26,8 +26,9 @@ import (
 //  1. Run the image once on a CPU whose unit backend drives the packed
 //     evaluator with module.Driver.Exec's exact present/wait protocol.
 //     Lane 0's responses are cross-checked against the behavioural
-//     golden model every op (any disagreement voids the wave and falls
-//     back to the scalar baseline).
+//     golden model every op; any disagreement voids the wave, and a
+//     voided wave is an error — a screening engine whose gate-level
+//     golden lane contradicts its own model says so.
 //  2. A fault lane retires at its first physically divergent response:
 //     a different result/flags word bit, out_valid high early, or
 //     out_valid still low when the golden lane's result rose. At
@@ -35,9 +36,10 @@ import (
 //     and LFSR state) is snapshotted.
 //  3. A retired lane finishes on a scalar continuation: golden
 //     responses up to the divergence op (the lane was bit-identical to
-//     golden until then), then a fault.FailingNetlist simulation seeded
+//     golden until then), then a single-lane faulted evaluation seeded
 //     from the snapshot — byte-identical, by construction and by the
-//     TestPackedMatchesScalar differential, to the scalar replay.
+//     TestPackedMatchesScalar differential, to a scalar replay of the
+//     failing netlist.
 //  4. A lane that never retires ran the whole image without any
 //     observable difference: classified Masked for free.
 //
@@ -101,8 +103,8 @@ func goldenRun(cfg *Config) (*goldenInfo, error) {
 
 // diverge records the first unit operation whose response (result,
 // flags, ok) differs from the golden model — the divergence-cycle
-// oracle. The scalar baseline and the packed continuations share this
-// wrapper, so both paths report identical DivergedAt values.
+// oracle. Behavioural replays, packed continuations and the scalar
+// oracle share this wrapper, so all report identical DivergedAt values.
 type diverge struct {
 	golden func(op, a, b uint32) (uint32, uint32)
 	c      *cpu.CPU
@@ -208,10 +210,12 @@ type packedBackend struct {
 	siteLo []int // per lane: first overlay site index
 	siteHi []int // per lane: one past the last overlay site index
 
-	live     uint64 // fault lanes still bit-identical to lane 0
-	ops      uint64
-	rets     []*retirement
-	fellBack bool
+	live uint64 // fault lanes still bit-identical to lane 0
+	ops  uint64
+	rets []*retirement
+	// void is set when lane 0 disagreed with the behavioural model: lane
+	// comparisons then prove nothing and the wave fails with this error.
+	void error
 
 	ovNet   netlist.NetID
 	resBits netlist.Bus
@@ -222,9 +226,6 @@ func (b *packedBackend) exec(op, a, bb uint32) (uint32, uint32, bool) {
 	gr, gf := b.m.Golden(op, a, bb)
 	k := b.ops
 	b.ops++
-	if b.fellBack {
-		return gr, gf, true
-	}
 	pe := b.pe
 	pe.SetInput(module.PortInValid, 1)
 	pe.SetInput(module.PortOp, uint64(op))
@@ -251,16 +252,16 @@ func (b *packedBackend) exec(op, a, bb uint32) (uint32, uint32, bool) {
 		pe.Edge()
 	}
 	if i0 < 0 {
-		// The golden lane stalled: the netlist disagrees with the
-		// behavioural model. Void the wave; the driver falls back to
-		// the scalar baseline.
-		b.fellBack = true
-		return gr, gf, true
+		// ok=false stalls the CPU, which ends the voided wave's run here.
+		b.void = fmt.Errorf("unit op %d (op=%d a=%#08x b=%#08x): golden model result=%#08x flags=%#x, "+
+			"gate-level lane 0 never raised out_valid within %d cycles", k, op, a, bb, gr, gf, bound)
+		return 0, 0, false
 	}
 	r0, f0, mism := b.readOutputs()
 	if r0 != gr || f0 != gf {
-		b.fellBack = true
-		return gr, gf, true
+		b.void = fmt.Errorf("unit op %d (op=%d a=%#08x b=%#08x): golden model result=%#08x flags=%#x, "+
+			"gate-level lane 0 result=%#08x flags=%#x", k, op, a, bb, gr, gf, r0, f0)
+		return 0, 0, false
 	}
 	if late := ^pe.Word(b.ovNet) & b.live; late != 0 {
 		b.retireWait(late, k, i0)
@@ -530,9 +531,9 @@ func runContinuation(ctx context.Context, cfg *Config, g *goldenInfo, idx int, r
 
 // waveAcct is one unit's contribution to the campaign's PackedStats.
 type waveAcct struct {
-	waves, lanesUsed, retired, masked, fallbacks int
-	savedOps                                     uint64
-	behShortcut, behReplayed                     int
+	waves, lanesUsed, retired, masked int
+	savedOps                          uint64
+	behShortcut, behReplayed          int
 }
 
 // runPackedWave runs one packed wave of up to engine.Lanes-1
@@ -583,24 +584,16 @@ func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) 
 	if halt == cpu.HaltInterrupted {
 		return results, done, acct, nil // whole wave stays pending
 	}
-	if pb.fellBack || halt != cpu.HaltExit || c.ExitCode != 0 || digest(c) != g.digest {
+	if pb.void == nil && (halt != cpu.HaltExit || c.ExitCode != 0 || digest(c) != g.digest) {
+		pb.void = fmt.Errorf("every lane-0 response matched the golden model, yet the run ended halt=%v exit=%d "+
+			"with a state digest that differs from the golden run's", halt, c.ExitCode)
+	}
+	if pb.void != nil {
 		// The gate-level golden lane disagreed with the behavioural
-		// model, so lane comparisons prove nothing. Replay the whole
-		// wave on the scalar baseline.
-		acct.fallbacks = len(idxs)
-		for i, idx := range idxs {
-			if ctx.Err() != nil {
-				break
-			}
-			r, ok, err := runOne(ctx, cfg, idx, g)
-			if err != nil {
-				return results, done, acct, err
-			}
-			if ok {
-				results[i], done[i] = r, true
-			}
-		}
-		return results, done, acct, nil
+		// model, so lane comparisons prove nothing: no lane of this wave
+		// is classified.
+		return nil, nil, acct, fmt.Errorf("inject: %s %s wave (injections %d..%d) voided at %w",
+			cfg.Module.Name, cfg.Specs[idxs[0]].Class, idxs[0], idxs[len(idxs)-1], pb.void)
 	}
 	acct.waves = 1
 	acct.lanesUsed = len(idxs)
@@ -662,8 +655,8 @@ func flipFires(s Spec, ops uint64) bool {
 }
 
 // runBehavioural classifies one behavioural-class injection: Masked for
-// free when the flip cannot fire within the golden run, a full scalar
-// replay otherwise. replayed=false marks the shortcut.
+// free when the flip cannot fire within the golden run, a full replay
+// otherwise. replayed=false marks the shortcut.
 func runBehavioural(ctx context.Context, cfg *Config, g *goldenInfo, idx int) (r Result, ok, replayed bool, err error) {
 	s := cfg.Specs[idx]
 	if !flipFires(s, g.ops) {
@@ -687,8 +680,11 @@ type PackedClassStats struct {
 	LanesUsed    int    // injections carried in those lanes
 	Retired      int    // lanes that physically diverged -> continuations
 	MaskedInWave int    // lanes classified Masked with no scalar work
-	Fallbacks    int    // injections replayed scalar after a wave was voided
 	SavedLaneOps uint64 // unit ops not simulated thanks to early retirement
+	// Fallbacks is always 0: a voided wave is an error, not a replay on a
+	// second engine. The field stays because the ledger (internal/bench)
+	// reads it.
+	Fallbacks int
 
 	// Behavioural classes (transient, intermittent): shortcut accounting.
 	Shortcut int // classified Masked analytically (flip cannot fire)
@@ -757,7 +753,6 @@ func (ps *PackedStats) merge(cl Class, a waveAcct) {
 		s.LanesUsed += a.lanesUsed
 		s.Retired += a.retired
 		s.MaskedInWave += a.masked
-		s.Fallbacks += a.fallbacks
 		s.SavedLaneOps += a.savedOps
 		s.Shortcut += a.behShortcut
 		s.Replayed += a.behReplayed

@@ -19,9 +19,9 @@ import (
 	"repro/internal/sta"
 )
 
-// diffCampaign runs one campaign on both paths and requires
-// byte-identical reports. Returns the number of (image, spec) combos
-// covered.
+// diffCampaign runs one campaign on the packed path and on the scalar
+// oracle and requires byte-identical reports. Returns the number of
+// (image, spec) combos covered.
 func diffCampaign(t *testing.T, m *module.Module, suiteCases int, suiteSeed int64, perClass int, seed uint64) int {
 	t.Helper()
 	suite := lift.RandomSuite(m, suiteCases, suiteSeed)
@@ -38,9 +38,7 @@ func diffCampaign(t *testing.T, m *module.Module, suiteCases int, suiteSeed int6
 		MemSize:   memSize,
 		MaxCycles: 20_000_000,
 	}
-	cfg.Scalar = true
-	scalar := runJSON(t, cfg)
-	cfg.Scalar = false
+	scalar := scalarJSON(t, cfg)
 	packed := runJSON(t, cfg)
 	if !bytes.Equal(scalar, packed) {
 		t.Errorf("%s suiteSeed=%d seed=%d: packed report differs from scalar:\n--- scalar\n%s\n--- packed\n%s",
@@ -52,7 +50,7 @@ func diffCampaign(t *testing.T, m *module.Module, suiteCases int, suiteSeed int6
 // TestPackedMatchesScalar is the headline differential: over random
 // suite-image x fault-universe combos on both units, the packed
 // concurrent fault simulation must classify every injection exactly
-// like the scalar one-replay-per-injection baseline — same outcome
+// like the scalar one-replay-per-injection oracle — same outcome
 // class, same cycle count, same state digest, same divergence cycle —
 // down to byte-identical report JSON.
 func TestPackedMatchesScalar(t *testing.T) {
@@ -114,7 +112,7 @@ func fuzzSpec(dffs []netlist.CellID, class, p0, p1, p2, p3 byte, w uint16) (Spec
 
 // FuzzPackedFaultVsScalar fuzzes the differential over the spec space:
 // any spec the campaign accepts must classify identically on the packed
-// and scalar paths.
+// path and the scalar oracle.
 func FuzzPackedFaultVsScalar(f *testing.F) {
 	m := alu.Build()
 	suite := lift.RandomSuite(m, 4, 11)
@@ -143,12 +141,10 @@ func FuzzPackedFaultVsScalar(f *testing.F) {
 			MemSize:   memSize,
 			MaxCycles: 5_000_000,
 		}
-		cfg.Scalar = true
-		scalarRep, err := Run(context.Background(), cfg)
+		scalarRep, err := runScalar(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Scalar = false
 		packedRep, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -232,18 +228,15 @@ func TestCheckpointRejectsNewerVersion(t *testing.T) {
 	if err := json.Unmarshal(payload, &cp); err != nil {
 		t.Fatal(err)
 	}
-	// Unguarded campaigns stay on the version-1 schema so their
-	// checkpoints remain byte-identical to pre-guard builds; only
-	// guard-enabled campaigns write the current version.
-	if cp.Version != 1 {
-		t.Fatalf("fresh unguarded checkpoint version = %d, want 1", cp.Version)
+	if cp.Version != checkpointVersion {
+		t.Fatalf("fresh checkpoint version = %d, want %d", cp.Version, checkpointVersion)
 	}
 	cp.Version = checkpointVersion + 1
 	data, err = json.Marshal(&cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(cfg.CheckpointPath, data, 0o644); err != nil {
+	if err := os.WriteFile(cfg.CheckpointPath, chaos.Seal(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err = Run(context.Background(), cfg)
@@ -255,108 +248,10 @@ func TestCheckpointRejectsNewerVersion(t *testing.T) {
 	}
 }
 
-// TestLegacyCheckpointAccepted: a pre-versioning (version-0) checkpoint
-// — no Version key, results without Digest/DivergedAt — still resumes,
-// with its completed results preserved verbatim and the remaining
-// injections classified on the packed path.
-func TestLegacyCheckpointAccepted(t *testing.T) {
-	cfg, _ := testCampaign(t, 1)
-
-	full, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	legacy := full.Results[0]
-	legacy.Digest = 0
-	legacy.DivergedAt = 0
-	v0 := struct {
-		Unit      string
-		Mode      string
-		Seed      uint64
-		MaxCycles uint64
-		Specs     []string
-		Results   []Result
-	}{
-		Unit: cfg.Module.Name, Mode: cfg.Mode, Seed: cfg.Seed, MaxCycles: cfg.MaxCycles,
-		Results: []Result{legacy},
-	}
-	for _, s := range cfg.Specs {
-		v0.Specs = append(v0.Specs, s.String())
-	}
-	data, err := json.Marshal(&v0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.CheckpointPath = filepath.Join(t.TempDir(), "campaign.json")
-	if err := os.WriteFile(cfg.CheckpointPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("legacy checkpoint rejected: %v", err)
-	}
-	if rep.Partial || rep.Completed != rep.Total {
-		t.Fatalf("resumed campaign incomplete: %d/%d", rep.Completed, rep.Total)
-	}
-	if rep.Results[0] != legacy {
-		t.Errorf("legacy result not preserved verbatim: %+v vs %+v", rep.Results[0], legacy)
-	}
-	// Outcomes must agree with the fresh run even though the legacy
-	// result lacks the new fields.
-	for i := range rep.Results {
-		if rep.Results[i].Outcome != full.Results[i].Outcome {
-			t.Errorf("injection %d outcome %q after legacy resume, want %q",
-				i, rep.Results[i].Outcome, full.Results[i].Outcome)
-		}
-	}
-}
-
-// TestScalarCheckpointResumesPackedByteIdentical is the cross-path
-// resume contract: a campaign checkpointed mid-flight by the scalar
-// baseline, resumed on the packed path, produces the byte-identical
-// final report of a pure packed run — including resuming into the
-// middle of what the packed path would treat as one wave.
-func TestScalarCheckpointResumesPackedByteIdentical(t *testing.T) {
-	cfg, _ := testCampaign(t, 2)
-	cfg.Parallelism = 1
-
-	want := runJSON(t, cfg) // pure packed reference
-
-	cfg.CheckpointPath = filepath.Join(t.TempDir(), "campaign.json")
-	cfg.CheckpointEvery = 3 // splits the 8-spec universe mid-class
-	cfg.Scalar = true
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg.OnCheckpoint = func(done int) { cancel() }
-	partial, err := Run(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !partial.Partial || partial.Completed == 0 || partial.Completed >= partial.Total {
-		t.Fatalf("interrupted scalar campaign: completed %d/%d", partial.Completed, partial.Total)
-	}
-
-	cfg.Scalar = false
-	cfg.OnCheckpoint = nil
-	rep, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("scalar-checkpoint -> packed resume differs from pure packed run:\n%s\n---\n%s", got, want)
-	}
-}
-
 // TestPackedStatsAccounting sanity-checks RunWithStats: every
-// netlist-class injection is accounted as a wave lane (or fallback),
-// every behavioural one as shortcut or replay, and occupancy/savings
-// stay in range.
+// netlist-class injection is accounted as a wave lane, every
+// behavioural one as shortcut or replay, and occupancy/savings stay in
+// range.
 func TestPackedStatsAccounting(t *testing.T) {
 	cfg, _ := testCampaign(t, 3)
 	rep, stats, err := RunWithStats(context.Background(), cfg)
@@ -373,8 +268,8 @@ func TestPackedStatsAccounting(t *testing.T) {
 		c := &stats.Classes[i]
 		switch c.Class {
 		case "stuck", "multi":
-			if c.LanesUsed+c.Fallbacks != 3 {
-				t.Errorf("%s: %d lanes + %d fallbacks, want 3 injections", c.Class, c.LanesUsed, c.Fallbacks)
+			if c.LanesUsed != 3 || c.Fallbacks != 0 {
+				t.Errorf("%s: %d lanes, %d fallbacks, want 3 injections in lanes", c.Class, c.LanesUsed, c.Fallbacks)
 			}
 			if c.Waves < 1 || c.LaneSlots != c.Waves*63 {
 				t.Errorf("%s: waves=%d slots=%d", c.Class, c.Waves, c.LaneSlots)
@@ -393,5 +288,52 @@ func TestPackedStatsAccounting(t *testing.T) {
 				t.Errorf("%s: shortcut %d + replayed %d, want 3", c.Class, c.Shortcut, c.Replayed)
 			}
 		}
+	}
+}
+
+// TestVoidedWaveIsError: when the gate-level golden lane disagrees with
+// the behavioural model — here a Golden wrapped to flip one result bit
+// at unit op k — the wave proves nothing, and the campaign fails with an
+// error naming the unit, the op and both words: no report, and no
+// checkpoint claiming any of the wave's lanes done.
+func TestVoidedWaveIsError(t *testing.T) {
+	const k = 5
+	cfg, m := testCampaign(t, 3)
+	var stuck []Spec
+	for _, s := range cfg.Specs {
+		if s.Class == StuckAt {
+			stuck = append(stuck, s)
+		}
+	}
+	cfg.Specs = stuck // one wave, so Golden is called once per unit op
+	cfg.Parallelism = 1
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "campaign.json")
+
+	lying := *m
+	calls := 0
+	lying.Golden = func(op, a, b uint32) (uint32, uint32) {
+		r, f := m.Golden(op, a, b)
+		if calls == k {
+			r ^= 1 << 7
+		}
+		calls++
+		return r, f
+	}
+	cfg.Module = &lying
+
+	rep, err := Run(context.Background(), cfg)
+	if err == nil {
+		t.Fatalf("voided wave produced a report: %+v", rep)
+	}
+	if rep != nil {
+		t.Errorf("error %v came with a report", err)
+	}
+	for _, want := range []string{"ALU stuck wave", "voided at unit op 5 ", "golden model result=", "gate-level lane 0 result="} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error does not contain %q: %v", want, err)
+		}
+	}
+	if _, serr := os.Stat(cfg.CheckpointPath); !os.IsNotExist(serr) {
+		t.Errorf("a checkpoint was written for a voided wave (stat: %v)", serr)
 	}
 }

@@ -6,13 +6,13 @@
 // defects fall outside that prediction? Four fault classes are modeled:
 //
 //   - StuckAt: a timing-violation failure model on an arbitrary DFF pair
-//     *outside* the STA violation set (fault.FailingNetlist).
+//     *outside* the STA violation set (the §3.3.2 failing-netlist model,
+//     as an engine overlay).
 //   - Transient: a single-cycle bit flip on one execution-unit result
 //     (an SEU on the output latch), injected behaviourally.
 //   - Intermittent: LFSR-gated recurring bit flips on unit results
 //     (marginal silicon that fails sporadically).
-//   - MultiFault: two independent stuck-at sites active at once
-//     (fault.FailingNetlistMulti).
+//   - MultiFault: two independent stuck-at sites active at once.
 //
 // The same engine also answers the pipeline's own question: Tables 6/7
 // (core.TestQuality, core.VsRandom) replay a suite against the pairs it

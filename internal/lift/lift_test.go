@@ -40,10 +40,10 @@ func agedALUPairs(t *testing.T) (*module.Module, []sta.PairSummary) {
 		d.Sim.SetInput(module.PortInValid, 0)
 		d.Sim.Run(2)
 	}
-	lib := aging.NewLibrary(cell.Lib28(), aging.Default(), 10)
-	res := sta.Analyze(m.Netlist, sta.Config{
-		PeriodPs: m.PeriodPs, Scale: scale, Aged: lib, Profile: d.Sim.Profile(),
-	})
+	res := sta.AnalyzeCorners(m.Netlist, sta.BatchConfig{
+		PeriodPs: m.PeriodPs, Scale: scale, Base: cell.Lib28(),
+		Model: aging.Default(), Profile: d.Sim.Profile(),
+	}, []sta.Corner{{Years: 10}})[0]
 	if len(res.Pairs) == 0 {
 		t.Fatal("no aging-prone pairs found in the ALU")
 	}

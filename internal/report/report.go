@@ -202,12 +202,11 @@ func PackedStatsTable(ps *inject.PackedStats) string {
 			occ,
 			fmt.Sprint(c.Retired),
 			fmt.Sprint(c.MaskedInWave),
-			fmt.Sprint(c.Fallbacks),
 			saved,
 			fmt.Sprint(c.Shortcut),
 			fmt.Sprint(c.Replayed),
 		})
 	}
 	return Table([]string{"Class", "Waves", "Lanes", "Occup.", "Retired", "MaskedFree",
-		"Fallback", "SavedOps", "Shortcut", "Replayed"}, rows)
+		"SavedOps", "Shortcut", "Replayed"}, rows)
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // The batched arrays use IEEE infinities as untimed sentinels where the
-// scalar pass uses ±math.MaxFloat64. Adding a finite delay to an IEEE
+// scalar oracle (oracle_test.go) uses ±math.MaxFloat64. Adding a finite delay to an IEEE
 // infinity saturates, so the propagation and pruning loops need no
 // sentinel guards — and no timed lane changes: a timed arrival is the
 // same finite sum in the same association order under either sentinel,
@@ -31,9 +31,9 @@ var (
 // violating paths are enumerated by a multi-corner explicit-stack walker
 // — one DFS per (endpoint, check) shared by every corner that flagged it
 // — fanned out over a par.Map pool and merged deterministically in the
-// scalar analysis's endpoint order. The scalar Analyze stays as the
-// differential baseline: AnalyzeCorners is required to reproduce its
-// Results bit for bit at every corner and Parallelism
+// scalar analysis's endpoint order. The scalar engine this replaced is
+// the test-only oracle in oracle_test.go: AnalyzeCorners is required to
+// reproduce its Results bit for bit at every corner and Parallelism
 // (TestBatchedMatchesScalar, FuzzBatchedVsScalar).
 
 // Corner is one point of a multi-corner analysis: an assumed lifetime
@@ -76,7 +76,7 @@ type BatchConfig struct {
 
 // AnalyzeCorners runs the timing analysis at every corner in one batched
 // pass and returns one Result per corner, each bit-identical to what
-// Analyze would produce for that corner alone.
+// the scalar oracle produces for that corner alone.
 func AnalyzeCorners(nl *netlist.Netlist, cfg BatchConfig, corners []Corner) []*Result {
 	K := len(corners)
 	if K == 0 {

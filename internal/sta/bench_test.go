@@ -11,12 +11,10 @@ import (
 	"repro/internal/module"
 )
 
-// BenchmarkLifetimeSweep is the acceptance benchmark of the batched
-// multi-corner engine: a 32-corner onset-bisection sweep on the real ALU
-// and FPU netlists, batched (one AnalyzeCorners call: one corner grid,
-// one SoA propagation, one enumeration fan-out) versus the per-corner
-// scratch baseline (one aging.NewLibrary + scalar Analyze per corner —
-// exactly what the pre-batched LifetimeSweep ran per sweep point).
+// BenchmarkLifetimeSweep times the batched multi-corner engine on a
+// 32-corner onset-bisection sweep of the real ALU and FPU netlists: one
+// AnalyzeCorners call, so one corner grid, one SoA propagation and one
+// enumeration fan-out.
 //
 // The corner windows model the engine's advertised use case (fine
 // `-sweep-step` grids that bracket each unit's violation onset, the
@@ -27,9 +25,7 @@ import (
 // at 0.4y), so its window is [0, 0.5]y; the FPU ages into violation
 // almost immediately (fresh WNS +48ps, +2.2ps at 0.002y, −1.0ps at
 // 0.003y), so its window is the tight bracket [0, 0.003]y. Both use
-// the workflow's signoff report bound of
-// 40 paths per endpoint; the two paths produce bit-identical Results
-// (TestBatchedMatchesScalar, TestBatchedDeterminism).
+// the workflow's signoff report bound of 40 paths per endpoint.
 func BenchmarkLifetimeSweep(b *testing.B) {
 	const nCorners = 32
 	units := []struct {
@@ -66,21 +62,6 @@ func BenchmarkLifetimeSweep(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				AnalyzeCorners(u.m.Netlist, cfg, corners)
-			}
-		})
-		b.Run(u.m.Name+"/scratch", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, c := range corners {
-					aged := aging.NewLibrary(lib, model, c.Years)
-					Analyze(u.m.Netlist, Config{
-						PeriodPs:    u.m.PeriodPs,
-						Scale:       scale,
-						Aged:        aged,
-						Profile:     prof,
-						PerEndpoint: 40,
-					})
-				}
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/aging"
 	"repro/internal/cell"
 	"repro/internal/netlist"
 )
@@ -34,57 +35,80 @@ type PathReport struct {
 	Stages     []PathStage
 }
 
-// WorstPath recomputes the analysis and backtracks the worst setup path
-// into the given endpoint flip-flop, stage by stage.
-func WorstPath(nl *netlist.Netlist, cfg Config, end netlist.CellID) (*PathReport, error) {
-	a := newAnalysis(nl, cfg)
-	a.computeCellTiming()
-	a.computeClockArrivals()
-	a.propagateArrivals()
+// batch is cfg as the BatchConfig of a one-corner analysis: the aged
+// library, or nil for a fresh corner, enters through Libs.
+func (cfg Config) batch() BatchConfig {
+	bc := BatchConfig{
+		PeriodPs: cfg.PeriodPs, Scale: cfg.Scale, Base: cfg.Base, Profile: cfg.Profile,
+		Libs: []*aging.Library{cfg.Aged}, MaxPaths: cfg.MaxPaths, PerEndpoint: cfg.PerEndpoint,
+	}
+	if cfg.Aged != nil {
+		bc.Base = cfg.Aged.Base
+	}
+	return bc
+}
 
+// WorstPath re-times the netlist at the one corner cfg describes and
+// backtracks the worst setup path into the given endpoint flip-flop,
+// stage by stage.
+func WorstPath(nl *netlist.Netlist, cfg Config, end netlist.CellID) (*PathReport, error) {
 	c := nl.Cells[end]
 	if c.Kind != cell.DFF {
 		return nil, fmt.Errorf("sta: endpoint %s is not a flip-flop", c.Name)
 	}
+	// One corner of the batched engine: with K = 1 the corner-contiguous
+	// layers are indexed by net or cell ID directly.
+	bc := cfg.batch()
+	scale := cfg.Scale
+	if scale == 0 {
+		scale = 1
+	}
+	g := CachedGraph(nl)
+	st := newBatchState(g, 1)
+	defer st.release() // the report copies values, it keeps no view of the slab
+	st.computeDelays(bc, bc.Libs, scale)
+	st.computeClockArrivals()
+	st.propagate()
+
 	d := c.In[0]
-	if a.arrMax[d] == -inf {
+	if st.arrMax[d] == negInf {
 		return nil, fmt.Errorf("sta: endpoint %s has no timed path", c.Name)
 	}
 	rep := &PathReport{
 		Type:       Setup,
 		End:        end,
 		EndName:    c.Name,
-		CapturePs:  a.clkEarly[end],
-		RequiredPs: cfg.PeriodPs + a.clkEarly[end] - a.setup,
-		ArrivalPs:  a.arrMax[d],
+		CapturePs:  st.clk[c.Clk],
+		RequiredPs: cfg.PeriodPs + st.clk[c.Clk] - st.setup,
+		ArrivalPs:  st.arrMax[d],
 	}
 	rep.SlackPs = rep.RequiredPs - rep.ArrivalPs
 
 	// Backtrack: at each net pick the driving cell, then the input pin
-	// whose arrival dominates.
+	// whose arrival dominates (untimed pins hold -Inf and never do).
 	var stages []PathStage
 	n := d
 	for {
-		drv := nl.Driver(n)
+		drv := g.driver[n]
 		if drv == netlist.NoCell {
 			return nil, fmt.Errorf("sta: path backtrack reached an input net %s", nl.NetName(n))
 		}
 		dc := &nl.Cells[drv]
 		stages = append(stages, PathStage{
 			Cell: drv, Name: dc.Name, Kind: dc.Kind,
-			DelayPs: a.dmax[drv], ArrivalPs: a.arrMax[n], Factor: a.factor[drv],
+			DelayPs: st.dmax[drv], ArrivalPs: st.arrMax[n], Factor: st.factorC[0][drv],
 		})
 		if dc.Kind == cell.DFF {
 			rep.Start = drv
 			rep.StartName = dc.Name
-			rep.LaunchPs = a.clkLate[drv]
+			rep.LaunchPs = st.clk[dc.Clk]
 			break
 		}
 		best := netlist.NoNet
-		bestArr := -inf
+		bestArr := negInf
 		for _, in := range dc.In {
-			if a.arrMax[in] > bestArr {
-				bestArr = a.arrMax[in]
+			if st.arrMax[in] > bestArr {
+				bestArr = st.arrMax[in]
 				best = in
 			}
 		}

@@ -3,6 +3,7 @@ package sta
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -31,9 +32,14 @@ func table1Profile(nl *netlist.Netlist) *sim.Profile {
 	return p
 }
 
+// analyze runs the production engine at the one corner cfg describes.
+func analyze(nl *netlist.Netlist, cfg Config) *Result {
+	return AnalyzeCorners(nl, cfg.batch(), []Corner{{}})[0]
+}
+
 func TestFreshAdderMeetsTiming(t *testing.T) {
 	nl := demo.Adder2()
-	res := Analyze(nl, Config{PeriodPs: 1000, Base: cell.DemoLibrary()})
+	res := analyze(nl, Config{PeriodPs: 1000, Base: cell.DemoLibrary()})
 	// Longest path: clk-to-q 300 + two XORs 600 = 900; required 940.
 	if math.Abs(res.WNSSetup-40) > 1e-9 {
 		t.Errorf("fresh WNS setup = %v, want 40", res.WNSSetup)
@@ -53,7 +59,7 @@ func TestAgedAdderReproducesPaperExample(t *testing.T) {
 	// requirement.
 	nl := demo.Adder2()
 	lib := aging.NewLibrary(cell.DemoLibrary(), aging.Default(), 10)
-	res := Analyze(nl, Config{PeriodPs: 1000, Aged: lib, Profile: table1Profile(nl)})
+	res := analyze(nl, Config{PeriodPs: 1000, Aged: lib, Profile: table1Profile(nl)})
 	if res.WNSSetup >= 0 {
 		t.Fatalf("aged WNS setup = %v, want negative", res.WNSSetup)
 	}
@@ -117,12 +123,12 @@ func TestHoldViolationFromAgedClockSkew(t *testing.T) {
 	prof.SP[qc] = 0.5
 	prof.SP[clk] = 0.5
 
-	fresh := Analyze(nl, Config{PeriodPs: 4000, Base: cell.Lib28()})
+	fresh := analyze(nl, Config{PeriodPs: 4000, Base: cell.Lib28()})
 	if fresh.WNSHold < 0 {
 		t.Fatalf("fresh WNS hold = %v, must meet timing", fresh.WNSHold)
 	}
 	lib := aging.NewLibrary(cell.Lib28(), aging.Default(), 10)
-	aged := Analyze(nl, Config{PeriodPs: 4000, Aged: lib, Profile: prof})
+	aged := analyze(nl, Config{PeriodPs: 4000, Aged: lib, Profile: prof})
 	if aged.WNSHold >= 0 {
 		t.Fatalf("aged WNS hold = %v, want negative (skewed capture clock)", aged.WNSHold)
 	}
@@ -134,7 +140,7 @@ func TestHoldViolationFromAgedClockSkew(t *testing.T) {
 func TestCalibrateHitsMargin(t *testing.T) {
 	m := alu.Build()
 	scale := Calibrate(m.Netlist, cell.Lib28(), m.PeriodPs, 0.04)
-	res := Analyze(m.Netlist, Config{PeriodPs: m.PeriodPs, Scale: scale, Base: cell.Lib28()})
+	res := analyze(m.Netlist, Config{PeriodPs: m.PeriodPs, Scale: scale, Base: cell.Lib28()})
 	wantWNS := 0.04 * m.PeriodPs
 	if math.Abs(res.WNSSetup-wantWNS) > 1 {
 		t.Errorf("calibrated WNS = %v, want %v", res.WNSSetup, wantWNS)
@@ -166,7 +172,7 @@ func TestALUAgedViolations(t *testing.T) {
 		return uint32(r.Intn(alu.NumOps)), r.Uint32(), r.Uint32()
 	})
 	lib := aging.NewLibrary(cell.Lib28(), aging.Default(), 10)
-	res := Analyze(m.Netlist, Config{PeriodPs: m.PeriodPs, Scale: scale, Aged: lib, Profile: prof})
+	res := analyze(m.Netlist, Config{PeriodPs: m.PeriodPs, Scale: scale, Aged: lib, Profile: prof})
 	t.Logf("ALU aged: WNS setup %.1fps (%d paths), WNS hold %.1fps (%d paths), %d pairs",
 		res.WNSSetup, res.NumSetupViolations, res.WNSHold, res.NumHoldViolations, len(res.Pairs))
 	if res.NumSetupViolations == 0 {
@@ -186,7 +192,7 @@ func TestFPUAgedViolations(t *testing.T) {
 		return uint32(r.Intn(fpu.NumOps)), r.Uint32(), r.Uint32()
 	})
 	lib := aging.NewLibrary(cell.Lib28(), aging.Default(), 10)
-	res := Analyze(m.Netlist, Config{PeriodPs: m.PeriodPs, Scale: scale, Aged: lib, Profile: prof})
+	res := analyze(m.Netlist, Config{PeriodPs: m.PeriodPs, Scale: scale, Aged: lib, Profile: prof})
 	t.Logf("FPU aged: WNS setup %.1fps (%d paths), WNS hold %.1fps (%d paths), %d pairs",
 		res.WNSSetup, res.NumSetupViolations, res.WNSHold, res.NumHoldViolations, len(res.Pairs))
 	if res.NumSetupViolations == 0 {
@@ -213,7 +219,7 @@ func TestFactorHistogramBand(t *testing.T) {
 		return uint32(r.Intn(alu.NumOps)), r.Uint32(), r.Uint32()
 	})
 	lib := aging.NewLibrary(cell.Lib28(), aging.Default(), 10)
-	res := Analyze(m.Netlist, Config{PeriodPs: m.PeriodPs, Aged: lib, Profile: prof})
+	res := analyze(m.Netlist, Config{PeriodPs: m.PeriodPs, Aged: lib, Profile: prof})
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i, f := range res.Factor {
 		k := m.Netlist.Cells[i].Kind
@@ -235,7 +241,7 @@ func TestTruncationCap(t *testing.T) {
 		return uint32(r.Intn(alu.NumOps)), r.Uint32(), r.Uint32()
 	})
 	lib := aging.NewLibrary(cell.Lib28(), aging.Default(), 10)
-	res := Analyze(m.Netlist, Config{PeriodPs: m.PeriodPs, Scale: scale, Aged: lib, Profile: prof, MaxPaths: 3})
+	res := analyze(m.Netlist, Config{PeriodPs: m.PeriodPs, Scale: scale, Aged: lib, Profile: prof, MaxPaths: 3})
 	if res.NumSetupViolations > 3 && !res.Truncated {
 		t.Error("exceeding MaxPaths must set Truncated")
 	}
@@ -249,7 +255,7 @@ func TestWorstPathReport(t *testing.T) {
 	nl := demo.Adder2()
 	lib := aging.NewLibrary(cell.DemoLibrary(), aging.Default(), 10)
 	cfg := Config{PeriodPs: 1000, Aged: lib, Profile: table1Profile(nl)}
-	res := Analyze(nl, cfg)
+	res := analyze(nl, cfg)
 	if len(res.Pairs) == 0 {
 		t.Fatal("no violating pairs")
 	}
@@ -290,6 +296,48 @@ func TestWorstPathReport(t *testing.T) {
 	for _, wantS := range []string{"DFF$4", "XOR$8", "slack"} {
 		if !strings.Contains(out, wantS) {
 			t.Errorf("report missing %q:\n%s", wantS, out)
+		}
+	}
+}
+
+// TestWorstPathMatchesOracle: the graph-based WorstPath reports what
+// the backtrack over the scalar arrival arrays reported, field for field
+// and stage for stage, for every violating endpoint of the aged units.
+func TestWorstPathMatchesOracle(t *testing.T) {
+	for _, u := range []struct {
+		m        *module.Module
+		ops, gap int
+		numOps   int
+	}{
+		{alu.Build(), 300, 2, alu.NumOps},
+		{fpu.Build(), 40, 40, fpu.NumOps},
+	} {
+		nl := u.m.Netlist
+		prof := profileModule(u.m, u.ops, u.gap, 5, func(r *rand.Rand) (uint32, uint32, uint32) {
+			return uint32(r.Intn(u.numOps)), r.Uint32(), r.Uint32()
+		})
+		cfg := Config{
+			PeriodPs: u.m.PeriodPs,
+			Scale:    Calibrate(nl, cell.Lib28(), u.m.PeriodPs, u.m.SynthMargin),
+			Aged:     aging.NewLibrary(cell.Lib28(), aging.Default(), 10),
+			Profile:  prof,
+		}
+		ends := map[netlist.CellID]bool{}
+		for _, p := range analyze(nl, cfg).Pairs {
+			ends[p.End] = true
+		}
+		if len(ends) == 0 {
+			t.Fatalf("%s: no violating endpoint to report on", u.m.Name)
+		}
+		for end := range ends {
+			got, err := WorstPath(nl, cfg, end)
+			want, werr := worstPathOracle(nl, cfg, end)
+			if err != nil || werr != nil {
+				t.Fatalf("%s endpoint %d: err %v, oracle err %v", u.m.Name, end, err, werr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s endpoint %s:\n graph:  %+v\n oracle: %+v", u.m.Name, want.EndName, got, want)
+			}
 		}
 	}
 }
