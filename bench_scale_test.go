@@ -17,7 +17,6 @@ import (
 	"repro/internal/cell"
 	"repro/internal/engine"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 	"repro/internal/sta"
 	"repro/internal/synth"
 )
@@ -28,7 +27,7 @@ func scaleCase(target int) (*netlist.Netlist, sta.BatchConfig, []sta.Corner) {
 	nl := synth.PipelineForCells(target).Build()
 	lib := cell.Lib28()
 	rng := rand.New(rand.NewSource(int64(target)))
-	prof := &sim.Profile{Cycles: 1, SP: make([]float64, nl.NumNets)}
+	prof := &engine.Profile{Cycles: 1, SP: make([]float64, nl.NumNets)}
 	for i := range prof.SP {
 		prof.SP[i] = rng.Float64()
 	}

@@ -141,9 +141,8 @@ func main() {
 		rows))
 	if *stats {
 		es, gs := engine.CacheStats(), sta.GraphCacheStats()
-		fmt.Printf("\ncaches: programs %d/%d hit (%d resident, %d evicted), graphs %d/%d hit (%d resident, %d evicted)\n",
-			es.Hits, es.Hits+es.Misses, es.Len, es.Evictions,
-			gs.Hits, gs.Hits+gs.Misses, gs.Len, gs.Evictions)
+		fmt.Printf("\ncaches: programs %d hit, %d compiled; graphs %d hit, %d compiled\n",
+			es.Hits, es.Misses, gs.Hits, gs.Misses)
 	}
 	if sigctx.Interrupted(ctx) {
 		os.Exit(sigctx.ExitInterrupted)

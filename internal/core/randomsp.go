@@ -6,7 +6,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/netlist"
 	"repro/internal/par"
-	"repro/internal/sim"
 )
 
 // randomSPChunks is the fixed partition width of the packed
@@ -36,9 +35,9 @@ const randomSPChunks = 16
 // seed as par.Seed(seed, ci) and starts from reset, so the merged
 // profile is a function of (netlist, cycles, seed) alone — never of
 // parallelism or scheduling.
-func RandomSP(nl *netlist.Netlist, cycles int, seed int64, parallelism int) (*sim.Profile, error) {
+func RandomSP(nl *netlist.Netlist, cycles int, seed int64, parallelism int) (*engine.Profile, error) {
 	if cycles <= 0 {
-		return &sim.Profile{}, nil
+		return &engine.Profile{}, nil
 	}
 	prog := engine.Cached(nl)
 	chunks := randomSPChunks
@@ -46,7 +45,7 @@ func RandomSP(nl *netlist.Netlist, cycles int, seed int64, parallelism int) (*si
 		chunks = cycles
 	}
 	parts, err := par.Map(context.Background(), chunks, parallelism,
-		func(_ context.Context, ci int) (*sim.Profile, error) {
+		func(_ context.Context, ci int) (*engine.Profile, error) {
 			lo := ci * cycles / chunks
 			hi := (ci + 1) * cycles / chunks
 			return engine.RandomProfile(prog, hi-lo, par.Seed(seed, ci)), nil
@@ -54,14 +53,14 @@ func RandomSP(nl *netlist.Netlist, cycles int, seed int64, parallelism int) (*si
 	if err != nil {
 		return nil, err
 	}
-	return sim.MergeProfiles(parts...), nil
+	return engine.MergeProfiles(parts...), nil
 }
 
 // RandomSPProfile runs RandomSP over the workflow's module and installs
 // the result as the workflow's SP profile, so a subsequent AgingAnalysis
 // consumes synthetic random-stimulus SPs instead of workload-driven
 // ones.
-func (w *Workflow) RandomSPProfile(cycles int, seed int64) (*sim.Profile, error) {
+func (w *Workflow) RandomSPProfile(cycles int, seed int64) (*engine.Profile, error) {
 	p, err := RandomSP(w.Module.Netlist, cycles, seed, w.Config.Parallelism)
 	if err != nil {
 		return nil, err

@@ -15,11 +15,11 @@ import (
 	"repro/internal/cell"
 	"repro/internal/cpu"
 	"repro/internal/embench"
+	"repro/internal/engine"
 	"repro/internal/fpu"
 	"repro/internal/lift"
 	"repro/internal/module"
 	"repro/internal/par"
-	"repro/internal/sim"
 	"repro/internal/sta"
 )
 
@@ -77,7 +77,7 @@ type Workflow struct {
 	// Filled by ProfileWorkloads:
 	OpTrace    []cpu.OpRecord // sampled unit operations
 	OpDensity  float64        // unit ops per retired instruction
-	SPProfile  *sim.Profile
+	SPProfile  *engine.Profile
 	TotalInsts uint64
 
 	// Filled by AgingAnalysis:
@@ -206,7 +206,7 @@ func (w *Workflow) ProfileWorkloads() error {
 	if sampleN < chunks {
 		chunks = sampleN
 	}
-	parts, err := par.Map(ctx, chunks, w.Config.Parallelism, func(_ context.Context, ci int) (*sim.Profile, error) {
+	parts, err := par.Map(ctx, chunks, w.Config.Parallelism, func(_ context.Context, ci int) (*engine.Profile, error) {
 		lo := ci * sampleN / chunks
 		hi := (ci + 1) * sampleN / chunks
 		d := module.NewDriver(w.Module)
@@ -221,7 +221,7 @@ func (w *Workflow) ProfileWorkloads() error {
 	if err != nil {
 		return err
 	}
-	w.SPProfile = sim.MergeProfiles(parts...)
+	w.SPProfile = engine.MergeProfiles(parts...)
 	return nil
 }
 

@@ -1,60 +1,44 @@
 package engine
 
 import (
-	"sync"
+	"sync/atomic"
 
-	"repro/internal/lru"
 	"repro/internal/netlist"
 )
 
-// The program cache keys compiled programs by netlist identity.
-// Netlists are immutable after Build (instrumentation passes construct
-// new ones through NewBuilderFrom), so pointer identity is a sound key.
-//
-// The cache exists because the workflow replays the same few netlists
-// thousands of times from many goroutines: the module netlist behind
-// every profiling chunk and every netlist-backed CPU, and one failing
-// netlist per (pair, failure-mode) task whose whole suite replay runs on
-// it. Caching makes the compile a once-per-netlist cost shared read-only
-// across the PR 1 worker pool instead of a per-simulator cost.
-//
-// Failing netlists are transient — each test-quality task builds one,
-// replays the suite, and drops it — so an unbounded map would grow with
-// the experiment. The cache is a bounded LRU: the module netlists every
-// campaign keeps coming back to stay resident while the one-shot failing
-// netlists cycle through the cold end. Eviction only costs a recompile,
-// never correctness.
-const cacheCap = 512
+// programKey is Cached's slot in netlist.Netlist.Memo.
+type programKey struct{}
 
-var cache = struct {
-	sync.Mutex
-	c *lru.Cache[*netlist.Netlist, *Program]
-}{c: lru.New[*netlist.Netlist, *Program](cacheCap)}
+var cacheHits, cacheMisses atomic.Uint64
 
-// Cached returns the compiled program for nl, compiling and memoizing it
-// on first use. Safe for concurrent use; the returned program is shared
-// and read-only.
+// Cached returns the compiled program for nl, compiling it on first use
+// and keeping it on nl itself (netlist.Netlist.Memo): netlists are
+// immutable after Build, so one program per netlist value is sound, and
+// the program lives exactly as long as its netlist does. Module netlists
+// that every profiling chunk, simulator and campaign wave comes back to
+// compile once; a transient instrumented netlist (one fault.ShadowReplica
+// per BMC spec) takes its program with it when it is dropped. Safe for
+// concurrent use; the returned program is shared and read-only. If
+// Compile panics on nl, so does every call.
 func Cached(nl *netlist.Netlist) *Program {
-	cache.Lock()
-	defer cache.Unlock()
-	if p, ok := cache.c.Get(nl); ok {
-		return p
+	p, built := nl.Memo(programKey{}, func() any { return Compile(nl) })
+	if built {
+		cacheMisses.Add(1)
+	} else {
+		cacheHits.Add(1)
 	}
-	p := Compile(nl)
-	cache.c.Add(nl, p)
-	return p
+	return p.(*Program)
 }
 
-// CacheSize reports the number of memoized programs (for tests).
-func CacheSize() int {
-	cache.Lock()
-	defer cache.Unlock()
-	return cache.c.Len()
+// MemoStats is a snapshot of the process-wide counters of one
+// per-netlist memo: Misses counts first compiles, Hits every other
+// call. Evictions is always 0 — an artifact is freed with its netlist,
+// never evicted — and stays because the vega-bench ledger reads it.
+type MemoStats struct {
+	Hits, Misses, Evictions uint64
 }
 
-// CacheStats snapshots the program cache's hit/miss/eviction counters.
-func CacheStats() lru.Stats {
-	cache.Lock()
-	defer cache.Unlock()
-	return cache.c.Stats()
+// CacheStats snapshots Cached's counters.
+func CacheStats() MemoStats {
+	return MemoStats{Hits: cacheHits.Load(), Misses: cacheMisses.Load()}
 }

@@ -4,13 +4,17 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/cell"
 	"repro/internal/engine"
 	"repro/internal/netlist"
 	"repro/internal/sim"
+	"repro/internal/sta"
 	"repro/internal/synth"
 )
 
@@ -168,11 +172,11 @@ func TestPackedSPAggregationIsExact(t *testing.T) {
 			}
 		}
 		packed := e.Profile()
-		parts := make([]*sim.Profile, len(scalars))
+		parts := make([]*engine.Profile, len(scalars))
 		for l, s := range scalars {
 			parts[l] = s.Profile()
 		}
-		merged := sim.MergeProfiles(parts...)
+		merged := engine.MergeProfiles(parts...)
 		if packed.Cycles != merged.Cycles {
 			t.Fatalf("seed %d: packed covers %d lane-cycles, merged scalars %d",
 				seed, packed.Cycles, merged.Cycles)
@@ -274,6 +278,9 @@ func TestCompileAllocsConstant(t *testing.T) {
 	}
 }
 
+// TestCachedSharesPrograms pins the memo's identity contract: one
+// program per netlist value — the same pointer always yields the same
+// program, and a Clone (equal structure, new value) starts with none.
 func TestCachedSharesPrograms(t *testing.T) {
 	a := randomNetlist(7)
 	b := randomNetlist(8)
@@ -283,28 +290,103 @@ func TestCachedSharesPrograms(t *testing.T) {
 	if engine.Cached(a) == engine.Cached(b) {
 		t.Error("distinct netlists share a program")
 	}
+	if engine.Cached(a.Clone()) == engine.Cached(a) {
+		t.Error("a clone shares its original's program")
+	}
 	if sim.New(a).Program() != engine.Cached(a) {
 		t.Error("simulator does not share the cached program")
 	}
 }
 
-// TestOversizedArityPanics proves Compile refuses a netlist whose cells
-// exceed cell.MaxArity inputs (only reachable by bypassing Build, which
-// rejects such netlists itself).
-func TestOversizedArityPanics(t *testing.T) {
-	nl := randomNetlist(3)
-	clone := nl.Clone()
+// TestCachedCompilesOnceConcurrently: many goroutines asking for one
+// fresh netlist's program get the same one from a single compile. Run
+// under -race in CI.
+func TestCachedCompilesOnceConcurrently(t *testing.T) {
+	const callers = 32
+	nl := randomNetlist(9)
+	before := engine.CacheStats()
+	progs := make([]*engine.Program, callers)
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range progs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-gate
+			progs[i] = engine.Cached(nl)
+		}(i)
+	}
+	close(gate)
+	wg.Wait()
+	for i, p := range progs {
+		if p == nil || p != progs[0] {
+			t.Fatalf("caller %d got program %p, caller 0 got %p", i, p, progs[0])
+		}
+	}
+	after := engine.CacheStats()
+	if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 1 || hits != callers-1 {
+		t.Errorf("%d callers recorded %d misses and %d hits, want 1 and %d", callers, misses, hits, callers-1)
+	}
+}
+
+// TestCachedDoesNotPinNetlist: a netlist's compiled forms live on the
+// netlist, so dropping the last reference to it frees all three. The
+// finalizer sits on the cell array, which only the netlist reaches — the
+// netlist itself is in a cycle with its artifacts (Program.Netlist), and
+// the runtime never finalizes an object that is reachable from itself.
+func TestCachedDoesNotPinNetlist(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		nl := randomNetlist(11)
+		engine.Cached(nl)
+		sta.CachedGraph(nl)
+		runtime.SetFinalizer(&nl.Cells[0], func(*netlist.Cell) { close(freed) })
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("netlist still reachable after its last reference was dropped: a compile memo pins it")
+}
+
+// oversized returns a netlist Compile refuses: a clone with one cell
+// widened past cell.MaxArity inputs (only reachable by bypassing Build,
+// which rejects such netlists itself).
+func oversized(t *testing.T) *netlist.Netlist {
+	clone := randomNetlist(3).Clone()
 	for i := range clone.Cells {
 		if clone.Cells[i].Kind == cell.AND2 {
 			clone.Cells[i].In = append(clone.Cells[i].In, clone.Cells[i].In[0], clone.Cells[i].In[0])
-			defer func() {
-				if recover() == nil {
-					t.Error("Compile accepted a cell with fan-in above cell.MaxArity")
-				}
-			}()
-			engine.Compile(clone)
-			return
+			return clone
 		}
 	}
 	t.Skip("random netlist had no AND2 to widen")
+	return nil
+}
+
+// panics reports what f panicked with, nil if it returned.
+func panics(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
+}
+
+// TestOversizedArityPanics proves Compile refuses a netlist whose cells
+// exceed cell.MaxArity inputs, and that Cached keeps refusing it: the
+// failed first compile must not leave a nil program behind for the
+// second caller.
+func TestOversizedArityPanics(t *testing.T) {
+	nl := oversized(t)
+	if panics(func() { engine.Compile(nl) }) == nil {
+		t.Error("Compile accepted a cell with fan-in above cell.MaxArity")
+	}
+	first := panics(func() { engine.Cached(nl) })
+	second := panics(func() { engine.Cached(nl) })
+	if first == nil || second != first {
+		t.Errorf("Cached panicked with %v, then %v; want the same refusal both times", first, second)
+	}
 }

@@ -6,8 +6,7 @@ import "repro/internal/netlist"
 // length, consumed by the aging analysis. It lives in the engine because
 // both interpreters produce it: the scalar simulator (internal/sim, one
 // observed cycle per Step) and the packed evaluator (64 lane-cycles per
-// Step). internal/sim re-exports it as sim.Profile, the name the rest of
-// the workflow uses.
+// Step).
 type Profile struct {
 	Cycles uint64
 	SP     []float64 // indexed by NetID

@@ -9,9 +9,9 @@ import (
 	"repro/internal/cell"
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/lift"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 	"repro/internal/sta"
 	"repro/internal/store"
 )
@@ -203,7 +203,7 @@ func (r *runner) runSweep(sp *Spec, h string) (json.RawMessage, error) {
 		PeriodPs:    period,
 		Base:        lib,
 		Model:       aging.Default(),
-		Profile:     fv.(*sim.Profile),
+		Profile:     fv.(*engine.Profile),
 		PerEndpoint: 40,
 		Parallelism: r.parallelism,
 	}

@@ -8,9 +8,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/aging"
 	"repro/internal/cell"
@@ -300,6 +302,102 @@ func TestDaemonSingleflight(t *testing.T) {
 	}
 	if st.Inflight != 0 {
 		t.Errorf("store still has %d in-flight builds at rest", st.Inflight)
+	}
+}
+
+// TestPanickingBuildFailsEveryJob: a job whose store build panics ends
+// failed, and so does an identical resubmission — the first panic must
+// not leave a dead flight that the second job parks on for good, taking
+// a worker with it. The poison is a netlist the compilers refuse (a
+// cell wider than cell.MaxArity, which no submitted Verilog parses to),
+// planted under the submission's netlist key.
+func TestPanickingBuildFailsEveryJob(t *testing.T) {
+	s, c := newTestServer(t, Options{Workers: 1})
+	src := tinyVerilog(1)
+	nl, err := netlist.ParseVerilog(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison := nl.Clone()
+	wide := &poison.Cells[poison.Topo()[0]]
+	for len(wide.In) <= cell.MaxArity {
+		wide.In = append(wide.In, wide.In[0])
+	}
+	if _, _, err := s.Store().Do(keyNetlist(netlistSHA(src)), func() (any, error) { return poison, nil }); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for attempt := 1; attempt <= 2; attempt++ {
+		j, err := c.Submit(ctx, Spec{Kind: KindSweep, Verilog: src, SPCycles: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, err = c.Wait(ctx, j.ID); err != nil {
+			t.Fatalf("submission %d: wait: %v (job left %s)", attempt, err, j.Status)
+		}
+		if j.Status != StatusFailed || !strings.Contains(j.Error, "panicked") {
+			t.Errorf("submission %d finished %s (error %q), want failed with the panic", attempt, j.Status, j.Error)
+		}
+	}
+	if st := s.Store().Stats(); st.Inflight != 0 {
+		t.Errorf("store has %d builds in flight at rest", st.Inflight)
+	}
+}
+
+// TestEvictedNetlistIsCollectable: -cache is the daemon's one residency
+// bound, so once the store has evicted a sweep's chain nothing else may
+// keep its parsed netlist (and the program and timing graph compiled
+// from it) alive — and a later resubmission rebuilds to the same bytes.
+// The first sweep's netlist is planted under its key so the test can
+// watch it; the finalizer sits on the cell array because the netlist
+// itself is in a cycle with its compiled forms.
+func TestEvictedNetlistIsCollectable(t *testing.T) {
+	s, c := newTestServer(t, Options{Workers: 1, CacheCap: 1})
+	ctx := context.Background()
+	sweep := func(src string) []byte {
+		t.Helper()
+		j, err := c.Submit(ctx, Spec{Kind: KindSweep, Verilog: src, SPCycles: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Result(ctx, waitDone(t, c, j.ID).ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	first := tinyVerilog(1)
+	freed := make(chan struct{})
+	func() {
+		nl, err := netlist.ParseVerilog(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(&nl.Cells[0], func(*netlist.Cell) { close(freed) })
+		if _, _, err := s.Store().Do(keyNetlist(netlistSHA(first)), func() (any, error) { return nl, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	want := sweep(first)
+	sweep(tinyVerilog(2))
+
+	collected := false
+	for i := 0; i < 50 && !collected; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			collected = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if !collected {
+		t.Error("the first sweep's netlist is still reachable after the store evicted its whole chain")
+	}
+	if got := sweep(first); !bytes.Equal(got, want) {
+		t.Errorf("resubmitted sweep differs from its first run:\n first: %s\n again: %s", want, got)
 	}
 }
 

@@ -1,21 +1,14 @@
-// Package lru provides the small bounded LRU cache behind the compile
-// memoizers (engine.Cached, sta.CachedGraph) and the fleet daemon's
-// shared content-addressed artifact store (internal/store). Those caches
-// used to wipe themselves wholesale at capacity, which made every long
-// fault-injection or test-quality campaign pay a periodic recompile
-// storm for its hottest netlists; a real least-recently-used policy
-// keeps the working set warm and evicts only the one-shot entries. The
-// counters exported through Stats are what decide whether an artifact
-// is worth persisting.
+// Package lru provides the small bounded LRU cache behind the fleet
+// daemon's shared content-addressed artifact store (internal/store), its
+// one consumer: a real least-recently-used policy keeps the fleet's hot
+// netlists resident and evicts only the one-shot submissions, and the
+// counters exported through Stats are what decide the store's capacity.
 //
-// The cache is internally locked and safe for concurrent use. The
-// compile memoizers still hold their own mutex across the
-// get-miss-compile-add sequence (the lock here cannot make a compound
-// sequence atomic), so for them the internal lock is an uncontended
-// second acquire — nanoseconds against a compile. What the lock buys is
-// that a caller without compound sequences, like the fleet store's
-// eviction layer, cannot corrupt the recency list by racing Get
-// promotions against Add evictions.
+// The cache is internally locked and safe for concurrent use. The store
+// still holds its own mutex across its get-miss-build-add sequence (the
+// lock here cannot make a compound sequence atomic); what the internal
+// lock buys is that a caller without compound sequences cannot corrupt
+// the recency list by racing Get promotions against Add evictions.
 package lru
 
 import "sync"
@@ -124,13 +117,6 @@ func (c *Cache[K, V]) Add(k K, v V) {
 	e := &entry[K, V]{key: k, val: v}
 	c.m[k] = e
 	c.pushFront(e)
-}
-
-// Len reports the number of cached entries.
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }
 
 // Stats snapshots the effectiveness counters.

@@ -25,8 +25,8 @@ func TestGetPromotes(t *testing.T) {
 	c := New[int, int](2)
 	c.Add(1, 10)
 	c.Add(2, 20)
-	c.Get(1)      // 2 is now LRU
-	c.Add(3, 30)  // evicts 2
+	c.Get(1)     // 2 is now LRU
+	c.Add(3, 30) // evicts 2
 	if _, ok := c.Get(2); ok {
 		t.Error("2 survived eviction despite 1 being promoted")
 	}
@@ -40,8 +40,8 @@ func TestAddUpdatesAndPromotes(t *testing.T) {
 	c.Add(1, 10)
 	c.Add(2, 20)
 	c.Add(1, 11) // update, promotes 1; 2 is LRU
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d after update, want 2", c.Len())
+	if c.Stats().Len != 2 {
+		t.Fatalf("Len = %d after update, want 2", c.Stats().Len)
 	}
 	c.Add(3, 30) // evicts 2
 	if _, ok := c.Get(2); ok {
@@ -109,7 +109,7 @@ func TestConcurrentChurn(t *testing.T) {
 						return
 					}
 				case 2:
-					if n := c.Len(); n < 0 || n > capacity {
+					if n := c.Stats().Len; n < 0 || n > capacity {
 						t.Errorf("Len = %d outside [0, %d]", n, capacity)
 						return
 					}
@@ -126,7 +126,7 @@ func TestConcurrentChurn(t *testing.T) {
 	wg.Wait()
 
 	// The quiesced list and map must agree exactly.
-	if n := c.Len(); n > capacity {
+	if n := c.Stats().Len; n > capacity {
 		t.Fatalf("cache grew past capacity: %d", n)
 	}
 	seen := 0
@@ -146,8 +146,8 @@ func TestChurnKeepsListConsistent(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.Add(i%13, i)
 		c.Get((i * 7) % 13)
-		if c.Len() > 8 {
-			t.Fatalf("cache grew past capacity: %d", c.Len())
+		if c.Stats().Len > 8 {
+			t.Fatalf("cache grew past capacity: %d", c.Stats().Len)
 		}
 	}
 	// Every entry the map holds must be reachable on the list and vice
@@ -159,7 +159,7 @@ func TestChurnKeepsListConsistent(t *testing.T) {
 		}
 		n++
 	}
-	if n != c.Len() {
-		t.Fatalf("list has %d entries, map has %d", n, c.Len())
+	if n != c.Stats().Len {
+		t.Fatalf("list has %d entries, map has %d", n, c.Stats().Len)
 	}
 }

@@ -8,6 +8,7 @@ package netlist
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/cell"
 )
@@ -59,6 +60,32 @@ type Netlist struct {
 	driver   []CellID // per net: driving cell, or NoCell
 	topo     []CellID // combinational + clock cells in dependency order
 	netNames map[NetID]string
+
+	memo sync.Map // Memo's slots: key -> sync.OnceValue(build)
+}
+
+// Memo returns what build returned the first time Memo was called on nl
+// with this key, running build at most once per (netlist, key) however
+// many goroutines ask; different netlists build concurrently. It is
+// where an artifact derived from this netlist alone lives (engine.Cached,
+// sta.CachedGraph): the artifact is reachable only through nl, so it is
+// freed with nl and needs no cache, bound or eviction of its own, and a
+// Clone starts with none. key should be of a type private to the caller,
+// as with context.WithValue. built is true for exactly one call per
+// slot, the one whose build was used. A build that panics panics again,
+// with the same value, on every later call for its slot.
+func (nl *Netlist) Memo(key any, build func() any) (v any, built bool) {
+	f, ok := nl.memo.Load(key)
+	if !ok {
+		// Whichever goroutine runs the winning closure, its caller is
+		// inside the same Once and reads built only after it returns.
+		f, _ = nl.memo.LoadOrStore(key, sync.OnceValue(func() any {
+			built = true
+			return build()
+		}))
+	}
+	v = f.(func() any)() // before built is read: a return's operand order is unspecified
+	return v, built
 }
 
 // Driver returns the cell driving net n, or NoCell if n is a primary

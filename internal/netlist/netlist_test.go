@@ -211,6 +211,38 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
+// TestMemo pins the slot rules engine.Cached and sta.CachedGraph stand
+// on: one build per (netlist, key), keys of different types do not
+// collide, and a clone starts empty.
+func TestMemo(t *testing.T) {
+	type keyA struct{}
+	type keyB struct{}
+	nl := buildDemoAdder(t)
+	builds := 0
+	build := func(v string) func() any {
+		return func() any { builds++; return v }
+	}
+	for _, c := range []struct {
+		nl    *Netlist
+		key   any
+		build string
+		want  string
+		built bool
+	}{
+		{nl, keyA{}, "a", "a", true},
+		{nl, keyA{}, "a again", "a", false},
+		{nl, keyB{}, "b", "b", true},
+		{nl.Clone(), keyA{}, "clone", "clone", true},
+	} {
+		if got, built := c.nl.Memo(c.key, build(c.build)); got != c.want || built != c.built {
+			t.Errorf("Memo(%T, build %q) = %v, built %v; want %v, %v", c.key, c.build, got, built, c.want, c.built)
+		}
+	}
+	if builds != 3 {
+		t.Errorf("%d builds, want 3", builds)
+	}
+}
+
 func TestNewBuilderFromPreservesIDs(t *testing.T) {
 	nl := buildDemoAdder(t)
 	b := NewBuilderFrom(nl)

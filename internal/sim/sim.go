@@ -10,13 +10,12 @@
 // is gated off. In this simulator the free-running clock is the Step()
 // call itself, so gated-off cells still accumulate residency every cycle.
 //
-// Since the compiled evaluation engine landed, Simulator is a thin facade
-// over internal/engine's scalar interpreter: the netlist is lowered once
-// into a shared read-only engine.Program (cached by netlist identity) and
-// every Settle walks the flat instruction stream instead of the raw cell
-// graph. The public API, SP semantics, and waveform recording are
-// unchanged, and results are byte-identical to the pre-engine
-// interpreter.
+// Simulator is the stateful scalar front-end over a compiled
+// engine.Program — the peer of engine.Packed, which is the 64-lane one:
+// the netlist is lowered once into a shared read-only program
+// (engine.Cached) and the simulator owns what one run adds to it — net
+// values, staged flip-flop state, the cycle count, SP counters and
+// recorded waveforms.
 package sim
 
 import (
@@ -217,16 +216,15 @@ func (s *Simulator) SP(n netlist.NetID) float64 {
 	return s.spOnes[n] / float64(s.cycles)
 }
 
-// Profile is a per-net signal-probability profile plus the observation
-// length, consumed by the aging analysis. It is an alias of the engine's
-// profile type: both the scalar simulator and the 64-lane packed
-// evaluator produce the same artifact, and partial profiles from either
-// merge through MergeProfiles.
+// Profile is engine.Profile under its old name. Nothing in the tree
+// but internal/bench/scale.go (frozen by BENCHMARK.json's paths) uses
+// the alias; it goes with the next benchmark issue, alongside
+// inject.PackedClassStats.Fallbacks.
 type Profile = engine.Profile
 
 // Profile snapshots the accumulated SP counters.
-func (s *Simulator) Profile() *Profile {
-	p := &Profile{
+func (s *Simulator) Profile() *engine.Profile {
+	p := &engine.Profile{
 		Cycles: s.cycles,
 		SP:     make([]float64, s.nl.NumNets),
 		Ones:   make([]float64, s.nl.NumNets),
@@ -239,12 +237,4 @@ func (s *Simulator) Profile() *Profile {
 		p.SP[n] = s.spOnes[n] / float64(s.cycles)
 	}
 	return p
-}
-
-// MergeProfiles combines partial profiles collected on the same netlist
-// (same net count) into one, as if a single simulator had observed all
-// cycles. See engine.MergeProfiles for the exactness contract the
-// parallel profiling path relies on.
-func MergeProfiles(ps ...*Profile) *Profile {
-	return engine.MergeProfiles(ps...)
 }

@@ -8,9 +8,9 @@ import (
 
 	"repro/internal/aging"
 	"repro/internal/cell"
+	"repro/internal/engine"
 	"repro/internal/netlist"
 	"repro/internal/par"
-	"repro/internal/sim"
 )
 
 // The batched arrays use IEEE infinities as untimed sentinels where the
@@ -57,7 +57,7 @@ type BatchConfig struct {
 	Model *aging.Model
 	// Profile supplies per-net signal probabilities; required when any
 	// corner has Years > 0.
-	Profile *sim.Profile
+	Profile *engine.Profile
 	// Libs, when non-nil, supplies the per-corner aged libraries directly
 	// and skips the aging.NewCornerGrid characterization — the reuse seam
 	// the fleet daemon's content-addressed store plugs into, so repeated

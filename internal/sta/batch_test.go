@@ -10,8 +10,8 @@ import (
 
 	"repro/internal/aging"
 	"repro/internal/cell"
+	"repro/internal/engine"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 )
 
 // randomTimedNetlist builds a random synchronous DAG with a random
@@ -68,9 +68,9 @@ func randomTimedNetlist(seed int64) *netlist.Netlist {
 }
 
 // randomNetSP gives every net an independent random signal probability.
-func randomNetSP(nl *netlist.Netlist, seed int64) *sim.Profile {
+func randomNetSP(nl *netlist.Netlist, seed int64) *engine.Profile {
 	rng := rand.New(rand.NewSource(seed))
-	p := &sim.Profile{Cycles: 1, SP: make([]float64, nl.NumNets)}
+	p := &engine.Profile{Cycles: 1, SP: make([]float64, nl.NumNets)}
 	for i := range p.SP {
 		p.SP[i] = rng.Float64()
 	}
@@ -283,17 +283,23 @@ func TestPairViolatingBothChecks(t *testing.T) {
 	}
 }
 
-// TestGraphCache pins the compile-once contract: the same netlist
-// pointer yields the same graph, and the cache stays bounded.
+// TestGraphCache pins the compile-once contract, the same one
+// engine.Cached has (its tests cover the concurrent, panicking and
+// collectable cases of the shared netlist memo): the same netlist
+// pointer yields the same graph, a clone its own, and only first
+// compiles count as misses.
 func TestGraphCache(t *testing.T) {
 	nl := randomTimedNetlist(1)
-	if CachedGraph(nl) != CachedGraph(nl) {
+	before := GraphCacheStats()
+	g := CachedGraph(nl)
+	if CachedGraph(nl) != g {
 		t.Error("CachedGraph recompiled for the same netlist")
 	}
-	for i := 0; i < graphCacheCap+10; i++ {
-		CachedGraph(randomTimedNetlist(int64(1000 + i)))
+	if CachedGraph(nl.Clone()) == g {
+		t.Error("a clone shares its original's timing graph")
 	}
-	if n := GraphCacheSize(); n > graphCacheCap {
-		t.Errorf("graph cache grew to %d entries (cap %d)", n, graphCacheCap)
+	after := GraphCacheStats()
+	if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 2 || hits != 1 {
+		t.Errorf("three calls on two netlists recorded %d misses and %d hits, want 2 and 1", misses, hits)
 	}
 }

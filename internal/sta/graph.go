@@ -1,10 +1,10 @@
 package sta
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/cell"
-	"repro/internal/lru"
+	"repro/internal/engine"
 	"repro/internal/netlist"
 )
 
@@ -229,44 +229,26 @@ func CompileGraph(nl *netlist.Netlist) *TimingGraph {
 	return g
 }
 
-// The graph cache keys compiled timing graphs by netlist identity, the
-// same contract as engine's program cache: netlists are immutable after
-// Build, so pointer identity is sound, and the cache is a bounded LRU —
-// transient instrumented netlists cycle through the cold end while the
-// module netlists every sweep revisits stay resident. Eviction only
-// costs a recompile, never correctness.
-const graphCacheCap = 512
+// graphKey is CachedGraph's slot in netlist.Netlist.Memo.
+type graphKey struct{}
 
-var graphCache = struct {
-	sync.Mutex
-	c *lru.Cache[*netlist.Netlist, *TimingGraph]
-}{c: lru.New[*netlist.Netlist, *TimingGraph](graphCacheCap)}
+var graphHits, graphMisses atomic.Uint64
 
-// CachedGraph returns the compiled timing graph for nl, compiling and
-// memoizing it on first use. Safe for concurrent use; the returned graph
-// is shared and read-only.
+// CachedGraph returns the compiled timing graph for nl, compiling it on
+// first use and keeping it on nl itself — the same contract as
+// engine.Cached: one graph per netlist value, freed with its netlist.
+// Safe for concurrent use; the returned graph is shared and read-only.
 func CachedGraph(nl *netlist.Netlist) *TimingGraph {
-	graphCache.Lock()
-	defer graphCache.Unlock()
-	if g, ok := graphCache.c.Get(nl); ok {
-		return g
+	g, built := nl.Memo(graphKey{}, func() any { return CompileGraph(nl) })
+	if built {
+		graphMisses.Add(1)
+	} else {
+		graphHits.Add(1)
 	}
-	g := CompileGraph(nl)
-	graphCache.c.Add(nl, g)
-	return g
+	return g.(*TimingGraph)
 }
 
-// GraphCacheSize reports the number of memoized graphs (for tests).
-func GraphCacheSize() int {
-	graphCache.Lock()
-	defer graphCache.Unlock()
-	return graphCache.c.Len()
-}
-
-// GraphCacheStats snapshots the graph cache's hit/miss/eviction
-// counters.
-func GraphCacheStats() lru.Stats {
-	graphCache.Lock()
-	defer graphCache.Unlock()
-	return graphCache.c.Stats()
+// GraphCacheStats snapshots CachedGraph's counters.
+func GraphCacheStats() engine.MemoStats {
+	return engine.MemoStats{Hits: graphHits.Load(), Misses: graphMisses.Load()}
 }

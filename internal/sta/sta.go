@@ -17,8 +17,8 @@ import (
 
 	"repro/internal/aging"
 	"repro/internal/cell"
+	"repro/internal/engine"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 )
 
 // Config describes one corner of an analysis: what a Result records it
@@ -36,7 +36,7 @@ type Config struct {
 	Base *cell.Library
 	// Profile supplies per-net signal probabilities for the aged lookup.
 	// Required when Aged is non-nil.
-	Profile *sim.Profile
+	Profile *engine.Profile
 	// MaxPaths caps violating-path enumeration (0 means 200000).
 	MaxPaths int
 	// PerEndpoint caps the paths enumerated into any single endpoint,

@@ -11,15 +11,15 @@ import (
 	"repro/internal/alu"
 	"repro/internal/cell"
 	"repro/internal/demo"
+	"repro/internal/engine"
 	"repro/internal/fpu"
 	"repro/internal/module"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 )
 
 // table1Profile builds the paper's Table 1 SP profile for the demo adder.
-func table1Profile(nl *netlist.Netlist) *sim.Profile {
-	p := &sim.Profile{Cycles: 1, SP: make([]float64, nl.NumNets)}
+func table1Profile(nl *netlist.Netlist) *engine.Profile {
+	p := &engine.Profile{Cycles: 1, SP: make([]float64, nl.NumNets)}
 	sp := map[string]float64{
 		"DFF$1": 0.85, "DFF$2": 0.54, "DFF$3": 0.38, "DFF$4": 0.27,
 		"XOR$5": 0.46, "AND$6": 0.48, "XOR$7": 0.13, "XOR$8": 0.52,
@@ -112,7 +112,7 @@ func TestHoldViolationFromAgedClockSkew(t *testing.T) {
 	b.Output("q", qc)
 	nl := b.MustBuild()
 
-	prof := &sim.Profile{Cycles: 1, SP: make([]float64, nl.NumNets)}
+	prof := &engine.Profile{Cycles: 1, SP: make([]float64, nl.NumNets)}
 	for _, n := range launchNets {
 		prof.SP[n] = 0.5 // running clock
 	}
@@ -152,7 +152,7 @@ func TestCalibrateHitsMargin(t *testing.T) {
 
 // profileModule drives the module with a synthetic workload (ops spaced
 // by the given idle gap) and returns the SP profile.
-func profileModule(m *module.Module, ops int, gap int, seed int64, opGen func(*rand.Rand) (uint32, uint32, uint32)) *sim.Profile {
+func profileModule(m *module.Module, ops int, gap int, seed int64, opGen func(*rand.Rand) (uint32, uint32, uint32)) *engine.Profile {
 	d := module.NewDriver(m)
 	d.Sim.EnableSP()
 	rng := rand.New(rand.NewSource(seed))

@@ -1,13 +1,15 @@
 // Package store is the fleet daemon's shared content-addressed artifact
-// cache. Where the per-process memoizers (engine.Cached, sta.CachedGraph)
-// key compiled artifacts by netlist *pointer* — sound inside one process
-// where a netlist is built once and shared — a screening service receives
-// the same netlist over and over as bytes, and every submission parses to
-// a fresh pointer. The store closes that gap: artifacts are keyed by the
-// content hash of the submission, so N requests carrying the same netlist
-// resolve to one canonical parsed instance, one compiled engine.Program,
-// one sta.TimingGraph and one aging corner grid, however many connections
-// they arrived on.
+// cache, and the daemon's one residency bound. Inside one process an
+// artifact derived from a single netlist (engine.Cached's program,
+// sta.CachedGraph's timing graph) simply lives on that netlist value —
+// but a screening service receives the same netlist over and over as
+// bytes, and every submission would parse to a fresh value. The store
+// closes that gap: artifacts are keyed by the content hash of the
+// submission, so N requests carrying the same netlist resolve to one
+// canonical parsed instance (and with it one program and one timing
+// graph), one SP profile and one aging corner grid, however many
+// connections they arrived on. Evicting a parsed netlist frees what was
+// compiled from it as well; nothing else in the process holds on to it.
 //
 // Three properties the daemon needs, beyond a map:
 //
@@ -15,16 +17,18 @@
 //     one build. A burst of identical submissions compiles the netlist
 //     exactly once; the rest wait for the leader and share the result
 //     (TestSingleflightBuildsOnce holds this under the race detector).
+//     A build that fails or panics releases its waiters with the error
+//     and caches nothing.
 //   - Bounded memory: entries live in an internal/lru cache, so a stream
 //     of one-shot cold submissions cycles through the cold end while the
-//     fleet's hot netlists stay resident. Eviction costs a recompile,
+//     fleet's hot netlists stay resident. Eviction costs a rebuild,
 //     never correctness.
 //   - Accounting: hits, builds, coalesced waiters, evictions, in-flight
 //     builds and residency are exported through Stats and surfaced on the
 //     daemon's /metrics endpoint — the numbers that decide capacity.
 //
 // Values are stored as `any`: the store is one shared budget across
-// artifact kinds (a program and a timing graph compete for the same
+// artifact kinds (a netlist and a corner grid compete for the same
 // residency), and the typed accessors live with the daemon, which knows
 // what each key prefix holds.
 package store
@@ -32,6 +36,7 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"sync"
 
 	"repro/internal/lru"
@@ -85,7 +90,8 @@ func New(capacity int) *Store {
 // caller builds, the rest wait and share the result. hit reports whether
 // this call avoided running build (cache hit or coalesced wait). A build
 // error is returned to the leader and every coalesced waiter, and is not
-// cached — the next Do retries.
+// cached — the next Do retries. A build that panics is an error to the
+// waiters and still a panic in the leader.
 func (s *Store) Do(key string, build func() (any, error)) (v any, hit bool, err error) {
 	s.mu.Lock()
 	if v, ok := s.c.Get(key); ok {
@@ -104,15 +110,26 @@ func (s *Store) Do(key string, build func() (any, error)) (v any, hit bool, err 
 	s.builds++
 	s.mu.Unlock()
 
+	// Deferred so a panicking build still retires its flight: otherwise
+	// every later Do on key would park on a done that never closes. The
+	// waiters get the panic as an error; the leader panics on.
+	defer func() {
+		r := recover()
+		if r != nil {
+			f.val, f.err = nil, fmt.Errorf("store: build of %s panicked: %v", key, r)
+		}
+		s.mu.Lock()
+		if f.err == nil {
+			s.c.Add(key, f.val)
+		}
+		delete(s.inflight, key)
+		s.mu.Unlock()
+		close(f.done)
+		if r != nil {
+			panic(r)
+		}
+	}()
 	f.val, f.err = build()
-
-	s.mu.Lock()
-	if f.err == nil {
-		s.c.Add(key, f.val)
-	}
-	delete(s.inflight, key)
-	s.mu.Unlock()
-	close(f.done)
 	return f.val, false, f.err
 }
 

@@ -3,9 +3,12 @@ package store
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestSingleflightBuildsOnce is the acceptance-criteria assertion behind
@@ -84,6 +87,60 @@ func TestErrorsAreNotCached(t *testing.T) {
 	}
 	if st := s.Stats(); st.Len != 1 {
 		t.Fatalf("Len = %d, want 1", st.Len)
+	}
+}
+
+// TestPanickingBuildReleasesWaiters: a build that panics must not leave
+// its flight behind. The leader panics on (the daemon's runSafely turns
+// that into a failed job); every waiter parked on the flight gets an
+// error instead of blocking forever, nothing is cached, and the next Do
+// on the key builds afresh.
+func TestPanickingBuildReleasesWaiters(t *testing.T) {
+	const waiters = 8
+	s := New(4)
+	parked := make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		s.Do("k", func() (any, error) {
+			<-parked
+			panic("poison netlist")
+		})
+	}()
+	for s.Stats().Inflight != 1 {
+		runtime.Gosched()
+	}
+	errs := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			_, _, err := s.Do("k", func() (any, error) { return nil, errors.New("a waiter built") })
+			errs <- err
+		}()
+	}
+	for s.Stats().Coalesced != waiters {
+		runtime.Gosched()
+	}
+	close(parked)
+
+	for i := 0; i < waiters; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "store: build of k panicked: poison netlist") {
+				t.Errorf("waiter got %v, want the panic as an error", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d waiters still parked on the dead flight", waiters-i, waiters)
+		}
+	}
+	if r := <-leader; r != "poison netlist" {
+		t.Errorf("leader recovered %v, want the build's own panic value", r)
+	}
+	if st := s.Stats(); st.Inflight != 0 || st.Len != 0 {
+		t.Errorf("after the panic: Inflight = %d, Len = %d, want 0 and 0", st.Inflight, st.Len)
+	}
+	v, hit, err := s.Do("k", func() (any, error) { return 7, nil })
+	if err != nil || hit || v != 7 {
+		t.Errorf("Do after the panic = (%v, %v, %v), want a fresh build (7, false, nil)", v, hit, err)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"repro/internal/cell"
 	"repro/internal/engine"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 	"repro/internal/sta"
 	"repro/internal/synth"
 )
@@ -57,7 +56,7 @@ func TestScalePipelineEndToEnd(t *testing.T) {
 	// same mutated profile.
 	lib := cell.Lib28()
 	rng := rand.New(rand.NewSource(5))
-	prof := &sim.Profile{Cycles: 1, SP: make([]float64, nl.NumNets)}
+	prof := &engine.Profile{Cycles: 1, SP: make([]float64, nl.NumNets)}
 	for i := range prof.SP {
 		prof.SP[i] = rng.Float64()
 	}
