@@ -132,12 +132,16 @@ type Solver struct {
 	// "FF" formal-tool-timeout outcome). 0 means unbounded.
 	MaxConflicts int64
 
+	// learntBase is the live-learnt count that triggers the first
+	// reduceDB (the trigger then rises with Conflicts/10).
+	learntBase int
+
 	unsatisfiable bool // empty clause added
 }
 
 // New creates an empty solver.
 func New() *Solver {
-	s := &Solver{varInc: 1, claInc: 1}
+	s := &Solver{varInc: 1, claInc: 1, learntBase: 20000}
 	s.order = &varHeap{s: s}
 	return s
 }
@@ -509,7 +513,7 @@ func (s *Solver) search(assumptions []Lit, conflictBudget int64) Status {
 			s.record(learnt)
 			s.varInc /= 0.95
 			s.claInc /= 0.999
-			if len(s.learnts) > 20000+int(s.Conflicts/10) {
+			if len(s.learnts) > s.learntBase+int(s.Conflicts/10) {
 				s.reduceDB()
 			}
 			continue
