@@ -226,6 +226,11 @@ type unroller struct {
 	constTrue  int
 	constFalse int
 
+	// Ports of the assume-environment, resolved once: the bits of each
+	// Config.Assume constraint, and FixedPulse's bit (NoNet when unset).
+	assume []netlist.Bus
+	pulse  netlist.NetID
+
 	budget int64 // remaining shared conflict budget
 	solves int
 }
@@ -236,6 +241,21 @@ func newUnroller(prog *engine.Program, cfg Config) *unroller {
 	u.constFalse = u.s.NewVar()
 	u.s.AddClause(sat.MkLit(u.constTrue, false))
 	u.s.AddClause(sat.MkLit(u.constFalse, true))
+	for _, pc := range cfg.Assume {
+		p, ok := u.nl.FindInput(pc.Port)
+		if !ok {
+			panic(fmt.Sprintf("bmc: assume on unknown port %q", pc.Port))
+		}
+		u.assume = append(u.assume, p.Bits)
+	}
+	u.pulse = netlist.NoNet
+	if fp := cfg.FixedPulse; fp != nil {
+		p, ok := u.nl.FindInput(fp.Port)
+		if !ok || len(p.Bits) != 1 {
+			panic(fmt.Sprintf("bmc: FixedPulse port %q is not a 1-bit input", fp.Port))
+		}
+		u.pulse = p.Bits[0]
+	}
 	return u
 }
 
@@ -298,29 +318,21 @@ func (u *unroller) pushFrame(t int) {
 	}
 	u.encodeAssumes(t)
 
-	if fp := u.cfg.FixedPulse; fp != nil {
-		p, ok := nl.FindInput(fp.Port)
-		if !ok || len(p.Bits) != 1 {
-			panic(fmt.Sprintf("bmc: FixedPulse port %q is not a 1-bit input", fp.Port))
-		}
-		high := t%fp.Period == 0
-		u.s.AddClause(sat.MkLit(frame[p.Bits[0]], !high))
+	if u.pulse != netlist.NoNet {
+		high := t%u.cfg.FixedPulse.Period == 0
+		u.s.AddClause(sat.MkLit(frame[u.pulse], !high))
 	}
 }
 
 // encodeAssumes adds the per-cycle input restrictions.
 func (u *unroller) encodeAssumes(t int) {
-	for _, pc := range u.cfg.Assume {
-		p, ok := u.nl.FindInput(pc.Port)
-		if !ok {
-			panic(fmt.Sprintf("bmc: assume on unknown port %q", pc.Port))
-		}
+	for i, pc := range u.cfg.Assume {
 		var sel []sat.Lit
 		for _, v := range pc.Allowed {
 			// aux -> bits match v
 			aux := u.s.NewVar()
-			for i, n := range p.Bits {
-				bitSet := v>>uint(i)&1 == 1
+			for b, n := range u.assume[i] {
+				bitSet := v>>uint(b)&1 == 1
 				u.s.AddClause(sat.MkLit(aux, true), u.lit(t, n, !bitSet))
 			}
 			sel = append(sel, sat.MkLit(aux, false))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/cell"
 	"repro/internal/demo"
@@ -329,4 +330,76 @@ func (u *unroller) solveFinal(covers []fault.CoverPoint) sat.Status {
 	}
 	u.s.AddClause(lits...)
 	return u.solveBudgeted()
+}
+
+// pigeonholeMaskedNetlist is d -> X -> Y -> o with Y's output ANDed
+// with a circuit that checks whether the input bus seats `pigeons`
+// pigeons in `holes` holes, one per hole. It never does, so a fault on
+// the X -> Y path is unobservable — but once Y can differ from its
+// shadow, refuting each window costs the solver a pigeonhole proof over
+// that cycle's fresh inputs.
+func pigeonholeMaskedNetlist(pigeons, holes int) *netlist.Netlist {
+	b := netlist.NewBuilder("phpmask")
+	clk := b.Clock("clk")
+	d := b.Input("d")
+	x := b.AddDFFNamed("x", d, clk, false)
+	y := b.AddDFFNamed("y", x, clk, false)
+	in := b.InputBus("p", pigeons*holes)
+	ok := y
+	for p := 0; p < pigeons; p++ {
+		seated := in[p*holes]
+		for h := 1; h < holes; h++ {
+			seated = b.Add(cell.OR2, seated, in[p*holes+h])
+		}
+		ok = b.Add(cell.AND2, ok, seated)
+	}
+	for h := 0; h < holes; h++ {
+		for p1 := 0; p1 < pigeons; p1++ {
+			for p2 := p1 + 1; p2 < pigeons; p2++ {
+				ok = b.Add(cell.AND2, ok, b.Add(cell.NAND2, in[p1*holes+h], in[p2*holes+h]))
+			}
+		}
+	}
+	b.Output("o", ok)
+	return b.MustBuild()
+}
+
+// TestBudgetRunsOutInLaterWindow is the Cover-level regression for the
+// solver's budget livelock: the shared budget is handed to each window
+// as what is left of it, so a window that starts with less left than
+// the solver has already spent used to spin forever instead of
+// answering Timeout.
+func TestBudgetRunsOutInLaterWindow(t *testing.T) {
+	nl := pigeonholeMaskedNetlist(7, 6)
+	inst := fault.ShadowReplica(nl, delayChainSpec(nl))
+
+	// The first window whose refutation is a real search, and the
+	// conflicts spent through it.
+	var hard int
+	var cost int64
+	for hard = 0; cost < 50; {
+		hard++
+		res := Cover(inst.Netlist, inst.Covers, Config{MaxDepth: hard})
+		if res.Verdict != Unreachable {
+			t.Fatalf("MaxDepth %d: verdict %v, want unreachable", hard, res.Verdict)
+		}
+		cost = res.Stats.Solver.Conflicts
+	}
+	t.Logf("%d conflicts through window %d", cost, hard)
+
+	// Enough for that window and a quarter of the next one.
+	cfg := Config{MaxDepth: 8, MaxConflicts: cost + cost/4}
+	done := make(chan *Result, 1)
+	go func() { done <- Cover(inst.Netlist, inst.Covers, cfg) }()
+	select {
+	case res := <-done:
+		if res.Verdict != Timeout || res.Depth != hard+1 {
+			t.Errorf("verdict %v at depth %d, want timeout at depth %d", res.Verdict, res.Depth, hard+1)
+		}
+		if n := res.Stats.Solver.Conflicts; n < cfg.MaxConflicts || n > cfg.MaxConflicts+cost/4 {
+			t.Errorf("%d conflicts spent against a budget of %d", n, cfg.MaxConflicts)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Cover did not return: window %d started with %d conflicts left after %d spent", hard+1, cost/4, cost)
+	}
 }

@@ -252,6 +252,26 @@ func (c *CPU) Step() {
 	c.Instret++
 }
 
+// aluOps and fpuOps map an instruction to the operation its unit is
+// asked for (register and immediate forms share the ALU's); entries of
+// instructions execute does not route through them are never read.
+var aluOps = [isa.NumOps]alu.Op{
+	isa.ADDI: alu.OpAdd, isa.SLTI: alu.OpSlt, isa.SLTIU: alu.OpSltu,
+	isa.XORI: alu.OpXor, isa.ORI: alu.OpOr, isa.ANDI: alu.OpAnd,
+	isa.SLLI: alu.OpSll, isa.SRLI: alu.OpSrl, isa.SRAI: alu.OpSra,
+	isa.ADD: alu.OpAdd, isa.SUB: alu.OpSub, isa.SLL: alu.OpSll,
+	isa.SLT: alu.OpSlt, isa.SLTU: alu.OpSltu, isa.XOR: alu.OpXor,
+	isa.SRL: alu.OpSrl, isa.SRA: alu.OpSra, isa.OR: alu.OpOr,
+	isa.AND: alu.OpAnd,
+}
+
+var fpuOps = [isa.NumOps]fpu.Op{
+	isa.FADDS: fpu.OpFadd, isa.FSUBS: fpu.OpFsub, isa.FMULS: fpu.OpFmul,
+	isa.FMINS: fpu.OpFmin, isa.FMAXS: fpu.OpFmax,
+	isa.FSGNJS: fpu.OpFsgnj, isa.FSGNJNS: fpu.OpFsgnjn, isa.FSGNJXS: fpu.OpFsgnjx,
+	isa.FEQS: fpu.OpFeq, isa.FLTS: fpu.OpFlt, isa.FLES: fpu.OpFle,
+}
+
 func (c *CPU) execute(i isa.Inst) {
 	pc := c.PC
 	next := pc + 4
@@ -356,23 +376,12 @@ func (c *CPU) execute(i isa.Inst) {
 
 	case isa.ADDI, isa.SLTI, isa.SLTIU, isa.XORI, isa.ORI, isa.ANDI,
 		isa.SLLI, isa.SRLI, isa.SRAI:
-		ops := map[isa.Op]alu.Op{
-			isa.ADDI: alu.OpAdd, isa.SLTI: alu.OpSlt, isa.SLTIU: alu.OpSltu,
-			isa.XORI: alu.OpXor, isa.ORI: alu.OpOr, isa.ANDI: alu.OpAnd,
-			isa.SLLI: alu.OpSll, isa.SRLI: alu.OpSrl, isa.SRAI: alu.OpSra,
-		}
-		r, _ := c.execALU(ops[i.Op], rs1, uint32(i.Imm))
+		r, _ := c.execALU(aluOps[i.Op], rs1, uint32(i.Imm))
 		c.X[i.Rd] = r
 
 	case isa.ADD, isa.SUB, isa.SLL, isa.SLT, isa.SLTU, isa.XOR,
 		isa.SRL, isa.SRA, isa.OR, isa.AND:
-		ops := map[isa.Op]alu.Op{
-			isa.ADD: alu.OpAdd, isa.SUB: alu.OpSub, isa.SLL: alu.OpSll,
-			isa.SLT: alu.OpSlt, isa.SLTU: alu.OpSltu, isa.XOR: alu.OpXor,
-			isa.SRL: alu.OpSrl, isa.SRA: alu.OpSra, isa.OR: alu.OpOr,
-			isa.AND: alu.OpAnd,
-		}
-		r, _ := c.execALU(ops[i.Op], rs1, rs2)
+		r, _ := c.execALU(aluOps[i.Op], rs1, rs2)
 		c.X[i.Rd] = r
 
 	case isa.MUL:
@@ -456,19 +465,13 @@ func (c *CPU) execute(i isa.Inst) {
 
 	case isa.FADDS, isa.FSUBS, isa.FMULS, isa.FMINS, isa.FMAXS,
 		isa.FSGNJS, isa.FSGNJNS, isa.FSGNJXS:
-		ops := map[isa.Op]fpu.Op{
-			isa.FADDS: fpu.OpFadd, isa.FSUBS: fpu.OpFsub, isa.FMULS: fpu.OpFmul,
-			isa.FMINS: fpu.OpFmin, isa.FMAXS: fpu.OpFmax,
-			isa.FSGNJS: fpu.OpFsgnj, isa.FSGNJNS: fpu.OpFsgnjn, isa.FSGNJXS: fpu.OpFsgnjx,
-		}
 		cycles += cycleFPUExtra
-		r, f := c.execFPU(ops[i.Op], c.F[i.Rs1], c.F[i.Rs2])
+		r, f := c.execFPU(fpuOps[i.Op], c.F[i.Rs1], c.F[i.Rs2])
 		c.F[i.Rd] = r
 		c.FFlags |= f
 	case isa.FEQS, isa.FLTS, isa.FLES:
-		ops := map[isa.Op]fpu.Op{isa.FEQS: fpu.OpFeq, isa.FLTS: fpu.OpFlt, isa.FLES: fpu.OpFle}
 		cycles += cycleFPUExtra
-		r, f := c.execFPU(ops[i.Op], c.F[i.Rs1], c.F[i.Rs2])
+		r, f := c.execFPU(fpuOps[i.Op], c.F[i.Rs1], c.F[i.Rs2])
 		c.X[i.Rd] = r
 		c.FFlags |= f
 	case isa.FCLASSS:

@@ -4,7 +4,16 @@
 // saving, and Luby-sequence restarts. It is the decision engine behind
 // the bounded model checker (internal/bmc), standing in for the formal
 // verification tool (JasperGold) of the paper's Error Lifting phase.
+//
+// Storage is flat: every clause of two or more literals lives in one
+// []Lit arena and is named by its offset (a cref), the decision heap
+// finds a variable through a position table, and watch lists start on
+// capacity cut from a slab — a BMC query streams tens of thousands of
+// clauses through the solver for a few hundred conflicts, so what a
+// clause costs to store and reach is what a query costs.
 package sat
+
+import "math"
 
 // Lit is a literal: variable index shifted left once, with the low bit
 // set for negation. Variables are dense indices starting at 0.
@@ -28,23 +37,17 @@ func (l Lit) Neg() bool { return l&1 == 1 }
 // Not returns the complementary literal.
 func (l Lit) Not() Lit { return l ^ 1 }
 
+// lbool is a variable's assignment. A literal's value is its
+// variable's xor its sign bit, which maps true and false onto each
+// other and lUndef onto itself or 3: compare a literal's value with
+// lTrue or lFalse, never with lUndef.
 type lbool int8
 
 const (
-	lUndef lbool = iota
-	lTrue
+	lTrue lbool = iota
 	lFalse
+	lUndef
 )
-
-func (b lbool) not() lbool {
-	switch b {
-	case lTrue:
-		return lFalse
-	case lFalse:
-		return lTrue
-	}
-	return lUndef
-}
 
 // Stats is a snapshot of the solver's cumulative search counters. All
 // fields are monotonic across Solve calls on one solver, so incremental
@@ -90,23 +93,31 @@ func (s Status) String() string {
 	return "UNKNOWN"
 }
 
-type clause struct {
-	lits   []Lit
-	learnt bool
-	act    float64
-}
+// cref names a clause by its offset in Solver.arena. There the clause
+// is a two-word header — its length, then its index in learnts/learntAct
+// (-1 for a problem clause) — followed by its literals.
+type cref int32
+
+const noClause cref = -1
+
+// watchCap is the room a literal's watch list starts with: most
+// literals of a Tseitin encoding are watched by two to four clauses.
+const watchCap = 4
 
 // Solver is a CDCL SAT solver instance. Zero value is not usable; create
 // with New.
 type Solver struct {
-	clauses []*clause
-	learnts []*clause
+	arena      []Lit
+	numClauses int       // problem clauses in the arena
+	learnts    []cref    // live learnt clauses, in the order recorded
+	learntAct  []float64 // learnts[i]'s activity
 
-	watches [][]*clause // literal -> clauses watching it
+	watches [][]cref // literal -> clauses watching it
+	slab    []cref   // unused tail of the current watch-list slab
 
 	assign  []lbool // per variable
 	level   []int32 // decision level of assignment
-	reason  []*clause
+	reason  []cref
 	phase   []bool // saved phase
 	trail   []Lit
 	trailLm []int32 // decision-level marks into trail
@@ -118,8 +129,11 @@ type Solver struct {
 
 	propHead int
 
-	// Conflict analysis scratch.
-	seen []bool
+	// Scratch: conflict analysis marks and the learnt clause under
+	// construction; the simplified clause inside AddClause.
+	seen      []bool
+	learntBuf []Lit
+	addBuf    []Lit
 
 	// Stats
 	Conflicts    int64
@@ -128,8 +142,8 @@ type Solver struct {
 	Restarts     int64
 	learntTotal  int64 // learnt clauses ever recorded (monotonic)
 
-	// MaxConflicts bounds the search; exceeded -> Unknown (the paper's
-	// "FF" formal-tool-timeout outcome). 0 means unbounded.
+	// MaxConflicts bounds each Solve call; exceeded -> Unknown (the
+	// paper's "FF" formal-tool-timeout outcome). 0 means unbounded.
 	MaxConflicts int64
 
 	// learntBase is the live-learnt count that triggers the first
@@ -149,27 +163,35 @@ func New() *Solver {
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
 	v := len(s.assign)
-	s.assign = append(s.assign, lUndef)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
-	s.phase = append(s.phase, false)
-	s.activity = append(s.activity, 0)
-	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	s.assign = append(room(s.assign, 1), lUndef)
+	s.level = append(room(s.level, 1), 0)
+	s.reason = append(room(s.reason, 1), noClause)
+	s.phase = append(room(s.phase, 1), false)
+	s.activity = append(room(s.activity, 1), 0)
+	s.seen = append(room(s.seen, 1), false)
+	s.trail = room(s.trail, len(s.assign)-len(s.trail))
+	s.watches = append(room(s.watches, 2), s.carve(watchCap), s.carve(watchCap))
+	s.order.pos = append(room(s.order.pos, 1), -1)
+	s.order.heap = room(s.order.heap, 1)
 	s.order.push(v)
 	return v
+}
+
+// room returns s with capacity for n more elements, at least doubling
+// when it has to move: append alone grows a large slice by a quarter,
+// which copies a formula that arrives one variable and one clause at a
+// time five times over.
+func room[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return append(make([]T, 0, 2*cap(s)+n), s...)
 }
 
 // NumVars reports the number of allocated variables.
 func (s *Solver) NumVars() int { return len(s.assign) }
 
-func (s *Solver) value(l Lit) lbool {
-	v := s.assign[l.Var()]
-	if l.Neg() {
-		return v.not()
-	}
-	return v
-}
+func (s *Solver) value(l Lit) lbool { return s.assign[l>>1] ^ lbool(l&1) }
 
 // AddClause adds a clause (a disjunction of literals). It returns false
 // if the formula is already trivially unsatisfiable. Clauses may be
@@ -182,7 +204,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	s.cancelUntil(0)
 	// Simplify: drop duplicate/false literals, detect tautologies.
-	out := lits[:0:0]
+	out := s.addBuf[:0]
 	for _, l := range lits {
 		if s.value(l) == lTrue && s.level[l.Var()] == 0 {
 			return true // satisfied at top level
@@ -203,21 +225,37 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			out = append(out, l)
 		}
 	}
+	s.addBuf = out
 	switch len(out) {
 	case 0:
 		s.unsatisfiable = true
 		return false
 	case 1:
-		if !s.enqueue(out[0], nil) {
+		if !s.enqueue(out[0], noClause) {
 			s.unsatisfiable = true
 			return false
 		}
-		return s.propagate() == nil || !s.markUnsat()
+		return s.propagate() == noClause || !s.markUnsat()
 	}
-	c := &clause{lits: out}
-	s.clauses = append(s.clauses, c)
-	s.watch(c)
+	s.numClauses++
+	s.watch(s.alloc(out, -1))
 	return true
+}
+
+// alloc appends a clause to the arena; slot is its learnt index or -1.
+func (s *Solver) alloc(lits []Lit, slot int) cref {
+	if len(s.arena)+2+len(lits) > math.MaxInt32 {
+		panic("sat: clause arena exceeds 2^31 literals")
+	}
+	c := cref(len(s.arena))
+	s.arena = append(append(room(s.arena, 2+len(lits)), Lit(len(lits)), Lit(slot)), lits...)
+	return c
+}
+
+// lits is the literal slice of a clause, in place: swaps made through
+// it are the clause's new literal order.
+func (s *Solver) lits(c cref) []Lit {
+	return s.arena[c+2 : c+2+cref(s.arena[c])]
 }
 
 func (s *Solver) markUnsat() bool {
@@ -225,12 +263,36 @@ func (s *Solver) markUnsat() bool {
 	return true
 }
 
-func (s *Solver) watch(c *clause) {
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], c)
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], c)
+func (s *Solver) watch(c cref) {
+	lits := s.lits(c)
+	s.addWatch(lits[0].Not(), c)
+	s.addWatch(lits[1].Not(), c)
 }
 
-func (s *Solver) enqueue(l Lit, from *clause) bool {
+// addWatch appends c to l's watch list. A full list moves to twice the
+// room, cut from the slab like the first (its old room stays behind
+// there, unused).
+func (s *Solver) addWatch(l Lit, c cref) {
+	ws := s.watches[l]
+	if len(ws) == cap(ws) {
+		ws = append(s.carve(2*cap(ws)), ws...)
+	}
+	s.watches[l] = append(ws, c)
+}
+
+// carve cuts an empty watch list with room for n clauses from the slab.
+// A new slab is as large as all the lists' first rooms so far, so a
+// solver of any size allocates O(log variables) of them.
+func (s *Solver) carve(n int) []cref {
+	if len(s.slab) < n {
+		s.slab = make([]cref, n+watchCap*len(s.watches))
+	}
+	ws := s.slab[:0:n]
+	s.slab = s.slab[n:]
+	return ws
+}
+
+func (s *Solver) enqueue(l Lit, from cref) bool {
 	switch s.value(l) {
 	case lTrue:
 		return true
@@ -238,11 +300,7 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 		return false
 	}
 	v := l.Var()
-	if l.Neg() {
-		s.assign[v] = lFalse
-	} else {
-		s.assign[v] = lTrue
-	}
+	s.assign[v] = lbool(l & 1)
 	s.level[v] = int32(len(s.trailLm))
 	s.reason[v] = from
 	s.phase[v] = !l.Neg()
@@ -251,8 +309,13 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 }
 
 // propagate performs unit propagation; returns the conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// noClause. What it leaves behind is read later: a unit or conflicting
+// clause ends with its implied (or last-tried) literal at lits[0] and
+// the literal that just became false at lits[1], which is the order
+// analyze resolves in and the lits[0] reduceDB recognises a reason by;
+// and each watch list keeps the order its clauses were kept or moved in,
+// which is the order the next propagation finds its units and conflicts.
+func (s *Solver) propagate() cref {
 	for s.propHead < len(s.trail) {
 		p := s.trail[s.propHead]
 		s.propHead++
@@ -261,20 +324,21 @@ func (s *Solver) propagate() *clause {
 		kept := ws[:0]
 		for i := 0; i < len(ws); i++ {
 			c := ws[i]
+			lits := s.lits(c)
 			// Ensure the false literal is at position 1.
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == p.Not() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			if s.value(c.lits[0]) == lTrue {
+			if s.value(lits[0]) == lTrue {
 				kept = append(kept, c)
 				continue
 			}
 			// Find a new watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], c)
+			for k := 2; k < len(lits); k++ {
+				if s.value(lits[k]) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.addWatch(lits[1].Not(), c)
 					found = true
 					break
 				}
@@ -284,7 +348,7 @@ func (s *Solver) propagate() *clause {
 			}
 			// Unit or conflicting.
 			kept = append(kept, c)
-			if !s.enqueue(c.lits[0], c) {
+			if !s.enqueue(lits[0], c) {
 				// Conflict: keep remaining watches and bail.
 				kept = append(kept, ws[i+1:]...)
 				s.watches[p] = kept
@@ -293,7 +357,7 @@ func (s *Solver) propagate() *clause {
 		}
 		s.watches[p] = kept
 	}
-	return nil
+	return noClause
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLm) }
@@ -310,8 +374,8 @@ func (s *Solver) cancelUntil(lvl int) {
 	for i := len(s.trail) - 1; i >= int(bound); i-- {
 		v := s.trail[i].Var()
 		s.assign[v] = lUndef
-		s.reason[v] = nil
-		s.order.pushIfAbsent(v)
+		s.reason[v] = noClause
+		s.order.push(v)
 	}
 	s.trail = s.trail[:bound]
 	s.trailLm = s.trailLm[:lvl]
@@ -331,15 +395,15 @@ func (s *Solver) bumpVar(v int) {
 
 // analyze performs 1UIP conflict analysis; returns the learnt clause
 // (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // slot for the asserting literal
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.learntBuf[:0], 0) // slot for the asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
 
 	for {
 		s.bumpClause(confl)
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			if p != -1 && q == p {
 				continue
 			}
@@ -380,16 +444,16 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	for _, l := range learnt {
 		s.seen[l.Var()] = false
 	}
+	s.learntBuf = learnt
 	return learnt, btLevel
 }
 
 func (s *Solver) record(learnt []Lit) {
 	s.learntTotal++
 	if len(learnt) == 1 {
-		s.enqueue(learnt[0], nil)
+		s.enqueue(learnt[0], noClause)
 		return
 	}
-	c := &clause{lits: learnt, learnt: true, act: s.claInc}
 	// Watch the asserting literal and the highest-level other literal.
 	best := 1
 	for i := 2; i < len(learnt); i++ {
@@ -397,8 +461,10 @@ func (s *Solver) record(learnt []Lit) {
 			best = i
 		}
 	}
-	c.lits[1], c.lits[best] = c.lits[best], c.lits[1]
+	learnt[1], learnt[best] = learnt[best], learnt[1]
+	c := s.alloc(learnt, len(s.learnts))
 	s.learnts = append(s.learnts, c)
+	s.learntAct = append(s.learntAct, s.claInc)
 	s.watch(c)
 	s.enqueue(learnt[0], c)
 }
@@ -434,22 +500,27 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	// its assumptions' pseudo-decisions) are not facts, and the new
 	// assumption levels must start at the root.
 	s.cancelUntil(0)
-	if confl := s.propagate(); confl != nil {
+	if s.propagate() != noClause {
 		s.unsatisfiable = true
 		return Unsat
 	}
 
 	restart := int64(1)
 	baseInterval := int64(100)
-	conflictsAtStart := s.Conflicts
+	// MaxConflicts budgets this call: stop is the cumulative count at
+	// which it gives up, however many conflicts earlier calls spent.
+	stop := int64(math.MaxInt64)
+	if s.MaxConflicts > 0 {
+		stop = s.Conflicts + s.MaxConflicts
+	}
 
 	for {
 		limit := baseInterval * luby(restart)
-		st := s.search(assumptions, limit)
+		st := s.search(assumptions, limit, stop)
 		if st != Unknown {
 			return st
 		}
-		if s.MaxConflicts > 0 && s.Conflicts-conflictsAtStart >= s.MaxConflicts {
+		if s.Conflicts >= stop {
 			s.cancelUntil(0)
 			return Unknown
 		}
@@ -470,19 +541,16 @@ func (s *Solver) Stats() Stats {
 }
 
 // NumClauses reports the number of problem (non-learnt) clauses held.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
-
-// NumLearnts reports the number of learnt clauses currently held (after
-// any database reductions).
-func (s *Solver) NumLearnts() int { return len(s.learnts) }
+func (s *Solver) NumClauses() int { return s.numClauses }
 
 // search runs CDCL until a verdict, a restart (conflict budget reached),
-// or the global conflict cap. Unknown means "restart or cap".
-func (s *Solver) search(assumptions []Lit, conflictBudget int64) Status {
+// or the call's conflict cap (cumulative count stop). Unknown means
+// "restart or cap".
+func (s *Solver) search(assumptions []Lit, conflictBudget, stop int64) Status {
 	conflicts := int64(0)
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != noClause {
 			s.Conflicts++
 			conflicts++
 			if s.decisionLevel() == 0 {
@@ -523,7 +591,7 @@ func (s *Solver) search(assumptions []Lit, conflictBudget int64) Status {
 			s.cancelUntil(0)
 			return Unknown
 		}
-		if s.MaxConflicts > 0 && s.Conflicts >= s.MaxConflicts {
+		if s.Conflicts >= stop {
 			s.cancelUntil(0)
 			return Unknown
 		}
@@ -540,7 +608,7 @@ func (s *Solver) search(assumptions []Lit, conflictBudget int64) Status {
 				return Unsat
 			}
 			s.newDecisionLevel()
-			s.enqueue(a, nil)
+			s.enqueue(a, noClause)
 			continue
 		}
 
@@ -558,18 +626,19 @@ func (s *Solver) search(assumptions []Lit, conflictBudget int64) Status {
 		}
 		s.Decisions++
 		s.newDecisionLevel()
-		s.enqueue(MkLit(v, !s.phase[v]), nil)
+		s.enqueue(MkLit(v, !s.phase[v]), noClause)
 	}
 }
 
 // Value returns the model value of variable v after a Sat verdict.
 func (s *Solver) Value(v int) bool { return s.assign[v] == lTrue }
 
-// varHeap is a max-heap on variable activity.
+// varHeap is a max-heap on variable activity. pos[v] is v's index in
+// heap, -1 while v is not in it.
 type varHeap struct {
-	s       *Solver
-	heap    []int
-	indices map[int]int
+	s    *Solver
+	heap []int32
+	pos  []int32
 }
 
 func (h *varHeap) len() int { return len(h.heap) }
@@ -580,8 +649,8 @@ func (h *varHeap) less(a, b int) bool {
 
 func (h *varHeap) swap(a, b int) {
 	h.heap[a], h.heap[b] = h.heap[b], h.heap[a]
-	h.indices[h.heap[a]] = a
-	h.indices[h.heap[b]] = b
+	h.pos[h.heap[a]] = int32(a)
+	h.pos[h.heap[b]] = int32(b)
 }
 
 func (h *varHeap) up(i int) {
@@ -613,48 +682,45 @@ func (h *varHeap) down(i int) {
 	}
 }
 
+// push inserts v unless it is already in the heap.
 func (h *varHeap) push(v int) {
-	if h.indices == nil {
-		h.indices = make(map[int]int)
-	}
-	if _, ok := h.indices[v]; ok {
+	if h.pos[v] >= 0 {
 		return
 	}
-	h.heap = append(h.heap, v)
-	h.indices[v] = len(h.heap) - 1
+	h.heap = append(h.heap, int32(v))
+	h.pos[v] = int32(len(h.heap) - 1)
 	h.up(len(h.heap) - 1)
 }
-
-func (h *varHeap) pushIfAbsent(v int) { h.push(v) }
 
 func (h *varHeap) pop() int {
 	v := h.heap[0]
 	last := len(h.heap) - 1
 	h.swap(0, last)
 	h.heap = h.heap[:last]
-	delete(h.indices, v)
+	h.pos[v] = -1
 	if len(h.heap) > 0 {
 		h.down(0)
 	}
-	return v
+	return int(v)
 }
 
 func (h *varHeap) update(v int) {
-	if i, ok := h.indices[v]; ok {
-		h.up(i)
+	if i := h.pos[v]; i >= 0 {
+		h.up(int(i))
 	}
 }
 
 // bumpClause raises a learnt clause's activity when it participates in
 // conflict analysis.
-func (s *Solver) bumpClause(c *clause) {
-	if !c.learnt {
+func (s *Solver) bumpClause(c cref) {
+	slot := s.arena[c+1]
+	if slot < 0 {
 		return
 	}
-	c.act += s.claInc
-	if c.act > 1e100 {
-		for _, l := range s.learnts {
-			l.act *= 1e-100
+	s.learntAct[slot] += s.claInc
+	if s.learntAct[slot] > 1e100 {
+		for i := range s.learntAct {
+			s.learntAct[i] *= 1e-100
 		}
 		s.claInc *= 1e-100
 	}
@@ -664,42 +730,69 @@ func (s *Solver) bumpClause(c *clause) {
 // binary clauses and current reasons), bounding memory on long UNSAT
 // proofs.
 func (s *Solver) reduceDB() {
-	isReason := map[*clause]bool{}
-	for _, l := range s.trail {
-		if r := s.reason[l.Var()]; r != nil {
-			isReason[r] = true
-		}
-	}
 	// Median activity by sampling-free selection: sort a copy of the
 	// activities.
-	acts := make([]float64, 0, len(s.learnts))
-	for _, c := range s.learnts {
-		acts = append(acts, c.act)
-	}
-	median := quickSelect(acts, len(acts)/2)
-	kept := s.learnts[:0]
-	for _, c := range s.learnts {
-		if len(c.lits) <= 2 || isReason[c] || c.act >= median {
-			kept = append(kept, c)
+	median := quickSelect(append([]float64(nil), s.learntAct...), len(s.learntAct)/2)
+	kept := 0
+	for i, c := range s.learnts {
+		lits := s.lits(c)
+		// A clause is the reason of its lits[0] or of nothing: enqueue
+		// is handed lits[0], and propagate never moves a true literal.
+		if len(lits) <= 2 || s.reason[lits[0].Var()] == c || s.learntAct[i] >= median {
+			s.learnts[kept], s.learntAct[kept] = c, s.learntAct[i]
+			s.arena[c+1] = Lit(kept)
+			kept++
 			continue
 		}
 		s.unwatch(c)
 	}
-	s.learnts = kept
+	s.learnts, s.learntAct = s.learnts[:kept], s.learntAct[:kept]
+	s.compact()
 }
 
 // unwatch removes a clause from its two watcher lists.
-func (s *Solver) unwatch(c *clause) {
-	for _, w := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
-		ws := s.watches[w]
+func (s *Solver) unwatch(c cref) {
+	for _, l := range s.lits(c)[:2] {
+		ws := s.watches[l.Not()]
 		for i, cc := range ws {
 			if cc == c {
 				ws[i] = ws[len(ws)-1]
-				s.watches[w] = ws[:len(ws)-1]
+				s.watches[l.Not()] = ws[:len(ws)-1]
 				break
 			}
 		}
 	}
+}
+
+// compact squeezes the clauses reduceDB unwatched out of the arena: the
+// live clauses are exactly those on a watch list, so each is copied to
+// a fresh arena the first time a list names it, its old header is
+// turned into a forwarding address (length -1, then the new cref), and
+// every cref held anywhere — watch lists, learnts, reasons — is
+// rewritten through it. No list changes order.
+func (s *Solver) compact() {
+	to := make([]Lit, 0, len(s.arena))
+	move := func(c cref) cref {
+		if n := s.arena[c]; n >= 0 {
+			to = append(to, s.arena[c:c+2+cref(n)]...)
+			s.arena[c], s.arena[c+1] = -1, Lit(len(to))-2-n
+		}
+		return cref(s.arena[c+1])
+	}
+	for _, ws := range s.watches {
+		for i, c := range ws {
+			ws[i] = move(c)
+		}
+	}
+	for i, c := range s.learnts {
+		s.learnts[i] = move(c)
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != noClause {
+			s.reason[l.Var()] = move(r)
+		}
+	}
+	s.arena = to
 }
 
 // quickSelect returns the k-th smallest element (destructive).

@@ -1,8 +1,10 @@
 package sat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 func TestTrivial(t *testing.T) {
@@ -302,5 +304,68 @@ func TestQuickSelect(t *testing.T) {
 	}
 	if quickSelect(nil, 0) != 0 {
 		t.Error("empty input")
+	}
+}
+
+// TestSecondBudgetedSolveReturns is the regression for a livelock:
+// search used to compare the solver's cumulative conflict count with
+// MaxConflicts while Solve compared the per-call count, so once a
+// solver had spent a call's whole budget the next call made no move and
+// never gave up either. MaxConflicts budgets each call by itself.
+func TestSecondBudgetedSolveReturns(t *testing.T) {
+	s := pigeonhole(10, 9)
+	s.MaxConflicts = 300
+	if got := s.Solve(); got != Unknown {
+		t.Fatalf("first budgeted solve = %v, want Unknown", got)
+	}
+	done := make(chan Status, 1)
+	spent := s.Conflicts
+	go func() { done <- s.Solve() }()
+	select {
+	case got := <-done:
+		if got != Unknown {
+			t.Fatalf("second budgeted solve = %v, want Unknown", got)
+		}
+		if n := s.Conflicts - spent; n < 300 || n > 400 {
+			t.Errorf("second call spent %d conflicts, want its own budget of 300 (and a short overshoot)", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("second budgeted Solve did not return: it spins without searching")
+	}
+}
+
+// TestAddClauseAllocsBounded: storing a clause allocates nothing of its
+// own — the literals go into the arena, the watchers into lists cut
+// from a slab, and both grow by doubling — so 10,000 ternary clauses
+// cost O(log clauses) allocations (16 here). The pointer-per-clause
+// solver made 56,252: a []Lit and a *clause per clause plus a growslice
+// chain per watch list.
+func TestAddClauseAllocsBounded(t *testing.T) {
+	const nVars, nClauses, runs = 3000, 10000, 5
+	rng := rand.New(rand.NewSource(1))
+	clauses := make([][3]Lit, nClauses)
+	for i := range clauses {
+		for j := range clauses[i] {
+			clauses[i][j] = MkLit(rng.Intn(nVars), rng.Intn(2) == 0)
+		}
+	}
+	// AllocsPerRun calls the function once more than it counts.
+	fresh := make([]*Solver, runs+1)
+	for i := range fresh {
+		fresh[i] = New()
+		for v := 0; v < nVars; v++ {
+			fresh[i].NewVar()
+		}
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		s := fresh[next]
+		next++
+		for _, c := range clauses {
+			s.AddClause(c[0], c[1], c[2])
+		}
+	})
+	if bound := 2 * math.Log2(nClauses); got > bound {
+		t.Errorf("AddClause x %d made %v allocations, want at most 2*log2(clauses) = %.0f", nClauses, got, bound)
 	}
 }
