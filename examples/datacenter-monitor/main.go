@@ -22,6 +22,7 @@ import (
 	"repro/internal/integrate"
 	"repro/internal/isa"
 	"repro/internal/lift"
+	"repro/internal/module"
 	"repro/internal/profile"
 )
 
@@ -158,7 +159,7 @@ func main() {
 		Type: pair.Type, Start: pair.Start, End: pair.End, C: fault.C0,
 	})
 	c := cpu.New(core.MemSize)
-	c.ALU = cpu.NewNetlistALU(w.Module, failing)
+	c.ALU = module.NewDriverOn(w.Module, failing)
 	c.Load(emb.Image)
 	// Watchdog budget: a handful of healthy runtimes. Corrupted loop
 	// counters can livelock the service, which the budget converts into

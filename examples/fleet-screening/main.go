@@ -30,6 +30,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fleet"
 	"repro/internal/lift"
+	"repro/internal/module"
 	"repro/internal/report"
 )
 
@@ -148,11 +149,11 @@ func main() {
 			log.Fatal(err)
 		}
 		c := cpu.New(core.MemSize)
+		nl := w.Module.Netlist
 		if m.degraded {
-			c.ALU = cpu.NewNetlistALU(w.Module, fault.FailingNetlist(w.Module.Netlist, m.spec))
-		} else {
-			c.ALU = cpu.NewNetlistALU(w.Module, w.Module.Netlist)
+			nl = fault.FailingNetlist(nl, m.spec)
 		}
+		c.ALU = module.NewDriverOn(w.Module, nl)
 		c.Load(img)
 		halt := c.Run(core.MaxCycles)
 		return halt == cpu.HaltBreak || halt == cpu.HaltStalled || halt == cpu.HaltFault

@@ -189,11 +189,15 @@ func build(guards []string) *module.Module {
 		FlagWidth:   FlagWidth,
 		PeriodPs:    PeriodPs,
 		SynthMargin: 0.0243,
-		Golden: func(op, a, b uint32) (uint32, uint32) {
-			return Eval(Op(op), a, b), Flags(a, b)
-		},
-		OpValid: func(op uint32) bool { return Op(op).Valid() },
+		Golden:      Golden,
+		OpValid:     func(op uint32) bool { return Op(op).Valid() },
 	}
+}
+
+// Golden is the behavioural model in the shape of the unit seam
+// (module.GoldenFunc): Eval's result beside the comparison Flags.
+func Golden(op, a, b uint32) (result, flags uint32) {
+	return Eval(Op(op), a, b), Flags(a, b)
 }
 
 // mod3 reduces a bus to its residue mod 3 as a 2-bit value in {0,1,2}.

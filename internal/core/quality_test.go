@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/lift"
+	"repro/internal/module"
 )
 
 // runSuiteAgainst is the scalar oracle the packed replay is held to: it
@@ -18,11 +19,7 @@ import (
 func (w *Workflow) runSuiteAgainst(ctx context.Context, img *isa.Image, spec fault.Spec, ownIdx int) (Detection, error) {
 	failing := fault.FailingNetlist(w.Module.Netlist, spec)
 	c := cpu.New(MemSize)
-	if w.Module.Name == "ALU" {
-		c.ALU = cpu.NewNetlistALU(w.Module, failing)
-	} else {
-		c.FPU = cpu.NewNetlistFPU(w.Module, failing)
-	}
+	*c.Unit(w.Module.Name) = module.NewDriverOn(w.Module, failing)
 	c.Load(img)
 	halt := c.RunCtx(ctx, MaxCycles)
 	return detectionOf(halt.String(), lift.FailedCase(c.X[isa.S1]), ownIdx)

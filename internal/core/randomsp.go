@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/engine"
 	"repro/internal/netlist"
@@ -37,7 +38,7 @@ const randomSPChunks = 16
 // parallelism or scheduling.
 func RandomSP(nl *netlist.Netlist, cycles int, seed int64, parallelism int) (*engine.Profile, error) {
 	if cycles <= 0 {
-		return &engine.Profile{}, nil
+		return nil, fmt.Errorf("core: RandomSP needs a positive cycle count, got %d", cycles)
 	}
 	prog := engine.Cached(nl)
 	chunks := randomSPChunks

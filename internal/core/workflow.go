@@ -140,21 +140,13 @@ func (w *Workflow) ProfileWorkloads() error {
 			return workloadRun{}, fmt.Errorf("core: workload %s: %w", b.Name, err)
 		}
 		c := cpu.New(MemSize)
-		recALU := &cpu.RecordingALU{}
-		recFPU := &cpu.RecordingFPU{}
-		c.ALU = recALU
-		c.FPU = recFPU
+		rec := &cpu.Recording{Inner: w.Module.Golden}
+		*c.Unit(w.Module.Name) = rec
 		c.Load(img)
 		if halt := c.Run(MaxCycles); halt != cpu.HaltExit || c.ExitCode != 0 {
 			return workloadRun{}, fmt.Errorf("core: workload %s failed (halt=%v exit=%d)", b.Name, halt, c.ExitCode)
 		}
-		out := workloadRun{instret: c.Instret}
-		if w.Module.Name == "ALU" {
-			out.trace = recALU.Trace
-		} else {
-			out.trace = recFPU.Trace
-		}
-		return out, nil
+		return workloadRun{trace: rec.Trace, instret: c.Instret}, nil
 	})
 	if err != nil {
 		return err

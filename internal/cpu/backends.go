@@ -1,44 +1,6 @@
 package cpu
 
-import (
-	"repro/internal/alu"
-	"repro/internal/fpu"
-	"repro/internal/module"
-	"repro/internal/netlist"
-)
-
-// NetlistALU executes ALU operations on a gate-level netlist through the
-// module handshake — either the healthy synthesized unit or a failing
-// netlist produced by failure-model instrumentation.
-type NetlistALU struct {
-	d *module.Driver
-}
-
-// NewNetlistALU wires the given netlist (sharing m's port protocol) as
-// the CPU's ALU.
-func NewNetlistALU(m *module.Module, nl *netlist.Netlist) *NetlistALU {
-	return &NetlistALU{d: module.NewDriverOn(m, nl)}
-}
-
-// ExecALU implements ALUBackend.
-func (n *NetlistALU) ExecALU(op alu.Op, a, b uint32) (uint32, uint32, bool) {
-	return n.d.Exec(uint32(op), a, b)
-}
-
-// NetlistFPU executes FPU operations on a gate-level netlist.
-type NetlistFPU struct {
-	d *module.Driver
-}
-
-// NewNetlistFPU wires the given netlist as the CPU's FPU.
-func NewNetlistFPU(m *module.Module, nl *netlist.Netlist) *NetlistFPU {
-	return &NetlistFPU{d: module.NewDriverOn(m, nl)}
-}
-
-// ExecFPU implements FPUBackend.
-func (n *NetlistFPU) ExecFPU(op fpu.Op, a, b uint32) (uint32, uint32, bool) {
-	return n.d.Exec(uint32(op), a, b)
-}
+import "repro/internal/module"
 
 // OpRecord is one execution-unit operation observed during a workload
 // run; recorded traces are replayed through the gate-level module during
@@ -48,34 +10,28 @@ type OpRecord struct {
 	A, B uint32
 }
 
-// RecordingALU wraps a backend (or the golden model when inner is nil)
-// and records every operation.
-type RecordingALU struct {
-	Inner ALUBackend
+// Recording wraps a unit (the golden model, a gate-level Driver, another
+// wrapper) and records every operation presented to it.
+type Recording struct {
+	Inner module.Unit
 	Trace []OpRecord
 }
 
-// ExecALU implements ALUBackend.
-func (r *RecordingALU) ExecALU(op alu.Op, a, b uint32) (uint32, uint32, bool) {
-	r.Trace = append(r.Trace, OpRecord{uint32(op), a, b})
-	if r.Inner == nil {
-		return alu.Eval(op, a, b), alu.Flags(a, b), true
-	}
-	return r.Inner.ExecALU(op, a, b)
+// Exec implements module.Unit.
+func (r *Recording) Exec(op, a, b uint32) (uint32, uint32, bool) {
+	r.Trace = append(r.Trace, OpRecord{op, a, b})
+	return r.Inner.Exec(op, a, b)
 }
 
-// RecordingFPU wraps an FPU backend and records every operation.
-type RecordingFPU struct {
-	Inner FPUBackend
-	Trace []OpRecord
-}
-
-// ExecFPU implements FPUBackend.
-func (r *RecordingFPU) ExecFPU(op fpu.Op, a, b uint32) (uint32, uint32, bool) {
-	r.Trace = append(r.Trace, OpRecord{uint32(op), a, b})
-	if r.Inner == nil {
-		res, f := fpu.Eval(op, a, b)
-		return res, f, true
+// Unit addresses the backend slot of the named execution unit ("ALU" or
+// "FPU"), so code that works on a module.Module installs or wraps its
+// backend without branching on which unit it is.
+func (c *CPU) Unit(name string) *module.Unit {
+	switch name {
+	case "ALU":
+		return &c.ALU
+	case "FPU":
+		return &c.FPU
 	}
-	return r.Inner.ExecFPU(op, a, b)
+	panic("cpu: no execution unit named " + name)
 }

@@ -20,6 +20,7 @@ import (
 	"repro/internal/alu"
 	"repro/internal/fpu"
 	"repro/internal/isa"
+	"repro/internal/module"
 )
 
 // HaltReason describes why execution stopped.
@@ -56,17 +57,6 @@ func (h HaltReason) String() string {
 	return "limit"
 }
 
-// ALUBackend executes one integer operation. ok=false signals a hung
-// unit.
-type ALUBackend interface {
-	ExecALU(op alu.Op, a, b uint32) (result, flags uint32, ok bool)
-}
-
-// FPUBackend executes one floating-point operation.
-type FPUBackend interface {
-	ExecFPU(op fpu.Op, a, b uint32) (result, flags uint32, ok bool)
-}
-
 // Default cycle costs, loosely calibrated to the CV32E40P's in-order
 // 4-stage pipeline. Only relative costs matter for the overhead
 // experiments.
@@ -94,9 +84,8 @@ type CPU struct {
 	FaultMsg string
 
 	// ALU/FPU are the execution-unit backends; nil selects the golden
-	// behavioural model.
-	ALU ALUBackend
-	FPU FPUBackend
+	// behavioural model. Unit addresses either by name.
+	ALU, FPU module.Unit
 
 	// InstHook, when set, observes every retired instruction (used by
 	// the basic-block profiler).
@@ -182,7 +171,7 @@ func (c *CPU) execALU(op alu.Op, a, b uint32) (uint32, uint32) {
 	if c.ALU == nil {
 		return alu.Eval(op, a, b), alu.Flags(a, b)
 	}
-	r, f, ok := c.ALU.ExecALU(op, a, b)
+	r, f, ok := c.ALU.Exec(uint32(op), a, b)
 	if !ok {
 		c.Halt = HaltStalled
 		c.FaultMsg = fmt.Sprintf("ALU hung on %v", op)
@@ -194,7 +183,7 @@ func (c *CPU) execFPU(op fpu.Op, a, b uint32) (uint32, uint32) {
 	if c.FPU == nil {
 		return fpu.Eval(op, a, b)
 	}
-	r, f, ok := c.FPU.ExecFPU(op, a, b)
+	r, f, ok := c.FPU.Exec(uint32(op), a, b)
 	if !ok {
 		c.Halt = HaltStalled
 		c.FaultMsg = fmt.Sprintf("FPU hung on %v", op)

@@ -248,7 +248,7 @@ func TestNetlistALUMatchesBehavioral(t *testing.T) {
 	img, want := randomALUProgram(t, 9, 60)
 	m := alu.Build()
 	c := New(memSize)
-	c.ALU = NewNetlistALU(m, m.Netlist)
+	c.ALU = module.NewDriverOn(m, m.Netlist)
 	c.Load(img)
 	if got := c.Run(10_000_000); got != HaltExit {
 		t.Fatalf("halt = %v (%s)", got, c.FaultMsg)
@@ -278,7 +278,7 @@ func TestNetlistFPUMatchesBehavioral(t *testing.T) {
 	ref.Run(1_000_000)
 
 	c := New(memSize)
-	c.FPU = NewNetlistFPU(m, m.Netlist)
+	c.FPU = module.NewDriverOn(m, m.Netlist)
 	c.Load(img)
 	if got := c.Run(10_000_000); got != HaltExit {
 		t.Fatalf("halt = %v (%s)", got, c.FaultMsg)
@@ -307,7 +307,7 @@ func TestFailingNetlistCorruptsProgram(t *testing.T) {
 		Type: sta.Setup, Start: start, End: end, C: fault.C1,
 	})
 	c := New(memSize)
-	c.ALU = NewNetlistALU(m, failing)
+	c.ALU = module.NewDriverOn(m, failing)
 	c.Load(img)
 	halt := c.Run(10_000_000)
 	if halt == HaltExit && c.ExitCode == want {
@@ -317,7 +317,7 @@ func TestFailingNetlistCorruptsProgram(t *testing.T) {
 
 func TestRecordingBackends(t *testing.T) {
 	img, _ := randomALUProgram(t, 11, 20)
-	rec := &RecordingALU{}
+	rec := &Recording{Inner: module.GoldenFunc(alu.Golden)}
 	c := New(memSize)
 	c.ALU = rec
 	c.Load(img)
@@ -331,6 +331,55 @@ func TestRecordingBackends(t *testing.T) {
 			t.Fatalf("recorded invalid op %d", r.Op)
 		}
 	}
+}
+
+// TestUnitSlot: Unit addresses the two backend fields by module name,
+// and a backend installed through the slot is the one execALU/execFPU
+// call.
+func TestUnitSlot(t *testing.T) {
+	c := New(memSize)
+	if c.Unit("ALU") != &c.ALU || c.Unit("FPU") != &c.FPU {
+		t.Fatal("Unit does not address the CPU's ALU and FPU fields")
+	}
+	aluRec := &Recording{Inner: module.GoldenFunc(alu.Golden)}
+	fpuRec := &Recording{Inner: module.GoldenFunc(fpu.Golden)}
+	*c.Unit("ALU") = aluRec
+	*c.Unit("FPU") = fpuRec
+
+	x, y := math.Float32bits(1.5), math.Float32bits(2.25)
+	a := isa.NewAsm()
+	a.Li(isa.T0, 40)
+	a.Li(isa.T1, 2)
+	a.Add(isa.A0, isa.T0, isa.T1)
+	a.FliBits(1, x, isa.T2)
+	a.FliBits(2, y, isa.T2)
+	a.Fadd(3, 1, 2)
+	a.Li(isa.A0, 0)
+	a.Ecall()
+	c.Load(mustAsm(t, a))
+	if halt := c.Run(1000); halt != HaltExit {
+		t.Fatalf("halt = %v (%s)", halt, c.FaultMsg)
+	}
+	sawAdd := false
+	for _, r := range aluRec.Trace {
+		sawAdd = sawAdd || r == OpRecord{uint32(alu.OpAdd), 40, 2}
+	}
+	if !sawAdd {
+		t.Errorf("the ALU slot's backend never saw add 40, 2: %v", aluRec.Trace)
+	}
+	if want := []OpRecord{{uint32(fpu.OpFadd), x, y}}; !reflect.DeepEqual(fpuRec.Trace, want) {
+		t.Errorf("the FPU slot's backend saw %v, want %v", fpuRec.Trace, want)
+	}
+	if c.F[3] != math.Float32bits(3.75) {
+		t.Errorf("f3 = %#x, want 3.75", c.F[3])
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("Unit of an unknown name did not panic")
+		}
+	}()
+	c.Unit("LSU")
 }
 
 func TestInstHook(t *testing.T) {
@@ -442,15 +491,11 @@ func TestHaltFaultOutOfBoundsLoad(t *testing.T) {
 	}
 }
 
-// hungALU is a backend whose handshake never completes (ok=false), like
-// a gate-level unit that never raises out_valid within the stall limit.
-type hungALU struct{}
+// hung is a backend whose handshake never completes (ok=false), like a
+// gate-level unit that never raises out_valid within the stall limit.
+type hung struct{}
 
-func (hungALU) ExecALU(op alu.Op, a, b uint32) (uint32, uint32, bool) { return 0, 0, false }
-
-type hungFPU struct{}
-
-func (hungFPU) ExecFPU(op fpu.Op, a, b uint32) (uint32, uint32, bool) { return 0, 0, false }
+func (hung) Exec(op, a, b uint32) (uint32, uint32, bool) { return 0, 0, false }
 
 func TestHaltStalledOnHungALUHandshake(t *testing.T) {
 	a := isa.NewAsm()
@@ -458,7 +503,7 @@ func TestHaltStalledOnHungALUHandshake(t *testing.T) {
 	a.Add(isa.T1, isa.T0, isa.T0)
 	a.Ecall()
 	c := New(memSize)
-	c.ALU = hungALU{}
+	c.ALU = hung{}
 	c.Load(mustAsm(t, a))
 	if got := c.Run(1000); got != HaltStalled {
 		t.Fatalf("halt = %v, want stalled", got)
@@ -471,7 +516,7 @@ func TestHaltStalledOnHungFPUHandshake(t *testing.T) {
 	a.Fadd(2, 1, 1)
 	a.Ecall()
 	c := New(memSize)
-	c.FPU = hungFPU{}
+	c.FPU = hung{}
 	c.Load(mustAsm(t, a))
 	if got := c.Run(1000); got != HaltStalled {
 		t.Fatalf("halt = %v, want stalled", got)
@@ -496,7 +541,7 @@ func TestRecycledStateEqualsNew(t *testing.T) {
 		}
 		c.X[5], c.F[7], c.FFlags, c.PC, c.Cycles, c.Instret = 1, 2, 3, 4, 5, 6
 		c.Halt, c.ExitCode, c.FaultMsg = HaltFault, 9, "dirty"
-		c.ALU = &RecordingALU{}
+		c.ALU = &Recording{}
 		c.decodeCache[0] = isa.Inst{Op: isa.ADD}
 		c.Release()
 		if c.Mem != nil {

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/fpu"
+	"repro/internal/module"
 )
 
 const memSize = 1 << 20
@@ -39,7 +41,7 @@ func TestFPUBenchmarksUseFPU(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := &cpu.RecordingFPU{}
+		rec := &cpu.Recording{Inner: module.GoldenFunc(fpu.Golden)}
 		c := cpu.New(memSize)
 		c.FPU = rec
 		c.Load(img)

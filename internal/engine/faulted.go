@@ -154,9 +154,6 @@ func CompileFaulted(p *Program, overlays []Overlay) (*FaultedProgram, error) {
 	return fp, nil
 }
 
-// Sites returns the number of compiled overlay sites.
-func (fp *FaultedProgram) Sites() int { return len(fp.sites) }
-
 // FaultedPacked evaluates a FaultedProgram over 64 lanes: lane 0 is the
 // golden circuit, every other lane the golden circuit plus its overlay
 // sites. Retired lanes (Retire) drop out of overlay evaluation; the
@@ -169,7 +166,6 @@ type FaultedPacked struct {
 	hist   []uint64 // per site: X(t-1) history words (setup sites)
 	lfsr   uint16   // shared CRandom source (all failing-netlist LFSRs run in lock-step)
 	ret    uint64   // retired-lane mask
-	cycles uint64
 }
 
 // NewFaultedPacked creates a faulted evaluator in the reset state.
@@ -209,7 +205,6 @@ func (e *FaultedPacked) Reset() {
 	}
 	e.lfsr = overlayLFSRSeed
 	e.ret = 0
-	e.cycles = 0
 }
 
 // SetInput drives a (multi-bit) input port with the low len(port) bits
@@ -275,9 +270,6 @@ func (e *FaultedPacked) Retire(mask uint64) { e.ret |= mask }
 
 // Retired returns the retired-lane mask.
 func (e *FaultedPacked) Retired() uint64 { return e.ret }
-
-// Cycles returns the number of executed clock cycles.
-func (e *FaultedPacked) Cycles() uint64 { return e.cycles }
 
 // Settle propagates all 64 lanes through the combinational logic in
 // program order.
@@ -351,7 +343,6 @@ func (e *FaultedPacked) Edge() {
 	}
 	fb := (e.lfsr>>15 ^ e.lfsr>>13 ^ e.lfsr>>12 ^ e.lfsr>>10) & 1
 	e.lfsr = e.lfsr<<1 | fb
-	e.cycles++
 }
 
 // Step is Settle followed by Edge — one full cycle for drivers that do

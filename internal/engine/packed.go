@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/cell"
@@ -51,9 +50,6 @@ func NewPacked(p *Program) *Packed {
 	return e
 }
 
-// Program returns the compiled program under evaluation.
-func (e *Packed) Program() *Program { return e.prog }
-
 // Reset re-applies reset values in every lane and zeroes the cycle
 // counter. SP counters are preserved (call ResetSP to clear), matching
 // the scalar simulator's Reset contract.
@@ -80,43 +76,12 @@ func (e *Packed) EnableSP() {
 	}
 }
 
-// ResetSP clears accumulated SP counters.
-func (e *Packed) ResetSP() {
-	for i := range e.spOnes {
-		e.spOnes[i] = 0
-	}
-}
-
-// Cycles returns the number of executed packed cycles (each advancing
-// all 64 lanes by one clock cycle).
-func (e *Packed) Cycles() uint64 { return e.cycles }
-
 // SetNet drives net n with a full word: bit l is the value lane l sees.
 func (e *Packed) SetNet(n netlist.NetID, word uint64) { e.vals[n] = word }
-
-// Net reads the current (settled or not — callers settle explicitly)
-// word of net n.
-func (e *Packed) Net(n netlist.NetID) uint64 { return e.vals[n] }
 
 // Lane reads the value of net n in a single lane.
 func (e *Packed) Lane(n netlist.NetID, lane int) bool {
 	return e.vals[n]>>uint(lane)&1 == 1
-}
-
-// SetInput drives every bit of a named input port with per-lane words:
-// words[i] is the word of port bit i (LSB first). The word count must
-// match the port width.
-func (e *Packed) SetInput(name string, words []uint64) {
-	p, ok := e.prog.Netlist.FindInput(name)
-	if !ok {
-		panic(fmt.Sprintf("engine: no input port %q on %s", name, e.prog.Netlist.Name))
-	}
-	if len(words) != len(p.Bits) {
-		panic(fmt.Sprintf("engine: port %q width %d, got %d words", name, len(p.Bits), len(words)))
-	}
-	for i, n := range p.Bits {
-		e.vals[n] = words[i]
-	}
 }
 
 // Settle propagates all 64 lanes through the combinational logic (and
@@ -210,13 +175,6 @@ func (e *Packed) Step() {
 		vals[dffs[i].Out] = e.dffBuf[i]
 	}
 	e.cycles++
-}
-
-// Run executes n cycles with the current inputs.
-func (e *Packed) Run(n int) {
-	for i := 0; i < n; i++ {
-		e.Step()
-	}
 }
 
 // sampleSP accumulates one cycle of aggregate residency across lanes.

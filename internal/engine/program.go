@@ -36,9 +36,9 @@ import (
 // guarantees no cell exceeds cell.MaxArity inputs — so the interpreters
 // never chase a per-cell slice header on the hot path.
 type Op struct {
-	Out  int32               // output net
+	Out  int32                // output net
 	In   [cell.MaxArity]int32 // input nets; entries >= NIn are unused
-	Cell int32               // originating netlist.CellID (for diagnostics/BMC)
+	Cell int32                // originating netlist.CellID (for diagnostics/BMC)
 	Kind cell.Kind
 	NIn  uint8
 }

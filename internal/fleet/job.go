@@ -138,16 +138,60 @@ func (sp *Spec) fill() {
 	}
 }
 
-// validate rejects malformed submissions before they reach the queue.
+// Upper bounds on a submission's numeric fields. They are far above
+// anything the CLIs or the load test ask for and exist so one POST
+// cannot commit a worker to an absurd amount of work or memory.
+const (
+	maxYears           = 100.0   // lifetimes; the paper sweeps 0–10
+	maxMargin          = 100.0   // period = critical delay x margin
+	maxYearsGrid       = 64      // corners analyzed by one sweep
+	maxSPCycles        = 1 << 20 // packed random-stimulus cycles
+	maxPerClass        = 100_000 // injections per fault class
+	maxCheckpointEvery = 1 << 20 // behavioural batch size
+)
+
+// inRange reports lo <= v <= hi; NaN is in no range.
+func inRange(v, lo, hi float64) bool { return v >= lo && v <= hi }
+
+// validate rejects malformed and out-of-range submissions before they
+// reach the queue (call it after fill, so a zero has become its
+// default): a number a worker would panic on, or would dutifully turn
+// into a result for a negative lifetime, is the client's error.
 func (sp *Spec) validate() error {
+	if !inRange(sp.Years, 0, maxYears) {
+		return fmt.Errorf("fleet: years must be in [0, %g], got %g", maxYears, sp.Years)
+	}
 	switch sp.Kind {
 	case KindLift, KindCampaign:
 		if sp.Unit != "ALU" && sp.Unit != "FPU" {
 			return fmt.Errorf("fleet: %s job needs unit ALU or FPU, got %q", sp.Kind, sp.Unit)
 		}
+		if sp.Kind == KindCampaign {
+			if sp.PerClass < 1 || sp.PerClass > maxPerClass {
+				return fmt.Errorf("fleet: per_class must be in [1, %d], got %d", maxPerClass, sp.PerClass)
+			}
+			// 0 leaves the batch size to the injection engine's default.
+			if sp.CheckpointEvery < 0 || sp.CheckpointEvery > maxCheckpointEvery {
+				return fmt.Errorf("fleet: checkpoint_every must be in [0, %d], got %d", maxCheckpointEvery, sp.CheckpointEvery)
+			}
+		}
 	case KindSweep:
 		if strings.TrimSpace(sp.Verilog) == "" {
 			return fmt.Errorf("fleet: sweep job needs a verilog netlist")
+		}
+		if !(sp.Margin > 0 && sp.Margin <= maxMargin) {
+			return fmt.Errorf("fleet: margin must be in (0, %g], got %g", maxMargin, sp.Margin)
+		}
+		if sp.SPCycles < 1 || sp.SPCycles > maxSPCycles {
+			return fmt.Errorf("fleet: sp_cycles must be in [1, %d], got %d", maxSPCycles, sp.SPCycles)
+		}
+		if len(sp.YearsGrid) > maxYearsGrid {
+			return fmt.Errorf("fleet: years_grid holds %d lifetimes, at most %d", len(sp.YearsGrid), maxYearsGrid)
+		}
+		for _, yr := range sp.YearsGrid {
+			if !inRange(yr, 0, maxYears) {
+				return fmt.Errorf("fleet: years_grid entries must be in [0, %g], got %g", maxYears, yr)
+			}
 		}
 	default:
 		return fmt.Errorf("fleet: unknown job kind %q", sp.Kind)

@@ -404,10 +404,13 @@ func build(guards []string) *module.Module {
 		FlagWidth:   FlagWidth,
 		PeriodPs:    PeriodPs,
 		SynthMargin: 0.012,
-		Golden: func(op, a, b uint32) (uint32, uint32) {
-			return Eval(Op(op), a, b)
-		},
+		Golden:      Golden,
 		OpValid:     func(op uint32) bool { return Op(op).Valid() },
 		StickyFlags: true,
 	}
+}
+
+// Golden is Eval in the shape of the unit seam (module.GoldenFunc).
+func Golden(op, a, b uint32) (result, flags uint32) {
+	return Eval(Op(op), a, b)
 }

@@ -60,7 +60,7 @@ func aluBounds(op, a, b, r, _ uint32) bool {
 		if s == 0 {
 			return true
 		}
-		fill := uint32(int32(a) >> 31) // 0x00000000 or 0xffffffff
+		fill := uint32(int32(a) >> 31)   // 0x00000000 or 0xffffffff
 		return r>>(32-s) == fill>>(32-s) // sign fill from the left
 	case alu.OpSlt, alu.OpSltu:
 		return r <= 1

@@ -11,10 +11,10 @@
 //
 // Guards exist at two levels:
 //
-//   - Behavioural: observe-only wrappers around the cpu.ALUBackend /
-//     cpu.FPUBackend seam (see wrap.go). Wrappers never perturb results,
-//     flags, handshakes, or cycle counts — they only record verdicts, so
-//     a guarded campaign replays bit-identically to an unguarded one.
+//   - Behavioural: Guarded, an observe-only wrapper around a module.Unit
+//     (see wrap.go). It never perturbs results, flags, handshakes, or
+//     cycle counts — it only records verdicts, so a guarded campaign
+//     replays bit-identically to an unguarded one.
 //   - Gate-level: checker cells synthesized alongside the unit netlist
 //     (alu.BuildGuarded / fpu.BuildGuarded), so engine and sta can cost
 //     the silicon the checkers would occupy (see cost.go).

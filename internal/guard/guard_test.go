@@ -10,6 +10,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/embench"
 	"repro/internal/fpu"
+	"repro/internal/module"
 )
 
 // checkClean runs one architecturally-correct operation through every
@@ -138,8 +139,8 @@ func TestGuardCleanEmbench(t *testing.T) {
 			aluLog := NewLog(All(UnitALU))
 			fpuLog := NewLog(All(UnitFPU))
 			c := cpu.New(1 << 20)
-			c.ALU = &GuardedALU{Log: aluLog}
-			c.FPU = &GuardedFPU{Log: fpuLog}
+			c.ALU = &Guarded{Inner: module.GoldenFunc(alu.Golden), Log: aluLog}
+			c.FPU = &Guarded{Inner: module.GoldenFunc(fpu.Golden), Log: fpuLog}
 			c.Load(img)
 			if halt := c.Run(200_000_000); halt != cpu.HaltExit || c.ExitCode != 0 {
 				t.Fatalf("guarded %s: halt=%v exit=%d", b.Name, halt, c.ExitCode)

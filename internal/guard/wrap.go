@@ -1,21 +1,6 @@
 package guard
 
-import (
-	"repro/internal/alu"
-	"repro/internal/fpu"
-)
-
-// ALUBackend and FPUBackend are structurally identical to the cpu
-// package's backend seams, redeclared here so guard does not import cpu
-// (any cpu.ALUBackend/cpu.FPUBackend value converts implicitly).
-type ALUBackend interface {
-	ExecALU(op alu.Op, a, b uint32) (result, flags uint32, ok bool)
-}
-
-// FPUBackend mirrors cpu.FPUBackend.
-type FPUBackend interface {
-	ExecFPU(op fpu.Op, a, b uint32) (result, flags uint32, ok bool)
-}
+import "repro/internal/module"
 
 // Log accumulates guard verdicts over one run. Guards are observe-only:
 // a Log never influences execution, so a guarded run's cycle counts,
@@ -57,44 +42,16 @@ func (l *Log) Observe(op, a, b, r, f uint32, ok bool) {
 	}
 }
 
-// GuardedALU wraps an ALU backend (or the golden model when Inner is
-// nil) and checks every operation against Log.Set. It satisfies
-// cpu.ALUBackend.
-type GuardedALU struct {
-	Inner ALUBackend
+// Guarded wraps a unit (the golden model, a gate-level Driver, another
+// wrapper) and checks every operation it completes against Log.Set.
+type Guarded struct {
+	Inner module.Unit
 	Log   *Log
 }
 
-// ExecALU implements the backend seam.
-func (g *GuardedALU) ExecALU(op alu.Op, a, b uint32) (uint32, uint32, bool) {
-	var r, f uint32
-	ok := true
-	if g.Inner == nil {
-		r, f = alu.Eval(op, a, b), alu.Flags(a, b)
-	} else {
-		r, f, ok = g.Inner.ExecALU(op, a, b)
-	}
-	g.Log.Observe(uint32(op), a, b, r, f, ok)
-	return r, f, ok
-}
-
-// GuardedFPU wraps an FPU backend (or the golden model when Inner is
-// nil) and checks every operation against Log.Set. It satisfies
-// cpu.FPUBackend.
-type GuardedFPU struct {
-	Inner FPUBackend
-	Log   *Log
-}
-
-// ExecFPU implements the backend seam.
-func (g *GuardedFPU) ExecFPU(op fpu.Op, a, b uint32) (uint32, uint32, bool) {
-	var r, f uint32
-	ok := true
-	if g.Inner == nil {
-		r, f = fpu.Eval(op, a, b)
-	} else {
-		r, f, ok = g.Inner.ExecFPU(op, a, b)
-	}
-	g.Log.Observe(uint32(op), a, b, r, f, ok)
+// Exec implements module.Unit.
+func (g *Guarded) Exec(op, a, b uint32) (uint32, uint32, bool) {
+	r, f, ok := g.Inner.Exec(op, a, b)
+	g.Log.Observe(op, a, b, r, f, ok)
 	return r, f, ok
 }

@@ -3,11 +3,9 @@ package inject
 import (
 	"fmt"
 
-	"repro/internal/alu"
 	"repro/internal/cell"
 	"repro/internal/cpu"
 	"repro/internal/fault"
-	"repro/internal/fpu"
 	"repro/internal/module"
 )
 
@@ -29,7 +27,7 @@ func (l *lfsr16) step() uint16 {
 // only the flip condition is evaluated per op, so these classes run at
 // behavioural speed even inside a full embedded workload.
 type flipper struct {
-	golden func(op, a, b uint32) (result, flags uint32)
+	golden module.GoldenFunc
 	bit    uint8
 
 	transient bool
@@ -40,7 +38,8 @@ type flipper struct {
 	period uint32
 }
 
-func (f *flipper) exec(op, a, b uint32) (uint32, uint32, bool) {
+// Exec implements module.Unit.
+func (f *flipper) Exec(op, a, b uint32) (uint32, uint32, bool) {
 	r, fl := f.golden(op, a, b)
 	if f.transient {
 		if f.n == f.opIndex {
@@ -53,20 +52,8 @@ func (f *flipper) exec(op, a, b uint32) (uint32, uint32, bool) {
 	return r, fl, true
 }
 
-type aluFlipper struct{ *flipper }
-
-func (w aluFlipper) ExecALU(op alu.Op, a, b uint32) (uint32, uint32, bool) {
-	return w.exec(uint32(op), a, b)
-}
-
-type fpuFlipper struct{ *flipper }
-
-func (w fpuFlipper) ExecFPU(op fpu.Op, a, b uint32) (uint32, uint32, bool) {
-	return w.exec(uint32(op), a, b)
-}
-
 // Attach installs a behavioural-class spec's faulty backend on the CPU's
-// ALU or FPU seam: the golden model wrapped with a bit flipper. Netlist
+// unit seam: the golden model wrapped with a bit flipper. Netlist
 // classes have no backend of their own — they run as lanes of a packed
 // wave (packed.go).
 func Attach(m *module.Module, c *cpu.CPU, s Spec) error {
@@ -84,11 +71,7 @@ func Attach(m *module.Module, c *cpu.CPU, s Spec) error {
 	default:
 		return fmt.Errorf("inject: class %v has no behavioural backend", s.Class)
 	}
-	if s.Unit == "ALU" {
-		c.ALU = aluFlipper{fl}
-	} else {
-		c.FPU = fpuFlipper{fl}
-	}
+	*c.Unit(m.Name) = fl
 	return nil
 }
 

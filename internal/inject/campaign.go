@@ -254,6 +254,9 @@ func prepare(cfg *Config) (*goldenInfo, error) {
 	if len(cfg.Specs) == 0 {
 		return nil, errors.New("inject: empty injection universe")
 	}
+	if cfg.CheckpointEvery < 0 {
+		return nil, fmt.Errorf("inject: CheckpointEvery must be positive, got %d", cfg.CheckpointEvery)
+	}
 	for _, s := range cfg.Specs {
 		if s.Unit != cfg.Module.Name {
 			return nil, fmt.Errorf("inject: spec %q does not target module %s", s.String(), cfg.Module.Name)

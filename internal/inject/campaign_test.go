@@ -273,7 +273,7 @@ func TestIntermittentFlipperGates(t *testing.T) {
 	flips := 0
 	const n = 3000
 	for i := 0; i < n; i++ {
-		r, _, _ := fl.exec(0 /* ADD */, 0, 0)
+		r, _, _ := fl.Exec(0 /* ADD */, 0, 0)
 		if r != 0 {
 			flips++
 		}

@@ -7,23 +7,19 @@ import (
 	"repro/internal/guard"
 )
 
-// attachGuards wraps whichever unit backend is installed on c with the
-// observe-only guard recorder and returns the verdict log, or nil when
-// the campaign runs unguarded. The wrapper goes outermost — outside the
-// divergence tracker — so it sees exactly the responses the CPU
-// consumes; since both wrappers are observe-only the order is
+// attachGuards wraps the backend installed on c for the campaign's unit
+// with the observe-only guard recorder and returns the verdict log, or
+// nil when the campaign runs unguarded. The wrapper goes outermost —
+// outside the divergence tracker — so it sees exactly the responses the
+// CPU consumes; since both wrappers are observe-only the order is
 // behaviour-neutral.
 func attachGuards(cfg *Config, c *cpu.CPU) *guard.Log {
 	if len(cfg.guardSet) == 0 {
 		return nil
 	}
 	log := guard.NewLog(cfg.guardSet)
-	if c.ALU != nil {
-		c.ALU = &guard.GuardedALU{Inner: c.ALU, Log: log}
-	}
-	if c.FPU != nil {
-		c.FPU = &guard.GuardedFPU{Inner: c.FPU, Log: log}
-	}
+	u := c.Unit(cfg.Module.Name)
+	*u = &guard.Guarded{Inner: *u, Log: log}
 	return log
 }
 

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/alu"
 	"repro/internal/chaos"
+	"repro/internal/cpu"
 	"repro/internal/embench"
 	"repro/internal/fpu"
 	"repro/internal/guard"
@@ -379,5 +381,80 @@ func TestGuardedCheckpointRejectedByMismatch(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "without guards") {
 		t.Errorf("rejection does not name the missing guards: %v", err)
+	}
+}
+
+// responses is the outermost observer of the compose test: the stream of
+// (result, flags, ok) the CPU actually consumed.
+type responses struct {
+	inner module.Unit
+	seen  []response
+}
+
+type response struct {
+	r, f uint32
+	ok   bool
+}
+
+func (s *responses) Exec(op, a, b uint32) (uint32, uint32, bool) {
+	r, f, ok := s.inner.Exec(op, a, b)
+	s.seen = append(s.seen, response{r, f, ok})
+	return r, f, ok
+}
+
+// TestGuardedRecordingTrackingCompose checks "observe-only" once, for
+// the one wrapper shape: the guard outside the divergence tracker
+// outside the operation recorder outside a gate-level Driver hands the
+// CPU the same response stream, and leaves it in the same state after the
+// same cycles, as the bare Driver — on the healthy ALU and FPU netlists,
+// where the tracker must see no divergence and no guard may fire.
+func TestGuardedRecordingTrackingCompose(t *testing.T) {
+	for _, m := range []*module.Module{alu.Build(), fpu.Build()} {
+		img, err := lift.RandomSuite(m, 6, 7).Image()
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(wrap func(c *cpu.CPU)) (*responses, *cpu.CPU) {
+			c := cpu.New(memSize)
+			u := c.Unit(m.Name)
+			*u = module.NewDriver(m)
+			wrap(c)
+			out := &responses{inner: *u}
+			*u = out
+			c.Load(img)
+			if halt := c.Run(20_000_000); halt != cpu.HaltExit || c.ExitCode != 0 {
+				t.Fatalf("%s: halt=%v exit=%d (%s)", m.Name, halt, c.ExitCode, c.FaultMsg)
+			}
+			return out, c
+		}
+		bare, bc := run(func(*cpu.CPU) {})
+
+		cfg := &Config{Module: m, guardSet: guard.All(m.Name)}
+		var rec *cpu.Recording
+		var d *diverge
+		var log *guard.Log
+		stacked, sc := run(func(c *cpu.CPU) {
+			u := c.Unit(m.Name)
+			rec = &cpu.Recording{Inner: *u}
+			*u = rec
+			d = track(m, c)
+			log = attachGuards(cfg, c)
+		})
+
+		if len(bare.seen) == 0 || !reflect.DeepEqual(stacked.seen, bare.seen) {
+			t.Errorf("%s: the wrapped Driver answered %d ops differently from the bare one's %d",
+				m.Name, len(stacked.seen), len(bare.seen))
+		}
+		if digest(sc) != digest(bc) || sc.Cycles != bc.Cycles {
+			t.Errorf("%s: wrapped run ended digest %#x after %d cycles, bare %#x after %d",
+				m.Name, digest(sc), sc.Cycles, digest(bc), bc.Cycles)
+		}
+		n := uint64(len(bare.seen))
+		if uint64(len(rec.Trace)) != n || log.Ops != n {
+			t.Errorf("%s: recorder saw %d ops, guards %d, the CPU %d", m.Name, len(rec.Trace), log.Ops, n)
+		}
+		if d.hit || log.Fired() {
+			t.Errorf("%s: healthy netlist: tracker diverged=%v, guards fired=%v (%s)", m.Name, d.hit, log.Fired(), log.First)
+		}
 	}
 }

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/alu"
 	"repro/internal/cpu"
 	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/fpu"
 	"repro/internal/module"
 	"repro/internal/netlist"
 	"repro/internal/par"
@@ -56,21 +54,16 @@ type goldenInfo struct {
 	ops    uint64 // unit (backend) operations the golden run executes
 }
 
-// countALU / countFPU are golden-model backends that count operations —
-// behaviourally identical to the nil backend.
-type countALU struct{ n *uint64 }
-
-func (c countALU) ExecALU(op alu.Op, a, b uint32) (uint32, uint32, bool) {
-	*c.n++
-	return alu.Eval(op, a, b), alu.Flags(a, b), true
+// counting is the golden model counting its operations — behaviourally
+// identical to the nil backend.
+type counting struct {
+	golden module.GoldenFunc
+	n      *uint64
 }
 
-type countFPU struct{ n *uint64 }
-
-func (c countFPU) ExecFPU(op fpu.Op, a, b uint32) (uint32, uint32, bool) {
+func (c counting) Exec(op, a, b uint32) (uint32, uint32, bool) {
 	*c.n++
-	r, f := fpu.Eval(op, a, b)
-	return r, f, true
+	return c.golden.Exec(op, a, b)
 }
 
 // goldenRun executes the fault-free image and captures the oracle. When
@@ -82,11 +75,7 @@ func goldenRun(cfg *Config) (*goldenInfo, error) {
 	g := &goldenInfo{}
 	c := cpu.Recycled(cfg.MemSize)
 	defer c.Release()
-	if cfg.Module.Name == "ALU" {
-		c.ALU = countALU{&g.ops}
-	} else {
-		c.FPU = countFPU{&g.ops}
-	}
+	*c.Unit(cfg.Module.Name) = counting{cfg.Module.Golden, &g.ops}
 	log := attachGuards(cfg, c)
 	c.Load(cfg.Image)
 	if halt := c.Run(cfg.MaxCycles); halt != cpu.HaltExit || c.ExitCode != 0 {
@@ -106,55 +95,31 @@ func goldenRun(cfg *Config) (*goldenInfo, error) {
 // oracle. Behavioural replays, packed continuations and the scalar
 // oracle share this wrapper, so all report identical DivergedAt values.
 type diverge struct {
-	golden func(op, a, b uint32) (uint32, uint32)
+	inner  module.Unit
+	golden module.GoldenFunc
 	c      *cpu.CPU
 	at     uint64
 	hit    bool
 }
 
-func (d *diverge) observe(op, a, b, r, f uint32, ok bool) {
-	if d.hit {
-		return
+func (d *diverge) Exec(op, a, b uint32) (uint32, uint32, bool) {
+	r, f, ok := d.inner.Exec(op, a, b)
+	if !d.hit {
+		gr, gf := d.golden(op, a, b)
+		if !ok || r != gr || f != gf {
+			d.hit = true
+			d.at = d.c.Cycles
+		}
 	}
-	gr, gf := d.golden(op, a, b)
-	if !ok || r != gr || f != gf {
-		d.hit = true
-		d.at = d.c.Cycles
-	}
-}
-
-type trackALU struct {
-	inner cpu.ALUBackend
-	d     *diverge
-}
-
-func (t trackALU) ExecALU(op alu.Op, a, b uint32) (uint32, uint32, bool) {
-	r, f, ok := t.inner.ExecALU(op, a, b)
-	t.d.observe(uint32(op), a, b, r, f, ok)
 	return r, f, ok
 }
 
-type trackFPU struct {
-	inner cpu.FPUBackend
-	d     *diverge
-}
-
-func (t trackFPU) ExecFPU(op fpu.Op, a, b uint32) (uint32, uint32, bool) {
-	r, f, ok := t.inner.ExecFPU(op, a, b)
-	t.d.observe(uint32(op), a, b, r, f, ok)
-	return r, f, ok
-}
-
-// track wraps whichever unit backend is installed on c with the
+// track wraps the backend installed on c for m's unit with the
 // divergence recorder.
 func track(m *module.Module, c *cpu.CPU) *diverge {
-	d := &diverge{golden: m.Golden, c: c}
-	if c.ALU != nil {
-		c.ALU = trackALU{c.ALU, d}
-	}
-	if c.FPU != nil {
-		c.FPU = trackFPU{c.FPU, d}
-	}
+	u := c.Unit(m.Name)
+	d := &diverge{inner: *u, golden: m.Golden, c: c}
+	*u = d
 	return d
 }
 
@@ -222,7 +187,8 @@ type packedBackend struct {
 	flgBits netlist.Bus
 }
 
-func (b *packedBackend) exec(op, a, bb uint32) (uint32, uint32, bool) {
+// Exec implements module.Unit.
+func (b *packedBackend) Exec(op, a, bb uint32) (uint32, uint32, bool) {
 	gr, gf := b.m.Golden(op, a, bb)
 	k := b.ops
 	b.ops++
@@ -341,18 +307,6 @@ func (b *packedBackend) snapshot(lane int, kind retKind, k uint64, i0 int, r, f 
 	return ret
 }
 
-type aluPacked struct{ *packedBackend }
-
-func (w aluPacked) ExecALU(op alu.Op, a, b uint32) (uint32, uint32, bool) {
-	return w.exec(uint32(op), a, b)
-}
-
-type fpuPacked struct{ *packedBackend }
-
-func (w fpuPacked) ExecFPU(op fpu.Op, a, b uint32) (uint32, uint32, bool) {
-	return w.exec(uint32(op), a, b)
-}
-
 // faultLane is the lane a continuation's single failure model runs in
 // (lane 0 is reserved for the golden circuit).
 const faultLane = 1
@@ -379,12 +333,12 @@ type resumeBackend struct {
 	flgBits netlist.Bus
 }
 
-func (b *resumeBackend) exec(op, a, bb uint32) (uint32, uint32, bool) {
+// Exec implements module.Unit.
+func (b *resumeBackend) Exec(op, a, bb uint32) (uint32, uint32, bool) {
 	n := b.n
 	b.n++
 	if n < b.ret.op {
-		r, f := b.m.Golden(op, a, bb)
-		return r, f, true
+		return b.m.Golden.Exec(op, a, bb)
 	}
 	if n == b.ret.op {
 		if err := b.seed(); err != nil {
@@ -491,18 +445,6 @@ func (b *resumeBackend) seed() error {
 	return nil
 }
 
-type aluResume struct{ *resumeBackend }
-
-func (w aluResume) ExecALU(op alu.Op, a, b uint32) (uint32, uint32, bool) {
-	return w.exec(uint32(op), a, b)
-}
-
-type fpuResume struct{ *resumeBackend }
-
-func (w fpuResume) ExecFPU(op fpu.Op, a, b uint32) (uint32, uint32, bool) {
-	return w.exec(uint32(op), a, b)
-}
-
 // runContinuation classifies one retired lane by running the image on a
 // fresh CPU with the resume backend. ok=false means ctx interrupted the
 // run — the injection stays pending.
@@ -511,11 +453,7 @@ func runContinuation(ctx context.Context, cfg *Config, g *goldenInfo, idx int, r
 	c := cpu.Recycled(cfg.MemSize)
 	defer c.Release()
 	rb := &resumeBackend{m: cfg.Module, spec: s, ret: ret}
-	if s.Unit == "ALU" {
-		c.ALU = aluResume{rb}
-	} else {
-		c.FPU = fpuResume{rb}
-	}
+	*c.Unit(cfg.Module.Name) = rb
 	d := track(cfg.Module, c)
 	log := attachGuards(cfg, c)
 	c.Load(cfg.Image)
@@ -574,11 +512,7 @@ func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) 
 	}
 	c := cpu.Recycled(cfg.MemSize)
 	defer c.Release()
-	if cfg.Module.Name == "ALU" {
-		c.ALU = aluPacked{pb}
-	} else {
-		c.FPU = fpuPacked{pb}
-	}
+	*c.Unit(cfg.Module.Name) = pb
 	c.Load(cfg.Image)
 	halt := c.RunCtx(ctx, cfg.MaxCycles)
 	if halt == cpu.HaltInterrupted {

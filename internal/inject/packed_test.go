@@ -305,15 +305,23 @@ func TestVoidedWaveIsError(t *testing.T) {
 			stuck = append(stuck, s)
 		}
 	}
-	cfg.Specs = stuck // one wave, so Golden is called once per unit op
+	cfg.Specs = stuck // one wave, so it calls Golden once per unit op
 	cfg.Parallelism = 1
 	cfg.CheckpointPath = filepath.Join(t.TempDir(), "campaign.json")
 
+	// The golden run answers from Module.Golden too, once per unit op and
+	// before the wave does: the lie starts counting where it ends, so the
+	// oracle stays honest and only the wave's cross-check sees the flip.
+	honest := cfg
+	g, err := prepare(&honest)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lying := *m
-	calls := 0
+	calls := uint64(0)
 	lying.Golden = func(op, a, b uint32) (uint32, uint32) {
 		r, f := m.Golden(op, a, b)
-		if calls == k {
+		if calls == g.ops+k {
 			r ^= 1 << 7
 		}
 		calls++

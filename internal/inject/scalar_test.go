@@ -70,10 +70,6 @@ func attachScalar(m *module.Module, c *cpu.CPU, s Spec) error {
 			return err
 		}
 	}
-	if s.Unit == "ALU" {
-		c.ALU = cpu.NewNetlistALU(m, nl)
-	} else {
-		c.FPU = cpu.NewNetlistFPU(m, nl)
-	}
+	*c.Unit(m.Name) = module.NewDriverOn(m, nl)
 	return nil
 }

@@ -61,9 +61,6 @@ func (r Reg) String() string {
 	return fmt.Sprintf("x%d", uint8(r))
 }
 
-// FReg formats a register index as an FP register name.
-func FReg(r Reg) string { return fmt.Sprintf("f%d", uint8(r)) }
-
 // Op is an instruction mnemonic.
 type Op uint8
 

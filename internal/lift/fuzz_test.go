@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/fault"
+	"repro/internal/module"
 )
 
 func TestFuzzConstructALU(t *testing.T) {
@@ -52,7 +53,7 @@ func TestFuzzSuiteDetects(t *testing.T) {
 
 	// Clean on healthy hardware.
 	c := cpu.New(memSize)
-	c.ALU = cpu.NewNetlistALU(m, m.Netlist)
+	c.ALU = module.NewDriverOn(m, m.Netlist)
 	c.Load(img)
 	if halt := c.Run(50_000_000); halt != cpu.HaltExit || c.ExitCode != 0 {
 		t.Fatalf("fuzz suite false positive: halt=%v", halt)
@@ -62,7 +63,7 @@ func TestFuzzSuiteDetects(t *testing.T) {
 	for _, spec := range specs {
 		failing := fault.FailingNetlist(m.Netlist, spec)
 		c := cpu.New(memSize)
-		c.ALU = cpu.NewNetlistALU(m, failing)
+		c.ALU = module.NewDriverOn(m, failing)
 		c.Load(img)
 		halt := c.Run(50_000_000)
 		if halt == cpu.HaltBreak || halt == cpu.HaltStalled {

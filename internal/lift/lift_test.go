@@ -131,7 +131,7 @@ func TestSuitePassesOnHealthyCPU(t *testing.T) {
 
 	// Netlist-backed healthy CPU.
 	c2 := cpu.New(memSize)
-	c2.ALU = cpu.NewNetlistALU(m, m.Netlist)
+	c2.ALU = module.NewDriverOn(m, m.Netlist)
 	c2.Load(img)
 	if got := c2.Run(50_000_000); got != cpu.HaltExit || c2.ExitCode != 0 {
 		t.Fatalf("netlist run: halt=%v exit=%d case=%d", got, c2.ExitCode, c2.X[caseReg])
@@ -159,7 +159,7 @@ func TestSuiteDetectsInjectedFaults(t *testing.T) {
 		total++
 		failing := fault.FailingNetlist(m.Netlist, r.Spec)
 		c := cpu.New(memSize)
-		c.ALU = cpu.NewNetlistALU(m, failing)
+		c.ALU = module.NewDriverOn(m, failing)
 		c.Load(img)
 		halt := c.Run(50_000_000)
 		if halt == cpu.HaltBreak || halt == cpu.HaltStalled {
@@ -182,7 +182,7 @@ func TestRandomSuiteCleanOnHealthy(t *testing.T) {
 	s := RandomSuite(m, 10, 99)
 	img := mustImage(t, s)
 	c := cpu.New(memSize)
-	c.ALU = cpu.NewNetlistALU(m, m.Netlist)
+	c.ALU = module.NewDriverOn(m, m.Netlist)
 	c.Load(img)
 	if got := c.Run(50_000_000); got != cpu.HaltExit || c.ExitCode != 0 {
 		t.Fatalf("random suite false-positive: halt=%v case=%d", got, c.X[caseReg])
@@ -194,7 +194,7 @@ func TestRandomSuiteFPUCleanOnHealthy(t *testing.T) {
 	s := RandomSuite(m, 6, 100)
 	img := mustImage(t, s)
 	c := cpu.New(memSize)
-	c.FPU = cpu.NewNetlistFPU(m, m.Netlist)
+	c.FPU = module.NewDriverOn(m, m.Netlist)
 	c.Load(img)
 	if got := c.Run(50_000_000); got != cpu.HaltExit || c.ExitCode != 0 {
 		t.Fatalf("random FPU suite false-positive: halt=%v case=%d exit=%d", got, c.X[caseReg], c.ExitCode)

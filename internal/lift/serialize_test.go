@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/module"
 )
 
 func TestSuiteJSONRoundTrip(t *testing.T) {
@@ -51,7 +52,7 @@ func TestSuiteJSONRoundTrip(t *testing.T) {
 		}
 	}
 	c := cpu.New(memSize)
-	c.ALU = cpu.NewNetlistALU(m, m.Netlist)
+	c.ALU = module.NewDriverOn(m, m.Netlist)
 	c.Load(imgB)
 	if halt := c.Run(50_000_000); halt != cpu.HaltExit || c.ExitCode != 0 {
 		t.Fatalf("deserialized suite failed on healthy CPU: %v", halt)

@@ -29,6 +29,25 @@ const (
 	PortFlags    = "flags"
 )
 
+// Unit executes one operation of an execution unit: the seam between the
+// CPU model and whatever stands in for its ALU or FPU — a gate-level
+// Driver, the golden model, or a wrapper around either that records,
+// checks or corrupts the responses. ok=false means the unit never
+// raised out_valid (a hung handshake).
+type Unit interface {
+	Exec(op, a, b uint32) (result, flags uint32, ok bool)
+}
+
+// GoldenFunc is a unit's behavioural model: the architectural result and
+// flags of one operation.
+type GoldenFunc func(op, a, b uint32) (result, flags uint32)
+
+// Exec makes the golden model a Unit that always completes.
+func (g GoldenFunc) Exec(op, a, b uint32) (uint32, uint32, bool) {
+	r, f := g(op, a, b)
+	return r, f, true
+}
+
 // Module is a synthesized hardware unit plus its analysis metadata.
 type Module struct {
 	Name    string // "ALU" or "FPU"
@@ -49,7 +68,7 @@ type Module struct {
 
 	// Golden computes the architectural result and flags for an
 	// operation; it is the reference the lifted test cases check against.
-	Golden func(op uint32, a, b uint32) (result uint32, flags uint32)
+	Golden GoldenFunc
 
 	// OpValid reports whether an op encoding is legal. Illegal encodings
 	// are excluded from BMC traces via an assume-property, mirroring the

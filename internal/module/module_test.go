@@ -2,9 +2,11 @@ package module_test
 
 import (
 	"testing"
+	"testing/quick"
 
 	"repro/internal/alu"
 	"repro/internal/cell"
+	"repro/internal/fpu"
 	"repro/internal/module"
 	"repro/internal/netlist"
 )
@@ -54,5 +56,24 @@ func TestExecPipelinedDrainFailure(t *testing.T) {
 	}
 	if res[0] != 8 || res[1] != 5 {
 		t.Errorf("results = %v", res)
+	}
+}
+
+// TestGoldenIsAUnit: a module's golden model stands wherever a backend
+// does — Golden.Exec is Golden with ok = true, for every legal op of
+// both units over arbitrary operands.
+func TestGoldenIsAUnit(t *testing.T) {
+	for _, m := range []*module.Module{alu.Build(), fpu.Build()} {
+		var u module.Unit = m.Golden
+		same := func(op, a, b uint32) bool {
+			for op %= 1 << m.OpWidth; !m.OpValid(op); op-- {
+			}
+			r, f, ok := u.Exec(op, a, b)
+			wr, wf := m.Golden(op, a, b)
+			return ok && r == wr && f == wf
+		}
+		if err := quick.Check(same, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Errorf("%s: %v", m.Name, err)
+		}
 	}
 }

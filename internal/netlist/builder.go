@@ -316,9 +316,6 @@ func (b *Builder) RewireInput(cid CellID, pin int, n NetID) {
 	b.cells[cid].In[pin] = n
 }
 
-// CellOut returns the output net of cell cid as currently built.
-func (b *Builder) CellOut(cid CellID) NetID { return b.cells[cid].Out }
-
 // Cell returns a copy of cell cid as currently built.
 func (b *Builder) Cell(cid CellID) Cell {
 	c := b.cells[cid]

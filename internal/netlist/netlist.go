@@ -7,7 +7,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/cell"
@@ -291,10 +290,4 @@ func (nl *Netlist) Stats() Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("%d cells (%d dff, %d clock, %d comb), %d nets",
 		s.Cells, s.DFFs, s.ClockCells, s.Comb, s.Nets)
-}
-
-// sortCells orders cell IDs ascending (used to make traversal output
-// deterministic).
-func sortCells(ids []CellID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

@@ -127,7 +127,6 @@ var (
 	litDFFClk    = []byte(" (.clk(n[")
 	litDFFD      = []byte("]), .d(n[")
 	litDFFQ      = []byte("]), .q(n[")
-	litDFFTail   = []byte("]));")
 	litAssign    = []byte("assign ")
 	litEq        = []byte(" = ")
 	litNetOpen   = []byte("n[")

@@ -30,16 +30,6 @@ type Profile struct {
 	TotalCycles uint64
 }
 
-// isControl reports whether an instruction ends a basic block.
-func isControl(op isa.Op) bool {
-	switch op {
-	case isa.JAL, isa.JALR, isa.BEQ, isa.BNE, isa.BLT, isa.BGE,
-		isa.BLTU, isa.BGEU, isa.ECALL, isa.EBREAK:
-		return true
-	}
-	return false
-}
-
 // Leaders computes the basic-block leader instruction indices of an
 // image: the entry point, every branch/jump target, and every
 // instruction following a control transfer.

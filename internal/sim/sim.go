@@ -56,9 +56,6 @@ func New(nl *netlist.Netlist) *Simulator {
 	return s
 }
 
-// Netlist returns the simulated design.
-func (s *Simulator) Netlist() *netlist.Netlist { return s.nl }
-
 // Program returns the compiled program the simulator runs on.
 func (s *Simulator) Program() *engine.Program { return s.prog }
 

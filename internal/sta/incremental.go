@@ -82,12 +82,12 @@ func NewIncremental(nl *netlist.Netlist, cfg BatchConfig, corners []Corner) *Inc
 	g := CachedGraph(nl)
 	libs := cornerLibs(nl.Name, cfg, corners)
 	inc := &Incremental{
-		g:       g,
-		cfg:     cfg,
-		corners: append([]Corner(nil), corners...),
-		libs:    libs,
-		scale:   scale,
-		K:       K,
+		g:         g,
+		cfg:       cfg,
+		corners:   append([]Corner(nil), corners...),
+		libs:      libs,
+		scale:     scale,
+		K:         K,
 		st:        newBatchState(g, K),
 		dirty:     make([]bool, len(g.combOps)),
 		inTouched: make([]bool, g.numCells),

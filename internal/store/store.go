@@ -133,18 +133,6 @@ func (s *Store) Do(key string, build func() (any, error)) (v any, hit bool, err 
 	return f.val, false, f.err
 }
 
-// Get returns the cached artifact for key without building, promoting it
-// on hit. An in-flight build does not count as present.
-func (s *Store) Get(key string) (any, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v, ok := s.c.Get(key); ok {
-		s.hits++
-		return v, true
-	}
-	return nil, false
-}
-
 // Contains reports whether key is resident, without promoting it or
 // touching the counters — the warm/cold probe the daemon tags jobs with.
 func (s *Store) Contains(key string) bool {

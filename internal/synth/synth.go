@@ -142,17 +142,6 @@ func (c *C) Xor(a, b netlist.NetID) netlist.NetID {
 	return c.B.Add(cell.XOR2, a, b)
 }
 
-// Nand returns !(a & b).
-func (c *C) Nand(a, b netlist.NetID) netlist.NetID {
-	if _, ok := c.constOf(a); ok {
-		return c.Not(c.And(a, b))
-	}
-	if _, ok := c.constOf(b); ok {
-		return c.Not(c.And(a, b))
-	}
-	return c.B.Add(cell.NAND2, a, b)
-}
-
 // Nor returns !(a | b).
 func (c *C) Nor(a, b netlist.NetID) netlist.NetID {
 	if _, ok := c.constOf(a); ok {
