@@ -5,16 +5,18 @@
 // same `cover property (o != o_s)` query the paper hands to JasperGold in
 // its Trace Generation step (§3.3.3).
 //
-// Cover solves incrementally: one solver per fault spec. The transition
-// relation is encoded frame by frame as the bound deepens, each depth's
-// cover disjunction is guarded by a fresh activation literal and asserted
-// via assumptions, and a refuted window is retired by adding the
-// activation literal's negation as a unit clause. Learnt clauses survive
-// across all depths, and with the default stride of 1 the reported depth
-// is the provably minimal cover depth — shorter traces mean fewer RISC-V
-// instructions per embedded test. The from-scratch single-solve path is
-// the test-only oracle (incremental_test.go) the differential and fuzz
-// targets hold Cover to.
+// Cover solves incrementally: one search per fault spec, on a solver
+// whose storage an earlier spec's search left behind (sat.Solver.Reset).
+// The transition relation is encoded frame by frame as the bound
+// deepens, each depth's cover disjunction is guarded by a fresh
+// activation literal and asserted via assumptions, and a refuted window
+// is retired by adding the activation literal's negation as a unit
+// clause. Learnt clauses survive across all depths of one spec (none
+// survives into the next), and with the default stride of 1 the reported
+// depth is the provably minimal cover depth — shorter traces mean fewer
+// RISC-V instructions per embedded test. The from-scratch single-solve
+// path is the test-only oracle (incremental_test.go) the differential
+// and fuzz targets hold Cover to.
 //
 // Verdicts map to the paper's Table 4 outcomes: Covered (a trace exists —
 // "S" once instruction construction succeeds), Unreachable (the property
@@ -25,6 +27,7 @@ package bmc
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cell"
 	"repro/internal/engine"
@@ -169,12 +172,34 @@ type Result struct {
 // CNF, depth d's cover window is asserted under an activation-literal
 // assumption, and a refuted window is retired with a unit clause so
 // everything learnt keeps pruning all later depths.
+//
+// The solver and the per-frame variable tables come from a pool, emptied
+// on the way out of it: a lift is dozens of queries of much the same
+// size, and each would otherwise grow the same arrays by doubling from
+// nothing. They go back after a covered query only. One that ran to the
+// bound or out of budget has encoded every frame up to MaxDepth and
+// holds several times the room a covered query stops at; pooled, that
+// room would stay live through all the small queries behind it.
+// Nothing in the Result points into pooled memory.
 func Cover(nl *netlist.Netlist, covers []fault.CoverPoint, cfg Config) *Result {
 	cfg.fill()
 	if len(covers) == 0 {
 		return &Result{Verdict: Unreachable, Depth: 0}
 	}
-	u := newUnroller(engine.Cached(nl), cfg)
+	u := unrollers.Get().(*unroller)
+	u.reset(engine.Cached(nl), cfg)
+	res := u.cover(covers)
+	if res.Verdict == Covered {
+		unrollers.Put(u)
+	}
+	return res
+}
+
+var unrollers = sync.Pool{New: func() any { return &unroller{s: sat.New()} }}
+
+// cover is the deepening schedule on a reset unroller.
+func (u *unroller) cover(covers []fault.CoverPoint) *Result {
+	cfg := u.cfg
 	for prev := 0; prev < cfg.MaxDepth; {
 		depth := prev + cfg.Stride
 		if depth > cfg.MaxDepth {
@@ -214,7 +239,9 @@ func Replay(nl *netlist.Netlist, tr *Trace) bool {
 // unroller owns the incremental CNF: one solver whose formula grows one
 // transition frame at a time. vars[t][net] is the solver variable of a
 // net at cycle t (-1 if not yet allocated); frames once encoded are
-// never re-encoded.
+// never re-encoded. Between queries an unroller rests in the pool with
+// its solver's storage and its frame tables; reset makes it the
+// unroller of a new query.
 type unroller struct {
 	nl   *netlist.Netlist
 	prog *engine.Program
@@ -235,8 +262,12 @@ type unroller struct {
 	solves int
 }
 
-func newUnroller(prog *engine.Program, cfg Config) *unroller {
-	u := &unroller{nl: prog.Netlist, prog: prog, cfg: cfg, s: sat.New(), budget: cfg.MaxConflicts}
+// reset empties the unroller and its solver and points them at a new
+// query; the solver's storage and the frame tables keep their room.
+func (u *unroller) reset(prog *engine.Program, cfg Config) {
+	u.s.Reset()
+	*u = unroller{nl: prog.Netlist, prog: prog, cfg: cfg, s: u.s, budget: cfg.MaxConflicts,
+		vars: u.vars[:0], assume: u.assume[:0]}
 	u.constTrue = u.s.NewVar()
 	u.constFalse = u.s.NewVar()
 	u.s.AddClause(sat.MkLit(u.constTrue, false))
@@ -256,7 +287,6 @@ func newUnroller(prog *engine.Program, cfg Config) *unroller {
 		}
 		u.pulse = p.Bits[0]
 	}
-	return u
 }
 
 func (u *unroller) lit(t int, n netlist.NetID, neg bool) sat.Lit {
@@ -280,7 +310,16 @@ func (u *unroller) extendTo(depth int) {
 func (u *unroller) pushFrame(t int) {
 	nl, prog := u.nl, u.prog
 
-	frame := make([]int, nl.NumNets)
+	// The frame's table is the one an earlier query left at this depth,
+	// when it has the room.
+	var frame []int
+	if t < cap(u.vars) {
+		frame = u.vars[:t+1][t]
+	}
+	if cap(frame) < nl.NumNets {
+		frame = make([]int, nl.NumNets)
+	}
+	frame = frame[:nl.NumNets]
 	for i := range frame {
 		frame[i] = -1
 	}

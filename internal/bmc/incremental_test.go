@@ -295,6 +295,25 @@ func TestCoverStatsAccounting(t *testing.T) {
 	}
 }
 
+// newUnroller is an unroller that has never been anyone else's: a new
+// solver, no frame tables.
+func newUnroller(prog *engine.Program, cfg Config) *unroller {
+	u := &unroller{s: sat.New()}
+	u.reset(prog, cfg)
+	return u
+}
+
+// CoverFresh is Cover on storage no earlier query has used: what the
+// first Cover call of a process computes, and so what every later one
+// has to.
+func CoverFresh(nl *netlist.Netlist, covers []fault.CoverPoint, cfg Config) *Result {
+	cfg.fill()
+	if len(covers) == 0 {
+		return &Result{Verdict: Unreachable, Depth: 0}
+	}
+	return newUnroller(engine.Cached(nl), cfg).cover(covers)
+}
+
 // CoverSingleShot is the from-scratch oracle: a fresh solver, the full
 // MaxDepth-cycle CNF encoded in one pass, the cover disjunction over
 // every cycle added as a plain clause, and a single Solve call. Depth is

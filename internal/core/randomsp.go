@@ -35,21 +35,29 @@ const randomSPChunks = 16
 // Work is partitioned into fixed chunks; chunk ci derives its stimulus
 // seed as par.Seed(seed, ci) and starts from reset, so the merged
 // profile is a function of (netlist, cycles, seed) alone — never of
-// parallelism or scheduling.
+// parallelism or scheduling. Each worker takes a contiguous range of
+// chunks through one evaluator, resetting it at every chunk boundary
+// while its SP counters accumulate across them: an evaluator is two
+// words per net, which at a million nets costs more to allocate than a
+// chunk costs to simulate.
 func RandomSP(nl *netlist.Netlist, cycles int, seed int64, parallelism int) (*engine.Profile, error) {
 	if cycles <= 0 {
 		return nil, fmt.Errorf("core: RandomSP needs a positive cycle count, got %d", cycles)
 	}
 	prog := engine.Cached(nl)
-	chunks := randomSPChunks
-	if cycles < chunks {
-		chunks = cycles
-	}
-	parts, err := par.Map(context.Background(), chunks, parallelism,
-		func(_ context.Context, ci int) (*engine.Profile, error) {
-			lo := ci * cycles / chunks
-			hi := (ci + 1) * cycles / chunks
-			return engine.RandomProfile(prog, hi-lo, par.Seed(seed, ci)), nil
+	chunks := min(randomSPChunks, cycles)
+	workers := min(par.N(parallelism), chunks)
+	parts, err := par.Map(context.Background(), workers, parallelism,
+		func(_ context.Context, wi int) (*engine.Profile, error) {
+			e := engine.NewPacked(prog)
+			e.EnableSP()
+			for ci := wi * chunks / workers; ci < (wi+1)*chunks/workers; ci++ {
+				e.Reset()
+				lo := ci * cycles / chunks
+				hi := (ci + 1) * cycles / chunks
+				e.RunRandom(hi-lo, par.Seed(seed, ci))
+			}
+			return e.Profile(), nil
 		})
 	if err != nil {
 		return nil, err

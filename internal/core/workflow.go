@@ -109,8 +109,8 @@ func newWorkflow(m *module.Module, cfg Config) *Workflow {
 // CPU, recording every operation offloaded to the unit, then replays a
 // sample of the trace through the synthesized netlist with
 // representative idle gaps to collect the signal-probability profile
-// (§3.2.1). The idle-to-active ratio is what exposes the gated clock
-// subtrees of a rarely-used unit to BTI stress.
+// (§3.2.1; replaySP). The idle-to-active ratio is what exposes the gated
+// clock subtrees of a rarely-used unit to BTI stress.
 func (w *Workflow) ProfileWorkloads() error {
 	benches := embench.All
 	if len(w.Config.Workloads) > 0 {
@@ -187,41 +187,11 @@ func (w *Workflow) ProfileWorkloads() error {
 		gap = 0
 	}
 
-	// Stage 2 — replay the sampled ops at gate level in fixed chunks,
-	// one simulator per chunk, and merge the partial SP profiles at the
-	// barrier. Chunk boundaries depend only on sampleN (never on
-	// Parallelism), each chunk's simulator starts from the same reset
-	// state, and the raw residency counters merge exactly (multiples of
-	// 0.5 summed in chunk order), so the profile is byte-identical at
-	// every Parallelism setting.
-	chunks := profileChunks
-	if sampleN < chunks {
-		chunks = sampleN
-	}
-	parts, err := par.Map(ctx, chunks, w.Config.Parallelism, func(_ context.Context, ci int) (*engine.Profile, error) {
-		lo := ci * sampleN / chunks
-		hi := (ci + 1) * sampleN / chunks
-		d := module.NewDriver(w.Module)
-		d.Sim.EnableSP()
-		for _, op := range sampled[lo:hi] {
-			d.Exec(op.Op, op.A, op.B)
-			d.Sim.SetInput(module.PortInValid, 0)
-			d.Sim.Run(gap)
-		}
-		return d.Sim.Profile(), nil
-	})
-	if err != nil {
-		return err
-	}
-	w.SPProfile = engine.MergeProfiles(parts...)
+	// Stage 2 — replay the sampled ops at gate level, one fixed chunk
+	// per lane of the packed evaluator.
+	w.SPProfile = replaySP(w.Module, sampled, gap)
 	return nil
 }
-
-// profileChunks is the fixed partition width of the gate-level SP
-// replay. It is a constant — not Config.Parallelism — because the chunk
-// boundaries define where the replayed unit's state resets, and that
-// must not change with the worker count or the profile would too.
-const profileChunks = 16
 
 // batchConfig assembles the workflow's standing parameters for the
 // batched multi-corner STA engine. The per-endpoint report bound is the

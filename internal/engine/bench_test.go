@@ -59,9 +59,10 @@ func BenchmarkSPProfile(b *testing.B) {
 }
 
 // BenchmarkRandomSP measures the end-to-end profile-free SP path
-// (engine.RandomProfile) per packed cycle.
+// (Packed.RunRandom with SP on) per packed cycle.
 func BenchmarkRandomSP(b *testing.B) {
-	prog := engine.Cached(alu.Build().Netlist)
+	e := engine.NewPacked(engine.Cached(alu.Build().Netlist))
+	e.EnableSP()
 	b.ResetTimer()
-	engine.RandomProfile(prog, b.N, 1)
+	e.RunRandom(b.N, 1)
 }

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/alu"
 	"repro/internal/cell"
 	"repro/internal/engine"
 	"repro/internal/netlist"
@@ -389,4 +390,77 @@ func TestOversizedArityPanics(t *testing.T) {
 	if first == nil || second != first {
 		t.Errorf("Cached panicked with %v, then %v; want the same refusal both times", first, second)
 	}
+}
+
+// TestProfileAccumulatesAcrossReset: Reset keeps the SP counters, so it
+// has to keep the number of cycles they were sampled over as well — a
+// run of 10 cycles, a Reset and a run of 2 is the merge of a fresh
+// 10-cycle and a fresh 2-cycle profile, on the scalar simulator and on
+// the packed evaluator alike (dividing twelve cycles' residency by the
+// two since the Reset gave "probabilities" up to 6), and ResetSP starts
+// the observation over.
+func TestProfileAccumulatesAcrossReset(t *testing.T) {
+	nl := alu.Build().Netlist
+	check := func(name string, got, want *engine.Profile) {
+		t.Helper()
+		if got.Cycles != want.Cycles {
+			t.Errorf("%s: profile covers %d cycles, want %d", name, got.Cycles, want.Cycles)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: run-reset-run differs from the merge of two fresh runs", name)
+		}
+		for n, sp := range got.SP {
+			if sp > 1 {
+				t.Errorf("%s: net %d has signal probability %v", name, n, sp)
+				break
+			}
+		}
+	}
+
+	drive := func(s *sim.Simulator, cycles int, seed int64) *sim.Simulator {
+		rng := rand.New(rand.NewSource(seed))
+		for c := 0; c < cycles; c++ {
+			for _, p := range nl.Inputs {
+				s.SetInput(p.Name, rng.Uint64())
+			}
+			s.Step()
+		}
+		return s
+	}
+	scalar := func() *sim.Simulator {
+		s := sim.New(nl)
+		s.EnableSP()
+		return s
+	}
+	s := drive(scalar(), 10, 1)
+	s.Reset()
+	drive(s, 2, 2)
+	check("scalar", s.Profile(), engine.MergeProfiles(
+		drive(scalar(), 10, 1).Profile(), drive(scalar(), 2, 2).Profile()))
+	s.Reset()
+	s.ResetSP()
+	check("scalar after ResetSP", drive(s, 2, 2).Profile(), drive(scalar(), 2, 2).Profile())
+
+	drivePacked := func(e *engine.Packed, cycles int, seed int64) *engine.Packed {
+		rng := rand.New(rand.NewSource(seed))
+		for c := 0; c < cycles; c++ {
+			for _, p := range nl.Inputs {
+				for _, n := range p.Bits {
+					e.SetNet(n, rng.Uint64())
+				}
+			}
+			e.Step()
+		}
+		return e
+	}
+	packed := func() *engine.Packed {
+		e := engine.NewPacked(engine.Cached(nl))
+		e.EnableSP()
+		return e
+	}
+	e := drivePacked(packed(), 10, 1)
+	e.Reset()
+	drivePacked(e, 2, 2)
+	check("packed", e.Profile(), engine.MergeProfiles(
+		drivePacked(packed(), 10, 1).Profile(), drivePacked(packed(), 2, 2).Profile()))
 }

@@ -18,13 +18,14 @@ const Lanes = 64
 // operates on words either way), so evaluating 64 stimulus streams per
 // pass is where the throughput win comes from.
 //
-// SP residency is accumulated in aggregate across lanes via popcount:
-// each cycle a data net adds OnesCount64(word) — the exact number of
-// lanes observing a logical 1 — and a clock-network net adds half that
-// (a running clock spends half of each period high; a gated-off clock
-// idles low, contributing nothing). Counts are integers (halves for
-// clock nets) accumulated in float64, so sums stay exact far beyond any
-// realistic observation length (2^53 half-cycles).
+// SP residency is accumulated in aggregate across the observed lanes
+// (all 64 unless ObserveLanes narrows them) via popcount: each cycle a
+// data net adds OnesCount64(word & observed) — the exact number of
+// observed lanes seeing a logical 1 — and a clock-network net adds half
+// that (a running clock spends half of each period high; a gated-off
+// clock idles low, contributing nothing). Counts are integers (halves
+// for clock nets) accumulated in float64, so sums stay exact far beyond
+// any realistic observation length (2^53 half-cycles).
 //
 // A Packed is not safe for concurrent use; create one per goroutine.
 // The compiled program it runs is shared read-only.
@@ -32,9 +33,10 @@ type Packed struct {
 	prog   *Program
 	vals   []uint64 // current word of every net
 	dffBuf []uint64 // staged DFF next-state, one word per flip-flop
-	cycles uint64
 
 	spEnabled bool
+	spLanes   uint64    // lanes whose cycles are observed
+	spCycles  uint64    // lane-cycles observed so far
 	spOnes    []float64 // per net: aggregate lane-residency (lane-cycles)
 }
 
@@ -42,17 +44,19 @@ type Packed struct {
 // their Init value in every lane and all primary inputs are 0.
 func NewPacked(p *Program) *Packed {
 	e := &Packed{
-		prog:   p,
-		vals:   make([]uint64, p.NumNets),
-		dffBuf: make([]uint64, len(p.DFFs)),
+		prog:    p,
+		vals:    make([]uint64, p.NumNets),
+		dffBuf:  make([]uint64, len(p.DFFs)),
+		spLanes: ^uint64(0),
 	}
 	e.Reset()
 	return e
 }
 
-// Reset re-applies reset values in every lane and zeroes the cycle
-// counter. SP counters are preserved (call ResetSP to clear), matching
-// the scalar simulator's Reset contract.
+// Reset re-applies reset values in every lane. The SP counters and the
+// lane-cycles they were observed over are preserved, so a profile can
+// accumulate across runs that each start from reset — the scalar
+// simulator's Reset contract.
 func (e *Packed) Reset() {
 	for i := range e.vals {
 		e.vals[i] = 0
@@ -65,7 +69,6 @@ func (e *Packed) Reset() {
 			e.vals[e.prog.DFFs[i].Out] = ^uint64(0)
 		}
 	}
-	e.cycles = 0
 }
 
 // EnableSP turns on aggregate signal-probability accumulation.
@@ -75,6 +78,13 @@ func (e *Packed) EnableSP() {
 		e.spOnes = make([]float64, e.prog.NumNets)
 	}
 }
+
+// ObserveLanes restricts SP accumulation to the lanes set in mask: from
+// the next Edge on, only those lanes' values are counted and only they
+// add to the profile's lane-cycles. Every lane keeps evaluating; a lane
+// outside the mask is a stream whose cycles are not part of the
+// observation (it has run out of stimulus, or never had any).
+func (e *Packed) ObserveLanes(mask uint64) { e.spLanes = mask }
 
 // SetNet drives net n with a full word: bit l is the value lane l sees.
 func (e *Packed) SetNet(n netlist.NetID, word uint64) { e.vals[n] = word }
@@ -155,12 +165,18 @@ func settlePacked(p *Program, vals []uint64) {
 	}
 }
 
-// Step completes one cycle in all lanes: settle, sample SP, then apply
-// the rising clock edge per lane — a flip-flop's lane samples D only
-// where its clock word is high, so clock gating acts independently per
-// lane, exactly like the scalar simulator's per-cycle enable check.
+// Step is Settle followed by Edge — one full cycle for drivers that do
+// not need to observe the settled state in between.
 func (e *Packed) Step() {
 	e.Settle()
+	e.Edge()
+}
+
+// Edge completes the cycle from the settled state: sample SP, then
+// apply the rising clock edge per lane — a flip-flop's lane samples D
+// only where its clock word is high, so clock gating acts independently
+// per lane, exactly like the scalar simulator's per-cycle enable check.
+func (e *Packed) Edge() {
 	if e.spEnabled {
 		e.sampleSP()
 	}
@@ -174,28 +190,31 @@ func (e *Packed) Step() {
 	for i := range dffs {
 		vals[dffs[i].Out] = e.dffBuf[i]
 	}
-	e.cycles++
 }
 
-// sampleSP accumulates one cycle of aggregate residency across lanes.
+// sampleSP accumulates one cycle of aggregate residency across the
+// observed lanes.
 func (e *Packed) sampleSP() {
+	m := e.spLanes
 	for _, n := range e.prog.dataNets {
-		e.spOnes[n] += float64(bits.OnesCount64(e.vals[n]))
+		e.spOnes[n] += float64(bits.OnesCount64(e.vals[n] & m))
 	}
 	for _, n := range e.prog.clockNets {
-		e.spOnes[n] += 0.5 * float64(bits.OnesCount64(e.vals[n]))
+		e.spOnes[n] += 0.5 * float64(bits.OnesCount64(e.vals[n]&m))
 	}
+	e.spCycles += uint64(bits.OnesCount64(m))
 }
 
-// Profile snapshots the accumulated SP counters. Cycles counts
-// lane-cycles (packed cycles x 64): each lane is a full, independent
-// observation, so a packed profile merges with scalar partial profiles
-// through MergeProfiles without any special casing — the Ones counters
-// are the same "sum over observed cycles of per-cycle residency"
-// quantity, just summed over 64 streams at once.
+// Profile snapshots the accumulated SP counters. Cycles counts the
+// lane-cycles they were sampled over (64 per packed cycle with every
+// lane observed): each lane is a full, independent observation, so a
+// packed profile merges with scalar partial profiles through
+// MergeProfiles without any special casing — the Ones counters are the
+// same "sum over observed cycles of per-cycle residency" quantity, just
+// summed over 64 streams at once.
 func (e *Packed) Profile() *Profile {
 	p := &Profile{
-		Cycles: e.cycles * Lanes,
+		Cycles: e.spCycles,
 		SP:     make([]float64, e.prog.NumNets),
 		Ones:   make([]float64, e.prog.NumNets),
 	}

@@ -2,8 +2,8 @@ package engine
 
 // splitmix64 is the per-stream generator behind the random-stimulus
 // profiler: tiny state, full 64-bit output (one fresh word = 64
-// independent lane bits), and seedable from par.Seed-derived task seeds
-// so parallel chunks never share generator state.
+// independent lane bits), and seedable from par.Seed-derived chunk seeds
+// so chunks never share generator state.
 type splitmix64 uint64
 
 func (s *splitmix64) next() uint64 {
@@ -14,21 +14,20 @@ func (s *splitmix64) next() uint64 {
 	return z ^ z>>31
 }
 
-// RandomProfile collects an aggregate SP profile of the compiled program
-// under uniform random stimulus: every bit of every input port is driven
-// with a fresh random word each cycle, so one packed cycle advances 64
-// independent random stimulus streams. The result covers cycles x 64
-// lane-cycles of observation.
+// RunRandom advances the evaluator by cycles packed cycles of uniform
+// random stimulus: every bit of every input port is driven with a fresh
+// random word each cycle, so one packed cycle advances 64 independent
+// random stimulus streams. With SP enabled the evaluator's profile
+// grows by cycles x 64 lane-cycles of observation.
 //
-// The profile is a deterministic function of (program, cycles, seed)
+// The stimulus is a deterministic function of (program, cycles, seed)
 // alone — lane l's stream is fixed by the seed, not by scheduling — which
-// is what lets the parallel chunked profiler in internal/core partition
-// work freely while staying byte-identical at every Parallelism setting.
-func RandomProfile(p *Program, cycles int, seed int64) *Profile {
-	e := NewPacked(p)
-	e.EnableSP()
+// is what lets the chunked profiler in internal/core hand any range of
+// chunks to any worker while staying byte-identical at every
+// Parallelism setting.
+func (e *Packed) RunRandom(cycles int, seed int64) {
 	rng := splitmix64(seed)
-	inputs := p.Netlist.Inputs
+	inputs := e.prog.Netlist.Inputs
 	for c := 0; c < cycles; c++ {
 		for _, port := range inputs {
 			for _, n := range port.Bits {
@@ -37,5 +36,4 @@ func RandomProfile(p *Program, cycles int, seed int64) *Profile {
 		}
 		e.Step()
 	}
-	return e.Profile()
 }

@@ -129,15 +129,18 @@ func litWord(l Lit, w int) uint64 {
 
 // FuzzSolverVsBruteForce holds the solver to exhaustive enumeration on
 // formulas of at most 18 variables: the fuzzer's bytes are an
-// interleaving of NewVar, AddClause (one to four literals) and Solve
-// under up to three assumptions, on one solver whose reduceDB trigger is
+// interleaving of NewVar, AddClause (one to four literals), Solve under
+// up to three assumptions and Reset (the formula starts over, on the
+// storage of the one before), on one solver whose reduceDB trigger is
 // set low enough to fire. Every verdict must match the truth table of
 // the clauses so far, every model must satisfy every clause and
-// assumption, and the storage must be consistent after every Solve.
+// assumption, and the storage must be consistent after every Solve and
+// every Reset.
 func FuzzSolverVsBruteForce(f *testing.F) {
 	f.Add([]byte{3, 0, 10, 0, 2, 18, 1, 4, 0, 8, 5})
 	f.Add([]byte{17, 2, 26, 1, 7, 30, 26, 9, 12, 3, 18, 0, 5, 1, 16, 4, 22, 0})
 	f.Add([]byte("\x05\x01\x12\x00\x02\x12\x01\x03\x12\x04\x06\x12\x05\x08\x12\x07\x09\x0a\x00\x18\x03\x04\x07"))
+	f.Add([]byte{4, 1, 26, 0, 3, 5, 26, 1, 2, 4, 10, 7, 10, 6, 0, 42, 26, 2, 3, 6, 10, 1, 10, 0, 8, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -151,7 +154,8 @@ func FuzzSolverVsBruteForce(f *testing.F) {
 		for n := 1 + next()%fuzzVars; n > 0; n-- {
 			s.NewVar()
 		}
-		s.learntBase = next() % 8
+		learntBase := next() % 8
+		s.learntBase = learntBase
 		randLit := func() Lit { return Lit(next() % (2 * s.NumVars())) }
 
 		var models truthTable
@@ -204,6 +208,18 @@ func FuzzSolverVsBruteForce(f *testing.F) {
 				if s.NumVars() < fuzzVars {
 					s.NewVar()
 				}
+			case op%32 == 10:
+				n := s.NumVars()
+				s.Reset()
+				checkStorage(t, s)
+				for ; n > 0; n-- {
+					s.NewVar()
+				}
+				s.learntBase = learntBase
+				for w := range models {
+					models[w] = ^uint64(0)
+				}
+				clauses = nil
 			default:
 				c := make([]Lit, 1+op>>3%4)
 				for i := range c {

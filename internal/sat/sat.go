@@ -114,6 +114,8 @@ type Solver struct {
 
 	watches [][]cref // literal -> clauses watching it
 	slab    []cref   // unused tail of the current watch-list slab
+	slab0   []cref   // the whole slab a Reset started this life on
+	carved  int      // room cut from slabs in this life
 
 	assign  []lbool // per variable
 	level   []int32 // decision level of assignment
@@ -155,9 +157,53 @@ type Solver struct {
 
 // New creates an empty solver.
 func New() *Solver {
-	s := &Solver{varInc: 1, claInc: 1, learntBase: 20000}
+	s := &Solver{}
 	s.order = &varHeap{s: s}
+	s.Reset()
 	return s
+}
+
+// Reset empties the solver: no variables, no clauses, no learnt facts,
+// counters and budgets as New returns them. What it keeps is room — the
+// arena, the per-variable arrays, the heap and the scratch buffers stay
+// allocated at length zero, and the watch lists of the next life are cut
+// from one slab as large as all the room this life cut — so a caller
+// that solves one formula after another on the same solver stops paying
+// for growing each from nothing. A search after Reset is the search a
+// new solver would make: every field that steers it is listed here or
+// takes its zero value, and NewVar writes each per-variable entry it
+// hands out.
+func (s *Solver) Reset() {
+	slab := s.slab0
+	if s.carved > len(slab) {
+		slab = make([]cref, s.carved)
+	}
+	clear(s.watches) // drop the lists' hold on this life's slabs
+	order := s.order
+	order.heap, order.pos = order.heap[:0], order.pos[:0]
+	*s = Solver{
+		arena:     s.arena[:0],
+		learnts:   s.learnts[:0],
+		learntAct: s.learntAct[:0],
+		watches:   s.watches[:0],
+		slab:      slab,
+		slab0:     slab,
+		assign:    s.assign[:0],
+		level:     s.level[:0],
+		reason:    s.reason[:0],
+		phase:     s.phase[:0],
+		trail:     s.trail[:0],
+		trailLm:   s.trailLm[:0],
+		activity:  s.activity[:0],
+		seen:      s.seen[:0],
+		learntBuf: s.learntBuf[:0],
+		addBuf:    s.addBuf[:0],
+		order:     order,
+
+		varInc:     1,
+		claInc:     1,
+		learntBase: 20000,
+	}
 }
 
 // NewVar allocates a fresh variable and returns its index.
@@ -287,6 +333,7 @@ func (s *Solver) carve(n int) []cref {
 	if len(s.slab) < n {
 		s.slab = make([]cref, n+watchCap*len(s.watches))
 	}
+	s.carved += n
 	ws := s.slab[:0:n]
 	s.slab = s.slab[n:]
 	return ws

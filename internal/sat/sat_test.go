@@ -263,26 +263,8 @@ func TestReduceDBKeepsSoundness(t *testing.T) {
 	// A larger pigeonhole instance forces many conflicts; with an
 	// artificially low reduce threshold the solver must still prove
 	// UNSAT.
-	const pigeons, holes = 7, 6
 	s := New()
-	v := func(p, h int) int { return p*holes + h }
-	for i := 0; i < pigeons*holes; i++ {
-		s.NewVar()
-	}
-	for p := 0; p < pigeons; p++ {
-		lits := make([]Lit, holes)
-		for h := 0; h < holes; h++ {
-			lits[h] = MkLit(v(p, h), false)
-		}
-		s.AddClause(lits...)
-	}
-	for h := 0; h < holes; h++ {
-		for p1 := 0; p1 < pigeons; p1++ {
-			for p2 := p1 + 1; p2 < pigeons; p2++ {
-				s.AddClause(MkLit(v(p1, h), true), MkLit(v(p2, h), true))
-			}
-		}
-	}
+	addPigeonhole(s, 7, 6)
 	if s.Solve() != Unsat {
 		t.Fatal("php(7,6) must be UNSAT")
 	}

@@ -36,6 +36,7 @@ type Simulator struct {
 	cycles uint64
 
 	spEnabled bool
+	spCycles  uint64    // cycles sampled so far
 	spOnes    []float64 // per net: accumulated logical-"1" residency
 
 	recordNets []netlist.NetID
@@ -60,9 +61,9 @@ func New(nl *netlist.Netlist) *Simulator {
 func (s *Simulator) Program() *engine.Program { return s.prog }
 
 // Reset re-applies reset values to all flip-flops, clears inputs, and
-// zeroes the cycle counter. SP counters and recorded waveforms are
-// preserved so multi-run profiles can accumulate; call ResetSP to clear
-// them.
+// zeroes the cycle counter. SP counters (with the number of cycles they
+// were sampled over) and recorded waveforms are preserved so multi-run
+// profiles can accumulate; call ResetSP to clear the former.
 func (s *Simulator) Reset() {
 	s.prog.ResetScalar(s.vals)
 	s.cycles = 0
@@ -82,6 +83,7 @@ func (s *Simulator) ResetSP() {
 	for i := range s.spOnes {
 		s.spOnes[i] = 0
 	}
+	s.spCycles = 0
 }
 
 // Record registers nets whose settled value is captured every cycle.
@@ -180,6 +182,7 @@ func (s *Simulator) sampleSP() {
 			s.spOnes[n] += 1.0
 		}
 	}
+	s.spCycles++
 }
 
 // Output reads a (multi-bit) output port as a uint64 (LSB first), after
@@ -207,10 +210,10 @@ func (s *Simulator) Net(n netlist.NetID) bool {
 
 // SP returns the signal probability of net n over all sampled cycles.
 func (s *Simulator) SP(n netlist.NetID) float64 {
-	if !s.spEnabled || s.cycles == 0 {
+	if s.spCycles == 0 {
 		return 0
 	}
-	return s.spOnes[n] / float64(s.cycles)
+	return s.spOnes[n] / float64(s.spCycles)
 }
 
 // Profile is engine.Profile under its old name. Nothing in the tree
@@ -219,19 +222,21 @@ func (s *Simulator) SP(n netlist.NetID) float64 {
 // inject.PackedClassStats.Fallbacks.
 type Profile = engine.Profile
 
-// Profile snapshots the accumulated SP counters.
+// Profile snapshots the accumulated SP counters. Cycles is the number of
+// cycles they were sampled over — every Step since EnableSP (or the
+// last ResetSP), across any Reset in between.
 func (s *Simulator) Profile() *engine.Profile {
 	p := &engine.Profile{
-		Cycles: s.cycles,
+		Cycles: s.spCycles,
 		SP:     make([]float64, s.nl.NumNets),
 		Ones:   make([]float64, s.nl.NumNets),
 	}
 	copy(p.Ones, s.spOnes)
-	if s.cycles == 0 {
+	if s.spCycles == 0 {
 		return p
 	}
 	for n := range p.SP {
-		p.SP[n] = s.spOnes[n] / float64(s.cycles)
+		p.SP[n] = s.spOnes[n] / float64(s.spCycles)
 	}
 	return p
 }

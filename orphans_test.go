@@ -92,11 +92,13 @@ var orphanAllow = []struct {
 		"internal/fault.FailingNetlistMulti",
 		"internal/module.Driver.ExecPipelined",
 	}},
-	{"drives or reads the packed and the scalar evaluator side by side in FuzzPackedVsScalar, " +
-		"TestPackedLaneMatchesScalar and TestPackedSPAggregationIsExact", []string{
-		"internal/engine.Packed.Lane",
-		"internal/engine.Packed.SetNet",
+	{"drives the scalar evaluator beside the packed one in FuzzPackedVsScalar, " +
+		"TestPackedLaneMatchesScalar and TestPackedSPAggregationIsExact, and through the scalar SP " +
+		"replay TestProfilePackedMatchesScalarReplay holds the packed-lane replay to (a driver on the " +
+		"unit's own netlist, idle cycles by count); the units' golden-vs-netlist tests use the same two", []string{
 		"internal/sim.Simulator.SetInputBits",
+		"internal/sim.Simulator.Run",
+		"internal/module.NewDriver",
 	}},
 	{"paper §6.2/§6.3 extension (temperature sweep, fuzzing-based test construction) that no binary " +
 		"exposes; kept by its own tests and BenchmarkAblation_FuzzVsFormal", []string{
