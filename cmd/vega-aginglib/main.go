@@ -57,7 +57,11 @@ func main() {
 
 	cPath := filepath.Join(*outDir, "vega_aging.c")
 	goPath := filepath.Join(*outDir, "vega_aging_wrapper.go")
-	if err := os.WriteFile(cPath, []byte(integrate.GenerateC(suites)), 0o644); err != nil {
+	src, err := integrate.GenerateC(suites)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := os.WriteFile(cPath, []byte(src), 0o644); err != nil {
 		log.Fatal(err)
 	}
 	if err := os.WriteFile(goPath, []byte(integrate.GenerateGoWrapper()), 0o644); err != nil {

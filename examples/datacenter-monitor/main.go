@@ -183,7 +183,10 @@ func main() {
 	}
 
 	fmt.Println("\n== emitting the standalone aging library (§3.4.1) ==")
-	src := integrate.GenerateC([]*lift.Suite{suite})
+	src, err := integrate.GenerateC([]*lift.Suite{suite})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("generated vega_aging.c: %d lines, %d test functions, scheduling helpers:\n",
 		strings.Count(src, "\n"), strings.Count(src, "int vega_test_"))
 	for _, line := range strings.Split(src, "\n") {

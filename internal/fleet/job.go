@@ -142,12 +142,13 @@ func (sp *Spec) fill() {
 // anything the CLIs or the load test ask for and exist so one POST
 // cannot commit a worker to an absurd amount of work or memory.
 const (
-	maxYears           = 100.0   // lifetimes; the paper sweeps 0–10
-	maxMargin          = 100.0   // period = critical delay x margin
-	maxYearsGrid       = 64      // corners analyzed by one sweep
-	maxSPCycles        = 1 << 20 // packed random-stimulus cycles
-	maxPerClass        = 100_000 // injections per fault class
-	maxCheckpointEvery = 1 << 20 // behavioural batch size
+	maxYears           = 100.0      // lifetimes; the paper sweeps 0–10
+	maxMargin          = 100.0      // period = critical delay x margin
+	maxYearsGrid       = 64         // corners analyzed by one sweep
+	maxSPCycles        = 1 << 20    // packed random-stimulus cycles
+	maxPerClass        = 100_000    // injections per fault class
+	maxMaxCycles       = 50_000_000 // per-injection cycle budget; the engine's default for 0
+	maxCheckpointEvery = 1 << 20    // behavioural batch size
 )
 
 // inRange reports lo <= v <= hi; NaN is in no range.
@@ -169,6 +170,10 @@ func (sp *Spec) validate() error {
 		if sp.Kind == KindCampaign {
 			if sp.PerClass < 1 || sp.PerClass > maxPerClass {
 				return fmt.Errorf("fleet: per_class must be in [1, %d], got %d", maxPerClass, sp.PerClass)
+			}
+			// 0 leaves the budget to the injection engine's default.
+			if sp.MaxCycles > maxMaxCycles {
+				return fmt.Errorf("fleet: max_cycles must be in [0, %d], got %d", maxMaxCycles, sp.MaxCycles)
 			}
 			// 0 leaves the batch size to the injection engine's default.
 			if sp.CheckpointEvery < 0 || sp.CheckpointEvery > maxCheckpointEvery {

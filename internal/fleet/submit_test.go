@@ -17,12 +17,13 @@ import (
 func outOfRange() map[string]string {
 	v := fmt.Sprintf("%q", tinyVerilog(1))
 	return map[string]string{
-		"sp_cycles":        `{"kind":"sweep","verilog":` + v + `,"sp_cycles":-5}`,                  // worker panic: index out of range in STA
-		"checkpoint_every": `{"kind":"campaign","unit":"ALU","per_class":1,"checkpoint_every":-1}`, // worker panic: slice bounds out of range
-		"years":            `{"kind":"sweep","verilog":` + v + `,"years":-3}`,                      // done
-		"years_grid":       `{"kind":"sweep","verilog":` + v + `,"years_grid":[-1]}`,               // done: aging for a negative lifetime, cached
-		"margin":           `{"kind":"sweep","verilog":` + v + `,"margin":-1}`,                     // done: a negative clock period
-		"per_class":        `{"kind":"campaign","unit":"ALU","per_class":-1}`,                      // failed, late: empty injection universe
+		"sp_cycles":        `{"kind":"sweep","verilog":` + v + `,"sp_cycles":-5}`,                              // worker panic: index out of range in STA
+		"checkpoint_every": `{"kind":"campaign","unit":"ALU","per_class":1,"checkpoint_every":-1}`,             // worker panic: slice bounds out of range
+		"years":            `{"kind":"sweep","verilog":` + v + `,"years":-3}`,                                  // done
+		"years_grid":       `{"kind":"sweep","verilog":` + v + `,"years_grid":[-1]}`,                           // done: aging for a negative lifetime, cached
+		"margin":           `{"kind":"sweep","verilog":` + v + `,"margin":-1}`,                                 // done: a negative clock period
+		"per_class":        `{"kind":"campaign","unit":"ALU","per_class":-1}`,                                  // failed, late: empty injection universe
+		"max_cycles":       `{"kind":"campaign","unit":"ALU","per_class":1,"max_cycles":18446744073709551615}`, // done: every injection may run 2^64-1 cycles
 	}
 }
 
@@ -83,6 +84,7 @@ func FuzzSubmitSpec(f *testing.F) {
 	f.Add([]byte(`{"kind":"campaign","unit":"ALU","seed":7,"per_class":2,"checkpoint_every":4,"submit_key":"k"}`))
 	f.Add([]byte(`{"kind":"sweep","verilog":"module m; endmodule","margin":1.1,"years_grid":[0,1e1]}`))
 	f.Add([]byte(`{"kind":"sweep","verilog":"x","years_grid":[1e999]}`))
+	f.Add([]byte(`{"kind":"campaign","unit":"FPU","per_class":3,"max_cycles":50000001}`))
 	f.Add([]byte(`[`))
 
 	const bodyCap = 64 << 10

@@ -13,8 +13,9 @@ import (
 // function, plus helpers that run the suite sequentially or in a
 // (xorshift) random order and report detections through a caller-
 // supplied handler — the hook an exception-capable language wrapper
-// raises from.
-func GenerateC(suites []*lift.Suite) string {
+// raises from. It fails if a test case does not assemble: an empty
+// body would report "pass" for every input.
+func GenerateC(suites []*lift.Suite) (string, error) {
 	var b strings.Builder
 	b.WriteString(`/* vega_aging.c — generated by Vega Test Integration.
  *
@@ -44,7 +45,9 @@ static uint32_t vega_rng(void) {
 		for _, tc := range s.Cases {
 			name := fmt.Sprintf("vega_test_%03d_%s", idx, tc.Name)
 			names = append(names, name)
-			writeCTest(&b, name, tc)
+			if err := writeCTest(&b, name, tc); err != nil {
+				return "", err
+			}
 			idx++
 		}
 	}
@@ -81,13 +84,13 @@ int vega_run_random(int n) {
     return detected;
 }
 `)
-	return b.String()
+	return b.String(), nil
 }
 
 // writeCTest renders one test case as a C function whose body is the
 // lifted assembly in GCC extended-asm form, with operands bound to C
 // variables for clarity (§3.4.1).
-func writeCTest(b *strings.Builder, name string, tc *lift.TestCase) {
+func writeCTest(b *strings.Builder, name string, tc *lift.TestCase) error {
 	fmt.Fprintf(b, "/* %s: %s path %s */\n", tc.Unit, tc.Spec.Type, tc.Name)
 	fmt.Fprintf(b, "int %s(void) {\n", name)
 	fmt.Fprintf(b, "    uint32_t ok = 1;\n")
@@ -98,25 +101,30 @@ func writeCTest(b *strings.Builder, name string, tc *lift.TestCase) {
 	b.WriteString("    __asm__ volatile (\n")
 	a := isa.NewAsm()
 	tc.EmitInto(a, "9f")
+	insts, err := asmInsts(a)
+	if err != nil {
+		return fmt.Errorf("aging library: test case %s: %w", tc.Name, err)
+	}
 	b.WriteString("        \"/* lifted test body */\\n\"\n")
-	for _, inst := range asmInsts(a) {
+	for _, inst := range insts {
 		fmt.Fprintf(b, "        %q\n", inst.String()+"\\n")
 	}
 	b.WriteString("        \"j 8f\\n\"\n        \"9: li %[ok], 0\\n\"\n        \"8:\\n\"\n")
 	b.WriteString("        : [ok] \"+r\"(ok)\n        :\n        : \"memory\");\n")
 	b.WriteString("    return ok == 0;\n}\n\n")
+	return nil
 }
 
 // asmInsts extracts the emitted instructions (labels resolved against a
 // local fail trampoline is handled textually above, so unresolved
 // branches keep their mnemonic form).
-func asmInsts(a *isa.Asm) []isa.Inst {
+func asmInsts(a *isa.Asm) ([]isa.Inst, error) {
 	a.Label("9f") // satisfy the fail-label reference for rendering
 	img, err := a.Assemble()
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	return img.Insts
+	return img.Insts, nil
 }
 
 // GenerateGoWrapper renders a Go wrapper (cgo) for the aging library,

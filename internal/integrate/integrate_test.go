@@ -199,7 +199,10 @@ func TestEmbeddedSuiteActuallyRuns(t *testing.T) {
 }
 
 func TestGenerateC(t *testing.T) {
-	src := GenerateC([]*lift.Suite{smallSuite(3), fpuSuite(2)})
+	src, err := GenerateC([]*lift.Suite{smallSuite(3), fpuSuite(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{
 		"vega_run_all", "vega_run_random", "vega_set_handler",
 		"__asm__ volatile", "vega_test_000", "vega_num_tests",
@@ -210,6 +213,18 @@ func TestGenerateC(t *testing.T) {
 	}
 	if strings.Count(src, "int vega_test_") != 5 {
 		t.Errorf("want 5 test functions, got %d", strings.Count(src, "int vega_test_"))
+	}
+}
+
+// TestAsmInstsFailsClosed: a test body that does not assemble is an
+// error, never an empty body — which the C template would report as a
+// pass for every input.
+func TestAsmInstsFailsClosed(t *testing.T) {
+	a := isa.NewAsm()
+	a.Addi(isa.T0, isa.T0, 1)
+	a.J("nowhere")
+	if insts, err := asmInsts(a); err == nil {
+		t.Fatalf("a body with an undefined label rendered as %d instructions and no error", len(insts))
 	}
 }
 

@@ -181,21 +181,55 @@ func (i Inst) String() string {
 		return fmt.Sprintf("%s %s, %d", i.Op, i.Rd, i.Imm)
 	case i.Op >= BEQ && i.Op <= BGEU:
 		return fmt.Sprintf("%s %s, %s, %d", i.Op, i.Rs1, i.Rs2, i.Imm)
-	case i.Op >= LB && i.Op <= LHU || i.Op == FLW:
+	case i.Op >= LB && i.Op <= LHU:
 		return fmt.Sprintf("%s %s, %d(%s)", i.Op, i.Rd, i.Imm, i.Rs1)
-	case i.Op >= SB && i.Op <= SW || i.Op == FSW:
+	case i.Op == FLW:
+		return fmt.Sprintf("%s f%d, %d(%s)", i.Op, i.Rd, i.Imm, i.Rs1)
+	case i.Op >= SB && i.Op <= SW:
 		return fmt.Sprintf("%s %s, %d(%s)", i.Op, i.Rs2, i.Imm, i.Rs1)
+	case i.Op == FSW:
+		return fmt.Sprintf("%s f%d, %d(%s)", i.Op, i.Rs2, i.Imm, i.Rs1)
 	case i.Op >= ADDI && i.Op <= SRAI || i.Op == JALR:
 		return fmt.Sprintf("%s %s, %s, %d", i.Op, i.Rd, i.Rs1, i.Imm)
 	case i.Op == ECALL || i.Op == EBREAK:
 		return i.Op.String()
 	case i.Op >= CSRRW && i.Op <= CSRRC:
 		return fmt.Sprintf("%s %s, %#x, %s", i.Op, i.Rd, uint32(i.Imm), i.Rs1)
-	case i.Op >= FADDS:
-		return fmt.Sprintf("%s f%d, f%d, f%d", i.Op, i.Rd, i.Rs1, i.Rs2)
+	case i.Op >= FADDS && i.Op < NumOps:
+		form := fpForms[i.Op]
+		regs := [...]Reg{i.Rd, i.Rs1, i.Rs2}
+		s, sep := i.Op.String(), " "
+		for k, file := range form.regs {
+			if file == 'f' {
+				s += fmt.Sprintf("%sf%d", sep, regs[k])
+			} else {
+				s += sep + regs[k].String()
+			}
+			sep = ", "
+		}
+		if form.rne {
+			s += ", rne"
+		}
+		return s
 	default:
 		return fmt.Sprintf("%s %s, %s, %s", i.Op, i.Rd, i.Rs1, i.Rs2)
 	}
+}
+
+// fpForms is the text form of each register-to-register RV32F op: the
+// register file ('f' or 'x') of rd, rs1 and, if it has one, rs2; and
+// whether the op carries a rounding mode, which Encode fixes to RNE and
+// the text must name (an assembler's default is the dynamic mode).
+var fpForms = [NumOps]struct {
+	regs string
+	rne  bool
+}{
+	FADDS: {"fff", true}, FSUBS: {"fff", true}, FMULS: {"fff", true}, FDIVS: {"fff", true},
+	FSGNJS: {"fff", false}, FSGNJNS: {"fff", false}, FSGNJXS: {"fff", false},
+	FMINS: {"fff", false}, FMAXS: {"fff", false},
+	FCVTWS: {"xf", true}, FCVTWUS: {"xf", true}, FMVXW: {"xf", false}, FCLASSS: {"xf", false},
+	FEQS: {"xff", false}, FLTS: {"xff", false}, FLES: {"xff", false},
+	FCVTSW: {"fx", true}, FCVTSWU: {"fx", true}, FMVWX: {"fx", false},
 }
 
 // CSR addresses implemented by the CPU.

@@ -1,7 +1,9 @@
 package isa
 
 import (
+	"fmt"
 	"math/rand"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -213,6 +215,94 @@ func TestInstString(t *testing.T) {
 	}
 	if s := (Inst{Op: LW, Rd: 6, Rs1: 2, Imm: 16}).String(); s != "lw t1, 16(sp)" {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// fpTexts is every RV32F op with the text String must give it: each
+// operand in its own register file, and the rounding mode Encode fixes
+// wherever the op has one.
+var fpTexts = []struct {
+	inst Inst
+	want string
+}{
+	{Inst{Op: FLW, Rd: 1, Rs1: 2, Imm: 16}, "flw f1, 16(sp)"},
+	{Inst{Op: FSW, Rs1: 2, Rs2: 3, Imm: -8}, "fsw f3, -8(sp)"},
+	{Inst{Op: FADDS, Rd: 1, Rs1: 2, Rs2: 3}, "fadd.s f1, f2, f3, rne"},
+	{Inst{Op: FSUBS, Rd: 4, Rs1: 5, Rs2: 6}, "fsub.s f4, f5, f6, rne"},
+	{Inst{Op: FMULS, Rd: 7, Rs1: 8, Rs2: 9}, "fmul.s f7, f8, f9, rne"},
+	{Inst{Op: FDIVS, Rd: 10, Rs1: 11, Rs2: 12}, "fdiv.s f10, f11, f12, rne"},
+	{Inst{Op: FSGNJS, Rd: 13, Rs1: 14, Rs2: 15}, "fsgnj.s f13, f14, f15"},
+	{Inst{Op: FSGNJNS, Rd: 16, Rs1: 17, Rs2: 18}, "fsgnjn.s f16, f17, f18"},
+	{Inst{Op: FSGNJXS, Rd: 19, Rs1: 20, Rs2: 21}, "fsgnjx.s f19, f20, f21"},
+	{Inst{Op: FMINS, Rd: 22, Rs1: 23, Rs2: 24}, "fmin.s f22, f23, f24"},
+	{Inst{Op: FMAXS, Rd: 25, Rs1: 26, Rs2: 27}, "fmax.s f25, f26, f27"},
+	{Inst{Op: FCVTWS, Rd: A0, Rs1: 1}, "fcvt.w.s a0, f1, rne"},
+	{Inst{Op: FCVTWUS, Rd: A1, Rs1: 2}, "fcvt.wu.s a1, f2, rne"},
+	{Inst{Op: FMVXW, Rd: T0, Rs1: 3}, "fmv.x.w t0, f3"},
+	{Inst{Op: FCLASSS, Rd: T1, Rs1: 4}, "fclass.s t1, f4"},
+	{Inst{Op: FEQS, Rd: A0, Rs1: 1, Rs2: 2}, "feq.s a0, f1, f2"},
+	{Inst{Op: FLTS, Rd: S1, Rs1: 3, Rs2: 4}, "flt.s s1, f3, f4"},
+	{Inst{Op: FLES, Rd: S2, Rs1: 5, Rs2: 6}, "fle.s s2, f5, f6"},
+	{Inst{Op: FCVTSW, Rd: 7, Rs1: A2}, "fcvt.s.w f7, a2, rne"},
+	{Inst{Op: FCVTSWU, Rd: 8, Rs1: A3}, "fcvt.s.wu f8, a3, rne"},
+	{Inst{Op: FMVWX, Rd: 1, Rs1: S5}, "fmv.w.x f1, s5"},
+}
+
+func TestInstStringFP(t *testing.T) {
+	if len(fpTexts) != int(NumOps-FLW) {
+		t.Fatalf("table covers %d RV32F ops, the ISA has %d", len(fpTexts), NumOps-FLW)
+	}
+	for _, c := range fpTexts {
+		if got := c.inst.String(); got != c.want {
+			t.Errorf("%v.String() = %q, want %q", c.inst.Op, got, c.want)
+		}
+	}
+}
+
+// TestInstStringAssembles hands every RV32F text form to LLVM's
+// assembler and requires the word it encodes to be the one Encode gives:
+// the text is a faithful disassembly, not merely readable.
+func TestInstStringAssembles(t *testing.T) {
+	mc, err := exec.LookPath("llvm-mc")
+	if err != nil {
+		t.Skip("llvm-mc is not on PATH")
+	}
+	if out, err := exec.Command(mc, "--version").Output(); err != nil || !strings.Contains(string(out), "riscv32") {
+		t.Skip("llvm-mc has no riscv32 target")
+	}
+	var src strings.Builder
+	for _, c := range fpTexts {
+		src.WriteString(c.inst.String() + "\n")
+	}
+	cmd := exec.Command(mc, "-triple=riscv32", "-mattr=+m,+f", "-show-encoding")
+	cmd.Stdin = strings.NewReader(src.String())
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("llvm-mc: %v\n%s", err, out)
+	}
+	var words []uint32
+	for _, line := range strings.Split(string(out), "\n") {
+		_, enc, ok := strings.Cut(line, "encoding: [")
+		if !ok {
+			continue
+		}
+		var b [4]uint32
+		if _, err := fmt.Sscanf(strings.TrimSuffix(enc, "]"), "0x%x,0x%x,0x%x,0x%x", &b[0], &b[1], &b[2], &b[3]); err != nil {
+			t.Fatalf("llvm-mc encoding %q: %v", line, err)
+		}
+		words = append(words, b[0]|b[1]<<8|b[2]<<16|b[3]<<24)
+	}
+	if len(words) != len(fpTexts) {
+		t.Fatalf("llvm-mc encoded %d of %d lines:\n%s", len(words), len(fpTexts), out)
+	}
+	for k, c := range fpTexts {
+		want, err := Encode(c.inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if words[k] != want {
+			t.Errorf("%q assembles to %#08x, Encode gives %#08x", c.want, words[k], want)
+		}
 	}
 }
 

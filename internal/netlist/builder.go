@@ -33,10 +33,6 @@ type Builder struct {
 	// stay alive through the cell slices that point into them.
 	inArena []NetID
 
-	// interned dedupes instance-name strings (bounded; see intern). Built
-	// lazily — most programmatic construction never repeats a name.
-	interned map[string]string
-
 	// nameBuf backs autoName formatting so the per-cell cost is one
 	// string allocation, not a fmt.Sprintf round trip.
 	nameBuf []byte
@@ -46,12 +42,6 @@ type Builder struct {
 // bookkeeping vanishes against million-cell imports, small enough that a
 // tiny netlist doesn't hold megabytes.
 const arenaChunk = 1 << 16
-
-// internCap bounds the interning table. Repeated names (hierarchical
-// prefixes, re-imported tool output) dedupe; once the table is full,
-// further unique names are stored without an extra index entry, so the
-// table can never grow past a fixed footprint.
-const internCap = 4096
 
 // NewBuilder returns an empty builder for a module with the given name.
 func NewBuilder(name string) *Builder {
@@ -94,9 +84,9 @@ func NewBuilderFrom(nl *Netlist) *Builder {
 // Reserve pre-sizes the builder for a netlist of roughly the given cell
 // count and total input-pin count, so construction at scale never pays
 // for incremental table growth. Callers that know the counts up front
-// (the streaming Verilog importer learns them from the wire declaration;
-// generators can compute them) call it once; calling it late or with
-// small values is harmless.
+// (the streaming Verilog importer learns them from the wire declaration
+// and the input's length; generators can compute them) call it once;
+// calling it late or with small values is harmless.
 func (b *Builder) Reserve(cells, totalInputs int) {
 	if cap(b.cells)-len(b.cells) < cells {
 		grown := make([]Cell, len(b.cells), len(b.cells)+cells)
@@ -126,26 +116,6 @@ func (b *Builder) arenaIn(in []NetID) []NetID {
 	lo := len(b.inArena)
 	b.inArena = append(b.inArena, in...)
 	return b.inArena[lo : lo+n : lo+n]
-}
-
-// intern returns a string for the byte slice, deduping repeated names
-// through a bounded table. The map lookup on the fast path does not
-// allocate (the compiler recognizes the m[string(b)] idiom).
-func (b *Builder) intern(s []byte) string {
-	if len(s) == 0 {
-		return ""
-	}
-	if b.interned == nil {
-		b.interned = make(map[string]string)
-	}
-	if v, ok := b.interned[string(s)]; ok {
-		return v
-	}
-	v := string(s)
-	if len(b.interned) < internCap {
-		b.interned[v] = v
-	}
-	return v
 }
 
 func (b *Builder) errf(format string, args ...any) {
@@ -277,23 +247,25 @@ func (b *Builder) AddRaw(k cell.Kind, name string, in []NetID, clk, out NetID, i
 
 // addDFFRaw is AddRaw for the streaming parser's DFF lines: the D pin
 // goes straight into the arena without a caller-side temporary slice.
-func (b *Builder) addDFFRaw(name string, d, clk, out NetID, init bool) {
+// The cell is added unnamed; the parser names every cell at once when
+// the module ends.
+func (b *Builder) addDFFRaw(d, clk, out NetID, init bool) {
 	if cap(b.inArena)-len(b.inArena) < 1 {
 		b.inArena = make([]NetID, 0, arenaChunk)
 	}
 	lo := len(b.inArena)
 	b.inArena = append(b.inArena, d)
 	b.cells = append(b.cells, Cell{
-		Kind: cell.DFF, Name: name,
-		In:  b.inArena[lo : lo+1 : lo+1],
-		Clk: clk, Out: out, Init: init,
+		Kind: cell.DFF,
+		In:   b.inArena[lo : lo+1 : lo+1],
+		Clk:  clk, Out: out, Init: init,
 	})
 }
 
-// addCombRaw is AddRaw for the streaming parser's combinational lines:
-// up to cell.MaxArity pins copied from a fixed-size array, no temporary
-// slice allocation.
-func (b *Builder) addCombRaw(k cell.Kind, name string, in [cell.MaxArity]NetID, nIn int, out NetID) {
+// addCombRaw is AddRaw for the streaming parser's combinational and tie
+// lines: up to cell.MaxArity pins copied from a fixed-size array, no
+// temporary slice allocation, and no name yet (see addDFFRaw).
+func (b *Builder) addCombRaw(k cell.Kind, in [cell.MaxArity]NetID, nIn int, out NetID) {
 	if cap(b.inArena)-len(b.inArena) < nIn {
 		b.inArena = make([]NetID, 0, arenaChunk)
 	}
@@ -303,7 +275,7 @@ func (b *Builder) addCombRaw(k cell.Kind, name string, in [cell.MaxArity]NetID, 
 	if nIn > 0 {
 		pins = b.inArena[lo : lo+nIn : lo+nIn]
 	}
-	b.cells = append(b.cells, Cell{Kind: k, Name: name, In: pins, Clk: NoNet, Out: out})
+	b.cells = append(b.cells, Cell{Kind: k, In: pins, Clk: NoNet, Out: out})
 }
 
 // RewireInput repoints input pin `pin` of cell cid to read from net n.

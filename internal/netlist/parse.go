@@ -8,6 +8,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/cell"
 )
@@ -30,13 +31,17 @@ const maxLineBytes = 1 << 20
 
 // ParseVerilogReader is the streaming form of ParseVerilog: one pass
 // over the input with a line scanner, no whole-file string splitting,
-// and hand-rolled line matching (no regexp). Memory scales with the
-// netlist, not with transient parse state — cells go straight into the
-// Builder's arena, and the flat `wire [N:0] n;` declaration pre-sizes
-// the net table and builder so a million-cell import does not pay for
-// incremental growth.
+// and hand-rolled line matching (no regexp) — each line is dispatched on
+// its keyword and matched by one left-to-right pass. Memory scales with
+// the netlist, not with transient parse state: cells go straight into
+// the Builder's arena, instance names into a few large blocks, and
+// the flat `wire [N:0] n;` declaration pre-sizes the tables (see
+// presize) so a million-cell import does not pay for incremental growth.
 func ParseVerilogReader(r io.Reader) (*Netlist, error) {
-	p := &vparser{b: NewBuilder("")}
+	p := &vparser{b: NewBuilder(""), srcLen: -1}
+	if l, ok := r.(interface{ Len() int }); ok {
+		p.srcLen = l.Len()
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
 	ln := 0
@@ -67,6 +72,10 @@ type vparser struct {
 	name string
 	done bool
 
+	// srcLen is the reader's unread length when the import started, or
+	// -1 if the reader does not report one.
+	srcLen int
+
 	// netsLo maps flat "n[i]" indices below its length to builder nets
 	// (NoNet = not yet allocated); it grows geometrically up to the
 	// declared wire-vector width (declNets) as indices are referenced,
@@ -87,9 +96,12 @@ type vparser struct {
 
 	cells int
 
-	// scratch buffers reused across lines (zero steady-state alloc).
-	stripBuf []byte
-	nameBuf  []byte
+	// The instance names of the cells added so far, in cell order, each
+	// ended by '\n' (which no source line contains): filled blocks in
+	// nameBlocks, the rest in names. A block is never copied or grown;
+	// finish slices every name out of the block strings.
+	nameBlocks []string
+	names      strings.Builder
 }
 
 type parsedPort struct {
@@ -106,13 +118,18 @@ const maxPortWidth = 4096
 // maxEagerNets bounds the dense net table (and with it what a hostile
 // wire declaration can make the parser allocate); indices beyond it
 // still work through the sparse overflow map. eagerNetSeed is what the
-// declaration alone may pre-allocate — one short line must not cost more
-// than the netlist that justifies it, so the rest of the table grows
-// geometrically as real references appear.
+// declaration may pre-allocate when the input's length is unknown.
+// minCellLine is the shortest line that adds a cell, so an input of L
+// bytes holds at most L/minCellLine cells.
 const (
 	maxEagerNets = 1 << 22
 	eagerNetSeed = 1 << 16
+	minCellLine  = len("assign n[0] = n[0];")
 )
+
+// maxNameBlock bounds the blocks instance names are stored in; blocks
+// double up to it from a few KiB, so a small module holds small blocks.
+const maxNameBlock = 1 << 20
 
 // Literal fragments of the dialect, hoisted so the hot per-line matchers
 // never rebuild them.
@@ -128,8 +145,6 @@ var (
 	litDFFD      = []byte("]), .d(n[")
 	litDFFQ      = []byte("]), .q(n[")
 	litAssign    = []byte("assign ")
-	litEq        = []byte(" = ")
-	litNetOpen   = []byte("n[")
 	litNotPar2   = []byte("~((")
 	litNotPar    = []byte("~(")
 	litClkbuf    = []byte("clkbuf")
@@ -138,18 +153,13 @@ var (
 	litClkgateSp = []byte("clkgate ")
 )
 
-// Ordered operator tables. These replace map-ranged matching (whose
-// iteration order is random) so that parse results and error messages
-// are deterministic across runs.
-var negOps = [...]struct {
-	op   byte
-	kind cell.Kind
-}{{'&', cell.NAND2}, {'|', cell.NOR2}, {'^', cell.XNOR2}}
-
-var binOps = [...]struct {
-	op   byte
-	kind cell.Kind
-}{{'&', cell.AND2}, {'|', cell.OR2}, {'^', cell.XOR2}}
+// gateOps is the ordered binary-operator table: an rhs is tried against
+// '&', then '|', then '^' (never map order), so parse results and error
+// messages are deterministic. shape counts them in the same order.
+var gateOps = [...]struct {
+	op       byte
+	pos, neg cell.Kind
+}{{'&', cell.AND2, cell.NAND2}, {'|', cell.OR2, cell.NOR2}, {'^', cell.XOR2, cell.XNOR2}}
 
 func isWordB(c byte) bool {
 	return c == '_' || c >= '0' && c <= '9' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
@@ -168,7 +178,7 @@ func isSpaceB(c byte) bool {
 // reject over, the lenient paths accept the clamp.
 func cutUint(b []byte) (v int, rest []byte, ok, over bool) {
 	i := 0
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+	for i < len(b) && b[i]-'0' <= 9 {
 		if v > (math.MaxInt-9)/10 {
 			over = true
 		} else {
@@ -185,13 +195,21 @@ func cutUint(b []byte) (v int, rest []byte, ok, over bool) {
 	return v, b[i:], true, over
 }
 
+// trim is bytes.TrimSpace, answered without a call when neither end of
+// b can be white space.
+func trim(b []byte) []byte {
+	if len(b) > 0 && b[0] > ' ' && b[0] < utf8.RuneSelf && b[len(b)-1] > ' ' && b[len(b)-1] < utf8.RuneSelf {
+		return b
+	}
+	return bytes.TrimSpace(b)
+}
+
 // netRef matches `n[<digits>]` exactly.
 func netRef(b []byte) (idx int, over, ok bool) {
-	r, k := bytes.CutPrefix(b, litNetOpen)
-	if !k {
+	if len(b) < 2 || b[0] != 'n' || b[1] != '[' {
 		return 0, false, false
 	}
-	v, rest, k2, ov := cutUint(r)
+	v, rest, k2, ov := cutUint(b[2:])
 	if !k2 || len(rest) != 1 || rest[0] != ']' {
 		return 0, false, false
 	}
@@ -252,21 +270,23 @@ func (p *vparser) net(idx int) NetID {
 
 // presize is the declaration-count prepass hook: Verilog() emits the
 // flat `wire [N:0] n;` declaration before any cell line, so its width
-// bounds the net count (and, to within port ties, the cell count) of
-// the whole module before a single cell is built. Only a small seed is
-// allocated up front; net() grows the dense table toward the declared
-// width as references appear.
+// bounds the net count (and with it the cell count) of the whole module
+// before a single cell is built. The reservation is also bounded by the
+// bytes actually supplied: when the reader reported its length, no more
+// cells are reserved than that many bytes of the shortest cell line
+// could add, so the net table and the cell and pin arenas are each
+// allocated once at their final size. Without a length only a
+// small seed is reserved and everything grows geometrically. Either
+// way, one short hostile declaration costs nothing by itself.
 func (p *vparser) presize(width int) {
 	if p.declNets != 0 || width <= 0 {
 		return
 	}
-	if width > maxEagerNets {
-		width = maxEagerNets
-	}
+	width = min(width, maxEagerNets)
 	p.declNets = width
-	seed := width
-	if seed > eagerNetSeed {
-		seed = eagerNetSeed
+	seed := min(width, eagerNetSeed)
+	if p.srcLen >= 0 {
+		seed = min(width, p.srcLen/minCellLine)
 	}
 	p.netsLo = make([]NetID, seed)
 	for i := range p.netsLo {
@@ -275,40 +295,49 @@ func (p *vparser) presize(width int) {
 	p.b.Reserve(seed, 2*seed)
 }
 
+// line dispatches one trimmed, non-comment source line on its keyword.
+// The keywords' first bytes differ, so a line that fails its keyword's
+// matcher is no other construct either.
 func (p *vparser) line(line []byte) error {
-	if nm, ok := matchModule(line); ok {
-		p.name = string(nm)
-		return nil
-	}
-	if string(line) == "endmodule" {
-		p.done = true
-		return nil
-	}
-	if w, ok := matchWireDecl(line); ok {
-		p.presize(w)
-		return nil
-	}
-	if nm, dig, matched := matchPortDecl(line, litInputDecl); matched {
-		width, err := portWidthB(dig, nm)
-		if err != nil {
-			return err
+	switch line[0] {
+	case 'a':
+		if rest, ok := bytes.CutPrefix(line, litAssign); ok {
+			if ok, err := p.assign(rest); ok {
+				return err
+			}
 		}
-		p.inputs = append(p.inputs, parsedPort{string(nm), width})
-		return nil
-	}
-	if nm, dig, matched := matchPortDecl(line, litOutDecl); matched {
-		width, err := portWidthB(dig, nm)
-		if err != nil {
-			return err
+	case 'd':
+		if p.dff(line) {
+			return nil
 		}
-		p.outputs = append(p.outputs, parsedPort{string(nm), width})
-		return nil
-	}
-	if p.tryDFF(line) {
-		return nil
-	}
-	if lhs, rhs, comment, ok := splitAssign(line); ok {
-		return p.assign(lhs, rhs, comment)
+	case 'e':
+		if string(line) == "endmodule" {
+			p.done = true
+			return nil
+		}
+	case 'i', 'o':
+		prefix, ports := litInputDecl, &p.inputs
+		if line[0] == 'o' {
+			prefix, ports = litOutDecl, &p.outputs
+		}
+		if nm, dig, matched := matchPortDecl(line, prefix); matched {
+			width, err := portWidthB(dig, nm)
+			if err != nil {
+				return err
+			}
+			*ports = append(*ports, parsedPort{string(nm), width})
+			return nil
+		}
+	case 'm':
+		if nm, ok := matchModule(line); ok {
+			p.name = string(nm)
+			return nil
+		}
+	case 'w':
+		if w, ok := matchWireDecl(line); ok {
+			p.presize(w)
+			return nil
+		}
 	}
 	return fmt.Errorf("unrecognized construct %q", line)
 }
@@ -408,9 +437,9 @@ func portWidthB(dig, portName []byte) (int, error) {
 	return hi + 1, nil
 }
 
-// tryDFF matches `dff #(.INIT(1'bX)) <name> (.clk(n[a]), .d(n[b]), .q(n[c]));`
+// dff matches `dff #(.INIT(1'bX)) <name> (.clk(n[a]), .d(n[b]), .q(n[c]));`
 // exactly, adding the flip-flop on success.
-func (p *vparser) tryDFF(line []byte) bool {
+func (p *vparser) dff(line []byte) bool {
 	rest, ok := bytes.CutPrefix(line, litDFFHead)
 	if !ok {
 		return false
@@ -455,175 +484,74 @@ func (p *vparser) tryDFF(line []byte) bool {
 	if !ok || string(rest) != "]));" {
 		return false
 	}
-	p.b.addDFFRaw(p.b.intern(nameB), p.net(d), p.net(clk), p.net(q), init)
+	p.addName(nameB)
+	p.b.addDFFRaw(p.net(d), p.net(clk), p.net(q), init)
 	p.cells++
 	return true
 }
 
-// splitAssign matches `assign <lhs> = <rhs>; [// <comment>]` with the
-// same lazy semantics as the old regexp: the first ` = ` with a
-// non-empty lhs splits the sides, and the first `;` (with a non-empty
-// rhs) whose tail is empty or a // comment ends the statement.
-func splitAssign(line []byte) (lhs, rhs, comment []byte, ok bool) {
-	rest, k := bytes.CutPrefix(line, litAssign)
-	if !k {
-		return nil, nil, nil, false
+// shape counts the bytes that decide the meaning of an assign's rhs:
+// '&', '|' and '^' (gateOps order), then '~', '?' (index shMux) and the
+// quote of a 1'bX literal.
+type shape [6]int
+
+const shMux = 4
+
+// rhsClass maps a byte to 1 + its shape index, ';' to semicolon, and
+// every byte the statement scan steps over to 0.
+const semicolon = 7
+
+var rhsClass = [256]int{'&': 1, '|': 2, '^': 3, '~': 4, '?': 1 + shMux, '\'': 6, ';': semicolon}
+
+// assign matches `assign <lhs> = <rhs>; [// <comment>]`, rest being what
+// follows "assign ", and adds what it declares; ok is false when the
+// line is no assign statement at all. One left-to-right pass finds the
+// statement: the lhs ends at the first ` = ` after at least one byte,
+// and the rhs at the first `;` after at least one byte whose tail is
+// empty or a // comment (an earlier `;` belongs to the rhs). On the way
+// the pass takes the rhs's shape, which says where its operands are.
+func (p *vparser) assign(rest []byte) (ok bool, err error) {
+	eq := 1
+	for eq+3 <= len(rest) && (rest[eq] != ' ' || rest[eq+1] != '=' || rest[eq+2] != ' ') {
+		eq++
 	}
-	i := -1
-	if len(rest) > 1 {
-		if j := bytes.Index(rest[1:], litEq); j >= 0 {
-			i = j + 1
+	if eq+3 > len(rest) {
+		return false, nil
+	}
+	after := rest[eq+3:]
+	var sh shape
+	for s, ch := range after {
+		k := rhsClass[ch]
+		if k == 0 {
+			continue
 		}
-	}
-	if i < 0 {
-		return nil, nil, nil, false
-	}
-	lhs = bytes.TrimSpace(rest[:i])
-	after := rest[i+3:]
-	pos := 0
-	for {
-		j := bytes.IndexByte(after[pos:], ';')
-		if j < 0 {
-			return nil, nil, nil, false
+		if k != semicolon {
+			sh[k-1]++
+			continue
 		}
-		s := pos + j
-		pos = s + 1
-		if s < 1 {
-			continue // rhs must be non-empty
+		if s == 0 {
+			continue // the rhs must be non-empty
 		}
 		tail := after[s+1:]
-		for len(tail) > 0 && isSpaceB(tail[0]) {
-			tail = tail[1:]
+		j := 0
+		for j < len(tail) && isSpaceB(tail[j]) {
+			j++
 		}
-		if len(tail) == 0 {
-			return lhs, bytes.TrimSpace(after[:s]), nil, true
-		}
-		if bytes.HasPrefix(tail, litComment) {
-			return lhs, bytes.TrimSpace(after[:s]), bytes.TrimSpace(tail[2:]), true
-		}
-	}
-}
-
-// stripped returns b with every space removed, reusing a scratch buffer.
-func (p *vparser) stripped(b []byte) []byte {
-	buf := p.stripBuf[:0]
-	for _, ch := range b {
-		if ch != ' ' {
-			buf = append(buf, ch)
-		}
-	}
-	p.stripBuf = buf
-	return buf
-}
-
-// cur is a cursor over a space-stripped expression.
-type cur struct {
-	b []byte
-	i int
-}
-
-func (c *cur) lit(s string) bool {
-	if len(c.b)-c.i < len(s) || string(c.b[c.i:c.i+len(s)]) != s {
-		return false
-	}
-	c.i += len(s)
-	return true
-}
-
-func (c *cur) num() (int, bool) {
-	v, rest, ok, over := cutUint(c.b[c.i:])
-	if !ok || over {
-		return 0, false
-	}
-	c.i = len(c.b) - len(rest)
-	return v, true
-}
-
-func (c *cur) end() bool { return c.i == len(c.b) }
-
-// parseMux matches `n[s]?n[b]:n[a]` on a space-stripped expression.
-func (p *vparser) parseMux(rhs []byte) (s, b, a int, ok bool) {
-	c := cur{b: p.stripped(rhs)}
-	if !c.lit("n[") {
-		return
-	}
-	if s, ok = c.num(); !ok {
-		return 0, 0, 0, false
-	}
-	if !c.lit("]?n[") {
-		return 0, 0, 0, false
-	}
-	if b, ok = c.num(); !ok {
-		return 0, 0, 0, false
-	}
-	if !c.lit("]:n[") {
-		return 0, 0, 0, false
-	}
-	if a, ok = c.num(); !ok {
-		return 0, 0, 0, false
-	}
-	if !c.lit("]") || !c.end() {
-		return 0, 0, 0, false
-	}
-	return s, b, a, true
-}
-
-// parseAOI matches `~((n[a]&n[b])|n[c])` (AOI21) or `~((n[a]|n[b])&n[c])`
-// (OAI21) on a space-stripped expression.
-func (p *vparser) parseAOI(rhs []byte) (a, b, c3 int, kind cell.Kind, ok bool) {
-	s := p.stripped(rhs)
-	for _, alt := range [...]struct {
-		inner, outer string
-		kind         cell.Kind
-	}{{"&", "|", cell.AOI21}, {"|", "&", cell.OAI21}} {
-		c := cur{b: s}
-		if !c.lit("~((n[") {
+		var comment []byte
+		switch {
+		case j == len(tail):
+		case j+1 < len(tail) && tail[j] == '/' && tail[j+1] == '/':
+			comment = trim(tail[j+2:])
+		default:
 			continue
 		}
-		a2, k := c.num()
-		if !k || !c.lit("]"+alt.inner+"n[") {
-			continue
-		}
-		b2, k := c.num()
-		if !k || !c.lit("])"+alt.outer+"n[") {
-			continue
-		}
-		c2, k := c.num()
-		if !k || !c.lit("])") || !c.end() {
-			continue
-		}
-		return a2, b2, c2, alt.kind, true
+		return true, p.statement(trim(rest[:eq]), trim(after[:s]), comment, &sh)
 	}
-	return 0, 0, 0, 0, false
+	return false, nil
 }
 
-// operand parses a (possibly space-padded) `n[i]` gate operand; strict
-// about overflow, like the old strconv.Atoi-based path.
-func operand(b []byte) (int, error) {
-	idx, over, ok := netRef(bytes.TrimSpace(b))
-	if !ok || over {
-		return 0, fmt.Errorf("operand %q", b)
-	}
-	return idx, nil
-}
-
-// splitBin splits `lhs <op> rhs` when op occurs exactly once and both
-// sides are net references.
-func splitBin(b []byte, op byte) (int, int, bool) {
-	i := bytes.IndexByte(b, op)
-	if i < 0 || bytes.IndexByte(b[i+1:], op) >= 0 {
-		return 0, 0, false
-	}
-	a, e1 := operand(b[:i])
-	c, e2 := operand(b[i+1:])
-	if e1 != nil || e2 != nil {
-		return 0, 0, false
-	}
-	return a, c, true
-}
-
-// assign handles both the port-tie assigns and the combinational cells.
-func (p *vparser) assign(lhs, rhs, comment []byte) error {
+// statement adds what one assign declares: a port tie or a cell.
+func (p *vparser) statement(lhs, rhs, comment []byte, sh *shape) error {
 	outIdx, _, isNet := netRef(lhs)
 	if !isNet {
 		// Output tie: name[i] = n[k].
@@ -641,8 +569,7 @@ func (p *vparser) assign(lhs, rhs, comment []byte) error {
 		return fmt.Errorf("assign lhs %q", lhs)
 	}
 
-	// Input tie: n[k] = portname or portname[i].
-	if !bytes.ContainsAny(rhs, "&|^~?'") {
+	if *sh == (shape{}) {
 		if in, _, k := netRef(rhs); k {
 			// n[a] = n[b]: a BUF or CLKBUF (comment disambiguates).
 			kind := cell.BUF
@@ -652,7 +579,8 @@ func (p *vparser) assign(lhs, rhs, comment []byte) error {
 			p.addComb(kind, comment, outIdx, in)
 			return nil
 		}
-		// Port bit (or scalar port, e.g. the clock).
+		// Input tie: n[k] = portname or portname[i] (or a scalar port,
+		// e.g. the clock).
 		if p.portBits == nil {
 			p.portBits = make(map[string]NetID)
 		}
@@ -661,46 +589,30 @@ func (p *vparser) assign(lhs, rhs, comment []byte) error {
 	}
 
 	switch {
-	case string(rhs) == "1'b0":
-		p.b.AddRaw(cell.TIE0, p.cellName(comment), nil, NoNet, p.net(outIdx), false)
-	case string(rhs) == "1'b1":
-		p.b.AddRaw(cell.TIE1, p.cellName(comment), nil, NoNet, p.net(outIdx), false)
-	case bytes.IndexByte(rhs, '?') >= 0:
+	case string(rhs) == "1'b0" || string(rhs) == "1'b1":
+		kind := cell.TIE0
+		if rhs[3] == '1' {
+			kind = cell.TIE1
+		}
+		p.cellName(comment)
+		p.b.addCombRaw(kind, [cell.MaxArity]NetID{}, 0, p.net(outIdx))
+	case sh[shMux] > 0:
 		// s ? b : a
-		s, bb, aa, ok := p.parseMux(rhs)
+		v, ok := (&spaced{b: rhs}).match("n[#]?n[#]:n[#]")
 		if !ok {
 			return fmt.Errorf("mux %q", rhs)
 		}
-		p.addComb(cell.MUX2, comment, outIdx, aa, bb, s)
-	case bytes.HasPrefix(rhs, litNotPar2) && bytes.IndexByte(rhs, '&') >= 0 && bytes.IndexByte(rhs, '|') >= 0:
-		a, b2, c, kind, ok := p.parseAOI(rhs)
-		if !ok {
-			return fmt.Errorf("aoi/oai %q", rhs)
-		}
-		p.addComb(kind, comment, outIdx, a, b2, c)
-	case bytes.HasPrefix(rhs, litNotPar):
-		inner := bytes.TrimSuffix(bytes.TrimPrefix(rhs, litNotPar), []byte{')'})
-		for _, e := range negOps {
-			if a, b2, ok := splitBin(inner, e.op); ok {
-				p.addComb(e.kind, comment, outIdx, a, b2)
-				return nil
-			}
-		}
-		return fmt.Errorf("negated gate %q", rhs)
+		p.addComb(cell.MUX2, comment, outIdx, v[2], v[1], v[0])
 	case rhs[0] == '~':
-		a, err := operand(rhs[1:])
-		if err != nil {
-			return err
-		}
-		p.addComb(cell.INV, comment, outIdx, a)
+		return p.negated(rhs, comment, outIdx, sh)
 	default:
-		for _, e := range binOps {
-			if a, b2, ok := splitBin(rhs, e.op); ok {
-				kind := e.kind
+		for i, g := range gateOps {
+			if a, b, ok := splitBin(rhs, g.op, sh[i]); ok {
+				kind := g.pos
 				if kind == cell.AND2 && bytes.HasPrefix(comment, litClkgate) {
 					kind = cell.CLKGATE
 				}
-				p.addComb(kind, comment, outIdx, a, b2)
+				p.addComb(kind, comment, outIdx, a, b)
 				return nil
 			}
 		}
@@ -709,26 +621,142 @@ func (p *vparser) assign(lhs, rhs, comment []byte) error {
 	return nil
 }
 
-// cellName resolves a cell's instance name from its `// name` comment.
-func (p *vparser) cellName(comment []byte) string {
-	c := bytes.TrimSpace(comment)
+// negated adds the cell of an rhs that starts with '~': an AOI21/OAI21,
+// a NAND2/NOR2/XNOR2 or an INV, tried in that order.
+func (p *vparser) negated(rhs, comment []byte, outIdx int, sh *shape) error {
+	switch {
+	case bytes.HasPrefix(rhs, litNotPar2) && sh[0] > 0 && sh[1] > 0:
+		for _, alt := range [...]struct {
+			pat  string
+			kind cell.Kind
+		}{{"~((n[#]&n[#])|n[#])", cell.AOI21}, {"~((n[#]|n[#])&n[#])", cell.OAI21}} {
+			if v, ok := (&spaced{b: rhs}).match(alt.pat); ok {
+				p.addComb(alt.kind, comment, outIdx, v[0], v[1], v[2])
+				return nil
+			}
+		}
+		return fmt.Errorf("aoi/oai %q", rhs)
+	case bytes.HasPrefix(rhs, litNotPar):
+		inner := bytes.TrimSuffix(rhs[len(litNotPar):], []byte{')'})
+		for i, g := range gateOps {
+			if a, b, ok := splitBin(inner, g.op, sh[i]); ok {
+				p.addComb(g.neg, comment, outIdx, a, b)
+				return nil
+			}
+		}
+		return fmt.Errorf("negated gate %q", rhs)
+	}
+	a, ok := operand(rhs[1:])
+	if !ok {
+		return fmt.Errorf("operand %q", rhs[1:])
+	}
+	p.addComb(cell.INV, comment, outIdx, a)
+	return nil
+}
+
+// spaced is a cursor that reads an expression as if every ' ' in it were
+// deleted: the mux and AOI/OAI forms are matched that way.
+type spaced struct {
+	b []byte
+	i int
+}
+
+func (c *spaced) skip() {
+	for c.i < len(c.b) && c.b[c.i] == ' ' {
+		c.i++
+	}
+}
+
+// match reads the whole expression as pat, in which each '#' stands for
+// a decimal number that fits an int, and returns the numbers in order.
+func (c *spaced) match(pat string) (nums [3]int, ok bool) {
+	k := 0
+	for j := 0; j < len(pat); j++ {
+		c.skip()
+		if pat[j] != '#' {
+			if c.i == len(c.b) || c.b[c.i] != pat[j] {
+				return nums, false
+			}
+			c.i++
+			continue
+		}
+		v, digits, over := 0, 0, false
+		for ; c.i < len(c.b) && c.b[c.i]-'0' <= 9; c.skip() {
+			if v > (math.MaxInt-9)/10 {
+				over = true
+			} else {
+				v = v*10 + int(c.b[c.i]-'0')
+			}
+			c.i++
+			digits++
+		}
+		if digits == 0 || over {
+			return nums, false
+		}
+		nums[k] = v
+		k++
+	}
+	c.skip()
+	return nums, c.i == len(c.b)
+}
+
+// operand parses a (possibly space-padded) `n[i]` gate operand; strict
+// about overflow, like the old strconv.Atoi-based path.
+func operand(b []byte) (int, bool) {
+	idx, over, ok := netRef(trim(b))
+	return idx, ok && !over
+}
+
+// splitBin splits `lhs <op> rhs` when op occurs exactly once (count, as
+// the statement's shape counted it) and both sides are net references.
+func splitBin(b []byte, op byte, count int) (int, int, bool) {
+	if count != 1 {
+		return 0, 0, false
+	}
+	i := bytes.IndexByte(b, op)
+	a, ok := operand(b[:i])
+	if !ok {
+		return 0, 0, false
+	}
+	c, ok := operand(b[i+1:])
+	return a, c, ok
+}
+
+// addName records the instance name of the cell about to be added.
+func (p *vparser) addName(name []byte) {
+	if n := p.names.Len(); n+len(name)+1 > p.names.Cap() {
+		if n > 0 {
+			p.nameBlocks = append(p.nameBlocks, p.names.String())
+		}
+		size := max(min(2*p.names.Cap(), maxNameBlock), 4<<10, len(name)+1)
+		p.names = strings.Builder{}
+		p.names.Grow(size)
+	}
+	p.names.Write(name)
+	p.names.WriteByte('\n')
+}
+
+// cellName records a combinational cell's instance name from its
+// `// name` comment, or "cell$<n>" without one.
+func (p *vparser) cellName(comment []byte) {
 	// Strip clock-cell markers until none remain so that naming is
 	// idempotent across export/parse round trips: Verilog() re-prefixes
 	// the marker, and a single trim would leave a residual prefix that
 	// shifts the name on every round.
-	for {
-		s := bytes.TrimPrefix(bytes.TrimPrefix(c, litClkbufSp), litClkgateSp)
-		if len(s) == len(c) {
+	for len(comment) > 0 && comment[0] == 'c' {
+		if c, ok := bytes.CutPrefix(comment, litClkbufSp); ok {
+			comment = c
+		} else if c, ok := bytes.CutPrefix(comment, litClkgateSp); ok {
+			comment = c
+		} else {
 			break
 		}
-		c = s
 	}
-	if len(c) == 0 {
-		p.nameBuf = append(p.nameBuf[:0], "cell$"...)
-		p.nameBuf = strconv.AppendInt(p.nameBuf, int64(p.cells), 10)
-		return string(p.nameBuf)
+	if len(comment) == 0 {
+		var buf [32]byte
+		comment = strconv.AppendInt(append(buf[:0], "cell$"...), int64(p.cells), 10)
 	}
-	return p.b.intern(c)
+	p.addName(comment)
 }
 
 func (p *vparser) addComb(kind cell.Kind, comment []byte, out int, ins ...int) {
@@ -736,12 +764,24 @@ func (p *vparser) addComb(kind cell.Kind, comment []byte, out int, ins ...int) {
 	for i, n := range ins {
 		pins[i] = p.net(n)
 	}
-	p.b.addCombRaw(kind, p.cellName(comment), pins, len(ins), p.net(out))
+	p.cellName(comment)
+	p.b.addCombRaw(kind, pins, len(ins), p.net(out))
 	p.cells++
 }
 
-// finish wires ports and validates.
+// finish names the cells, wires ports and validates.
 func (p *vparser) finish() (*Netlist, error) {
+	i := 0
+	for _, names := range append(p.nameBlocks, p.names.String()) {
+		for names != "" {
+			end := strings.IndexByte(names, '\n')
+			p.b.cells[i].Name = names[:end]
+			names = names[end+1:]
+			i++
+		}
+	}
+	p.nameBlocks, p.names = nil, strings.Builder{}
+
 	// The first scalar input is the clock by convention of Verilog().
 	declared := func(name string, width int) Bus {
 		bus := make(Bus, width)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -50,6 +51,20 @@ func signature(nl *Netlist) string {
 	return sb.String()
 }
 
+// badSources are modules the importer must reject, one malformed
+// construct each.
+var badSources = []string{
+	"module x (a);\nassign n[0] = n[1] & n[2] & n[3];\nendmodule\n",
+	"module x (a);\nassign n[0] = n[1] | n[2] ^ n[3];\nendmodule\n",
+	"module x (a);\nassign n[0] = ~(n[1] @ n[2]);\nendmodule\n",
+	"module x (a);\nassign n[0] = ~((n[1]&n[2])|x);\nendmodule\n",
+	"module x (a);\nassign n[0] = n[1] ? wat : n[2];\nendmodule\n",
+	"module x (a);\nassign n[0] = ~zzz;\nendmodule\n",
+	"module x (a);\nwat;\nendmodule\n",
+	"module x (a);\nassign wat = n[0];\nendmodule\n",
+	"module x (a);\ninput wire [99999:0] a;\nendmodule\n",
+}
+
 // TestParseDeterminism is the regression test for the old map-ranged
 // operator matching: parse results and error messages must be stable
 // across repeated runs (map iteration order used to make both flicker).
@@ -69,18 +84,7 @@ func TestParseDeterminism(t *testing.T) {
 		}
 	}
 
-	bad := []string{
-		"module x (a);\nassign n[0] = n[1] & n[2] & n[3];\nendmodule\n",
-		"module x (a);\nassign n[0] = n[1] | n[2] ^ n[3];\nendmodule\n",
-		"module x (a);\nassign n[0] = ~(n[1] @ n[2]);\nendmodule\n",
-		"module x (a);\nassign n[0] = ~((n[1]&n[2])|x);\nendmodule\n",
-		"module x (a);\nassign n[0] = n[1] ? wat : n[2];\nendmodule\n",
-		"module x (a);\nassign n[0] = ~zzz;\nendmodule\n",
-		"module x (a);\nwat;\nendmodule\n",
-		"module x (a);\nassign wat = n[0];\nendmodule\n",
-		"module x (a);\ninput wire [99999:0] a;\nendmodule\n",
-	}
-	for _, src := range bad {
+	for _, src := range badSources {
 		_, err := ParseVerilog(src)
 		if err == nil {
 			t.Errorf("accepted %q", src)
@@ -152,9 +156,11 @@ func TestWriteVerilogMatchesVerilog(t *testing.T) {
 	}
 }
 
-// TestParseAllocsLinear guards the parse hot path: steady-state
-// allocations must stay a small constant per cell (arena slabs, interned
-// names, no per-line garbage).
+// TestParseAllocsLinear guards the parse hot path: an import allocates
+// a bounded number of tables, not objects per cell. The string reader
+// reports its length, so the cell, pin and net tables are reserved once;
+// instance names are stored in a few large blocks; no line leaves
+// garbage. What remains is per port bit and per table.
 func TestParseAllocsLinear(t *testing.T) {
 	b := NewBuilder("wide")
 	clk := b.Clock("clk")
@@ -174,12 +180,44 @@ func TestParseAllocsLinear(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Floor is ~1 alloc/cell: every unique instance name must be
-	// materialized as a string. Everything else (pins, net table, line
-	// buffers) amortizes into slabs.
 	cells := float64(len(nl.Cells))
-	if perCell := per / cells; perCell > 1.5 {
-		t.Errorf("parse allocates %.2f allocs/cell (%.0f total for %.0f cells); want <= 1.5",
+	if perCell := per / cells; perCell > 0.05 {
+		t.Errorf("parse allocates %.3f allocs/cell (%.0f total for %.0f cells); want <= 0.05",
 			perCell, per, cells)
+	}
+}
+
+// TestParseReservationBoundedByInput: the flat wire declaration may
+// claim four million nets, but what the import reserves is bounded by
+// the bytes actually supplied, so a short source costs a short source's
+// memory whatever it declares.
+func TestParseReservationBoundedByInput(t *testing.T) {
+	for _, k := range []int{10, 100, 1000} {
+		var sb strings.Builder
+		sb.WriteString("module m (clk, a, o);\n  input wire clk;\n  input wire [0:0] a;\n  output wire [0:0] o;\n")
+		sb.WriteString("  wire [4194303:0] n;\n  assign n[0] = a[0];\n")
+		for i := 0; i < k; i++ {
+			fmt.Fprintf(&sb, "  assign n[%d] = ~n[%d];\n", i+1, i)
+		}
+		fmt.Fprintf(&sb, "  assign o[0] = n[%d];\nendmodule\n", k)
+		src := sb.String()
+
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		nl, err := ParseVerilog(src)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(nl.Cells) != k {
+			t.Fatalf("%d cells, want %d", len(nl.Cells), k)
+		}
+		// The constant term: the line scanner's 64 KiB buffer, the
+		// builder's first pin slab (arenaChunk NetIDs), and 64 KiB for
+		// the port tables and the first name block.
+		got := m1.TotalAlloc - m0.TotalAlloc
+		if limit := uint64(16*len(src) + 64<<10 + 4*arenaChunk + 64<<10); got > limit {
+			t.Errorf("k=%d: importing %d bytes allocated %d bytes, want <= %d", k, len(src), got, limit)
+		}
 	}
 }

@@ -5,12 +5,14 @@ package netlist_test
 // test would be an import cycle).
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/alu"
 	"repro/internal/cell"
 	"repro/internal/fpu"
 	"repro/internal/netlist"
+	"repro/internal/synth"
 )
 
 // FuzzVerilogRoundTrip checks the two contracts of the failing-netlist
@@ -24,27 +26,112 @@ import (
 //     and after one normalizing round trip the Verilog text is an exact
 //     fixed point of Verilog(ParseVerilog(·)).
 func FuzzVerilogRoundTrip(f *testing.F) {
-	// The FPU export (~460 KB) starves the mutation engine when used as
-	// a seed, so it is exercised by TestVerilogRoundTripFPU below and
-	// only the ALU export seeds the fuzzer.
-	f.Add(alu.Build().Netlist.Verilog())
-	f.Add("module m (clk, a, o);\n" +
-		"  input wire clk;\n" +
-		"  input wire [1:0] a;\n" +
-		"  output wire [0:0] o;\n" +
-		"  wire [5:0] n;\n" +
-		"  assign n[0] = clk;\n" +
-		"  assign n[1] = a[0];\n" +
-		"  assign n[2] = a[1];\n" +
-		"  assign n[3] = n[1] ^ n[2]; // x\n" +
-		"  dff #(.INIT(1'b1)) q (.clk(n[0]), .d(n[3]), .q(n[4]));\n" +
-		"  assign o[0] = n[4];\n" +
-		"endmodule\n")
-	f.Add("module empty ();\nendmodule\n")
-	f.Add("module bad (a);\n  input wire [999999999:0] a;\nendmodule\n")
-	f.Add("not verilog at all")
-
+	for _, src := range roundTripSeeds() {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) { checkRoundTrip(t, src) })
+}
+
+// roundTripSeeds are the importer's fuzz seeds. The FPU export (~460 KB)
+// starves the mutation engine when used as a seed, so it is exercised by
+// TestVerilogRoundTripFPU and TestParseMatchesOracle instead and only
+// the ALU export seeds the fuzzers.
+func roundTripSeeds() []string {
+	return []string{
+		alu.Build().Netlist.Verilog(),
+		"module m (clk, a, o);\n" +
+			"  input wire clk;\n" +
+			"  input wire [1:0] a;\n" +
+			"  output wire [0:0] o;\n" +
+			"  wire [5:0] n;\n" +
+			"  assign n[0] = clk;\n" +
+			"  assign n[1] = a[0];\n" +
+			"  assign n[2] = a[1];\n" +
+			"  assign n[3] = n[1] ^ n[2]; // x\n" +
+			"  dff #(.INIT(1'b1)) q (.clk(n[0]), .d(n[3]), .q(n[4]));\n" +
+			"  assign o[0] = n[4];\n" +
+			"endmodule\n",
+		"module empty ();\nendmodule\n",
+		"module bad (a);\n  input wire [999999999:0] a;\nendmodule\n",
+		"not verilog at all",
+	}
+}
+
+// spacedModule wraps one cell line in a module whose nets n[1]..n[3]
+// are driven by input bits, so that any gate form it accepts builds.
+func spacedModule(cellLine string) string {
+	return "module s (a, o);\n  input wire [2:0] a;\n  output wire [0:0] o;\n  wire [4:0] n;\n" +
+		"  assign n[1] = a[0];\n  assign n[2] = a[1];\n  assign n[3] = a[2];\n" +
+		cellLine + "\n  assign o[0] = n[0];\nendmodule\n"
+}
+
+// FuzzParseMatchesOracle holds the one-pass line matcher to the importer
+// it replaced: whatever the bytes, both accept or both reject, with the
+// same error text, and what they accept is the same netlist — every
+// cell's kind, name, pins and init, every net number and port.
+func FuzzParseMatchesOracle(f *testing.F) {
+	for _, src := range roundTripSeeds() {
+		f.Add(src)
+	}
+	for _, src := range netlist.BadSources {
+		f.Add(src)
+	}
+	for _, line := range []string{
+		"assign n[0] = n[1]&n[2];",
+		"assign n[0] = ~ ( n[1] | n[2] );",
+		"assign n[0] = ~(n[1] ^ n[2]",
+		"assign n[0] =\tn[1]\t^ n[2] ;\t// x",
+		"assign n[0] = n [ 1 ] ? n[2 ] : n[ 3];",
+		"assign n[0] = ~(( n[1]&n[2] )| n[3] ); // clkbuf clkgate g",
+		"assign n[0] = ~\tn[1]; //",
+		"assign n[0] = n[1] & n[2]; // clkgate cg",
+		"assign n[0] = n[1]; // clkbuf cb",
+		"assign n[0] = 1'b1; //",
+		"assign n[0] = n[1]; junk; // t",
+		"assign  n[0] = n[1] | n[2];//",
+		"// a comment\n  assign n[0] = n[1] & n[3];",
+	} {
+		f.Add(spacedModule(line))
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		checkMatchesOracle(t, "string", src, netlist.ParseVerilog, netlist.OracleParse)
+	})
+}
+
+// TestParseMatchesOracle runs the oracle comparison over every real
+// netlist the repository has, through the length-reporting string reader
+// and through a 7-byte chunk reader that reports no length (so both
+// reservation paths are held to the oracle).
+func TestParseMatchesOracle(t *testing.T) {
+	sources := map[string]string{
+		"alu":      alu.Build().Netlist.Verilog(),
+		"fpu":      fpu.Build().Netlist.Verilog(),
+		"zoo":      netlist.GateZoo(t).Verilog(),
+		"pipeline": synth.PipelineForCells(10_000).Build().Verilog(),
+	}
+	chunked := func(read func(io.Reader) (*netlist.Netlist, error)) func(string) (*netlist.Netlist, error) {
+		return func(src string) (*netlist.Netlist, error) { return read(netlist.NewChunkReader(src, 7)) }
+	}
+	for name, src := range sources {
+		checkMatchesOracle(t, name+"/string", src, netlist.ParseVerilog, netlist.OracleParse)
+		checkMatchesOracle(t, name+"/chunked", src, chunked(netlist.ParseVerilogReader), chunked(netlist.OracleParseReader))
+	}
+}
+
+func checkMatchesOracle(t *testing.T, what, src string, parse, oracle func(string) (*netlist.Netlist, error)) {
+	t.Helper()
+	got, err := parse(src)
+	want, werr := oracle(src)
+	switch {
+	case (err == nil) != (werr == nil):
+		t.Fatalf("%s: importer error %v, oracle error %v", what, err, werr)
+	case err != nil:
+		if err.Error() != werr.Error() {
+			t.Fatalf("%s: importer error %q, oracle error %q", what, err, werr)
+		}
+	case netlist.Signature(got) != netlist.Signature(want):
+		t.Fatalf("%s: importer and oracle built different netlists", what)
+	}
 }
 
 // TestVerilogRoundTripFPU runs the fuzz property once over the largest

@@ -1,0 +1,47 @@
+package vega_test
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// lineBudget is the ceiling on the module's non-test Go lines, as
+// TestLineBudget counts them. A change that deletes code lowers it; one
+// that must raise it edits it here, in the same diff, and appends the
+// reason below.
+//
+//	26,240  where the ratchet started.
+const lineBudget = 26_240
+
+// TestLineBudget is the ratchet behind ROADMAP's "same numbers from the
+// least code": it counts the lines of every non-test Go file the census
+// loader would type-check, and fails when they exceed lineBudget.
+func TestLineBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reads every source file of the module")
+	}
+	lines := 0
+	for _, dir := range moduleDirs(t) {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir() || !isSource(dir, e.Name()) {
+				continue
+			}
+			src, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines += bytes.Count(src, []byte("\n"))
+		}
+	}
+	if lines > lineBudget {
+		t.Errorf("%d non-test Go lines, over the ceiling of %d: delete code, or raise lineBudget with a reason", lines, lineBudget)
+	} else if lines < lineBudget {
+		t.Logf("%d non-test Go lines, %d under the ceiling: lower lineBudget to lock the deletion in", lines, lineBudget-lines)
+	}
+}

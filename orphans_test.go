@@ -205,22 +205,7 @@ func loadModule(t *testing.T) *census {
 		reached: map[types.Object]bool{},
 		pkgSeen: map[*types.Package]bool{},
 	}
-	dirs := map[string]string{} // import path -> directory
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		if m, _ := filepath.Glob(filepath.Join(path, "*.go")); len(m) > 0 {
-			dirs[filepath.ToSlash(filepath.Join("repro", path))] = path
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dirs := moduleDirs(t)
 	// No cgo: the pure-Go variants of net and os/user type-check without
 	// a C toolchain.
 	saved := build.Default.CgoEnabled
@@ -238,8 +223,7 @@ func loadModule(t *testing.T) *census {
 			return std.Import(path)
 		}
 		parsed, err := parser.ParseDir(c.fset, dir, func(fi fs.FileInfo) bool {
-			ok, err := build.Default.MatchFile(dir, fi.Name())
-			return ok && err == nil && !strings.HasSuffix(fi.Name(), "_test.go")
+			return isSource(dir, fi.Name())
 		}, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
@@ -267,6 +251,36 @@ func loadModule(t *testing.T) *census {
 	}
 	c.collectInterfaces()
 	return c
+}
+
+// moduleDirs maps the import path of every package directory of the
+// module to the directory, skipping hidden directories and testdata.
+func moduleDirs(t *testing.T) map[string]string {
+	t.Helper()
+	dirs := map[string]string{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		if m, _ := filepath.Glob(filepath.Join(path, "*.go")); len(m) > 0 {
+			dirs[filepath.ToSlash(filepath.Join("repro", path))] = path
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dirs
+}
+
+// isSource reports whether file name of dir is non-test Go source that
+// the build context compiles.
+func isSource(dir, name string) bool {
+	ok, err := build.Default.MatchFile(dir, name)
+	return ok && err == nil && !strings.HasSuffix(name, "_test.go")
 }
 
 type importerFunc func(path string) (*types.Package, error)
