@@ -82,12 +82,6 @@ func (k Kind) IsSequential() bool { return k == DFF }
 // IsClock reports whether k is a clock-network cell.
 func (k Kind) IsClock() bool { return k == CLKBUF || k == CLKGATE }
 
-// IsCombinational reports whether k computes a pure function of its
-// inputs (everything except DFF and the clock cells).
-func (k Kind) IsCombinational() bool {
-	return !k.IsSequential() && !k.IsClock()
-}
-
 // Eval computes the cell's output for the given input values. The slice
 // length must equal NumInputs(). Sequential and clock cells are evaluated
 // by the simulator, not here; calling Eval on them panics.

@@ -77,13 +77,13 @@ func TestEvalPanicsOnSequential(t *testing.T) {
 }
 
 func TestClassification(t *testing.T) {
-	if !DFF.IsSequential() || DFF.IsCombinational() || DFF.IsClock() {
+	if !DFF.IsSequential() || DFF.IsClock() {
 		t.Error("DFF classification wrong")
 	}
-	if !CLKBUF.IsClock() || !CLKGATE.IsClock() || CLKBUF.IsCombinational() {
+	if !CLKBUF.IsClock() || !CLKGATE.IsClock() || CLKBUF.IsSequential() {
 		t.Error("clock cell classification wrong")
 	}
-	if !AND2.IsCombinational() || AND2.IsClock() || AND2.IsSequential() {
+	if AND2.IsClock() || AND2.IsSequential() {
 		t.Error("AND2 classification wrong")
 	}
 }

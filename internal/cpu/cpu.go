@@ -90,12 +90,25 @@ type CPU struct {
 	// the basic-block profiler).
 	InstHook func(pc uint32, inst isa.Inst)
 
-	decodeCache map[uint32]isa.Inst
+	// An instruction is decoded at its first execution and never again
+	// until the next Load, even if a store overwrites it: text holds the
+	// last-loaded image's words, one slot per word, and other any PC
+	// outside them (made on first need).
+	text     []decoded
+	textBase uint32
+	other    map[uint32]isa.Inst
 
 	// The memory is written only by the stores and Load, and each write
 	// marks its pages dirty, so Recycled can clear just those.
 	mem   []byte
 	dirty []bool // per 1<<pageShift-byte page
+}
+
+// decoded is one slot of the decode cache; ok is false until the word
+// at its PC first executes.
+type decoded struct {
+	inst isa.Inst
+	ok   bool
 }
 
 // pageShift sizes the pages a CPU tracks its memory writes in: 4 KiB.
@@ -104,9 +117,9 @@ const pageShift = 12
 // New creates a CPU with the given memory size.
 func New(memSize int) *CPU {
 	return &CPU{
-		mem:         make([]byte, memSize),
-		dirty:       make([]bool, (memSize+1<<pageShift-1)>>pageShift),
-		decodeCache: make(map[uint32]isa.Inst),
+		mem:   make([]byte, memSize),
+		dirty: make([]bool, (memSize+1<<pageShift-1)>>pageShift),
+		text:  []decoded{},
 	}
 }
 
@@ -122,10 +135,12 @@ func (c *CPU) touch(lo, hi uint32) {
 	}
 }
 
-// arena is a released CPU's memory with the record of its written pages.
+// arena is a released CPU's memory with the record of its written pages,
+// and its decode slots for the next Load to reuse.
 type arena struct {
 	mem   []byte
 	dirty []bool
+	text  []decoded
 }
 
 // arenas holds the memories of released CPUs.
@@ -149,14 +164,14 @@ func Recycled(memSize int) *CPU {
 			a.dirty[p] = false
 		}
 	}
-	return &CPU{mem: a.mem, dirty: a.dirty, decodeCache: make(map[uint32]isa.Inst)}
+	return &CPU{mem: a.mem, dirty: a.dirty, text: a.text[:0]}
 }
 
 // Release hands c's memory to the next Recycled call and leaves c with
 // none, so a use after release faults instead of corrupting another run.
 func (c *CPU) Release() {
-	arenas.Put(&arena{c.mem, c.dirty})
-	c.mem, c.dirty = nil, nil
+	arenas.Put(&arena{c.mem, c.dirty, c.text})
+	c.mem, c.dirty, c.text = nil, nil, nil
 }
 
 // Load copies an assembled image into memory and points the PC at its
@@ -171,7 +186,13 @@ func (c *CPU) Load(img *isa.Image) {
 	}
 	c.PC = img.Base
 	c.Halt = Running
-	c.decodeCache = make(map[uint32]isa.Inst)
+	if cap(c.text) < len(img.Words) {
+		c.text = make([]decoded, len(img.Words))
+	} else {
+		c.text = c.text[:len(img.Words)]
+		clear(c.text)
+	}
+	c.textBase, c.other = img.Base, nil
 	// A stack at the top of memory.
 	c.X[isa.SP] = uint32(len(c.mem) - 16)
 }
@@ -257,19 +278,9 @@ func (c *CPU) Step() {
 	if c.Halt != Running {
 		return
 	}
-	inst, ok := c.decodeCache[c.PC]
+	inst, ok := c.fetch()
 	if !ok {
-		w, wok := c.loadWord(c.PC)
-		if !wok {
-			return
-		}
-		var err error
-		inst, err = isa.Decode(w)
-		if err != nil {
-			c.fault("decode at %#x: %v", c.PC, err)
-			return
-		}
-		c.decodeCache[c.PC] = inst
+		return
 	}
 	if c.InstHook != nil {
 		c.InstHook(c.PC, inst)
@@ -277,6 +288,37 @@ func (c *CPU) Step() {
 	c.execute(inst)
 	c.X[0] = 0
 	c.Instret++
+}
+
+// fetch returns the instruction at the PC, decoding it if it has not
+// executed since the last Load; false means the CPU faulted.
+func (c *CPU) fetch() (isa.Inst, bool) {
+	off := c.PC - c.textBase
+	inText := off%4 == 0 && off/4 < uint32(len(c.text))
+	if inText && c.text[off/4].ok {
+		return c.text[off/4].inst, true
+	}
+	if inst, ok := c.other[c.PC]; ok {
+		return inst, true
+	}
+	w, ok := c.loadWord(c.PC)
+	if !ok {
+		return isa.Inst{}, false
+	}
+	inst, err := isa.Decode(w)
+	if err != nil {
+		c.fault("decode at %#x: %v", c.PC, err)
+		return isa.Inst{}, false
+	}
+	if inText {
+		c.text[off/4] = decoded{inst, true}
+	} else {
+		if c.other == nil {
+			c.other = make(map[uint32]isa.Inst)
+		}
+		c.other[c.PC] = inst
+	}
+	return inst, true
 }
 
 // aluOps and fpuOps map an instruction to the operation its unit is

@@ -203,6 +203,58 @@ func TestDecodeFaultHalts(t *testing.T) {
 	}
 }
 
+// TestDecodeAtFirstExecution: an instruction is decoded when it first
+// executes and kept until the next Load — a store over it after that
+// changes nothing, a store before it does — inside the loaded image's
+// text and outside it alike.
+func TestDecodeAtFirstExecution(t *testing.T) {
+	a := isa.NewAsm()
+	a.Label("loop")
+	a.Addi(isa.A0, isa.A0, 1)
+	a.Addi(isa.A1, isa.A1, 1)
+	a.J("loop")
+	img := mustAsm(t, a)
+	addi := func(rd isa.Reg, imm int32) uint32 {
+		w, err := isa.Encode(isa.Inst{Op: isa.ADDI, Rd: rd, Rs1: rd, Imm: imm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	outside := img.Base + 4*uint32(len(img.Words)) + 64
+	c := New(memSize)
+	check := func(when string, want [3]uint32) {
+		t.Helper()
+		if got := [3]uint32{c.X[isa.A0], c.X[isa.A1], c.X[isa.A2]}; got != want || c.Halt != Running {
+			t.Fatalf("%s: a0, a1, a2 = %d, halt %v; want %d, running (%s)", when, got, c.Halt, want, c.FaultMsg)
+		}
+	}
+	c.Load(img)
+	c.storeWord(outside, addi(isa.A2, 1))
+	c.Step() // a0 += 1, decoded
+	c.storeWord(img.Base, addi(isa.A0, 100))
+	c.storeWord(img.Base+4, addi(isa.A1, 100))
+	c.Step() // a1 += 100: it had not executed before the store
+	c.Step() // j loop
+	c.Step() // a0 += 1 again: the store came after the decode
+	c.PC = outside
+	c.Step() // a2 += 1, decoded
+	c.storeWord(outside, addi(isa.A2, 100))
+	c.PC = outside
+	c.Step() // a2 += 1 again
+	check("after the stores", [3]uint32{2, 100, 2})
+
+	// Load rewrites the text and forgets every decode: the image's own
+	// words run again, and the store outside the text now takes effect.
+	c.X[isa.A0], c.X[isa.A1], c.X[isa.A2] = 0, 0, 0
+	c.Load(img)
+	c.Step()
+	c.Step()
+	c.PC = outside
+	c.Step()
+	check("after a second Load", [3]uint32{1, 1, 100})
+}
+
 func TestCycleLimit(t *testing.T) {
 	a := isa.NewAsm()
 	a.Label("spin")
@@ -590,7 +642,7 @@ func TestRecycledStateEqualsNew(t *testing.T) {
 		c.X[5], c.F[7], c.FFlags, c.PC, c.Cycles, c.Instret = 1, 2, 3, 4, 5, 6
 		c.Halt, c.ExitCode, c.FaultMsg = HaltFault, 9, "dirty"
 		c.ALU = &Recording{}
-		c.decodeCache[0] = isa.Inst{Op: isa.ADD}
+		c.other = map[uint32]isa.Inst{0: {Op: isa.ADD}}
 		c.Release()
 		if c.mem != nil || c.dirty != nil {
 			t.Fatal("a released CPU kept its arena")

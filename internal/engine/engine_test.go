@@ -426,8 +426,7 @@ func TestOversizedArityPanics(t *testing.T) {
 // run of 10 cycles, a Reset and a run of 2 is the merge of a fresh
 // 10-cycle and a fresh 2-cycle profile, on the scalar simulator and on
 // the packed evaluator alike (dividing twelve cycles' residency by the
-// two since the Reset gave "probabilities" up to 6), and ResetSP starts
-// the observation over.
+// two since the Reset gave "probabilities" up to 6).
 func TestProfileAccumulatesAcrossReset(t *testing.T) {
 	nl := alu.Build().Netlist
 	check := func(name string, got, want *engine.Profile) {
@@ -466,9 +465,6 @@ func TestProfileAccumulatesAcrossReset(t *testing.T) {
 	drive(s, 2, 2)
 	check("scalar", s.Profile(), engine.MergeProfiles(
 		drive(scalar(), 10, 1).Profile(), drive(scalar(), 2, 2).Profile()))
-	s.Reset()
-	s.ResetSP()
-	check("scalar after ResetSP", drive(s, 2, 2).Profile(), drive(scalar(), 2, 2).Profile())
 
 	drivePacked := func(e *engine.Packed, cycles int, seed int64) *engine.Packed {
 		rng := rand.New(rand.NewSource(seed))

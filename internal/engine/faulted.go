@@ -157,14 +157,30 @@ func CompileFaulted(p *Program, overlays []Overlay) (*FaultedProgram, error) {
 // golden circuit, every other lane the golden circuit plus its overlay
 // sites. Retired lanes (Retire) drop out of overlay evaluation; the
 // word-parallel base update they share with live lanes is unaffected.
+//
+// Settle is gated: it re-evaluates only the runs whose inputs may have
+// changed since the last settle. That holds because every writer of
+// vals either marks the change flag of each net whose word it changed
+// (SetInput, Edge) or forces the next settle to evaluate every run
+// (Reset, Seeded); Settle itself records, per run, whether an output
+// word changed, for the runs after it to read.
 type FaultedPacked struct {
 	fp     *FaultedProgram
 	prog   *Program
+	feeds  *feedTable
 	vals   []uint64 // current word of every net
 	dffBuf []uint64 // staged DFF next-state, one word per flip-flop
 	hist   []uint64 // per site: X(t-1) history words (setup sites)
 	lfsr   uint16   // shared CRandom source (all failing-netlist LFSRs run in lock-step)
 	ret    uint64   // retired-lane mask
+
+	// changed is the bitset of feedTable's flags. A run's is set during a
+	// settle that changed one of its output words, a state net's when it
+	// is written with a different word; every settle ends with all clear.
+	// Bit w%64 of sum is set whenever word w of changed may be nonzero.
+	changed []uint64
+	sum     uint64
+	full    bool // the next settle evaluates every run
 }
 
 // NewFaultedPacked creates a faulted evaluator in the reset state.
@@ -178,10 +194,11 @@ func NewFaultedPacked(fp *FaultedProgram) *FaultedPacked {
 // bind points e at fp, sizing its storage for it and reusing what it
 // already has. The contents are left for the caller to overwrite.
 func (e *FaultedPacked) bind(fp *FaultedProgram) {
-	e.fp, e.prog = fp, fp.Prog
+	e.fp, e.prog, e.feeds = fp, fp.Prog, fp.Prog.feedTable()
 	e.vals = resize(e.vals, fp.Prog.NumNets)
 	e.dffBuf = resize(e.dffBuf, len(fp.Prog.DFFs))
 	e.hist = resize(e.hist, len(fp.sites))
+	e.changed = resize(e.changed, (len(fp.Prog.Runs)+len(e.feeds.state)+63)/64)
 }
 
 func resize(s []uint64, n int) []uint64 {
@@ -192,24 +209,23 @@ func resize(s []uint64, n int) []uint64 {
 }
 
 // seededPool holds released evaluators' storage: pooled storage, never
-// pooled state — Seeded overwrites every word it hands back.
+// pooled state — Seeded overwrites every word a settle reads.
 var seededPool = sync.Pool{New: func() any { return new(FaultedPacked) }}
 
 // Seeded returns an evaluator of fp in the state a snapshot of one lane
-// describes, broadcast to every lane: each net holds its bit of nets
-// (ExtractLane's layout), site si's history register hists[si], the
-// LFSR lfsr, and no lane is retired. Every word is written, so the
-// evaluator's storage may come from one an earlier continuation
-// released; pair it with Release.
+// describes, broadcast to every lane: each state net holds its bit of
+// nets (ExtractLane's layout), site si's history register hists[si], the
+// LFSR lfsr, and no lane is retired. Combinational nets hold nothing
+// until the first Settle, which evaluates every run; settle before
+// reading or clocking. The evaluator's storage may come from one an
+// earlier continuation released; pair it with Release.
 func Seeded(fp *FaultedProgram, nets []uint64, hists []bool, lfsr uint16) *FaultedPacked {
 	e := seededPool.Get().(*FaultedPacked)
 	e.bind(fp)
-	for k, bits := range nets[:(len(e.vals)+63)/64] {
-		words := e.vals[k*64 : min(k*64+64, len(e.vals))]
-		for i := range words {
-			words[i] = -(bits >> uint(i) & 1)
-		}
+	for k, n := range e.feeds.state {
+		e.vals[n] = -(nets[k/64] >> uint(k%64) & 1)
 	}
+	e.full = true
 	for si, v := range hists[:len(e.hist)] {
 		e.hist[si] = 0
 		if v {
@@ -224,7 +240,7 @@ func Seeded(fp *FaultedProgram, nets []uint64, hists []bool, lfsr uint16) *Fault
 // Release hands e's storage to a later Seeded call; e must not be used
 // again.
 func (e *FaultedPacked) Release() {
-	e.fp, e.prog = nil, nil
+	e.fp, e.prog, e.feeds = nil, nil, nil
 	seededPool.Put(e)
 }
 
@@ -252,6 +268,7 @@ func (e *FaultedPacked) Reset() {
 	}
 	e.lfsr = overlayLFSRSeed
 	e.ret = 0
+	e.full = true
 }
 
 // SetInput drives a (multi-bit) input port with the low len(port) bits
@@ -263,12 +280,17 @@ func (e *FaultedPacked) SetInput(name string, val uint64) {
 		panic(fmt.Sprintf("engine: no input port %q on %s", name, e.prog.Netlist.Name))
 	}
 	for i, n := range p.Bits {
-		if val>>uint(i)&1 == 1 {
-			e.vals[n] = ^uint64(0)
-		} else {
-			e.vals[n] = 0
-		}
+		e.write(int32(n), -(val >> uint(i) & 1))
 	}
+}
+
+// write sets state net n to w and marks its flag if the word changed.
+func (e *FaultedPacked) write(n int32, w uint64) {
+	x, s := e.vals[n]^w, e.feeds.slot[n]
+	c := (x | -x) >> 63
+	e.changed[s/64] |= c << uint(s%64)
+	e.sum |= c << uint(s/64%64)
+	e.vals[n] = w
 }
 
 // Word reads the current word of net n. Callers settle explicitly
@@ -280,17 +302,15 @@ func (e *FaultedPacked) Lane(n netlist.NetID, lane int) bool {
 	return e.vals[n]>>uint(lane)&1 == 1
 }
 
-// ExtractLane returns one lane's settled value of every net, one bit per
-// net (net n is bit n%64 of word n/64) — the state snapshot a retired
-// lane's continuation is seeded from.
+// ExtractLane returns one lane's value of every state net — the nets no
+// op drives, which determine every settled net — one bit each (the k-th
+// state net in ascending net order is bit k%64 of word k/64): the
+// snapshot a retired lane's continuation is seeded from.
 func (e *FaultedPacked) ExtractLane(lane int) []uint64 {
-	dst := make([]uint64, (len(e.vals)+63)/64)
-	for k := range dst {
-		var bits uint64
-		for i, w := range e.vals[k*64 : min(k*64+64, len(e.vals))] {
-			bits |= (w >> uint(lane) & 1) << uint(i)
-		}
-		dst[k] = bits
+	state := e.feeds.state
+	dst := make([]uint64, (len(state)+63)/64)
+	for k, n := range state {
+		dst[k/64] |= (e.vals[n] >> uint(lane) & 1) << uint(k%64)
 	}
 	return dst
 }
@@ -310,8 +330,108 @@ func (e *FaultedPacked) Retire(mask uint64) { e.ret |= mask }
 func (e *FaultedPacked) LFSR() uint16 { return e.lfsr }
 
 // Settle propagates all 64 lanes through the combinational logic in
-// program order.
-func (e *FaultedPacked) Settle() { settlePacked(e.prog, e.vals) }
+// program order, evaluating a run only when one of the flags it reads is
+// set (or every run, after Reset or Seeded): a run whose inputs hold the
+// words of the last settle still holds that settle's outputs. A run
+// none of whose flag words can be nonzero is passed over on one load.
+func (e *FaultedPacked) Settle() {
+	t, ch, ops, vals, sum := e.feeds, e.changed, e.prog.Ops, e.vals, e.sum
+	var force uint64
+	if e.full {
+		force, sum = 1, ^uint64(0)
+	}
+	lo := int32(0)
+	for r, rn := range e.prog.Runs {
+		hi := t.readLo[r+1]
+		in := force
+		if t.words[r]&sum != 0 {
+			for ; lo < hi; lo += readBlock {
+				w, m := t.readWord[lo:lo+readBlock], t.readMask[lo:lo+readBlock]
+				in |= ch[w[0]]&m[0] | ch[w[1]]&m[1]
+			}
+		}
+		lo = hi
+		if in == 0 {
+			continue
+		}
+		d := settleRun(rn.Kind, ops[rn.Lo:rn.Hi], vals)
+		c := (d | -d) >> 63
+		ch[r/64] |= c << uint(r%64)
+		sum |= c << uint(r/64%64)
+	}
+	clear(ch)
+	e.sum, e.full = 0, false
+}
+
+// settleRun evaluates one same-kind run of a gated settle and returns
+// the OR of every output's old^new word, nonzero iff one changed. It is
+// settlePacked's switch plus that OR: folding the two into one kernel
+// would make the uniform evaluator read every output's old word, which
+// slows its million-gate random SP by about a sixth (DESIGN.md).
+func settleRun(kind cell.Kind, run []Op, vals []uint64) (d uint64) {
+	set := func(o int32, v uint64) {
+		d |= vals[o] ^ v
+		vals[o] = v
+	}
+	switch kind {
+	case cell.TIE0:
+		for i := range run {
+			set(run[i].Out, 0)
+		}
+	case cell.TIE1:
+		for i := range run {
+			set(run[i].Out, ^uint64(0))
+		}
+	case cell.BUF, cell.CLKBUF:
+		for i := range run {
+			set(run[i].Out, vals[run[i].In[0]])
+		}
+	case cell.INV:
+		for i := range run {
+			set(run[i].Out, ^vals[run[i].In[0]])
+		}
+	case cell.AND2, cell.CLKGATE:
+		for i := range run {
+			set(run[i].Out, vals[run[i].In[0]]&vals[run[i].In[1]])
+		}
+	case cell.OR2:
+		for i := range run {
+			set(run[i].Out, vals[run[i].In[0]]|vals[run[i].In[1]])
+		}
+	case cell.NAND2:
+		for i := range run {
+			set(run[i].Out, ^(vals[run[i].In[0]] & vals[run[i].In[1]]))
+		}
+	case cell.NOR2:
+		for i := range run {
+			set(run[i].Out, ^(vals[run[i].In[0]] | vals[run[i].In[1]]))
+		}
+	case cell.XOR2:
+		for i := range run {
+			set(run[i].Out, vals[run[i].In[0]]^vals[run[i].In[1]])
+		}
+	case cell.XNOR2:
+		for i := range run {
+			set(run[i].Out, ^(vals[run[i].In[0]] ^ vals[run[i].In[1]]))
+		}
+	case cell.MUX2:
+		for i := range run {
+			s := vals[run[i].In[2]]
+			set(run[i].Out, (vals[run[i].In[0]]&^s)|(vals[run[i].In[1]]&s))
+		}
+	case cell.AOI21:
+		for i := range run {
+			set(run[i].Out, ^((vals[run[i].In[0]] & vals[run[i].In[1]]) | vals[run[i].In[2]]))
+		}
+	case cell.OAI21:
+		for i := range run {
+			set(run[i].Out, ^((vals[run[i].In[0]] | vals[run[i].In[1]]) & vals[run[i].In[2]]))
+		}
+	default:
+		panic("engine: cannot evaluate " + kind.String())
+	}
+	return d
+}
 
 // Edge completes the cycle: stage every flip-flop's base next-state,
 // mix in the lane-masked faulty values at the overlay endpoints, update
@@ -377,7 +497,7 @@ func (e *FaultedPacked) Edge() {
 		}
 	}
 	for i := range dffs {
-		vals[dffs[i].Out] = e.dffBuf[i]
+		e.write(dffs[i].Out, e.dffBuf[i])
 	}
 	fb := (e.lfsr>>15 ^ e.lfsr>>13 ^ e.lfsr>>12 ^ e.lfsr>>10) & 1
 	e.lfsr = e.lfsr<<1 | fb

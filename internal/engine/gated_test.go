@@ -1,0 +1,231 @@
+package engine_test
+
+import (
+	"math/rand"
+	"testing"
+	"testing/quick"
+
+	"repro/internal/alu"
+	"repro/internal/engine"
+	"repro/internal/fpu"
+	"repro/internal/module"
+	"repro/internal/netlist"
+)
+
+// laneOverlays gives each of the first n fault lanes of nl one random
+// failure model (site i runs in lane i+1), so the lanes' words differ.
+func laneOverlays(rng *rand.Rand, nl *netlist.Netlist, n int) []engine.Overlay {
+	dffs := dffCells(nl)
+	if len(dffs) == 0 {
+		return nil
+	}
+	ovs := make([]engine.Overlay, n)
+	for i := range ovs {
+		ovs[i] = overlayFor(randomFaultSpec(rng, dffs), uint64(1)<<uint(i+1))
+	}
+	return ovs
+}
+
+// words reads every net of e.
+func words(e *engine.FaultedPacked, numNets int) []uint64 {
+	w := make([]uint64, numNets)
+	for n := range w {
+		w[n] = e.Word(netlist.NetID(n))
+	}
+	return w
+}
+
+// gatedMatchesFull runs the evaluator calls ops names on nl — stimulus,
+// settles, clock edges, retirements, resets and a reseed from one lane's
+// snapshot through the shared pool — and after every settle holds each
+// net's word to a full settle, in the netlist's own topological order,
+// of the same state nets.
+func gatedMatchesFull(t *testing.T, nl *netlist.Netlist, seed int64, ops []byte) bool {
+	rng := rand.New(rand.NewSource(seed))
+	p := engine.Compile(nl)
+	tp := topoOrder(p)
+	ovs := laneOverlays(rng, nl, 1+rng.Intn(engine.Lanes-1))
+	fp, err := engine.CompileFaulted(p, ovs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.NewFaultedPacked(fp)
+	defer func() { e.Release() }()
+	seeded := false // combinational nets undefined until the next settle
+	settle := func(step int) bool {
+		e.Settle()
+		seeded = false
+		got := words(e, nl.NumNets)
+		want := append([]uint64(nil), got...)
+		tp.settlePacked(want)
+		for n := range got {
+			if got[n] != want[n] {
+				t.Logf("seed %d step %d (op %d): net %s = %#x, a full settle gives %#x",
+					seed, step, ops[step]%6, nl.NetName(netlist.NetID(n)), got[n], want[n])
+				return false
+			}
+		}
+		return true
+	}
+	for step, op := range ops {
+		switch op % 6 {
+		case 0:
+			e.SetInput(nl.Inputs[rng.Intn(len(nl.Inputs))].Name, rng.Uint64())
+		case 1:
+			if !settle(step) {
+				return false
+			}
+		case 2:
+			if seeded && !settle(step) {
+				return false
+			}
+			e.Edge()
+		case 3:
+			e.Retire(rng.Uint64() &^ 1)
+		case 4:
+			e.Reset()
+			seeded = false
+		case 5:
+			if seeded && !settle(step) {
+				return false
+			}
+			lane := rng.Intn(engine.Lanes)
+			hists := make([]bool, len(ovs))
+			for si := range hists {
+				hists[si] = e.HistLane(si, lane)
+			}
+			snap, lfsr := e.ExtractLane(lane), e.LFSR()
+			e.Release()
+			e = engine.Seeded(fp, snap, hists, lfsr)
+			seeded = true
+		}
+	}
+	return settle(len(ops) - 1)
+}
+
+// TestGatedSettleMatchesFull: FaultedPacked's settle, which skips every
+// run none of whose inputs changed, leaves each net with the word a full
+// settle gives, over random call sequences on random netlists and on the
+// ALU and FPU, whose change flags span many bitset words.
+func TestGatedSettleMatchesFull(t *testing.T) {
+	calls := func(seed int64, n int) []byte {
+		ops := make([]byte, n)
+		rand.New(rand.NewSource(seed ^ 0x6a7e)).Read(ops)
+		return ops
+	}
+	check := func(seed int64) bool {
+		return gatedMatchesFull(t, randomNetlist(seed%1024), seed, calls(seed, 200))
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	for seed, m := range []*module.Module{alu.Build(), fpu.Build()} {
+		if !gatedMatchesFull(t, m.Netlist, int64(seed), calls(int64(seed), 400)) {
+			t.Fatalf("%s: a gated settle differs from a full one", m.Name)
+		}
+	}
+}
+
+// FuzzGatedSettle is TestGatedSettleMatchesFull with the fuzzer choosing
+// the netlist and the call sequence.
+func FuzzGatedSettle(f *testing.F) {
+	f.Add(int64(1), []byte{0, 1, 2, 1, 5, 2, 1, 0, 1})
+	f.Add(int64(42), []byte{2, 2, 1, 3, 0, 2, 1, 4, 1, 5, 5, 1})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		if len(ops) == 0 || len(ops) > 512 {
+			t.Skip()
+		}
+		if !gatedMatchesFull(t, randomNetlist(seed%1024), seed, ops) {
+			t.Fatal("a gated settle differs from a full one")
+		}
+	})
+}
+
+// TestStateSnapshotRoundTrip: a continuation seeded from one lane's
+// state-net snapshot (its own failure model moved to lane 1, as the
+// injection plane does) settles to that lane's word on every net, and
+// stays equal to it, net for net, over the cycles that follow — for the
+// ALU and the FPU under random stimulus, with the lanes made to differ
+// by random failure models.
+func TestStateSnapshotRoundTrip(t *testing.T) {
+	for _, m := range []*module.Module{alu.Build(), fpu.Build()} {
+		t.Run(m.Name, func(t *testing.T) {
+			t.Parallel()
+			nl := m.Netlist
+			p := engine.Cached(nl)
+			rng := rand.New(rand.NewSource(int64(len(nl.Cells))))
+			ovs := laneOverlays(rng, nl, engine.Lanes-1)
+			fp, err := engine.CompileFaulted(p, ovs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := engine.NewFaultedPacked(fp)
+			drive := func(es ...*engine.FaultedPacked) {
+				for _, port := range nl.Inputs {
+					v := rng.Uint64()
+					for _, x := range es {
+						x.SetInput(port.Name, v)
+					}
+				}
+			}
+			for cyc := 0; cyc < 40; cyc++ {
+				drive(e)
+				e.Settle()
+				if cyc%8 == 7 {
+					roundTrip(t, nl, e, fp.Prog, ovs, rng.Intn(engine.Lanes), drive)
+				}
+				e.Edge()
+			}
+		})
+	}
+}
+
+// roundTrip seeds a continuation of e's lane from its snapshot and
+// compares the two on every net for a few cycles: the continuation's
+// words are the lane's bit broadcast right after seeding, and its own
+// fault lane (lane 1, or lane 0 for the golden lane) follows the lane
+// after that. It advances e.
+func roundTrip(t *testing.T, nl *netlist.Netlist, e *engine.FaultedPacked, p *engine.Program,
+	ovs []engine.Overlay, lane int, drive func(...*engine.FaultedPacked)) {
+	t.Helper()
+	var own []engine.Overlay
+	var hists []bool
+	cl := 0 // the continuation's lane that carries e's lane
+	if lane > 0 {
+		cl = 1
+		o := ovs[lane-1]
+		o.Lanes = 1 << 1
+		own = []engine.Overlay{o}
+		hists = []bool{e.HistLane(lane-1, lane)}
+	}
+	fp, err := engine.CompileFaulted(p, own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := engine.Seeded(fp, e.ExtractLane(lane), hists, e.LFSR())
+	defer c.Release()
+	for cyc := 0; cyc < 4; cyc++ {
+		if cyc > 0 {
+			e.Edge()
+			c.Edge()
+			drive(e, c)
+			e.Settle()
+		}
+		c.Settle()
+		for n := 0; n < nl.NumNets; n++ {
+			id := netlist.NetID(n)
+			want := e.Lane(id, lane)
+			if w := c.Word(id); cyc == 0 && w != -uint64(b2u(want)) || c.Lane(id, cl) != want {
+				t.Fatalf("lane %d, cycle %d after the snapshot: net %s is %#x in the continuation, %v in the lane",
+					lane, cyc, nl.NetName(id), w, want)
+			}
+		}
+	}
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -98,9 +98,10 @@ func (e *Packed) Lane(n netlist.NetID, lane int) bool {
 // the clock network) in program order.
 func (e *Packed) Settle() { settlePacked(e.prog, e.vals) }
 
-// settlePacked is the shared 64-lane combinational evaluation loop,
-// used by both the uniform Packed evaluator and the fault-overlay
-// FaultedPacked evaluator.
+// settlePacked is the uniform Packed evaluator's combinational loop. It
+// evaluates every run: random stimulus changes most sources every cycle,
+// so asking which runs may be skipped (FaultedPacked.Settle) would cost
+// more than it saves.
 func settlePacked(p *Program, vals []uint64) {
 	ops := p.Ops
 	for _, r := range p.Runs {

@@ -26,6 +26,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cell"
 	"repro/internal/netlist"
@@ -95,6 +96,94 @@ type Program struct {
 	// sampling loops (branch-free iteration per class).
 	dataNets  []int32
 	clockNets []int32
+
+	// feeds is what a FaultedPacked's gated settle needs, built on its
+	// first use: Compile never pays for it.
+	feedsOnce sync.Once
+	feeds     *feedTable
+}
+
+// feedTable maps every net to the change flag that covers it and lists
+// the flags each dispatch run reads. Flag r is run r's "an output word
+// changed in this settle"; flag len(Runs)+k is state net k's "written
+// with a different word since the last settle". A FaultedPacked keeps
+// the flags as a bitset, flag f at bit f%64 of word f/64.
+type feedTable struct {
+	// slot is the flag of each net: its driving run's index, or
+	// len(Runs)+k for state[k].
+	slot []int32
+	// state lists, ascending, the nets no op drives: port bits, flip-flop
+	// outputs, the clock root, and any net nothing drives at all. Settled
+	// values are a function of these alone, so they are all a snapshot
+	// holds.
+	state []int32
+	// readWord[readLo[r]:readLo[r+1]] and readMask, pairwise, select the
+	// flags run r's ops read, less run r's own: a bitset word and the
+	// mask of those flags in it, per word they fall in, padded to whole
+	// blocks with empty masks.
+	readLo   []int32
+	readWord []int32
+	readMask []uint64
+	// words[r] sets bit w%64 for every bitset word w run r reads.
+	words []uint64
+}
+
+// readBlock is how many (word, mask) pairs a gated settle reads per step
+// (Settle names each). Three in four of the FPU's runs read flags in at
+// most two words, so nearly every check is one step and its loop exit
+// predictable.
+const readBlock = 2
+
+// feedTable returns p's gated-settle tables, building them once.
+func (p *Program) feedTable() *feedTable {
+	p.feedsOnce.Do(func() {
+		t := &feedTable{slot: make([]int32, p.NumNets), readLo: make([]int32, len(p.Runs)+1)}
+		for n := range t.slot {
+			t.slot[n] = -1
+		}
+		for r, run := range p.Runs {
+			for _, op := range p.Ops[run.Lo:run.Hi] {
+				t.slot[op.Out] = int32(r)
+			}
+		}
+		for n, s := range t.slot {
+			if s < 0 {
+				t.slot[n] = int32(len(p.Runs) + len(t.state))
+				t.state = append(t.state, int32(n))
+			}
+		}
+		// mask[w] gathers one run's flags in word w, listed in words.
+		mask := make([]uint64, (len(p.Runs)+len(t.state)+63)/64)
+		var words []int32
+		for r, run := range p.Runs {
+			for _, op := range p.Ops[run.Lo:run.Hi] {
+				for _, in := range op.In[:op.NIn] {
+					if s := t.slot[in]; s != int32(r) {
+						if mask[s/64] == 0 {
+							words = append(words, s/64)
+						}
+						mask[s/64] |= 1 << uint(s%64)
+					}
+				}
+			}
+			var sum uint64
+			for _, w := range words {
+				sum |= 1 << uint(w%64)
+				t.readWord = append(t.readWord, w)
+				t.readMask = append(t.readMask, mask[w])
+				mask[w] = 0
+			}
+			for len(t.readWord)%readBlock != 0 {
+				t.readWord = append(t.readWord, 0)
+				t.readMask = append(t.readMask, 0)
+			}
+			words = words[:0]
+			t.readLo[r+1] = int32(len(t.readWord))
+			t.words = append(t.words, sum)
+		}
+		p.feeds = t
+	})
+	return p.feeds
 }
 
 // Compile lowers a validated netlist into a Program. It panics on

@@ -160,7 +160,7 @@ type retirement struct {
 	op    uint64   // 0-based unit-op index of the physical divergence
 	wait  int      // retWait: driver wait-loop index at which golden rose
 	r, f  uint32   // retReturned: the lane's response
-	snap  []uint64 // one bit per original net: lane value at the snapshot settle
+	snap  []uint64 // one bit per state net (engine.ExtractLane): lane value at the snapshot settle
 	hists []bool   // per fault site: overlay history-register value
 	lfsr  uint16   // shared CRandom LFSR state
 }

@@ -107,12 +107,46 @@ func writeCTest(b *strings.Builder, name string, tc *lift.TestCase) error {
 	}
 	b.WriteString("        \"/* lifted test body */\\n\"\n")
 	for _, inst := range insts {
-		fmt.Fprintf(b, "        %q\n", inst.String()+"\\n")
+		fmt.Fprintf(b, "        %q\n", inst.String()+"\n")
 	}
 	b.WriteString("        \"j 8f\\n\"\n        \"9: li %[ok], 0\\n\"\n        \"8:\\n\"\n")
-	b.WriteString("        : [ok] \"+r\"(ok)\n        :\n        : \"memory\");\n")
+	fmt.Fprintf(b, "        : [ok] \"+r\"(ok)\n        :\n        : %s\"memory\");\n", clobbers(insts))
 	b.WriteString("    return ok == 0;\n}\n\n")
 	return nil
+}
+
+// clobbers lists, each quoted and followed by ", ", every register the
+// body writes: its integer and f-register destinations, and fcsr when it
+// runs a floating-point op or a CSR write, both of which set FP flags.
+func clobbers(insts []isa.Inst) string {
+	var x, f [32]bool
+	fcsr := false
+	for _, in := range insts {
+		rd, fp, ok := in.Writes()
+		switch {
+		case !ok:
+		case fp:
+			f[rd] = true
+		case rd != isa.Zero:
+			x[rd] = true
+		}
+		fcsr = fcsr || in.Op >= isa.CSRRW && in.Op <= isa.CSRRC || in.Op >= isa.FADDS
+	}
+	var b strings.Builder
+	for r := range x {
+		if x[r] {
+			fmt.Fprintf(&b, "%q, ", isa.Reg(r).String())
+		}
+	}
+	for r := range f {
+		if f[r] {
+			fmt.Fprintf(&b, "\"f%d\", ", r)
+		}
+	}
+	if fcsr {
+		b.WriteString("\"fcsr\", ")
+	}
+	return b.String()
 }
 
 // asmInsts extracts the emitted instructions (labels resolved against a

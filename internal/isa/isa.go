@@ -232,6 +232,20 @@ var fpForms = [NumOps]struct {
 	FCVTSW: {"fx", true}, FCVTSWU: {"fx", true}, FMVWX: {"fx", false},
 }
 
+// Writes reports the register i writes: none (ok false) for a branch, a
+// store, ecall and ebreak; otherwise rd, in the f-file when fp is set.
+func (i Inst) Writes() (rd Reg, fp, ok bool) {
+	switch {
+	case i.Op >= BEQ && i.Op <= BGEU, i.Op >= SB && i.Op <= SW, i.Op == FSW, i.Op == ECALL, i.Op == EBREAK:
+		return 0, false, false
+	case i.Op == FLW:
+		return i.Rd, true, true
+	case i.Op >= FADDS && i.Op < NumOps:
+		return i.Rd, fpForms[i.Op].regs[0] == 'f', true
+	}
+	return i.Rd, false, true
+}
+
 // CSR addresses implemented by the CPU.
 const (
 	CSRFflags  = 0x001

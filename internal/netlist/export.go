@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -231,33 +230,4 @@ func writeCellVerilog(bw *bufio.Writer, c *Cell, scratch []byte) []byte {
 		bw.WriteString(c.Name)
 	}
 	return scratch
-}
-
-// DOT renders the netlist in Graphviz dot format for visual debugging.
-func (nl *Netlist) DOT() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %s {\n  rankdir=LR;\n", sanitize(nl.Name))
-	for i, c := range nl.Cells {
-		shape := "box"
-		if c.Kind.IsSequential() {
-			shape = "Msquare"
-		} else if c.Kind.IsClock() {
-			shape = "triangle"
-		}
-		fmt.Fprintf(&b, "  c%d [label=%q shape=%s];\n", i, c.Name, shape)
-	}
-	readers := nl.Readers()
-	for n := 0; n < nl.NumNets; n++ {
-		d := nl.driver[n]
-		if d == NoCell {
-			continue
-		}
-		rs := append([]CellID(nil), readers[n]...)
-		sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-		for _, r := range rs {
-			fmt.Fprintf(&b, "  c%d -> c%d [label=%q];\n", d, r, nl.NetName(NetID(n)))
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

@@ -279,14 +279,6 @@ func TestVerilogExport(t *testing.T) {
 	}
 }
 
-func TestDOTExport(t *testing.T) {
-	nl := buildDemoAdder(t)
-	d := nl.DOT()
-	if !strings.Contains(d, "digraph adder") || !strings.Contains(d, "XOR$8") {
-		t.Error("DOT output malformed")
-	}
-}
-
 func TestReaders(t *testing.T) {
 	nl := buildDemoAdder(t)
 	readers := nl.Readers()

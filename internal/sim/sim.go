@@ -14,8 +14,7 @@
 // engine.Program — the peer of engine.Packed, which is the 64-lane one:
 // the netlist is lowered once into a shared read-only program
 // (engine.Cached) and the simulator owns what one run adds to it — net
-// values, staged flip-flop state, the cycle count, SP counters and
-// recorded waveforms.
+// values, staged flip-flop state, SP counters and recorded waveforms.
 package sim
 
 import (
@@ -28,12 +27,11 @@ import (
 // Simulator simulates one netlist instance. It is not safe for concurrent
 // use; create one per goroutine.
 type Simulator struct {
-	nl     *netlist.Netlist
-	prog   *engine.Program
-	vals   []bool // current value of every net
-	next   []bool // staged DFF next-state, one slot per flip-flop
-	dirty  bool   // inputs changed since last settle
-	cycles uint64
+	nl    *netlist.Netlist
+	prog  *engine.Program
+	vals  []bool // current value of every net
+	next  []bool // staged DFF next-state, one slot per flip-flop
+	dirty bool   // inputs changed since last settle
 
 	spEnabled bool
 	spCycles  uint64    // cycles sampled so far
@@ -60,13 +58,11 @@ func New(nl *netlist.Netlist) *Simulator {
 // Program returns the compiled program the simulator runs on.
 func (s *Simulator) Program() *engine.Program { return s.prog }
 
-// Reset re-applies reset values to all flip-flops, clears inputs, and
-// zeroes the cycle counter. SP counters (with the number of cycles they
-// were sampled over) and recorded waveforms are preserved so multi-run
-// profiles can accumulate; call ResetSP to clear the former.
+// Reset re-applies reset values to all flip-flops and clears inputs. SP
+// counters (with the number of cycles they were sampled over) and
+// recorded waveforms are preserved so multi-run profiles can accumulate.
 func (s *Simulator) Reset() {
 	s.prog.ResetScalar(s.vals)
-	s.cycles = 0
 	s.dirty = true
 }
 
@@ -78,14 +74,6 @@ func (s *Simulator) EnableSP() {
 	}
 }
 
-// ResetSP clears accumulated SP counters.
-func (s *Simulator) ResetSP() {
-	for i := range s.spOnes {
-		s.spOnes[i] = 0
-	}
-	s.spCycles = 0
-}
-
 // Record registers nets whose settled value is captured every cycle.
 func (s *Simulator) Record(nets ...netlist.NetID) {
 	s.recordNets = append(s.recordNets, nets...)
@@ -94,9 +82,6 @@ func (s *Simulator) Record(nets ...netlist.NetID) {
 // Waves returns the recorded waveform: one row per executed cycle, one
 // column per recorded net (in Record order).
 func (s *Simulator) Waves() [][]bool { return s.waves }
-
-// Cycles returns the number of executed clock cycles.
-func (s *Simulator) Cycles() uint64 { return s.cycles }
 
 // SetInput drives a (multi-bit) input port with the low len(port) bits of
 // val, LSB first.
@@ -155,7 +140,6 @@ func (s *Simulator) Step() {
 		s.waves = append(s.waves, row)
 	}
 	s.prog.StepDFFs(s.vals, s.next)
-	s.cycles++
 	s.dirty = true
 }
 
@@ -208,14 +192,6 @@ func (s *Simulator) Net(n netlist.NetID) bool {
 	return s.vals[n]
 }
 
-// SP returns the signal probability of net n over all sampled cycles.
-func (s *Simulator) SP(n netlist.NetID) float64 {
-	if s.spCycles == 0 {
-		return 0
-	}
-	return s.spOnes[n] / float64(s.spCycles)
-}
-
 // Profile is engine.Profile under its old name. Nothing in the tree
 // but internal/bench/scale.go (frozen by BENCHMARK.json's paths) uses
 // the alias; it goes with the next benchmark issue, alongside
@@ -223,8 +199,8 @@ func (s *Simulator) SP(n netlist.NetID) float64 {
 type Profile = engine.Profile
 
 // Profile snapshots the accumulated SP counters. Cycles is the number of
-// cycles they were sampled over — every Step since EnableSP (or the
-// last ResetSP), across any Reset in between.
+// cycles they were sampled over — every Step since EnableSP, across any
+// Reset in between.
 func (s *Simulator) Profile() *engine.Profile {
 	p := &engine.Profile{
 		Cycles: s.spCycles,

@@ -126,17 +126,17 @@ func TestGatedClockSPIsZeroWhenOff(t *testing.T) {
 	s.EnableSP()
 	s.SetInput("en", 0)
 	s.Run(100)
-	if v := s.SP(g); v != 0 {
+	if v := s.Profile().SP[g]; v != 0 {
 		t.Errorf("gated-off clock SP = %v, want 0", v)
 	}
 	// SP counters kept ticking (free-running counter clock): the enable
 	// net itself was sampled for all 100 cycles.
-	if s.Cycles() != 100 {
-		t.Errorf("cycles = %d", s.Cycles())
+	if c := s.Profile().Cycles; c != 100 {
+		t.Errorf("SP sampled over %d cycles, want 100", c)
 	}
 	s.SetInput("en", 1)
 	s.Run(100)
-	if v := s.SP(g); v < 0.24 || v > 0.26 {
+	if v := s.Profile().SP[g]; v < 0.24 || v > 0.26 {
 		t.Errorf("half-enabled clock SP = %v, want ~0.25", v)
 	}
 }
@@ -149,16 +149,15 @@ func TestResetPreservesSPButClearsState(t *testing.T) {
 	s.SetInput("b", 3)
 	s.Run(10)
 	s.Reset()
-	if s.Cycles() != 0 {
-		t.Error("Reset did not clear cycle count")
+	if c := s.Profile().Cycles; c != 10 {
+		t.Errorf("Reset left SP sampled over %d cycles, want the 10 before it", c)
 	}
 	if s.Output("o") != 0 {
 		t.Error("Reset did not clear DFF state")
 	}
-	s.ResetSP()
 	s.Run(4)
-	if v := s.SP(nl.ClockRoot); v != 0.5 {
-		t.Errorf("clk SP after ResetSP = %v", v)
+	if v := s.Profile().SP[nl.ClockRoot]; v != 0.5 {
+		t.Errorf("clk SP across Reset = %v", v)
 	}
 }
 

@@ -128,21 +128,6 @@ func (c *C) ShiftRightJam(a Bus, sh Bus) Bus {
 	return cur
 }
 
-// RotateLeft returns a rotated left by sh bits.
-func (c *C) RotateLeft(a Bus, sh Bus) Bus {
-	cur := append(Bus(nil), a...)
-	n := len(a)
-	for k, s := range sh {
-		amt := (1 << uint(k)) % n
-		rot := make(Bus, n)
-		for i := range rot {
-			rot[i] = cur[((i-amt)%n+n)%n]
-		}
-		cur = c.MuxBus(s, cur, rot)
-	}
-	return cur
-}
-
 // Mul returns the full-width unsigned product a*b (len(a)+len(b) bits)
 // using a shift-and-add array of ripple adders — the layout a synthesis
 // tool would pick for a small area target.

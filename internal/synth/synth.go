@@ -303,19 +303,6 @@ func (c *C) ZeroExtend(a Bus, width int) Bus {
 	return out
 }
 
-// SignExtend widens a to width bits replicating the top bit.
-func (c *C) SignExtend(a Bus, width int) Bus {
-	out := make(Bus, width)
-	for i := range out {
-		if i < len(a) {
-			out[i] = a[i]
-		} else {
-			out[i] = a[len(a)-1]
-		}
-	}
-	return out
-}
-
 // Decoder returns the 2^len(sel)-bit one-hot decode of sel.
 func (c *C) Decoder(sel Bus) Bus {
 	out := Bus{c.One()}

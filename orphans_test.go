@@ -148,24 +148,17 @@ var orphanAllow = []struct {
 	{"floor test only — inspection and debugging surface (waveforms, VCD, DOT, disassembly, fan-out " +
 		"cones, SP read-back) and API halves (onset bisection, corner re-targeting, the inject spec " +
 		"parser, client cancel/poll) with no production caller: candidates to retire with their tests", []string{
-		"internal/sim.Simulator.Cycles",
 		"internal/sim.Simulator.Record",
 		"internal/sim.Simulator.RecordPorts",
-		"internal/sim.Simulator.ResetSP",
-		"internal/sim.Simulator.SP",
 		"internal/sim.Simulator.VCD",
 		"internal/sim.Simulator.Waves",
-		"internal/netlist.Netlist.DOT",
 		"internal/netlist.Netlist.FanoutCone",
 		"internal/isa.Image.Disassemble",
-		"internal/cell.Kind.IsCombinational",
 		"internal/core.Workflow.OnsetBisect",
 		"internal/sta.Incremental.SetCorners",
 		"internal/inject.ParseSpec",
 		"internal/fleet.Client.Cancel",
 		"internal/fleet.Client.Job",
-		"internal/synth.C.RotateLeft",
-		"internal/synth.C.SignExtend",
 	}},
 }
 
