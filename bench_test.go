@@ -41,8 +41,9 @@ func fastCfg(mitigation bool) vega.Config {
 func BenchmarkTable1_SPProfile(b *testing.B) {
 	nl := demo.Adder2()
 	for i := 0; i < b.N; i++ {
-		s := sim.New(nl)
+		s := engine.NewPacked(engine.Cached(nl))
 		s.EnableSP()
+		s.ObserveLanes(1)
 		for c := 0; c < 10000; c++ {
 			s.SetInput("a", uint64(c*7%4))
 			s.SetInput("b", uint64(c*c%3))
@@ -215,6 +216,8 @@ func BenchmarkFigure9_IntegrationOverhead(b *testing.B) {
 // BenchmarkSubstrate_* measure the load-bearing substrates so
 // performance regressions in the simulator, solver, or CPU show up here.
 
+// BenchmarkSubstrate_GateSim steps the ALU netlist on the scalar
+// reference interpreter, the baseline the packed one is measured against.
 func BenchmarkSubstrate_GateSim(b *testing.B) {
 	m := vegaALUModule()
 	s := sim.New(m)

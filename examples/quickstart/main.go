@@ -20,8 +20,8 @@ import (
 	"repro/internal/bmc"
 	"repro/internal/cell"
 	"repro/internal/demo"
+	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/sim"
 	"repro/internal/sta"
 )
 
@@ -30,8 +30,10 @@ func main() {
 	fmt.Printf("netlist %q: %d cells (%d DFFs)\n\n", nl.Name, len(nl.Cells), nl.CountKind(cell.DFF))
 
 	// --- Phase 1a: signal-probability simulation (§3.2.1) ---
-	s := sim.New(nl)
+	// Every input reaches all 64 lanes; the profile counts lane 0.
+	s := engine.NewPacked(engine.Cached(nl))
 	s.EnableSP()
+	s.ObserveLanes(1)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 100000; i++ {
 		// A biased workload: a leans high, b leans low, so some cells
@@ -103,16 +105,17 @@ func main() {
 	}
 
 	// --- Replay: watch the original and shadow outputs diverge ---
-	rs := sim.New(inst.Netlist)
+	rs := engine.NewPacked(engine.Cached(inst.Netlist))
 	fmt.Printf("  o[1] :")
 	vals := make([]bool, 0, res.Trace.Cycles)
 	shadows := make([]bool, 0, res.Trace.Cycles)
 	for t := 0; t < res.Trace.Cycles; t++ {
 		rs.SetInput("a", res.Trace.Inputs["a"][t])
 		rs.SetInput("b", res.Trace.Inputs["b"][t])
-		vals = append(vals, rs.Net(res.Trace.CoverPoint.Orig))
-		shadows = append(shadows, rs.Net(res.Trace.CoverPoint.Shadow))
-		rs.Step()
+		rs.Settle()
+		vals = append(vals, rs.Lane(res.Trace.CoverPoint.Orig, 0))
+		shadows = append(shadows, rs.Lane(res.Trace.CoverPoint.Shadow, 0))
+		rs.Edge()
 	}
 	for _, v := range vals {
 		fmt.Printf("   'b%b", b2i(v))

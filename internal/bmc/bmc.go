@@ -27,6 +27,7 @@ package bmc
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/cell"
@@ -34,7 +35,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/netlist"
 	"repro/internal/sat"
-	"repro/internal/sim"
 )
 
 // Config parameterizes a cover query.
@@ -181,6 +181,11 @@ type Result struct {
 // holds several times the room a covered query stops at; pooled, that
 // room would stay live through all the small queries behind it.
 // Nothing in the Result points into pooled memory.
+// An unroller that is not pooled is collected at once: left to the
+// pacer, its room (22 MB for an FPU hold pair at depth 8) is live at the
+// next mark or not by timing alone, and when it is, the heap goal
+// doubles it — the FPU lift's peak resident set swung between 40 and
+// 50 MB from run to run.
 func Cover(nl *netlist.Netlist, covers []fault.CoverPoint, cfg Config) *Result {
 	cfg.fill()
 	if len(covers) == 0 {
@@ -191,6 +196,8 @@ func Cover(nl *netlist.Netlist, covers []fault.CoverPoint, cfg Config) *Result {
 	res := u.cover(covers)
 	if res.Verdict == Covered {
 		unrollers.Put(u)
+	} else {
+		runtime.GC()
 	}
 	return res
 }
@@ -223,15 +230,16 @@ func (u *unroller) cover(covers []fault.CoverPoint) *Result {
 // cycle — the soundness check that every BMC result in this repository
 // is validated against (DESIGN.md invariants).
 func Replay(nl *netlist.Netlist, tr *Trace) bool {
-	s := sim.New(nl)
+	e := engine.NewPacked(engine.Cached(nl))
 	for t := 0; t < tr.Cycles; t++ {
 		for port, vals := range tr.Inputs {
-			s.SetInput(port, vals[t])
+			e.SetInput(port, vals[t])
 		}
 		if t == tr.CoverCycle {
-			return s.Net(tr.CoverPoint.Orig) != s.Net(tr.CoverPoint.Shadow)
+			e.Settle()
+			return e.Lane(tr.CoverPoint.Orig, 0) != e.Lane(tr.CoverPoint.Shadow, 0)
 		}
-		s.Step()
+		e.Step()
 	}
 	return false
 }

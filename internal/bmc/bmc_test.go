@@ -1,6 +1,7 @@
 package bmc
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/alu"
@@ -79,6 +80,29 @@ func TestUnreachableWhenMasked(t *testing.T) {
 	res := Cover(inst.Netlist, inst.Covers, Config{MaxDepth: 6})
 	if res.Verdict != Unreachable {
 		t.Fatalf("verdict %v, want unreachable", res.Verdict)
+	}
+}
+
+// TestUnpooledUnrollerCollected: a query that runs to the bound is not
+// pooled, and Cover collects its room before returning, so no heap goal
+// the collector sets afterwards counts it.
+func TestUnpooledUnrollerCollected(t *testing.T) {
+	nl := maskedNetlist()
+	inst := fault.ShadowReplica(nl, fault.Spec{
+		Type:  sta.Setup,
+		Start: demo.CellIDByName(nl, "x"),
+		End:   demo.CellIDByName(nl, "y"),
+		C:     fault.C1,
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := Cover(inst.Netlist, inst.Covers, Config{MaxDepth: 6})
+	runtime.ReadMemStats(&after)
+	if res.Verdict != Unreachable {
+		t.Fatalf("verdict %v, want unreachable", res.Verdict)
+	}
+	if after.NumGC == before.NumGC {
+		t.Fatal("Cover dropped an unroller that ran to the bound without collecting it")
 	}
 }
 

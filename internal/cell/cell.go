@@ -81,41 +81,3 @@ func (k Kind) IsSequential() bool { return k == DFF }
 
 // IsClock reports whether k is a clock-network cell.
 func (k Kind) IsClock() bool { return k == CLKBUF || k == CLKGATE }
-
-// Eval computes the cell's output for the given input values. The slice
-// length must equal NumInputs(). Sequential and clock cells are evaluated
-// by the simulator, not here; calling Eval on them panics.
-func (k Kind) Eval(in []bool) bool {
-	switch k {
-	case TIE0:
-		return false
-	case TIE1:
-		return true
-	case BUF:
-		return in[0]
-	case INV:
-		return !in[0]
-	case AND2:
-		return in[0] && in[1]
-	case OR2:
-		return in[0] || in[1]
-	case NAND2:
-		return !(in[0] && in[1])
-	case NOR2:
-		return !(in[0] || in[1])
-	case XOR2:
-		return in[0] != in[1]
-	case XNOR2:
-		return in[0] == in[1]
-	case MUX2:
-		if in[2] {
-			return in[1]
-		}
-		return in[0]
-	case AOI21:
-		return !((in[0] && in[1]) || in[2])
-	case OAI21:
-		return !((in[0] || in[1]) && in[2])
-	}
-	panic("cell: Eval on non-combinational kind " + k.String())
-}

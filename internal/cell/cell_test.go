@@ -15,67 +15,6 @@ func TestNumInputs(t *testing.T) {
 	}
 }
 
-func TestEvalTruthTables(t *testing.T) {
-	b := []bool{false, true}
-	for _, a := range b {
-		for _, c := range b {
-			in := []bool{a, c}
-			if AND2.Eval(in) != (a && c) {
-				t.Errorf("AND2(%v,%v)", a, c)
-			}
-			if OR2.Eval(in) != (a || c) {
-				t.Errorf("OR2(%v,%v)", a, c)
-			}
-			if NAND2.Eval(in) != !(a && c) {
-				t.Errorf("NAND2(%v,%v)", a, c)
-			}
-			if NOR2.Eval(in) != !(a || c) {
-				t.Errorf("NOR2(%v,%v)", a, c)
-			}
-			if XOR2.Eval(in) != (a != c) {
-				t.Errorf("XOR2(%v,%v)", a, c)
-			}
-			if XNOR2.Eval(in) != (a == c) {
-				t.Errorf("XNOR2(%v,%v)", a, c)
-			}
-			for _, s := range b {
-				in3 := []bool{a, c, s}
-				wantMux := a
-				if s {
-					wantMux = c
-				}
-				if MUX2.Eval(in3) != wantMux {
-					t.Errorf("MUX2(%v,%v,%v)", a, c, s)
-				}
-				if AOI21.Eval(in3) != !((a && c) || s) {
-					t.Errorf("AOI21(%v,%v,%v)", a, c, s)
-				}
-				if OAI21.Eval(in3) != !((a || c) && s) {
-					t.Errorf("OAI21(%v,%v,%v)", a, c, s)
-				}
-			}
-		}
-		if BUF.Eval([]bool{a}) != a {
-			t.Errorf("BUF(%v)", a)
-		}
-		if INV.Eval([]bool{a}) != !a {
-			t.Errorf("INV(%v)", a)
-		}
-	}
-	if TIE0.Eval(nil) != false || TIE1.Eval(nil) != true {
-		t.Error("TIE cells wrong")
-	}
-}
-
-func TestEvalPanicsOnSequential(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Eval(DFF) did not panic")
-		}
-	}()
-	DFF.Eval([]bool{true})
-}
-
 func TestClassification(t *testing.T) {
 	if !DFF.IsSequential() || DFF.IsClock() {
 		t.Error("DFF classification wrong")

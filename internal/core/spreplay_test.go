@@ -18,10 +18,10 @@ import (
 )
 
 // scalarReplaySP is the replay ProfileWorkloads ran before its chunks
-// became lanes, kept as the oracle replaySP is held to: one scalar
-// module.Driver per chunk, each from reset, each operation through
-// Driver.Exec and then gap idle cycles, the partial profiles merged in
-// chunk order.
+// became lanes, kept as the oracle replaySP is held to: one chunk at a
+// time, each on a module.Driver of its own (one stream, lane 0) from
+// reset, each operation through Driver.Exec and then gap idle cycles,
+// the partial profiles merged in chunk order.
 func scalarReplaySP(m *module.Module, sampled []cpu.OpRecord, gap int) *engine.Profile {
 	chunks := min(profileChunks, len(sampled))
 	parts := make([]*engine.Profile, chunks)
@@ -29,13 +29,15 @@ func scalarReplaySP(m *module.Module, sampled []cpu.OpRecord, gap int) *engine.P
 		lo := ci * len(sampled) / chunks
 		hi := (ci + 1) * len(sampled) / chunks
 		d := module.NewDriver(m)
-		d.Sim.EnableSP()
+		d.Eng.EnableSP()
 		for _, op := range sampled[lo:hi] {
 			d.Exec(op.Op, op.A, op.B)
-			d.Sim.SetInput(module.PortInValid, 0)
-			d.Sim.Run(gap)
+			d.Eng.SetInput(module.PortInValid, 0)
+			for range gap {
+				d.Eng.Step()
+			}
 		}
-		parts[ci] = d.Sim.Profile()
+		parts[ci] = d.Eng.Profile()
 	}
 	return engine.MergeProfiles(parts...)
 }

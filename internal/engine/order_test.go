@@ -13,7 +13,7 @@ import (
 
 // topoProgram is a compiled program's instruction stream put back in
 // netlist.Topo() order, with maximal same-kind runs over that order:
-// the stream the interpreters walked before Compile sorted it by level.
+// the stream the interpreter walked before Compile sorted it by level.
 type topoProgram struct {
 	ops  []engine.Op
 	runs []engine.Run
@@ -33,74 +33,6 @@ func topoOrder(p *engine.Program) *topoProgram {
 		lo = hi
 	}
 	return tp
-}
-
-// settle is the scalar interpreter's loop over the topological order.
-func (tp *topoProgram) settle(vals []bool) {
-	ops := tp.ops
-	for _, r := range tp.runs {
-		run := ops[r.Lo:r.Hi]
-		switch r.Kind {
-		case cell.TIE0:
-			for i := range run {
-				vals[run[i].Out] = false
-			}
-		case cell.TIE1:
-			for i := range run {
-				vals[run[i].Out] = true
-			}
-		case cell.BUF, cell.CLKBUF:
-			for i := range run {
-				vals[run[i].Out] = vals[run[i].In[0]]
-			}
-		case cell.INV:
-			for i := range run {
-				vals[run[i].Out] = !vals[run[i].In[0]]
-			}
-		case cell.AND2, cell.CLKGATE:
-			for i := range run {
-				vals[run[i].Out] = vals[run[i].In[0]] && vals[run[i].In[1]]
-			}
-		case cell.OR2:
-			for i := range run {
-				vals[run[i].Out] = vals[run[i].In[0]] || vals[run[i].In[1]]
-			}
-		case cell.NAND2:
-			for i := range run {
-				vals[run[i].Out] = !(vals[run[i].In[0]] && vals[run[i].In[1]])
-			}
-		case cell.NOR2:
-			for i := range run {
-				vals[run[i].Out] = !(vals[run[i].In[0]] || vals[run[i].In[1]])
-			}
-		case cell.XOR2:
-			for i := range run {
-				vals[run[i].Out] = vals[run[i].In[0]] != vals[run[i].In[1]]
-			}
-		case cell.XNOR2:
-			for i := range run {
-				vals[run[i].Out] = vals[run[i].In[0]] == vals[run[i].In[1]]
-			}
-		case cell.MUX2:
-			for i := range run {
-				if vals[run[i].In[2]] {
-					vals[run[i].Out] = vals[run[i].In[1]]
-				} else {
-					vals[run[i].Out] = vals[run[i].In[0]]
-				}
-			}
-		case cell.AOI21:
-			for i := range run {
-				vals[run[i].Out] = !((vals[run[i].In[0]] && vals[run[i].In[1]]) || vals[run[i].In[2]])
-			}
-		case cell.OAI21:
-			for i := range run {
-				vals[run[i].Out] = !((vals[run[i].In[0]] || vals[run[i].In[1]]) && vals[run[i].In[2]])
-			}
-		default:
-			panic("engine: cannot evaluate " + r.Kind.String())
-		}
-	}
 }
 
 // settlePacked is the 64-lane interpreter's loop over the topological
@@ -171,34 +103,28 @@ func (tp *topoProgram) settlePacked(vals []uint64) {
 
 // scheduledMatchesTopo settles randomNetlist(seed) from random state —
 // every net, so flip-flop outputs, inputs and stale combinational values
-// alike — on both interpreters and on the topological-order oracle, for
-// a few rounds of fresh stimulus, and reports the first disagreement.
+// alike — on the packed interpreter and on the topological-order oracle,
+// for a few rounds of fresh stimulus, and reports the first disagreement.
 func scheduledMatchesTopo(t *testing.T, seed int64, rng *rand.Rand) bool {
 	nl := randomNetlist(seed)
 	p := engine.Compile(nl)
 	tp := topoOrder(p)
 	in, _ := nl.FindInput("x")
 	words := make([]uint64, nl.NumNets)
-	bools := make([]bool, nl.NumNets)
 	for n := range words {
 		words[n] = rng.Uint64()
-		bools[n] = words[n]&1 == 1
 	}
 	for round := 0; round < 4; round++ {
 		for _, n := range in.Bits {
 			words[n] = rng.Uint64()
-			bools[n] = words[n]&1 == 1
 		}
 		wantW := append([]uint64(nil), words...)
-		wantB := append([]bool(nil), bools...)
 		tp.settlePacked(wantW)
-		tp.settle(wantB)
 		e := engine.NewPacked(p)
 		for n, w := range words {
 			e.SetNet(netlist.NetID(n), w)
 		}
 		e.Settle()
-		p.Settle(bools)
 		for n := range words {
 			words[n] = 0
 			for l := 0; l < engine.Lanes; l++ {
@@ -206,9 +132,9 @@ func scheduledMatchesTopo(t *testing.T, seed int64, rng *rand.Rand) bool {
 					words[n] |= 1 << uint(l)
 				}
 			}
-			if words[n] != wantW[n] || bools[n] != wantB[n] {
-				t.Logf("seed %d round %d net %s: packed %#x scalar %v, topological order %#x %v",
-					seed, round, nl.NetName(netlist.NetID(n)), words[n], bools[n], wantW[n], wantB[n])
+			if words[n] != wantW[n] {
+				t.Logf("seed %d round %d net %s: packed %#x, topological order %#x",
+					seed, round, nl.NetName(netlist.NetID(n)), words[n], wantW[n])
 				return false
 			}
 		}
@@ -217,8 +143,8 @@ func scheduledMatchesTopo(t *testing.T, seed int64, rng *rand.Rand) bool {
 }
 
 // TestScheduledSettleMatchesTopo: the level-major, kind-grouped order
-// settles every net to exactly the word and bool the netlist's own
-// topological order gives, on random netlists from random state.
+// settles every net to exactly the word the netlist's own topological
+// order gives, on random netlists from random state.
 func TestScheduledSettleMatchesTopo(t *testing.T) {
 	check := func(seed int64) bool {
 		return scheduledMatchesTopo(t, seed, rand.New(rand.NewSource(seed^0x70b0)))

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/cell"
@@ -92,6 +93,32 @@ func (e *Packed) SetNet(n netlist.NetID, word uint64) { e.vals[n] = word }
 // Lane reads the value of net n in a single lane.
 func (e *Packed) Lane(n netlist.NetID, lane int) bool {
 	return e.vals[n]>>uint(lane)&1 == 1
+}
+
+// SetInput drives a (multi-bit) input port with the low len(port) bits
+// of val, LSB first, broadcast to all 64 lanes.
+func (e *Packed) SetInput(name string, val uint64) {
+	p, ok := e.prog.Netlist.FindInput(name)
+	if !ok {
+		panic(fmt.Sprintf("engine: no input port %q on %s", name, e.prog.Netlist.Name))
+	}
+	for i, n := range p.Bits {
+		e.vals[n] = -(val >> uint(i) & 1)
+	}
+}
+
+// Output reads a (multi-bit) output port in one lane as a uint64, LSB
+// first. Callers settle before reading.
+func (e *Packed) Output(name string, lane int) uint64 {
+	p, ok := e.prog.Netlist.FindOutput(name)
+	if !ok {
+		panic(fmt.Sprintf("engine: no output port %q on %s", name, e.prog.Netlist.Name))
+	}
+	var v uint64
+	for i, n := range p.Bits {
+		v |= (e.vals[n] >> uint(lane) & 1) << uint(i)
+	}
+	return v
 }
 
 // Settle propagates all 64 lanes through the combinational logic (and

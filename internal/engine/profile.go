@@ -1,10 +1,10 @@
 package engine
 
 // Profile is a per-net signal-probability profile plus the observation
-// length, consumed by the aging analysis. It lives in the engine because
-// both interpreters produce it: the scalar simulator (internal/sim, one
-// observed cycle per Step) and the packed evaluator (64 lane-cycles per
-// Step).
+// length, consumed by the aging analysis. The packed evaluator produces
+// it, one lane-cycle per observed lane per Step. The scalar reference
+// (internal/sim, one cycle per Step) produces the same type, so the
+// engine's tests compare the two profiles with ==.
 type Profile struct {
 	Cycles uint64
 	SP     []float64 // indexed by NetID
@@ -21,9 +21,8 @@ type Profile struct {
 // cycles. Profiles with zero cycles contribute nothing. The raw Ones
 // counters are summed in argument order and are exact multiples of 0.5,
 // so the result is independent of how the observation was partitioned —
-// the invariant the parallel profiling path relies on. Scalar and
-// packed partials mix freely: a packed partial is simply 64 observations
-// summed up front.
+// the invariant the parallel profiling path relies on. A packed partial
+// is simply its observed lanes' observations summed up front.
 func MergeProfiles(ps ...*Profile) *Profile {
 	nets := 0
 	for _, p := range ps {

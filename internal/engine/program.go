@@ -1,7 +1,7 @@
 // Package engine is the compiled evaluation core shared by every
-// consumer that walks a netlist cycle by cycle: the functional simulator
-// (internal/sim), the SP-profiling paths in internal/core, the
-// failing-netlist replays of the test-quality experiments, and the CNF
+// consumer that walks a netlist cycle by cycle: the unit driver
+// (internal/module), the SP-profiling paths in internal/core, trace
+// replay (bmc.Replay), the fault waves of internal/inject, and the CNF
 // unroller of the bounded model checker (internal/bmc).
 //
 // Compile lowers a validated netlist.Netlist once into a Program: a
@@ -9,14 +9,13 @@
 // dependency order with flattened input-net arrays, consecutive
 // same-kind ops grouped into dispatch runs, and the sequential and
 // clock-network structure precomputed (DFF list, clock-net membership).
-// Two interpreters evaluate a Program:
-//
-//   - the scalar interpreter (scalar.go): one bool per net, preserving
-//     the exact semantics — and byte-identical results — of the original
-//     per-cell switch in internal/sim;
-//   - the 64-lane packed interpreter (packed.go): one uint64 word per
-//     net, each bit an independent stimulus stream, with SP residency
-//     accumulated via popcount.
+// One interpreter evaluates a Program: the 64-lane packed one
+// (packed.go), one uint64 word per net, each bit an independent
+// stimulus stream, with SP residency accumulated via popcount;
+// FaultedPacked (faulted.go) runs the same kernels under fault
+// overlays. A single run is lane 0. The scalar reference the kernels
+// are held to, one bool per net, is internal/sim, which only tests
+// drive.
 //
 // Programs are immutable after Compile and safe to share read-only
 // across the worker pool; Cached (cache.go) keys compiled programs by

@@ -98,8 +98,12 @@ func TestNetlistPipelined(t *testing.T) {
 func TestStatusOutputs(t *testing.T) {
 	m := Build()
 	d := module.NewDriver(m)
-	s := d.Sim
-	if s.Output("busy") != 0 {
+	s := d.Eng
+	out := func(port string) uint64 {
+		s.Settle()
+		return s.Output(port, 0)
+	}
+	if out("busy") != 0 {
 		t.Error("busy at reset")
 	}
 	s.SetInput(module.PortInValid, 1)
@@ -109,22 +113,22 @@ func TestStatusOutputs(t *testing.T) {
 	s.Step()
 	s.SetInput(module.PortInValid, 0)
 	s.Step()
-	if s.Output(module.PortOutValid) != 1 {
+	if out(module.PortOutValid) != 1 {
 		t.Error("out_valid not raised at latency 2")
 	}
-	if s.Output("busy") != 1 || s.Output("flags_valid") != 1 {
+	if out("busy") != 1 || out("flags_valid") != 1 {
 		t.Error("status strobes not raised with out_valid")
 	}
-	if s.Output(module.PortResult) != 0x40000000 {
-		t.Errorf("1+1 = %08x", s.Output(module.PortResult))
+	if out(module.PortResult) != 0x40000000 {
+		t.Errorf("1+1 = %08x", out(module.PortResult))
 	}
 	s.Step()
-	if s.Output(module.PortOutValid) != 0 {
+	if out(module.PortOutValid) != 0 {
 		t.Error("out_valid stuck")
 	}
 	s.Step()
 	s.Step()
-	if s.Output("busy") != 0 || s.Output("flags_valid") != 0 {
+	if out("busy") != 0 || out("flags_valid") != 0 {
 		t.Error("status bits stuck after drain")
 	}
 }

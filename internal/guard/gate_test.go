@@ -81,12 +81,13 @@ func TestGuardedNetlistBasePrefixFPU(t *testing.T) {
 // the rest of the run — first failure names the op that tripped it.
 func assertSilent(t *testing.T, d *module.Driver, names []string, ctx string) {
 	t.Helper()
+	d.Eng.Settle()
 	for _, name := range names {
-		if d.Sim.Output("g_"+name) != 0 {
+		if d.Eng.Output("g_"+name, 0) != 0 {
 			t.Fatalf("gate guard %s fired on clean %s", name, ctx)
 		}
 	}
-	if d.Sim.Output("guard_fire") != 0 {
+	if d.Eng.Output("guard_fire", 0) != 0 {
 		t.Fatalf("guard_fire raised on clean %s", ctx)
 	}
 }

@@ -33,16 +33,17 @@ func agedALUPairs(t *testing.T) (*module.Module, []sta.PairSummary) {
 	m := alu.Build()
 	scale := sta.Calibrate(m.Netlist, cell.Lib28(), m.PeriodPs, m.SynthMargin)
 	d := module.NewDriver(m)
-	d.Sim.EnableSP()
+	d.Eng.EnableSP()
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		d.Exec(uint32(rng.Intn(alu.NumOps)), rng.Uint32(), rng.Uint32())
-		d.Sim.SetInput(module.PortInValid, 0)
-		d.Sim.Run(2)
+		d.Eng.SetInput(module.PortInValid, 0)
+		d.Eng.Step()
+		d.Eng.Step()
 	}
 	res := sta.AnalyzeCorners(m.Netlist, sta.BatchConfig{
 		PeriodPs: m.PeriodPs, Scale: scale, Base: cell.Lib28(),
-		Model: aging.Default(), Profile: d.Sim.Profile(),
+		Model: aging.Default(), Profile: d.Eng.Profile(),
 	}, []sta.Corner{{Years: 10}})[0]
 	if len(res.Pairs) == 0 {
 		t.Fatal("no aging-prone pairs found in the ALU")

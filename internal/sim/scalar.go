@@ -1,13 +1,15 @@
-package engine
+package sim
 
-import "repro/internal/cell"
+import (
+	"repro/internal/cell"
+	"repro/internal/engine"
+)
 
-// Settle propagates values through the compiled combinational logic
-// (and the clock network) in program order. vals must have length
-// p.NumNets. Results match a per-cell walk of netlist.Topo() exactly:
-// program order is a dependency order too, only grouped into same-kind
-// runs so the switch runs once per run instead of once per cell.
-func (p *Program) Settle(vals []bool) {
+// settle propagates values through the compiled combinational logic
+// (and the clock network) in program order, one bool per net: the
+// reference engine.Packed's word kernels are held to. vals must have
+// length p.NumNets.
+func settle(p *engine.Program, vals []bool) {
 	ops := p.Ops
 	for _, r := range p.Runs {
 		run := ops[r.Lo:r.Hi]
@@ -69,18 +71,16 @@ func (p *Program) Settle(vals []bool) {
 				vals[run[i].Out] = !((vals[run[i].In[0]] || vals[run[i].In[1]]) && vals[run[i].In[2]])
 			}
 		default:
-			panic("engine: cannot evaluate " + r.Kind.String())
+			panic("sim: cannot evaluate " + r.Kind.String())
 		}
 	}
 }
 
-// StepDFFs applies the rising clock edge to every flip-flop whose
-// (possibly gated) clock net is high: one pass over the precomputed DFF
-// list captures the staged next-state into scratch, then a tight
-// write-back publishes it. scratch must have length len(p.DFFs); it
-// replaces the per-net staging array (and the two full-cell scans) the
-// simulator used before the engine existed.
-func (p *Program) StepDFFs(vals []bool, scratch []bool) {
+// stepDFFs applies the rising clock edge to every flip-flop whose
+// (possibly gated) clock net is high: one pass over the program's DFF
+// list captures the staged next-state into scratch, then a write-back
+// publishes it. scratch must have length len(p.DFFs).
+func stepDFFs(p *engine.Program, vals []bool, scratch []bool) {
 	for i := range p.DFFs {
 		f := &p.DFFs[i]
 		if vals[f.Clk] {
@@ -94,9 +94,9 @@ func (p *Program) StepDFFs(vals []bool, scratch []bool) {
 	}
 }
 
-// ResetScalar writes the reset state into vals: all nets 0, the clock
-// root high (clock enabled), every DFF output at its Init value.
-func (p *Program) ResetScalar(vals []bool) {
+// reset writes the reset state into vals: all nets 0, the clock root
+// high (clock enabled), every DFF output at its Init value.
+func reset(p *engine.Program, vals []bool) {
 	for i := range vals {
 		vals[i] = false
 	}

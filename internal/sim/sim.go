@@ -10,11 +10,12 @@
 // is gated off. In this simulator the free-running clock is the Step()
 // call itself, so gated-off cells still accumulate residency every cycle.
 //
-// Simulator is the stateful scalar front-end over a compiled
-// engine.Program — the peer of engine.Packed, which is the 64-lane one:
-// the netlist is lowered once into a shared read-only program
-// (engine.Cached) and the simulator owns what one run adds to it — net
-// values, staged flip-flop state, SP counters and recorded waveforms.
+// Simulator is the scalar reference over a compiled engine.Program: one
+// bool per net, evaluated by the kernels in scalar.go. No binary runs
+// it. The engine's tests hold engine.Packed and FaultedPacked to it lane
+// by lane (FuzzPackedVsScalar, TestPackedLaneMatchesScalar,
+// TestPackedSPAggregationIsExact, TestFaultedPackedMatchesFailingNetlist,
+// TestKernelTruthTables); the fault and synth tests simulate on it.
 package sim
 
 import (
@@ -36,9 +37,6 @@ type Simulator struct {
 	spEnabled bool
 	spCycles  uint64    // cycles sampled so far
 	spOnes    []float64 // per net: accumulated logical-"1" residency
-
-	recordNets []netlist.NetID
-	waves      [][]bool
 }
 
 // New creates a simulator in the reset state: all DFFs hold their Init
@@ -55,14 +53,11 @@ func New(nl *netlist.Netlist) *Simulator {
 	return s
 }
 
-// Program returns the compiled program the simulator runs on.
-func (s *Simulator) Program() *engine.Program { return s.prog }
-
 // Reset re-applies reset values to all flip-flops and clears inputs. SP
-// counters (with the number of cycles they were sampled over) and
-// recorded waveforms are preserved so multi-run profiles can accumulate.
+// counters (with the number of cycles they were sampled over) are
+// preserved so multi-run profiles can accumulate.
 func (s *Simulator) Reset() {
-	s.prog.ResetScalar(s.vals)
+	reset(s.prog, s.vals)
 	s.dirty = true
 }
 
@@ -73,15 +68,6 @@ func (s *Simulator) EnableSP() {
 		s.spOnes = make([]float64, s.nl.NumNets)
 	}
 }
-
-// Record registers nets whose settled value is captured every cycle.
-func (s *Simulator) Record(nets ...netlist.NetID) {
-	s.recordNets = append(s.recordNets, nets...)
-}
-
-// Waves returns the recorded waveform: one row per executed cycle, one
-// column per recorded net (in Record order).
-func (s *Simulator) Waves() [][]bool { return s.waves }
 
 // SetInput drives a (multi-bit) input port with the low len(port) bits of
 // val, LSB first.
@@ -118,28 +104,18 @@ func (s *Simulator) Settle() {
 	if !s.dirty {
 		return
 	}
-	s.prog.Settle(s.vals)
+	settle(s.prog, s.vals)
 	s.dirty = false
 }
 
-// Step completes the current cycle: settle, sample SP counters and
-// waveforms, then apply the rising clock edge to every DFF whose clock net
-// is enabled. The flip-flop update runs over the program's precomputed
-// DFF list — not a scan of all cells — with the staged next-state held in
-// a per-flip-flop scratch buffer.
+// Step completes the current cycle: settle, sample SP counters, then
+// apply the rising clock edge to every DFF whose clock net is enabled.
 func (s *Simulator) Step() {
 	s.Settle()
 	if s.spEnabled {
 		s.sampleSP()
 	}
-	if len(s.recordNets) > 0 {
-		row := make([]bool, len(s.recordNets))
-		for i, n := range s.recordNets {
-			row[i] = s.vals[n]
-		}
-		s.waves = append(s.waves, row)
-	}
-	s.prog.StepDFFs(s.vals, s.next)
+	stepDFFs(s.prog, s.vals, s.next)
 	s.dirty = true
 }
 

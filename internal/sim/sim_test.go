@@ -161,24 +161,6 @@ func TestResetPreservesSPButClearsState(t *testing.T) {
 	}
 }
 
-func TestWaveformRecording(t *testing.T) {
-	nl := demo.Adder2()
-	out, _ := nl.FindOutput("o")
-	s := New(nl)
-	s.Record(out.Bits...)
-	s.SetInput("a", 1)
-	s.SetInput("b", 1)
-	s.Run(3)
-	w := s.Waves()
-	if len(w) != 3 || len(w[0]) != 2 {
-		t.Fatalf("waveform shape %dx%d", len(w), len(w[0]))
-	}
-	// Cycle 2 should show o = 2 (1+1).
-	if w[2][1] != true || w[2][0] != false {
-		t.Errorf("cycle-2 waveform = %v, want o=2", w[2])
-	}
-}
-
 func TestRandomizedAdderAgainstGolden(t *testing.T) {
 	nl := demo.Adder2()
 	s := New(nl)

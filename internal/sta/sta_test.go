@@ -154,15 +154,17 @@ func TestCalibrateHitsMargin(t *testing.T) {
 // by the given idle gap) and returns the SP profile.
 func profileModule(m *module.Module, ops int, gap int, seed int64, opGen func(*rand.Rand) (uint32, uint32, uint32)) *engine.Profile {
 	d := module.NewDriver(m)
-	d.Sim.EnableSP()
+	d.Eng.EnableSP()
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < ops; i++ {
 		op, a, b := opGen(rng)
 		d.Exec(op, a, b)
-		d.Sim.SetInput(module.PortInValid, 0)
-		d.Sim.Run(gap)
+		d.Eng.SetInput(module.PortInValid, 0)
+		for range gap {
+			d.Eng.Step()
+		}
 	}
-	return d.Sim.Profile()
+	return d.Eng.Profile()
 }
 
 func TestALUAgedViolations(t *testing.T) {

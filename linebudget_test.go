@@ -26,7 +26,10 @@ import (
 //	        computes its clobber list; seven floor-test orphans deleted
 //	        against it.
 //	26,485  eight binaries folded into `vega` subcommands; two orphans deleted.
-const lineBudget = 26_485
+//	26,403  the unit driver, trace replay and the quickstart run on
+//	        engine.Packed; the waveform surface and cell.Kind.Eval deleted;
+//	        a BMC query left out of the pool is collected at once.
+const lineBudget = 26_403
 
 // TestLineBudget is the ratchet behind ROADMAP's "same numbers from the
 // least code": it counts the lines of every non-test Go file the census

@@ -83,21 +83,34 @@ var orphanAllow = []struct {
 	{"reference implementation a differential test holds production to " +
 		"(TestCornerGridMatchesNewLibrary and the aged-STA shape tests; sta's oracle_test.go; " +
 		"every BMC trace test and FuzzIncrementalCover; TestFaultedPackedMatchesFailingNetlist and " +
-		"inject's scalar oracle; TestNetlistPipelined; TestEvalTruthTables)", []string{
+		"inject's scalar oracle; TestNetlistPipelined)", []string{
 		"internal/aging.NewLibrary",
 		"internal/aging.Library.Factor",
 		"internal/aging.Library.AgedTiming",
 		"internal/bmc.Replay",
-		"internal/cell.Kind.Eval",
 		"internal/fault.FailingNetlistMulti",
 		"internal/module.Driver.ExecPipelined",
 	}},
-	{"drives the scalar evaluator beside the packed one in FuzzPackedVsScalar, " +
-		"TestPackedLaneMatchesScalar and TestPackedSPAggregationIsExact, and through the scalar SP " +
-		"replay TestProfilePackedMatchesScalarReplay holds the packed-lane replay to (a driver on the " +
-		"unit's own netlist, idle cycles by count); the units' golden-vs-netlist tests use the same two", []string{
-		"internal/sim.Simulator.SetInputBits",
+	{"the scalar reference engine.Packed and engine.FaultedPacked are held to, which no binary links: " +
+		"FuzzPackedVsScalar, TestPackedLaneMatchesScalar, TestPackedSPAggregationIsExact, " +
+		"TestProfileAccumulatesAcrossReset, TestKernelTruthTables, TestFaultedPackedMatchesFailingNetlist " +
+		"and TestFaultedPackedRetire in engine; the failing-netlist and shadow-replica tests in fault; " +
+		"TestClockTreeShape and the datapath tests in synth; sim's own tests", []string{
+		"internal/sim.New",
+		"internal/sim.Simulator",
+		"internal/sim.Simulator.EnableSP",
+		"internal/sim.Simulator.Net",
+		"internal/sim.Simulator.Output",
+		"internal/sim.Simulator.Profile",
+		"internal/sim.Simulator.Reset",
 		"internal/sim.Simulator.Run",
+		"internal/sim.Simulator.SetInput",
+		"internal/sim.Simulator.SetInputBits",
+		"internal/sim.Simulator.Settle",
+		"internal/sim.Simulator.Step",
+	}},
+	{"a driver on the unit's own netlist: the per-chunk SP replay TestProfilePackedMatchesScalarReplay " +
+		"holds the packed-lane replay to, and the units' golden-vs-netlist tests", []string{
 		"internal/module.NewDriver",
 	}},
 	{"paper §6.2/§6.3 extension (temperature sweep, fuzzing-based test construction) that no binary " +
@@ -143,15 +156,10 @@ var orphanAllow = []struct {
 		"internal/module.Module.Clone",
 		"internal/netlist.Netlist.Clone",
 		"internal/netlist.Builder.Cell",
-		"internal/sim.Simulator.Program",
 	}},
-	{"floor test only — inspection and debugging surface (waveforms, VCD, DOT, disassembly, fan-out " +
-		"cones, SP read-back) and API halves (the inject spec parser, client cancel/poll) " +
+	{"floor test only — inspection and debugging surface (disassembly, fan-out " +
+		"cones) and API halves (the inject spec parser, client cancel/poll) " +
 		"with no production caller: candidates to retire with their tests", []string{
-		"internal/sim.Simulator.Record",
-		"internal/sim.Simulator.RecordPorts",
-		"internal/sim.Simulator.VCD",
-		"internal/sim.Simulator.Waves",
 		"internal/netlist.Netlist.FanoutCone",
 		"internal/isa.Image.Disassemble",
 		"internal/inject.ParseSpec",
