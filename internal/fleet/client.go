@@ -199,13 +199,18 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// Submit posts a job spec and returns the accepted record. With a
-// retry policy, the spec is stamped once with a content-addressed
-// idempotency key (hash of the spec plus a per-call nonce), so every
-// resend of this logical submission maps onto one server-side job even
-// when a response was lost in flight. Distinct Submit calls get
-// distinct nonces and stay distinct jobs.
+// Submit posts a job spec and returns the accepted record. A sweep names
+// its Verilog by SHA-256, and sends the source only when the daemon
+// answers 409. With a retry policy, the spec is stamped once with a
+// content-addressed idempotency key (hash of the by-hash spec plus a
+// per-call nonce), so every resend of this logical submission, in either
+// form, maps onto one server-side job even when a response was lost in
+// flight. Distinct Submit calls get distinct nonces and stay distinct jobs.
 func (c *Client) Submit(ctx context.Context, spec Spec) (*Job, error) {
+	src := ""
+	if spec.Kind == KindSweep && spec.NetlistSHA == "" && spec.Verilog != "" {
+		src, spec.Verilog, spec.NetlistSHA = spec.Verilog, "", netlistSHA(spec.Verilog)
+	}
 	if c.Retry != nil && spec.SubmitKey == "" {
 		c.Retry.fill()
 		content, err := json.Marshal(spec)
@@ -214,30 +219,37 @@ func (c *Client) Submit(ctx context.Context, spec Spec) (*Job, error) {
 		}
 		spec.SubmitKey = fmt.Sprintf("%.16s-%016x", store.HashBytes(content), c.Retry.nonce())
 	}
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.doRetry(ctx, func() (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/jobs", bytes.NewReader(body))
+	for {
+		body, err := json.Marshal(spec)
 		if err != nil {
 			return nil, err
 		}
-		req.Header.Set("Content-Type", "application/json")
-		return req, nil
-	})
-	if err != nil {
-		return nil, err
+		resp, err := c.doRetry(ctx, func() (*http.Request, error) {
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/jobs", bytes.NewReader(body))
+			if err != nil {
+				return nil, err
+			}
+			req.Header.Set("Content-Type", "application/json")
+			return req, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusConflict && src != "" {
+			_, _ = io.Copy(io.Discard, resp.Body) // lets the connection carry the resend
+			spec.Verilog, spec.NetlistSHA, src = src, "", ""
+			continue
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			return nil, errorBody(resp)
+		}
+		var j Job
+		if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
+			return nil, err
+		}
+		return &j, nil
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return nil, errorBody(resp)
-	}
-	var j Job
-	if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
-		return nil, err
-	}
-	return &j, nil
 }
 
 // Job fetches one job record (without its result payload).

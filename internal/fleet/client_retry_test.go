@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -83,48 +85,60 @@ func TestRetryTransient5xx(t *testing.T) {
 	waitDone(t, c, j.ID)
 }
 
-// TestRetryLostResponse is the double-submit hazard: the server accepts
-// the job but the 202 is lost in flight (client sees 502). The retry
-// resends the same content-addressed SubmitKey and must land on the
-// already-accepted job — one job total, same ID, not two runs of the
-// same work.
-func TestRetryLostResponse(t *testing.T) {
-	s, err := New(Options{Dir: t.TempDir(), Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	defer func() { _ = s.Shutdown(context.Background()) }()
-
+// loseFirstAccepted serves s over HTTP, but the response to the first
+// POST the daemon accepts dies on the wire (the client sees 502) after
+// the daemon has processed it. It reports whether that POST carried the
+// source inline.
+func loseFirstAccepted(t *testing.T, s *Server) (h *httptest.Server, lostInline func() bool) {
 	inner := s.Handler()
-	var lost int
-	var lostMu sync.Mutex
-	h := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		lostMu.Lock()
-		dropThis := r.Method == http.MethodPost && lost == 0
+	var mu sync.Mutex
+	lost, inline := false, false
+	h = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		mu.Lock()
+		dropThis := r.Method == http.MethodPost && rec.Code == http.StatusAccepted && !lost
 		if dropThis {
-			lost++
+			lost, inline = true, bytes.Contains(body, []byte(`"verilog"`))
 		}
-		lostMu.Unlock()
+		mu.Unlock()
 		if dropThis {
-			// The daemon processes the submission; the response dies on
-			// the wire.
-			rec := httptest.NewRecorder()
-			inner.ServeHTTP(rec, r)
-			if rec.Code != http.StatusAccepted {
-				t.Errorf("inner submission failed: %d %s", rec.Code, rec.Body)
-			}
 			http.Error(w, `{"error":"bad gateway (injected)"}`, http.StatusBadGateway)
 			return
 		}
-		inner.ServeHTTP(w, r)
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
 	}))
-	defer h.Close()
+	t.Cleanup(h.Close)
+	return h, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if !lost {
+			t.Fatal("no accepted POST was dropped")
+		}
+		return inline
+	}
+}
 
+// lostResponseDedups submits a sweep through loseFirstAccepted. The
+// retry resends the same content-addressed SubmitKey and must land on
+// the already-accepted job — one job total, same ID, not two runs of
+// the same work.
+func lostResponseDedups(t *testing.T, s *Server, wantInline bool) {
+	t.Helper()
+	h, lostInline := loseFirstAccepted(t, s)
 	c := &Client{Base: h.URL, HTTP: h.Client(), Retry: testPolicy()}
 	j, err := c.Submit(context.Background(), Spec{Kind: KindSweep, Verilog: tinyVerilog(1)})
 	if err != nil {
 		t.Fatalf("submit through lost response: %v", err)
+	}
+	if got := lostInline(); got != wantInline {
+		t.Fatalf("the lost submission carried the source inline: %v, want %v", got, wantInline)
 	}
 	s.mu.Lock()
 	n := len(s.jobs)
@@ -137,6 +151,38 @@ func TestRetryLostResponse(t *testing.T) {
 		t.Fatalf("returned job %s is not the server's accepted job", j.ID)
 	}
 	waitDone(t, c, j.ID)
+}
+
+// newStarted is a running daemon over a fresh state dir, without HTTP.
+func newStarted(t *testing.T) *Server {
+	t.Helper()
+	s, err := New(Options{Dir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	return s
+}
+
+// TestRetryLostResponse is the double-submit hazard: the server accepts
+// the job but the 202 is lost in flight. The daemon already holds the
+// netlist, so the by-hash POST is the one accepted and lost.
+func TestRetryLostResponse(t *testing.T) {
+	s := newStarted(t)
+	src := tinyVerilog(1)
+	if _, err := s.netlists.put(netlistSHA(src), src); err != nil {
+		t.Fatal(err)
+	}
+	lostResponseDedups(t, s, false)
+}
+
+// TestRetryLostResponseInline is the same hazard on the inline
+// fallback: the daemon answers the by-hash POST with 409, accepts the
+// inline resend, and its 202 is lost. The retry of the inline form
+// carries the key the by-hash attempt did.
+func TestRetryLostResponseInline(t *testing.T) {
+	lostResponseDedups(t, newStarted(t), true)
 }
 
 // TestRetryDistinctSubmitsStayDistinct: retry stamping must not collapse

@@ -33,7 +33,7 @@
 // restart: queued and interrupted-running jobs are requeued, and
 // campaign jobs resume from their per-job checkpoint file. A sweep's
 // Verilog is stored once per distinct content under Dir/netlists/ and
-// its records carry only the SHA-256.
+// its records, and the submissions after the first, carry only the SHA-256.
 package fleet
 
 import (
@@ -95,6 +95,9 @@ type Spec struct {
 	// workload-profile spec (random-stimulus packed cycles and seed)
 	// and the lifetime grid to analyze.
 	Verilog string `json:"verilog,omitempty"`
+	// NetlistSHA names a sweep's Verilog by SHA-256, in place of the source
+	// or beside it. Records never carry it; they carry Job.NetlistSHA.
+	NetlistSHA string `json:"netlist_sha256,omitempty"`
 	// Margin sets the clock period as CriticalDelay * Margin
 	// (default 1.05, the scale-bench signoff convention).
 	Margin float64 `json:"margin,omitempty"`
@@ -162,6 +165,9 @@ func (sp *Spec) validate() error {
 	if !inRange(sp.Years, 0, maxYears) {
 		return fmt.Errorf("fleet: years must be in [0, %g], got %g", maxYears, sp.Years)
 	}
+	if h := sp.NetlistSHA; h != "" && (sp.Kind != KindSweep || !isSHA(h)) {
+		return fmt.Errorf("fleet: netlist_sha256 %q is not 64 lowercase hex digits naming a sweep's netlist", h)
+	}
 	switch sp.Kind {
 	case KindLift, KindCampaign:
 		if sp.Unit != "ALU" && sp.Unit != "FPU" {
@@ -181,8 +187,8 @@ func (sp *Spec) validate() error {
 			}
 		}
 	case KindSweep:
-		if strings.TrimSpace(sp.Verilog) == "" {
-			return fmt.Errorf("fleet: sweep job needs a verilog netlist")
+		if (sp.Verilog != "" || sp.NetlistSHA == "") && strings.TrimSpace(sp.Verilog) == "" { // sent blank, or not at all
+			return fmt.Errorf("fleet: sweep job needs a verilog netlist or its netlist_sha256")
 		}
 		if !(sp.Margin > 0 && sp.Margin <= maxMargin) {
 			return fmt.Errorf("fleet: margin must be in (0, %g], got %g", maxMargin, sp.Margin)
@@ -371,11 +377,14 @@ func trustedNames(name string, j *Job) error {
 	if stem := strings.TrimSuffix(name, ".json"); j.ID != stem {
 		return fmt.Errorf("field id %q is not the record's file name %s", j.ID, name)
 	}
-	if h := j.NetlistSHA; h != "" && (len(h) != 64 || strings.Trim(h, "0123456789abcdef") != "") {
+	if h := j.NetlistSHA; h != "" && !isSHA(h) {
 		return fmt.Errorf("field netlist_sha256 %q is not 64 lowercase hex digits", h)
 	}
 	return nil
 }
+
+// isSHA reports whether h is spelled as netlistSHA spells a hash.
+func isSHA(h string) bool { return len(h) == 64 && strings.Trim(h, "0123456789abcdef") == "" }
 
 // setAside is the recovery policy for a record that cannot be trusted:
 // quarantine it and carry on. A record (or the netlist blob it names)
@@ -486,8 +495,8 @@ func (n *netlists) put(h, src string) (string, error) {
 	return src, nil
 }
 
-// get resolves a recovered record's hash back to its source, trusting
-// the blob only after both its envelope and its SHA-256 check out.
+// get resolves a hash back to its source, trusting the blob only after
+// both its envelope and its SHA-256 check out.
 func (n *netlists) get(h string) (string, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos"
@@ -83,11 +85,12 @@ func (o *Options) fill() {
 // Server is the fleet daemon: a job queue, a bounded worker pool built
 // on par.ForEach, and the shared content-addressed artifact store.
 type Server struct {
-	opts     Options
-	store    *store.Store
-	runner   *runner
-	fs       chaos.FS
-	netlists *netlists // own locks; never touched under mu
+	opts                    Options
+	store                   *store.Store
+	runner                  *runner
+	fs                      chaos.FS
+	netlists                *netlists    // own locks; never touched under mu
+	byHash, unknown, inline atomic.Int64 // NetlistCounts
 
 	mu      sync.Mutex
 	jobs    map[string]*Job
@@ -382,10 +385,9 @@ func specHash(j *Job) string {
 // verifying the spec's content hash matches, so a colliding key can
 // never hand back someone else's work.
 //
-// A sweep's Verilog is hashed once, here, before the server lock is
-// taken. The source is made durable under that hash (written only the
-// first time this process sees the content) before the record that
-// names it, and the job holds the interned copy.
+// A sweep's netlist is resolved before the server lock is taken (see
+// source), so a hash the daemon does not hold costs neither a job ID
+// nor a store probe.
 func (s *Server) Submit(spec Spec) (*Job, error) {
 	spec.fill()
 	if err := spec.validate(); err != nil {
@@ -393,9 +395,7 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 	}
 	j := &Job{Spec: spec, Status: StatusQueued, done: make(chan struct{})}
 	if spec.Kind == KindSweep {
-		j.NetlistSHA = netlistSHA(spec.Verilog)
-		var err error
-		if j.Spec.Verilog, err = s.netlists.put(j.NetlistSHA, spec.Verilog); err != nil {
+		if err := s.source(j); err != nil {
 			return nil, err
 		}
 	}
@@ -431,6 +431,28 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 		s.byKey[spec.SubmitKey] = j.ID
 	}
 	return snapshot(j), nil
+}
+
+// source resolves a sweep's hash to the source held under it, or its
+// inline source to a hash, made durable before any record names it. The
+// spec keeps no hash, so the record is the one an inline submission writes.
+func (s *Server) source(j *Job) (err error) {
+	h, src := j.Spec.NetlistSHA, j.Spec.Verilog
+	j.Spec.NetlistSHA, j.NetlistSHA = "", h
+	if src == "" {
+		if j.Spec.Verilog, err = s.netlists.get(h); err != nil {
+			s.unknown.Add(1)
+			return fmt.Errorf("%w %s", errNetlistUnknown, h)
+		}
+		s.byHash.Add(1)
+		return nil
+	}
+	s.inline.Add(1)
+	if j.NetlistSHA = netlistSHA(src); h != "" && h != j.NetlistSHA {
+		return fmt.Errorf("fleet: netlist_sha256 %s is not the SHA-256 of the submitted verilog, %s", h, j.NetlistSHA)
+	}
+	j.Spec.Verilog, err = s.netlists.put(j.NetlistSHA, src)
+	return err
 }
 
 // Cancel cancels a job: queued jobs are marked cancelled immediately,
@@ -479,20 +501,29 @@ func (s *Server) Jobs() []*Job {
 }
 
 // Metrics is the /metrics payload: the shared store's counters, the
-// job census, and the records quarantined at the last startup (silent
-// corruption made loud — detected, moved aside, reported — while the
-// daemon keeps serving).
+// job census, how sweeps named their netlists, and the records
+// quarantined at the last startup (silent corruption made loud —
+// detected, moved aside, reported — while the daemon keeps serving).
 type Metrics struct {
 	Store       store.Stats    `json:"store"`
 	Jobs        map[string]int `json:"jobs"`
+	Netlists    NetlistCounts  `json:"netlists"`
 	Quarantined []string       `json:"quarantined,omitempty"`
+}
+
+// NetlistCounts counts sweep submissions by how they named their netlist.
+type NetlistCounts struct {
+	ByHash  int64 `json:"by_hash"`
+	Unknown int64 `json:"unknown"`
+	Inline  int64 `json:"inline"`
 }
 
 // MetricsSnapshot assembles the current Metrics.
 func (s *Server) MetricsSnapshot() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := Metrics{Store: s.store.Stats(), Jobs: make(map[string]int), Quarantined: s.quarantined}
+	m := Metrics{Store: s.store.Stats(), Jobs: make(map[string]int), Quarantined: s.quarantined,
+		Netlists: NetlistCounts{ByHash: s.byHash.Load(), Unknown: s.unknown.Load(), Inline: s.inline.Load()}}
 	for _, j := range s.jobs {
 		m.Jobs[j.Status]++
 	}
@@ -563,9 +594,10 @@ func redact(j *Job) *Job {
 }
 
 var (
-	errNotFound  = fmt.Errorf("fleet: no such job")
-	errQueueFull = fmt.Errorf("fleet: queue full (%d pending)", queueCap)
-	errClosed    = fmt.Errorf("fleet: server is shutting down")
+	errNotFound       = fmt.Errorf("fleet: no such job")
+	errQueueFull      = fmt.Errorf("fleet: queue full (%d pending)", queueCap)
+	errClosed         = fmt.Errorf("fleet: server is shutting down")
+	errNetlistUnknown = errors.New("fleet: no verified netlist held under netlist_sha256")
 )
 
 // Handler returns the daemon's HTTP surface.
@@ -579,7 +611,11 @@ func (s *Server) Handler() http.Handler {
 		// cost a 413, not the daemon's heap.
 		r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 		var spec Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		body, err := io.ReadAll(r.Body)
+		if err == nil {
+			err = json.Unmarshal(body, &spec) // unlike a Decoder, fails on data after the value
+		}
+		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				httpError(w, http.StatusRequestEntityTooLarge,
@@ -592,7 +628,9 @@ func (s *Server) Handler() http.Handler {
 		j, err := s.Submit(spec)
 		if err != nil {
 			code := http.StatusBadRequest
-			if errors.Is(err, errQueueFull) || errors.Is(err, errClosed) {
+			if errors.Is(err, errNetlistUnknown) {
+				code = http.StatusConflict
+			} else if errors.Is(err, errQueueFull) || errors.Is(err, errClosed) {
 				code = http.StatusServiceUnavailable
 				// Transient overload: tell well-behaved clients when to
 				// come back instead of letting them hammer the queue.

@@ -73,7 +73,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // FuzzSubmitSpec feeds arbitrary bytes to POST /jobs: the handler never
-// panics, answers with one of the four statuses the API documents, reads
+// panics, answers with one of the five statuses the API documents, reads
 // no more of the body than MaxBodyBytes allows, and whatever it accepts
 // is a spec validate passes.
 func FuzzSubmitSpec(f *testing.F) {
@@ -86,6 +86,8 @@ func FuzzSubmitSpec(f *testing.F) {
 	f.Add([]byte(`{"kind":"sweep","verilog":"x","years_grid":[1e999]}`))
 	f.Add([]byte(`{"kind":"campaign","unit":"FPU","per_class":3,"max_cycles":50000001}`))
 	f.Add([]byte(`[`))
+	f.Add([]byte(`{"kind":"sweep","netlist_sha256":"` + strings.Repeat("0", 64) + `"}`))
+	f.Add([]byte(`{"kind":"lift","unit":"ALU"}{"kind":"lift","unit":"FPU"}`))
 
 	const bodyCap = 64 << 10
 	s := unstarted(f, Options{MaxBodyBytes: bodyCap})
@@ -100,7 +102,7 @@ func FuzzSubmitSpec(f *testing.F) {
 			if err := jobs[len(jobs)-1].Spec.validate(); err != nil {
 				t.Errorf("accepted a spec validate rejects: %v", err)
 			}
-		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusServiceUnavailable:
+		case http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge, http.StatusServiceUnavailable:
 		default:
 			t.Errorf("POST /jobs answered %d: %s", w.Code, w.Body)
 		}

@@ -29,7 +29,10 @@ import (
 //	26,403  the unit driver, trace replay and the quickstart run on
 //	        engine.Packed; the waveform surface and cell.Kind.Eval deleted;
 //	        a BMC query left out of the pool is collected at once.
-const lineBudget = 26_403
+//	26,462  a sweep names its netlist by SHA-256 and sends the source only
+//	        on a 409; /metrics counts the three ways in; a POST /jobs body
+//	        with data after its one JSON value is a 400.
+const lineBudget = 26_462
 
 // TestLineBudget is the ratchet behind ROADMAP's "same numbers from the
 // least code": it counts the lines of every non-test Go file the census
