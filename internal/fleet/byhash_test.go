@@ -201,7 +201,8 @@ func TestSubmitRejectsTrailingData(t *testing.T) {
 
 // TestMetricsNetlistCounts: /metrics reports how sweeps named their
 // netlist. A cold sweep is one unknown hash and one inline resend; a
-// warm one is one by-hash submission.
+// warm one is one by-hash submission. Both found the worker idle, so
+// both started directly, and no record write failed.
 func TestMetricsNetlistCounts(t *testing.T) {
 	_, c := newTestServer(t, Options{Workers: 1})
 	ctx := context.Background()
@@ -221,7 +222,12 @@ func TestMetricsNetlistCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `"netlists":{"by_hash":1,"unknown":1,"inline":1}`; !bytes.Contains(body, []byte(want)) {
-		t.Errorf("/metrics = %s, want it to hold %s", body, want)
+	for _, want := range []string{
+		`"netlists":{"by_hash":1,"unknown":1,"inline":1}`,
+		`"starts":{"direct":2,"queued":0},"record_write_errors":0`,
+	} {
+		if !bytes.Contains(body, []byte(want)) {
+			t.Errorf("/metrics = %s, want it to hold %s", body, want)
+		}
 	}
 }

@@ -60,7 +60,8 @@ const (
 )
 
 // Job statuses. Lifecycle: queued -> running -> done | failed |
-// cancelled. A daemon restart moves interrupted running jobs back to
+// cancelled, where a job an idle worker takes at submission is accepted
+// running. A daemon restart moves interrupted running jobs back to
 // queued.
 const (
 	StatusQueued    = "queued"
@@ -255,6 +256,21 @@ type Job struct {
 	// done is closed when the job reaches a terminal status: what the
 	// ?wait= handlers park on. Nil on a record recovered terminal.
 	done chan struct{}
+	// adm is how a submitted job's first record write ended; nil on a
+	// recovered job.
+	adm *admission
+	// cancelling marks a queued job whose cancelled record is being
+	// written: no worker may start it.
+	cancelling bool
+}
+
+// admission ends when a new job's first record write does: done closes
+// with receipt, the record as accepted, or with err, why the job was
+// refused. Submit and every resend of the job's submit key wait on it.
+type admission struct {
+	done    chan struct{}
+	receipt *Job
+	err     error
 }
 
 // terminal reports whether the job has left queued/running for good.

@@ -216,12 +216,13 @@ func TestCrashMatrixSweep(t *testing.T) {
 	count := chaos.NewInjected(chaos.OS{}, chaos.Plan{})
 	run(t.TempDir(), count)
 	steps := count.Steps()
-	// 2 to open the state; 4 for the blob and 4 per record transition,
-	// each with a Link before its rename (which keeps the replaced file,
-	// when there is one); and the move of the one spare that is idle by
-	// then to the done record's scratch name.
-	if steps != 2+4*(4+1)+1 {
-		t.Fatalf("an undisturbed sweep took %d I/O steps, want 23: the layout changed, re-derive the matrix", steps)
+	// 2 to open the state; 4 for the blob and 4 for each of the two
+	// record transitions (running, which an idle worker's claim makes the
+	// acceptance, then done), each with a Link before its rename (which
+	// keeps the replaced file, when there is one). No spare is idle before
+	// the done record's rename, so no write moves one.
+	if steps != 2+3*(4+1) {
+		t.Fatalf("an undisturbed sweep took %d I/O steps, want 17: the layout changed, re-derive the matrix", steps)
 	}
 
 	var nAccepted, nAmbiguous, nResubmitted int
@@ -293,7 +294,7 @@ func (c *creations) Link(oldname, newname string) error {
 	return c.FS.Link(oldname, newname)
 }
 
-// TestRecordsRecycleFiles: a job's three record writes create one file
+// TestRecordsRecycleFiles: a job's two record writes create one file
 // and unlink none — the version a rename replaces is overwritten by a
 // later write instead — so the daemon's speed does not hang on how many
 // files the filesystem saw deleted lately. Without hard links the
@@ -329,8 +330,8 @@ func TestRecordsRecycleFiles(t *testing.T) {
 			return nil
 		})
 		if noLinks {
-			if fs.n != 1+3*jobs || len(spares) != 0 {
-				t.Errorf("without hard links: %d files created, %d spares left; want %d and 0", fs.n, len(spares), 1+3*jobs)
+			if fs.n != 1+2*jobs || len(spares) != 0 {
+				t.Errorf("without hard links: %d files created, %d spares left; want %d and 0", fs.n, len(spares), 1+2*jobs)
 			}
 		} else if fs.n != 1+jobs+1 || len(spares) != 1 || files != fs.n {
 			// The blob, one record per job, and the one scratch file the

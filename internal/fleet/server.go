@@ -84,6 +84,12 @@ func (o *Options) fill() {
 
 // Server is the fleet daemon: a job queue, a bounded worker pool built
 // on par.ForEach, and the shared content-addressed artifact store.
+//
+// s.mu guards memory only; no record is written while it is held. A
+// transition is claimed under the lock, written with it released, and
+// published under it again, and one goroutine at a time owns a job's
+// record file: Submit until it hands the job on, the worker from its
+// claim to a terminal state or a requeue, Cancel for a queued job.
 type Server struct {
 	opts                    Options
 	store                   *store.Store
@@ -91,19 +97,39 @@ type Server struct {
 	fs                      chaos.FS
 	netlists                *netlists    // own locks; never touched under mu
 	byHash, unknown, inline atomic.Int64 // NetlistCounts
+	direct, queued          atomic.Int64 // StartCounts
+	writeErrors             atomic.Int64 // Metrics.RecordWriteErrors
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// jobs holds the accepted jobs: each one's first record is durable.
 	jobs    map[string]*Job
 	cancels map[string]context.CancelFunc // running jobs only
-	byKey   map[string]string             // Spec.SubmitKey -> job ID (idempotent resubmit)
+	// byKey maps a Spec.SubmitKey to its job (idempotent resubmit), from
+	// the moment the job has an ID: a resend that finds the job not yet
+	// accepted waits for its first record.
+	byKey map[string]*Job
 	// quarantined lists the corrupt record files moved aside at startup
 	// (relative names) — served on /metrics so corruption is loud even
 	// though it no longer stops the daemon.
 	quarantined []string
 	seq         int
-	closed      bool
+	// slots counts the queue places promised to jobs whose queued record
+	// is being written. queue is only sent to and received from under
+	// mu, a send only after such a promise, so neither blocks.
+	slots int
+	// idle counts the workers waiting on handoff that no job is on its
+	// way to; outside a drain, the queue is empty while any is. A worker
+	// counts itself in the critical section that publishes its last job,
+	// so a client that sees a job finish and submits the next one finds
+	// that worker idle.
+	idle   int
+	closed bool
 
-	queue    chan string
+	queue chan *Job
+	// handoff carries a job to an idle worker, sent with mu released: a
+	// new one from Submit, whose running record is then its acceptance,
+	// or one accepted queued while a worker went idle.
+	handoff  chan *Job
 	ctx      context.Context // cancelled by Shutdown: drains workers
 	cancel   context.CancelFunc
 	workers  sync.WaitGroup
@@ -120,8 +146,9 @@ type Server struct {
 }
 
 // queueCap bounds the submission backlog. Submissions beyond it fail
-// fast with 503 instead of blocking the HTTP handler.
-const queueCap = 8192
+// fast with 503 instead of blocking the HTTP handler. A variable so a
+// test can fill the queue.
+var queueCap = 8192
 
 // New creates a server over opts.Dir, recovering persisted job state:
 // done/failed/cancelled records are served as-is, queued records and
@@ -153,8 +180,9 @@ func New(opts Options) (*Server, error) {
 		netlists: blobs,
 		jobs:     make(map[string]*Job),
 		cancels:  make(map[string]context.CancelFunc),
-		byKey:    make(map[string]string),
-		queue:    make(chan string, queueCap),
+		byKey:    make(map[string]*Job),
+		queue:    make(chan *Job, queueCap),
+		handoff:  make(chan *Job),
 		ctx:      ctx,
 		cancel:   cancel,
 	}
@@ -205,12 +233,12 @@ func New(opts Options) (*Server, error) {
 				return nil, err
 			}
 			if j.Status == StatusQueued {
-				s.queue <- j.ID
+				s.queue <- j
 			}
 		}
 		s.jobs[j.ID] = j
 		if j.Spec.SubmitKey != "" {
-			s.byKey[j.Spec.SubmitKey] = j.ID
+			s.byKey[j.Spec.SubmitKey] = j
 		}
 	}
 	return s, nil
@@ -225,56 +253,107 @@ func (s *Server) seeID(id string) {
 }
 
 // Start launches the worker pool: par.ForEach with one task per worker
-// slot, each draining the queue until Shutdown. The pool IS the
-// concurrency bound — jobs beyond Workers wait in the queue.
+// slot, each running jobs until Shutdown. The pool IS the concurrency
+// bound — jobs beyond Workers wait in the queue. Every worker has its
+// first job, or is counted idle, when Start returns.
 func (s *Server) Start() {
+	s.mu.Lock()
+	first := make([]*Job, s.opts.Workers)
+	for i := range first {
+		first[i] = s.next()
+	}
+	s.mu.Unlock()
 	s.workers.Add(1)
 	go func() {
 		defer s.workers.Done()
 		// Error-free by construction: worker loops return nil.
 		_ = par.ForEach(context.Background(), s.opts.Workers, s.opts.Workers,
 			func(_ context.Context, i int) error {
-				s.worker()
+				s.worker(first[i])
 				return nil
 			})
 	}()
 }
 
-// worker drains the queue until the server context cancels.
-func (s *Server) worker() {
+// worker runs j, and then each job execute hands it, until it is left
+// idle and the server context cancels.
+func (s *Server) worker(j *Job) {
 	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case id := <-s.queue:
-			s.execute(id)
+		if j == nil {
+			select {
+			case <-s.ctx.Done():
+				return
+			case j = <-s.handoff:
+			}
 		}
+		j = s.execute(j)
 	}
 }
 
-// execute runs one job end to end, persisting each state transition.
-func (s *Server) execute(id string) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok || j.Status != StatusQueued {
-		// Cancelled while queued, or stale entry.
-		s.mu.Unlock()
-		return
+// next is a worker's next job: the oldest queued one, or none, the
+// worker then counted idle. A draining server starts nothing from the
+// queue; those jobs stay queued on disk for the next daemon. Caller
+// holds s.mu.
+func (s *Server) next() *Job {
+	if !s.draining {
+		select {
+		case j := <-s.queue:
+			return j
+		default:
+		}
 	}
+	s.idle++
+	return nil
+}
+
+// execute runs one job end to end, persisting each state transition,
+// and returns the worker's next job (see next).
+func (s *Server) execute(j *Job) *Job {
+	s.mu.Lock()
+	if j.Status != StatusQueued || j.cancelling {
+		// Cancelled while queued.
+		defer s.mu.Unlock()
+		return s.next()
+	}
+	// A job that is not yet accepted came straight from Submit: its
+	// running record is its acceptance, so a failed write refuses it.
+	direct := s.jobs[j.ID] != j
 	jctx, jcancel := context.WithCancel(s.ctx)
 	if s.opts.JobTimeout > 0 {
 		// Per-job deadline: a hung or poison job is interrupted at its
 		// next cancellation point instead of pinning this worker forever.
 		jctx, jcancel = context.WithTimeout(jctx, s.opts.JobTimeout)
 	}
+	defer jcancel()
 	j.Status = StatusRunning
 	j.Attempts++
-	s.cancels[id] = jcancel
+	s.cancels[j.ID] = jcancel
 	// The runner reads a copy; the record stays handler-owned.
 	work := &Job{ID: j.ID, Spec: j.Spec, NetlistSHA: j.NetlistSHA, ckpt: j.ckpt}
-	s.commit(j)
 	s.mu.Unlock()
-	defer jcancel()
+
+	// The run starts only once a record carrying its attempt is durable,
+	// which is what lets the poison fuse count attempts across crashes.
+	// Nothing else writes j until the run reports progress.
+	err := s.save(j, direct)
+	s.mu.Lock()
+	switch {
+	case err != nil:
+		delete(s.cancels, j.ID)
+		if direct {
+			s.refuse(j, err)
+		} else {
+			s.lost(j, err)
+		}
+		defer s.mu.Unlock()
+		return s.next()
+	case direct:
+		s.accept(j)
+		s.direct.Add(1)
+	default:
+		s.queued.Add(1)
+	}
+	s.mu.Unlock()
 
 	started := time.Now()
 	result, err := s.runSafely(jctx, work, func(done, total int) {
@@ -283,58 +362,138 @@ func (s *Server) execute(id string) {
 		j.Progress = p
 		s.mu.Unlock()
 		if s.progressHook != nil {
-			s.progressHook(id, p)
+			s.progressHook(j.ID, p)
 		}
 	})
 
 	elapsed := time.Since(started)
 	timedOut := errors.Is(jctx.Err(), context.DeadlineExceeded)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.cancels, id)
-	j.ServiceMs = float64(elapsed.Microseconds()) / 1000
+	delete(s.cancels, j.ID)
+	rec, requeue := *j, false
+	rec.ServiceMs = float64(elapsed.Microseconds()) / 1000
 	switch {
 	case err == errPartial && s.draining:
 		// Daemon shutdown mid-campaign: the wave checkpoint is on disk,
 		// requeue so a restarted daemon resumes to the identical report.
-		j.Status = StatusQueued
+		rec.Status = StatusQueued
 	case err != nil && timedOut:
 		// Deadline hit: campaigns flushed a checkpoint, so a retry picks
 		// up the completed prefix. The attempt counter bounds how often —
 		// a job that can never finish lands in failed with the reason.
-		s.requeueOrFail(j, fmt.Sprintf("fleet: job deadline %s exceeded (attempt %d/%d)",
-			s.opts.JobTimeout, j.Attempts, s.opts.MaxAttempts))
+		requeue = s.requeueOrFail(&rec, fmt.Sprintf("fleet: job deadline %s exceeded (attempt %d/%d)",
+			s.opts.JobTimeout, rec.Attempts, s.opts.MaxAttempts))
 	case err == errPartial:
 		// User cancel: record the partial report for inspection.
-		j.Status = StatusCancelled
-		j.Result = result
+		rec.Status = StatusCancelled
+		rec.Result = result
 	case err != nil && jctx.Err() != nil && s.draining:
 		// Interrupted non-campaign work has no partial value; requeue.
-		j.Status = StatusQueued
+		rec.Status = StatusQueued
 	case err != nil && jctx.Err() != nil:
-		j.Status = StatusCancelled
+		rec.Status = StatusCancelled
 	case err != nil:
-		j.Status = StatusFailed
-		j.Error = err.Error()
+		rec.Status = StatusFailed
+		rec.Error = err.Error()
 	default:
-		j.Status = StatusDone
-		j.Result = result
-		if j.Progress.Total > 0 {
-			j.Progress.Done = j.Progress.Total
+		rec.Status = StatusDone
+		rec.Result = result
+		if rec.Progress.Total > 0 {
+			rec.Progress.Done = rec.Progress.Total
 		}
 	}
-	s.commit(j)
+	s.mu.Unlock()
+	s.commit(j, rec, requeue)
+	defer s.mu.Unlock()
+	return s.next()
 }
 
-// commit persists j's current state and, once that state is terminal,
-// wakes the job's ?wait= handlers. Every transition of a live job goes
-// through here, and a terminal job never transitions again, so done is
-// closed exactly once. Caller holds s.mu.
-func (s *Server) commit(j *Job) {
-	_ = saveJob(s.fs, s.opts.Dir, j)
-	if j.terminal() {
-		close(j.done)
+// commit writes rec, the state the owner of the accepted job j's record
+// claimed for it, with the lock released, then publishes it and returns
+// holding s.mu. A terminal state closes done, so a client never sees
+// one that is not on disk; a requeue takes the queue place
+// requeueOrFail promised, which the requeueing worker looks at next; a
+// write the disk refuses fails the job instead (lost).
+func (s *Server) commit(j *Job, rec Job, requeue bool) {
+	err := s.save(&rec, false)
+	s.mu.Lock()
+	if requeue {
+		s.slots--
 	}
+	switch {
+	case err != nil:
+		s.lost(j, err)
+	case requeue:
+		*j = rec
+		s.queue <- j
+	default:
+		*j = rec
+		if j.terminal() {
+			close(j.done)
+		}
+	}
+}
+
+// claimIdle counts one idle worker out of idle, if there is one, for
+// the caller to hand a job to. Caller holds s.mu.
+func (s *Server) claimIdle() bool {
+	if s.idle == 0 {
+		return false
+	}
+	s.idle--
+	return true
+}
+
+// handOff gives j to the idle worker the caller claimed, unless the
+// drain took that worker first.
+func (s *Server) handOff(j *Job) bool {
+	select {
+	case s.handoff <- j:
+		return true
+	case <-s.ctx.Done():
+		return false
+	}
+}
+
+// save writes j's record, counting a failure for /metrics. A new job's
+// first record that fails is removed as far as it got: a refused
+// submission leaves nothing a restart would run.
+func (s *Server) save(j *Job, first bool) error {
+	err := saveJob(s.fs, s.opts.Dir, j)
+	if err == nil {
+		return nil
+	}
+	s.writeErrors.Add(1)
+	if first {
+		_ = s.fs.Remove(jobPath(s.opts.Dir, j.ID))
+	}
+	return fmt.Errorf("%w: %w", errNotWritten, err)
+}
+
+// lost fails an accepted job whose transition the disk refused (err,
+// from save). Its record still holds the last state written, so a
+// restarted daemon picks the job up from there. Caller holds s.mu.
+func (s *Server) lost(j *Job, err error) {
+	j.Status, j.Error = StatusFailed, err.Error()
+	close(j.done)
+}
+
+// accept publishes a new job whose first record is durable and hands
+// that record to the Submit waiting on it. Caller holds s.mu.
+func (s *Server) accept(j *Job) {
+	s.jobs[j.ID] = j
+	j.adm.receipt = snapshot(j)
+	close(j.adm.done)
+}
+
+// refuse drops a new job before acceptance and frees its submit key, so
+// a resend waiting on it makes its own. Caller holds s.mu.
+func (s *Server) refuse(j *Job, err error) {
+	if s.byKey[j.Spec.SubmitKey] == j {
+		delete(s.byKey, j.Spec.SubmitKey)
+	}
+	j.adm.err = err
+	close(j.adm.done)
 }
 
 // runSafely wraps the runner so a panicking job degrades to a failed
@@ -349,22 +508,30 @@ func (s *Server) runSafely(ctx context.Context, j *Job, onProgress func(done, to
 	return s.runner.run(ctx, j, onProgress)
 }
 
-// requeueOrFail puts an interrupted job back on the live queue, or
-// fails it with reason once its attempt budget is spent. Caller holds
-// s.mu.
-func (s *Server) requeueOrFail(j *Job, reason string) {
-	if j.Attempts >= s.opts.MaxAttempts {
-		j.Status = StatusFailed
-		j.Error = reason
-		return
-	}
-	select {
-	case s.queue <- j.ID:
-		j.Status = StatusQueued
+// requeueOrFail decides what an interrupted job becomes: queued again,
+// with a queue place promised to it (the send waits for its record), or
+// failed with reason once its attempt budget is spent or the queue is
+// full. Caller holds s.mu.
+func (s *Server) requeueOrFail(j *Job, reason string) (requeue bool) {
+	switch {
+	case j.Attempts >= s.opts.MaxAttempts:
+		j.Status, j.Error = StatusFailed, reason
+	case !s.takeSlot():
+		j.Status, j.Error = StatusFailed, reason+" (and requeue rejected: queue full)"
 	default:
-		j.Status = StatusFailed
-		j.Error = reason + " (and requeue rejected: queue full)"
+		j.Status = StatusQueued
+		return true
 	}
+	return false
+}
+
+// takeSlot promises a queue place, if one is free. Caller holds s.mu.
+func (s *Server) takeSlot() bool {
+	if len(s.queue)+s.slots >= cap(s.queue) {
+		return false
+	}
+	s.slots++
+	return true
 }
 
 // specHash is the content address of a job's spec — what a SubmitKey
@@ -378,7 +545,12 @@ func specHash(j *Job) string {
 	return store.HashBytes(data)
 }
 
-// Submit validates and enqueues a spec, returning the new job record.
+// Submit validates and accepts a spec, returning the accepted record:
+// a new job is offered to an idle worker first, whose running record is
+// the acceptance, and only a job that has to wait is written queued and
+// put on the queue. Either way the record is durable before Submit
+// returns, and a submission that is refused leaves none.
+//
 // A spec carrying a SubmitKey the server has seen before is an
 // idempotent resend (a client retry after a lost response): the
 // already-accepted job is returned instead of a duplicate — after
@@ -393,20 +565,53 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	j := &Job{Spec: spec, Status: StatusQueued, done: make(chan struct{})}
+	j := &Job{Spec: spec, Status: StatusQueued, done: make(chan struct{}), adm: &admission{done: make(chan struct{})}}
 	if spec.Kind == KindSweep {
 		if err := s.source(j); err != nil {
 			return nil, err
 		}
 	}
+	if spec.Kind == KindCampaign {
+		j.Progress.Total = CampaignTotal(spec.PerClass)
+	}
+	if prior, err := s.reserve(j); prior != nil || err != nil {
+		return prior, err
+	}
+	adm := j.adm // j itself is the worker's once it is accepted
+	if !s.offer(j) {
+		s.enqueue(j)
+	}
+	<-adm.done
+	return adm.receipt, adm.err
+}
+
+// offer hands a new job to an idle worker, if there is one.
+func (s *Server) offer(j *Job) bool {
+	s.mu.Lock()
+	idle := s.claimIdle()
+	s.mu.Unlock()
+	return idle && s.handOff(j)
+}
+
+// reserve gives j an ID and binds its submit key to it, or returns the
+// job a resend of that key names. A resend that finds that job not yet
+// accepted waits for its first record: it gets the job once accepted,
+// and makes its own if the job was refused.
+func (s *Server) reserve(j *Job) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prior, ok := s.jobs[s.byKey[spec.SubmitKey]]; ok { // byKey never holds the empty key
+	for prior := s.byKey[j.Spec.SubmitKey]; prior != nil; prior = s.byKey[j.Spec.SubmitKey] { // byKey never holds the empty key
 		if specHash(prior) != specHash(j) {
 			return nil, fmt.Errorf("fleet: submit key %q already bound to different work (job %s)",
-				spec.SubmitKey, prior.ID)
+				j.Spec.SubmitKey, prior.ID)
 		}
-		return snapshot(prior), nil
+		if s.jobs[prior.ID] == prior {
+			return snapshot(prior), nil
+		}
+		adm := prior.adm
+		s.mu.Unlock()
+		<-adm.done
+		s.mu.Lock()
 	}
 	if s.closed {
 		return nil, errClosed
@@ -414,23 +619,42 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 	s.seq++
 	j.ID = fmt.Sprintf("j%06d", s.seq)
 	j.CacheHit = s.store.Contains(probeKey(j))
-	if spec.Kind == KindCampaign {
-		j.Progress.Total = CampaignTotal(spec.PerClass)
-	}
 	j.ckpt = ckptPath(s.opts.Dir, j.ID)
-	if err := saveJob(s.fs, s.opts.Dir, j); err != nil {
-		return nil, err
+	if j.Spec.SubmitKey != "" {
+		s.byKey[j.Spec.SubmitKey] = j
 	}
-	select {
-	case s.queue <- j.ID:
+	return nil, nil
+}
+
+// enqueue accepts a new job no idle worker took: it promises the job a
+// queue place, writes the queued record, and then publishes the job and
+// queues it, or hands it to a worker that went idle meanwhile. A full
+// queue refuses it before anything is written.
+func (s *Server) enqueue(j *Job) {
+	s.mu.Lock()
+	if !s.takeSlot() {
+		s.refuse(j, fmt.Errorf("%w (%d pending)", errQueueFull, cap(s.queue)))
+		s.mu.Unlock()
+		return
+	}
+	s.mu.Unlock()
+	err := s.save(j, true)
+	s.mu.Lock()
+	s.slots--
+	idle := false
+	switch {
+	case err != nil:
+		s.refuse(j, err)
 	default:
-		return nil, errQueueFull
+		s.accept(j)
+		if idle = s.claimIdle(); !idle {
+			s.queue <- j
+		}
 	}
-	s.jobs[j.ID] = j
-	if spec.SubmitKey != "" {
-		s.byKey[spec.SubmitKey] = j.ID
+	s.mu.Unlock()
+	if idle {
+		s.handOff(j) // a drain leaves it queued on disk for the next daemon
 	}
-	return snapshot(j), nil
 }
 
 // source resolves a sweep's hash to the source held under it, or its
@@ -455,25 +679,30 @@ func (s *Server) source(j *Job) (err error) {
 	return err
 }
 
-// Cancel cancels a job: queued jobs are marked cancelled immediately,
-// running jobs get their context cancelled (campaigns then flush a
-// checkpoint and record a partial report). Done jobs are left alone.
+// Cancel cancels a job: queued jobs are marked cancelled once that
+// record is durable, running jobs get their context cancelled
+// (campaigns then flush a checkpoint and record a partial report). Done
+// jobs are left alone.
 func (s *Server) Cancel(id string) (*Job, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
+		s.mu.Unlock()
 		return nil, errNotFound
 	}
-	switch j.Status {
-	case StatusQueued:
-		j.Status = StatusCancelled
-		s.commit(j)
-	case StatusRunning:
-		if c := s.cancels[id]; c != nil {
-			c()
-		}
+	if c := s.cancels[id]; c != nil {
+		c()
 	}
+	if j.Status != StatusQueued || j.cancelling {
+		defer s.mu.Unlock()
+		return snapshot(j), nil
+	}
+	j.cancelling = true // a worker that dequeues it now skips it
+	rec := *j
+	rec.Status = StatusCancelled
+	s.mu.Unlock()
+	s.commit(j, rec, false)
+	defer s.mu.Unlock()
 	return snapshot(j), nil
 }
 
@@ -505,10 +734,22 @@ func (s *Server) Jobs() []*Job {
 // quarantined at the last startup (silent corruption made loud —
 // detected, moved aside, reported — while the daemon keeps serving).
 type Metrics struct {
-	Store       store.Stats    `json:"store"`
-	Jobs        map[string]int `json:"jobs"`
-	Netlists    NetlistCounts  `json:"netlists"`
-	Quarantined []string       `json:"quarantined,omitempty"`
+	Store  store.Stats    `json:"store"`
+	Jobs   map[string]int `json:"jobs"`
+	Starts StartCounts    `json:"starts"`
+	// RecordWriteErrors counts job-record writes the disk refused since
+	// start: each one refused a submission or failed a job.
+	RecordWriteErrors int64         `json:"record_write_errors"`
+	Netlists          NetlistCounts `json:"netlists"`
+	Quarantined       []string      `json:"quarantined,omitempty"`
+}
+
+// StartCounts counts runs by how they reached a worker: straight from
+// Submit to an idle one, or through the queue (a job that had to wait,
+// a retry, or one recovered at startup).
+type StartCounts struct {
+	Direct int64 `json:"direct"`
+	Queued int64 `json:"queued"`
 }
 
 // NetlistCounts counts sweep submissions by how they named their netlist.
@@ -523,7 +764,9 @@ func (s *Server) MetricsSnapshot() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := Metrics{Store: s.store.Stats(), Jobs: make(map[string]int), Quarantined: s.quarantined,
-		Netlists: NetlistCounts{ByHash: s.byHash.Load(), Unknown: s.unknown.Load(), Inline: s.inline.Load()}}
+		Starts:            StartCounts{Direct: s.direct.Load(), Queued: s.queued.Load()},
+		RecordWriteErrors: s.writeErrors.Load(),
+		Netlists:          NetlistCounts{ByHash: s.byHash.Load(), Unknown: s.unknown.Load(), Inline: s.inline.Load()}}
 	for _, j := range s.jobs {
 		m.Jobs[j.Status]++
 	}
@@ -595,8 +838,9 @@ func redact(j *Job) *Job {
 
 var (
 	errNotFound       = fmt.Errorf("fleet: no such job")
-	errQueueFull      = fmt.Errorf("fleet: queue full (%d pending)", queueCap)
+	errQueueFull      = errors.New("fleet: queue full")
 	errClosed         = fmt.Errorf("fleet: server is shutting down")
+	errNotWritten     = errors.New("fleet: job record not written")
 	errNetlistUnknown = errors.New("fleet: no verified netlist held under netlist_sha256")
 )
 
@@ -630,7 +874,7 @@ func (s *Server) Handler() http.Handler {
 			code := http.StatusBadRequest
 			if errors.Is(err, errNetlistUnknown) {
 				code = http.StatusConflict
-			} else if errors.Is(err, errQueueFull) || errors.Is(err, errClosed) {
+			} else if errors.Is(err, errQueueFull) || errors.Is(err, errClosed) || errors.Is(err, errNotWritten) {
 				code = http.StatusServiceUnavailable
 				// Transient overload: tell well-behaved clients when to
 				// come back instead of letting them hammer the queue.

@@ -179,14 +179,24 @@ func TestDifferentialSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The library path, with no store in sight.
-	nl, err := netlist.ParseVerilog(src)
+	wantBytes := librarySweep(t, spec)
+	if !bytes.Equal(got, wantBytes) {
+		t.Errorf("sweep result diverges from library path:\n daemon: %s\n direct: %s", got, wantBytes)
+	}
+}
+
+// librarySweep is a sweep's payload computed through the library path,
+// with no daemon and no store in sight.
+func librarySweep(t *testing.T, spec Spec) []byte {
+	t.Helper()
+	spec.fill()
+	nl, err := netlist.ParseVerilog(spec.Verilog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lib := cell.Lib28()
-	period := sta.CriticalDelay(nl, lib) * 1.05
-	prof, err := core.RandomSP(nl, 64, 7, 1)
+	period := sta.CriticalDelay(nl, lib) * spec.Margin
+	prof, err := core.RandomSP(nl, spec.SPCycles, spec.SPSeed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +204,10 @@ func TestDifferentialSweep(t *testing.T) {
 		PeriodPs: period, Base: lib, Model: aging.Default(),
 		Profile: prof, PerEndpoint: 40, Parallelism: 1,
 	}
-	corners := []sta.Corner{{}, {Years: 5}, {Years: 10}}
+	corners := make([]sta.Corner, len(spec.YearsGrid))
+	for i, yr := range spec.YearsGrid {
+		corners[i] = sta.Corner{Years: yr}
+	}
 	results := sta.AnalyzeCorners(nl, cfg, corners)
 	want := SweepResult{Netlist: nl.Name, Cells: len(nl.Cells), PeriodPs: period}
 	for i, res := range results {
@@ -206,13 +219,11 @@ func TestDifferentialSweep(t *testing.T) {
 			HoldViolations:  res.NumHoldViolations,
 		})
 	}
-	wantBytes, err := json.MarshalIndent(want, "", "  ")
+	data, err := json.MarshalIndent(want, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, wantBytes) {
-		t.Errorf("sweep result diverges from library path:\n daemon: %s\n direct: %s", got, wantBytes)
-	}
+	return data
 }
 
 // TestDifferentialCampaign pins the byte-identity contract for campaign

@@ -68,6 +68,11 @@ func waitTerminal(t *testing.T, s *Server, id string) *Job {
 //   - a crash before acceptance leaves a directory a fresh daemon
 //     starts on and serves the same oracle answer for a resubmission.
 //
+// The matrix runs for both ways a job starts: "direct", taken by an
+// idle worker, whose running record is its acceptance (two record
+// writes), and "queued", submitted before the workers start, so it is
+// written queued, then running, then done.
+//
 // One shared artifact store plays the warm-restart supervisor so the
 // ALU workflow compiles once across the whole matrix.
 func TestCrashMatrix(t *testing.T) {
@@ -77,7 +82,15 @@ func TestCrashMatrix(t *testing.T) {
 	spec := Spec{Kind: KindCampaign, Unit: "ALU", Seed: 5, PerClass: 2, CheckpointEvery: 2}
 	want := tortureOracle(t, spec)
 	shared := store.New(128)
+	for _, tc := range []struct {
+		name   string
+		queued bool
+	}{{"direct", false}, {"queued", true}} {
+		t.Run(tc.name, func(t *testing.T) { crashMatrix(t, spec, want, shared, tc.queued) })
+	}
+}
 
+func crashMatrix(t *testing.T, spec Spec, want []byte, shared *store.Store, queued bool) {
 	// Pass 0: no faults, through the counting filesystem — establishes
 	// the step count and the differential baseline.
 	runOnce := func(dir string, fs chaos.FS) (*Server, *Job, error) {
@@ -85,8 +98,13 @@ func TestCrashMatrix(t *testing.T) {
 		if err != nil {
 			return nil, nil, err
 		}
-		s.Start()
+		if !queued {
+			s.Start()
+		}
 		j, err := s.Submit(spec)
+		if queued {
+			s.Start()
+		}
 		if err != nil {
 			_ = s.Shutdown(context.Background())
 			return nil, nil, err
@@ -107,6 +125,9 @@ func TestCrashMatrix(t *testing.T) {
 	if !bytes.Equal(fin.Result, want) {
 		t.Fatalf("baseline daemon report diverges from library oracle (%d vs %d bytes)",
 			len(fin.Result), len(want))
+	}
+	if accepted := j0.Status == StatusQueued; accepted != queued {
+		t.Fatalf("baseline job was accepted %s", j0.Status)
 	}
 	steps := count.Steps()
 	if steps < 10 {
