@@ -175,6 +175,8 @@ func runLoadtest(opts fleet.Options, jobs, concurrency, cells int, out string) e
 	fmt.Printf("  first-wave: n=%d p50=%.2fms\n", rep.FirstWave.Count, rep.FirstWave.P50Ms)
 	fmt.Printf("  cold/warm p50 ratio: %.1fx; store hit rate %.1f%% (builds %d, hits %d, coalesced %d, evictions %d)\n",
 		rep.WarmColdP50Ratio, 100*rep.HitRate, rep.Store.Builds, rep.Store.Hits, rep.Store.Coalesced, rep.Store.Evictions)
+	st := s.MetricsSnapshot().Starts
+	fmt.Printf("  starts: %d direct, %d queued\n", st.Direct, st.Queued)
 	fmt.Printf("report written to %s\n", out)
 	return nil
 }

@@ -113,9 +113,10 @@ type Server struct {
 	// though it no longer stops the daemon.
 	quarantined []string
 	seq         int
-	// slots counts the queue places promised to jobs whose queued record
-	// is being written. queue is only sent to and received from under
-	// mu, a send only after such a promise, so neither blocks.
+	// queue holds the accepted jobs waiting for a worker, oldest first.
+	// slots counts the places in it promised to jobs whose queued record
+	// is being written; the two together stay within queueCap.
+	queue []*Job
 	slots int
 	// idle counts the workers waiting on handoff that no job is on its
 	// way to; outside a drain, the queue is empty while any is. A worker
@@ -125,7 +126,6 @@ type Server struct {
 	idle   int
 	closed bool
 
-	queue chan *Job
 	// handoff carries a job to an idle worker, sent with mu released: a
 	// new one from Submit, whose running record is then its acceptance,
 	// or one accepted queued while a worker went idle.
@@ -181,7 +181,6 @@ func New(opts Options) (*Server, error) {
 		jobs:     make(map[string]*Job),
 		cancels:  make(map[string]context.CancelFunc),
 		byKey:    make(map[string]*Job),
-		queue:    make(chan *Job, queueCap),
 		handoff:  make(chan *Job),
 		ctx:      ctx,
 		cancel:   cancel,
@@ -233,7 +232,7 @@ func New(opts Options) (*Server, error) {
 				return nil, err
 			}
 			if j.Status == StatusQueued {
-				s.queue <- j
+				s.queue = append(s.queue, j)
 			}
 		}
 		s.jobs[j.ID] = j
@@ -295,12 +294,10 @@ func (s *Server) worker(j *Job) {
 // queue; those jobs stay queued on disk for the next daemon. Caller
 // holds s.mu.
 func (s *Server) next() *Job {
-	if !s.draining {
-		select {
-		case j := <-s.queue:
-			return j
-		default:
-		}
+	if !s.draining && len(s.queue) > 0 {
+		j := s.queue[0]
+		s.queue[0], s.queue = nil, s.queue[1:]
+		return j
 	}
 	s.idle++
 	return nil
@@ -413,7 +410,7 @@ func (s *Server) execute(j *Job) *Job {
 // holding s.mu. A terminal state closes done, so a client never sees
 // one that is not on disk; a requeue takes the queue place
 // requeueOrFail promised, which the requeueing worker looks at next; a
-// write the disk refuses fails the job instead (lost).
+// write the disk refuses fails the job in memory only (lost).
 func (s *Server) commit(j *Job, rec Job, requeue bool) {
 	err := s.save(&rec, false)
 	s.mu.Lock()
@@ -425,7 +422,7 @@ func (s *Server) commit(j *Job, rec Job, requeue bool) {
 		s.lost(j, err)
 	case requeue:
 		*j = rec
-		s.queue <- j
+		s.queue = append(s.queue, j)
 	default:
 		*j = rec
 		if j.terminal() {
@@ -472,7 +469,9 @@ func (s *Server) save(j *Job, first bool) error {
 
 // lost fails an accepted job whose transition the disk refused (err,
 // from save). Its record still holds the last state written, so a
-// restarted daemon picks the job up from there. Caller holds s.mu.
+// restarted daemon picks the job up from there: this failed is the one
+// terminal state that is not on disk, and a restart may supersede it.
+// Caller holds s.mu.
 func (s *Server) lost(j *Job, err error) {
 	j.Status, j.Error = StatusFailed, err.Error()
 	close(j.done)
@@ -509,7 +508,7 @@ func (s *Server) runSafely(ctx context.Context, j *Job, onProgress func(done, to
 }
 
 // requeueOrFail decides what an interrupted job becomes: queued again,
-// with a queue place promised to it (the send waits for its record), or
+// with a queue place promised to it (taken once its record is written), or
 // failed with reason once its attempt budget is spent or the queue is
 // full. Caller holds s.mu.
 func (s *Server) requeueOrFail(j *Job, reason string) (requeue bool) {
@@ -527,7 +526,7 @@ func (s *Server) requeueOrFail(j *Job, reason string) (requeue bool) {
 
 // takeSlot promises a queue place, if one is free. Caller holds s.mu.
 func (s *Server) takeSlot() bool {
-	if len(s.queue)+s.slots >= cap(s.queue) {
+	if len(s.queue)+s.slots >= queueCap {
 		return false
 	}
 	s.slots++
@@ -633,7 +632,7 @@ func (s *Server) reserve(j *Job) (*Job, error) {
 func (s *Server) enqueue(j *Job) {
 	s.mu.Lock()
 	if !s.takeSlot() {
-		s.refuse(j, fmt.Errorf("%w (%d pending)", errQueueFull, cap(s.queue)))
+		s.refuse(j, fmt.Errorf("%w (%d pending)", errQueueFull, queueCap))
 		s.mu.Unlock()
 		return
 	}
@@ -648,7 +647,7 @@ func (s *Server) enqueue(j *Job) {
 	default:
 		s.accept(j)
 		if idle = s.claimIdle(); !idle {
-			s.queue <- j
+			s.queue = append(s.queue, j)
 		}
 	}
 	s.mu.Unlock()

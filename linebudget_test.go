@@ -32,13 +32,13 @@ import (
 //	26,462  a sweep names its netlist by SHA-256 and sends the source only
 //	        on a 409; /metrics counts the three ways in; a POST /jobs body
 //	        with data after its one JSON value is a 400.
-//	26,722  no job record is written under the server lock (each
+//	26,723  no job record is written under the server lock (each
 //	        transition claimed, written unlocked, then published, with a
 //	        submit key reserved while the first record is in flight), an
 //	        idle worker takes a new job straight from Submit, a full
-//	        queue refuses before writing, and /metrics counts starts and
-//	        record write errors.
-const lineBudget = 26_722
+//	        queue refuses before writing, /metrics counts starts and
+//	        record write errors, and vega-fleetd -loadtest prints them.
+const lineBudget = 26_723
 
 // TestLineBudget is the ratchet behind ROADMAP's "same numbers from the
 // least code": it counts the lines of every non-test Go file the census
