@@ -4,7 +4,7 @@
 // faults into the circuit under test and holding a differential oracle
 // against the clean run. This package applies the same discipline to
 // the infrastructure itself: every persistence path in the screening
-// daemon (job records, campaign checkpoints, persisted results) goes
+// daemon (the job log, campaign checkpoints, netlist blobs) goes
 // through the FS interface below, so tests can interpose a seeded
 // fault plan — torn writes, single-bit flips, ENOSPC/EIO, and crash
 // points that kill the "process" at the Nth I/O step — and assert the
@@ -32,6 +32,7 @@ package chaos
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -41,8 +42,15 @@ import (
 type FS interface {
 	// WriteFile creates or truncates name with data.
 	WriteFile(name string, data []byte, perm os.FileMode) error
+	// AppendFile adds data at the end of name, creating it if need be.
+	AppendFile(name string, data []byte, perm os.FileMode) error
+	// Truncate cuts name down to its first size bytes.
+	Truncate(name string, size int64) error
 	// ReadFile reads the whole of name.
 	ReadFile(name string) ([]byte, error)
+	// ReadAt reads up to n bytes of name from byte off on; it returns
+	// fewer only where the file ends.
+	ReadAt(name string, off int64, n int) ([]byte, error)
 	// ReadDir lists name.
 	ReadDir(name string) ([]os.DirEntry, error)
 	// Rename atomically replaces newpath with oldpath.
@@ -67,11 +75,36 @@ type OS struct{}
 func (OS) WriteFile(name string, data []byte, perm os.FileMode) error {
 	return os.WriteFile(name, data, perm)
 }
+func (OS) AppendFile(name string, data []byte, perm os.FileMode) error {
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_APPEND|os.O_CREATE, perm)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+func (OS) Truncate(name string, size int64) error     { return os.Truncate(name, size) }
 func (OS) ReadFile(name string) ([]byte, error)       { return os.ReadFile(name) }
 func (OS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
-func (OS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
-func (OS) Link(oldname, newname string) error         { return os.Link(oldname, newname) }
-func (OS) Remove(name string) error                   { return os.Remove(name) }
+func (OS) ReadAt(name string, off int64, n int) ([]byte, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	buf := make([]byte, n)
+	k, err := f.ReadAt(buf, off)
+	if err == io.EOF {
+		err = nil
+	}
+	return buf[:k], err
+}
+func (OS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+func (OS) Link(oldname, newname string) error   { return os.Link(oldname, newname) }
+func (OS) Remove(name string) error             { return os.Remove(name) }
 func (OS) MkdirAll(name string, perm os.FileMode) error {
 	return os.MkdirAll(name, perm)
 }
@@ -99,8 +132,27 @@ func syncPath(name string, flag int) error {
 // new content survives power loss (the two fsyncs are what the bare
 // write-then-rename idiom was missing).
 func WriteAtomic(fs FS, path string, data []byte, perm os.FileMode) error {
+	return ReplaceAtomic(fs, path, perm, func(write func([]byte) error) error { return write(data) })
+}
+
+// ReplaceAtomic is WriteAtomic for content that fill hands to write a
+// piece at a time, so it never needs to be in memory whole: the first
+// piece is written to path+".tmp" and the rest appended to it. Content
+// that fits one piece costs exactly WriteAtomic's four steps.
+func ReplaceAtomic(fs FS, path string, perm os.FileMode, fill func(write func([]byte) error) error) error {
 	tmp := path + ".tmp"
-	if err := fs.WriteFile(tmp, data, perm); err != nil {
+	started := false
+	err := fill(func(piece []byte) error {
+		if started {
+			return fs.AppendFile(tmp, piece, perm)
+		}
+		started = true
+		return fs.WriteFile(tmp, piece, perm)
+	})
+	if err == nil && !started {
+		err = fs.WriteFile(tmp, nil, perm)
+	}
+	if err != nil {
 		return err
 	}
 	if err := fs.SyncFile(tmp); err != nil {

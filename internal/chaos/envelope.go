@@ -5,12 +5,22 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strconv"
+	"strings"
 )
 
 // ErrNewerVersion marks a record written by newer tooling than this
 // build. Unlike corruption it must NOT be quarantined — the record is
 // presumed valid, the binary is what's stale.
 var ErrNewerVersion = errors.New("chaos: stale tooling")
+
+// ErrTruncated marks data that is a strict prefix of a sealed record: a
+// header cut off before its line ends, or a whole header followed by
+// fewer payload bytes than it declares. That is what a write cut short
+// leaves; a record whose header and payload are all there but do not
+// verify is corruption instead. (A flip that raises the declared length
+// is the one corruption that looks the same.)
+var ErrTruncated = errors.New("chaos: sealed record truncated")
 
 // The self-verifying record envelope. Persisted records (fleet job
 // records, injection checkpoints) are wrapped in a one-line header
@@ -33,9 +43,17 @@ var ErrNewerVersion = errors.New("chaos: stale tooling")
 // reads (v1/v2 were un-checksummed plain JSON and are no longer read).
 const EnvelopeVersion = 3
 
-// envelopeMagic starts every sealed record. A JSON payload can never
-// begin with it.
-const envelopeMagic = "vega-rec "
+// EnvelopeMagic starts every sealed record. A JSON payload can never
+// begin with it, so a reader of an append-only log of sealed records
+// resumes at the next one after a corrupt stretch by looking for it.
+const EnvelopeMagic = "vega-rec "
+
+// headerFormat is the envelope's header line.
+const headerFormat = "%sv%d crc32c=%08x len=%d\n"
+
+// maxHeader bounds a header line: the magic, the version, eight hex
+// digits and a length of up to 19 digits.
+const maxHeader = 64
 
 // crcTable is the Castagnoli polynomial, hardware-accelerated on
 // amd64/arm64 — sealing is not allowed to become a persistence tax.
@@ -44,8 +62,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // Seal wraps payload in the current envelope.
 func Seal(payload []byte) []byte {
 	out := make([]byte, 0, len(payload)+48)
-	out = fmt.Appendf(out, "%sv%d crc32c=%08x len=%d\n",
-		envelopeMagic, EnvelopeVersion, crc32.Checksum(payload, crcTable), len(payload))
+	out = fmt.Appendf(out, headerFormat, EnvelopeMagic, EnvelopeVersion, crc32.Checksum(payload, crcTable), len(payload))
 	return append(out, payload...)
 }
 
@@ -55,33 +72,76 @@ func Seal(payload []byte) []byte {
 // file. sealed reports whether data began with the envelope magic at
 // all; it is false only alongside an error.
 func Open(data []byte) (payload []byte, sealed bool, err error) {
-	if !bytes.HasPrefix(data, []byte(envelopeMagic)) {
-		return nil, false, errors.New("chaos: record is not sealed: no envelope header")
+	payload, n, err := OpenFrame(data)
+	if err == nil && n != len(data) {
+		return nil, true, fmt.Errorf("chaos: sealed record corrupt: %d bytes follow the payload", len(data)-n)
+	}
+	return payload, bytes.HasPrefix(data, []byte(EnvelopeMagic)), err
+}
+
+// headerPrefix starts every header this build writes.
+var headerPrefix = fmt.Sprintf("%sv%d crc32c=", EnvelopeMagic, EnvelopeVersion)
+
+// parseHeader reads a header line without its newline. One of this
+// build's version must be spelled exactly as Seal spells it; of another
+// version only the version is read.
+func parseHeader(line string) (version int, sum uint32, n int, ok bool) {
+	rest, ok := strings.CutPrefix(line, headerPrefix)
+	if !ok {
+		if _, err := fmt.Sscanf(line, EnvelopeMagic+"v%d ", &version); err != nil || version == EnvelopeVersion {
+			return 0, 0, 0, false
+		}
+		return version, 0, 0, true
+	}
+	hex, length, ok := strings.Cut(rest, " len=")
+	s, err := strconv.ParseUint(hex, 16, 32)
+	if !ok || err != nil || len(hex) != 8 || strings.ToLower(hex) != hex {
+		return 0, 0, 0, false
+	}
+	if n, err = strconv.Atoi(length); err != nil || strconv.Itoa(n) != length {
+		return 0, 0, 0, false
+	}
+	return EnvelopeVersion, uint32(s), n, true
+}
+
+// OpenFrame is Open for the sealed record at the start of data, which
+// may run on into more of them (an append-only log is their
+// concatenation): it also returns the record's length in data. An error
+// wrapping ErrTruncated means data ends inside the record.
+func OpenFrame(data []byte) (payload []byte, n int, err error) {
+	if !bytes.HasPrefix(data, []byte(EnvelopeMagic)) {
+		if bytes.HasPrefix([]byte(EnvelopeMagic), data) {
+			return nil, 0, fmt.Errorf("%w: %d bytes of the envelope header", ErrTruncated, len(data))
+		}
+		return nil, 0, errors.New("chaos: record is not sealed: no envelope header")
 	}
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
-		return nil, true, fmt.Errorf("chaos: sealed record corrupt: header line truncated")
+		if len(data) < maxHeader {
+			return nil, 0, fmt.Errorf("%w: header line cut off", ErrTruncated)
+		}
+		return nil, 0, fmt.Errorf("chaos: sealed record corrupt: no header line")
 	}
-	var version int
-	var sum uint32
-	var n int
-	if _, err := fmt.Sscanf(string(data[:nl]), envelopeMagic+"v%d crc32c=%x len=%d", &version, &sum, &n); err != nil {
-		return nil, true, fmt.Errorf("chaos: sealed record corrupt: bad header %q", data[:nl])
+	version, sum, n, ok := parseHeader(string(data[:nl]))
+	if !ok {
+		return nil, 0, fmt.Errorf("chaos: sealed record corrupt: bad header %q", data[:nl])
 	}
 	if version > EnvelopeVersion {
-		return nil, true, fmt.Errorf("%w: record envelope v%d is newer than this build understands (v%d)",
+		return nil, 0, fmt.Errorf("%w: record envelope v%d is newer than this build understands (v%d)",
 			ErrNewerVersion, version, EnvelopeVersion)
 	}
 	if version < EnvelopeVersion {
-		return nil, true, fmt.Errorf("chaos: sealed record corrupt: no envelope v%d was ever written", version)
+		return nil, 0, fmt.Errorf("chaos: sealed record corrupt: no envelope v%d was ever written", version)
 	}
-	payload = data[nl+1:]
-	if len(payload) != n {
-		return nil, true, fmt.Errorf("chaos: sealed record corrupt: payload is %d bytes, header says %d",
-			len(payload), n)
+	if n < 0 {
+		return nil, 0, fmt.Errorf("chaos: sealed record corrupt: header says %d bytes", n)
 	}
+	if n > len(data)-nl-1 {
+		return nil, 0, fmt.Errorf("%w: payload is %d bytes, header says %d", ErrTruncated, len(data)-nl-1, n)
+	}
+	payload = data[nl+1 : nl+1+n]
 	if got := crc32.Checksum(payload, crcTable); got != sum {
-		return nil, true, fmt.Errorf("chaos: sealed record corrupt: crc32c %08x, header says %08x", got, sum)
+		return nil, 0, fmt.Errorf("chaos: sealed record corrupt: crc32c %08x, header says %08x", got, sum)
 	}
-	return payload, true, nil
+	return payload, nl + 1 + n, nil
 }

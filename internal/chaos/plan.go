@@ -17,13 +17,16 @@ const (
 	// everything after it fail with ErrCrashed, exactly as if the
 	// process died between the previous step and this one.
 	Crash FaultKind = iota
-	// Torn applies to a WriteFile step: the first Arg bytes reach the
-	// file, then the filesystem crashes — the classic power-loss tear
-	// the envelope checksum must catch.
+	// Torn applies to a WriteFile or AppendFile step: the first Arg
+	// bytes reach the file, then the filesystem crashes — the classic
+	// power-loss tear the envelope checksum must catch. A torn Truncate
+	// cuts only down to Arg bytes past its size before the crash, and a
+	// torn ReadFile or ReadAt returns the first Arg bytes.
 	Torn
-	// Flip applies to a WriteFile (or ReadFile) step: bit Arg of the
-	// payload is inverted and the operation otherwise succeeds — silent
-	// corruption with no error anywhere.
+	// Flip applies to a WriteFile, AppendFile, ReadFile or ReadAt step:
+	// bit Arg of the data is inverted and the operation otherwise succeeds —
+	// silent corruption with no error anywhere. A flipped Truncate
+	// inverts bit Arg of what the cut keeps.
 	Flip
 	// NoSpace fails the step with ENOSPC; the filesystem survives.
 	NoSpace
@@ -199,6 +202,13 @@ func (f *Injected) die() {
 	f.crashed = true
 }
 
+// crash marks the filesystem dead once a torn step has run.
+func (f *Injected) crash() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.die()
+}
+
 // flipBit inverts bit number bit (wrapping over the payload) in a copy
 // of data; empty payloads pass through.
 func flipBit(data []byte, bit int) []byte {
@@ -220,9 +230,7 @@ func (f *Injected) WriteFile(name string, data []byte, perm os.FileMode) error {
 	case Torn:
 		n := min(ft.Arg, len(data))
 		_ = f.under.WriteFile(name, data[:n], perm)
-		f.mu.Lock()
-		f.die()
-		f.mu.Unlock()
+		f.crash()
 		return ErrCrashed
 	case Flip:
 		return f.under.WriteFile(name, flipBit(data, ft.Arg), perm)
@@ -230,12 +238,62 @@ func (f *Injected) WriteFile(name string, data []byte, perm os.FileMode) error {
 	return f.under.WriteFile(name, data, perm)
 }
 
+func (f *Injected) AppendFile(name string, data []byte, perm os.FileMode) error {
+	ft, err := f.begin()
+	if err != nil {
+		return err
+	}
+	switch ft.Kind {
+	case Torn:
+		_ = f.under.AppendFile(name, data[:min(ft.Arg, len(data))], perm)
+		f.crash()
+		return ErrCrashed
+	case Flip:
+		data = flipBit(data, ft.Arg)
+	}
+	return f.under.AppendFile(name, data, perm)
+}
+
+func (f *Injected) Truncate(name string, size int64) error {
+	ft, err := f.begin()
+	if err != nil {
+		return err
+	}
+	switch ft.Kind {
+	case Torn:
+		if data, err := f.under.ReadFile(name); err == nil {
+			_ = f.under.Truncate(name, min(size+int64(ft.Arg), int64(len(data))))
+		}
+		f.crash()
+		return ErrCrashed
+	case Flip:
+		if err := f.under.Truncate(name, size); err != nil {
+			return err
+		}
+		data, err := f.under.ReadFile(name)
+		if err != nil {
+			return err
+		}
+		return f.under.WriteFile(name, flipBit(data, ft.Arg), 0o644)
+	}
+	return f.under.Truncate(name, size)
+}
+
 func (f *Injected) ReadFile(name string) ([]byte, error) {
+	return f.read(func() ([]byte, error) { return f.under.ReadFile(name) })
+}
+
+func (f *Injected) ReadAt(name string, off int64, n int) ([]byte, error) {
+	return f.read(func() ([]byte, error) { return f.under.ReadAt(name, off, n) })
+}
+
+// read is one read step: the bytes get, torn or flipped as planned.
+func (f *Injected) read(get func() ([]byte, error)) ([]byte, error) {
 	ft, err := f.begin()
 	if err != nil {
 		return nil, err
 	}
-	data, err := f.under.ReadFile(name)
+	data, err := get()
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -45,14 +46,7 @@ func TestByHashMatchesInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri, err := os.ReadFile(jobPath(inline.opts.Dir, ji.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rh, err := os.ReadFile(jobPath(hashed.opts.Dir, jh.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ri, rh := lastFrame(t, inline.opts.Dir, ji.ID), lastFrame(t, hashed.opts.Dir, jh.ID)
 	if !bytes.Equal(ri, rh) {
 		t.Errorf("by-hash record differs from the inline one:\n by hash: %s\n inline:  %s", rh, ri)
 	}
@@ -131,9 +125,9 @@ func TestByHashAfterRestart(t *testing.T) {
 	for _, corrupt := range []bool{false, true} {
 		dir := t.TempDir()
 		j := queueOnDisk(t, dir, spec)
-		// Without the record a restart loads nothing: only the blob holds
+		// Without the log a restart loads nothing: only the blob holds
 		// the netlist.
-		if err := os.Remove(jobPath(dir, j.ID)); err != nil {
+		if err := os.Remove(filepath.Join(dir, logName)); err != nil {
 			t.Fatal(err)
 		}
 		blob := blobPath(dir, j)

@@ -7,9 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -18,9 +16,10 @@ import (
 	"repro/internal/chaos"
 )
 
-// recorder is a filesystem that logs, by job ID, the status of every job
-// record written, and can hold one record write: the stallAt-th (1-based;
-// 0 holds none) closes hit once reached and waits until release closes.
+// recorder is a filesystem that logs, by job ID, the status of every
+// frame appended to the job log, and can hold one append: the one that
+// carries the stallAt-th frame (1-based; 0 holds none) closes hit once
+// reached and waits until release closes.
 type recorder struct {
 	chaos.FS
 	stallAt      int
@@ -36,29 +35,29 @@ func newRecorder(under chaos.FS, stallAt int) *recorder {
 		log: make(map[string][]string)}
 }
 
-func (r *recorder) WriteFile(name string, data []byte, perm os.FileMode) error {
-	id, ok := strings.CutSuffix(filepath.Base(name), ".json.tmp")
-	if !ok {
-		return r.FS.WriteFile(name, data, perm)
+func (r *recorder) AppendFile(name string, data []byte, perm os.FileMode) error {
+	stall := false
+	for rest := data; len(rest) > 0; {
+		payload, n, err := chaos.OpenFrame(rest)
+		var j Job
+		if err == nil {
+			err = json.Unmarshal(payload, &j)
+		}
+		if err != nil {
+			return err
+		}
+		r.mu.Lock()
+		r.writes++
+		stall = stall || r.writes == r.stallAt
+		r.log[j.ID] = append(r.log[j.ID], j.Status)
+		r.mu.Unlock()
+		rest = rest[n:]
 	}
-	var j Job
-	payload, _, err := chaos.Open(data)
-	if err == nil {
-		err = json.Unmarshal(payload, &j)
-	}
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.writes++
-	stall := r.writes == r.stallAt
-	r.log[id] = append(r.log[id], j.Status)
-	r.mu.Unlock()
 	if stall {
 		close(r.hit)
 		<-r.release
 	}
-	return r.FS.WriteFile(name, data, perm)
+	return r.FS.AppendFile(name, data, perm)
 }
 
 // statuses returns the record statuses written for id, in order.
@@ -66,16 +65,6 @@ func (r *recorder) statuses(id string) []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]string(nil), r.log[id]...)
-}
-
-// records lists the job records in dir.
-func records(t *testing.T, dir string) []string {
-	t.Helper()
-	names, err := filepath.Glob(filepath.Join(dir, "j*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return names
 }
 
 // submitAsync runs Submit in the background.
@@ -91,16 +80,32 @@ func submitAsync(s *Server, spec Spec) <-chan *Job {
 	return out
 }
 
+// waitReserved waits until the server has handed out n job IDs.
+func waitReserved(t *testing.T, s *Server, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(failAfter); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		seq := s.seq
+		s.mu.Unlock()
+		if seq >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the server handed out %d job IDs, want %d", seq, n)
+		}
+	}
+}
+
 // TestDirectStartWritesTwoRecords: a job an idle worker takes straight
-// from Submit writes two records, running (its acceptance, which the
+// from Submit appends two frames, running (its acceptance, which the
 // submitter is answered with) and done; only a job that finds its one
 // worker busy is written queued first. Every payload is the library's.
 func TestDirectStartWritesTwoRecords(t *testing.T) {
 	spec := sweepSpec()
 	want := librarySweep(t, spec)
 	count := chaos.NewInjected(chaos.OS{}, chaos.Plan{})
-	// Writes 1 and 2 are the first job's; the second job's done record,
-	// write 4, holds its worker while a third job is submitted.
+	// Frames 1 and 2 are the first job's; the second job's done frame,
+	// frame 4, holds its worker while a third job is submitted.
 	fs := newRecorder(count, 4)
 	s, err := New(Options{Dir: t.TempDir(), Workers: 1, FS: fs})
 	if err != nil {
@@ -117,30 +122,32 @@ func TestDirectStartWritesTwoRecords(t *testing.T) {
 		t.Errorf("an idle daemon accepted a job as %s, attempt %d; want running, attempt 1", a.Status, a.Attempts)
 	}
 	waitTerminal(t, s, a.ID)
-	// 2 steps open the state; the blob and the two records are each a
-	// write, fsync, link, rename and directory fsync.
+	// 6 steps open the state: the netlists directory, the listing and
+	// the fresh log's write, fsync, rename and directory fsync. The blob
+	// is a write, fsync, link, rename and directory fsync, and each frame
+	// an append and an fsync.
 	before := count.Steps()
-	if before != 2+3*5 {
-		t.Errorf("an idle daemon's first sweep took %d I/O steps, want 17", before)
+	if before != 6+5+2*2 {
+		t.Errorf("an idle daemon's first sweep took %d I/O steps, want 15", before)
 	}
 	b, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	within(t, fs.hit, "the second job's done record write")
-	// The second job's one record so far, whose write first moves the
-	// spare the first job's done record left.
-	if n := count.Steps() - before; n != 1+5 {
-		t.Errorf("a direct start took %d I/O steps, want 6", n)
+	within(t, fs.hit, "the second job's done frame")
+	// The second job's one frame so far: an append and an fsync.
+	if n := count.Steps() - before; n != 2 {
+		t.Errorf("a direct start took %d I/O steps, want 2", n)
 	}
-	c, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Status != StatusQueued {
-		t.Errorf("a job behind a busy worker was accepted as %s, want queued", c.Status)
-	}
+	// The third job finds the worker busy, and its queued frame is the
+	// batch after the held one.
+	third := submitAsync(s, spec)
+	waitReserved(t, s, 3)
 	close(fs.release)
+	c := within(t, third, "the third submission")
+	if c.Status != StatusQueued {
+		t.Errorf("a job behind a busy worker was accepted as %s (%s), want queued", c.Status, c.Error)
+	}
 
 	for _, tc := range []struct {
 		j    *Job
@@ -155,7 +162,7 @@ func TestDirectStartWritesTwoRecords(t *testing.T) {
 			t.Errorf("job %s: payload diverges from the library path", tc.j.ID)
 		}
 		if got := fs.statuses(tc.j.ID); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("job %s wrote records %v, want %v", tc.j.ID, got, tc.want)
+			t.Errorf("job %s appended frames %v, want %v", tc.j.ID, got, tc.want)
 		}
 	}
 	if m := s.MetricsSnapshot(); m.Starts != (StartCounts{Direct: 2, Queued: 1}) || m.RecordWriteErrors != 0 {
@@ -163,17 +170,16 @@ func TestDirectStartWritesTwoRecords(t *testing.T) {
 	}
 }
 
-// TestDirectStartWriteFails: when the disk refuses the running record
-// that would accept a job, at any of the steps that fail the write, the
-// submission is refused with the disk's error: nothing in memory,
-// nothing on disk for a restart to run, and the next submission runs.
+// TestDirectStartWriteFails: when the disk refuses the running frame
+// that would accept a job, at either of the steps that fail the write,
+// the submission is refused with the disk's error: nothing in memory,
+// nothing in the log for a restart to run, and the next submission runs.
 func TestDirectStartWriteFails(t *testing.T) {
 	spec := sweepSpec()
 	want := librarySweep(t, spec)
-	// 2 steps open the state and 5 write the netlist blob; the running
-	// record is a write (8), fsync (9), link (10, whose failure only
-	// costs the recycling), rename (11) and directory fsync (12).
-	for _, step := range []int{8, 9, 11, 12} {
+	// 6 steps open the state and 5 write the netlist blob; the running
+	// frame is an append (12) and an fsync (13).
+	for _, step := range []int{12, 13} {
 		dir := t.TempDir()
 		fs := chaos.NewInjected(chaos.OS{}, chaos.Plan{Faults: []chaos.Fault{{Step: step, Kind: chaos.NoSpace}}})
 		s, err := New(Options{Dir: dir, Workers: 1, FS: fs})
@@ -209,9 +215,15 @@ func TestDirectStartWriteFails(t *testing.T) {
 	}
 }
 
-// TestRecordWriteDoesNotBlockReads: while a record write is stalled —
-// a new job's acceptance or a finished job's done record — the server
-// lock is free: Job, Jobs, MetricsSnapshot and a second Submit answer.
+// TestRecordWriteDoesNotBlockReads: while a frame's append is stalled —
+// a new job's acceptance or a finished job's done record — only the
+// frames queued behind it wait. No lock is held across the stall: Job,
+// Jobs and MetricsSnapshot answer, a second Submit takes its ID (so it
+// passed the server lock) and its frame joins the log's queue (so it
+// took the log's lock), and reads answer again while it waits there. The
+// log is one file, so that frame cannot be durable before the stalled
+// one is: the second Submit is answered only once the stall ends, queued
+// behind the busy worker.
 func TestRecordWriteDoesNotBlockReads(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -226,25 +238,34 @@ func TestRecordWriteDoesNotBlockReads(t *testing.T) {
 			s.Start()
 			defer func() { _ = s.Shutdown(context.Background()) }()
 			first := submitAsync(s, sweepSpec())
-			within(t, fs.hit, "the stalled record write")
+			within(t, fs.hit, "the stalled append")
 
-			answered := make(chan *Job, 1)
-			go func() {
-				s.Job("j000001")
-				s.Jobs()
-				s.MetricsSnapshot()
-				j, err := s.Submit(sweepSpec())
-				if err != nil {
-					t.Error(err)
-				}
-				answered <- j
-			}()
-			second := within(t, answered, "reads and a second submission during a stalled record write")
-			if second == nil || second.Status != StatusQueued {
-				t.Errorf("the second submission was answered %+v, want queued behind the busy worker", second)
+			read := func() <-chan struct{} {
+				answered := make(chan struct{})
+				go func() {
+					s.Job("j000001")
+					s.Jobs()
+					s.MetricsSnapshot()
+					close(answered)
+				}()
+				return answered
+			}
+			within(t, read(), "reads during a stalled append")
+			next := submitAsync(s, sweepSpec())
+			waitReserved(t, s, 2)
+			waitLogQueued(t, s.log, 1)
+			within(t, read(), "reads while a second submission waits for the log")
+			select {
+			case j := <-next:
+				t.Fatalf("the second submission was answered (%+v) before the stalled frame ahead of it was durable", j)
+			default:
 			}
 			close(fs.release)
 			a := within(t, first, "the first submission")
+			second := within(t, next, "the second submission")
+			if second.Status != StatusQueued {
+				t.Errorf("the second submission was answered %+v, want queued behind the busy worker", second)
+			}
 			for _, j := range []*Job{a, second} {
 				if j != nil && j.ID != "" {
 					waitServerDone(t, s, j.ID)
@@ -254,9 +275,26 @@ func TestRecordWriteDoesNotBlockReads(t *testing.T) {
 	}
 }
 
-// TestSubmitKeyDuringWrite: a resend of a submit key whose first record
-// is still being written waits for it and gets the same job; exactly one
-// record exists.
+// waitLogQueued waits until n frames wait in l's queue for the next
+// batch; taking l.mu to look shows the batch being written does not hold it.
+func waitLogQueued(t *testing.T, l *jobLog, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(failAfter); ; time.Sleep(time.Millisecond) {
+		l.mu.Lock()
+		queued := len(l.queue)
+		l.mu.Unlock()
+		if queued == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d frames wait for the log's next batch, want %d", queued, n)
+		}
+	}
+}
+
+// TestSubmitKeyDuringWrite: a resend of a submit key whose first frame
+// is still being written waits for it and gets the same job; the log
+// holds exactly one job.
 func TestSubmitKeyDuringWrite(t *testing.T) {
 	dir := t.TempDir()
 	fs := newRecorder(chaos.OS{}, 1)

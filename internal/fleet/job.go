@@ -28,24 +28,22 @@
 // (internal/fleet/loadtest) turns into the warm-vs-cold latency curve in
 // BENCH_fleetd.json.
 //
-// Job state is persisted under Options.Dir with the same atomic-rename
-// discipline as the injection checkpoints, so jobs survive a daemon
-// restart: queued and interrupted-running jobs are requeued, and
-// campaign jobs resume from their per-job checkpoint file. A sweep's
-// Verilog is stored once per distinct content under Dir/netlists/ and
-// its records, and the submissions after the first, carry only the SHA-256.
+// Job state is persisted under Options.Dir in one append-only log of
+// sealed records, each made durable before anyone is told of it, so
+// jobs survive a daemon restart: queued and interrupted-running jobs
+// are requeued, and campaign jobs resume from their per-job checkpoint
+// file. A sweep's Verilog is stored once per distinct content under
+// Dir/netlists/ and its records, and the submissions after the first,
+// carry only the SHA-256.
 package fleet
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -296,9 +294,7 @@ type SweepResult struct {
 	Points   []SweepPoint `json:"points"`
 }
 
-// jobPath is the job's persisted record; ckptPath is the campaign
-// checkpoint file the injection engine owns.
-func jobPath(dir, id string) string  { return filepath.Join(dir, id+".json") }
+// ckptPath is the campaign checkpoint file the injection engine owns.
 func ckptPath(dir, id string) string { return filepath.Join(dir, id+".ckpt") }
 
 // diskJob is the persisted form of a Job. The result payload moves to
@@ -310,125 +306,21 @@ type diskJob struct {
 	ResultRaw []byte `json:"result_raw,omitempty"`
 }
 
-// saveJob persists j under dir, sealed in the self-verifying envelope
-// and written with the durable atomic sequence (tmp write, fsync,
-// rename, directory fsync): a torn write or power loss can never
-// corrupt the record a restarting daemon recovers from, and silent
-// on-disk corruption is detected — not loaded — by loadJobs. A sweep's
-// record is written without the source, which lives once, in the blob
-// its netlist hash names.
-func saveJob(fs chaos.FS, dir string, j *Job) error {
-	dj := diskJob{Job: *j, ResultRaw: j.Result}
-	dj.Job.Result = nil
-	dj.Spec.Verilog = ""
-	data, err := json.MarshalIndent(&dj, "", "  ")
-	if err != nil {
-		return err
-	}
-	return chaos.WriteAtomic(fs, jobPath(dir, j.ID), chaos.Seal(data), 0o644)
-}
-
-// loadJobs recovers every persisted job record in dir, sorted by ID so
-// requeue order is deterministic across restarts. Records that fail
-// their envelope check or no longer parse are quarantined (moved to
-// dir/quarantine/) and reported by name — one corrupt record must not
-// brick every restart — and leftover .tmp debris from a crashed write
-// is deleted (by the atomic-rename contract it was never committed).
-// So is a record whose id or netlist hash would take a path outside
-// dir (trustedNames). New resolves the netlist hashes the records carry.
-func loadJobs(fs chaos.FS, dir string) (jobs []*Job, quarantined []string, err error) {
-	ents, err := fs.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasSuffix(name, ".tmp") {
-			_ = fs.Remove(filepath.Join(dir, name))
-			continue
-		}
-		if !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		path := filepath.Join(dir, name)
-		data, err := fs.ReadFile(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		payload, _, err := chaos.Open(data)
-		var dj diskJob
-		if err == nil {
-			err = json.Unmarshal(payload, &dj)
-		}
-		if err == nil {
-			err = trustedNames(name, &dj.Job)
-		}
-		if err != nil {
-			if err := setAside(fs, path, err); err != nil {
-				return nil, nil, err
-			}
-			quarantined = append(quarantined, name)
-			continue
-		}
-		j := dj.Job
-		if dj.ResultRaw != nil {
-			j.Result = dj.ResultRaw
-		}
-		jobs = append(jobs, &j)
-	}
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].ID < jobs[b].ID })
-	return jobs, quarantined, nil
-}
-
-// trustedNames checks the two fields recovery joins into paths before
-// any path is built from them: the id must be the record's own file-name
-// stem, so a record can neither write nor quarantine another file, nor
-// share an id with a second record; a netlist hash must be 64 lowercase
-// hex digits, so it names a blob in the netlists directory and nothing
-// else.
-func trustedNames(name string, j *Job) error {
-	if stem := strings.TrimSuffix(name, ".json"); j.ID != stem {
-		return fmt.Errorf("field id %q is not the record's file name %s", j.ID, name)
-	}
-	if h := j.NetlistSHA; h != "" && !isSHA(h) {
-		return fmt.Errorf("field netlist_sha256 %q is not 64 lowercase hex digits", h)
-	}
-	return nil
-}
-
 // isSHA reports whether h is spelled as netlistSHA spells a hash.
 func isSHA(h string) bool { return len(h) == 64 && strings.Trim(h, "0123456789abcdef") == "" }
 
-// setAside is the recovery policy for a record that cannot be trusted:
-// quarantine it and carry on. A record (or the netlist blob it names)
-// from newer tooling is not corruption: the daemon refuses to start
-// rather than quarantine state that is presumed good.
-func setAside(fs chaos.FS, path string, cause error) error {
-	name := filepath.Base(path)
-	if errors.Is(cause, chaos.ErrNewerVersion) {
-		return fmt.Errorf("fleet: job record %s: %w", name, cause)
-	}
-	if _, qerr := chaos.Quarantine(fs, path); qerr != nil {
-		return fmt.Errorf("fleet: job record %s corrupt (%v) and quarantine failed: %w", name, cause, qerr)
-	}
-	return nil
-}
-
-// recycling is the filesystem a daemon persists through: the one it was
-// given, except that files are reused instead of unlinked and created.
-// An atomic replace unlinks the file that held the previous version,
-// and the next one creates a scratch file; on a filesystem where a
-// creation costs more the more files were deleted lately (ext4 without
-// a journal walks past every inode freed in the last minutes), a daemon
-// that does both for every record transition and checkpoint runs at a
-// speed set by what ran before it. So the file a rename is about to
-// unlink first gets a spare name, and the next file to be written is
-// that file: only a name that is new for good — a job's record, its
+// recycling is the filesystem a daemon writes checkpoints and netlist
+// blobs through: the one it was given, except that files are reused
+// instead of unlinked and created. An atomic replace unlinks the file
+// that held the previous version, and the next one creates a scratch
+// file; on a filesystem where a creation costs more the more files were
+// deleted lately (ext4 without a journal walks past every inode freed
+// in the last minutes), a daemon that does both for every checkpoint
+// runs at a speed set by what ran before it. So the file a rename is
+// about to unlink first gets a spare name, and the next file to be
+// written is that file: only a name that is new for good — a job's
 // checkpoint, a first-seen netlist — costs a creation, and nothing is
-// deleted. The steps of chaos.WriteAtomic and their order are
+// deleted. Job records need none of this: they are appended to the log. The steps of chaos.WriteAtomic and their order are
 // untouched. Spares live in dir and end in .tmp, so loadJobs clears
 // them like any other debris.
 type recycling struct {
@@ -474,11 +366,21 @@ func (r *recycling) Rename(oldpath, newpath string) error {
 	return nil
 }
 
-// netlistSHA is the content address of a submitted netlist.
+// netlistSHA is the content address of a submitted netlist. The source
+// goes through the hash one fixed buffer at a time: the hash has no
+// WriteString, so io.WriteString would copy all of it first.
 func netlistSHA(src string) string {
 	h := sha256.New()
-	_, _ = io.WriteString(h, src) // a hash.Hash never fails a write
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [16 << 10]byte
+	for len(src) > 0 {
+		n := copy(buf[:], src)
+		h.Write(buf[:n]) // a hash.Hash never fails a write
+		src = src[n:]
+	}
+	var sum [sha256.Size]byte
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], h.Sum(sum[:0]))
+	return string(out[:])
 }
 
 // netlists stores submitted Verilog once per distinct content: a sealed

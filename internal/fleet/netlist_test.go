@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/chaos"
@@ -54,10 +55,7 @@ func blobPath(dir string, j *Job) string {
 // hash and does not carry it.
 func recordOmitsSource(t *testing.T, dir string, j *Job, src string) {
 	t.Helper()
-	data, err := os.ReadFile(jobPath(dir, j.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := lastFrame(t, dir, j.ID)
 	if !bytes.Contains(data, []byte(j.NetlistSHA)) {
 		t.Errorf("record %s does not name its netlist hash", j.ID)
 	}
@@ -186,9 +184,9 @@ func TestNetlistBlobDamageQuarantinesRecord(t *testing.T) {
 
 // TestCrashMatrixSweep is TestCrashMatrix for the sweep layout: the
 // filesystem dies at every I/O step of an accepted-and-finished sweep —
-// the netlists directory, the blob's write, fsync, rename and directory
-// fsync, then each record transition — and every restart over the
-// surviving directory must start clean (nothing torn, nothing
+// opening the state, the blob's write, fsync, rename and directory
+// fsync, then each frame's append and fsync — and every restart over
+// the surviving directory must start clean (nothing torn, nothing
 // quarantined) and converge on the undisturbed payload.
 func TestCrashMatrixSweep(t *testing.T) {
 	spec := sweepSpec()
@@ -216,13 +214,14 @@ func TestCrashMatrixSweep(t *testing.T) {
 	count := chaos.NewInjected(chaos.OS{}, chaos.Plan{})
 	run(t.TempDir(), count)
 	steps := count.Steps()
-	// 2 to open the state; 4 for the blob and 4 for each of the two
-	// record transitions (running, which an idle worker's claim makes the
-	// acceptance, then done), each with a Link before its rename (which
-	// keeps the replaced file, when there is one). No spare is idle before
-	// the done record's rename, so no write moves one.
-	if steps != 2+3*(4+1) {
-		t.Fatalf("an undisturbed sweep took %d I/O steps, want 17: the layout changed, re-derive the matrix", steps)
+	// 6 to open the state (the netlists directory, the listing, and the
+	// fresh log's write, fsync, rename and directory fsync); 5 for the
+	// blob (write, fsync, a Link that keeps the replaced file when there
+	// is one, rename, directory fsync); an append and an fsync for each
+	// of the two frames (running, which an idle worker's claim makes the
+	// acceptance, then done).
+	if steps != 6+5+2*2 {
+		t.Fatalf("an undisturbed sweep took %d I/O steps, want 15: the layout changed, re-derive the matrix", steps)
 	}
 
 	var nAccepted, nAmbiguous, nResubmitted int
@@ -269,20 +268,29 @@ func TestCrashMatrixSweep(t *testing.T) {
 	}
 	t.Logf("sweep crash matrix: %d points — accepted+recovered %d, ambiguous-submit recovered %d, resubmitted fresh %d; all byte-identical to the undisturbed run",
 		steps, nAccepted, nAmbiguous, nResubmitted)
+	// Startup, the blob and the running frame's append leave no job; a
+	// crash at its fsync leaves the appended frame, unacknowledged; the
+	// done frame's two steps leave an accepted job to requeue.
+	if census := [3]int{nAccepted, nAmbiguous, nResubmitted}; census != [3]int{2, 1, 12} {
+		t.Errorf("census %v, want [2 1 12]", census)
+	}
 }
 
 // creations counts, at the FS seam, the files a daemon creates: writes
-// to names that do not exist yet. noLinks makes it a filesystem without
-// hard links.
+// to names that do not exist yet. It also counts checkpoint writes.
+// noLinks makes it a filesystem without hard links.
 type creations struct {
 	chaos.FS
 	noLinks bool
-	n       int
+	n, ckpt int
 }
 
 func (c *creations) WriteFile(name string, data []byte, perm os.FileMode) error {
 	if _, err := os.Lstat(name); os.IsNotExist(err) {
 		c.n++
+	}
+	if strings.HasSuffix(name, ".ckpt.tmp") {
+		c.ckpt++
 	}
 	return c.FS.WriteFile(name, data, perm)
 }
@@ -294,14 +302,17 @@ func (c *creations) Link(oldname, newname string) error {
 	return c.FS.Link(oldname, newname)
 }
 
-// TestRecordsRecycleFiles: a job's two record writes create one file
-// and unlink none — the version a rename replaces is overwritten by a
-// later write instead — so the daemon's speed does not hang on how many
-// files the filesystem saw deleted lately. Without hard links the
-// writes still land, through fresh files. Either way a restart clears
-// the spares and loads every record.
+// TestRecordsRecycleFiles: job records create no file — every frame is
+// appended to the log New wrote — and the files that are still replaced
+// whole, a campaign's checkpoint waves, create two and unlink none: the
+// version a rename replaces is overwritten by a later write instead, so
+// the daemon's speed does not hang on how many files the filesystem saw
+// deleted lately. Without hard links the writes still land, through
+// fresh files. Either way a restart clears the spares and loads every
+// record.
 func TestRecordsRecycleFiles(t *testing.T) {
-	const jobs = 5
+	const sweeps = 5
+	campaign := Spec{Kind: KindCampaign, Unit: "ALU", Seed: 5, PerClass: 2, CheckpointEvery: 1}
 	for _, noLinks := range []bool{false, true} {
 		dir := t.TempDir()
 		fs := &creations{FS: chaos.OS{}, noLinks: noLinks}
@@ -310,8 +321,12 @@ func TestRecordsRecycleFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Start()
-		for i := 0; i < jobs; i++ {
-			j, err := s.Submit(sweepSpec())
+		for i := 0; i <= sweeps; i++ {
+			spec := sweepSpec()
+			if i == sweeps {
+				spec = campaign
+			}
+			j, err := s.Submit(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -329,22 +344,25 @@ func TestRecordsRecycleFiles(t *testing.T) {
 			}
 			return nil
 		})
+		// The log's first version and the blob are new names for good; the
+		// checkpoint's waves are one write each, and all but the first two
+		// reuse the file the previous replacement kept.
 		if noLinks {
-			if fs.n != 1+2*jobs || len(spares) != 0 {
-				t.Errorf("without hard links: %d files created, %d spares left; want %d and 0", fs.n, len(spares), 1+2*jobs)
+			if fs.n != 2+fs.ckpt || len(spares) != 0 {
+				t.Errorf("without hard links: %d files created, %d spares left; want %d and 0", fs.n, len(spares), 2+fs.ckpt)
 			}
-		} else if fs.n != 1+jobs+1 || len(spares) != 1 || files != fs.n {
-			// The blob, one record per job, and the one scratch file the
-			// first replacement found no spare for — all still there.
-			t.Errorf("%d files created, %d spares and %d files left; want %d, 1 and %d", fs.n, len(spares), files, 1+jobs+1, 1+jobs+1)
+		} else if fs.ckpt < 3 || fs.n != 2+2 || len(spares) != 1 || files != 4 {
+			// The log, the blob, the checkpoint and the one spare the last
+			// replacement kept.
+			t.Errorf("%d checkpoint waves: %d files created, %d spares and %d files left; want 4, 1 and 4", fs.ckpt, fs.n, len(spares), files)
 		}
 
 		s, err = New(Options{Dir: dir, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if spares, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(spares) != 0 || len(s.Jobs()) != jobs || len(s.quarantined) != 0 {
-			t.Errorf("noLinks=%v: restart left %d spares, %d of %d records, quarantined %v", noLinks, len(spares), len(s.Jobs()), jobs, s.quarantined)
+		if spares, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(spares) != 0 || len(s.Jobs()) != sweeps+1 || len(s.quarantined) != 0 {
+			t.Errorf("noLinks=%v: restart left %d spares, %d of %d records, quarantined %v", noLinks, len(spares), len(s.Jobs()), sweeps+1, s.quarantined)
 		}
 	}
 }

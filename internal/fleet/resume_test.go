@@ -67,12 +67,12 @@ func TestRestartResume(t *testing.T) {
 
 	// The interrupted job must be requeued on disk with real progress
 	// behind it — otherwise this test would not exercise resume at all.
-	recovered, _, err := loadJobs(chaos.OS{}, dir)
+	recovered, err := loadJobs(chaos.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rec *Job
-	for _, j := range recovered {
+	for _, j := range recovered.jobs {
 		if j.ID == sub.ID {
 			rec = j
 		}
@@ -91,9 +91,7 @@ func TestRestartResume(t *testing.T) {
 	// the graceful requeue leaves the record saying "running". Restart
 	// must treat that as interrupted work too.
 	rec.Status = StatusRunning
-	if err := saveJob(chaos.OS{}, dir, rec); err != nil {
-		t.Fatal(err)
-	}
+	appendLog(t, dir, frameOf(t, rec))
 
 	// Daemon 2 over the same directory: the job requeues, the campaign
 	// resumes from <id>.ckpt, and the final report matches the oracle

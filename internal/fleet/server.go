@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,9 +21,9 @@ import (
 
 // Options tunes a Server.
 type Options struct {
-	// Dir is the job-state directory (required). Job records and
-	// campaign checkpoints persist here; a daemon restarted on the same
-	// directory requeues interrupted work.
+	// Dir is the job-state directory (required). The job log, campaign
+	// checkpoints and netlist blobs persist here; a daemon restarted on
+	// the same directory requeues interrupted work.
 	Dir string
 	// Workers bounds the worker pool (default 4): at most this many
 	// jobs execute concurrently.
@@ -42,7 +41,7 @@ type Options struct {
 	// torture harness uses it so a 40-point crash matrix compiles its
 	// workflow once. CacheCap is ignored when Store is set.
 	Store *store.Store
-	// FS is the filesystem seam all job-record and checkpoint I/O goes
+	// FS is the filesystem seam all job-log, checkpoint and blob I/O goes
 	// through (default: the real filesystem). The chaos tests inject
 	// seeded fault plans here.
 	FS chaos.FS
@@ -88,13 +87,13 @@ func (o *Options) fill() {
 // s.mu guards memory only; no record is written while it is held. A
 // transition is claimed under the lock, written with it released, and
 // published under it again, and one goroutine at a time owns a job's
-// record file: Submit until it hands the job on, the worker from its
-// claim to a terminal state or a requeue, Cancel for a queued job.
+// next frame in the log: Submit until it hands the job on, the worker
+// from its claim to a terminal state or a requeue, Cancel for a queued job.
 type Server struct {
 	opts                    Options
 	store                   *store.Store
 	runner                  *runner
-	fs                      chaos.FS
+	log                     *jobLog      // own lock; never appended to under mu
 	netlists                *netlists    // own locks; never touched under mu
 	byHash, unknown, inline atomic.Int64 // NetlistCounts
 	direct, queued          atomic.Int64 // StartCounts
@@ -108,8 +107,8 @@ type Server struct {
 	// the moment the job has an ID: a resend that finds the job not yet
 	// accepted waits for its first record.
 	byKey map[string]*Job
-	// quarantined lists the corrupt record files moved aside at startup
-	// (relative names) — served on /metrics so corruption is loud even
+	// quarantined lists the records copied into quarantine/ at startup
+	// (file names) — served on /metrics so corruption is loud even
 	// though it no longer stops the daemon.
 	quarantined []string
 	seq         int
@@ -150,19 +149,21 @@ type Server struct {
 // test can fill the queue.
 var queueCap = 8192
 
-// New creates a server over opts.Dir, recovering persisted job state:
-// done/failed/cancelled records are served as-is, queued records and
-// running records from an interrupted daemon are requeued (campaign
-// jobs then resume from their checkpoint files), and corrupt records
-// are quarantined instead of failing the start, as is a record whose
-// netlist blob is missing or fails its envelope or SHA-256 check. Call
-// Start to launch the workers.
+// New creates a server over opts.Dir, recovering persisted job state
+// from the log (see loadJobs): done/failed/cancelled jobs are served
+// as-is, queued jobs and running ones from an interrupted daemon are
+// requeued (campaign jobs then resume from their checkpoint files), and
+// corrupt records are quarantined instead of failing the start, as is a
+// record whose netlist blob is missing or fails its envelope or SHA-256
+// check. The log then takes the recovered state (see jobLog.recover).
+// Call Start to launch the workers.
 func New(opts Options) (*Server, error) {
 	opts.fill()
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("fleet: Options.Dir is required")
 	}
-	opts.FS = &recycling{FS: opts.FS, dir: opts.Dir}
+	raw := opts.FS
+	opts.FS = &recycling{FS: raw, dir: opts.Dir}
 	blobs := &netlists{fs: opts.FS, dir: filepath.Join(opts.Dir, "netlists"), src: make(map[string]string)}
 	if err := opts.FS.MkdirAll(blobs.dir, 0o755); err != nil {
 		return nil, err
@@ -176,7 +177,7 @@ func New(opts Options) (*Server, error) {
 		opts:     opts,
 		store:    st,
 		runner:   &runner{store: st, parallelism: opts.Parallelism, fs: opts.FS},
-		fs:       opts.FS,
+		log:      &jobLog{fs: raw, path: filepath.Join(opts.Dir, logName)},
 		netlists: blobs,
 		jobs:     make(map[string]*Job),
 		cancels:  make(map[string]context.CancelFunc),
@@ -186,36 +187,41 @@ func New(opts Options) (*Server, error) {
 		cancel:   cancel,
 	}
 	s.released, s.release = context.WithCancel(context.Background())
-	prior, quarantined, err := loadJobs(opts.FS, opts.Dir)
+	rec, err := loadJobs(raw, opts.Dir)
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	s.quarantined = quarantined
-	// Keep seq ahead of every record name recovery saw, loaded or set
-	// aside (IDs are zero-padded, so the numeric max is what matters): the
-	// submitter of a quarantined job may still be asking for its ID, and a
-	// second quarantine of that name would overwrite the evidence.
-	for _, name := range quarantined {
-		s.seeID(strings.TrimSuffix(name, ".json"))
-	}
-	for _, j := range prior {
-		s.seeID(j.ID)
+	// kept are the jobs recovered, changed the frames of those whose
+	// state recovery moved (requeued or failed by the fuse).
+	var kept []*Job
+	var changed [][]byte
+	for _, j := range rec.jobs {
 		if j.Spec.Kind == KindSweep {
 			// A sweep's record names its source by hash. Without the hash
 			// (the empty one names no blob) or with a blob that fails
-			// verification, the record is as untrusted as a corrupt one.
+			// verification, the record is as untrusted as a corrupt one. A
+			// blob from newer tooling is presumed good: refuse to start.
 			if j.Spec.Verilog, err = blobs.get(j.NetlistSHA); err != nil {
-				if err := setAside(opts.FS, jobPath(opts.Dir, j.ID), err); err != nil {
+				if errors.Is(err, chaos.ErrNewerVersion) {
+					cancel()
+					return nil, fmt.Errorf("fleet: netlist blob of job %s: %w", j.ID, err)
+				}
+				f := rec.frames[j.ID]
+				data, err := raw.ReadAt(s.log.path, int64(f.off), f.n)
+				if err == nil {
+					err = rec.setAside(raw, opts.Dir, data, f.off, j.ID)
+				}
+				if err != nil {
 					cancel()
 					return nil, err
 				}
-				s.quarantined = append(s.quarantined, j.ID+".json")
 				continue
 			}
 		}
 		j.ckpt = ckptPath(opts.Dir, j.ID)
 		if !j.terminal() {
+			was := j.Status
 			if j.Attempts >= opts.MaxAttempts {
 				// Poison-job fuse: a record that keeps getting requeued
 				// (daemon crashed or timed out on it MaxAttempts times)
@@ -226,29 +232,30 @@ func New(opts Options) (*Server, error) {
 			} else {
 				j.Status = StatusQueued
 				j.done = make(chan struct{})
-			}
-			if err := saveJob(opts.FS, opts.Dir, j); err != nil {
-				cancel()
-				return nil, err
-			}
-			if j.Status == StatusQueued {
 				s.queue = append(s.queue, j)
 			}
+			if j.Status != was {
+				data, err := encodeJob(j)
+				if err != nil {
+					cancel()
+					return nil, err
+				}
+				changed = append(changed, data)
+			}
 		}
+		kept = append(kept, j)
 		s.jobs[j.ID] = j
 		if j.Spec.SubmitKey != "" {
 			s.byKey[j.Spec.SubmitKey] = j
 		}
 	}
-	return s, nil
-}
-
-// seeID advances seq past a job ID that is already taken.
-func (s *Server) seeID(id string) {
-	var n int
-	if _, err := fmt.Sscanf(id, "j%06d", &n); err == nil && n > s.seq {
-		s.seq = n
+	if err := s.log.recover(rec, kept, changed); err != nil {
+		cancel()
+		return nil, err
 	}
+	// seq stays ahead of every ID the log spells, loaded or set aside.
+	s.quarantined, s.seq = rec.quarantined, rec.seq
+	return s, nil
 }
 
 // Start launches the worker pool: par.ForEach with one task per worker
@@ -332,7 +339,7 @@ func (s *Server) execute(j *Job) *Job {
 	// The run starts only once a record carrying its attempt is durable,
 	// which is what lets the poison fuse count attempts across crashes.
 	// Nothing else writes j until the run reports progress.
-	err := s.save(j, direct)
+	err := s.save(j)
 	s.mu.Lock()
 	switch {
 	case err != nil:
@@ -412,7 +419,7 @@ func (s *Server) execute(j *Job) *Job {
 // requeueOrFail promised, which the requeueing worker looks at next; a
 // write the disk refuses fails the job in memory only (lost).
 func (s *Server) commit(j *Job, rec Job, requeue bool) {
-	err := s.save(&rec, false)
+	err := s.save(&rec)
 	s.mu.Lock()
 	if requeue {
 		s.slots--
@@ -452,18 +459,18 @@ func (s *Server) handOff(j *Job) bool {
 	}
 }
 
-// save writes j's record, counting a failure for /metrics. A new job's
-// first record that fails is removed as far as it got: a refused
-// submission leaves nothing a restart would run.
-func (s *Server) save(j *Job, first bool) error {
-	err := saveJob(s.fs, s.opts.Dir, j)
+// save appends j's record to the log and returns once it is durable,
+// counting a failure for /metrics. The log cuts a failed frame back off,
+// so a refused submission leaves nothing a restart would run.
+func (s *Server) save(j *Job) error {
+	data, err := encodeJob(j)
+	if err == nil {
+		err = s.log.append(data)
+	}
 	if err == nil {
 		return nil
 	}
 	s.writeErrors.Add(1)
-	if first {
-		_ = s.fs.Remove(jobPath(s.opts.Dir, j.ID))
-	}
 	return fmt.Errorf("%w: %w", errNotWritten, err)
 }
 
@@ -637,7 +644,7 @@ func (s *Server) enqueue(j *Job) {
 		return
 	}
 	s.mu.Unlock()
-	err := s.save(j, true)
+	err := s.save(j)
 	s.mu.Lock()
 	s.slots--
 	idle := false

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -474,10 +476,12 @@ func TestValidationAndCancel(t *testing.T) {
 // envelope generation no build ever wrote, or a sweep that inlines its
 // source instead of naming it by hash — is quarantined and reported on
 // /metrics, and the daemon keeps serving: one such record used to abort
-// every restart. The untrusted record is the newest one, so this is
-// also the regression test for job IDs: the next submission must not
-// reuse the quarantined ID (its submitter may still ask for it, and a
-// second quarantine of that name would overwrite the evidence).
+// every restart. The untrusted record sits in the log between two
+// valid frames, so it is corruption and not a torn append, and it
+// belongs to the newest job, so this is also the regression test for
+// job IDs: the next submission must not reuse the quarantined ID (its
+// submitter may still ask for it, and a second quarantine of that name
+// would overwrite the evidence).
 func TestUntrustedJobRecordQuarantined(t *testing.T) {
 	damage := map[string]func(t *testing.T, id string, data []byte) []byte{
 		"bit-flip": func(t *testing.T, _ string, data []byte) []byte {
@@ -504,67 +508,73 @@ func TestUntrustedJobRecordQuarantined(t *testing.T) {
 	}
 	for name, hurt := range damage {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			good := queueOnDisk(t, dir, sweepSpec())
-			bad := &Job{ID: "j000002", Spec: sweepSpec(), NetlistSHA: good.NetlistSHA, Status: StatusQueued}
-			if err := saveJob(chaos.OS{}, dir, bad); err != nil {
-				t.Fatal(err)
-			}
-			data, err := os.ReadFile(jobPath(dir, bad.ID))
-			if err != nil {
-				t.Fatal(err)
-			}
-			data = hurt(t, bad.ID, data)
-			if err := os.WriteFile(jobPath(dir, bad.ID), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-
-			s, err := New(Options{Dir: dir, Workers: 1})
-			if err != nil {
-				t.Fatalf("one untrusted record aborted the daemon: %v", err)
-			}
-			defer func() { _ = s.Shutdown(context.Background()) }()
-			s.Start()
-			if _, ok := s.Job(bad.ID); ok {
-				t.Fatal("untrusted record served as a job")
-			}
-			if q := s.MetricsSnapshot().Quarantined; len(q) != 1 || q[0] != bad.ID+".json" {
-				t.Fatalf("metrics quarantine census = %v, want [%s.json]", q, bad.ID)
-			}
-			evidence := filepath.Join(dir, chaos.QuarantineDirName, bad.ID+".json")
-			// The daemon is degraded, not dead: the healthy record next
-			// to the untrusted one runs, and new work gets a fresh ID.
-			waitServerDone(t, s, good.ID)
-			j, err := s.Submit(sweepSpec())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if j.ID <= bad.ID {
-				t.Errorf("new job %s reuses the quarantined record's ID %s", j.ID, bad.ID)
-			}
-			waitServerDone(t, s, j.ID)
-			if kept, err := os.ReadFile(evidence); err != nil || !bytes.Equal(kept, data) {
-				t.Errorf("quarantined record not preserved intact (err %v)", err)
-			}
+			t.Run("middle", func(t *testing.T) { untrustedRecord(t, hurt, false) })
+			t.Run("last", func(t *testing.T) { untrustedRecord(t, hurt, true) })
 		})
 	}
 }
 
-// confined is a chaos.FS that notes every path it is handed outside root.
+// untrustedRecord is one case of TestUntrustedJobRecordQuarantined: the
+// damaged frame sits between two valid ones, or, when last is set, at
+// the end of the log, where it is not a torn append either.
+func untrustedRecord(t *testing.T, hurt func(t *testing.T, id string, data []byte) []byte, last bool) {
+	dir := t.TempDir()
+	good := queueOnDisk(t, dir, sweepSpec())
+	bad := &Job{ID: "j000002", Spec: sweepSpec(), NetlistSHA: good.NetlistSHA, Status: StatusQueued}
+	data := hurt(t, bad.ID, frameOf(t, bad))
+	if last {
+		appendLog(t, dir, data)
+	} else {
+		appendLog(t, dir, data, lastFrame(t, dir, good.ID))
+	}
+
+	s, err := New(Options{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatalf("one untrusted record aborted the daemon: %v", err)
+	}
+	defer func() { _ = s.Shutdown(context.Background()) }()
+	s.Start()
+	if _, ok := s.Job(bad.ID); ok {
+		t.Fatal("untrusted record served as a job")
+	}
+	if q := s.MetricsSnapshot().Quarantined; len(q) != 1 || q[0] != bad.ID+".json" {
+		t.Fatalf("metrics quarantine census = %v, want [%s.json]", q, bad.ID)
+	}
+	evidence := filepath.Join(dir, chaos.QuarantineDirName, bad.ID+".json")
+	// The daemon is degraded, not dead: the healthy record next
+	// to the untrusted one runs, and new work gets a fresh ID.
+	waitServerDone(t, s, good.ID)
+	j, err := s.Submit(sweepSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID <= bad.ID {
+		t.Errorf("new job %s reuses the quarantined record's ID %s", j.ID, bad.ID)
+	}
+	waitServerDone(t, s, j.ID)
+	if kept, err := os.ReadFile(evidence); err != nil || !bytes.Equal(kept, data) {
+		t.Errorf("quarantined record not preserved intact (err %v)", err)
+	}
+}
+
+// confined is a chaos.FS that notes every path it is handed, and apart
+// those outside root.
 type confined struct {
 	chaos.FS
 	root string
 
 	mu      sync.Mutex
+	paths   []string
 	escapes []string
 }
 
 func (c *confined) see(paths ...string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, p := range paths {
+		c.paths = append(c.paths, p)
 		if rel, err := filepath.Rel(c.root, p); err != nil || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
-			c.mu.Lock()
 			c.escapes = append(c.escapes, p)
-			c.mu.Unlock()
 		}
 	}
 }
@@ -573,7 +583,19 @@ func (c *confined) WriteFile(name string, data []byte, perm os.FileMode) error {
 	c.see(name)
 	return c.FS.WriteFile(name, data, perm)
 }
+func (c *confined) AppendFile(name string, data []byte, perm os.FileMode) error {
+	c.see(name)
+	return c.FS.AppendFile(name, data, perm)
+}
+func (c *confined) Truncate(name string, size int64) error {
+	c.see(name)
+	return c.FS.Truncate(name, size)
+}
 func (c *confined) ReadFile(name string) ([]byte, error) { c.see(name); return c.FS.ReadFile(name) }
+func (c *confined) ReadAt(name string, off int64, n int) ([]byte, error) {
+	c.see(name)
+	return c.FS.ReadAt(name, off, n)
+}
 func (c *confined) ReadDir(name string) ([]os.DirEntry, error) {
 	c.see(name)
 	return c.FS.ReadDir(name)
@@ -595,32 +617,39 @@ func (c *confined) SyncFile(name string) error { c.see(name); return c.FS.SyncFi
 func (c *confined) SyncDir(name string) error  { c.see(name); return c.FS.SyncDir(name) }
 
 // TestRecordNamesStayInDir: recovery builds paths from a record's id and
-// netlist hash, so a record whose id is not its own file name, or whose
-// hash is not a SHA-256 in hex, is quarantined before any path is built
-// from either — the daemon touches nothing outside its state dir, and
-// two records cannot claim one id.
+// netlist hash, so a frame whose id is not one the server would assign
+// (j and six or more digits, spelled one way), or whose hash is not a
+// SHA-256 in hex, is quarantined before any path is built from either —
+// the daemon touches nothing outside its state dir, builds no
+// checkpoint path from such an id, and two spellings cannot claim one
+// job number. Frames that spell no ID are quarantined under their
+// offset in the log.
 func TestRecordNamesStayInDir(t *testing.T) {
 	lift := Spec{Kind: KindLift, Unit: "ALU"}
 	sweep := Spec{Kind: KindSweep, SPCycles: 32}
+	cancelled := &Job{ID: "j000001", Spec: lift, Status: StatusCancelled}
 	cases := []struct {
 		name    string
-		records map[string]*Job // file name -> record
-		outside string          // a file beside the state dir that must survive
-		served  string          // an id recovery must still serve
-		bad     string          // the record that must be quarantined
+		frames  []*Job // the log, in order
+		outside string // a file beside the state dir that must survive
+		served  string // an id recovery must still serve
+		bad     string // the quarantine name of the frame that must be set aside
 	}{
-		{name: "id-escapes", bad: "j000001.json", records: map[string]*Job{
-			"j000001.json": {ID: "../escape", Spec: lift, Status: StatusQueued},
+		{name: "id-escapes", bad: "frame-0.json", frames: []*Job{
+			{ID: "../escape", Spec: lift, Status: StatusQueued},
 		}},
-		{name: "id-quarantines-outside", bad: "j000001.json", outside: "victim.json", records: map[string]*Job{
-			"j000001.json": {ID: "../victim", Spec: sweep, NetlistSHA: strings.Repeat("ab", 32), Status: StatusQueued},
+		{name: "id-quarantines-outside", bad: "frame-0.json", outside: "victim.json", frames: []*Job{
+			{ID: "../victim", Spec: sweep, NetlistSHA: strings.Repeat("ab", 32), Status: StatusQueued},
 		}},
-		{name: "hash-escapes", bad: "j000001.json", records: map[string]*Job{
-			"j000001.json": {ID: "j000001", Spec: sweep, NetlistSHA: "../../x", Status: StatusQueued},
+		{name: "id-not-digits", bad: "frame-0.json", frames: []*Job{
+			{ID: "jabc", Spec: Spec{Kind: KindCampaign, Unit: "ALU", PerClass: 1}, Status: StatusQueued},
 		}},
-		{name: "duplicate-id", bad: "j000002.json", served: "j000001", records: map[string]*Job{
-			"j000001.json": {ID: "j000001", Spec: lift, Status: StatusCancelled},
-			"j000002.json": {ID: "j000001", Spec: lift, Status: StatusQueued},
+		{name: "hash-escapes", bad: "j000001.json", frames: []*Job{
+			{ID: "j000001", Spec: sweep, NetlistSHA: "../../x", Status: StatusQueued},
+		}},
+		{name: "duplicate-id", bad: fmt.Sprintf("frame-%d.json", len(frameOf(t, cancelled))), served: "j000001", frames: []*Job{
+			cancelled,
+			{ID: "j0000001", Spec: lift, Status: StatusQueued},
 		}},
 	}
 	for _, tc := range cases {
@@ -630,14 +659,8 @@ func TestRecordNamesStayInDir(t *testing.T) {
 			if err := os.Mkdir(dir, 0o755); err != nil {
 				t.Fatal(err)
 			}
-			for file, j := range tc.records {
-				data, err := json.Marshal(&diskJob{Job: *j})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(dir, file), chaos.Seal(data), 0o644); err != nil {
-					t.Fatal(err)
-				}
+			for _, j := range tc.frames {
+				appendLog(t, dir, frameOf(t, j))
 			}
 			if tc.outside != "" {
 				if err := os.WriteFile(filepath.Join(root, tc.outside), []byte("not the daemon's"), 0o644); err != nil {
@@ -649,11 +672,30 @@ func TestRecordNamesStayInDir(t *testing.T) {
 			if err != nil {
 				t.Fatalf("an untrusted record aborted the daemon: %v", err)
 			}
+			if _, err := s.Submit(lift); err != nil { // a record write goes through the seam too
+				t.Fatal(err)
+			}
 			if err := s.Shutdown(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			if len(fs.escapes) != 0 {
 				t.Errorf("recovery touched paths outside its state dir: %v", fs.escapes)
+			}
+			if !slices.Contains(fs.paths, filepath.Join(dir, logName)) {
+				t.Errorf("the seam never saw the log: paths %v", fs.paths)
+			}
+			for _, j := range tc.frames {
+				if validID(j.ID) {
+					continue
+				}
+				if _, ok := s.Job(j.ID); ok {
+					t.Errorf("untrusted id %q was loaded", j.ID)
+				}
+				for _, p := range fs.paths {
+					if rel, _ := filepath.Rel(root, p); strings.Contains(rel, strings.TrimPrefix(j.ID, "../")) {
+						t.Errorf("a path was built from untrusted id %q: %s", j.ID, p)
+					}
+				}
 			}
 			ents, err := os.ReadDir(root)
 			if err != nil {
@@ -676,9 +718,9 @@ func TestRecordNamesStayInDir(t *testing.T) {
 			if _, err := os.Stat(filepath.Join(dir, chaos.QuarantineDirName, tc.bad)); err != nil {
 				t.Errorf("untrusted record not preserved in quarantine: %v", err)
 			}
-			for _, j := range tc.records {
-				if _, ok := s.Job(j.ID); ok != (j.ID == tc.served) {
-					t.Errorf("job %q served = %v, want %v", j.ID, ok, !ok)
+			if tc.served != "" {
+				if _, ok := s.Job(tc.served); !ok {
+					t.Errorf("job %s not served", tc.served)
 				}
 			}
 		})
@@ -693,15 +735,13 @@ func TestRecordRoundTripPreservesResultBytes(t *testing.T) {
 	dir := t.TempDir()
 	result := json.RawMessage("{\n  \"a\": [1, 2,    3],\n\t\"b\": \"x\"\n}")
 	j := &Job{ID: "j000003", Spec: Spec{Kind: KindLift, Unit: "ALU"}, Status: StatusDone, Result: result}
-	if err := saveJob(chaos.OS{}, dir, j); err != nil {
-		t.Fatal(err)
+	appendLog(t, dir, frameOf(t, j))
+	rec, err := loadJobs(chaos.OS{}, dir)
+	if err != nil || len(rec.quarantined) != 0 || len(rec.jobs) != 1 {
+		t.Fatalf("load: %+v err=%v", rec, err)
 	}
-	jobs, quarantined, err := loadJobs(chaos.OS{}, dir)
-	if err != nil || len(quarantined) != 0 || len(jobs) != 1 {
-		t.Fatalf("load: jobs=%d quarantined=%v err=%v", len(jobs), quarantined, err)
-	}
-	if !bytes.Equal(jobs[0].Result, result) {
-		t.Fatalf("result bytes mangled by persistence round-trip:\n%q\n%q", jobs[0].Result, result)
+	if !bytes.Equal(rec.jobs[0].Result, result) {
+		t.Fatalf("result bytes mangled by persistence round-trip:\n%q\n%q", rec.jobs[0].Result, result)
 	}
 }
 

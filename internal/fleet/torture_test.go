@@ -69,9 +69,13 @@ func waitTerminal(t *testing.T, s *Server, id string) *Job {
 //     starts on and serves the same oracle answer for a resubmission.
 //
 // The matrix runs for both ways a job starts: "direct", taken by an
-// idle worker, whose running record is its acceptance (two record
-// writes), and "queued", submitted before the workers start, so it is
-// written queued, then running, then done.
+// idle worker, whose running frame is its acceptance (two frames), and
+// "queued", submitted before the workers start, so it is written
+// queued, then running, then done. Each pins its step count and census
+// (accepted, ambiguous, resubmitted): 6 steps open the state, each
+// frame is an append and an fsync, and the checkpoint's first read and
+// its waves take 23. A crash at the acceptance frame's fsync is the one
+// ambiguous point: the append landed, the acknowledgment did not.
 //
 // One shared artifact store plays the warm-restart supervisor so the
 // ALU workflow compiles once across the whole matrix.
@@ -85,12 +89,16 @@ func TestCrashMatrix(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		queued bool
-	}{{"direct", false}, {"queued", true}} {
-		t.Run(tc.name, func(t *testing.T) { crashMatrix(t, spec, want, shared, tc.queued) })
+		census [4]int // steps, accepted, ambiguous, resubmitted
+	}{
+		{"direct", false, [4]int{6 + 2 + 23 + 2, 25, 1, 7}},
+		{"queued", true, [4]int{6 + 3*2 + 23, 27, 1, 7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { crashMatrix(t, spec, want, shared, tc.queued, tc.census) })
 	}
 }
 
-func crashMatrix(t *testing.T, spec Spec, want []byte, shared *store.Store, queued bool) {
+func crashMatrix(t *testing.T, spec Spec, want []byte, shared *store.Store, queued bool, census [4]int) {
 	// Pass 0: no faults, through the counting filesystem — establishes
 	// the step count and the differential baseline.
 	runOnce := func(dir string, fs chaos.FS) (*Server, *Job, error) {
@@ -130,8 +138,8 @@ func crashMatrix(t *testing.T, spec Spec, want []byte, shared *store.Store, queu
 		t.Fatalf("baseline job was accepted %s", j0.Status)
 	}
 	steps := count.Steps()
-	if steps < 10 {
-		t.Fatalf("baseline run performed only %d I/O steps — matrix would prove nothing", steps)
+	if steps != census[0] {
+		t.Fatalf("baseline run performed %d I/O steps, want %d: the layout changed, re-derive the matrix", steps, census[0])
 	}
 	t.Logf("crash matrix: %d I/O steps to cover", steps)
 
@@ -160,7 +168,7 @@ func crashMatrix(t *testing.T, spec Spec, want []byte, shared *store.Store, queu
 			t.Fatalf("k=%d: restart failed: %v", k, err)
 		}
 		if len(s2.quarantined) != 0 {
-			t.Fatalf("k=%d: crash produced corrupt records %v — atomic replace is torn", k, s2.quarantined)
+			t.Fatalf("k=%d: crash left records %v quarantined — a torn append was taken for corruption", k, s2.quarantined)
 		}
 		s2.Start()
 
@@ -168,9 +176,9 @@ func crashMatrix(t *testing.T, spec Spec, want []byte, shared *store.Store, queu
 		if id == "" {
 			// Crash before acceptance: the outcome is legitimately
 			// ambiguous (the classic lost-response window). Either the
-			// record never committed — the directory is empty and a fresh
-			// submission works — or the atomic rename landed just before
-			// the crash and the restarted daemon recovers the job anyway.
+			// frame never landed — the log is empty and a fresh
+			// submission works — or its append landed just before the
+			// crash and the restarted daemon recovers the job anyway.
 			// Both must converge on the oracle; what is never allowed is
 			// a torn or duplicated record.
 			switch recovered := s2.Jobs(); len(recovered) {
@@ -206,6 +214,9 @@ func crashMatrix(t *testing.T, spec Spec, want []byte, shared *store.Store, queu
 	}
 	t.Logf("crash matrix: %d points — accepted+recovered %d, ambiguous-submit recovered %d, resubmitted fresh %d; all byte-identical to oracle",
 		steps, nAccepted, nAmbiguous, nResubmitted)
+	if got := [4]int{steps, nAccepted, nAmbiguous, nResubmitted}; got != census {
+		t.Errorf("census %v, want %v", got, census)
+	}
 }
 
 // TestJobDeadlinePoisonFuse: a job that can never meet its deadline is
