@@ -225,3 +225,116 @@ func TestMetricsNetlistCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestClientRemembersHash: a source the client has sent is hashed once.
+// Looking its hash up again allocates nothing, where netlistSHA
+// allocates its result, so no SHA-256 ran. The client remembers the last
+// clientHashes distinct sources, each under its true hash.
+func TestClientRemembersHash(t *testing.T) {
+	_, c := newTestServer(t, Options{Workers: 1})
+	spec := sweepSpec()
+	j, err := c.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, c, j.ID)
+	if allocs := testing.AllocsPerRun(100, func() { c.sourceSHA(spec.Verilog) }); allocs != 0 {
+		t.Errorf("looking up the hash of a sent source allocated %v times per run, want 0", allocs)
+	}
+	srcs := make([]string, clientHashes+8)
+	for i := range srcs {
+		srcs[i] = fmt.Sprintf("module m%d(); endmodule\n", i)
+		c.sourceSHA(srcs[i])
+	}
+	if n := c.hashes.Stats().Len; n != clientHashes {
+		t.Errorf("after %d distinct sources the client holds %d hashes, want %d", len(srcs), n, clientHashes)
+	}
+	for _, src := range append(srcs, spec.Verilog) {
+		if got, want := c.sourceSHA(src), netlistSHA(src); got != want {
+			t.Errorf("source %.20q hashed to %s, want %s", src, got, want)
+		}
+	}
+}
+
+// BenchmarkClientSourceHash is the hash a by-hash Submit starts with, on
+// a source of fleet-mixed's size: one the client remembers, and one it
+// does not (clientHashes+1 sources taken in turn always miss).
+func BenchmarkClientSourceHash(b *testing.B) {
+	body := strings.Repeat("  NAND2 g (.A(a), .B(b), .Y(y));\n", 311_646/34)
+	srcs := make([]string, clientHashes+1)
+	for i := range srcs {
+		srcs[i] = fmt.Sprintf("// %d\n%s", i, body)
+	}
+	b.Run("remembered", func(b *testing.B) {
+		var c Client
+		c.sourceSHA(srcs[0])
+		b.SetBytes(int64(len(srcs[0])))
+		for i := 0; i < b.N; i++ {
+			c.sourceSHA(srcs[0])
+		}
+	})
+	b.Run("not", func(b *testing.B) {
+		var c Client
+		b.SetBytes(int64(len(srcs[0])))
+		for i := 0; i < b.N; i++ {
+			c.sourceSHA(srcs[i%len(srcs)])
+		}
+	})
+}
+
+// blobStall is a filesystem that holds the write of one hash's blob
+// until release closes.
+type blobStall struct {
+	chaos.FS
+	hash         string
+	hit, release chan struct{}
+}
+
+func (f *blobStall) WriteFile(name string, data []byte, perm os.FileMode) error {
+	if strings.HasPrefix(filepath.Base(name), f.hash) {
+		close(f.hit)
+		<-f.release
+	}
+	return f.FS.WriteFile(name, data, perm)
+}
+
+// TestBlobWriteDoesNotBlockHeldLookup: while a cold submission's blob
+// write is stalled, a by-hash submission of a netlist the daemon already
+// holds is answered 202; no lock is held across another hash's disk I/O.
+func TestBlobWriteDoesNotBlockHeldLookup(t *testing.T) {
+	cold, held := tinyVerilog(1), tinyVerilog(2)
+	fs := &blobStall{FS: chaos.OS{}, hash: netlistSHA(cold), hit: make(chan struct{}), release: make(chan struct{})}
+	s, err := New(Options{Dir: t.TempDir(), Workers: 2, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer func() { _ = s.Shutdown(context.Background()) }()
+	if _, err := s.netlists.put(netlistSHA(held), held); err != nil {
+		t.Fatal(err)
+	}
+	released := false
+	defer func() {
+		if !released {
+			close(fs.release)
+		}
+	}()
+
+	answer := func(body string) <-chan *httptest.ResponseRecorder {
+		out := make(chan *httptest.ResponseRecorder, 1)
+		go func() { out <- post(s.Handler(), body) }()
+		return out
+	}
+	coldDone := answer(fmt.Sprintf(`{"kind":"sweep","verilog":%q,"sp_cycles":32}`, cold))
+	within(t, fs.hit, "the stalled blob write")
+	w := within(t, answer(fmt.Sprintf(`{"kind":"sweep","netlist_sha256":%q,"sp_cycles":32}`, netlistSHA(held))),
+		"the by-hash submission of a held netlist")
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("the by-hash submission was answered %d, want 202: %s", w.Code, w.Body)
+	}
+	released = true
+	close(fs.release)
+	if w := within(t, coldDone, "the cold submission"); w.Code != http.StatusAccepted {
+		t.Fatalf("the cold submission was answered %d, want 202: %s", w.Code, w.Body)
+	}
+}

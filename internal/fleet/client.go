@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/store"
 )
 
@@ -30,6 +31,29 @@ type Client struct {
 	// dedups onto the already-accepted job instead of running the work
 	// twice. Nil keeps the historical fail-fast behaviour.
 	Retry *RetryPolicy
+
+	hashOnce sync.Once
+	hashes   *lru.Cache[string, string] // source -> netlistSHA(source)
+}
+
+// clientHashes is how many distinct sources a Client remembers the
+// SHA-256 of: a fleet screens a few designs over and over, and the
+// cache keeps alive only sources the caller already held.
+const clientHashes = 32
+
+// sourceSHA is netlistSHA(src), computed once per source the client
+// remembers: a warm by-hash submit then skips hashing 300 kB of Verilog.
+// The cache is keyed by the content itself, so a lookup costs one string
+// hash and one comparison, and a different source can never get a stale
+// hash.
+func (c *Client) sourceSHA(src string) string {
+	c.hashOnce.Do(func() { c.hashes = lru.New[string, string](clientHashes) })
+	if h, ok := c.hashes.Get(src); ok {
+		return h
+	}
+	h := netlistSHA(src)
+	c.hashes.Add(src, h)
+	return h
 }
 
 // RetryPolicy tunes the client's transient-failure handling.
@@ -200,16 +224,17 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 }
 
 // Submit posts a job spec and returns the accepted record. A sweep names
-// its Verilog by SHA-256, and sends the source only when the daemon
-// answers 409. With a retry policy, the spec is stamped once with a
-// content-addressed idempotency key (hash of the by-hash spec plus a
-// per-call nonce), so every resend of this logical submission, in either
-// form, maps onto one server-side job even when a response was lost in
-// flight. Distinct Submit calls get distinct nonces and stay distinct jobs.
+// its Verilog by SHA-256, hashed once per source the client remembers,
+// and sends the source only when the daemon answers 409. With a retry
+// policy, the spec is stamped once with a content-addressed idempotency
+// key (hash of the by-hash spec plus a per-call nonce), so every resend
+// of this logical submission, in either form, maps onto one server-side
+// job even when a response was lost in flight. Distinct Submit calls get
+// distinct nonces and stay distinct jobs.
 func (c *Client) Submit(ctx context.Context, spec Spec) (*Job, error) {
 	src := ""
 	if spec.Kind == KindSweep && spec.NetlistSHA == "" && spec.Verilog != "" {
-		src, spec.Verilog, spec.NetlistSHA = spec.Verilog, "", netlistSHA(spec.Verilog)
+		src, spec.Verilog, spec.NetlistSHA = spec.Verilog, "", c.sourceSHA(spec.Verilog)
 	}
 	if c.Retry != nil && spec.SubmitKey == "" {
 		c.Retry.fill()

@@ -389,38 +389,80 @@ func netlistSHA(src string) string {
 // netlist shares. A hash is in src only after this process wrote its
 // blob or verified it during recovery; a file that merely exists is
 // never trusted, so the next submission of its content heals it.
+//
+// mu guards the two maps only and is never held across disk I/O, so a
+// lookup of a held hash never waits on another hash's blob. A hash's
+// writes and reads take turns (busy), so one hash has one tmp path.
 type netlists struct {
-	fs  chaos.FS
-	dir string
-	mu  sync.Mutex        // held across a blob write: a hash has one tmp path
-	src map[string]string // sha256 -> source
+	fs   chaos.FS
+	dir  string
+	mu   sync.Mutex
+	src  map[string]string        // sha256 -> source
+	busy map[string]chan struct{} // sha256 -> closed when its disk turn ends
 }
 
 func (n *netlists) path(h string) string { return filepath.Join(n.dir, h+".v") }
 
+// turn returns h's source if it is held. Otherwise it waits out any
+// other goroutine's disk turn on h and gives the caller the next one,
+// which the caller must end with finish.
+func (n *netlists) turn(h string) (string, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for {
+		if v, ok := n.src[h]; ok {
+			return v, true
+		}
+		busy := n.busy[h]
+		if busy == nil {
+			n.busy[h] = make(chan struct{})
+			return "", false
+		}
+		n.mu.Unlock()
+		<-busy
+		n.mu.Lock()
+	}
+}
+
+// finish ends h's disk turn, holding src under h when the turn made it
+// trusted.
+func (n *netlists) finish(h, src string, trusted bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if trusted {
+		n.src[h] = src
+	}
+	close(n.busy[h])
+	delete(n.busy, h)
+}
+
 // put makes src durable under its hash h and returns the interned copy.
 // It must return before any record naming h is written.
 func (n *netlists) put(h, src string) (string, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if v, ok := n.src[h]; ok {
+	if v, ok := n.turn(h); ok {
 		return v, nil
 	}
-	if err := chaos.WriteAtomic(n.fs, n.path(h), chaos.Seal([]byte(src)), 0o644); err != nil {
+	err := chaos.WriteAtomic(n.fs, n.path(h), chaos.Seal([]byte(src)), 0o644)
+	n.finish(h, src, err == nil)
+	if err != nil {
 		return "", err
 	}
-	n.src[h] = src
 	return src, nil
 }
 
 // get resolves a hash back to its source, trusting the blob only after
 // both its envelope and its SHA-256 check out.
 func (n *netlists) get(h string) (string, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if v, ok := n.src[h]; ok {
+	if v, ok := n.turn(h); ok {
 		return v, nil
 	}
+	src, err := n.read(h)
+	n.finish(h, src, err == nil)
+	return src, err
+}
+
+// read loads and verifies h's blob from disk.
+func (n *netlists) read(h string) (string, error) {
 	data, err := n.fs.ReadFile(n.path(h))
 	if err != nil {
 		return "", err
@@ -433,6 +475,5 @@ func (n *netlists) get(h string) (string, error) {
 	if netlistSHA(src) != h {
 		return "", fmt.Errorf("fleet: netlist blob %s.v does not hash to its name", h)
 	}
-	n.src[h] = src
 	return src, nil
 }

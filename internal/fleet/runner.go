@@ -19,7 +19,8 @@ import (
 // Cache keys. Every expensive artifact a job produces is published in
 // the shared content-addressed store under one of these prefixes, keyed
 // by the hash of the submission content it derives from. The chain for
-// a sweep job is netlist -> period -> profile -> grid (each key embeds
+// a sweep job is netlist -> period -> profile -> grid, the last the
+// netlist's aging factors at every corner of the grid (each key embeds
 // the parameters that distinguish it); lift and campaign jobs share one
 // fully-built workflow per (unit, years, mitigation). The deepest key
 // of each chain doubles as the warm/cold probe at submit time.
@@ -166,9 +167,9 @@ var errPartial = fmt.Errorf("fleet: campaign interrupted before completion")
 // runSweep analyzes a submitted netlist across the lifetime grid. Every
 // stage reads through the store: concurrent submissions of one netlist
 // parse and characterize it exactly once, and re-submissions skip
-// straight to the (cheap) per-corner analysis pass against the cached
-// grid — the warm path the daemon's latency headline is built on. h is
-// the SHA-256 of sp.Verilog the job has carried since submission.
+// straight to the (cheap) timing analysis of the cached annotation —
+// the warm path the daemon's latency headline is built on. h is the
+// SHA-256 of sp.Verilog the job has carried since submission.
 func (r *runner) runSweep(sp *Spec, h string) (json.RawMessage, error) {
 	lib := cell.Lib28()
 
@@ -195,28 +196,25 @@ func (r *runner) runSweep(sp *Spec, h string) (json.RawMessage, error) {
 		return nil, err
 	}
 
-	corners := make([]sta.Corner, len(sp.YearsGrid))
-	for i, yr := range sp.YearsGrid {
-		corners[i] = sta.Corner{Years: yr}
-	}
-	cfg := sta.BatchConfig{
-		PeriodPs:    period,
-		Base:        lib,
-		Model:       aging.Default(),
-		Profile:     fv.(*engine.Profile),
-		PerEndpoint: 40,
-		Parallelism: r.parallelism,
-	}
-
-	gv, _, err := r.store.Do(keyGrid(sp, h), func() (any, error) {
-		return sta.CornerLibraries(nl.Name, cfg, corners), nil
+	av, _, err := r.store.Do(keyGrid(sp, h), func() (any, error) {
+		corners := make([]sta.Corner, len(sp.YearsGrid))
+		for i, yr := range sp.YearsGrid {
+			corners[i] = sta.Corner{Years: yr}
+		}
+		return sta.Annotate(nl, sta.BatchConfig{
+			PeriodPs:    period,
+			Base:        lib,
+			Model:       aging.Default(),
+			Profile:     fv.(*engine.Profile),
+			PerEndpoint: 40,
+			Parallelism: r.parallelism,
+		}, corners), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	cfg.Libs = gv.([]*aging.Library)
 
-	results := sta.AnalyzeCorners(nl, cfg, corners)
+	results := av.(*sta.Annotation).Analyze()
 	out := SweepResult{Netlist: nl.Name, Cells: len(nl.Cells), PeriodPs: period}
 	for i, res := range results {
 		out.Points = append(out.Points, SweepPoint{

@@ -164,7 +164,8 @@ func New(opts Options) (*Server, error) {
 	}
 	raw := opts.FS
 	opts.FS = &recycling{FS: raw, dir: opts.Dir}
-	blobs := &netlists{fs: opts.FS, dir: filepath.Join(opts.Dir, "netlists"), src: make(map[string]string)}
+	blobs := &netlists{fs: opts.FS, dir: filepath.Join(opts.Dir, "netlists"),
+		src: make(map[string]string), busy: make(map[string]chan struct{})}
 	if err := opts.FS.MkdirAll(blobs.dir, 0o755); err != nil {
 		return nil, err
 	}

@@ -1,8 +1,10 @@
 // Package lru provides the small bounded LRU cache behind the fleet
-// daemon's shared content-addressed artifact store (internal/store), its
-// one consumer: a real least-recently-used policy keeps the fleet's hot
+// daemon's shared content-addressed artifact store (internal/store),
+// where a real least-recently-used policy keeps the fleet's hot
 // netlists resident and evicts only the one-shot submissions, and the
 // counters exported through Stats are what decide the store's capacity.
+// Its second consumer is fleet.Client, which remembers the SHA-256 of
+// the last few netlist sources it sent so a warm submit hashes nothing.
 //
 // The cache is internally locked and safe for concurrent use. The store
 // still holds its own mutex across its get-miss-build-add sequence (the

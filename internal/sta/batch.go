@@ -59,9 +59,9 @@ type BatchConfig struct {
 	// corner has Years > 0.
 	Profile *engine.Profile
 	// Libs, when non-nil, supplies the per-corner aged libraries directly
-	// and skips the aging.NewCornerGrid characterization — the reuse seam
-	// the fleet daemon's content-addressed store plugs into, so repeated
-	// submissions of one netlist pay the grid once (see CornerLibraries).
+	// and skips the aging.NewCornerGrid characterization (see
+	// CornerLibraries); a caller that keeps the whole characterization
+	// keeps an Annotation instead, as the fleet daemon does.
 	// Must be exactly one entry per corner, nil entries marking fresh
 	// corners, and must have been built from the same Base/Model/Profile
 	// this config carries or the results are silently wrong.
@@ -77,25 +77,77 @@ type BatchConfig struct {
 // pass and returns one Result per corner, each bit-identical to what
 // the scalar oracle produces for that corner alone.
 func AnalyzeCorners(nl *netlist.Netlist, cfg BatchConfig, corners []Corner) []*Result {
+	return Annotate(nl, cfg, corners).Analyze()
+}
+
+// Annotation is a netlist characterized at K corners: its timing graph,
+// its corner libraries and every cell's aging factor at every corner.
+// The factors depend only on the libraries and each cell's SP, so a
+// caller that re-times one netlist under one profile (the fleet daemon's
+// warm sweep) keeps the Annotation and pays only for Analyze. It is
+// read-only once Annotate returns, so concurrent Analyze calls are safe.
+type Annotation struct {
+	g     *TimingGraph
+	cfg   BatchConfig
+	libs  []*aging.Library
+	scale float64
+	// factor holds K × cells float64s, corner-major; cols are its K
+	// per-corner columns, of which every Result.Factor is a view.
+	factor []float64
+	cols   [][]float64
+}
+
+// Annotate is the characterization step of an analysis: it compiles (or
+// reuses) nl's timing graph, builds the corner libraries (or takes
+// cfg.Libs) and writes every cell's aging factor at every corner. With
+// no corners there is nothing to annotate, and Analyze returns nil.
+func Annotate(nl *netlist.Netlist, cfg BatchConfig, corners []Corner) *Annotation {
 	K := len(corners)
 	if K == 0 {
-		return nil
+		return &Annotation{}
 	}
 	scale := cfg.Scale
 	if scale == 0 {
 		scale = 1
 	}
-
 	g := CachedGraph(nl)
-	libs := cornerLibs(nl.Name, cfg, corners)
+	a := &Annotation{
+		g:      g,
+		cfg:    cfg,
+		libs:   cornerLibs(nl.Name, cfg, corners),
+		scale:  scale,
+		factor: make([]float64, K*g.numCells),
+		cols:   make([][]float64, K),
+	}
+	for k := range a.cols {
+		a.cols[k] = a.factor[k*g.numCells : (k+1)*g.numCells : (k+1)*g.numCells]
+	}
+	a.computeFactors()
+	return a
+}
 
-	st := newBatchState(g, K)
-	st.computeDelays(cfg, libs, scale)
-	st.computeClockArrivals()
-	st.propagate()
-	results := checkAndEnumerate(g, st, cfg, corners, libs, st.factorC, nil)
+// Analyze is the analysis step: delay fill, clock arrivals and
+// propagation over a pooled slab, then the endpoint checks and path
+// enumeration. It returns one Result per corner, whose Factor is a
+// read-only view of the Annotation's column.
+func (a *Annotation) Analyze() []*Result {
+	if len(a.cols) == 0 {
+		return nil
+	}
+	st := a.evaluate()
+	results := checkAndEnumerate(a.g, st, a.cfg, len(a.cols), a.libs, a.cols)
 	st.release() // walks are done; Results hold no views into the slab
 	return results
+}
+
+// evaluate runs the forward half of an analysis into a fresh pooled
+// state, which the caller releases.
+func (a *Annotation) evaluate() *batchState {
+	st := newBatchState(a.g, len(a.cols))
+	st.fillDelays(a.factor, a.cfg.Base, a.scale)
+	st.computeClockArrivals()
+	st.propagate()
+	return st
 }
 
 // CornerLibraries precomputes the per-corner aged libraries that
@@ -144,37 +196,16 @@ func cornerLibs(name string, cfg BatchConfig, corners []Corner) []*aging.Library
 	return libs
 }
 
-// clockArrivalMaps builds one endpoint->clock-arrival map per corner
-// from the state's current clock lanes. The incremental engine caches
-// the returned maps across updates that leave the clock network's
-// delays untouched.
-func clockArrivalMaps(g *TimingGraph, st *batchState) []map[netlist.CellID]float64 {
-	maps := make([]map[netlist.CellID]float64, st.K)
-	// Fill each corner's map in its own pass so one map stays hot per
-	// loop instead of round-robining K maps per endpoint.
-	for k := 0; k < st.K; k++ {
-		m := make(map[netlist.CellID]float64, len(g.endpoints))
-		for ei := range g.endpoints {
-			e := &g.endpoints[ei]
-			m[e.cellID] = st.clk[int(e.clk)*st.K+k]
-		}
-		maps[k] = m
-	}
-	return maps
-}
-
 // checkAndEnumerate is the reporting half of a batched run: scan every
 // endpoint's slacks, enumerate the violating cones, and merge into one
 // Result per corner — without touching the propagation state, so the
 // incremental engine can call it repeatedly over a persistent state. The
-// factor columns to embed are passed in (the one-shot pass hands over
-// its own, the incremental engine hands fresh copies so later updates
-// cannot mutate escaped Results); clockMaps, when non-nil, supplies
-// prebuilt per-corner clock-arrival maps to share instead of building.
-func checkAndEnumerate(g *TimingGraph, st *batchState, cfg BatchConfig, corners []Corner,
-	libs []*aging.Library, factorC [][]float64, clockMaps []map[netlist.CellID]float64) []*Result {
+// factor columns to embed are passed in: the annotation's own, or the
+// incremental engine's live buffer, which no later update writes once
+// it has escaped.
+func checkAndEnumerate(g *TimingGraph, st *batchState, cfg BatchConfig, K int,
+	libs []*aging.Library, factorC [][]float64) []*Result {
 
-	K := len(corners)
 	maxPaths := cfg.MaxPaths
 	if maxPaths == 0 {
 		maxPaths = 200000
@@ -182,9 +213,6 @@ func checkAndEnumerate(g *TimingGraph, st *batchState, cfg BatchConfig, corners 
 	perEndpoint := cfg.PerEndpoint
 	if perEndpoint == 0 {
 		perEndpoint = 400
-	}
-	if clockMaps == nil {
-		clockMaps = clockArrivalMaps(g, st)
 	}
 
 	results := make([]*Result, K)
@@ -202,11 +230,10 @@ func checkAndEnumerate(g *TimingGraph, st *batchState, cfg BatchConfig, corners 
 			rcfg.Base = cfg.Base
 		}
 		results[k] = &Result{
-			Config:       rcfg,
-			WNSSetup:     inf,
-			WNSHold:      inf,
-			Factor:       factorC[k],
-			ClockArrival: clockMaps[k],
+			Config:   rcfg,
+			WNSSetup: inf,
+			WNSHold:  inf,
+			Factor:   factorC[k],
 		}
 	}
 
@@ -711,12 +738,9 @@ func (g *TimingGraph) walkSolo(st *batchState, j *enumJob, limit int) []enumReco
 	return []enumRecord{rec}
 }
 
-// batchState is the mutable evaluation state of one AnalyzeCorners run:
+// batchState is the mutable evaluation state of one analysis:
 // structure-of-arrays timing data, corner-contiguous per net/cell
-// (index*K+k), so a node's K corner values share a cache line. The
-// factor layer alone is corner-major (factorC), because Result.Factor
-// exposes it per corner; consecutive cells of one corner stride K
-// parallel cache-line streams, which prefetches fine for small K.
+// (index*K+k), so a node's K corner values share a cache line.
 type batchState struct {
 	g *TimingGraph
 	K int
@@ -730,14 +754,11 @@ type batchState struct {
 	clk            []float64 // per net: clock arrival
 	arrMax, arrMin []float64 // per net: data arrival
 	hiS, loS       []float64 // propagate scratch
-
-	factorC    [][]float64 // per-corner factors for Result.Factor (escapes)
-	factorFlat []float64   // factorC's backing store, corner-major
 }
 
 // slabPool recycles evaluation slabs across AnalyzeCorners calls. Every
 // lane of a recycled slab is either rewritten before it is read —
-// computeDelays covers all cells, propagate covers every driven net and
+// fillDelays covers all cells, propagate covers every driven net and
 // sentinel-fills g.untimed, computeClockArrivals zeroes g.clkRoots and
 // writes every driven clock net — or never read at all, so no clearing
 // sweep is needed. In a sweep loop this removes the dominant allocation:
@@ -765,14 +786,6 @@ func newBatchState(g *TimingGraph, K int) *batchState {
 	st.arrMin, slab = slab[:netN:netN], slab[netN:]
 	st.hiS, slab = slab[:K:K], slab[K:]
 	st.loS = slab[:K:K]
-
-	// The factor columns escape into Results, so they are allocated
-	// fresh, never pooled.
-	st.factorFlat = make([]float64, K*g.numCells)
-	st.factorC = make([][]float64, K)
-	for k := range st.factorC {
-		st.factorC[k] = st.factorFlat[k*g.numCells : (k+1)*g.numCells : (k+1)*g.numCells]
-	}
 	return st
 }
 
@@ -782,67 +795,41 @@ func (st *batchState) release() {
 	st.slab = nil
 }
 
-// computeDelays fills the aged+scaled delay vectors for every corner.
-// Factors go through the same Library.Factor interpolation the scalar
-// analysis uses — not the separable shortcut — because bit-identity is
-// the contract, and interpolating tabulated 1+x values is not bitwise
-// the same as 1 + interpolating x. The grid position and interpolation
-// weights depend only on the cell's SP, so they are hoisted out of the
-// corner loop and applied to each corner's factor row directly.
-func (st *batchState) computeDelays(cfg BatchConfig, libs []*aging.Library, scale float64) {
-	g, K := st.g, st.K
+// computeFactors writes every cell's aging factor at every corner — the
+// only interpolation loop of the batched engine. Factors go through the
+// same Library.Factor interpolation the scalar analysis uses — not the
+// separable shortcut — because bit-identity is the contract, and
+// interpolating tabulated 1+x values is not bitwise the same as 1 +
+// interpolating x. The grid position and interpolation weights depend
+// only on the cell's SP, so they are hoisted out of the corner loop and
+// applied to each corner's factor row directly.
+func (a *Annotation) computeFactors() {
+	g, K, cfg := a.g, len(a.cols), a.cfg
+	var freshLanes []int
+	points := 0
+	for k, lib := range a.libs {
+		if lib == nil {
+			freshLanes = append(freshLanes, k)
+		} else {
+			points = len(lib.FactorRow(0))
+		}
+	}
+	if len(freshLanes) == K {
+		for i := range a.factor {
+			a.factor[i] = 1
+		}
+		return
+	}
+	// Fresh lanes are fixed up after the unconditional interpolation
+	// below: an exact factor of 1 is not representable as a grid interp
+	// (omf+frac need not round back to 1), and a per-lane branch in the
+	// hot loop costs more than re-writing the handful of fresh lanes.
 
 	// Re-lay the characterization grid corner-contiguous: gridSoA[kind]
 	// holds that kind's tabulated rows as [point*K + k], so the per-cell
 	// interpolation below reads two contiguous K-runs instead of K
 	// scattered per-corner rows. Values are copied verbatim — the
 	// interpolation expression stays row[i0]*omf + row[i0+1]*frac.
-	anyAged := false
-	aged := make([]bool, K)
-	points := 0
-	for k, lib := range libs {
-		if lib != nil {
-			anyAged = true
-			aged[k] = true
-			points = len(lib.FactorRow(0))
-		}
-	}
-	fC := st.factorC
-	if !anyAged {
-		// x*1.0 is bitwise x, so the fresh factor folds away.
-		for k := range fC {
-			col := fC[k]
-			for i := range col {
-				col[i] = 1
-			}
-		}
-		for i := 0; i < g.numCells; i++ {
-			t := cfg.Base.Timing[g.kind[i]]
-			base := i * K
-			dn := st.dmin[base : base+K : base+K]
-			dx := st.dmax[base : base+K : base+K]
-			for k := range dn {
-				dn[k] = t.DelayMin * scale
-				dx[k] = t.DelayMax * scale
-			}
-		}
-		dff := cfg.Base.Timing[cell.DFF]
-		st.setup = dff.Setup * scale
-		st.hold = dff.Hold * scale
-		return
-	}
-
-	// Fresh lanes are fixed up after the unconditional interpolation
-	// below: an exact factor of 1 is not representable as a grid interp
-	// (omf+frac need not round back to 1), and a per-lane branch in the
-	// hot loop costs more than re-writing the handful of fresh lanes.
-	var freshLanes []int
-	for k, a := range aged {
-		if !a {
-			freshLanes = append(freshLanes, k)
-		}
-	}
-
 	// Only the kinds the netlist instantiates get grid rows; the other
 	// rows' slots stay dirty in the pooled slab and are never read (the
 	// per-cell loop below indexes gridSoA by instantiated kinds only).
@@ -851,7 +838,7 @@ func (st *batchState) computeDelays(cfg BatchConfig, libs []*aging.Library, scal
 	for _, kd := range g.usedKinds {
 		gridSoA[kd] = gridFlat[int(kd)*points*K : (int(kd)+1)*points*K : (int(kd)+1)*points*K]
 	}
-	for k, lib := range libs {
+	for k, lib := range a.libs {
 		if lib == nil {
 			// Keep the pooled slab's fresh-lane slots deterministic; the
 			// interpolated value is discarded by the fixup either way.
@@ -872,16 +859,10 @@ func (st *batchState) computeDelays(cfg BatchConfig, libs []*aging.Library, scal
 	}
 	last := points - 1
 
-	// Result.Factor columns are corner-major; stores walk their shared
-	// backing store with a strength-reduced flat index (one column apart
-	// per lane).
-	fFlat := st.factorFlat
-
+	// The factor columns are corner-major; stores walk them with a
+	// strength-reduced flat index (one column apart per lane).
+	fFlat := a.factor
 	for i := 0; i < g.numCells; i++ {
-		t := cfg.Base.Timing[g.kind[i]]
-		base := i * K
-		dn := st.dmin[base : base+K : base+K]
-		dx := st.dmax[base : base+K : base+K]
 		var sp float64
 		if cfg.Profile != nil {
 			sp = cfg.Profile.SP[g.outNet[i]]
@@ -906,21 +887,37 @@ func (st *batchState) computeDelays(cfg BatchConfig, libs []*aging.Library, scal
 			s1 = grid[(i0+1)*K : (i0+1)*K+K]
 		}
 		idx := i
-		for k := range dn {
-			f := s0[k]*omf + s1[k]*frac
-			fFlat[idx] = f
-			dn[k] = t.DelayMin * f * scale
-			dx[k] = t.DelayMax * f * scale
+		for k := range s0 {
+			fFlat[idx] = s0[k]*omf + s1[k]*frac
 			idx += g.numCells
 		}
 		for _, k := range freshLanes {
 			fFlat[k*g.numCells+i] = 1
-			dn[k] = t.DelayMin * scale
-			dx[k] = t.DelayMax * scale
 		}
 	}
 	putSlab(gridFlat)
-	dff := cfg.Base.Timing[cell.DFF]
+}
+
+// fillDelays writes every cell's aged, scaled delay lanes from
+// corner-major factor columns with the scalar oracle's expression,
+// t.Delay * f * scale. A fresh lane's factor is exactly 1, and x·1 is x,
+// so it holds the fresh delay bit for bit.
+func (st *batchState) fillDelays(factor []float64, base *cell.Library, scale float64) {
+	g, K, nc := st.g, st.K, st.g.numCells
+	for i := 0; i < nc; i++ {
+		t := base.Timing[g.kind[i]]
+		b := i * K
+		dn := st.dmin[b : b+K : b+K]
+		dx := st.dmax[b : b+K : b+K]
+		idx := i
+		for k := range dn {
+			f := factor[idx]
+			dn[k] = t.DelayMin * f * scale
+			dx[k] = t.DelayMax * f * scale
+			idx += nc
+		}
+	}
+	dff := base.Timing[cell.DFF]
 	st.setup = dff.Setup * scale
 	st.hold = dff.Hold * scale
 }
@@ -1045,58 +1042,47 @@ func (st *batchState) propOp(i int) {
 	}
 }
 
-// delaysForCell recomputes one cell's factor and delay lanes — the
-// incremental engine's per-cell form of computeDelays. It must mirror
-// computeDelays bitwise: same interpolation expression over the same
-// tabulated values in the same order (the grid SoA re-layout copies
+// delaysForCell recomputes cell i's factor and delay lanes — the
+// incremental engine's per-cell form of computeFactors and fillDelays.
+// It must mirror them bitwise: same interpolation expression over the
+// same tabulated values in the same order (the grid SoA re-layout copies
 // values verbatim, so reading the library rows directly interpolates the
-// identical operands). The differential tests and FuzzIncrementalSTA
-// hold the two to byte-identical Results.
-func (st *batchState) delaysForCell(cfg BatchConfig, libs []*aging.Library, scale float64, anyAged bool, i int) {
-	g, K := st.g, st.K
-	t := cfg.Base.Timing[g.kind[i]]
+// identical operands), then the same delay expression. The differential
+// tests and FuzzIncrementalSTA hold the two to byte-identical Results.
+func (inc *Incremental) delaysForCell(i int) {
+	st, g, K, nc := inc.st, inc.g, inc.K, inc.g.numCells
+	var sp float64
+	if inc.cfg.Profile != nil {
+		sp = inc.cfg.Profile.SP[g.outNet[i]]
+	}
+	t := inc.cfg.Base.Timing[g.kind[i]]
 	base := i * K
 	dn := st.dmin[base : base+K : base+K]
 	dx := st.dmax[base : base+K : base+K]
-	if !anyAged {
-		for k := range dn {
-			st.factorFlat[k*g.numCells+i] = 1
-			dn[k] = t.DelayMin * scale
-			dx[k] = t.DelayMax * scale
-		}
-		return
-	}
-	var sp float64
-	if cfg.Profile != nil {
-		sp = cfg.Profile.SP[g.outNet[i]]
-	}
-	for k, lib := range libs {
-		if lib == nil {
-			st.factorFlat[k*g.numCells+i] = 1
-			dn[k] = t.DelayMin * scale
-			dx[k] = t.DelayMax * scale
-			continue
-		}
-		row := lib.FactorRow(g.kind[i])
-		last := len(row) - 1
-		var s0, s1, omf, frac float64
-		if sp <= 0 || sp >= 1 {
-			ci := 0
-			if sp >= 1 {
-				ci = last
+	for k, lib := range inc.libs {
+		f := 1.0
+		if lib != nil {
+			row := lib.FactorRow(g.kind[i])
+			last := len(row) - 1
+			var s0, s1, omf, frac float64
+			if sp <= 0 || sp >= 1 {
+				ci := 0
+				if sp >= 1 {
+					ci = last
+				}
+				s0, s1 = row[ci], row[ci]
+				omf, frac = 1, 0
+			} else {
+				pos := sp * float64(last)
+				i0 := int(pos)
+				frac = pos - float64(i0)
+				omf = 1 - frac
+				s0, s1 = row[i0], row[i0+1]
 			}
-			s0, s1 = row[ci], row[ci]
-			omf, frac = 1, 0
-		} else {
-			pos := sp * float64(last)
-			i0 := int(pos)
-			frac = pos - float64(i0)
-			omf = 1 - frac
-			s0, s1 = row[i0], row[i0+1]
+			f = s0*omf + s1*frac
 		}
-		f := s0*omf + s1*frac
-		st.factorFlat[k*g.numCells+i] = f
-		dn[k] = t.DelayMin * f * scale
-		dx[k] = t.DelayMax * f * scale
+		inc.factor[k*nc+i] = f
+		dn[k] = t.DelayMin * f * inc.scale
+		dx[k] = t.DelayMax * f * inc.scale
 	}
 }

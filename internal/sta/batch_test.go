@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -83,27 +84,32 @@ func randomNetSP(nl *netlist.Netlist, seed int64) *engine.Profile {
 func scalarBaseline(nl *netlist.Netlist, cfg BatchConfig, corners []Corner) []*Result {
 	out := make([]*Result, len(corners))
 	for i, c := range corners {
-		sc := Config{
-			PeriodPs:    cfg.PeriodPs,
-			Scale:       cfg.Scale,
-			MaxPaths:    cfg.MaxPaths,
-			PerEndpoint: cfg.PerEndpoint,
-		}
-		if c.Years > 0 {
-			model := cfg.Model
-			if c.TempK != 0 && c.TempK != model.TempK {
-				clone := *model
-				clone.TempK = c.TempK
-				model = &clone
-			}
-			sc.Aged = aging.NewLibrary(cfg.Base, model, c.Years)
-			sc.Profile = cfg.Profile
-		} else {
-			sc.Base = cfg.Base
-		}
-		out[i] = Analyze(nl, sc)
+		out[i] = Analyze(nl, scalarConfig(cfg, c))
 	}
 	return out
+}
+
+// scalarConfig is the scalar oracle's Config for one corner of cfg.
+func scalarConfig(cfg BatchConfig, c Corner) Config {
+	sc := Config{
+		PeriodPs:    cfg.PeriodPs,
+		Scale:       cfg.Scale,
+		MaxPaths:    cfg.MaxPaths,
+		PerEndpoint: cfg.PerEndpoint,
+	}
+	if c.Years > 0 {
+		model := cfg.Model
+		if c.TempK != 0 && c.TempK != model.TempK {
+			clone := *model
+			clone.TempK = c.TempK
+			model = &clone
+		}
+		sc.Aged = aging.NewLibrary(cfg.Base, model, c.Years)
+		sc.Profile = cfg.Profile
+	} else {
+		sc.Base = cfg.Base
+	}
+	return sc
 }
 
 // randomCase derives a whole (netlist, profile, config, corners) case
@@ -154,7 +160,7 @@ func randomCase(seed int64) (*netlist.Netlist, BatchConfig, []Corner) {
 // the batched engine's contract: over randomized netlists, SP profiles,
 // corner sets, scales, caps and parallelism, every per-corner Result —
 // WNS, violation counts, truncation, the full sorted Pairs slice, delay
-// factors, clock arrivals and the embedded Config — must deep-equal the
+// factors and the embedded Config — must deep-equal the
 // scalar baseline's. DeepEqual compares float64s with ==, so this is
 // bit-identity, not tolerance.
 func TestBatchedMatchesScalar(t *testing.T) {
@@ -173,6 +179,61 @@ func TestBatchedMatchesScalar(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestClockLanesMatchOracle: the batched engine's clock lane of every
+// flip-flop, at every corner, is bitwise the scalar oracle's late clock
+// arrival — the aged clock-tree skew behind every hold violation. No
+// Result carries clock arrivals, so this is the check that sees them.
+func TestClockLanesMatchOracle(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		nl, cfg, corners := randomCase(seed)
+		st := Annotate(nl, cfg, corners).evaluate()
+		for k, c := range corners {
+			a := newAnalysis(nl, scalarConfig(cfg, c))
+			a.computeCellTiming()
+			a.computeClockArrivals()
+			for _, e := range st.g.endpoints {
+				got, want := st.clk[int(e.clk)*st.K+k], a.clkLate[e.cellID]
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d corner %d (%+v): flip-flop %s clock lane %v, oracle %v",
+						seed, k, c, nl.Cells[e.cellID].Name, got, want)
+				}
+			}
+		}
+		st.release()
+	}
+}
+
+// TestAnnotationSharedAcrossGoroutines: one Annotation, analyzed from
+// four goroutines at once, gives every caller what AnalyzeCorners gives
+// for the same inputs, and no Analyze writes its factor columns.
+func TestAnnotationSharedAcrossGoroutines(t *testing.T) {
+	for _, seed := range []int64{3, 11, 17} {
+		nl, cfg, corners := randomCase(seed)
+		want := AnalyzeCorners(nl, cfg, corners)
+		a := Annotate(nl, cfg, corners)
+		before := append([]float64(nil), a.factor...)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					if got := a.Analyze(); !reflect.DeepEqual(got, want) {
+						t.Errorf("seed %d: a shared Annotation's Analyze differs from AnalyzeCorners", seed)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for i, f := range a.factor {
+			if math.Float64bits(f) != math.Float64bits(before[i]) {
+				t.Fatalf("seed %d: factor %d moved from %v to %v under Analyze", seed, i, before[i], f)
+			}
+		}
 	}
 }
 

@@ -26,25 +26,21 @@ import (
 // full evaluation at construction, then cone-sized re-analyses as the SP
 // profile moves. Not safe for concurrent use.
 type Incremental struct {
-	g       *TimingGraph
-	cfg     BatchConfig
-	corners []Corner
-	libs    []*aging.Library
-	anyAged bool
-	scale   float64
-	K       int
-	st      *batchState
+	g     *TimingGraph
+	cfg   BatchConfig
+	libs  []*aging.Library
+	scale float64
+	K     int
+	st    *batchState
 
-	// clockMaps caches the per-corner endpoint clock-arrival maps; nil
-	// after an update that touched a clock cell's delay.
-	clockMaps []map[netlist.CellID]float64
-
-	// Factor double-buffer. Results hands out zero-copy views into the
-	// live factorFlat and marks it escaped; the next update swaps in the
-	// spare buffer, patch-copying only the cells whose factors were
-	// written since the previous swap (the touched list) — so an escaped
-	// Result's Factor columns are never written again, at O(touched*K)
-	// patch cost instead of an O(cells*K) snapshot copy per Results.
+	// Factor double-buffer, corner-major like Annotation.factor. Results
+	// hands out zero-copy views into the live factor buffer and marks it
+	// escaped; the next update swaps in the spare buffer, patch-copying
+	// only the cells whose factors were written since the previous swap
+	// (the touched list) — so an escaped Result's Factor columns are never
+	// written again, at O(touched*K) patch cost instead of an O(cells*K)
+	// snapshot copy per Results.
+	factor    []float64
 	spare     []float64
 	touched   []int32
 	inTouched []bool
@@ -73,34 +69,24 @@ func NewIncremental(nl *netlist.Netlist, cfg BatchConfig, corners []Corner) *Inc
 	if K == 0 {
 		panic("sta: NewIncremental needs at least one corner")
 	}
-	scale := cfg.Scale
-	if scale == 0 {
-		scale = 1
-	}
-	g := CachedGraph(nl)
-	libs := cornerLibs(nl.Name, cfg, corners)
+	// The annotation never escapes, so its factor buffer becomes the
+	// live one.
+	a := Annotate(nl, cfg, corners)
+	g := a.g
 	inc := &Incremental{
-		g:         g,
-		cfg:       cfg,
-		corners:   append([]Corner(nil), corners...),
-		libs:      libs,
-		scale:     scale,
-		K:         K,
-		st:        newBatchState(g, K),
-		dirty:     make([]bool, len(g.combOps)),
-		inTouched: make([]bool, g.numCells),
-		oldHi:     make([]float64, K),
-		oldLo:     make([]float64, K),
+		g:           g,
+		cfg:         cfg,
+		libs:        a.libs,
+		scale:       a.scale,
+		K:           K,
+		st:          a.evaluate(),
+		factor:      a.factor,
+		dirty:       make([]bool, len(g.combOps)),
+		inTouched:   make([]bool, g.numCells),
+		oldHi:       make([]float64, K),
+		oldLo:       make([]float64, K),
+		LastRetimed: len(g.combOps),
 	}
-	for _, lib := range libs {
-		if lib != nil {
-			inc.anyAged = true
-		}
-	}
-	inc.st.computeDelays(cfg, libs, scale)
-	inc.st.computeClockArrivals()
-	inc.st.propagate()
-	inc.LastRetimed = len(g.combOps)
 	return inc
 }
 
@@ -123,16 +109,13 @@ func (inc *Incremental) Close() {
 // retires it to the double-buffer's read-only side — so later updates
 // never mutate an escaped Result.
 func (inc *Incremental) Results() []*Result {
-	st, nc := inc.st, inc.g.numCells
+	nc := inc.g.numCells
 	cols := make([][]float64, inc.K)
 	for k := range cols {
-		cols[k] = st.factorFlat[k*nc : (k+1)*nc : (k+1)*nc]
+		cols[k] = inc.factor[k*nc : (k+1)*nc : (k+1)*nc]
 	}
 	inc.escaped = true
-	if inc.clockMaps == nil {
-		inc.clockMaps = clockArrivalMaps(inc.g, st)
-	}
-	return checkAndEnumerate(inc.g, st, inc.cfg, inc.corners, inc.libs, cols, inc.clockMaps)
+	return checkAndEnumerate(inc.g, inc.st, inc.cfg, inc.K, inc.libs, cols)
 }
 
 // beginUpdate makes the live factor buffer private before the first
@@ -145,14 +128,13 @@ func (inc *Incremental) beginUpdate() {
 	if !inc.escaped {
 		return
 	}
-	st := inc.st
 	if inc.spare == nil {
-		inc.spare = append([]float64(nil), st.factorFlat...)
+		inc.spare = append([]float64(nil), inc.factor...)
 	} else {
 		K, nc := inc.K, inc.g.numCells
 		for _, ci := range inc.touched {
 			for k := 0; k < K; k++ {
-				inc.spare[k*nc+int(ci)] = st.factorFlat[k*nc+int(ci)]
+				inc.spare[k*nc+int(ci)] = inc.factor[k*nc+int(ci)]
 			}
 		}
 	}
@@ -160,11 +142,7 @@ func (inc *Incremental) beginUpdate() {
 		inc.inTouched[ci] = false
 	}
 	inc.touched = inc.touched[:0]
-	st.factorFlat, inc.spare = inc.spare, st.factorFlat
-	nc := inc.g.numCells
-	for k := range st.factorC {
-		st.factorC[k] = st.factorFlat[k*nc : (k+1)*nc : (k+1)*nc]
-	}
+	inc.factor, inc.spare = inc.spare, inc.factor
 	inc.escaped = false
 }
 
@@ -200,7 +178,7 @@ func (inc *Incremental) touchCell(i int, clocksDirty *bool) {
 	base := i * K
 	copy(inc.oldHi, st.dmax[base:base+K])
 	copy(inc.oldLo, st.dmin[base:base+K])
-	st.delaysForCell(inc.cfg, inc.libs, inc.scale, inc.anyAged, i)
+	inc.delaysForCell(i)
 	if lanesEqual(inc.oldHi, st.dmax[base:base+K]) && lanesEqual(inc.oldLo, st.dmin[base:base+K]) {
 		return
 	}
@@ -247,13 +225,12 @@ func (inc *Incremental) refreshEndpointQ(i int) {
 
 // finishUpdate drains the worklist. If a clock cell's delay changed the
 // clock network is recomputed in full first (it is cheap relative to the
-// data network, and its arrivals feed every endpoint), every launch
-// arrival is refreshed, and the cached clock-arrival maps are dropped.
+// data network, and its arrivals feed every endpoint) and every launch
+// arrival is refreshed.
 func (inc *Incremental) finishUpdate(clocksDirty bool) {
 	st, g := inc.st, inc.g
 	if clocksDirty {
 		st.computeClockArrivals()
-		inc.clockMaps = nil
 		for ei := range g.endpoints {
 			inc.refreshEndpointQ(int(g.endpoints[ei].cellID))
 		}

@@ -86,8 +86,8 @@ func TestIncrementalClockCone(t *testing.T) {
 }
 
 // TestIncrementalResultsAreStable pins the escape contract: a Result
-// returned before an update must not be mutated by the update (factor
-// columns are copies, clock maps are rebuilt on clock changes).
+// returned before an update must not be mutated by the update (an
+// escaped factor buffer is retired, never written again).
 func TestIncrementalResultsAreStable(t *testing.T) {
 	nl, cfg, corners := randomCase(3)
 	inc := NewIncremental(nl, cfg, corners)

@@ -165,11 +165,10 @@ func (a *analysis) propagateArrivals() {
 func (a *analysis) check() *Result {
 	nl := a.nl
 	res := &Result{
-		Config:       a.cfg,
-		WNSSetup:     inf,
-		WNSHold:      inf,
-		Factor:       a.factor,
-		ClockArrival: make(map[netlist.CellID]float64),
+		Config:   a.cfg,
+		WNSSetup: inf,
+		WNSHold:  inf,
+		Factor:   a.factor,
 	}
 	pairs := map[pairKey]*PairSummary{}
 	budget := a.cfg.MaxPaths
@@ -179,7 +178,6 @@ func (a *analysis) check() *Result {
 			continue
 		}
 		cid := netlist.CellID(i)
-		res.ClockArrival[cid] = a.clkLate[i]
 		d := c.In[0]
 
 		// Setup: data (late) must beat the next capture edge (early).

@@ -58,17 +58,10 @@ func WorstPath(nl *netlist.Netlist, cfg Config, end netlist.CellID) (*PathReport
 	}
 	// One corner of the batched engine: with K = 1 the corner-contiguous
 	// layers are indexed by net or cell ID directly.
-	bc := cfg.batch()
-	scale := cfg.Scale
-	if scale == 0 {
-		scale = 1
-	}
-	g := CachedGraph(nl)
-	st := newBatchState(g, 1)
+	a := Annotate(nl, cfg.batch(), make([]Corner, 1))
+	g := a.g
+	st := a.evaluate()
 	defer st.release() // the report copies values, it keeps no view of the slab
-	st.computeDelays(bc, bc.Libs, scale)
-	st.computeClockArrivals()
-	st.propagate()
 
 	d := c.In[0]
 	if st.arrMax[d] == negInf {
@@ -96,7 +89,7 @@ func WorstPath(nl *netlist.Netlist, cfg Config, end netlist.CellID) (*PathReport
 		dc := &nl.Cells[drv]
 		stages = append(stages, PathStage{
 			Cell: drv, Name: dc.Name, Kind: dc.Kind,
-			DelayPs: st.dmax[drv], ArrivalPs: st.arrMax[n], Factor: st.factorC[0][drv],
+			DelayPs: st.dmax[drv], ArrivalPs: st.arrMax[n], Factor: a.factor[drv],
 		})
 		if dc.Kind == cell.DFF {
 			rep.Start = drv

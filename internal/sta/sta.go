@@ -105,12 +105,10 @@ type Result struct {
 	Pairs []PairSummary
 
 	// Factor is the aging delay factor applied to each cell (1.0 when
-	// fresh) — the data behind the paper's Figure 8.
+	// fresh) — the data behind the paper's Figure 8. It is read-only: a
+	// batched Result shares it with its Annotation and every other
+	// Result analyzed from it.
 	Factor []float64
-
-	// ClockArrival gives each DFF's (late) clock arrival in ps, for skew
-	// reports.
-	ClockArrival map[netlist.CellID]float64
 }
 
 const inf = math.MaxFloat64
