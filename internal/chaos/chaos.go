@@ -55,9 +55,6 @@ type FS interface {
 	ReadDir(name string) ([]os.DirEntry, error)
 	// Rename atomically replaces newpath with oldpath.
 	Rename(oldpath, newpath string) error
-	// Link gives oldname's file a second name, newname, which must not
-	// exist yet.
-	Link(oldname, newname string) error
 	// Remove deletes name.
 	Remove(name string) error
 	// MkdirAll creates name and missing parents.
@@ -103,7 +100,6 @@ func (OS) ReadAt(name string, off int64, n int) ([]byte, error) {
 	return buf[:k], err
 }
 func (OS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
-func (OS) Link(oldname, newname string) error   { return os.Link(oldname, newname) }
 func (OS) Remove(name string) error             { return os.Remove(name) }
 func (OS) MkdirAll(name string, perm os.FileMode) error {
 	return os.MkdirAll(name, perm)

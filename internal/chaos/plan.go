@@ -320,13 +320,6 @@ func (f *Injected) Rename(oldpath, newpath string) error {
 	return f.under.Rename(oldpath, newpath)
 }
 
-func (f *Injected) Link(oldname, newname string) error {
-	if _, err := f.begin(); err != nil {
-		return err
-	}
-	return f.under.Link(oldname, newname)
-}
-
 func (f *Injected) Remove(name string) error {
 	if _, err := f.begin(); err != nil {
 		return err

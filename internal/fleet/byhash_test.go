@@ -281,60 +281,3 @@ func BenchmarkClientSourceHash(b *testing.B) {
 		}
 	})
 }
-
-// blobStall is a filesystem that holds the write of one hash's blob
-// until release closes.
-type blobStall struct {
-	chaos.FS
-	hash         string
-	hit, release chan struct{}
-}
-
-func (f *blobStall) WriteFile(name string, data []byte, perm os.FileMode) error {
-	if strings.HasPrefix(filepath.Base(name), f.hash) {
-		close(f.hit)
-		<-f.release
-	}
-	return f.FS.WriteFile(name, data, perm)
-}
-
-// TestBlobWriteDoesNotBlockHeldLookup: while a cold submission's blob
-// write is stalled, a by-hash submission of a netlist the daemon already
-// holds is answered 202; no lock is held across another hash's disk I/O.
-func TestBlobWriteDoesNotBlockHeldLookup(t *testing.T) {
-	cold, held := tinyVerilog(1), tinyVerilog(2)
-	fs := &blobStall{FS: chaos.OS{}, hash: netlistSHA(cold), hit: make(chan struct{}), release: make(chan struct{})}
-	s, err := New(Options{Dir: t.TempDir(), Workers: 2, FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	defer func() { _ = s.Shutdown(context.Background()) }()
-	if _, err := s.netlists.put(netlistSHA(held), held); err != nil {
-		t.Fatal(err)
-	}
-	released := false
-	defer func() {
-		if !released {
-			close(fs.release)
-		}
-	}()
-
-	answer := func(body string) <-chan *httptest.ResponseRecorder {
-		out := make(chan *httptest.ResponseRecorder, 1)
-		go func() { out <- post(s.Handler(), body) }()
-		return out
-	}
-	coldDone := answer(fmt.Sprintf(`{"kind":"sweep","verilog":%q,"sp_cycles":32}`, cold))
-	within(t, fs.hit, "the stalled blob write")
-	w := within(t, answer(fmt.Sprintf(`{"kind":"sweep","netlist_sha256":%q,"sp_cycles":32}`, netlistSHA(held))),
-		"the by-hash submission of a held netlist")
-	if w.Code != http.StatusAccepted {
-		t.Fatalf("the by-hash submission was answered %d, want 202: %s", w.Code, w.Body)
-	}
-	released = true
-	close(fs.release)
-	if w := within(t, coldDone, "the cold submission"); w.Code != http.StatusAccepted {
-		t.Fatalf("the cold submission was answered %d, want 202: %s", w.Code, w.Body)
-	}
-}

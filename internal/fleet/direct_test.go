@@ -124,11 +124,11 @@ func TestDirectStartWritesTwoRecords(t *testing.T) {
 	waitTerminal(t, s, a.ID)
 	// 6 steps open the state: the netlists directory, the listing and
 	// the fresh log's write, fsync, rename and directory fsync. The blob
-	// is a write, fsync, link, rename and directory fsync, and each frame
-	// an append and an fsync.
+	// is a write, fsync, rename and directory fsync, and each frame an
+	// append and an fsync.
 	before := count.Steps()
-	if before != 6+5+2*2 {
-		t.Errorf("an idle daemon's first sweep took %d I/O steps, want 15", before)
+	if before != 6+4+2*2 {
+		t.Errorf("an idle daemon's first sweep took %d I/O steps, want 14", before)
 	}
 	b, err := s.Submit(spec)
 	if err != nil {
@@ -177,9 +177,9 @@ func TestDirectStartWritesTwoRecords(t *testing.T) {
 func TestDirectStartWriteFails(t *testing.T) {
 	spec := sweepSpec()
 	want := librarySweep(t, spec)
-	// 6 steps open the state and 5 write the netlist blob; the running
-	// frame is an append (12) and an fsync (13).
-	for _, step := range []int{12, 13} {
+	// 6 steps open the state and 4 write the netlist blob; the running
+	// frame is an append (11) and an fsync (12).
+	for _, step := range []int{11, 12} {
 		dir := t.TempDir()
 		fs := chaos.NewInjected(chaos.OS{}, chaos.Plan{Faults: []chaos.Fault{{Step: step, Kind: chaos.NoSpace}}})
 		s, err := New(Options{Dir: dir, Workers: 1, FS: fs})

@@ -42,7 +42,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -309,63 +308,6 @@ type diskJob struct {
 // isSHA reports whether h is spelled as netlistSHA spells a hash.
 func isSHA(h string) bool { return len(h) == 64 && strings.Trim(h, "0123456789abcdef") == "" }
 
-// recycling is the filesystem a daemon writes checkpoints and netlist
-// blobs through: the one it was given, except that files are reused
-// instead of unlinked and created. An atomic replace unlinks the file
-// that held the previous version, and the next one creates a scratch
-// file; on a filesystem where a creation costs more the more files were
-// deleted lately (ext4 without a journal walks past every inode freed
-// in the last minutes), a daemon that does both for every checkpoint
-// runs at a speed set by what ran before it. So the file a rename is
-// about to unlink first gets a spare name, and the next file to be
-// written is that file: only a name that is new for good — a job's
-// checkpoint, a first-seen netlist — costs a creation, and nothing is
-// deleted. Job records need none of this: they are appended to the log. The steps of chaos.WriteAtomic and their order are
-// untouched. Spares live in dir and end in .tmp, so loadJobs clears
-// them like any other debris.
-type recycling struct {
-	chaos.FS
-	dir string
-
-	mu   sync.Mutex
-	idle []string // spare files, each the only name of its inode
-	seq  int
-}
-
-// WriteFile moves an idle spare to name first, if there is one, so the
-// write overwrites a file instead of creating one.
-func (r *recycling) WriteFile(name string, data []byte, perm os.FileMode) error {
-	r.mu.Lock()
-	spare := ""
-	if n := len(r.idle); n > 0 {
-		spare, r.idle = r.idle[n-1], r.idle[:n-1]
-	}
-	r.mu.Unlock()
-	if spare != "" {
-		_ = r.FS.Rename(spare, name) // on failure the write creates name, as it would have
-	}
-	return r.FS.WriteFile(name, data, perm)
-}
-
-// Rename links the file at newpath, if there is one, to a spare name
-// before replacing it, and counts it idle once the rename has made that
-// its only name. A Link that fails (nothing to replace, or a filesystem
-// without hard links) costs the recycling, never the rename.
-func (r *recycling) Rename(oldpath, newpath string) error {
-	r.mu.Lock()
-	r.seq++
-	keep := filepath.Join(r.dir, fmt.Sprintf("spare-%d.tmp", r.seq))
-	r.mu.Unlock()
-	kept := r.FS.Link(newpath, keep) == nil
-	if err := r.FS.Rename(oldpath, newpath); err != nil || !kept {
-		return err
-	}
-	r.mu.Lock()
-	r.idle = append(r.idle, keep)
-	r.mu.Unlock()
-	return nil
-}
-
 // netlistSHA is the content address of a submitted netlist. The source
 // goes through the hash one fixed buffer at a time: the hash has no
 // WriteString, so io.WriteString would copy all of it first.
@@ -390,75 +332,45 @@ func netlistSHA(src string) string {
 // blob or verified it during recovery; a file that merely exists is
 // never trusted, so the next submission of its content heals it.
 //
-// mu guards the two maps only and is never held across disk I/O, so a
-// lookup of a held hash never waits on another hash's blob. A hash's
-// writes and reads take turns (busy), so one hash has one tmp path.
+// mu is held across a miss's disk I/O, so a hash has one writer and one
+// tmp path at a time, and concurrent puts of one hash write one blob.
 type netlists struct {
-	fs   chaos.FS
-	dir  string
-	mu   sync.Mutex
-	src  map[string]string        // sha256 -> source
-	busy map[string]chan struct{} // sha256 -> closed when its disk turn ends
+	fs  chaos.FS
+	dir string
+	mu  sync.Mutex
+	src map[string]string // sha256 -> source
 }
 
 func (n *netlists) path(h string) string { return filepath.Join(n.dir, h+".v") }
 
-// turn returns h's source if it is held. Otherwise it waits out any
-// other goroutine's disk turn on h and gives the caller the next one,
-// which the caller must end with finish.
-func (n *netlists) turn(h string) (string, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for {
-		if v, ok := n.src[h]; ok {
-			return v, true
-		}
-		busy := n.busy[h]
-		if busy == nil {
-			n.busy[h] = make(chan struct{})
-			return "", false
-		}
-		n.mu.Unlock()
-		<-busy
-		n.mu.Lock()
-	}
-}
-
-// finish ends h's disk turn, holding src under h when the turn made it
-// trusted.
-func (n *netlists) finish(h, src string, trusted bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if trusted {
-		n.src[h] = src
-	}
-	close(n.busy[h])
-	delete(n.busy, h)
-}
-
 // put makes src durable under its hash h and returns the interned copy.
 // It must return before any record naming h is written.
 func (n *netlists) put(h, src string) (string, error) {
-	if v, ok := n.turn(h); ok {
-		return v, nil
-	}
-	err := chaos.WriteAtomic(n.fs, n.path(h), chaos.Seal([]byte(src)), 0o644)
-	n.finish(h, src, err == nil)
-	if err != nil {
-		return "", err
-	}
-	return src, nil
+	return n.hold(h, func() (string, error) {
+		return src, chaos.WriteAtomic(n.fs, n.path(h), chaos.Seal([]byte(src)), 0o644)
+	})
 }
 
 // get resolves a hash back to its source, trusting the blob only after
 // both its envelope and its SHA-256 check out.
 func (n *netlists) get(h string) (string, error) {
-	if v, ok := n.turn(h); ok {
+	return n.hold(h, func() (string, error) { return n.read(h) })
+}
+
+// hold returns h's source if it is held, and otherwise the one miss
+// yields, held from then on unless miss failed.
+func (n *netlists) hold(h string, miss func() (string, error)) (string, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if v, ok := n.src[h]; ok {
 		return v, nil
 	}
-	src, err := n.read(h)
-	n.finish(h, src, err == nil)
-	return src, err
+	v, err := miss()
+	if err != nil {
+		return "", err
+	}
+	n.src[h] = v
+	return v, nil
 }
 
 // read loads and verifies h's blob from disk.

@@ -192,6 +192,7 @@ type recovery struct {
 	seq         int              // the highest job number spelled anywhere in the log
 	size        int              // the log's length, without a torn tail
 	dropped     bool             // a torn tail was dropped
+	ckpts       []string         // the IDs of the jNNNNNN.ckpt files in dir
 }
 
 // frame is where a stretch of the log starts and how long it is.
@@ -214,24 +215,30 @@ var logChunk = 1 << 20
 // named in quarantine/ by an earlier start. A frame from newer tooling
 // refuses the start, as does a dir in the old layout of one
 // jNNNNNN.json file per job. Leftover .tmp debris is deleted: by the
-// atomic-rename contract it was never committed. New resolves the
-// netlist hashes the jobs carry and then hands the log what it
-// recovered (jobLog.recover).
+// atomic-rename contract it was never committed. The checkpoints in dir
+// are listed for New, which resolves the netlist hashes the jobs carry,
+// hands the log what it recovered (jobLog.recover) and then deletes the
+// checkpoints no live job will read.
 func loadJobs(fs chaos.FS, dir string) (*recovery, error) {
 	ents, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
+	rec := &recovery{live: make(map[string]*Job), frames: make(map[string]frame)}
 	var old, debris []string
 	hasLog, hasQuarantine := false, false
 	for _, e := range ents {
-		switch name := e.Name(); {
+		name := e.Name()
+		id, ckpt := strings.CutSuffix(name, ".ckpt")
+		switch {
 		case e.IsDir():
 			hasQuarantine = hasQuarantine || name == chaos.QuarantineDirName
 		case name == logName:
 			hasLog = true
 		case strings.HasSuffix(name, ".tmp"):
 			debris = append(debris, name)
+		case ckpt && validID(id):
+			rec.ckpts = append(rec.ckpts, id)
 		case strings.HasPrefix(name, "j") && strings.HasSuffix(name, ".json"):
 			old = append(old, name)
 		}
@@ -243,7 +250,6 @@ func loadJobs(fs chaos.FS, dir string) (*recovery, error) {
 	for _, name := range debris {
 		_ = fs.Remove(filepath.Join(dir, name))
 	}
-	rec := &recovery{live: make(map[string]*Job), frames: make(map[string]frame)}
 	if hasQuarantine {
 		// A job set aside by an earlier start is spelled only here once
 		// that start rewrote the log; its ID stays taken.

@@ -215,13 +215,12 @@ func TestCrashMatrixSweep(t *testing.T) {
 	run(t.TempDir(), count)
 	steps := count.Steps()
 	// 6 to open the state (the netlists directory, the listing, and the
-	// fresh log's write, fsync, rename and directory fsync); 5 for the
-	// blob (write, fsync, a Link that keeps the replaced file when there
-	// is one, rename, directory fsync); an append and an fsync for each
-	// of the two frames (running, which an idle worker's claim makes the
-	// acceptance, then done).
-	if steps != 6+5+2*2 {
-		t.Fatalf("an undisturbed sweep took %d I/O steps, want 15: the layout changed, re-derive the matrix", steps)
+	// fresh log's write, fsync, rename and directory fsync); 4 for the
+	// blob (write, fsync, rename, directory fsync); an append and an
+	// fsync for each of the two frames (running, which an idle worker's
+	// claim makes the acceptance, then done).
+	if steps != 6+4+2*2 {
+		t.Fatalf("an undisturbed sweep took %d I/O steps, want 14: the layout changed, re-derive the matrix", steps)
 	}
 
 	var nAccepted, nAmbiguous, nResubmitted int
@@ -271,17 +270,15 @@ func TestCrashMatrixSweep(t *testing.T) {
 	// Startup, the blob and the running frame's append leave no job; a
 	// crash at its fsync leaves the appended frame, unacknowledged; the
 	// done frame's two steps leave an accepted job to requeue.
-	if census := [3]int{nAccepted, nAmbiguous, nResubmitted}; census != [3]int{2, 1, 12} {
-		t.Errorf("census %v, want [2 1 12]", census)
+	if census := [3]int{nAccepted, nAmbiguous, nResubmitted}; census != [3]int{2, 1, 11} {
+		t.Errorf("census %v, want [2 1 11]", census)
 	}
 }
 
 // creations counts, at the FS seam, the files a daemon creates: writes
 // to names that do not exist yet. It also counts checkpoint writes.
-// noLinks makes it a filesystem without hard links.
 type creations struct {
 	chaos.FS
-	noLinks bool
 	n, ckpt int
 }
 
@@ -295,74 +292,52 @@ func (c *creations) WriteFile(name string, data []byte, perm os.FileMode) error 
 	return c.FS.WriteFile(name, data, perm)
 }
 
-func (c *creations) Link(oldname, newname string) error {
-	if c.noLinks {
-		return os.ErrPermission
-	}
-	return c.FS.Link(oldname, newname)
-}
-
-// TestRecordsRecycleFiles: job records create no file — every frame is
-// appended to the log New wrote — and the files that are still replaced
-// whole, a campaign's checkpoint waves, create two and unlink none: the
-// version a rename replaces is overwritten by a later write instead, so
-// the daemon's speed does not hang on how many files the filesystem saw
-// deleted lately. Without hard links the writes still land, through
-// fresh files. Either way a restart clears the spares and loads every
-// record.
-func TestRecordsRecycleFiles(t *testing.T) {
+// TestRecordsCreateNoFile: job records create no file — every frame is
+// appended to the log New wrote — so the only files created are the
+// log's first version, the blob, and a campaign's checkpoint waves, and
+// only the log and the blob are left. A restart loads every record.
+func TestRecordsCreateNoFile(t *testing.T) {
 	const sweeps = 5
 	campaign := Spec{Kind: KindCampaign, Unit: "ALU", Seed: 5, PerClass: 2, CheckpointEvery: 1}
-	for _, noLinks := range []bool{false, true} {
-		dir := t.TempDir()
-		fs := &creations{FS: chaos.OS{}, noLinks: noLinks}
-		s, err := New(Options{Dir: dir, Workers: 1, FS: fs})
+	dir := t.TempDir()
+	fs := &creations{FS: chaos.OS{}}
+	s, err := New(Options{Dir: dir, Workers: 1, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	for i := 0; i <= sweeps; i++ {
+		spec := sweepSpec()
+		if i == sweeps {
+			spec = campaign
+		}
+		j, err := s.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Start()
-		for i := 0; i <= sweeps; i++ {
-			spec := sweepSpec()
-			if i == sweeps {
-				spec = campaign
-			}
-			j, err := s.Submit(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fin := waitTerminal(t, s, j.ID); fin.Status != StatusDone {
-				t.Fatalf("noLinks=%v: job %s finished %s (%s)", noLinks, j.ID, fin.Status, fin.Error)
-			}
+		if fin := waitTerminal(t, s, j.ID); fin.Status != StatusDone {
+			t.Fatalf("job %s finished %s (%s)", j.ID, fin.Status, fin.Error)
 		}
-		_ = s.Shutdown(context.Background())
+	}
+	_ = s.Shutdown(context.Background())
 
-		spares, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
-		files := 0
-		_ = filepath.WalkDir(dir, func(_ string, d os.DirEntry, _ error) error {
-			if !d.IsDir() {
-				files++
-			}
-			return nil
-		})
-		// The log's first version and the blob are new names for good; the
-		// checkpoint's waves are one write each, and all but the first two
-		// reuse the file the previous replacement kept.
-		if noLinks {
-			if fs.n != 2+fs.ckpt || len(spares) != 0 {
-				t.Errorf("without hard links: %d files created, %d spares left; want %d and 0", fs.n, len(spares), 2+fs.ckpt)
-			}
-		} else if fs.ckpt < 3 || fs.n != 2+2 || len(spares) != 1 || files != 4 {
-			// The log, the blob, the checkpoint and the one spare the last
-			// replacement kept.
-			t.Errorf("%d checkpoint waves: %d files created, %d spares and %d files left; want 4, 1 and 4", fs.ckpt, fs.n, len(spares), files)
+	var files []string
+	_ = filepath.WalkDir(dir, func(path string, d os.DirEntry, _ error) error {
+		if !d.IsDir() {
+			files = append(files, path)
 		}
+		return nil
+	})
+	if fs.ckpt < 3 || fs.n != 2+fs.ckpt || len(files) != 2 {
+		t.Errorf("%d checkpoint waves: %d files created, files %v left; want %d created, the log and the blob left",
+			fs.ckpt, fs.n, files, 2+fs.ckpt)
+	}
 
-		s, err = New(Options{Dir: dir, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if spares, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(spares) != 0 || len(s.Jobs()) != sweeps+1 || len(s.quarantined) != 0 {
-			t.Errorf("noLinks=%v: restart left %d spares, %d of %d records, quarantined %v", noLinks, len(spares), len(s.Jobs()), sweeps+1, s.quarantined)
-		}
+	s, err = New(Options{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Jobs()) != sweeps+1 || len(s.quarantined) != 0 {
+		t.Errorf("restart loaded %d of %d records, quarantined %v", len(s.Jobs()), sweeps+1, s.quarantined)
 	}
 }

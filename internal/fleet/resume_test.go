@@ -3,12 +3,18 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/store"
 )
 
 // TestRestartResume is the daemon-restart contract test: a campaign job
@@ -132,5 +138,111 @@ func waitServerDone(t *testing.T, s *Server, id string) *Job {
 			t.Fatalf("job %s finished %s (error %q)", id, j.Status, j.Error)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// keepCheckpoints is a filesystem whose removal of a checkpoint fails
+// while keep is set: the state a crash between a campaign's terminal
+// frame and its checkpoint's removal leaves.
+type keepCheckpoints struct {
+	chaos.FS
+	keep atomic.Bool
+}
+
+func (f *keepCheckpoints) Remove(name string) error {
+	if f.keep.Load() && strings.HasSuffix(name, ".ckpt") {
+		return chaos.ErrCrashed
+	}
+	return f.FS.Remove(name)
+}
+
+// TestCheckpointDiesWithItsJob: a campaign's checkpoint lives exactly as
+// long as its job can still run. One that finishes, and one cancelled
+// mid-run, leave none; one whose removal never happened, and one of a
+// job the log does not hold, are deleted by the next start; and an
+// interrupted campaign keeps its checkpoint across that start and
+// resumes from it to the uninterrupted report, leaving none behind.
+func TestCheckpointDiesWithItsJob(t *testing.T) {
+	spec := Spec{Kind: KindCampaign, Unit: "ALU", Seed: 5, PerClass: 8, CheckpointEvery: 4}
+	want := tortureOracle(t, spec)
+	shared := store.New(128)
+	dir := t.TempDir()
+	ckpts := func() []string {
+		names, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+		for i, n := range names {
+			names[i] = filepath.Base(n)
+		}
+		return names
+	}
+
+	fs := &keepCheckpoints{FS: chaos.OS{}}
+	s1, err := New(Options{Dir: dir, Workers: 1, Store: shared, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second job is cancelled and the fourth interrupted by a drain,
+	// each at its first checkpoint wave.
+	var once sync.Once
+	drained := make(chan struct{})
+	s1.progressHook = func(id string, p Progress) {
+		switch id {
+		case "j000002":
+			_, _ = s1.Cancel(id)
+		case "j000004":
+			once.Do(func() {
+				s1.mu.Lock()
+				s1.draining, s1.closed = true, true
+				s1.mu.Unlock()
+				s1.cancel()
+				go func() {
+					_ = s1.Shutdown(context.Background())
+					close(drained)
+				}()
+			})
+		}
+	}
+	s1.Start()
+	for i, wantStatus := range []string{StatusDone, StatusCancelled, StatusDone} {
+		fs.keep.Store(i == 2)
+		j, err := s1.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin := waitTerminal(t, s1, j.ID); fin.Status != wantStatus {
+			t.Fatalf("job %s finished %s (%s), want %s", j.ID, fin.Status, fin.Error, wantStatus)
+		}
+	}
+	fs.keep.Store(false)
+	if got := ckpts(); !reflect.DeepEqual(got, []string{"j000003.ckpt"}) {
+		t.Fatalf("after a finished, a cancelled and an unremoved campaign: checkpoints %v, want [j000003.ckpt]", got)
+	}
+	interrupted, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-drained
+	if err := os.WriteFile(filepath.Join(dir, "j000099.ckpt"), []byte("a job the log does not hold"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(Options{Dir: dir, Workers: 1, Store: shared})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ckpts(); !reflect.DeepEqual(got, []string{"j000004.ckpt"}) {
+		t.Fatalf("a restart left checkpoints %v, want only the requeued campaign's [j000004.ckpt]", got)
+	}
+	if j, _ := s2.Job(interrupted.ID); j.Status != StatusQueued || j.Progress.Done == 0 || j.Progress.Done >= j.Progress.Total {
+		t.Fatalf("the interrupted campaign was recovered %s at %d/%d, want queued mid-campaign", j.Status, j.Progress.Done, j.Progress.Total)
+	}
+	s2.Start()
+	defer func() { _ = s2.Shutdown(context.Background()) }()
+	fin := waitServerDone(t, s2, interrupted.ID)
+	if fin.Attempts != 2 || !bytes.Equal(fin.Result, want) {
+		t.Errorf("the requeued campaign finished on attempt %d, report equal to the oracle: %v; want attempt 2, equal",
+			fin.Attempts, bytes.Equal(fin.Result, want))
+	}
+	if got := ckpts(); len(got) != 0 {
+		t.Errorf("the resumed campaign left checkpoints %v", got)
 	}
 }

@@ -155,17 +155,15 @@ var queueCap = 8192
 // requeued (campaign jobs then resume from their checkpoint files), and
 // corrupt records are quarantined instead of failing the start, as is a
 // record whose netlist blob is missing or fails its envelope or SHA-256
-// check. The log then takes the recovered state (see jobLog.recover).
+// check. The log then takes the recovered state (see jobLog.recover),
+// and the checkpoints of jobs that are terminal or gone are deleted.
 // Call Start to launch the workers.
 func New(opts Options) (*Server, error) {
 	opts.fill()
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("fleet: Options.Dir is required")
 	}
-	raw := opts.FS
-	opts.FS = &recycling{FS: raw, dir: opts.Dir}
-	blobs := &netlists{fs: opts.FS, dir: filepath.Join(opts.Dir, "netlists"),
-		src: make(map[string]string), busy: make(map[string]chan struct{})}
+	blobs := &netlists{fs: opts.FS, dir: filepath.Join(opts.Dir, "netlists"), src: make(map[string]string)}
 	if err := opts.FS.MkdirAll(blobs.dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -178,7 +176,7 @@ func New(opts Options) (*Server, error) {
 		opts:     opts,
 		store:    st,
 		runner:   &runner{store: st, parallelism: opts.Parallelism, fs: opts.FS},
-		log:      &jobLog{fs: raw, path: filepath.Join(opts.Dir, logName)},
+		log:      &jobLog{fs: opts.FS, path: filepath.Join(opts.Dir, logName)},
 		netlists: blobs,
 		jobs:     make(map[string]*Job),
 		cancels:  make(map[string]context.CancelFunc),
@@ -188,7 +186,7 @@ func New(opts Options) (*Server, error) {
 		cancel:   cancel,
 	}
 	s.released, s.release = context.WithCancel(context.Background())
-	rec, err := loadJobs(raw, opts.Dir)
+	rec, err := loadJobs(opts.FS, opts.Dir)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -209,9 +207,9 @@ func New(opts Options) (*Server, error) {
 					return nil, fmt.Errorf("fleet: netlist blob of job %s: %w", j.ID, err)
 				}
 				f := rec.frames[j.ID]
-				data, err := raw.ReadAt(s.log.path, int64(f.off), f.n)
+				data, err := opts.FS.ReadAt(s.log.path, int64(f.off), f.n)
 				if err == nil {
-					err = rec.setAside(raw, opts.Dir, data, f.off, j.ID)
+					err = rec.setAside(opts.FS, opts.Dir, data, f.off, j.ID)
 				}
 				if err != nil {
 					cancel()
@@ -253,6 +251,14 @@ func New(opts Options) (*Server, error) {
 	if err := s.log.recover(rec, kept, changed); err != nil {
 		cancel()
 		return nil, err
+	}
+	// A checkpoint outlives its job only when a crash came between the
+	// job's terminal frame and commit's remove, or when recovery set the
+	// job aside.
+	for _, id := range rec.ckpts {
+		if j := s.jobs[id]; j == nil || j.terminal() {
+			_ = opts.FS.Remove(ckptPath(opts.Dir, id))
+		}
 	}
 	// seq stays ahead of every ID the log spells, loaded or set aside.
 	s.quarantined, s.seq = rec.quarantined, rec.seq
@@ -418,9 +424,14 @@ func (s *Server) execute(j *Job) *Job {
 // holding s.mu. A terminal state closes done, so a client never sees
 // one that is not on disk; a requeue takes the queue place
 // requeueOrFail promised, which the requeueing worker looks at next; a
-// write the disk refuses fails the job in memory only (lost).
+// write the disk refuses fails the job in memory only (lost). A
+// campaign's checkpoint is removed, best-effort, once its terminal frame
+// is durable and before the job is published.
 func (s *Server) commit(j *Job, rec Job, requeue bool) {
 	err := s.save(&rec)
+	if err == nil && rec.Spec.Kind == KindCampaign && rec.terminal() {
+		_ = s.opts.FS.Remove(rec.ckpt) // a crash before it leaves the file to New
+	}
 	s.mu.Lock()
 	if requeue {
 		s.slots--

@@ -604,10 +604,6 @@ func (c *confined) Rename(oldpath, newpath string) error {
 	c.see(oldpath, newpath)
 	return c.FS.Rename(oldpath, newpath)
 }
-func (c *confined) Link(oldname, newname string) error {
-	c.see(oldname, newname)
-	return c.FS.Link(oldname, newname)
-}
 func (c *confined) Remove(name string) error { c.see(name); return c.FS.Remove(name) }
 func (c *confined) MkdirAll(name string, perm os.FileMode) error {
 	c.see(name)

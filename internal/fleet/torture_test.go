@@ -73,9 +73,11 @@ func waitTerminal(t *testing.T, s *Server, id string) *Job {
 // "queued", submitted before the workers start, so it is written
 // queued, then running, then done. Each pins its step count and census
 // (accepted, ambiguous, resubmitted): 6 steps open the state, each
-// frame is an append and an fsync, and the checkpoint's first read and
-// its waves take 23. A crash at the acceptance frame's fsync is the one
-// ambiguous point: the append landed, the acknowledgment did not.
+// frame is an append and an fsync, the checkpoint's first read and its
+// four waves (write, fsync, rename, directory fsync) take 17, and the
+// checkpoint's removal after the done frame takes 1. A crash at the
+// acceptance frame's fsync is the one ambiguous point: the append
+// landed, the acknowledgment did not.
 //
 // One shared artifact store plays the warm-restart supervisor so the
 // ALU workflow compiles once across the whole matrix.
@@ -91,8 +93,8 @@ func TestCrashMatrix(t *testing.T) {
 		queued bool
 		census [4]int // steps, accepted, ambiguous, resubmitted
 	}{
-		{"direct", false, [4]int{6 + 2 + 23 + 2, 25, 1, 7}},
-		{"queued", true, [4]int{6 + 3*2 + 23, 27, 1, 7}},
+		{"direct", false, [4]int{6 + 2 + 17 + 2 + 1, 20, 1, 7}},
+		{"queued", true, [4]int{6 + 3*2 + 17 + 1, 22, 1, 7}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { crashMatrix(t, spec, want, shared, tc.queued, tc.census) })
 	}
@@ -210,6 +212,9 @@ func crashMatrix(t *testing.T, spec Spec, want []byte, shared *store.Store, queu
 		if !bytes.Equal(fin.Result, want) {
 			t.Fatalf("k=%d: report after crash+restart diverges from oracle (%d vs %d bytes)",
 				k, len(fin.Result), len(want))
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")); len(left) != 0 {
+			t.Fatalf("k=%d: the finished campaign left checkpoints %v", k, left)
 		}
 	}
 	t.Logf("crash matrix: %d points — accepted+recovered %d, ambiguous-submit recovered %d, resubmitted fresh %d; all byte-identical to oracle",
