@@ -142,10 +142,10 @@ func TestByHashAfterRestart(t *testing.T) {
 			}
 		}
 		s, c := newTestServer(t, Options{Dir: dir, Workers: 1})
-		code, counts := http.StatusAccepted, NetlistCounts{ByHash: 1}
+		code, counts := http.StatusAccepted, NetlistCounts{ByHash: 1, Held: 1}
 		if corrupt {
 			// The direct POST and the client's first attempt are unknown.
-			code, counts = http.StatusConflict, NetlistCounts{Unknown: 2, Inline: 1}
+			code, counts = http.StatusConflict, NetlistCounts{Unknown: 2, Inline: 1, Held: 1}
 		}
 		if w := post(s.Handler(), fmt.Sprintf(`{"kind":"sweep","netlist_sha256":%q,"sp_cycles":32}`, h)); w.Code != code {
 			t.Fatalf("corrupt=%v: by-hash submission answered %d, want %d: %s", corrupt, w.Code, code, w.Body)
@@ -217,7 +217,7 @@ func TestMetricsNetlistCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`"netlists":{"by_hash":1,"unknown":1,"inline":1}`,
+		`"netlists":{"by_hash":1,"unknown":1,"inline":1,"held":1}`,
 		`"starts":{"direct":2,"queued":0},"record_write_errors":0`,
 	} {
 		if !bytes.Contains(body, []byte(want)) {

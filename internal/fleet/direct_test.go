@@ -124,11 +124,12 @@ func TestDirectStartWritesTwoRecords(t *testing.T) {
 	waitTerminal(t, s, a.ID)
 	// 6 steps open the state: the netlists directory, the listing and
 	// the fresh log's write, fsync, rename and directory fsync. The blob
-	// is a write, fsync, rename and directory fsync, and each frame an
-	// append and an fsync.
+	// is a write, fsync, rename and directory fsync, each frame an append
+	// and an fsync, and reading the result back from the done frame one
+	// ReadAt.
 	before := count.Steps()
-	if before != 6+4+2*2 {
-		t.Errorf("an idle daemon's first sweep took %d I/O steps, want 14", before)
+	if before != 6+4+2*2+1 {
+		t.Errorf("an idle daemon's first sweep took %d I/O steps, want 15", before)
 	}
 	b, err := s.Submit(spec)
 	if err != nil {

@@ -23,10 +23,11 @@
 // by the hash of their content, so N concurrent submissions of the same
 // netlist compile it exactly once (singleflight) and every later
 // submission reuses the parsed netlist, compiled engine program, timing
-// graph, SP profile and corner-library grid. /metrics exposes the
-// hit/coalesced/build/eviction counters that the load-test harness
-// (internal/fleet/loadtest) turns into the warm-vs-cold latency curve in
-// BENCH_fleetd.json.
+// graph, SP profile and the netlist's aging factors at every corner of
+// its lifetime grid. /metrics exposes the hit/coalesced/build/eviction
+// counters behind the warm-vs-cold latency split that the load-test
+// harness (internal/fleet/loadtest) and the benchmark's fleet-mixed
+// workload report.
 //
 // Job state is persisted under Options.Dir in one append-only log of
 // sealed records, each made durable before anyone is told of it, so
@@ -34,7 +35,9 @@
 // are requeued, and campaign jobs resume from their per-job checkpoint
 // file. A sweep's Verilog is stored once per distinct content under
 // Dir/netlists/ and its records, and the submissions after the first,
-// carry only the SHA-256.
+// carry only the SHA-256. A finished job is a header in memory: its
+// result stays in its frame in the log and its source in its blob, and
+// the daemon holds at most heldSources sources.
 package fleet
 
 import (
@@ -47,6 +50,7 @@ import (
 	"sync"
 
 	"repro/internal/chaos"
+	"repro/internal/lru"
 )
 
 // Job kinds.
@@ -254,11 +258,16 @@ type Job struct {
 	// ?wait= handlers park on. Nil on a record recovered terminal.
 	done chan struct{}
 	// adm is how a submitted job's first record write ended; nil on a
-	// recovered job.
+	// recovered job, and on an accepted one once its Submit has it.
 	adm *admission
 	// cancelling marks a queued job whose cancelled record is being
 	// written: no worker may start it.
 	cancelling bool
+	// at is where the job's terminal frame is in the log once that frame
+	// is durable. From then on the job keeps neither Result nor
+	// Spec.Verilog: Server.Job reads them back from the frame and the
+	// netlist blob.
+	at frame
 }
 
 // admission ends when a new job's first record write does: done closes
@@ -325,12 +334,16 @@ func netlistSHA(src string) string {
 	return string(out[:])
 }
 
+// heldSources caps how many verified sources netlists keeps in memory.
+const heldSources = 32
+
 // netlists stores submitted Verilog once per distinct content: a sealed
 // blob dir/<sha256>.v, written with the same durable atomic sequence as
-// a job record, and one interned string that every resident job of that
-// netlist shares. A hash is in src only after this process wrote its
-// blob or verified it during recovery; a file that merely exists is
-// never trusted, so the next submission of its content heals it.
+// a job record, and a cache of the most recently used sources that the
+// resident jobs of a netlist share. A hash is in src only after this
+// process wrote its blob or verified it; a file that merely exists is
+// never trusted, so the next submission of its content heals it, and a
+// source the cache evicted is read and verified again on its next use.
 //
 // mu is held across a miss's disk I/O, so a hash has one writer and one
 // tmp path at a time, and concurrent puts of one hash write one blob.
@@ -338,12 +351,12 @@ type netlists struct {
 	fs  chaos.FS
 	dir string
 	mu  sync.Mutex
-	src map[string]string // sha256 -> source
+	src *lru.Cache[string, string] // sha256 -> source
 }
 
 func (n *netlists) path(h string) string { return filepath.Join(n.dir, h+".v") }
 
-// put makes src durable under its hash h and returns the interned copy.
+// put makes src durable under its hash h and returns the held copy.
 // It must return before any record naming h is written.
 func (n *netlists) put(h, src string) (string, error) {
 	return n.hold(h, func() (string, error) {
@@ -358,18 +371,19 @@ func (n *netlists) get(h string) (string, error) {
 }
 
 // hold returns h's source if it is held, and otherwise the one miss
-// yields, held from then on unless miss failed.
+// yields, held from then on, unless miss failed, until the cache evicts
+// it.
 func (n *netlists) hold(h string, miss func() (string, error)) (string, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if v, ok := n.src[h]; ok {
+	if v, ok := n.src.Get(h); ok {
 		return v, nil
 	}
 	v, err := miss()
 	if err != nil {
 		return "", err
 	}
-	n.src[h] = v
+	n.src.Add(h, v)
 	return v, nil
 }
 

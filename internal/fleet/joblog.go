@@ -44,18 +44,21 @@ type jobLog struct {
 	broken error
 }
 
-// pending is one frame waiting for its batch. lead and err are set
+// pending is one frame waiting for its batch. lead, at and err are set
 // before wake closes: lead if this frame heads the next batch, whose
-// writer is then its own goroutine, and otherwise how its batch ended.
+// writer is then its own goroutine, and otherwise where its batch put
+// it and how that batch ended.
 type pending struct {
 	data []byte
 	lead bool
+	at   frame
 	err  error
 	wake chan struct{}
 }
 
-// append makes data, one frame, durable at the end of the log.
-func (l *jobLog) append(data []byte) error {
+// append makes data, one frame (or several, back to back), durable at
+// the end of the log and returns where it landed.
+func (l *jobLog) append(data []byte) (frame, error) {
 	f := &pending{data: data, wake: make(chan struct{})}
 	l.mu.Lock()
 	l.queue = append(l.queue, f)
@@ -63,7 +66,7 @@ func (l *jobLog) append(data []byte) error {
 		l.mu.Unlock()
 		<-f.wake
 		if !f.lead {
-			return f.err
+			return f.at, f.err
 		}
 		l.mu.Lock()
 	}
@@ -83,9 +86,13 @@ func (l *jobLog) append(data []byte) error {
 	if cut != nil {
 		l.broken = fmt.Errorf("fleet: %s refuses appends until a restart: a failed append could not be cut back (%v): %w", logName, cut, err)
 	}
-	for _, g := range batch[1:] {
-		g.err = err
-		close(g.wake)
+	off := int(base)
+	for _, g := range batch {
+		g.at, g.err = frame{off, len(g.data)}, err
+		off += len(g.data)
+		if g != f {
+			close(g.wake)
+		}
 	}
 	if len(l.queue) > 0 {
 		l.queue[0].lead = true
@@ -93,7 +100,7 @@ func (l *jobLog) append(data []byte) error {
 	} else {
 		l.busy = false
 	}
-	return err
+	return f.at, err
 }
 
 // write appends batch at offset base and fsyncs it, returning the bytes
@@ -119,42 +126,24 @@ func (l *jobLog) write(batch []*pending, base int64) (n int64, cut, err error) {
 	return 0, cut, err
 }
 
-// recover makes the log hold what New recovered: jobs, in ID order, of
-// which changed are the frames of those whose state recovery moved. A
-// log that is missing, had a stretch quarantined, or is over twice the
-// size of its jobs' last frames is replaced by one frame per job, a
-// chunk at a time (chaos.ReplaceAtomic): the log's only compaction.
-// Otherwise it stays as it is: a torn tail is cut off it, and the
-// changed frames are appended as one batch. So a restart over a large
-// log reads it once and, unless it found corruption, writes little
+// recover makes the log hold what New recovered: the frames rec.frames
+// names, then those of changed, the jobs whose state recovery moved,
+// appended as one batch. It leaves in rec.frames where each job's frame
+// is then. A log that is missing, had a stretch quarantined, or is over
+// twice the size of its jobs' last frames is compacted first. Otherwise
+// it stays as it is, with a torn tail cut off it. So a restart over a
+// large log reads it once and, unless it found corruption, writes little
 // more than what changed.
-func (l *jobLog) recover(rec *recovery, jobs []*Job, changed [][]byte) error {
+func (l *jobLog) recover(rec *recovery, changed []*Job) error {
 	live := 0
 	for _, f := range rec.frames {
 		live += f.n
 	}
 	if rec.size == 0 || len(rec.quarantined) > 0 || rec.size > 2*live {
-		l.size = 0
-		return chaos.ReplaceAtomic(l.fs, l.path, 0o644, func(write func([]byte) error) error {
-			var piece []byte
-			for i, j := range jobs {
-				data, err := encodeJob(j)
-				if err != nil {
-					return err
-				}
-				if piece = append(piece, data...); len(piece) >= logChunk || i == len(jobs)-1 {
-					if err := write(piece); err != nil {
-						return err
-					}
-					l.size += int64(len(piece))
-					piece = piece[:0]
-				}
-			}
-			return nil
-		})
-	}
-	l.size = int64(rec.size)
-	if rec.dropped {
+		if err := l.compact(rec); err != nil {
+			return err
+		}
+	} else if l.size = int64(rec.size); rec.dropped {
 		err := l.fs.Truncate(l.path, l.size)
 		if err == nil {
 			err = l.fs.SyncFile(l.path)
@@ -166,7 +155,111 @@ func (l *jobLog) recover(rec *recovery, jobs []*Job, changed [][]byte) error {
 	if len(changed) == 0 {
 		return nil
 	}
-	return l.append(bytes.Join(changed, nil))
+	var batch []byte
+	for _, j := range changed {
+		data, err := encodeJob(j)
+		if err != nil {
+			return err
+		}
+		rec.frames[j.ID] = frame{len(batch), len(data)}
+		batch = append(batch, data...)
+	}
+	at, err := l.append(batch)
+	for _, j := range changed {
+		f := rec.frames[j.ID]
+		rec.frames[j.ID] = frame{at.off + f.off, f.n}
+	}
+	return err
+}
+
+// compact replaces the log with the frames rec.frames names, each
+// recovered job's last one, copied in log order so the old log is read
+// once, and written a chunk at a time (chaos.ReplaceAtomic): the log's
+// only compaction.
+func (l *jobLog) compact(rec *recovery) error {
+	type kept struct {
+		id string
+		f  frame
+	}
+	var frames []kept
+	for id, f := range rec.frames {
+		frames = append(frames, kept{id, f})
+	}
+	slices.SortFunc(frames, func(a, b kept) int { return a.f.off - b.f.off })
+	old := &frameReader{fs: l.fs, path: l.path, chunk: logChunk}
+	l.size = 0
+	return chaos.ReplaceAtomic(l.fs, l.path, 0o644, func(write func([]byte) error) error {
+		var piece []byte
+		for i, k := range frames {
+			data, _, err := old.read(k.f)
+			if err != nil {
+				return err
+			}
+			rec.frames[k.id] = frame{int(l.size) + len(piece), len(data)}
+			if piece = append(piece, data...); len(piece) >= logChunk || i == len(frames)-1 {
+				if err := write(piece); err != nil {
+					return err
+				}
+				l.size += int64(len(piece))
+				piece = piece[:0]
+			}
+		}
+		return nil
+	})
+}
+
+// frameReader reads verified frames back out of the log, chunk bytes or
+// the frame, whichever is more, at a time: reads in log order read each
+// stretch of it once.
+type frameReader struct {
+	fs    chaos.FS
+	path  string
+	chunk int
+	off   int    // where buf starts in the log
+	buf   []byte // what the last read returned
+}
+
+// read returns the frame at f and its payload, once it verifies.
+func (r *frameReader) read(f frame) (data, payload []byte, err error) {
+	if f.off < r.off || f.off+f.n > r.off+len(r.buf) {
+		if r.buf, err = r.fs.ReadAt(r.path, int64(f.off), max(f.n, r.chunk)); err != nil {
+			return nil, nil, err
+		}
+		r.off = f.off
+	}
+	if f.off+f.n > r.off+len(r.buf) {
+		return nil, nil, fmt.Errorf("fleet: %s ends inside the %d-byte frame at byte %d", logName, f.n, f.off)
+	}
+	data = r.buf[f.off-r.off:][:f.n]
+	payload, n, err := chaos.OpenFrame(data)
+	if err == nil && n != f.n {
+		err = fmt.Errorf("chaos: sealed record corrupt: %d bytes, not %d", n, f.n)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("fleet: the frame at byte %d of %s: %w", f.off, logName, err)
+	}
+	return data, payload, nil
+}
+
+// result reads j's result back from its terminal frame, j.at: nil if
+// j has no durable terminal frame or the frame carries none. A frame
+// that does not verify, or is not the record j is, is an error.
+func (l *jobLog) result(j *Job) (json.RawMessage, error) {
+	if j.at.n == 0 {
+		return nil, nil
+	}
+	_, payload, err := (&frameReader{fs: l.fs, path: l.path}).read(j.at)
+	var dj diskJob
+	if err == nil {
+		err = json.Unmarshal(payload, &dj)
+	}
+	if err == nil && (dj.ID != j.ID || dj.Status != j.Status) {
+		err = fmt.Errorf("the frame at byte %d is job %s %s", j.at.off, dj.ID, dj.Status)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("fleet: reading job %s's result: %w", j.ID, err)
+	}
+	return dj.ResultRaw, nil
 }
 
 // encodeJob is j's frame: the persisted form sealed in the self-verifying
@@ -185,7 +278,7 @@ func encodeJob(j *Job) ([]byte, error) {
 
 // recovery is what loadJobs finds in a state dir.
 type recovery struct {
-	jobs        []*Job           // each job's last valid frame, sorted by ID
+	jobs        []*Job           // each job's last valid frame, in ID order (idLess)
 	live        map[string]*Job  // the same, by ID, while the scan runs
 	frames      map[string]frame // where those frames are in the log
 	quarantined []string         // what was copied into quarantine/, by name
@@ -271,7 +364,7 @@ func loadJobs(fs chaos.FS, dir string) (*recovery, error) {
 	for _, j := range rec.live {
 		rec.jobs = append(rec.jobs, j)
 	}
-	sort.Slice(rec.jobs, func(a, b int) bool { return rec.jobs[a].ID < rec.jobs[b].ID })
+	sort.Slice(rec.jobs, func(a, b int) bool { return idLess(rec.jobs[a].ID, rec.jobs[b].ID) })
 	return rec, nil
 }
 
@@ -323,10 +416,7 @@ func (r *recovery) scan(fs chaos.FS, dir string) error {
 				}
 				break
 			}
-			j := dj.Job
-			if dj.ResultRaw != nil {
-				j.Result = dj.ResultRaw
-			}
+			j := dj.Job // a terminal job's result stays in its frame
 			r.live[j.ID] = &j
 			r.frames[j.ID] = frame{off, n}
 			r.see(j.ID)
@@ -412,6 +502,10 @@ func (r *recovery) see(id string) {
 		r.seq = n
 	}
 }
+
+// idLess orders job IDs by number. validID spells every number with no
+// extra zeros, so a longer ID is a larger number.
+func idLess(a, b string) bool { return len(a) < len(b) || len(a) == len(b) && a < b }
 
 // validID reports whether id is spelled as the server spells IDs: j and
 // at least six digits, no sign, no extra zeros. An ID names the job's

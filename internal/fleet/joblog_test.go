@@ -113,10 +113,10 @@ func TestLogTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tear %d: %v", tear, err)
 		}
-		j, ok := s.Job("j000001")
-		if !ok || j.Status != StatusQueued || j.Attempts != 1 || len(s.quarantined) != 0 {
-			t.Fatalf("tear %d: recovered %+v (found %v), quarantined %v; want the running frame's job requeued at attempt 1",
-				tear, j, ok, s.quarantined)
+		j, err := s.Job("j000001")
+		if err != nil || j.Status != StatusQueued || j.Attempts != 1 || len(s.quarantined) != 0 {
+			t.Fatalf("tear %d: recovered %+v (%v), quarantined %v; want the running frame's job requeued at attempt 1",
+				tear, j, err, s.quarantined)
 		}
 		if frames := readLog(t, dir); frames[len(frames)-1].job.Status != StatusQueued {
 			t.Fatalf("tear %d: the log ends in a %s frame, want the requeued job", tear, frames[len(frames)-1].job.Status)
@@ -173,7 +173,7 @@ func TestLogFlippedFrame(t *testing.T) {
 				_, _, err = chaos.OpenFrame(flipped)
 				switch {
 				case err == nil:
-					if j, ok := s.Job("j000002"); !ok || j.Status != StatusCancelled && tc.name != "middle" || len(s.quarantined) != 0 {
+					if j, err := s.Job("j000002"); err != nil || j.Status != StatusCancelled && tc.name != "middle" || len(s.quarantined) != 0 {
 						t.Fatalf("bit %d: a frame that still verifies was not loaded (%+v, quarantined %v)", bit, j, s.quarantined)
 					}
 					continue
@@ -189,10 +189,10 @@ func TestLogFlippedFrame(t *testing.T) {
 						t.Fatalf("bit %d: the flipped frame is not preserved in quarantine (err %v)", bit, err)
 					}
 				}
-				if j, ok := s.Job("j000002"); ok {
+				if j, err := s.Job("j000002"); !errors.Is(err, errNotFound) {
 					t.Fatalf("bit %d: job j000002 was served from a frame older than the flipped one (%+v)", bit, j)
 				}
-				if j, ok := s.Job("j000001"); !ok || j.Status != StatusCancelled {
+				if j, err := s.Job("j000001"); err != nil || j.Status != StatusCancelled {
 					t.Fatalf("bit %d: the frames around the flip did not load (%+v)", bit, j)
 				}
 				if len(s.quarantined) > 0 {
@@ -286,7 +286,7 @@ func TestGroupCommit(t *testing.T) {
 		wg.Add(1)
 		go func(id string) {
 			defer wg.Done()
-			if err := s.save(&Job{ID: id, Spec: Spec{Kind: KindLift, Unit: "ALU"}, Status: StatusQueued}); err != nil {
+			if _, err := s.save(&Job{ID: id, Spec: Spec{Kind: KindLift, Unit: "ALU"}, Status: StatusQueued}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -355,7 +355,7 @@ func TestRefusedFrameTruncated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := s.Job("j000001"); ok && !broken {
+			if _, err := s.Job("j000001"); !errors.Is(err, errNotFound) && !broken {
 				t.Error("a restart found the refused job")
 			}
 			if w := post(s.Handler(), body); w.Code != http.StatusAccepted {

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,9 +100,9 @@ func TestSweepRestartResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = s.Shutdown(context.Background()) }()
-	again, ok := s.Job(j.ID)
-	if !ok || len(s.quarantined) != 0 || !bytes.Equal(again.Result, want) || again.Spec.Verilog != spec.Verilog {
-		t.Errorf("finished sweep did not reload intact (found %v, quarantined %v)", ok, s.quarantined)
+	again, err := s.Job(j.ID)
+	if err != nil || len(s.quarantined) != 0 || !bytes.Equal(again.Result, want) || again.Spec.Verilog != spec.Verilog {
+		t.Errorf("finished sweep did not reload intact (%v, quarantined %v)", err, s.quarantined)
 	}
 }
 
@@ -147,7 +148,7 @@ func TestNetlistBlobDamageQuarantinesRecord(t *testing.T) {
 				t.Fatalf("a damaged blob aborted the daemon: %v", err)
 			}
 			s.Start()
-			if _, ok := s.Job(lost.ID); ok {
+			if _, err := s.Job(lost.ID); !errors.Is(err, errNotFound) {
 				t.Error("record with a damaged blob served as a job")
 			}
 			if q := s.MetricsSnapshot().Quarantined; len(q) != 1 || q[0] != lost.ID+".json" {
@@ -174,9 +175,9 @@ func TestNetlistBlobDamageQuarantinesRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer func() { _ = s.Shutdown(context.Background()) }()
-			if again, ok := s.Job(j.ID); !ok || len(s.quarantined) != 0 || !bytes.Equal(again.Result, want) {
-				t.Errorf("resubmitted sweep did not survive a restart (found %v, quarantined %v): blob not rewritten?",
-					ok, s.quarantined)
+			if again, err := s.Job(j.ID); err != nil || len(s.quarantined) != 0 || !bytes.Equal(again.Result, want) {
+				t.Errorf("resubmitted sweep did not survive a restart (%v, quarantined %v): blob not rewritten?",
+					err, s.quarantined)
 			}
 		})
 	}
@@ -194,9 +195,10 @@ func TestCrashMatrixSweep(t *testing.T) {
 	shared := store.New(128)
 
 	// run drives one daemon over dir until the job is terminal in memory
-	// (a dead filesystem fails persistence, not the run) and returns the
-	// accepted ID, empty when the crash came before acceptance.
-	run := func(dir string, fs chaos.FS) string {
+	// (a dead filesystem fails persistence, not the run), reads it back,
+	// and returns the accepted ID, empty when the crash came before
+	// acceptance.
+	run := func(dir string, fs *chaos.Injected) string {
 		s, err := New(Options{Dir: dir, Workers: 1, Store: shared, FS: fs})
 		if err != nil {
 			return ""
@@ -207,7 +209,9 @@ func TestCrashMatrixSweep(t *testing.T) {
 		if err != nil {
 			return ""
 		}
-		waitTerminal(t, s, j.ID)
+		if _, err := finish(t, s, j.ID); err != nil && !fs.Crashed() {
+			t.Fatalf("reading the finished sweep back: %v", err)
+		}
 		return j.ID
 	}
 
@@ -218,9 +222,10 @@ func TestCrashMatrixSweep(t *testing.T) {
 	// fresh log's write, fsync, rename and directory fsync); 4 for the
 	// blob (write, fsync, rename, directory fsync); an append and an
 	// fsync for each of the two frames (running, which an idle worker's
-	// claim makes the acceptance, then done).
-	if steps != 6+4+2*2 {
-		t.Fatalf("an undisturbed sweep took %d I/O steps, want 14: the layout changed, re-derive the matrix", steps)
+	// claim makes the acceptance, then done); 1 to read the result back
+	// from the done frame.
+	if steps != 6+4+2*2+1 {
+		t.Fatalf("an undisturbed sweep took %d I/O steps, want 15: the layout changed, re-derive the matrix", steps)
 	}
 
 	var nAccepted, nAmbiguous, nResubmitted int
@@ -269,9 +274,10 @@ func TestCrashMatrixSweep(t *testing.T) {
 		steps, nAccepted, nAmbiguous, nResubmitted)
 	// Startup, the blob and the running frame's append leave no job; a
 	// crash at its fsync leaves the appended frame, unacknowledged; the
-	// done frame's two steps leave an accepted job to requeue.
-	if census := [3]int{nAccepted, nAmbiguous, nResubmitted}; census != [3]int{2, 1, 11} {
-		t.Errorf("census %v, want [2 1 11]", census)
+	// done frame's two steps leave an accepted job to requeue, and the
+	// result's read an accepted job that is done.
+	if census := [3]int{nAccepted, nAmbiguous, nResubmitted}; census != [3]int{3, 1, 11} {
+		t.Errorf("census %v, want [3 1 11]", census)
 	}
 }
 

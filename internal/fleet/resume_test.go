@@ -109,7 +109,7 @@ func TestRestartResume(t *testing.T) {
 	s2.Start()
 	defer func() { _ = s2.Shutdown(context.Background()) }()
 
-	if j2, ok := s2.Job(sub.ID); !ok || (j2.Status != StatusQueued && j2.Status != StatusRunning && j2.Status != StatusDone) {
+	if j2, err := s2.Job(sub.ID); err != nil || (j2.Status != StatusQueued && j2.Status != StatusRunning && j2.Status != StatusDone) {
 		t.Fatalf("restarted daemon did not requeue the job (status %v)", j2)
 	}
 	final := waitServerDone(t, s2, sub.ID)
@@ -127,9 +127,9 @@ func TestRestartResume(t *testing.T) {
 func waitServerDone(t *testing.T, s *Server, id string) *Job {
 	t.Helper()
 	for {
-		j, ok := s.Job(id)
-		if !ok {
-			t.Fatalf("job %s vanished", id)
+		j, err := s.Job(id)
+		if err != nil {
+			t.Fatalf("job %s: %v", id, err)
 		}
 		switch j.Status {
 		case StatusDone:

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/lru"
 	"repro/internal/par"
 	"repro/internal/store"
 )
@@ -93,7 +94,7 @@ type Server struct {
 	opts                    Options
 	store                   *store.Store
 	runner                  *runner
-	log                     *jobLog      // own lock; never appended to under mu
+	log                     *jobLog      // own lock; never read or appended to under mu
 	netlists                *netlists    // own locks; never touched under mu
 	byHash, unknown, inline atomic.Int64 // NetlistCounts
 	direct, queued          atomic.Int64 // StartCounts
@@ -156,14 +157,15 @@ var queueCap = 8192
 // corrupt records are quarantined instead of failing the start, as is a
 // record whose netlist blob is missing or fails its envelope or SHA-256
 // check. The log then takes the recovered state (see jobLog.recover),
-// and the checkpoints of jobs that are terminal or gone are deleted.
-// Call Start to launch the workers.
+// and the checkpoints of jobs that are terminal or gone are deleted. As
+// at run time, a terminal job is kept as a header, and only a job that
+// will run holds its source. Call Start to launch the workers.
 func New(opts Options) (*Server, error) {
 	opts.fill()
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("fleet: Options.Dir is required")
 	}
-	blobs := &netlists{fs: opts.FS, dir: filepath.Join(opts.Dir, "netlists"), src: make(map[string]string)}
+	blobs := &netlists{fs: opts.FS, dir: filepath.Join(opts.Dir, "netlists"), src: lru.New[string, string](heldSources)}
 	if err := opts.FS.MkdirAll(blobs.dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -191,17 +193,26 @@ func New(opts Options) (*Server, error) {
 		cancel()
 		return nil, err
 	}
-	// kept are the jobs recovered, changed the frames of those whose
-	// state recovery moved (requeued or failed by the fuse).
-	var kept []*Job
-	var changed [][]byte
+	// changed are the jobs whose state recovery moved (requeued or failed
+	// by the fuse). checked holds how each distinct sweep hash's blob
+	// verified, once per start.
+	var changed []*Job
+	checked := make(map[string]error)
 	for _, j := range rec.jobs {
 		if j.Spec.Kind == KindSweep {
 			// A sweep's record names its source by hash. Without the hash
 			// (the empty one names no blob) or with a blob that fails
 			// verification, the record is as untrusted as a corrupt one. A
 			// blob from newer tooling is presumed good: refuse to start.
-			if j.Spec.Verilog, err = blobs.get(j.NetlistSHA); err != nil {
+			err, seen := checked[j.NetlistSHA]
+			if !seen {
+				_, err = blobs.get(j.NetlistSHA)
+				checked[j.NetlistSHA] = err
+			}
+			if err == nil && !j.terminal() {
+				j.Spec.Verilog, err = blobs.get(j.NetlistSHA)
+			}
+			if err != nil {
 				if errors.Is(err, chaos.ErrNewerVersion) {
 					cancel()
 					return nil, fmt.Errorf("fleet: netlist blob of job %s: %w", j.ID, err)
@@ -225,7 +236,7 @@ func New(opts Options) (*Server, error) {
 				// Poison-job fuse: a record that keeps getting requeued
 				// (daemon crashed or timed out on it MaxAttempts times)
 				// fails with a reason instead of crash-looping the fleet.
-				j.Status = StatusFailed
+				j.Status, j.Spec.Verilog = StatusFailed, ""
 				j.Error = fmt.Sprintf("fleet: requeue attempts exhausted (%d/%d) — poison job?",
 					j.Attempts, opts.MaxAttempts)
 			} else {
@@ -234,23 +245,22 @@ func New(opts Options) (*Server, error) {
 				s.queue = append(s.queue, j)
 			}
 			if j.Status != was {
-				data, err := encodeJob(j)
-				if err != nil {
-					cancel()
-					return nil, err
-				}
-				changed = append(changed, data)
+				changed = append(changed, j)
 			}
 		}
-		kept = append(kept, j)
 		s.jobs[j.ID] = j
 		if j.Spec.SubmitKey != "" {
 			s.byKey[j.Spec.SubmitKey] = j
 		}
 	}
-	if err := s.log.recover(rec, kept, changed); err != nil {
+	if err := s.log.recover(rec, changed); err != nil {
 		cancel()
 		return nil, err
+	}
+	for _, j := range s.jobs {
+		if j.terminal() {
+			j.at = rec.frames[j.ID]
+		}
 	}
 	// A checkpoint outlives its job only when a crash came between the
 	// job's terminal frame and commit's remove, or when recovery set the
@@ -346,7 +356,7 @@ func (s *Server) execute(j *Job) *Job {
 	// The run starts only once a record carrying its attempt is durable,
 	// which is what lets the poison fuse count attempts across crashes.
 	// Nothing else writes j until the run reports progress.
-	err := s.save(j)
+	_, err := s.save(j)
 	s.mu.Lock()
 	switch {
 	case err != nil:
@@ -422,15 +432,20 @@ func (s *Server) execute(j *Job) *Job {
 // commit writes rec, the state the owner of the accepted job j's record
 // claimed for it, with the lock released, then publishes it and returns
 // holding s.mu. A terminal state closes done, so a client never sees
-// one that is not on disk; a requeue takes the queue place
+// one that is not on disk, and is published as a header (see Job.at); a
+// requeue takes the queue place
 // requeueOrFail promised, which the requeueing worker looks at next; a
 // write the disk refuses fails the job in memory only (lost). A
 // campaign's checkpoint is removed, best-effort, once its terminal frame
 // is durable and before the job is published.
 func (s *Server) commit(j *Job, rec Job, requeue bool) {
-	err := s.save(&rec)
-	if err == nil && rec.Spec.Kind == KindCampaign && rec.terminal() {
-		_ = s.opts.FS.Remove(rec.ckpt) // a crash before it leaves the file to New
+	at, err := s.save(&rec)
+	if err == nil && rec.terminal() {
+		if rec.Spec.Kind == KindCampaign {
+			_ = s.opts.FS.Remove(rec.ckpt) // a crash before it leaves the file to New
+		}
+		// From here on the frame holds the result and the blob the source.
+		rec.at, rec.Result, rec.Spec.Verilog = at, nil, ""
 	}
 	s.mu.Lock()
 	if requeue {
@@ -471,19 +486,21 @@ func (s *Server) handOff(j *Job) bool {
 	}
 }
 
-// save appends j's record to the log and returns once it is durable,
-// counting a failure for /metrics. The log cuts a failed frame back off,
-// so a refused submission leaves nothing a restart would run.
-func (s *Server) save(j *Job) error {
+// save appends j's record to the log and returns where it landed once
+// it is durable, counting a failure for /metrics. The log cuts a failed
+// frame back off, so a refused submission leaves nothing a restart
+// would run.
+func (s *Server) save(j *Job) (frame, error) {
 	data, err := encodeJob(j)
+	var at frame
 	if err == nil {
-		err = s.log.append(data)
+		at, err = s.log.append(data)
 	}
 	if err == nil {
-		return nil
+		return at, nil
 	}
 	s.writeErrors.Add(1)
-	return fmt.Errorf("%w: %w", errNotWritten, err)
+	return frame{}, fmt.Errorf("%w: %w", errNotWritten, err)
 }
 
 // lost fails an accepted job whose transition the disk refused (err,
@@ -492,7 +509,7 @@ func (s *Server) save(j *Job) error {
 // terminal state that is not on disk, and a restart may supersede it.
 // Caller holds s.mu.
 func (s *Server) lost(j *Job, err error) {
-	j.Status, j.Error = StatusFailed, err.Error()
+	j.Status, j.Error, j.Spec.Verilog = StatusFailed, err.Error(), ""
 	close(j.done)
 }
 
@@ -502,6 +519,7 @@ func (s *Server) accept(j *Job) {
 	s.jobs[j.ID] = j
 	j.adm.receipt = snapshot(j)
 	close(j.adm.done)
+	j.adm = nil // the receipt holds the source; Submit holds the receipt
 }
 
 // refuse drops a new job before acceptance and frees its submit key, so
@@ -656,7 +674,7 @@ func (s *Server) enqueue(j *Job) {
 		return
 	}
 	s.mu.Unlock()
-	err := s.save(j)
+	_, err := s.save(j)
 	s.mu.Lock()
 	s.slots--
 	idle := false
@@ -724,8 +742,30 @@ func (s *Server) Cancel(id string) (*Job, error) {
 	return snapshot(j), nil
 }
 
-// Job returns a snapshot of one job record.
-func (s *Server) Job(id string) (*Job, bool) {
+// Job returns job id's full record: a snapshot of its header with the
+// result read back from its terminal frame in the log and a sweep's
+// source from its blob, both outside the server lock. A job that does
+// not exist is errNotFound; a frame or blob that cannot be read or does
+// not verify is an error too, and never other bytes.
+func (s *Server) Job(id string) (*Job, error) {
+	j, ok := s.header(id)
+	if !ok {
+		return nil, errNotFound
+	}
+	var err error
+	j.Result, err = s.log.result(j)
+	if err == nil && j.Spec.Kind == KindSweep && j.Spec.Verilog == "" {
+		j.Spec.Verilog, err = s.netlists.get(j.NetlistSHA)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// header returns a snapshot of job id's record as memory holds it: for
+// a terminal job, without its result or source.
+func (s *Server) header(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
@@ -735,7 +775,7 @@ func (s *Server) Job(id string) (*Job, bool) {
 	return snapshot(j), true
 }
 
-// Jobs returns snapshots of every job, sorted by ID.
+// Jobs returns the headers of every job, in ID order.
 func (s *Server) Jobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -743,7 +783,7 @@ func (s *Server) Jobs() []*Job {
 	for _, j := range s.jobs {
 		out = append(out, snapshot(j))
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	sort.Slice(out, func(a, b int) bool { return idLess(out[a].ID, out[b].ID) })
 	return out
 }
 
@@ -770,21 +810,25 @@ type StartCounts struct {
 	Queued int64 `json:"queued"`
 }
 
-// NetlistCounts counts sweep submissions by how they named their netlist.
+// NetlistCounts counts sweep submissions by how they named their
+// netlist, and Held the sources the daemon keeps in memory (at most
+// heldSources).
 type NetlistCounts struct {
 	ByHash  int64 `json:"by_hash"`
 	Unknown int64 `json:"unknown"`
 	Inline  int64 `json:"inline"`
+	Held    int   `json:"held"`
 }
 
 // MetricsSnapshot assembles the current Metrics.
 func (s *Server) MetricsSnapshot() Metrics {
+	held := s.netlists.src.Stats().Len
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := Metrics{Store: s.store.Stats(), Jobs: make(map[string]int), Quarantined: s.quarantined,
 		Starts:            StartCounts{Direct: s.direct.Load(), Queued: s.queued.Load()},
 		RecordWriteErrors: s.writeErrors.Load(),
-		Netlists:          NetlistCounts{ByHash: s.byHash.Load(), Unknown: s.unknown.Load(), Inline: s.inline.Load()}}
+		Netlists:          NetlistCounts{ByHash: s.byHash.Load(), Unknown: s.unknown.Load(), Inline: s.inline.Load(), Held: held}}
 	for _, j := range s.jobs {
 		m.Jobs[j.Status]++
 	}
@@ -837,8 +881,9 @@ func parseWait(q string) (time.Duration, error) {
 	return min(d, maxWait), nil
 }
 
-// snapshot deep-copies the fields handlers return, so records mutated
-// by workers never race with encoding.
+// snapshot copies a record, so handlers encode a copy workers do not
+// write. The copy is shallow: the slices and strings it shares with the
+// record are replaced, never written in place.
 func snapshot(j *Job) *Job {
 	c := *j
 	return &c
@@ -916,7 +961,7 @@ func (s *Server) Handler() http.Handler {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		j, ok := s.Job(r.PathValue("id"))
+		j, ok := s.header(r.PathValue("id"))
 		if !ok {
 			httpError(w, http.StatusNotFound, errNotFound)
 			return
@@ -933,23 +978,30 @@ func (s *Server) Handler() http.Handler {
 			case <-s.released.Done():
 			}
 			t.Stop()
-			j, _ = s.Job(j.ID)
+			j, _ = s.header(j.ID)
 		}
 		writeJSON(w, http.StatusOK, redact(j))
 	})
 	mux.HandleFunc("GET /jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		j, ok := s.Job(r.PathValue("id"))
+		j, ok := s.header(r.PathValue("id"))
 		if !ok {
 			httpError(w, http.StatusNotFound, errNotFound)
 			return
 		}
-		if j.Result == nil {
+		// The result is in the job's terminal frame, read and verified
+		// outside the server lock; bytes that fail are never served.
+		result, err := s.log.result(j)
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, err)
+			return
+		}
+		if result == nil {
 			httpError(w, http.StatusConflict,
 				fmt.Errorf("fleet: job %s is %s, no result yet", j.ID, j.Status))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(j.Result)
+		w.Write(result)
 	})
 	mux.HandleFunc("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		j, err := s.Cancel(r.PathValue("id"))

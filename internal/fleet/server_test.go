@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -534,7 +535,7 @@ func untrustedRecord(t *testing.T, hurt func(t *testing.T, id string, data []byt
 	}
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	s.Start()
-	if _, ok := s.Job(bad.ID); ok {
+	if _, err := s.Job(bad.ID); !errors.Is(err, errNotFound) {
 		t.Fatal("untrusted record served as a job")
 	}
 	if q := s.MetricsSnapshot().Quarantined; len(q) != 1 || q[0] != bad.ID+".json" {
@@ -684,7 +685,7 @@ func TestRecordNamesStayInDir(t *testing.T) {
 				if validID(j.ID) {
 					continue
 				}
-				if _, ok := s.Job(j.ID); ok {
+				if _, err := s.Job(j.ID); !errors.Is(err, errNotFound) {
 					t.Errorf("untrusted id %q was loaded", j.ID)
 				}
 				for _, p := range fs.paths {
@@ -715,8 +716,8 @@ func TestRecordNamesStayInDir(t *testing.T) {
 				t.Errorf("untrusted record not preserved in quarantine: %v", err)
 			}
 			if tc.served != "" {
-				if _, ok := s.Job(tc.served); !ok {
-					t.Errorf("job %s not served", tc.served)
+				if _, err := s.Job(tc.served); err != nil {
+					t.Errorf("job %s not served: %v", tc.served, err)
 				}
 			}
 		})
@@ -726,18 +727,27 @@ func TestRecordNamesStayInDir(t *testing.T) {
 // TestRecordRoundTripPreservesResultBytes: a done record reloaded from
 // disk must serve the byte-identical result payload — encoding/json
 // would re-indent an embedded raw message, which is why the persisted
-// form carries the result out-of-band.
+// form carries the result out-of-band. Recovery keeps only the frame's
+// place; the result is read back from it.
 func TestRecordRoundTripPreservesResultBytes(t *testing.T) {
 	dir := t.TempDir()
 	result := json.RawMessage("{\n  \"a\": [1, 2,    3],\n\t\"b\": \"x\"\n}")
 	j := &Job{ID: "j000003", Spec: Spec{Kind: KindLift, Unit: "ALU"}, Status: StatusDone, Result: result}
 	appendLog(t, dir, frameOf(t, j))
 	rec, err := loadJobs(chaos.OS{}, dir)
-	if err != nil || len(rec.quarantined) != 0 || len(rec.jobs) != 1 {
+	if err != nil || len(rec.quarantined) != 0 || len(rec.jobs) != 1 || rec.jobs[0].Result != nil {
 		t.Fatalf("load: %+v err=%v", rec, err)
 	}
-	if !bytes.Equal(rec.jobs[0].Result, result) {
-		t.Fatalf("result bytes mangled by persistence round-trip:\n%q\n%q", rec.jobs[0].Result, result)
+	s, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Job(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Result, result) {
+		t.Fatalf("result bytes mangled by persistence round-trip:\n%q\n%q", got.Result, result)
 	}
 }
 

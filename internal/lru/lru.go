@@ -5,6 +5,9 @@
 // counters exported through Stats are what decide the store's capacity.
 // Its second consumer is fleet.Client, which remembers the SHA-256 of
 // the last few netlist sources it sent so a warm submit hashes nothing.
+// Its third is the daemon's netlist blob store, which holds the sources
+// of the last few netlists it verified, so the daemon's memory does not
+// grow with every distinct netlist it has been sent.
 //
 // The cache is internally locked and safe for concurrent use. The store
 // still holds its own mutex across its get-miss-build-add sequence (the

@@ -166,6 +166,11 @@ var orphanAllow = []struct {
 		"internal/fleet.Client.Cancel",
 		"internal/fleet.Client.Job",
 	}},
+	{"the daemon's full in-process record (the result read back from its frame in the log, the source " +
+		"from its blob) that the crash matrices, restart and quarantine tests hold the daemon to; the " +
+		"HTTP surface serves a job's header and its result apart, and never reads its source", []string{
+		"internal/fleet.Server.Job",
+	}},
 }
 
 // declInfo is one module-level declaration: the syntax its references
