@@ -18,9 +18,6 @@ var docs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 
 var (
 	codeSpan = regexp.MustCompile("`[^`\n]+`")
-	// pkg.Name or pkg.Type.Member, for the packages whose seams the docs
-	// describe most; a trailing * or ( is looked at to skip wildcards.
-	citation = regexp.MustCompile(`\b(cpu|guard|module|inject)\.(\(?\*?[A-Za-z_]\w*\)?)(?:\.([A-Za-z_]\w*))?(\*)?`)
 	// a binary, by its directory (./cmd/vega-fleetd) or by its name
 	// (vega-bench); the `vega` subcommands are written `vega sta`.
 	binary = regexp.MustCompile(`\./cmd/([\w-]+)|\b(vega-[a-z0-9]+)`)
@@ -29,16 +26,25 @@ var (
 )
 
 // TestDocsHaveNoPlaceholders: the documents carry no unfilled _TODO
-// token, every back-ticked cpu./guard./module./inject. identifier they
-// cite is declared in that package (or is a ledger metric of that name),
-// and every binary they name is a directory under cmd/, so a rename or a
-// deletion cannot leave the prose behind.
+// token, every back-ticked pkg.Name or pkg.Type.Member they cite, for
+// every package under internal/, is declared in that package (or is a
+// ledger metric of that name), and every binary they name is a
+// directory under cmd/, so a rename or a deletion cannot leave the
+// prose behind.
 func TestDocsHaveNoPlaceholders(t *testing.T) {
 	metrics := ledgerMetrics(t)
 	declared := map[string]map[string]bool{}
-	for _, pkg := range []string{"cpu", "guard", "module", "inject"} {
-		declared[pkg] = declaredNames(t, "internal/"+pkg)
+	for path, dir := range moduleDirs(t) {
+		if strings.HasPrefix(path, "repro/internal/") {
+			declared[filepath.Base(dir)] = declaredNames(t, dir)
+		}
 	}
+	pkgs := make([]string, 0, len(declared))
+	for pkg := range declared {
+		pkgs = append(pkgs, pkg)
+	}
+	// A trailing * or ( is looked at to skip wildcards.
+	citation := regexp.MustCompile(`\b(` + strings.Join(pkgs, "|") + `)\.(\(?\*?[A-Za-z_]\w*\)?)(?:\.([A-Za-z_]\w*))?(\*)?`)
 	for _, doc := range docs {
 		data, err := os.ReadFile(doc)
 		if err != nil {

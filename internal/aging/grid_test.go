@@ -11,35 +11,21 @@ import (
 // on: every library of a multi-corner characterization must be
 // bit-identical (reflect.DeepEqual on raw float64 tables) to an
 // independent NewLibrary run at that corner, including fresh corners
-// (nil) and temperature overrides (cloned model).
+// (nil).
 func TestCornerGridMatchesNewLibrary(t *testing.T) {
 	base := cell.Lib28()
 	m := Default()
-	corners := []CornerSpec{
-		{Years: 10},
-		{Years: 0}, // fresh: no library
-		{Years: 2.5},
-		{Years: 10, TempK: 398},   // override equal to the model default
-		{Years: 7, TempK: 328.15}, // cooler corner
-		{Years: 0.25, TempK: 413}, // hotter corner
-		{Years: -1, TempK: 350},   // fresh with an (ignored) override
-	}
-	g := NewCornerGrid(base, m, corners)
+	corners := []float64{10, 0, 2.5, 7, 0.25, -1} // 0 and -1: fresh, no library
+	libs := NewCornerGrid(base, m, corners)
 	for i, c := range corners {
-		got := g.Library(i)
-		if c.Years <= 0 {
+		got := libs[i]
+		if c <= 0 {
 			if got != nil {
 				t.Errorf("corner %d (%+v): fresh corner produced a library", i, c)
 			}
 			continue
 		}
-		model := m
-		if c.TempK != 0 && c.TempK != m.TempK {
-			clone := *m
-			clone.TempK = c.TempK
-			model = &clone
-		}
-		want := NewLibrary(base, model, c.Years)
+		want := NewLibrary(base, m, c)
 		if got == nil {
 			t.Fatalf("corner %d (%+v): no library", i, c)
 		}
@@ -90,9 +76,9 @@ func BenchmarkNewLibrary(b *testing.B) {
 func BenchmarkCornerGrid(b *testing.B) {
 	base := cell.Lib28()
 	m := Default()
-	corners := make([]CornerSpec, 16)
+	corners := make([]float64, 16)
 	for i := range corners {
-		corners[i] = CornerSpec{Years: 10 * float64(i+1) / 16}
+		corners[i] = 10 * float64(i+1) / 16
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

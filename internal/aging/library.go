@@ -27,7 +27,7 @@ const gridPoints = 41
 // fraction DegMin + (DegMax-DegMin)·stress^Beta at each grid point. The
 // fraction depends only on the model's degradation anchors, never on the
 // lifetime or temperature, so one tabulation serves every corner of a
-// CornerGrid.
+// NewCornerGrid.
 func spFracGrid(m *Model) (spGrid, frac []float64) {
 	spGrid = make([]float64, gridPoints)
 	frac = make([]float64, gridPoints)
@@ -74,56 +74,26 @@ func NewLibrary(base *cell.Library, m *Model, years float64) *Library {
 	return characterize(base, m, years, spGrid, frac)
 }
 
-// CornerSpec names one corner of a multi-corner characterization: an
-// assumed lifetime and an optional operating-temperature override in
-// Kelvin (zero keeps the model's TempK).
-type CornerSpec struct {
-	Years float64
-	TempK float64
-}
-
-// CornerGrid is a batch of aging libraries characterized in a single
-// pass, the library-side half of the batched multi-corner STA: the
-// model's degradation factor is separable into an SP-dependent stress
-// fraction (shared by every corner) and a per-corner time-temperature
-// scalar, so K corners cost one stress tabulation plus one Pow/Exp pair
-// per corner instead of K independent NewLibrary characterizations.
-type CornerGrid struct {
-	Base    *cell.Library
-	Corners []CornerSpec
-
-	libs []*Library
-}
-
-// NewCornerGrid characterizes the base library at every corner at once.
-// Each produced library is bit-identical to NewLibrary run at the same
-// corner (asserted by TestCornerGridMatchesNewLibrary); corners with
-// Years <= 0 are fresh and get no aged library.
-func NewCornerGrid(base *cell.Library, m *Model, corners []CornerSpec) *CornerGrid {
-	g := &CornerGrid{
-		Base:    base,
-		Corners: append([]CornerSpec(nil), corners...),
-		libs:    make([]*Library, len(corners)),
-	}
+// NewCornerGrid characterizes the base library at every corner (an
+// assumed lifetime each) in a single pass, the library-side half of the
+// batched multi-corner STA: the model's degradation factor is separable
+// into an SP-dependent stress fraction (shared by every corner) and a
+// per-corner time-temperature scalar, so K corners cost one stress
+// tabulation plus one Pow/Exp pair per corner instead of K independent
+// NewLibrary characterizations. Each produced library is bit-identical
+// to NewLibrary run at the same lifetime (asserted by
+// TestCornerGridMatchesNewLibrary); corners with years <= 0 are fresh
+// and get a nil library.
+func NewCornerGrid(base *cell.Library, m *Model, years []float64) []*Library {
+	libs := make([]*Library, len(years))
 	spGrid, frac := spFracGrid(m)
-	for ci, c := range corners {
-		if c.Years <= 0 {
-			continue
+	for ci, yr := range years {
+		if yr > 0 {
+			libs[ci] = characterize(base, m, yr, spGrid, frac)
 		}
-		model := m
-		if c.TempK != 0 && c.TempK != m.TempK {
-			clone := *m
-			clone.TempK = c.TempK
-			model = &clone
-		}
-		g.libs[ci] = characterize(base, model, c.Years, spGrid, frac)
 	}
-	return g
+	return libs
 }
-
-// Library returns the aged library for corner i, or nil for a fresh
-// (Years <= 0) corner.
-func (g *CornerGrid) Library(i int) *Library { return g.libs[i] }
 
 // Factor returns the tabulated delay-degradation factor for kind k at
 // signal probability sp, with linear interpolation between grid points.

@@ -46,7 +46,7 @@ func BenchmarkCover(b *testing.B) {
 	for _, unit := range benchUnits {
 		m := unit.build()
 		inst := fault.ShadowReplica(m.Netlist, benchSpec(m))
-		cfg := lift.BMCConfig(m, lift.Config{MaxDepth: 8})
+		cfg := lift.BMCConfig(m, lift.Config{})
 		b.Run(unit.name+"/incremental", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := bmc.Cover(inst.Netlist, inst.Covers, cfg)
@@ -83,7 +83,7 @@ func TestCoverAllocsBounded(t *testing.T) {
 	for _, unit := range benchUnits {
 		m := unit.build()
 		inst := fault.ShadowReplica(m.Netlist, benchSpec(m))
-		cfg := lift.BMCConfig(m, lift.Config{MaxDepth: 8})
+		cfg := lift.BMCConfig(m, lift.Config{})
 		var res *bmc.Result
 		got := testing.AllocsPerRun(3, func() { res = bmc.CoverFresh(inst.Netlist, inst.Covers, cfg) })
 		bound := 16 * (float64(res.Depth) + math.Log2(float64(res.Stats.Clauses)))

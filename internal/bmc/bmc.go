@@ -12,11 +12,11 @@
 // activation literal and asserted via assumptions, and a refuted window
 // is retired by adding the activation literal's negation as a unit
 // clause. Learnt clauses survive across all depths of one spec (none
-// survives into the next), and with the default stride of 1 the reported
-// depth is the provably minimal cover depth — shorter traces mean fewer
-// RISC-V instructions per embedded test. The from-scratch single-solve
-// path is the test-only oracle (incremental_test.go) the differential
-// and fuzz targets hold Cover to.
+// survives into the next), and the bound deepens one cycle at a time,
+// so the reported depth is the provably minimal cover depth — shorter
+// traces mean fewer RISC-V instructions per embedded test. The
+// from-scratch single-solve path is the test-only oracle
+// (incremental_test.go) the differential and fuzz targets hold Cover to.
 //
 // Verdicts map to the paper's Table 4 outcomes: Covered (a trace exists —
 // "S" once instruction construction succeeds), Unreachable (the property
@@ -48,13 +48,6 @@ type Config struct {
 	// whole deepening schedule (default 2,000,000 conflicts in total);
 	// exhausting it yields Timeout — the paper's "FF" outcome.
 	MaxConflicts int64
-	// Stride is the iterative-deepening step (default 1): each query
-	// extends the unroll by Stride cycles and asks about divergence in
-	// the newly added window only. With Stride 1, Result.Depth is the
-	// provably minimal cover depth; larger strides trade that resolution
-	// for fewer solver calls (minimality then holds only up to the
-	// stride, via the witness cycle of the model found).
-	Stride int
 	// Assume restricts input-port values per cycle (the paper's
 	// assume-property input restrictions).
 	Assume []PortConstraint
@@ -81,9 +74,6 @@ func (cfg *Config) fill() {
 	}
 	if cfg.MaxConflicts == 0 {
 		cfg.MaxConflicts = 2000000
-	}
-	if cfg.Stride <= 0 {
-		cfg.Stride = 1
 	}
 }
 
@@ -159,9 +149,9 @@ type Result struct {
 	Verdict Verdict
 	Trace   *Trace
 	// Depth is the unroll depth at which the verdict was reached. For
-	// Covered with the default Stride of 1 it is the provably minimal
-	// cover depth (== Trace.CoverCycle+1): every shallower depth was
-	// refuted on the way up.
+	// Covered it is the provably minimal cover depth
+	// (== Trace.CoverCycle+1): every shallower depth was refuted on the
+	// way up.
 	Depth int
 	Stats Stats
 }
@@ -204,25 +194,20 @@ func Cover(nl *netlist.Netlist, covers []fault.CoverPoint, cfg Config) *Result {
 
 var unrollers = sync.Pool{New: func() any { return &unroller{s: sat.New()} }}
 
-// cover is the deepening schedule on a reset unroller.
+// cover is the deepening schedule on a reset unroller: one cycle per
+// window.
 func (u *unroller) cover(covers []fault.CoverPoint) *Result {
-	cfg := u.cfg
-	for prev := 0; prev < cfg.MaxDepth; {
-		depth := prev + cfg.Stride
-		if depth > cfg.MaxDepth {
-			depth = cfg.MaxDepth
-		}
+	for depth := 1; depth <= u.cfg.MaxDepth; depth++ {
 		u.extendTo(depth)
-		switch u.solveWindow(covers, prev, depth) {
+		switch u.solveWindow(covers, depth-1) {
 		case sat.Sat:
 			tr := u.extract(covers)
 			return &Result{Verdict: Covered, Trace: tr, Depth: tr.Cycles, Stats: u.stats()}
 		case sat.Unknown:
 			return &Result{Verdict: Timeout, Depth: depth, Stats: u.stats()}
 		}
-		prev = depth
 	}
-	return &Result{Verdict: Unreachable, Depth: cfg.MaxDepth, Stats: u.stats()}
+	return &Result{Verdict: Unreachable, Depth: u.cfg.MaxDepth, Stats: u.stats()}
 }
 
 // Replay simulates the instrumented netlist under the trace's inputs and
@@ -518,7 +503,7 @@ func (u *unroller) coverTargets(covers []fault.CoverPoint, t int) []sat.Lit {
 	return targets
 }
 
-// solveWindow asks whether any cover point diverges in cycles [lo, hi).
+// solveWindow asks whether any cover point diverges in cycle t.
 // The window's disjunction is guarded by a fresh activation literal and
 // asserted as an assumption, so an UNSAT answer refutes only the window:
 // the guard is then retired by adding its negation as a unit clause
@@ -526,13 +511,9 @@ func (u *unroller) coverTargets(covers []fault.CoverPoint, t int) []sat.Lit {
 // learnt clause that mentions it), while every learnt clause — which the
 // solver derives from the formula alone, never from assumptions — keeps
 // pruning all deeper windows.
-func (u *unroller) solveWindow(covers []fault.CoverPoint, lo, hi int) sat.Status {
+func (u *unroller) solveWindow(covers []fault.CoverPoint, t int) sat.Status {
 	act := u.s.NewVar()
-	lits := []sat.Lit{sat.MkLit(act, true)}
-	for t := lo; t < hi; t++ {
-		lits = append(lits, u.coverTargets(covers, t)...)
-	}
-	u.s.AddClause(lits...)
+	u.s.AddClause(append([]sat.Lit{sat.MkLit(act, true)}, u.coverTargets(covers, t)...)...)
 	st := u.solveBudgeted(sat.MkLit(act, false))
 	if st == sat.Unsat {
 		u.s.AddClause(sat.MkLit(act, true))

@@ -242,26 +242,6 @@ func TestMinimalDepthReported(t *testing.T) {
 	}
 }
 
-// TestStrideCoarsensDepth documents the stride trade-off: with Stride 4
-// the chain's cover is found inside the second window [4,8), the
-// reported depth comes from whichever witness cycle the model happens
-// to diverge at first — minimal only up to the stride — and the refuted
-// first window still bounds it from below.
-func TestStrideCoarsensDepth(t *testing.T) {
-	nl := delayChainNetlist()
-	inst := fault.ShadowReplica(nl, delayChainSpec(nl))
-	res := Cover(inst.Netlist, inst.Covers, Config{MaxDepth: 8, Stride: 4})
-	if res.Verdict != Covered {
-		t.Fatalf("verdict %v, want covered", res.Verdict)
-	}
-	if res.Depth < 5 || res.Depth > 8 {
-		t.Fatalf("Depth = %d, want within (4,8]: the 0-3 window was refuted", res.Depth)
-	}
-	if !Replay(inst.Netlist, res.Trace) {
-		t.Fatal("stride-4 trace does not replay")
-	}
-}
-
 // TestCoverStatsAccounting checks that the per-result stats reflect the
 // iterative-deepening schedule: one Solve per window, nonzero CNF size,
 // and budget-limited runs surface as Timeout.

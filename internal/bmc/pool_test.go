@@ -38,7 +38,7 @@ func TestCoverPooledMatchesFresh(t *testing.T) {
 		}{{sta.Setup, fault.C0}, {sta.Setup, fault.C1}, {sta.Hold, fault.C1}} {
 			spec := benchSpecAt(m, bit)
 			spec.Type, spec.C = v.typ, v.c
-			queries = append(queries, query{inst: fault.ShadowReplica(m.Netlist, spec), cfg: lift.BMCConfig(m, lift.Config{MaxDepth: 8})})
+			queries = append(queries, query{inst: fault.ShadowReplica(m.Netlist, spec), cfg: lift.BMCConfig(m, lift.Config{})})
 		}
 	}
 	// No legal operation at all: every window is refuted at the root.

@@ -89,7 +89,7 @@ func TestSearchTrajectoryPinned(t *testing.T) {
 		}},
 	} {
 		m := unit.build()
-		cfg := lift.BMCConfig(m, lift.Config{MaxDepth: 8})
+		cfg := lift.BMCConfig(m, lift.Config{})
 		for i, v := range variants {
 			spec := benchSpec(m)
 			spec.Type, spec.C = v.typ, v.c

@@ -179,24 +179,3 @@ func TestLifetimeSweepMonotonic(t *testing.T) {
 	}
 	t.Logf("ALU failure onset: %.0f years (WNS@10y %.1fps)", onset, pts[len(pts)-1].WNSSetup)
 }
-
-func TestTemperatureSweep(t *testing.T) {
-	w := NewALU(Config{Workloads: []string{"crc32"}, Years: 10})
-	pts, err := w.TemperatureSweep([]float64{55, 85, 125})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hotter parts age more: WNS must be nonincreasing in temperature.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].WNSSetup > pts[i-1].WNSSetup+1e-9 {
-			t.Errorf("WNS improved with heat: %+v -> %+v", pts[i-1], pts[i])
-		}
-	}
-	// The cool corner should shed some of the signoff-corner violations
-	// (the paper's false-positive discussion, §6.2).
-	if pts[0].SetupViolations > pts[2].SetupViolations {
-		t.Errorf("cooler corner has more violations: %+v", pts)
-	}
-	t.Logf("55C: WNS %.1f (%d paths); 125C: WNS %.1f (%d paths)",
-		pts[0].WNSSetup, pts[0].SetupViolations, pts[2].WNSSetup, pts[2].SetupViolations)
-}

@@ -357,40 +357,3 @@ func FailureOnsetYears(points []OnsetPoint) float64 {
 	}
 	return -1
 }
-
-// TempPoint is one sample of a temperature sweep.
-type TempPoint struct {
-	TempC           float64
-	WNSSetup        float64
-	SetupViolations int
-}
-
-// TemperatureSweep re-runs the 10-year aging-aware STA across operating
-// temperatures — the §6.2 environmental-noise question: how much of the
-// violation census survives at cooler corners? Aging accelerates with
-// temperature (Arrhenius), so the signoff-corner analysis is the
-// conservative envelope.
-func (w *Workflow) TemperatureSweep(tempsC []float64) ([]TempPoint, error) {
-	if w.SPProfile == nil {
-		if err := w.ProfileWorkloads(); err != nil {
-			return nil, err
-		}
-	}
-	// One batched pass over per-temperature corners; the corner grid
-	// clones the aging model per TempK override, so the shared model
-	// stays read-only.
-	corners := make([]sta.Corner, len(tempsC))
-	for i, tc := range tempsC {
-		corners[i] = sta.Corner{Years: w.Config.Years, TempK: tc + 273.15}
-	}
-	results := sta.AnalyzeCorners(w.Module.Netlist, w.batchConfig(), corners)
-	points := make([]TempPoint, len(tempsC))
-	for i, res := range results {
-		points[i] = TempPoint{
-			TempC:           tempsC[i],
-			WNSSetup:        res.WNSSetup,
-			SetupViolations: res.NumSetupViolations,
-		}
-	}
-	return points, nil
-}

@@ -277,15 +277,6 @@ func (c *Client) Submit(ctx context.Context, spec Spec) (*Job, error) {
 	}
 }
 
-// Job fetches one job record (without its result payload).
-func (c *Client) Job(ctx context.Context, id string) (*Job, error) {
-	var j Job
-	if err := c.getJSON(ctx, "/jobs/"+id, &j); err != nil {
-		return nil, err
-	}
-	return &j, nil
-}
-
 // waitSlice is how long Wait asks the daemon to park one request; the
 // daemon caps it (maxWait), and a job that outlives it is asked again.
 const waitSlice = 20 * time.Second
@@ -331,27 +322,6 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 		return nil, errorBody(resp)
 	}
 	return io.ReadAll(resp.Body)
-}
-
-// Cancel requests cancellation and returns the (possibly already
-// updated) record. Cancellation is idempotent server-side, so it is
-// safe to retry.
-func (c *Client) Cancel(ctx context.Context, id string) (*Job, error) {
-	resp, err := c.doRetry(ctx, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodDelete, c.Base+"/jobs/"+id, nil)
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorBody(resp)
-	}
-	var j Job
-	if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
-		return nil, err
-	}
-	return &j, nil
 }
 
 // Metrics fetches the daemon's store counters and job census.

@@ -434,8 +434,13 @@ func TestValidationAndCancel(t *testing.T) {
 			t.Errorf("spec %+v accepted, want rejection", bad)
 		}
 	}
-	if _, err := c.Job(ctx, "j999999"); err == nil {
-		t.Error("lookup of unknown job succeeded")
+	resp, err := c.HTTP.Get(c.Base + "/jobs/j999999")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("lookup of unknown job answered %d, want 404", resp.StatusCode)
 	}
 
 	// Saturate the single worker with a slow job (a full ALU lift), then
@@ -449,9 +454,19 @@ func TestValidationAndCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cj, err := c.Cancel(ctx, queued.ID)
+	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.Base+"/jobs/"+queued.ID, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	resp, err = c.HTTP.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cj Job
+	err = json.NewDecoder(resp.Body).Decode(&cj)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("DELETE of a queued job: %d, %v", resp.StatusCode, err)
 	}
 	if cj.Status == StatusDone || cj.Status == StatusFailed {
 		t.Errorf("cancelled queued job reports %s", cj.Status)

@@ -1,10 +1,6 @@
 package isa
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // DefaultBase is where assembled code is placed.
 const DefaultBase uint32 = 0x1000
@@ -354,25 +350,4 @@ func (a *Asm) Assemble() (*Image, error) {
 		img.Words[i] = w
 	}
 	return img, nil
-}
-
-// Disassemble renders the image as an address-annotated listing.
-func (img *Image) Disassemble() string {
-	var b strings.Builder
-	byAddr := make(map[uint32][]string)
-	for name, addr := range img.Labels {
-		if addr >= img.Base && addr < img.Base+4*uint32(len(img.Insts)) {
-			byAddr[addr] = append(byAddr[addr], name)
-		}
-	}
-	for i, inst := range img.Insts {
-		addr := img.Base + 4*uint32(i)
-		names := byAddr[addr]
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(&b, "%s:\n", n)
-		}
-		fmt.Fprintf(&b, "  %06x:  %08x  %s\n", addr, img.Words[i], inst)
-	}
-	return b.String()
 }

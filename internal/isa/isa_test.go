@@ -305,19 +305,3 @@ func TestInstStringAssembles(t *testing.T) {
 		}
 	}
 }
-
-func TestDisassemble(t *testing.T) {
-	a := NewAsm()
-	a.Li(T0, 5)
-	a.Label("loop")
-	a.Addi(T0, T0, -1)
-	a.Bnez(T0, "loop")
-	a.Ecall()
-	img := mustAsm(t, a)
-	out := img.Disassemble()
-	for _, want := range []string{"loop:", "addi t0, t0, -1", "ecall", "001000:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("disassembly missing %q:\n%s", want, out)
-		}
-	}
-}

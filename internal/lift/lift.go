@@ -145,12 +145,7 @@ type Config struct {
 	// Mitigation enables the §3.3.4 edge-filtered variants (rising and
 	// falling) instead of the plain any-change activation, doubling the
 	// variant count per pair.
-	Mitigation   bool
-	MaxDepth     int
-	MaxConflicts int64
-	// Stride is the BMC iterative-deepening step (default 1, which
-	// makes every reported depth provably minimal).
-	Stride int
+	Mitigation bool
 	// DisableConditioning skips the reset-state-conditioning operation
 	// normally prepended to every test case (§3.3.5). Ablation only: it
 	// re-exposes the raw initial-value dependency of the formal traces.
@@ -178,12 +173,9 @@ func bmcConfig(m *module.Module, cfg Config) bmc.Config {
 		ops = append(ops, uint64(op))
 	}
 	return bmc.Config{
-		MaxDepth:     cfg.MaxDepth,
-		MaxConflicts: cfg.MaxConflicts,
-		Stride:       cfg.Stride,
-		Assume:       []bmc.PortConstraint{{Port: module.PortOp, Allowed: ops}},
-		FixedPulse:   &bmc.Pulse{Port: module.PortInValid, Period: issuePeriod(m)},
-		ValidPort:    module.PortOutValid,
+		Assume:     []bmc.PortConstraint{{Port: module.PortOp, Allowed: ops}},
+		FixedPulse: &bmc.Pulse{Port: module.PortInValid, Period: issuePeriod(m)},
+		ValidPort:  module.PortOutValid,
 	}
 }
 

@@ -166,58 +166,6 @@ func (nl *Netlist) Readers() [][]CellID {
 	return r
 }
 
-// FanoutCone returns the set of cells transitively reachable from the
-// given seed nets, following data pins through both combinational cells
-// and flip-flops (a DFF is in the cone if its D input is; the traversal
-// then continues from its Q output). Clock pins are not followed. The
-// result is sorted by CellID.
-func (nl *Netlist) FanoutCone(seeds []NetID) []CellID {
-	readers := nl.Readers()
-	inCone := make([]bool, len(nl.Cells))
-	var stack []NetID
-	seen := make([]bool, nl.NumNets)
-	for _, s := range seeds {
-		if !seen[s] {
-			seen[s] = true
-			stack = append(stack, s)
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, cid := range readers[n] {
-			c := &nl.Cells[cid]
-			if c.Clk == n && !contains(c.In, n) {
-				continue // reached through the clock pin only
-			}
-			if inCone[cid] {
-				continue
-			}
-			inCone[cid] = true
-			if !seen[c.Out] {
-				seen[c.Out] = true
-				stack = append(stack, c.Out)
-			}
-		}
-	}
-	var out []CellID
-	for i, in := range inCone {
-		if in {
-			out = append(out, CellID(i))
-		}
-	}
-	return out
-}
-
-func contains(nets []NetID, n NetID) bool {
-	for _, x := range nets {
-		if x == n {
-			return true
-		}
-	}
-	return false
-}
-
 // Clone returns a deep structural copy that can be mutated by
 // instrumentation passes without affecting the original. All input-pin
 // slices of the copy share one backing slab, so cloning a million-cell

@@ -146,58 +146,6 @@ func TestOversizedFanInRejected(t *testing.T) {
 	}
 }
 
-func TestFanoutCone(t *testing.T) {
-	nl := buildDemoAdder(t)
-	// Cone from XOR$7's output: XOR$8 then DFF$10.
-	var x7 CellID = -1
-	for i, c := range nl.Cells {
-		if c.Name == "XOR$7" {
-			x7 = CellID(i)
-		}
-	}
-	cone := nl.FanoutCone([]NetID{nl.Cells[x7].Out})
-	names := map[string]bool{}
-	for _, cid := range cone {
-		names[nl.Cells[cid].Name] = true
-	}
-	if !names["XOR$8"] || !names["DFF$10"] || len(names) != 2 {
-		t.Errorf("cone = %v, want {XOR$8, DFF$10}", names)
-	}
-}
-
-func TestFanoutConeStopsAtClockPins(t *testing.T) {
-	b := NewBuilder("clkcone")
-	clk := b.Clock("clk")
-	en := b.Input("en")
-	g := b.Add(cell.CLKGATE, clk, en)
-	d := b.Input("d")
-	q := b.AddDFF(d, g, false)
-	b.Output("q", q)
-	nl, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The cone from the gated clock net must not include the DFF: it is
-	// reached only through its clock pin.
-	cone := nl.FanoutCone([]NetID{g})
-	for _, cid := range cone {
-		if nl.Cells[cid].Kind == cell.DFF {
-			t.Error("cone followed a clock pin into a DFF")
-		}
-	}
-	// But the cone from en includes the clock gate itself.
-	cone = nl.FanoutCone([]NetID{en})
-	found := false
-	for _, cid := range cone {
-		if nl.Cells[cid].Kind == cell.CLKGATE {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("cone from EN missed the clock gate")
-	}
-}
-
 func TestCloneIsIndependent(t *testing.T) {
 	nl := buildDemoAdder(t)
 	cp := nl.Clone()

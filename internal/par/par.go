@@ -2,7 +2,7 @@
 // errgroup-style semantics hand-rolled on the standard library. It
 // exists because every expensive phase of the Vega workflow — error
 // lifting, workload profiling, suite-vs-failing-netlist replay, the
-// lifetime and temperature sweeps — is an independent map over a task
+// lifetime sweep — is an independent map over a task
 // list, and the determinism contract of the workflow (Parallelism=N
 // must deep-equal Parallelism=1) demands index-ordered result
 // collection rather than completion-ordered channels.

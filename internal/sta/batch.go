@@ -37,11 +37,9 @@ var (
 // (TestBatchedMatchesScalar, FuzzBatchedVsScalar).
 
 // Corner is one point of a multi-corner analysis: an assumed lifetime
-// (Years <= 0 means fresh) and an optional operating-temperature
-// override in Kelvin (zero keeps the model's TempK).
+// (Years <= 0 means fresh), at the aging model's operating temperature.
 type Corner struct {
 	Years float64
-	TempK float64
 }
 
 // BatchConfig parameterizes one multi-corner STA run. PeriodPs, Scale,
@@ -172,28 +170,19 @@ func cornerLibs(name string, cfg BatchConfig, corners []Corner) []*aging.Library
 		}
 		return cfg.Libs
 	}
-	K := len(corners)
-	libs := make([]*aging.Library, K)
+	years := make([]float64, len(corners))
 	anyAged := false
-	for _, c := range corners {
-		if c.Years > 0 {
-			anyAged = true
-		}
+	for i, c := range corners {
+		years[i] = c.Years
+		anyAged = anyAged || c.Years > 0
 	}
-	if anyAged {
-		if cfg.Model == nil || cfg.Profile == nil {
-			panic(fmt.Sprintf("sta: AnalyzeCorners on %s: aged corners need Model and Profile", name))
-		}
-		specs := make([]aging.CornerSpec, K)
-		for i, c := range corners {
-			specs[i] = aging.CornerSpec{Years: c.Years, TempK: c.TempK}
-		}
-		grid := aging.NewCornerGrid(cfg.Base, cfg.Model, specs)
-		for i := range corners {
-			libs[i] = grid.Library(i)
-		}
+	if !anyAged {
+		return make([]*aging.Library, len(corners))
 	}
-	return libs
+	if cfg.Model == nil || cfg.Profile == nil {
+		panic(fmt.Sprintf("sta: AnalyzeCorners on %s: aged corners need Model and Profile", name))
+	}
+	return aging.NewCornerGrid(cfg.Base, cfg.Model, years)
 }
 
 // checkAndEnumerate is the reporting half of a batched run: scan every

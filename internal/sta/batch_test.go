@@ -80,7 +80,7 @@ func randomNetSP(nl *netlist.Netlist, seed int64) *engine.Profile {
 
 // scalarBaseline runs the differential baseline: one scalar Analyze per
 // corner, building each corner's aged library independently, exactly as
-// the pre-batched LifetimeSweep/TemperatureSweep did.
+// the pre-batched LifetimeSweep did.
 func scalarBaseline(nl *netlist.Netlist, cfg BatchConfig, corners []Corner) []*Result {
 	out := make([]*Result, len(corners))
 	for i, c := range corners {
@@ -98,13 +98,7 @@ func scalarConfig(cfg BatchConfig, c Corner) Config {
 		PerEndpoint: cfg.PerEndpoint,
 	}
 	if c.Years > 0 {
-		model := cfg.Model
-		if c.TempK != 0 && c.TempK != model.TempK {
-			clone := *model
-			clone.TempK = c.TempK
-			model = &clone
-		}
-		sc.Aged = aging.NewLibrary(cfg.Base, model, c.Years)
+		sc.Aged = aging.NewLibrary(cfg.Base, cfg.Model, c.Years)
 		sc.Profile = cfg.Profile
 	} else {
 		sc.Base = cfg.Base
@@ -147,9 +141,6 @@ func randomCase(seed int64) (*netlist.Netlist, BatchConfig, []Corner) {
 		var c Corner
 		if rng.Intn(4) > 0 {
 			c.Years = rng.Float64() * 12
-		}
-		if rng.Intn(3) == 0 {
-			c.TempK = 300 + rng.Float64()*110
 		}
 		corners[i] = c
 	}

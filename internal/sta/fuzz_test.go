@@ -44,9 +44,6 @@ func FuzzBatchedVsScalar(f *testing.F) {
 			if cornerBits&(1<<(uint(i)%8)) != 0 {
 				corners[i].Years = rng.Float64() * 15
 			}
-			if rng.Intn(3) == 0 {
-				corners[i].TempK = 290 + rng.Float64()*120
-			}
 		}
 		got := AnalyzeCorners(nl, cfg, corners)
 		want := scalarBaseline(nl, cfg, corners)

@@ -69,7 +69,13 @@ import (
 //	        of re-encoding held jobs, netlist sources live in a 32-entry
 //	        LRU, /metrics reports how many are held, and job IDs sort by
 //	        number.
-const lineBudget = 27_335
+//	27,123  knobs and exports with no production caller deleted: the
+//	        temperature sweep with sta.Corner's and aging's per-corner
+//	        temperature override (aging.NewCornerGrid now returns the
+//	        libraries), the BMC stride, lift's depth and budget
+//	        pass-throughs, the fan-out cone, the disassembler, and the
+//	        client's job fetch and cancel.
+const lineBudget = 27_123
 
 // TestLineBudget is the ratchet behind ROADMAP's "same numbers from the
 // least code": it counts the lines of every non-test Go file the census

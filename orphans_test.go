@@ -44,42 +44,268 @@ func TestNoOrphanExports(t *testing.T) {
 			orphans[c.name(obj)] = true
 		}
 	}
+	checkAllow(t, "orphanAllow", orphanAllow, orphans,
+		"production code reaches or which does not exist",
+		"is exported but unreachable from cmd/*, examples/*, internal/bench and the root facade: "+
+			"delete it, call it, or add it to orphanAllow with a reason")
+	t.Run("knobs", func(t *testing.T) { checkKnobs(t, c) })
+}
+
+// checkKnobs is the census of options: every exported field of a knob
+// struct under internal/ must be set — a composite-literal key, an
+// assignment target or a taken address — by code the census reached,
+// other than the struct's own methods (its defaults). A knob nothing
+// sets has one value in use and should be a constant; the ones that
+// stay are entered in knobAllow with the reason, under the same rot
+// rule as orphanAllow.
+//
+// A knob struct is an exported *Config, *Options or *Policy struct, or
+// an exported struct without methods that travels with one inside its
+// package: the type of one of its fields, or of a parameter beside it
+// in a function's signature (sta.Corner beside sta.BatchConfig).
+func checkKnobs(t *testing.T, c *census) {
+	owner := map[*types.Var]*types.TypeName{} // each knob, by the struct that declares it
+	for _, tn := range c.knobStructs() {
+		st := tn.Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() {
+				owner[f] = tn
+			}
+		}
+	}
+
+	set := map[*types.Var]bool{}
+	visit := func(di *declInfo, recv *types.TypeName) {
+		mark := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				e = sel.Sel
+			}
+			if id, ok := e.(*ast.Ident); ok {
+				if f, ok := di.info.Uses[id].(*types.Var); ok && owner[f] != nil && owner[f] != recv {
+					set[f] = true
+				}
+			}
+		}
+		ast.Inspect(di.node, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				// A slice, array or map literal's keys are no fields.
+				if st, ok := di.info.TypeOf(n).Underlying().(*types.Struct); ok {
+					for i, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							mark(kv.Key)
+						} else {
+							set[st.Field(i)] = true // positional: every field in order
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					mark(lhs)
+				}
+			case *ast.IncDecStmt:
+				mark(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					mark(n.X)
+				}
+			}
+			return true
+		})
+	}
+	for obj := range c.reached {
+		var recv *types.TypeName
+		if f, ok := obj.(*types.Func); ok {
+			if r := f.Type().(*types.Signature).Recv(); r != nil {
+				recv = namedOf(r.Type()).Obj()
+			}
+		}
+		visit(c.decls[obj], recv)
+	}
+	for pkg := range c.pkgSeen {
+		for _, di := range c.inits[pkg] {
+			visit(di, nil)
+		}
+	}
+
+	unset := map[string]bool{}
+	for f, tn := range owner {
+		if !set[f] {
+			unset[c.name(tn)+"."+f.Name()] = true
+		}
+	}
+	checkAllow(t, "knobAllow", knobAllow, unset,
+		"production code sets or which does not exist",
+		"is a knob nothing reachable from cmd/*, examples/*, internal/bench and the root facade sets: "+
+			"make it a constant, set it, or add it to knobAllow with a reason")
+}
+
+// knobStructs lists the knob structs of internal/ (see checkKnobs).
+func (c *census) knobStructs() []*types.TypeName {
+	seen := map[*types.TypeName]bool{}
+	var out []*types.TypeName
+	add := func(tn *types.TypeName) {
+		if !seen[tn] {
+			seen[tn] = true
+			out = append(out, tn)
+		}
+	}
+	// local is the exported struct of pkg that t is, points to or holds
+	// a slice of; plain is local, if that struct has no methods.
+	local := func(pkg *types.Package, t types.Type) *types.Named {
+		if s, ok := t.(*types.Slice); ok {
+			t = s.Elem()
+		}
+		n := namedOf(t)
+		if n == nil || n.Obj().Pkg() != pkg || !n.Obj().Exported() {
+			return nil
+		}
+		if _, ok := n.Underlying().(*types.Struct); !ok {
+			return nil
+		}
+		return n
+	}
+	plain := func(pkg *types.Package, t types.Type) {
+		if n := local(pkg, t); n != nil && n.NumMethods() == 0 {
+			add(n.Obj())
+		}
+	}
+	var funcs []*types.Signature
+	for _, pkg := range c.pkgs {
+		if !strings.HasPrefix(pkg.Path(), "repro/internal/") {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			switch obj := pkg.Scope().Lookup(name).(type) {
+			case *types.TypeName:
+				if _, ok := obj.Type().Underlying().(*types.Struct); ok && obj.Exported() &&
+					(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") ||
+						strings.HasSuffix(name, "Policy")) {
+					add(obj)
+				}
+				if n, ok := obj.Type().(*types.Named); ok {
+					for i := 0; i < n.NumMethods(); i++ {
+						funcs = append(funcs, n.Method(i).Type().(*types.Signature))
+					}
+				}
+			case *types.Func:
+				funcs = append(funcs, obj.Type().(*types.Signature))
+			}
+		}
+	}
+	for _, sig := range funcs {
+		params := sig.Params()
+		for i := 0; i < params.Len(); i++ {
+			if n := local(params.At(i).Pkg(), params.At(i).Type()); n != nil && seen[n.Obj()] {
+				for j := 0; j < params.Len(); j++ {
+					plain(params.At(j).Pkg(), params.At(j).Type())
+				}
+				break
+			}
+		}
+	}
+	for i := 0; i < len(out); i++ {
+		st := out[i].Type().Underlying().(*types.Struct)
+		for j := 0; j < st.NumFields(); j++ {
+			plain(out[i].Pkg(), st.Field(j).Type())
+		}
+	}
+	return out
+}
+
+// namedOf is the named type t is or points to, or nil.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := types.Unalias(t).(*types.Named)
+	return n
+}
+
+// checkAllow holds a census to its allow list: every name found must be
+// listed, and every listed name must be found (so the list cannot rot),
+// under a group with a reason.
+func checkAllow(t *testing.T, list string, allow []allowGroup, found map[string]bool, stale, missing string) {
+	t.Helper()
 	allowed := map[string]bool{}
-	for _, group := range orphanAllow {
+	for _, group := range allow {
 		if strings.TrimSpace(group.reason) == "" {
-			t.Errorf("orphanAllow group %v has no reason", group.names)
+			t.Errorf("%s group %v has no reason", list, group.names)
 		}
 		for _, n := range group.names {
 			if allowed[n] {
-				t.Errorf("orphanAllow lists %s twice", n)
+				t.Errorf("%s lists %s twice", list, n)
 			}
 			allowed[n] = true
-			if !orphans[n] {
-				t.Errorf("orphanAllow lists %s, which production code reaches or which does not exist: drop the entry", n)
+			if !found[n] {
+				t.Errorf("%s lists %s, which %s: drop the entry", list, n, stale)
 			}
 		}
 	}
 	var unexplained []string
-	for n := range orphans {
+	for n := range found {
 		if !allowed[n] {
 			unexplained = append(unexplained, n)
 		}
 	}
 	sort.Strings(unexplained)
 	for _, n := range unexplained {
-		t.Errorf("%s is exported but unreachable from cmd/*, examples/*, internal/bench and the root facade: "+
-			"delete it, call it, or add it to orphanAllow with a reason", n)
+		t.Errorf("%s %s", n, missing)
 	}
+}
+
+// allowGroup is a group of an allow list: names, and why they stay.
+type allowGroup struct {
+	reason string
+	names  []string
+}
+
+// knobAllow is the census of knobs (see checkKnobs) that production
+// never sets, grouped by why each one stays.
+var knobAllow = []allowGroup{
+	{"a bound every production caller takes at its default (an 8-cycle unroll and 2,000,000 " +
+		"conflicts per cover query; 20,000 SP cycles and 400 replayed operations per unit); tests " +
+		"shrink it to reach an unreachable-within-bound or timeout verdict, or a small sample, on " +
+		"small inputs", []string{
+		"internal/bmc.Config.MaxDepth",
+		"internal/bmc.Config.MaxConflicts",
+		"internal/core.Config.SPBudgetCycles",
+		"internal/core.Config.MaxSampledOps",
+	}},
+	{"a seam a test substitutes: the in-process child runner of the ledger's own tests, the one " +
+		"compiled store a crash matrix shares across its restarts, the jitter seed that makes retry " +
+		"timing reproducible", []string{
+		"internal/bench.Options.Spawn",
+		"internal/fleet.Options.Store",
+		"internal/fleet.RetryPolicy.Seed",
+	}},
+	{"retry tuning of fleet.Client.Retry, error handling that stays; production retries at the " +
+		"defaults and the retry tests shorten the backoff", []string{
+		"internal/fleet.RetryPolicy.Max",
+		"internal/fleet.RetryPolicy.Base",
+		"internal/fleet.RetryPolicy.MaxDelay",
+	}},
+	{"the load harness's population shape: vega-fleetd -loadtest runs the default mix, and " +
+		"the load tests shrink it", []string{
+		"internal/fleet/loadtest.Config.HotVariants",
+		"internal/fleet/loadtest.Config.ColdEvery",
+		"internal/fleet/loadtest.Config.SPCycles",
+	}},
+	{"ablations that no binary exposes: reset-state conditioning off (BenchmarkAblation_Conditioning) " +
+		"and the knobs of lift.FuzzConstruct, itself in orphanAllow", []string{
+		"internal/lift.Config.DisableConditioning",
+		"internal/lift.FuzzConfig.Attempts",
+		"internal/lift.FuzzConfig.Guided",
+		"internal/lift.FuzzConfig.MaxOps",
+		"internal/lift.FuzzConfig.Seed",
+	}},
 }
 
 // orphanAllow is the census of exported declarations under internal/
 // that production never reaches, grouped by why each one stays. Most
 // are pinned by tests the floor names; the groups say which kind, so a
 // re-anchor can retire a group's tests and its code together.
-var orphanAllow = []struct {
-	reason string
-	names  []string
-}{
+var orphanAllow = []allowGroup{
 	{"reference implementation a differential test holds production to " +
 		"(TestCornerGridMatchesNewLibrary and the aged-STA shape tests; sta's oracle_test.go; " +
 		"every BMC trace test and FuzzIncrementalCover; TestFaultedPackedMatchesFailingNetlist and " +
@@ -113,10 +339,8 @@ var orphanAllow = []struct {
 		"holds the packed-lane replay to, and the units' golden-vs-netlist tests", []string{
 		"internal/module.NewDriver",
 	}},
-	{"paper §6.2/§6.3 extension (temperature sweep, fuzzing-based test construction) that no binary " +
+	{"paper §6.3 extension (fuzzing-based test construction) that no binary " +
 		"exposes; kept by its own tests and BenchmarkAblation_FuzzVsFormal", []string{
-		"internal/core.Workflow.TemperatureSweep",
-		"internal/core.TempPoint",
 		"internal/lift.FuzzConstruct",
 		"internal/lift.FuzzConfig",
 	}},
@@ -157,14 +381,9 @@ var orphanAllow = []struct {
 		"internal/netlist.Netlist.Clone",
 		"internal/netlist.Builder.Cell",
 	}},
-	{"floor test only — inspection and debugging surface (disassembly, fan-out " +
-		"cones) and API halves (the inject spec parser, client cancel/poll) " +
-		"with no production caller: candidates to retire with their tests", []string{
-		"internal/netlist.Netlist.FanoutCone",
-		"internal/isa.Image.Disassemble",
+	{"floor test only — the inject spec parser, whose round trip checks that Spec.String, a " +
+		"checkpoint and dedup key, is injective", []string{
 		"internal/inject.ParseSpec",
-		"internal/fleet.Client.Cancel",
-		"internal/fleet.Client.Job",
 	}},
 	{"the daemon's full in-process record (the result read back from its frame in the log, the source " +
 		"from its blob) that the crash matrices, restart and quarantine tests hold the daemon to; the " +
@@ -235,7 +454,8 @@ func loadModule(t *testing.T) *census {
 				files = append(files, f)
 			}
 		}
-		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{}}
 		conf := types.Config{Importer: importerFunc(load)}
 		pkg, err := conf.Check(path, c.fset, files, info)
 		if err != nil {
