@@ -37,17 +37,20 @@ import (
 	"repro/internal/sat"
 )
 
+// maxDepth is the unroll bound in cycles. The modules under analysis
+// are two-stage pipelines whose architectural state is fully
+// input-controlled within three cycles, so the bound exceeds their
+// sequential diameter and an UNSAT verdict is a proof. A variable so a
+// test can reach an unreachable-within-bound verdict on a small circuit.
+var maxDepth = 8
+
+// maxConflicts is a shared solver-effort budget spread across the whole
+// deepening schedule of one query; exhausting it yields Timeout — the
+// paper's "FF" outcome. A variable so a test can starve a query.
+var maxConflicts int64 = 2_000_000
+
 // Config parameterizes a cover query.
 type Config struct {
-	// MaxDepth is the unroll bound in cycles (default 8). The modules
-	// under analysis are two-stage pipelines whose architectural state is
-	// fully input-controlled within three cycles, so the default bound
-	// exceeds their sequential diameter and an UNSAT verdict is a proof.
-	MaxDepth int
-	// MaxConflicts is a shared solver-effort budget spread across the
-	// whole deepening schedule (default 2,000,000 conflicts in total);
-	// exhausting it yields Timeout — the paper's "FF" outcome.
-	MaxConflicts int64
 	// Assume restricts input-port values per cycle (the paper's
 	// assume-property input restrictions).
 	Assume []PortConstraint
@@ -66,15 +69,6 @@ type Config struct {
 	// microarchitecture-aware restriction of §3.3.3 that keeps traces
 	// convertible to instructions.
 	ValidPort string
-}
-
-func (cfg *Config) fill() {
-	if cfg.MaxDepth == 0 {
-		cfg.MaxDepth = 8
-	}
-	if cfg.MaxConflicts == 0 {
-		cfg.MaxConflicts = 2000000
-	}
 }
 
 // PortConstraint requires an input port to take one of the allowed
@@ -167,7 +161,7 @@ type Result struct {
 // on the way out of it: a lift is dozens of queries of much the same
 // size, and each would otherwise grow the same arrays by doubling from
 // nothing. They go back after a covered query only. One that ran to the
-// bound or out of budget has encoded every frame up to MaxDepth and
+// bound or out of budget has encoded every frame up to maxDepth and
 // holds several times the room a covered query stops at; pooled, that
 // room would stay live through all the small queries behind it.
 // Nothing in the Result points into pooled memory.
@@ -177,7 +171,6 @@ type Result struct {
 // doubles it — the FPU lift's peak resident set swung between 40 and
 // 50 MB from run to run.
 func Cover(nl *netlist.Netlist, covers []fault.CoverPoint, cfg Config) *Result {
-	cfg.fill()
 	if len(covers) == 0 {
 		return &Result{Verdict: Unreachable, Depth: 0}
 	}
@@ -197,7 +190,7 @@ var unrollers = sync.Pool{New: func() any { return &unroller{s: sat.New()} }}
 // cover is the deepening schedule on a reset unroller: one cycle per
 // window.
 func (u *unroller) cover(covers []fault.CoverPoint) *Result {
-	for depth := 1; depth <= u.cfg.MaxDepth; depth++ {
+	for depth := 1; depth <= maxDepth; depth++ {
 		u.extendTo(depth)
 		switch u.solveWindow(covers, depth-1) {
 		case sat.Sat:
@@ -207,7 +200,7 @@ func (u *unroller) cover(covers []fault.CoverPoint) *Result {
 			return &Result{Verdict: Timeout, Depth: depth, Stats: u.stats()}
 		}
 	}
-	return &Result{Verdict: Unreachable, Depth: u.cfg.MaxDepth, Stats: u.stats()}
+	return &Result{Verdict: Unreachable, Depth: maxDepth, Stats: u.stats()}
 }
 
 // Replay simulates the instrumented netlist under the trace's inputs and
@@ -259,7 +252,7 @@ type unroller struct {
 // query; the solver's storage and the frame tables keep their room.
 func (u *unroller) reset(prog *engine.Program, cfg Config) {
 	u.s.Reset()
-	*u = unroller{nl: prog.Netlist, prog: prog, cfg: cfg, s: u.s, budget: cfg.MaxConflicts,
+	*u = unroller{nl: prog.Netlist, prog: prog, cfg: cfg, s: u.s, budget: maxConflicts,
 		vars: u.vars[:0], assume: u.assume[:0]}
 	u.constTrue = u.s.NewVar()
 	u.constFalse = u.s.NewVar()

@@ -77,7 +77,8 @@ func TestUnreachableWhenMasked(t *testing.T) {
 		C:     fault.C1,
 	}
 	inst := fault.ShadowReplica(nl, spec)
-	res := Cover(inst.Netlist, inst.Covers, Config{MaxDepth: 6})
+	withBounds(t, 6, maxConflicts)
+	res := Cover(inst.Netlist, inst.Covers, Config{})
 	if res.Verdict != Unreachable {
 		t.Fatalf("verdict %v, want unreachable", res.Verdict)
 	}
@@ -94,9 +95,10 @@ func TestUnpooledUnrollerCollected(t *testing.T) {
 		End:   demo.CellIDByName(nl, "y"),
 		C:     fault.C1,
 	})
+	withBounds(t, 6, maxConflicts)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res := Cover(inst.Netlist, inst.Covers, Config{MaxDepth: 6})
+	res := Cover(inst.Netlist, inst.Covers, Config{})
 	runtime.ReadMemStats(&after)
 	if res.Verdict != Unreachable {
 		t.Fatalf("verdict %v, want unreachable", res.Verdict)
@@ -150,8 +152,8 @@ func TestAssumeCanForceUnreachable(t *testing.T) {
 	inst := fault.ShadowReplica(orig, adderSpec(orig, fault.C1))
 	// Freeze both inputs to constants: X never changes, the setup fault
 	// never activates.
+	withBounds(t, 5, maxConflicts)
 	res := Cover(inst.Netlist, inst.Covers, Config{
-		MaxDepth: 5,
 		Assume: []PortConstraint{
 			{Port: "a", Allowed: []uint64{0}},
 			{Port: "b", Allowed: []uint64{0}},
@@ -186,7 +188,6 @@ func TestALUFaultEndToEnd(t *testing.T) {
 	spec := fault.Spec{Type: sta.Setup, Start: start, End: end, C: fault.C1}
 	inst := fault.ShadowReplica(nl, spec)
 	res := Cover(inst.Netlist, inst.Covers, Config{
-		MaxDepth: 6,
 		Assume: []PortConstraint{
 			{Port: module.PortOp, Allowed: opRange(alu.NumOps)},
 			{Port: module.PortInValid, Allowed: []uint64{0, 1}},

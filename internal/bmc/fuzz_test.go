@@ -22,7 +22,8 @@ func FuzzIncrementalCover(f *testing.F) {
 		nl := randomSequentialNetlist(seed % 2048)
 		spec := specFromBytes(nl, b0, b1, b2, b3)
 		inst := fault.ShadowReplica(nl, spec)
-		cfg := Config{MaxDepth: 5, MaxConflicts: 500000}
+		withBounds(t, 5, 500000)
+		cfg := Config{}
 
 		inc := Cover(inst.Netlist, inst.Covers, cfg)
 		scr := CoverSingleShot(inst.Netlist, inst.Covers, cfg)

@@ -143,6 +143,10 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 		}
 	}
 
+	// The delay chain: the case where incremental depth < scratch depth.
+	chain := delayChainNetlist()
+	checkEquivalence(t, "chain", fault.ShadowReplica(chain, delayChainSpec(chain)), Config{})
+
 	// The masked netlist: both engines must prove unreachability.
 	masked := maskedNetlist()
 	spec := fault.Spec{
@@ -151,24 +155,21 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 		End:   demo.CellIDByName(masked, "y"),
 		C:     fault.C1,
 	}
-	checkEquivalence(t, "masked", fault.ShadowReplica(masked, spec), Config{MaxDepth: 6})
-
-	// The delay chain: the case where incremental depth < scratch depth.
-	chain := delayChainNetlist()
-	checkEquivalence(t, "chain", fault.ShadowReplica(chain, delayChainSpec(chain)), Config{})
+	withBounds(t, 6, maxConflicts)
+	checkEquivalence(t, "masked", fault.ShadowReplica(masked, spec), Config{})
 
 	nRandom := 60
 	if testing.Short() {
 		nRandom = 12
 	}
+	withBounds(t, 5, maxConflicts)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < nRandom; i++ {
 		nl := randomSequentialNetlist(int64(i))
 		spec := specFromBytes(nl, byte(rng.Intn(256)), byte(rng.Intn(256)),
 			byte(rng.Intn(256)), byte(rng.Intn(256)))
 		inst := fault.ShadowReplica(nl, spec)
-		checkEquivalence(t, fmt.Sprintf("rnd%d/%s", i, spec.Name(nl)), inst,
-			Config{MaxDepth: 5})
+		checkEquivalence(t, fmt.Sprintf("rnd%d/%s", i, spec.Name(nl)), inst, Config{})
 	}
 }
 
@@ -211,16 +212,24 @@ func delayChainSpec(nl *netlist.Netlist) fault.Spec {
 	}
 }
 
+// withBounds sets the unroll bound and the conflict budget until the
+// test ends.
+func withBounds(t testing.TB, depth int, conflicts int64) {
+	d, c := maxDepth, maxConflicts
+	t.Cleanup(func() { maxDepth, maxConflicts = d, c })
+	maxDepth, maxConflicts = depth, conflicts
+}
+
 // TestMinimalDepthReported is the regression for the depth bug: the old
-// {4, MaxDepth} schedule reported Depth == MaxDepth for any cover deeper
-// than 4 cycles. The delay chain's fault is first observable at cycle 4,
-// so Cover with MaxDepth 8 must report the minimal depth 5 — not 8 —
-// and MaxDepth 4 must prove it unreachable within the bound.
+// {4, bound} schedule reported Depth == bound for any cover deeper than
+// 4 cycles. The delay chain's fault is first observable at cycle 4, so
+// Cover with bound 8 must report the minimal depth 5 — not 8 — and
+// bound 4 must prove it unreachable within the bound.
 func TestMinimalDepthReported(t *testing.T) {
 	nl := delayChainNetlist()
 	inst := fault.ShadowReplica(nl, delayChainSpec(nl))
 
-	res := Cover(inst.Netlist, inst.Covers, Config{MaxDepth: 8})
+	res := Cover(inst.Netlist, inst.Covers, Config{})
 	if res.Verdict != Covered {
 		t.Fatalf("verdict %v, want covered", res.Verdict)
 	}
@@ -236,9 +245,10 @@ func TestMinimalDepthReported(t *testing.T) {
 	}
 
 	// Minimality cross-check: one cycle shallower is a proof of absence.
-	shallow := Cover(inst.Netlist, inst.Covers, Config{MaxDepth: 4})
+	withBounds(t, 4, maxConflicts)
+	shallow := Cover(inst.Netlist, inst.Covers, Config{})
 	if shallow.Verdict != Unreachable {
-		t.Fatalf("MaxDepth 4 verdict %v, want unreachable", shallow.Verdict)
+		t.Fatalf("bound 4 verdict %v, want unreachable", shallow.Verdict)
 	}
 }
 
@@ -249,7 +259,7 @@ func TestCoverStatsAccounting(t *testing.T) {
 	nl := delayChainNetlist()
 	inst := fault.ShadowReplica(nl, delayChainSpec(nl))
 
-	res := Cover(inst.Netlist, inst.Covers, Config{MaxDepth: 8})
+	res := Cover(inst.Netlist, inst.Covers, Config{})
 	if res.Stats.Solves != 5 {
 		t.Errorf("Solves = %d, want 5 (windows 1..5)", res.Stats.Solves)
 	}
@@ -257,19 +267,22 @@ func TestCoverStatsAccounting(t *testing.T) {
 		t.Errorf("empty CNF stats: %+v", res.Stats)
 	}
 
-	unreach := Cover(inst.Netlist, inst.Covers, Config{MaxDepth: 4})
+	depth := maxDepth
+	withBounds(t, 4, maxConflicts)
+	unreach := Cover(inst.Netlist, inst.Covers, Config{})
 	if unreach.Stats.Solves != 4 {
 		t.Errorf("unreachable Solves = %d, want 4", unreach.Stats.Solves)
 	}
 
 	// An exhausted shared budget must yield Timeout, not a bogus proof.
-	// MaxConflicts can't be 0 (that means "default"), so give a budget
-	// too small for the hard ALU-sized instance instead: the adder with
-	// one conflict of budget. If even that solves conflict-free, the
-	// check is vacuous but harmless.
+	// A budget of 0 means no budget to the solver, so give a budget too
+	// small for the hard ALU-sized instance instead: the adder with one
+	// conflict of budget. If even that solves conflict-free, the check
+	// is vacuous but harmless.
 	adder := demo.Adder2()
 	ainst := fault.ShadowReplica(adder, adderSpec(adder, fault.C1))
-	tiny := Cover(ainst.Netlist, ainst.Covers, Config{MaxDepth: 8, MaxConflicts: 1})
+	withBounds(t, depth, 1)
+	tiny := Cover(ainst.Netlist, ainst.Covers, Config{})
 	if tiny.Verdict == Unreachable {
 		t.Errorf("budget-starved run claimed a proof: %+v", tiny)
 	}
@@ -287,7 +300,6 @@ func newUnroller(prog *engine.Program, cfg Config) *unroller {
 // first Cover call of a process computes, and so what every later one
 // has to.
 func CoverFresh(nl *netlist.Netlist, covers []fault.CoverPoint, cfg Config) *Result {
-	cfg.fill()
 	if len(covers) == 0 {
 		return &Result{Verdict: Unreachable, Depth: 0}
 	}
@@ -295,19 +307,18 @@ func CoverFresh(nl *netlist.Netlist, covers []fault.CoverPoint, cfg Config) *Res
 }
 
 // CoverSingleShot is the from-scratch oracle: a fresh solver, the full
-// MaxDepth-cycle CNF encoded in one pass, the cover disjunction over
+// maxDepth-cycle CNF encoded in one pass, the cover disjunction over
 // every cycle added as a plain clause, and a single Solve call. Depth is
-// always MaxDepth (the single-shot bound proves nothing about shallower
+// always maxDepth (the single-shot bound proves nothing about shallower
 // depths).
 func CoverSingleShot(nl *netlist.Netlist, covers []fault.CoverPoint, cfg Config) *Result {
-	cfg.fill()
 	if len(covers) == 0 {
 		return &Result{Verdict: Unreachable, Depth: 0}
 	}
 	u := newUnroller(engine.Cached(nl), cfg)
-	u.extendTo(cfg.MaxDepth)
+	u.extendTo(maxDepth)
 	st := u.solveFinal(covers)
-	res := &Result{Depth: cfg.MaxDepth, Stats: u.stats()}
+	res := &Result{Depth: maxDepth, Stats: u.stats()}
 	switch st {
 	case sat.Sat:
 		res.Verdict = Covered
@@ -374,29 +385,32 @@ func TestBudgetRunsOutInLaterWindow(t *testing.T) {
 
 	// The first window whose refutation is a real search, and the
 	// conflicts spent through it.
+	depth := maxDepth
 	var hard int
 	var cost int64
 	for hard = 0; cost < 50; {
 		hard++
-		res := Cover(inst.Netlist, inst.Covers, Config{MaxDepth: hard})
+		withBounds(t, hard, maxConflicts)
+		res := Cover(inst.Netlist, inst.Covers, Config{})
 		if res.Verdict != Unreachable {
-			t.Fatalf("MaxDepth %d: verdict %v, want unreachable", hard, res.Verdict)
+			t.Fatalf("bound %d: verdict %v, want unreachable", hard, res.Verdict)
 		}
 		cost = res.Stats.Solver.Conflicts
 	}
 	t.Logf("%d conflicts through window %d", cost, hard)
 
 	// Enough for that window and a quarter of the next one.
-	cfg := Config{MaxDepth: 8, MaxConflicts: cost + cost/4}
+	budget := cost + cost/4
+	withBounds(t, depth, budget)
 	done := make(chan *Result, 1)
-	go func() { done <- Cover(inst.Netlist, inst.Covers, cfg) }()
+	go func() { done <- Cover(inst.Netlist, inst.Covers, Config{}) }()
 	select {
 	case res := <-done:
 		if res.Verdict != Timeout || res.Depth != hard+1 {
 			t.Errorf("verdict %v at depth %d, want timeout at depth %d", res.Verdict, res.Depth, hard+1)
 		}
-		if n := res.Stats.Solver.Conflicts; n < cfg.MaxConflicts || n > cfg.MaxConflicts+cost/4 {
-			t.Errorf("%d conflicts spent against a budget of %d", n, cfg.MaxConflicts)
+		if n := res.Stats.Solver.Conflicts; n < budget || n > budget+cost/4 {
+			t.Errorf("%d conflicts spent against a budget of %d", n, budget)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatalf("Cover did not return: window %d started with %d conflicts left after %d spent", hard+1, cost/4, cost)

@@ -44,7 +44,6 @@ func TestCoverPooledMatchesFresh(t *testing.T) {
 	// No legal operation at all: every window is refuted at the root.
 	masked := queries[0]
 	masked.cfg.Assume = []bmc.PortConstraint{{Port: module.PortOp, Allowed: nil}}
-	masked.cfg.MaxDepth = 4
 	queries = append(queries, masked)
 
 	verdicts := map[bmc.Verdict]int{}

@@ -57,13 +57,13 @@ func TestProfilePackedMatchesScalarReplay(t *testing.T) {
 		{alu.Build(), []string{"crc32"}},
 		{fpu.Build(), []string{"minver"}},
 	} {
-		w := newWorkflow(unit.m, Config{Workloads: unit.ops, MaxSampledOps: 400})
+		w := newWorkflow(unit.m, Config{Workloads: unit.ops})
 		if err := w.ProfileWorkloads(); err != nil {
 			t.Fatal(err)
 		}
 		trace := w.OpTrace
-		if len(trace) != 400 {
-			t.Fatalf("%s: %d sampled operations, want 400", unit.m.Name, len(trace))
+		if len(trace) != maxSampledOps {
+			t.Fatalf("%s: %d sampled operations, want %d", unit.m.Name, len(trace), maxSampledOps)
 		}
 		// The trace's own operations at an illegal encoding or two would
 		// prove nothing new; a few random operands past the workload's do.
@@ -107,12 +107,12 @@ func TestProfilePackedMatchesScalarReplay(t *testing.T) {
 
 		// And the profile the workflow installed is the oracle's on the
 		// gap it derived itself.
-		w2 := newWorkflow(unit.m, Config{Workloads: unit.ops, MaxSampledOps: 37})
+		w2 := newWorkflow(unit.m, Config{Workloads: unit.ops})
 		if err := w2.ProfileWorkloads(); err != nil {
 			t.Fatal(err)
 		}
 		period := unit.m.Latency + 1
-		gap := min(int(1/w2.OpDensity)-period, (w2.Config.SPBudgetCycles-37*period)/37)
+		gap := min(int(1/w2.OpDensity)-period, (spBudgetCycles-maxSampledOps*period)/maxSampledOps)
 		if want := scalarReplaySP(unit.m, w2.OpTrace, max(gap, 0)); !reflect.DeepEqual(w2.SPProfile, want) {
 			t.Errorf("%s: ProfileWorkloads' profile differs from the scalar replay at gap %d", unit.m.Name, gap)
 		}

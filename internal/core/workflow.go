@@ -29,17 +29,19 @@ const MemSize = 1 << 20
 // MaxCycles bounds every workload run.
 const MaxCycles = 500_000_000
 
+// spBudgetCycles bounds the gate-level signal-probability simulation,
+// in module cycles per unit.
+const spBudgetCycles = 20000
+
+// maxSampledOps bounds how many recorded operations are replayed at
+// gate level.
+const maxSampledOps = 400
+
 // Config tunes a workflow run.
 type Config struct {
 	// Years is the assumed lifetime for the aging analysis (default 10,
 	// the mission-critical standard of §3.2.2).
 	Years float64
-	// SPBudgetCycles bounds the gate-level signal-probability
-	// simulation (default 20000 module cycles per unit).
-	SPBudgetCycles int
-	// MaxSampledOps bounds how many recorded operations are replayed at
-	// gate level (default 400).
-	MaxSampledOps int
 	// Workloads selects the representative benchmarks (default: all of
 	// embench).
 	Workloads []string
@@ -57,12 +59,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.Years == 0 {
 		c.Years = 10
-	}
-	if c.SPBudgetCycles == 0 {
-		c.SPBudgetCycles = 20000
-	}
-	if c.MaxSampledOps == 0 {
-		c.MaxSampledOps = 400
 	}
 }
 
@@ -166,10 +162,7 @@ func (w *Workflow) ProfileWorkloads() error {
 	// Sample ops evenly and derive the idle gap that preserves the
 	// unit's duty cycle, bounded by the simulation budget.
 	n := len(trace)
-	sampleN := w.Config.MaxSampledOps
-	if n < sampleN {
-		sampleN = n
-	}
+	sampleN := min(n, maxSampledOps)
 	sampled := make([]cpu.OpRecord, 0, sampleN)
 	for i := 0; i < sampleN; i++ {
 		sampled = append(sampled, trace[i*n/sampleN])
@@ -178,7 +171,7 @@ func (w *Workflow) ProfileWorkloads() error {
 
 	period := w.Module.Latency + 1
 	idealGap := int(1/w.OpDensity) - period
-	maxGap := (w.Config.SPBudgetCycles - sampleN*period) / sampleN
+	maxGap := (spBudgetCycles - sampleN*period) / sampleN
 	gap := idealGap
 	if gap > maxGap {
 		gap = maxGap

@@ -37,7 +37,7 @@ type Config struct {
 	Concurrency int
 	// HotVariants is the size of the hot netlist population (default 4);
 	// ColdEvery makes every Nth submission a unique cold netlist
-	// (default 10, i.e. a 10% cold mix; 0 disables cold submissions).
+	// (0 selects the default 10, i.e. a 10% cold mix).
 	HotVariants int
 	ColdEvery   int
 	// Cells is the approximate synthesized netlist size (default 2000).
@@ -105,9 +105,9 @@ type Report struct {
 }
 
 // isCold reports whether slot i of the population carries a unique
-// (never-seen) netlist.
+// (never-seen) netlist; c must be filled.
 func (c Config) isCold(i int) bool {
-	return c.ColdEvery > 0 && i%c.ColdEvery == c.ColdEvery-1
+	return i%c.ColdEvery == c.ColdEvery-1
 }
 
 // Population returns the job mix: Jobs sweep specs over HotVariants

@@ -28,13 +28,13 @@ var (
 // This file is the evaluation half of the batched STA engine: arrival
 // times for K aging corners are propagated simultaneously in
 // structure-of-arrays form over one CachedGraph traversal, then the
-// violating paths are enumerated by a multi-corner explicit-stack walker
-// — one DFS per (endpoint, check) shared by every corner that flagged it
-// — fanned out over a par.Map pool and merged deterministically in the
-// scalar analysis's endpoint order. The scalar engine this replaced is
-// the test-only oracle in oracle_test.go: AnalyzeCorners is required to
-// reproduce its Results bit for bit at every corner and Parallelism
-// (TestBatchedMatchesScalar, FuzzBatchedVsScalar).
+// violating paths are enumerated by an explicit-stack walker — one DFS
+// per violating (endpoint, check, corner) — fanned out over a par.Map
+// pool and merged deterministically in the scalar analysis's endpoint
+// order. The scalar engine this replaced is the test-only oracle in
+// oracle_test.go: AnalyzeCorners is required to reproduce its Results
+// bit for bit at every corner and Parallelism (TestBatchedMatchesScalar,
+// FuzzBatchedVsScalar).
 
 // Corner is one point of a multi-corner analysis: an assumed lifetime
 // (Years <= 0 means fresh), at the aging model's operating temperature.
@@ -228,16 +228,14 @@ func checkAndEnumerate(g *TimingGraph, st *batchState, cfg BatchConfig, K int,
 
 	// Scan endpoints in the scalar analysis's order (cell order, setup
 	// before hold), collecting per-corner WNS and one enumeration job per
-	// violating (endpoint, check) — shared by every corner that flags it.
-	// perCorner[k] lists that corner's (job, lane) records in exactly the
-	// scalar enumeration order, for the sequential merge below.
+	// violating (endpoint, check, corner). perCorner[k] lists corner k's
+	// jobs in exactly the scalar enumeration order, for the sequential
+	// merge below.
 	var jobs []enumJob
-	perCorner := make([][]cornerRef, K)
+	perCorner := make([][]int32, K)
 	for ei := range g.endpoints {
 		e := &g.endpoints[ei]
 		db, kb := int(e.d)*K, int(e.clk)*K
-		var sCor, hCor []int32
-		var sReq, hReq []float64
 		for k := 0; k < K; k++ {
 			clkArr := st.clk[kb+k]
 			res := results[k]
@@ -249,8 +247,8 @@ func checkAndEnumerate(g *TimingGraph, st *batchState, cfg BatchConfig, K int,
 					res.WNSSetup = slack
 				}
 				if slack < 0 {
-					sCor = append(sCor, int32(k))
-					sReq = append(sReq, required)
+					perCorner[k] = append(perCorner[k], int32(len(jobs)))
+					jobs = append(jobs, enumJob{ep: ei, typ: Setup, k: k, required: required})
 				}
 			}
 			if an := st.arrMin[db+k]; an < posInf {
@@ -260,34 +258,21 @@ func checkAndEnumerate(g *TimingGraph, st *batchState, cfg BatchConfig, K int,
 					res.WNSHold = slack
 				}
 				if slack < 0 {
-					hCor = append(hCor, int32(k))
-					hReq = append(hReq, required)
+					perCorner[k] = append(perCorner[k], int32(len(jobs)))
+					jobs = append(jobs, enumJob{ep: ei, typ: Hold, k: k, required: required})
 				}
 			}
 		}
-		if len(sCor) > 0 {
-			for pos, k := range sCor {
-				perCorner[k] = append(perCorner[k], cornerRef{job: int32(len(jobs)), lane: int32(pos)})
-			}
-			jobs = append(jobs, enumJob{ep: ei, typ: Setup, corners: sCor, required: sReq})
-		}
-		if len(hCor) > 0 {
-			for pos, k := range hCor {
-				perCorner[k] = append(perCorner[k], cornerRef{job: int32(len(jobs)), lane: int32(pos)})
-			}
-			jobs = append(jobs, enumJob{ep: ei, typ: Hold, corners: hCor, required: hReq})
-		}
 	}
 
-	// Enumerate all violating (endpoint, check) cones in parallel. Each
-	// job walks every requesting corner in one pass, recording up to the
-	// per-endpoint cap of hits per corner; the global MaxPaths budget
-	// cannot be applied here without ordering, so jobs over-enumerate to
-	// the per-endpoint cap and the sequential merge below trims to the
-	// budget.
+	// Enumerate every violating (endpoint, check, corner) cone in
+	// parallel, each walk recording up to the per-endpoint cap of hits;
+	// the global MaxPaths budget cannot be applied here without ordering,
+	// so walks over-enumerate to the per-endpoint cap and the sequential
+	// merge below trims to the budget.
 	records, err := par.Map(context.Background(), len(jobs), cfg.Parallelism,
-		func(_ context.Context, ji int) ([]enumRecord, error) {
-			return g.walkViolations(st, &jobs[ji], perEndpoint), nil
+		func(_ context.Context, ji int) (enumRecord, error) {
+			return g.walk(st, &jobs[ji], perEndpoint), nil
 		})
 	if err != nil {
 		panic(err) // only a recovered worker panic can land here
@@ -301,9 +286,9 @@ func checkAndEnumerate(g *TimingGraph, st *batchState, cfg BatchConfig, K int,
 		res := results[k]
 		budget := maxPaths
 		pm := make(map[pairKey]*PairSummary)
-		for _, ref := range perCorner[k] {
-			j := &jobs[ref.job]
-			rec := &records[ref.job][ref.lane]
+		for _, ji := range perCorner[k] {
+			j := &jobs[ji]
+			rec := &records[ji]
 			allowed := budget
 			if perEndpoint < allowed {
 				allowed = perEndpoint
@@ -349,21 +334,13 @@ func checkAndEnumerate(g *TimingGraph, st *batchState, cfg BatchConfig, K int,
 	return results
 }
 
-// enumJob is one (endpoint, check) enumeration task, carrying the lanes
-// — corners that flagged a violation here — and each lane's required
-// time. Lanes are in ascending corner order.
+// enumJob is one (endpoint, check, corner) enumeration task with the
+// corner's required time at the endpoint.
 type enumJob struct {
 	ep       int // index into TimingGraph.endpoints
 	typ      PathType
-	corners  []int32
-	required []float64
-}
-
-// cornerRef locates one corner's enumeration record: lane `lane` of job
-// `job`.
-type cornerRef struct {
-	job  int32
-	lane int32
+	k        int
+	required float64
 }
 
 // pathHit is one violating path in DFS discovery order.
@@ -372,316 +349,49 @@ type pathHit struct {
 	slack float64
 }
 
-// enumRecord is the outcome of one corner's walk: up to the per-endpoint
-// cap of hits, plus whether any walk step followed the final hit (the
-// signal the merge needs to reproduce the scalar truncation flag for
-// budgets that land exactly on the hit count).
+// enumRecord is the outcome of one walk: up to the per-endpoint cap of
+// hits, plus whether any walk step followed the final hit (the signal
+// the merge needs to reproduce the scalar truncation flag for budgets
+// that land exactly on the hit count).
 type enumRecord struct {
 	hits []pathHit
 	more bool
 }
 
-// walkFrame is one node of the shared multi-corner DFS. Its live lanes
-// and their path suffixes sit at [off, off+cnt) of the walk's lane
-// buffers; all children of a node share one span, since a lane's child
-// suffix (suffix + driver delay) is the same for every input pin.
-//
-// A frame with cnt == soloCnt is a demoted single-lane node: off holds
-// the lane index and suffix the lane's path suffix, with no span behind
-// it. Deep in post-onset cones pruning thins most spans to one survivor,
-// and carrying the span machinery (append-filtered lane buffers, span
-// truncation, per-lane bookkeeping loops) for a single lane roughly
-// doubles the per-node cost over the scalar walk — demotion makes the
-// thinned tail of the DFS cost what walkSolo costs.
-type walkFrame struct {
-	n      netlist.NetID
-	off    int32
-	cnt    int32
-	suffix float64 // solo frames only
-}
-
-// soloCnt marks a demoted single-lane walkFrame.
-const soloCnt int32 = -1
-
-// walkViolations enumerates the violating paths into a job's endpoint
-// for every requesting corner in a single DFS. The traversal order is
-// structural — children are pushed in reverse pin order so pops replay
-// the recursive scalar DFS — and identical for every corner, so each
-// lane's hits land in exactly the order its solo scalar enumeration
-// would record them. A lane participates in a node iff it survived the
-// parent's arrival-based pruning, which is precisely the scalar walk's
-// descend condition; restricting a DFS preorder to such an
-// ancestor-closed subset with unchanged child order yields that subset's
-// own DFS preorder, so per-lane bit-identity holds. Lanes that fill the
-// per-endpoint cap set their truncation signal on their next entry and
-// drop out; the walk stops when every lane is done.
-func (g *TimingGraph) walkViolations(st *batchState, j *enumJob, limit int) []enumRecord {
-	if len(j.corners) == 1 {
-		return g.walkSolo(st, j, limit)
-	}
-	K := st.K
-	C := len(j.corners)
+// walk enumerates the violating paths into a job's endpoint at the job's
+// corner with an explicit-stack DFS whose traversal order replays the
+// recursive scalar DFS: children are pushed in reverse pin order, and a
+// node is descended iff its arrival plus the path suffix below it
+// violates the required time. Reaching the cap stops the walk outright,
+// exactly like the scalar DFS whose every subsequent entry would return
+// at the budget check.
+func (g *TimingGraph) walk(st *batchState, j *enumJob, limit int) enumRecord {
+	K, k, req := st.K, j.k, j.required
 	setup := j.typ == Setup
 	arr, delay := st.arrMax, st.dmax
 	if !setup {
 		arr, delay = st.arrMin, st.dmin
 	}
 	clk := st.clk
-
-	recs := make([]enumRecord, C)
-	// Per-lane walk state, kept as packed int32s: delta counts entries
-	// since the lane's last hit (the scalar truncation flag for a lane
-	// that never reached its cap is exactly "some entry followed the
-	// final hit", i.e. delta > 0), nHits is the lane's hit count for the
-	// cap test — cheaper than re-deriving it from the record's slice
-	// header on every node.
-	delta := make([]int32, C)
-	nHits := make([]int32, C)
-	done := make([]bool, C)
-	active := C
-	limit32 := int32(limit)
-
-	laneC := make([]int32, C, 16*C)   // lane index (position in j.corners)
-	laneS := make([]float64, C, 16*C) // that lane's suffix at this node
-	for p := range laneC {
-		laneC[p] = int32(p)
-	}
-	stack := make([]walkFrame, 1, 64)
-	stack[0] = walkFrame{n: g.endpoints[j.ep].d, off: 0, cnt: int32(C)}
-
-	for len(stack) > 0 && active > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if f.cnt == soloCnt {
-			// Demoted single-lane node: walkSolo's body, against this
-			// lane's slice of the batched state. Same entry accounting,
-			// prune and hit conditions as the span path, so the lane's
-			// record is unchanged — only the bookkeeping is cheaper.
-			p := f.off
-			if done[p] {
-				continue
-			}
-			if nHits[p] >= limit32 {
-				recs[p].more = true
-				done[p] = true
-				active--
-				continue
-			}
-			delta[p]++
-			d := g.driver[f.n]
-			cls := classStop
-			if d != netlist.NoCell {
-				cls = g.class[d]
-			}
-			if cls == classStop {
-				continue
-			}
-			k := int(j.corners[p])
-			a := arr[int(f.n)*K+k]
-			if setup {
-				if a+f.suffix <= j.required[p] {
-					continue
-				}
-			} else {
-				if a+f.suffix >= j.required[p] {
-					continue
-				}
-			}
-			if cls == classDFF {
-				total := clk[int(g.clkNet[d])*K+k] + delay[int(d)*K+k] + f.suffix
-				var slack float64
-				if setup {
-					slack = j.required[p] - total
-				} else {
-					slack = total - j.required[p]
-				}
-				if slack < 0 {
-					recs[p].hits = append(recs[p].hits, pathHit{start: d, slack: slack})
-					delta[p] = 0
-					nHits[p]++
-				}
-				continue
-			}
-			child := f.suffix + delay[int(d)*K+k]
-			lo, hi := g.cellInLo[d], g.cellInLo[d+1]
-			for jx := hi - 1; jx >= lo; jx-- {
-				stack = append(stack, walkFrame{n: g.cellIn[jx], off: p, cnt: soloCnt, suffix: child})
-			}
-			continue
-		}
-		lc := laneC[f.off : f.off+f.cnt]
-		ls := laneS[f.off : f.off+f.cnt]
-		ls = ls[:len(lc)] // bounds-check elimination for ls[li]
-		// Every span above this frame's belongs to an already-finished
-		// subtree (spans are allocated in DFS order and the stack is LIFO:
-		// the remaining frames are this node's siblings and its ancestors'
-		// siblings, whose spans all end at or below f.off+f.cnt). Reclaim
-		// that space so the buffers stay O(depth·lanes) instead of growing
-		// with every visited node.
-		laneC = laneC[:f.off+f.cnt]
-		laneS = laneS[:f.off+f.cnt]
-
-		d := g.driver[f.n]
-		cls := classStop
-		if d != netlist.NoCell {
-			cls = g.class[d]
-		}
-		if cls == classStop {
-			// Entry accounting only: the scalar DFS counts the entry (and
-			// flags truncation if its cap is already met) before discovering
-			// there is nothing to descend into.
-			for _, p := range lc {
-				if done[p] {
-					continue
-				}
-				if nHits[p] >= limit32 {
-					recs[p].more = true
-					done[p] = true
-					active--
-					continue
-				}
-				delta[p]++
-			}
-			continue
-		}
-
-		ab := int(f.n) * K
-		if cls == classDFF {
-			cb, ckb := int(d)*K, int(g.clkNet[d])*K
-			for li, p := range lc {
-				if done[p] {
-					continue
-				}
-				if nHits[p] >= limit32 {
-					recs[p].more = true
-					done[p] = true
-					active--
-					continue
-				}
-				delta[p]++
-				k := int(j.corners[p])
-				a, suffix := arr[ab+k], ls[li]
-				// Untimed lanes hold an IEEE infinity, which saturates the sum
-				// onto the prune side — no sentinel check needed.
-				if setup {
-					if a+suffix <= j.required[p] {
-						continue
-					}
-				} else {
-					if a+suffix >= j.required[p] {
-						continue
-					}
-				}
-				total := clk[ckb+k] + delay[cb+k] + suffix
-				var slack float64
-				if setup {
-					slack = j.required[p] - total
-				} else {
-					slack = total - j.required[p]
-				}
-				if slack >= 0 {
-					continue
-				}
-				recs[p].hits = append(recs[p].hits, pathHit{start: d, slack: slack})
-				delta[p] = 0
-				nHits[p]++
-			}
-			continue
-		}
-
-		// Combinational driver: prune each lane, and push the survivors'
-		// span once for all input pins.
-		cb := int(d) * K
-		sOff := int32(len(laneC))
-		for li, p := range lc {
-			if done[p] {
-				continue
-			}
-			if nHits[p] >= limit32 {
-				recs[p].more = true
-				done[p] = true
-				active--
-				continue
-			}
-			delta[p]++
-			k := int(j.corners[p])
-			a, suffix := arr[ab+k], ls[li]
-			if setup {
-				if a+suffix <= j.required[p] {
-					continue
-				}
-			} else {
-				if a+suffix >= j.required[p] {
-					continue
-				}
-			}
-			laneC = append(laneC, p)
-			laneS = append(laneS, suffix+delay[cb+k])
-		}
-		cnt := int32(len(laneC)) - sOff
-		if cnt == 0 {
-			continue
-		}
-		lo, hi := g.cellInLo[d], g.cellInLo[d+1]
-		if cnt == 1 {
-			// One survivor: demote the subtree to solo frames and give
-			// the span back — solo frames never touch the lane buffers.
-			p, child := laneC[sOff], laneS[sOff]
-			laneC = laneC[:sOff]
-			laneS = laneS[:sOff]
-			for jx := hi - 1; jx >= lo; jx-- {
-				stack = append(stack, walkFrame{n: g.cellIn[jx], off: p, cnt: soloCnt, suffix: child})
-			}
-			continue
-		}
-		for jx := hi - 1; jx >= lo; jx-- {
-			stack = append(stack, walkFrame{n: g.cellIn[jx], off: sOff, cnt: cnt})
-		}
-	}
-	for p := range recs {
-		if !done[p] {
-			recs[p].more = delta[p] > 0
-		}
-	}
-	return recs
-}
-
-// walkSolo is walkViolations for a single requesting corner: the same
-// structural DFS with the suffix carried in the frame, no lane spans and
-// no per-lane state — the common case for sparse violations, where the
-// multi-lane machinery would be pure overhead. Reaching the cap stops
-// the walk outright, exactly like the scalar DFS whose every subsequent
-// entry would return at the budget check.
-func (g *TimingGraph) walkSolo(st *batchState, j *enumJob, limit int) []enumRecord {
-	K := st.K
-	setup := j.typ == Setup
-	arr, delay := st.arrMax, st.dmax
-	if !setup {
-		arr, delay = st.arrMin, st.dmin
-	}
-	clk := st.clk
-	k := int(j.corners[0])
-	req := j.required[0]
 
 	var rec enumRecord
-	var delta int32
-	nHits := 0
+	stepped := false // an entry followed the last hit
 
-	type soloFrame struct {
+	type frame struct {
 		n      netlist.NetID
 		suffix float64
 	}
-	stack := make([]soloFrame, 1, 64)
-	stack[0] = soloFrame{n: g.endpoints[j.ep].d}
+	stack := make([]frame, 1, 64)
+	stack[0] = frame{n: g.endpoints[j.ep].d}
 
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if nHits >= limit {
+		if len(rec.hits) >= limit {
 			rec.more = true
-			break
+			return rec
 		}
-		delta++
+		stepped = true
 		d := g.driver[f.n]
 		cls := classStop
 		if d != netlist.NoCell {
@@ -690,6 +400,8 @@ func (g *TimingGraph) walkSolo(st *batchState, j *enumJob, limit int) []enumReco
 		if cls == classStop {
 			continue
 		}
+		// Untimed nets hold an IEEE infinity, which saturates the sum onto
+		// the prune side — no sentinel check needed.
 		a := arr[int(f.n)*K+k]
 		if setup {
 			if a+f.suffix <= req {
@@ -710,21 +422,18 @@ func (g *TimingGraph) walkSolo(st *batchState, j *enumJob, limit int) []enumReco
 			}
 			if slack < 0 {
 				rec.hits = append(rec.hits, pathHit{start: d, slack: slack})
-				delta = 0
-				nHits++
+				stepped = false
 			}
 			continue
 		}
 		child := f.suffix + delay[int(d)*K+k]
 		lo, hi := g.cellInLo[d], g.cellInLo[d+1]
 		for jx := hi - 1; jx >= lo; jx-- {
-			stack = append(stack, soloFrame{n: g.cellIn[jx], suffix: child})
+			stack = append(stack, frame{n: g.cellIn[jx], suffix: child})
 		}
 	}
-	if !rec.more {
-		rec.more = delta > 0
-	}
-	return []enumRecord{rec}
+	rec.more = stepped
+	return rec
 }
 
 // batchState is the mutable evaluation state of one analysis:

@@ -155,15 +155,33 @@ func randomCase(seed int64) (*netlist.Netlist, BatchConfig, []Corner) {
 // scalar baseline's. DeepEqual compares float64s with ==, so this is
 // bit-identity, not tolerance.
 func TestBatchedMatchesScalar(t *testing.T) {
-	prop := func(seed int64) bool {
-		nl, cfg, corners := randomCase(seed)
+	// same reports whether the batched Results deep-equal the oracle's,
+	// handing back the oracle's when they do.
+	same := func(seed int64, nl *netlist.Netlist, cfg BatchConfig, corners []Corner) []*Result {
 		got := AnalyzeCorners(nl, cfg, corners)
 		want := scalarBaseline(nl, cfg, corners)
 		for k := range corners {
 			if !reflect.DeepEqual(got[k], want[k]) {
-				t.Logf("seed %d corner %d (%+v):\n  batched: %+v\n  scalar:  %+v",
-					seed, k, corners[k], got[k], want[k])
-				return false
+				t.Logf("seed %d MaxPaths %d corner %d (%+v):\n  batched: %+v\n  scalar:  %+v",
+					seed, cfg.MaxPaths, k, corners[k], got[k], want[k])
+				return nil
+			}
+		}
+		return want
+	}
+	prop := func(seed int64) bool {
+		nl, cfg, corners := randomCase(seed)
+		want := same(seed, nl, cfg, corners)
+		if want == nil {
+			return false
+		}
+		// A MaxPaths budget that lands exactly on a corner's last
+		// violating path: truncation then turns on whether the walk took
+		// another step after that hit.
+		for _, r := range want {
+			if n := r.NumSetupViolations + r.NumHoldViolations; n > 0 && !r.Truncated {
+				cfg.MaxPaths = n
+				return same(seed, nl, cfg, corners) != nil
 			}
 		}
 		return true

@@ -26,6 +26,11 @@ import (
 // 0.002y, −1.0ps at 0.003y), so its window is the tight bracket
 // [0, 0.003]y. Both use the workflow's signoff report bound of 40 paths
 // per endpoint.
+//
+// The full-life row times a [0, 10]y grid of the same 32 corners at
+// Parallelism 1: every aged FPU corner is deep past onset, so path
+// enumeration over each corner's own violation cones dominates, and at
+// one worker the pool hides none of it.
 func BenchmarkLifetimeSweep(b *testing.B) {
 	const nCorners = 32
 	units := []struct {
@@ -62,6 +67,17 @@ func BenchmarkLifetimeSweep(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				AnalyzeCorners(u.m.Netlist, cfg, corners)
+			}
+		})
+		full := make([]Corner, nCorners)
+		for i := range full {
+			full[i] = Corner{Years: 10 * float64(i) / float64(nCorners-1)}
+		}
+		cfg.Parallelism = 1
+		b.Run(u.m.Name+"/full-life", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				AnalyzeCorners(u.m.Netlist, cfg, full)
 			}
 		})
 	}

@@ -75,7 +75,12 @@ import (
 //	        libraries), the BMC stride, lift's depth and budget
 //	        pass-throughs, the fan-out cone, the disassembler, and the
 //	        client's job fetch and cancel.
-const lineBudget = 27_123
+//	26,818  one path walk per violating (endpoint, check, corner): the
+//	        shared multi-lane DFS, its lane spans and its single-lane
+//	        demotion deleted; bmc's unroll bound and conflict budget and
+//	        core's SP budget and sample count are package values, not
+//	        Config fields.
+const lineBudget = 26_818
 
 // TestLineBudget is the ratchet behind ROADMAP's "same numbers from the
 // least code": it counts the lines of every non-test Go file the census

@@ -263,15 +263,6 @@ type allowGroup struct {
 // knobAllow is the census of knobs (see checkKnobs) that production
 // never sets, grouped by why each one stays.
 var knobAllow = []allowGroup{
-	{"a bound every production caller takes at its default (an 8-cycle unroll and 2,000,000 " +
-		"conflicts per cover query; 20,000 SP cycles and 400 replayed operations per unit); tests " +
-		"shrink it to reach an unreachable-within-bound or timeout verdict, or a small sample, on " +
-		"small inputs", []string{
-		"internal/bmc.Config.MaxDepth",
-		"internal/bmc.Config.MaxConflicts",
-		"internal/core.Config.SPBudgetCycles",
-		"internal/core.Config.MaxSampledOps",
-	}},
 	{"a seam a test substitutes: the in-process child runner of the ledger's own tests, the one " +
 		"compiled store a crash matrix shares across its restarts, the jitter seed that makes retry " +
 		"timing reproducible", []string{
@@ -279,8 +270,9 @@ var knobAllow = []allowGroup{
 		"internal/fleet.Options.Store",
 		"internal/fleet.RetryPolicy.Seed",
 	}},
-	{"retry tuning of fleet.Client.Retry, error handling that stays; production retries at the " +
-		"defaults and the retry tests shorten the backoff", []string{
+	{"retry tuning of fleet.Client.Retry, which no binary, example or ledger workload sets: " +
+		"only the retry tests turn retry on, with a shortened backoff (ROADMAP item 13: retry by " +
+		"default, or delete)", []string{
 		"internal/fleet.RetryPolicy.Max",
 		"internal/fleet.RetryPolicy.Base",
 		"internal/fleet.RetryPolicy.MaxDelay",
