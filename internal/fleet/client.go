@@ -6,14 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/lru"
-	"repro/internal/store"
 )
 
 // Client talks to a fleetd instance. The zero HTTP field uses a
@@ -24,13 +21,6 @@ type Client struct {
 	Base string
 	// HTTP overrides the underlying client (optional).
 	HTTP *http.Client
-	// Retry, when non-nil, makes every request retry transient failures
-	// (transport errors, 5xx) with exponential backoff and jitter. A
-	// retried Submit is safe: the first attempt stamps the spec with a
-	// content-addressed SubmitKey, so a resend after a lost response
-	// dedups onto the already-accepted job instead of running the work
-	// twice. Nil keeps the historical fail-fast behaviour.
-	Retry *RetryPolicy
 
 	hashOnce sync.Once
 	hashes   *lru.Cache[string, string] // source -> netlistSHA(source)
@@ -54,130 +44,6 @@ func (c *Client) sourceSHA(src string) string {
 	h := netlistSHA(src)
 	c.hashes.Add(src, h)
 	return h
-}
-
-// RetryPolicy tunes the client's transient-failure handling.
-type RetryPolicy struct {
-	// Max is the number of retries after the first attempt (default 4).
-	Max int
-	// Base is the first backoff delay (default 50ms); attempt n waits
-	// Base<<n plus up to 50% jitter, capped at MaxDelay.
-	Base time.Duration
-	// MaxDelay caps one backoff sleep (default 2s). A server-sent
-	// Retry-After below the cap overrides the computed delay.
-	MaxDelay time.Duration
-	// Seed makes the jitter (and SubmitKey nonces) deterministic for
-	// tests; 0 seeds from the wall clock.
-	Seed int64
-
-	once sync.Once
-	mu   sync.Mutex
-	rng  *rand.Rand
-}
-
-func (p *RetryPolicy) fill() {
-	p.once.Do(func() {
-		if p.Max == 0 {
-			p.Max = 4
-		}
-		if p.Base == 0 {
-			p.Base = 50 * time.Millisecond
-		}
-		if p.MaxDelay == 0 {
-			p.MaxDelay = 2 * time.Second
-		}
-		seed := p.Seed
-		if seed == 0 {
-			seed = time.Now().UnixNano()
-		}
-		p.rng = rand.New(rand.NewSource(seed))
-	})
-}
-
-// delay computes the backoff before retry attempt (0-based), honoring
-// a server-sent Retry-After when it is longer.
-func (p *RetryPolicy) delay(attempt int, retryAfter time.Duration) time.Duration {
-	d := p.Base << attempt
-	if d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	// Full jitter on the top half: d/2 + U[0, d/2). A thousand clients
-	// retrying the same hiccup must not resynchronize into waves.
-	p.mu.Lock()
-	d = d/2 + time.Duration(p.rng.Int63n(int64(d/2)+1))
-	p.mu.Unlock()
-	if retryAfter > d {
-		d = retryAfter
-	}
-	return d
-}
-
-// nonce returns a random submission nonce (serialized under the same
-// lock as the jitter so concurrent Submits stay race-free).
-func (p *RetryPolicy) nonce() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rng.Uint64()
-}
-
-// retryAfter parses a Retry-After header (seconds form) from a
-// response, 0 when absent or unparsable.
-func retryAfter(resp *http.Response) time.Duration {
-	if resp == nil {
-		return 0
-	}
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if secs, err := strconv.Atoi(s); err == nil && secs >= 0 {
-			return time.Duration(secs) * time.Second
-		}
-	}
-	return 0
-}
-
-// retryable reports whether a response status is worth retrying:
-// overload and transient server faults, never client errors.
-func retryable(status int) bool {
-	return status >= 500 || status == http.StatusTooManyRequests
-}
-
-// doRetry issues the request built by mk, retrying per c.Retry. mk is
-// called per attempt (request bodies are single-use). The caller owns
-// the returned response body.
-func (c *Client) doRetry(ctx context.Context, mk func() (*http.Request, error)) (*http.Response, error) {
-	if c.Retry == nil {
-		req, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		return c.http().Do(req)
-	}
-	c.Retry.fill()
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		req, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		resp, err := c.http().Do(req)
-		var ra time.Duration
-		switch {
-		case err == nil && !retryable(resp.StatusCode):
-			return resp, nil
-		case err == nil:
-			ra = retryAfter(resp)
-			lastErr = errorBody(resp) // drains and closes the body
-		default:
-			lastErr = err
-		}
-		if attempt >= c.Retry.Max || ctx.Err() != nil {
-			return nil, lastErr
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(c.Retry.delay(attempt, ra)):
-		}
-	}
 }
 
 // defaultHTTP is shared by all zero-field Clients so the load-test's
@@ -209,54 +75,57 @@ func errorBody(resp *http.Response) error {
 	return fmt.Errorf("fleet: %s", resp.Status)
 }
 
+// get issues one GET, and fails fast: the error is the transport's or,
+// for any status but 200, the daemon's. The caller closes the body.
+func (c *Client) get(ctx context.Context, path string) (io.ReadCloser, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.http().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, errorBody(resp)
+	}
+	return resp.Body, nil
+}
+
 func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	resp, err := c.doRetry(ctx, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
-	})
+	body, err := c.get(ctx, path)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return errorBody(resp)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	defer body.Close()
+	return json.NewDecoder(body).Decode(out)
 }
 
 // Submit posts a job spec and returns the accepted record. A sweep names
 // its Verilog by SHA-256, hashed once per source the client remembers,
-// and sends the source only when the daemon answers 409. With a retry
-// policy, the spec is stamped once with a content-addressed idempotency
-// key (hash of the by-hash spec plus a per-call nonce), so every resend
-// of this logical submission, in either form, maps onto one server-side
-// job even when a response was lost in flight. Distinct Submit calls get
-// distinct nonces and stay distinct jobs.
+// and sends the source only when the daemon answers 409. Submit fails
+// fast: it sends no request twice, and any other answer but 202 comes
+// back as the daemon's error (a 503 for a full queue or a drain among
+// them), so whether to submit again is the caller's choice. Each Submit
+// that the daemon accepts is a job of its own, and one whose 202 was
+// lost is still listed by GET /jobs.
 func (c *Client) Submit(ctx context.Context, spec Spec) (*Job, error) {
 	src := ""
 	if spec.Kind == KindSweep && spec.NetlistSHA == "" && spec.Verilog != "" {
 		src, spec.Verilog, spec.NetlistSHA = spec.Verilog, "", c.sourceSHA(spec.Verilog)
-	}
-	if c.Retry != nil && spec.SubmitKey == "" {
-		c.Retry.fill()
-		content, err := json.Marshal(spec)
-		if err != nil {
-			return nil, err
-		}
-		spec.SubmitKey = fmt.Sprintf("%.16s-%016x", store.HashBytes(content), c.Retry.nonce())
 	}
 	for {
 		body, err := json.Marshal(spec)
 		if err != nil {
 			return nil, err
 		}
-		resp, err := c.doRetry(ctx, func() (*http.Request, error) {
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/jobs", bytes.NewReader(body))
-			if err != nil {
-				return nil, err
-			}
-			req.Header.Set("Content-Type", "application/json")
-			return req, nil
-		})
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/jobs", bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := c.http().Do(req)
 		if err != nil {
 			return nil, err
 		}
@@ -311,17 +180,12 @@ func (c *Client) Wait(ctx context.Context, id string) (*Job, error) {
 
 // Result fetches a finished job's raw result payload.
 func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
-	resp, err := c.doRetry(ctx, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/jobs/"+id+"/result", nil)
-	})
+	body, err := c.get(ctx, "/jobs/"+id+"/result")
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorBody(resp)
-	}
-	return io.ReadAll(resp.Body)
+	defer body.Close()
+	return io.ReadAll(body)
 }
 
 // Metrics fetches the daemon's store counters and job census.

@@ -293,39 +293,6 @@ func waitLogQueued(t *testing.T, l *jobLog, n int) {
 	}
 }
 
-// TestSubmitKeyDuringWrite: a resend of a submit key whose first frame
-// is still being written waits for it and gets the same job; the log
-// holds exactly one job.
-func TestSubmitKeyDuringWrite(t *testing.T) {
-	dir := t.TempDir()
-	fs := newRecorder(chaos.OS{}, 1)
-	s, err := New(Options{Dir: dir, Workers: 1, FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	defer func() { _ = s.Shutdown(context.Background()) }()
-	spec := sweepSpec()
-	spec.SubmitKey = "k-during-write"
-	first := submitAsync(s, spec)
-	within(t, fs.hit, "the first record write")
-	resend := submitAsync(s, spec)
-	select {
-	case j := <-resend:
-		t.Fatalf("the resend was answered (%+v) before the first record was durable", j)
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(fs.release)
-	a, b := within(t, first, "the first submission"), within(t, resend, "the resend")
-	if a.ID == "" || a.ID != b.ID {
-		t.Fatalf("first submission %+v and resend %+v are not one job", a, b)
-	}
-	waitServerDone(t, s, a.ID)
-	if recs := records(t, dir); len(recs) != 1 || len(s.Jobs()) != 1 {
-		t.Errorf("one submission and its resend left records %v and %d jobs", recs, len(s.Jobs()))
-	}
-}
-
 // TestQueueFullWritesNoRecord: a submission refused because the queue is
 // full writes no record, so a restarted daemon does not run a job its
 // client was told was refused.

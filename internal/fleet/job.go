@@ -73,7 +73,9 @@ const (
 )
 
 // Spec is a job submission. Kind selects which fields matter; unknown
-// kinds are rejected at submit time.
+// kinds are rejected at submit time. A POST body's unknown fields are
+// ignored, so a submit_key an older client sends names nothing: every
+// accepted Spec is a job of its own.
 type Spec struct {
 	Kind string `json:"kind"`
 
@@ -109,14 +111,6 @@ type Spec struct {
 	SPSeed   int64 `json:"sp_seed,omitempty"`
 	// YearsGrid lists the sweep lifetimes (default 0, 3.3, 6.6, 10).
 	YearsGrid []float64 `json:"years_grid,omitempty"`
-
-	// SubmitKey is an optional client-chosen idempotency key: a resend
-	// of the same logical submission (a retry after a lost response)
-	// carries the same key and maps onto the already-accepted job
-	// instead of creating a duplicate. The key embeds the content hash
-	// of the spec, and the server verifies that hash on a dedup hit, so
-	// a replayed key can never attach to different work.
-	SubmitKey string `json:"submit_key,omitempty"`
 }
 
 // fill applies the spec defaults shared by the runner and the cache-key
@@ -272,7 +266,8 @@ type Job struct {
 
 // admission ends when a new job's first record write does: done closes
 // with receipt, the record as accepted, or with err, why the job was
-// refused. Submit and every resend of the job's submit key wait on it.
+// refused. The job's Submit waits on it, also when a worker took the job
+// straight from Submit and its running record is the one written.
 type admission struct {
 	done    chan struct{}
 	receipt *Job

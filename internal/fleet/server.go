@@ -104,10 +104,6 @@ type Server struct {
 	// jobs holds the accepted jobs: each one's first record is durable.
 	jobs    map[string]*Job
 	cancels map[string]context.CancelFunc // running jobs only
-	// byKey maps a Spec.SubmitKey to its job (idempotent resubmit), from
-	// the moment the job has an ID: a resend that finds the job not yet
-	// accepted waits for its first record.
-	byKey map[string]*Job
 	// quarantined lists the records copied into quarantine/ at startup
 	// (file names) — served on /metrics so corruption is loud even
 	// though it no longer stops the daemon.
@@ -182,7 +178,6 @@ func New(opts Options) (*Server, error) {
 		netlists: blobs,
 		jobs:     make(map[string]*Job),
 		cancels:  make(map[string]context.CancelFunc),
-		byKey:    make(map[string]*Job),
 		handoff:  make(chan *Job),
 		ctx:      ctx,
 		cancel:   cancel,
@@ -249,9 +244,6 @@ func New(opts Options) (*Server, error) {
 			}
 		}
 		s.jobs[j.ID] = j
-		if j.Spec.SubmitKey != "" {
-			s.byKey[j.Spec.SubmitKey] = j
-		}
 	}
 	if err := s.log.recover(rec, changed); err != nil {
 		cancel()
@@ -522,12 +514,8 @@ func (s *Server) accept(j *Job) {
 	j.adm = nil // the receipt holds the source; Submit holds the receipt
 }
 
-// refuse drops a new job before acceptance and frees its submit key, so
-// a resend waiting on it makes its own. Caller holds s.mu.
+// refuse drops a new job before acceptance. Caller holds s.mu.
 func (s *Server) refuse(j *Job, err error) {
-	if s.byKey[j.Spec.SubmitKey] == j {
-		delete(s.byKey, j.Spec.SubmitKey)
-	}
 	j.adm.err = err
 	close(j.adm.done)
 }
@@ -570,28 +558,14 @@ func (s *Server) takeSlot() bool {
 	return true
 }
 
-// specHash is the content address of a job's spec — what a SubmitKey
-// binds to. The key itself is excluded (it names the submission
-// attempt, not the work), so a replayed key provably carries identical
-// work; the netlist is represented by its hash.
-func specHash(j *Job) string {
-	c := j.Spec
-	c.SubmitKey, c.Verilog = "", j.NetlistSHA
-	data, _ := json.Marshal(&c)
-	return store.HashBytes(data)
-}
-
 // Submit validates and accepts a spec, returning the accepted record:
 // a new job is offered to an idle worker first, whose running record is
 // the acceptance, and only a job that has to wait is written queued and
 // put on the queue. Either way the record is durable before Submit
 // returns, and a submission that is refused leaves none.
 //
-// A spec carrying a SubmitKey the server has seen before is an
-// idempotent resend (a client retry after a lost response): the
-// already-accepted job is returned instead of a duplicate — after
-// verifying the spec's content hash matches, so a colliding key can
-// never hand back someone else's work.
+// Every accepted submission is a job of its own: the daemon keeps no
+// key that would fold a resend onto an earlier job.
 //
 // A sweep's netlist is resolved before the server lock is taken (see
 // source), so a hash the daemon does not hold costs neither a job ID
@@ -610,8 +584,8 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 	if spec.Kind == KindCampaign {
 		j.Progress.Total = CampaignTotal(spec.PerClass)
 	}
-	if prior, err := s.reserve(j); prior != nil || err != nil {
-		return prior, err
+	if err := s.reserve(j); err != nil {
+		return nil, err
 	}
 	adm := j.adm // j itself is the worker's once it is accepted
 	if !s.offer(j) {
@@ -629,37 +603,18 @@ func (s *Server) offer(j *Job) bool {
 	return idle && s.handOff(j)
 }
 
-// reserve gives j an ID and binds its submit key to it, or returns the
-// job a resend of that key names. A resend that finds that job not yet
-// accepted waits for its first record: it gets the job once accepted,
-// and makes its own if the job was refused.
-func (s *Server) reserve(j *Job) (*Job, error) {
+// reserve gives j an ID, or refuses it once the server is closed.
+func (s *Server) reserve(j *Job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for prior := s.byKey[j.Spec.SubmitKey]; prior != nil; prior = s.byKey[j.Spec.SubmitKey] { // byKey never holds the empty key
-		if specHash(prior) != specHash(j) {
-			return nil, fmt.Errorf("fleet: submit key %q already bound to different work (job %s)",
-				j.Spec.SubmitKey, prior.ID)
-		}
-		if s.jobs[prior.ID] == prior {
-			return snapshot(prior), nil
-		}
-		adm := prior.adm
-		s.mu.Unlock()
-		<-adm.done
-		s.mu.Lock()
-	}
 	if s.closed {
-		return nil, errClosed
+		return errClosed
 	}
 	s.seq++
 	j.ID = fmt.Sprintf("j%06d", s.seq)
 	j.CacheHit = s.store.Contains(probeKey(j))
 	j.ckpt = ckptPath(s.opts.Dir, j.ID)
-	if j.Spec.SubmitKey != "" {
-		s.byKey[j.Spec.SubmitKey] = j
-	}
-	return nil, nil
+	return nil
 }
 
 // enqueue accepts a new job no idle worker took: it promises the job a

@@ -60,6 +60,41 @@ func TestSubmitRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// submitKeyIgnored posts each body, which carries submit_key, a field
+// the daemon no longer reads and decodes like any other unknown field.
+// Each POST is a job of its own, and no record carries the key.
+func submitKeyIgnored(t *testing.T, bodies ...string) {
+	s := unstarted(t, Options{})
+	h := s.Handler()
+	for _, body := range bodies {
+		if w := post(h, body); w.Code != http.StatusAccepted {
+			t.Fatalf("%s answered %d, want 202: %s", body, w.Code, w.Body)
+		}
+	}
+	jobs := s.Jobs()
+	if len(jobs) != len(bodies) {
+		t.Fatalf("%d POSTs under one submit_key left %d jobs, want %d", len(bodies), len(jobs), len(bodies))
+	}
+	for _, j := range jobs {
+		if f := lastFrame(t, s.opts.Dir, j.ID); bytes.Contains(f, []byte("submit_key")) {
+			t.Errorf("job %s's record carries the key: %s", j.ID, f)
+		}
+	}
+}
+
+// TestRetryDistinctSubmitsStayDistinct: two identical submissions under
+// one submit_key are two jobs.
+func TestRetryDistinctSubmitsStayDistinct(t *testing.T) {
+	alu := `{"kind":"lift","unit":"ALU","submit_key":"k1"}`
+	submitKeyIgnored(t, alu, alu)
+}
+
+// TestSubmitKeyRejectsDifferentWork: different work under one
+// submit_key is no longer refused; each submission is its own job.
+func TestSubmitKeyRejectsDifferentWork(t *testing.T) {
+	submitKeyIgnored(t, `{"kind":"lift","unit":"ALU","submit_key":"k1"}`, `{"kind":"lift","unit":"FPU","submit_key":"k1"}`)
+}
+
 // countingReader counts the bytes a handler pulled from a request body.
 type countingReader struct {
 	r io.Reader

@@ -186,7 +186,8 @@ func TestBatchedMatchesScalar(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	// The same cases every run; FuzzBatchedVsScalar draws new ones.
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

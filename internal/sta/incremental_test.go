@@ -50,7 +50,8 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	// The same cases every run; FuzzIncrementalSTA draws new ones.
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -34,8 +34,6 @@
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sync"
 
@@ -155,12 +153,4 @@ func (s *Store) Stats() Stats {
 		Inflight:  len(s.inflight),
 		Len:       ls.Len,
 	}
-}
-
-// HashBytes returns the content address of a submission body: a
-// truncated hex SHA-256. 96 bits keeps keys short in logs while staying
-// far beyond birthday range for any plausible fleet population.
-func HashBytes(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:12])
 }

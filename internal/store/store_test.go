@@ -227,18 +227,3 @@ func TestConcurrentMixedKeys(t *testing.T) {
 		t.Errorf("Inflight = %d after quiesce", st.Inflight)
 	}
 }
-
-func TestHashBytes(t *testing.T) {
-	a := HashBytes([]byte("module alu"))
-	b := HashBytes([]byte("module alu"))
-	c := HashBytes([]byte("module fpu"))
-	if a != b {
-		t.Errorf("hash not deterministic: %s vs %s", a, b)
-	}
-	if a == c {
-		t.Errorf("distinct content collided: %s", a)
-	}
-	if len(a) != 24 {
-		t.Errorf("hash length = %d, want 24 hex chars", len(a))
-	}
-}

@@ -264,18 +264,9 @@ type allowGroup struct {
 // never sets, grouped by why each one stays.
 var knobAllow = []allowGroup{
 	{"a seam a test substitutes: the in-process child runner of the ledger's own tests, the one " +
-		"compiled store a crash matrix shares across its restarts, the jitter seed that makes retry " +
-		"timing reproducible", []string{
+		"compiled store a crash matrix shares across its restarts", []string{
 		"internal/bench.Options.Spawn",
 		"internal/fleet.Options.Store",
-		"internal/fleet.RetryPolicy.Seed",
-	}},
-	{"retry tuning of fleet.Client.Retry, which no binary, example or ledger workload sets: " +
-		"only the retry tests turn retry on, with a shortened backoff (ROADMAP item 13: retry by " +
-		"default, or delete)", []string{
-		"internal/fleet.RetryPolicy.Max",
-		"internal/fleet.RetryPolicy.Base",
-		"internal/fleet.RetryPolicy.MaxDelay",
 	}},
 	{"the load harness's population shape: vega-fleetd -loadtest runs the default mix, and " +
 		"the load tests shrink it", []string{
