@@ -2,6 +2,7 @@ package aging
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -37,7 +38,8 @@ func TestDelayFactorMonotonic(t *testing.T) {
 		loY, hiY := math.Min(yr1, yr2), math.Max(yr1, yr2)
 		return m.DelayFactor(cell.XOR2, 0.3, hiY) >= m.DelayFactor(cell.XOR2, 0.3, loY)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	// The same cases every run.
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -101,7 +103,8 @@ func TestLibraryInterpolation(t *testing.T) {
 		got := lib.Factor(cell.NAND2, sp)
 		return math.Abs(got-want) < 1e-4 // linear interpolation error
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	// The same cases every run.
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 	// Out-of-range SPs clamp.

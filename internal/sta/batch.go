@@ -124,10 +124,10 @@ func Annotate(nl *netlist.Netlist, cfg BatchConfig, corners []Corner) *Annotatio
 	return a
 }
 
-// Analyze is the analysis step: delay fill, clock arrivals and
-// propagation over a pooled slab, then the endpoint checks and path
-// enumeration. It returns one Result per corner, whose Factor is a
-// read-only view of the Annotation's column.
+// Analyze is the analysis step: clock arrivals and propagation over a
+// pooled slab, then the endpoint checks and path enumeration. It
+// returns one Result per corner, whose Factor is a read-only view of
+// the Annotation's column.
 func (a *Annotation) Analyze() []*Result {
 	if len(a.cols) == 0 {
 		return nil
@@ -141,8 +141,7 @@ func (a *Annotation) Analyze() []*Result {
 // evaluate runs the forward half of an analysis into a fresh pooled
 // state, which the caller releases.
 func (a *Annotation) evaluate() *batchState {
-	st := newBatchState(a.g, len(a.cols))
-	st.fillDelays(a.factor, a.cfg.Base, a.scale)
+	st := newBatchState(a.g, len(a.cols), a.factor, a.cfg.Base, a.scale)
 	st.computeClockArrivals()
 	st.propagate()
 	return st
@@ -368,11 +367,12 @@ type enumRecord struct {
 func (g *TimingGraph) walk(st *batchState, j *enumJob, limit int) enumRecord {
 	K, k, req := st.K, j.k, j.required
 	setup := j.typ == Setup
-	arr, delay := st.arrMax, st.dmax
+	arr, tab := st.arrMax, &st.tMax
 	if !setup {
-		arr, delay = st.arrMin, st.dmin
+		arr, tab = st.arrMin, &st.tMin
 	}
-	clk := st.clk
+	clk, scale := st.clk, st.scale
+	factor := st.factor[k*g.numCells : (k+1)*g.numCells]
 
 	var rec enumRecord
 	stepped := false // an entry followed the last hit
@@ -412,8 +412,9 @@ func (g *TimingGraph) walk(st *batchState, j *enumJob, limit int) enumRecord {
 				continue
 			}
 		}
+		delay := float64(tab[g.kind[d]] * factor[d] * scale) // as cellDelays
 		if cls == classDFF {
-			total := clk[int(g.clkNet[d])*K+k] + delay[int(d)*K+k] + f.suffix
+			total := clk[int(g.clkSlot[d])*K+k] + delay + f.suffix
 			var slack float64
 			if setup {
 				slack = req - total
@@ -426,7 +427,7 @@ func (g *TimingGraph) walk(st *batchState, j *enumJob, limit int) enumRecord {
 			}
 			continue
 		}
-		child := f.suffix + delay[int(d)*K+k]
+		child := f.suffix + delay
 		lo, hi := g.cellInLo[d], g.cellInLo[d+1]
 		for jx := hi - 1; jx >= lo; jx-- {
 			stack = append(stack, frame{n: g.cellIn[jx], suffix: child})
@@ -437,30 +438,35 @@ func (g *TimingGraph) walk(st *batchState, j *enumJob, limit int) enumRecord {
 }
 
 // batchState is the mutable evaluation state of one analysis:
-// structure-of-arrays timing data, corner-contiguous per net/cell
-// (index*K+k), so a node's K corner values share a cache line.
+// structure-of-arrays arrivals, corner-contiguous per net or clock slot
+// (index*K+k), so a node's K corner values share a cache line. Delays
+// are not stored: cellDelays derives them from the factor columns.
 type batchState struct {
 	g *TimingGraph
 	K int
 
+	factor      []float64 // K corner-major factor columns, numCells apart
+	tMax, tMin  [cell.NumKinds]float64
+	scale       float64
 	setup, hold float64
 
 	slab []float64 // pooled backing store of the layers below
 
 	// SoA layers, [index*K + k].
-	dmin, dmax     []float64 // per cell
-	clk            []float64 // per net: clock arrival
 	arrMax, arrMin []float64 // per net: data arrival
+	clk            []float64 // per clock slot: clock arrival
 	hiS, loS       []float64 // propagate scratch
+	dxS, dnS       []float64 // cellDelays scratch
 }
 
 // slabPool recycles evaluation slabs across AnalyzeCorners calls. Every
 // lane of a recycled slab is either rewritten before it is read —
-// fillDelays covers all cells, propagate covers every driven net and
-// sentinel-fills g.untimed, computeClockArrivals zeroes g.clkRoots and
-// writes every driven clock net — or never read at all, so no clearing
-// sweep is needed. In a sweep loop this removes the dominant allocation:
-// megabytes of zeroing plus the GC pressure of churning them.
+// propagate covers every driven net and sentinel-fills g.untimed,
+// computeClockArrivals zeroes g.clkRoots and writes every driven clock
+// slot, cellDelays writes its scratch before returning it — or never
+// read at all, so no clearing sweep is needed. In a sweep loop this
+// removes the dominant allocation: megabytes of zeroing plus the GC
+// pressure of churning them.
 var slabPool sync.Pool
 
 func getSlab(n int) []float64 {
@@ -472,18 +478,23 @@ func getSlab(n int) []float64 {
 
 func putSlab(s []float64) { slabPool.Put(&s) }
 
-func newBatchState(g *TimingGraph, K int) *batchState {
-	st := &batchState{g: g, K: K}
-	cellN, netN := g.numCells*K, g.numNets*K
-	st.slab = getSlab(2*cellN + 3*netN + 2*K)
+func newBatchState(g *TimingGraph, K int, factor []float64, base *cell.Library, scale float64) *batchState {
+	st := &batchState{g: g, K: K, factor: factor, scale: scale}
+	for kd, t := range base.Timing {
+		st.tMax[kd], st.tMin[kd] = t.DelayMax, t.DelayMin
+	}
+	dff := base.Timing[cell.DFF]
+	st.setup, st.hold = dff.Setup*scale, dff.Hold*scale
+	netN, clkN := g.numNets*K, g.numClk*K
+	st.slab = getSlab(2*netN + clkN + 4*K)
 	slab := st.slab
-	st.dmin, slab = slab[:cellN:cellN], slab[cellN:]
-	st.dmax, slab = slab[:cellN:cellN], slab[cellN:]
-	st.clk, slab = slab[:netN:netN], slab[netN:]
 	st.arrMax, slab = slab[:netN:netN], slab[netN:]
 	st.arrMin, slab = slab[:netN:netN], slab[netN:]
+	st.clk, slab = slab[:clkN:clkN], slab[clkN:]
 	st.hiS, slab = slab[:K:K], slab[K:]
-	st.loS = slab[:K:K]
+	st.loS, slab = slab[:K:K], slab[K:]
+	st.dxS, slab = slab[:K:K], slab[K:]
+	st.dnS = slab[:K:K]
 	return st
 }
 
@@ -596,28 +607,45 @@ func (a *Annotation) computeFactors() {
 	putSlab(gridFlat)
 }
 
-// fillDelays writes every cell's aged, scaled delay lanes from
-// corner-major factor columns with the scalar oracle's expression,
-// t.Delay * f * scale. A fresh lane's factor is exactly 1, and x·1 is x,
-// so it holds the fresh delay bit for bit.
-func (st *batchState) fillDelays(factor []float64, base *cell.Library, scale float64) {
-	g, K, nc := st.g, st.K, st.g.numCells
-	for i := 0; i < nc; i++ {
-		t := base.Timing[g.kind[i]]
-		b := i * K
-		dn := st.dmin[b : b+K : b+K]
-		dx := st.dmax[b : b+K : b+K]
-		idx := i
-		for k := range dn {
-			f := factor[idx]
-			dn[k] = t.DelayMin * f * scale
-			dx[k] = t.DelayMax * f * scale
-			idx += nc
-		}
+// cellDelays writes cell i's K max and min delay lanes into the delay
+// scratch and returns it. Each lane is the scalar oracle's expression,
+// t.Delay * f * scale, over the factor column; a fresh lane's factor is
+// exactly 1, and x·1 is x, so it is the fresh delay bit for bit. The
+// explicit conversion rounds the product before any caller adds it to
+// an arrival: Go lets a compiler fuse a multiply into a following add
+// (arm64 does, to FMADDD), and a fused sum is not the oracle's, which
+// adds a delay it stored. The scratch is shared, so the path walks,
+// which run in parallel, derive their delays inline instead.
+func (st *batchState) cellDelays(i int) (dx, dn []float64) {
+	kd, nc := st.g.kind[i], st.g.numCells
+	tx, tn, scale := st.tMax[kd], st.tMin[kd], st.scale
+	dx, dn = st.dxS, st.dnS
+	idx := i
+	for k := range dx {
+		f := st.factor[idx]
+		dx[k] = float64(tx * f * scale)
+		dn[k] = float64(tn * f * scale)
+		idx += nc
 	}
-	dff := base.Timing[cell.DFF]
-	st.setup = dff.Setup * scale
-	st.hold = dff.Hold * scale
+	return dx, dn
+}
+
+// launch writes flip-flop i's launch (Q) arrivals, its clock arrival
+// plus its clk-to-q delay, and reports whether any lane changed.
+func (st *batchState) launch(i int) bool {
+	g, K := st.g, st.K
+	qb, kb := int(g.outNet[i])*K, int(g.clkSlot[i])*K
+	am := st.arrMax[qb : qb+K : qb+K]
+	an := st.arrMin[qb : qb+K : qb+K]
+	ck := st.clk[kb : kb+K]
+	dx, dn := st.cellDelays(i)
+	changed := false
+	for k := range am {
+		hi, lo := ck[k]+dx[k], ck[k]+dn[k]
+		changed = changed || hi != am[k] || lo != an[k]
+		am[k], an[k] = hi, lo
+	}
+	return changed
 }
 
 // computeClockArrivals propagates clock arrivals down the tree for every
@@ -626,18 +654,14 @@ func (st *batchState) fillDelays(factor []float64, base *cell.Library, scale flo
 // same root-to-leaf sum in the same association order.
 func (st *batchState) computeClockArrivals() {
 	g, K := st.g, st.K
-	for _, n := range g.clkRoots {
-		b := int(n) * K
-		dst := st.clk[b : b+K : b+K]
-		for k := range dst {
-			dst[k] = 0
-		}
+	for _, s := range g.clkRoots {
+		clear(st.clk[int(s)*K : int(s)*K+K])
 	}
 	for i := range g.clockOps {
 		op := &g.clockOps[i]
 		src := st.clk[int(op.in)*K : int(op.in)*K+K]
 		dst := st.clk[int(op.out)*K : int(op.out)*K+K : int(op.out)*K+K]
-		d := st.dmax[int(op.cellID)*K : int(op.cellID)*K+K]
+		d, _ := st.cellDelays(int(op.cellID))
 		for k := range dst {
 			dst[k] = src[k] + d[k]
 		}
@@ -665,17 +689,7 @@ func (st *batchState) propagate() {
 		}
 	}
 	for i := range g.endpoints {
-		e := &g.endpoints[i]
-		qb, cb, kb := int(e.q)*K, int(e.cellID)*K, int(e.clk)*K
-		am := st.arrMax[qb : qb+K : qb+K]
-		an := st.arrMin[qb : qb+K : qb+K]
-		ck := st.clk[kb : kb+K]
-		dx := st.dmax[cb : cb+K]
-		dn := st.dmin[cb : cb+K]
-		for k := range am {
-			am[k] = ck[k] + dx[k]
-			an[k] = ck[k] + dn[k]
-		}
+		st.launch(int(g.endpoints[i].cellID))
 	}
 	for i := range g.combOps {
 		st.propOp(i)
@@ -683,21 +697,20 @@ func (st *batchState) propagate() {
 }
 
 // propOp re-evaluates one combinational op's output arrivals from its
-// current input arrivals and delay lanes. It is the single propagation
-// kernel: the full pass above calls it for every op in topo order, and
-// the incremental worklist (incremental.go) calls it for exactly the
-// dirty cone — same code, so re-evaluated lanes are bitwise what a full
-// pass would write.
+// current input arrivals and its cellDelays. It is the single
+// propagation kernel: the full pass above calls it for every op in
+// topo order, and the incremental worklist (incremental.go) calls it
+// for exactly the dirty cone — same code, so re-evaluated lanes are
+// bitwise what a full pass would write.
 func (st *batchState) propOp(i int) {
 	g, K := st.g, st.K
 	hiS, loS := st.hiS, st.loS
 	op := &g.combOps[i]
 	lo, hi := g.cellInLo[op.cellID], g.cellInLo[op.cellID+1]
-	ob, cb := int(op.out)*K, int(op.cellID)*K
+	ob := int(op.out) * K
 	om := st.arrMax[ob : ob+K : ob+K]
 	on := st.arrMin[ob : ob+K : ob+K]
-	dx := st.dmax[cb : cb+K]
-	dn := st.dmin[cb : cb+K]
+	dx, dn := st.cellDelays(int(op.cellID))
 	ab := int(g.cellIn[lo]) * K
 	am := st.arrMax[ab : ab+K]
 	an := st.arrMin[ab : ab+K]
@@ -740,23 +753,20 @@ func (st *batchState) propOp(i int) {
 	}
 }
 
-// delaysForCell recomputes cell i's factor and delay lanes — the
-// incremental engine's per-cell form of computeFactors and fillDelays.
-// It must mirror them bitwise: same interpolation expression over the
-// same tabulated values in the same order (the grid SoA re-layout copies
-// values verbatim, so reading the library rows directly interpolates the
-// identical operands), then the same delay expression. The differential
-// tests and FuzzIncrementalSTA hold the two to byte-identical Results.
-func (inc *Incremental) delaysForCell(i int) {
-	st, g, K, nc := inc.st, inc.g, inc.K, inc.g.numCells
+// factorsForCell recomputes cell i's factor lanes — the incremental
+// engine's per-cell form of computeFactors — and reports whether any
+// changed. It must mirror computeFactors bitwise: same interpolation
+// expression over the same tabulated values in the same order (the grid
+// SoA re-layout copies values verbatim, so reading the library rows
+// directly interpolates the identical operands). The differential tests
+// and FuzzIncrementalSTA hold the two to byte-identical Results.
+func (inc *Incremental) factorsForCell(i int) bool {
+	g, nc := inc.g, inc.g.numCells
 	var sp float64
 	if inc.cfg.Profile != nil {
 		sp = inc.cfg.Profile.SP[g.outNet[i]]
 	}
-	t := inc.cfg.Base.Timing[g.kind[i]]
-	base := i * K
-	dn := st.dmin[base : base+K : base+K]
-	dx := st.dmax[base : base+K : base+K]
+	changed := false
 	for k, lib := range inc.libs {
 		f := 1.0
 		if lib != nil {
@@ -779,8 +789,8 @@ func (inc *Incremental) delaysForCell(i int) {
 			}
 			f = s0*omf + s1*frac
 		}
+		changed = changed || f != inc.factor[k*nc+i]
 		inc.factor[k*nc+i] = f
-		dn[k] = t.DelayMin * f * inc.scale
-		dx[k] = t.DelayMax * f * inc.scale
 	}
+	return changed
 }

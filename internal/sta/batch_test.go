@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -213,6 +216,88 @@ func TestClockLanesMatchOracle(t *testing.T) {
 			}
 		}
 		st.release()
+	}
+}
+
+// TestEvaluationSlabHoldsArrivalsOnly pins the evaluation slab's
+// shape: two arrival lanes per net, one clock lane per clock net (a
+// clock cell's clock input and output, a flip-flop's clock pin) and
+// four K-lane scratch rows. Delays are derived at use, so no layer is
+// per cell.
+func TestEvaluationSlabHoldsArrivalsOnly(t *testing.T) {
+	gated := false
+	for seed := int64(0); seed < 10; seed++ {
+		nl, cfg, corners := randomCase(seed)
+		clockNets := map[netlist.NetID]bool{}
+		for _, c := range nl.Cells {
+			switch {
+			case c.Kind.IsClock():
+				clockNets[c.In[0]], clockNets[c.Out] = true, true
+				gated = gated || c.Kind == cell.CLKGATE
+			case c.Kind == cell.DFF:
+				clockNets[c.Clk] = true
+			}
+		}
+		st := Annotate(nl, cfg, corners).evaluate()
+		K := len(corners)
+		if st.g.numClk != len(clockNets) {
+			t.Errorf("seed %d: %d clock slots for %d clock nets", seed, st.g.numClk, len(clockNets))
+		}
+		if want := K*(2*nl.NumNets+len(clockNets)) + 4*K; len(st.slab) != want {
+			t.Errorf("seed %d: slab holds %d float64s, want %d (K=%d, %d nets, %d clock nets)",
+				seed, len(st.slab), want, K, nl.NumNets, len(clockNets))
+		}
+		st.release()
+	}
+	if !gated {
+		t.Fatal("no case had a gated clock tree")
+	}
+}
+
+// TestDelayKernelsDoNotFuse: every kernel that adds a derived delay to an
+// arrival must add the rounded product, as the scalar oracle does with
+// the delay it stored. Go lets a compiler fuse a multiply into an add,
+// and arm64 does (FMADDD), so this compiles the package for arm64 and
+// fails on a fused multiply-add in any of them.
+func TestDelayKernelsDoNotFuse(t *testing.T) {
+	goCmd, err := exec.LookPath("go")
+	if err != nil {
+		t.Skipf("no go command on PATH: %v", err)
+	}
+	cmd := exec.Command(goCmd, "build", "-gcflags=repro/internal/sta=-S", ".")
+	cmd.Env = append(os.Environ(), "GOARCH=arm64")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("arm64 build: %v\n%s", err, out)
+	}
+	listed := map[string]bool{}
+	for _, fn := range []string{"(*batchState).cellDelays", "(*batchState).launch", "(*batchState).propOp",
+		"(*batchState).propagate", "(*batchState).computeClockArrivals", "(*TimingGraph).walk",
+		"(*Incremental).refreshEndpointQ"} {
+		listed["repro/internal/sta."+fn] = false
+	}
+	fn := ""
+	for _, line := range strings.Split(string(out), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[1] == "STEXT" {
+			fn = f[0]
+			if _, ok := listed[fn]; ok {
+				listed[fn] = true
+			}
+			continue
+		}
+		if _, ok := listed[fn]; !ok {
+			continue
+		}
+		for _, op := range []string{"FMADDD", "FMSUBD", "FNMADDD", "FNMSUBD"} {
+			if strings.Contains(line, "\t"+op+"\t") {
+				t.Errorf("%s fuses on arm64: %s", fn, strings.TrimSpace(line))
+			}
+		}
+	}
+	for fn, seen := range listed {
+		if !seen {
+			t.Errorf("no arm64 listing of %s", fn)
+		}
 	}
 }
 

@@ -28,18 +28,19 @@ type combOp struct {
 	out    netlist.NetID
 }
 
-// clockOp is one clock-network cell in topological order; out's clock
-// arrival is in's plus the cell's (aged) max delay.
+// clockOp is one clock-network cell in topological order; slot out's
+// clock arrival is slot in's plus the cell's (aged) max delay.
 type clockOp struct {
 	cellID  netlist.CellID
-	out, in netlist.NetID
+	out, in int32
 }
 
 // endpoint is one flip-flop, in cell order — the order the scalar
 // analysis scans endpoints in, which the batched merge must reproduce.
 type endpoint struct {
-	cellID    netlist.CellID
-	d, clk, q netlist.NetID
+	cellID netlist.CellID
+	d, q   netlist.NetID
+	clk    int32 // clock slot
 }
 
 // TimingGraph is the reusable compiled form of a netlist for timing
@@ -52,10 +53,10 @@ type TimingGraph struct {
 	numCells int
 
 	// Per-cell tables.
-	kind   []cell.Kind
-	class  []uint8
-	outNet []netlist.NetID
-	clkNet []netlist.NetID // DFF clock pin; NoNet otherwise
+	kind    []cell.Kind
+	class   []uint8
+	outNet  []netlist.NetID
+	clkSlot []int32 // DFF clock pin's clock slot; -1 otherwise
 
 	// Per-net driving cell (flattened copy of netlist.Driver).
 	driver []netlist.CellID
@@ -76,10 +77,13 @@ type TimingGraph struct {
 	// exactly these lanes instead of sweeping the whole arrival arrays.
 	untimed []netlist.NetID
 
-	// Clock nets the evaluation reads but no clock cell drives — tree
-	// roots, whose arrival is zero by definition. Like untimed, listed
-	// so evaluation state can be reused without a full clearing sweep.
-	clkRoots []netlist.NetID
+	// The clock nets — clock-cell inputs and outputs and flip-flop clock
+	// pins — numbered densely as clock slots 0..numClk-1: only they carry
+	// a clock arrival. clkRoots are the slots no clock cell drives (tree
+	// roots, arrival zero by definition), listed like untimed so
+	// evaluation state can be reused without a full clearing sweep.
+	numClk   int
+	clkRoots []int32
 
 	// Cell kinds the netlist actually instantiates. The corner-major
 	// characterization grid is only materialized for these rows.
@@ -108,7 +112,7 @@ func CompileGraph(nl *netlist.Netlist) *TimingGraph {
 	g.kind = make([]cell.Kind, g.numCells)
 	g.class = make([]uint8, g.numCells)
 	g.outNet = make([]netlist.NetID, g.numCells)
-	g.clkNet = make([]netlist.NetID, g.numCells)
+	g.clkSlot = make([]int32, g.numCells)
 	g.driver = make([]netlist.CellID, g.numNets)
 	for n := range g.driver {
 		g.driver[n] = nl.Driver(netlist.NetID(n))
@@ -120,6 +124,15 @@ func CompileGraph(nl *netlist.Netlist) *TimingGraph {
 	}
 	g.cellInLo = make([]int32, g.numCells+1)
 	g.cellIn = make([]netlist.NetID, 0, totalIn)
+	slots := make(map[netlist.NetID]int32) // clock net -> slot, compile only
+	slot := func(n netlist.NetID) int32 {
+		s, ok := slots[n]
+		if !ok {
+			s = int32(len(slots))
+			slots[n] = s
+		}
+		return s
+	}
 
 	for i := range nl.Cells {
 		c := &nl.Cells[i]
@@ -127,12 +140,13 @@ func CompileGraph(nl *netlist.Netlist) *TimingGraph {
 		g.cellIn = append(g.cellIn, c.In...)
 		g.kind[i] = c.Kind
 		g.outNet[i] = c.Out
-		g.clkNet[i] = c.Clk
+		g.clkSlot[i] = -1
 		switch {
 		case c.Kind == cell.DFF:
 			g.class[i] = classDFF
+			g.clkSlot[i] = slot(c.Clk)
 			g.endpoints = append(g.endpoints, endpoint{
-				cellID: netlist.CellID(i), d: c.In[0], clk: c.Clk, q: c.Out,
+				cellID: netlist.CellID(i), d: c.In[0], clk: g.clkSlot[i], q: c.Out,
 			})
 		case c.Kind.IsClock(), c.Kind == cell.TIE0, c.Kind == cell.TIE1:
 			g.class[i] = classStop
@@ -149,7 +163,7 @@ func CompileGraph(nl *netlist.Netlist) *TimingGraph {
 		case classStop:
 			if g.kind[cid].IsClock() {
 				g.clockOps = append(g.clockOps, clockOp{
-					cellID: cid, out: g.outNet[cid], in: g.cellIn[g.cellInLo[cid]],
+					cellID: cid, out: slot(g.outNet[cid]), in: slot(g.cellIn[g.cellInLo[cid]]),
 				})
 			}
 		}
@@ -176,22 +190,15 @@ func CompileGraph(nl *netlist.Netlist) *TimingGraph {
 		}
 	}
 
-	clkDriven := make(map[netlist.NetID]bool, len(g.clockOps))
+	g.numClk = len(slots)
+	clkDriven := make([]bool, g.numClk)
 	for i := range g.clockOps {
 		clkDriven[g.clockOps[i].out] = true
 	}
-	rootSeen := make(map[netlist.NetID]bool)
-	addRoot := func(n netlist.NetID) {
-		if !clkDriven[n] && !rootSeen[n] {
-			rootSeen[n] = true
-			g.clkRoots = append(g.clkRoots, n)
+	for s, driven := range clkDriven {
+		if !driven {
+			g.clkRoots = append(g.clkRoots, int32(s))
 		}
-	}
-	for i := range g.clockOps {
-		addRoot(g.clockOps[i].in)
-	}
-	for i := range g.endpoints {
-		addRoot(g.endpoints[i].clk)
 	}
 
 	// Fanout CSR for incremental re-timing: two counting passes, no

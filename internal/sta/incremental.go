@@ -5,33 +5,33 @@ import (
 	"repro/internal/netlist"
 )
 
-// This file is the incremental re-timing path of the batched STA engine.
-// A full AnalyzeCorners pass recomputes every cell's delay and every
-// net's arrival even when only a handful of signal probabilities moved —
-// the common shape of profile refinement and instrumentation sweeps.
-// Incremental keeps the whole
-// evaluation state (delay, clock and arrival lanes) alive between
-// analyses and, per update, recomputes only the forward fanout cone of
-// the cells whose delays actually changed: changed cells seed a worklist
-// of combinational-op positions, drained in ascending topological order
-// through the same propOp kernel the full pass runs, and propagation
-// stops wherever a recomputed arrival is bitwise unchanged. Results are
-// byte-identical to a from-scratch AnalyzeCorners — arrivals outside the
-// cone already hold the values a full pass would rewrite from identical
-// operands, and cone members are re-evaluated by the identical kernel —
-// a contract enforced by differential test and FuzzIncrementalSTA, in
-// the same proof style as the batched engine itself.
+// This file is the incremental re-timing path of the batched STA
+// engine. A full AnalyzeCorners pass recomputes every cell's delay
+// and every net's arrival even when only a handful of signal
+// probabilities moved — the common shape of profile refinement and
+// instrumentation sweeps. Incremental keeps the whole evaluation
+// state (clock and arrival lanes) alive between analyses and, per
+// update, recomputes only the forward fanout cone of the cells whose
+// factors, and so delays, actually changed: changed cells seed a
+// worklist of combinational-op positions, drained in ascending
+// topological order through the same propOp kernel the full pass
+// runs, and propagation stops wherever a recomputed arrival is
+// bitwise unchanged. Results are byte-identical to a from-scratch
+// AnalyzeCorners — arrivals outside the cone already hold the values
+// a full pass would rewrite from identical operands, and cone members
+// are re-evaluated by the identical kernel — a contract enforced by
+// differential test and FuzzIncrementalSTA, in the same proof style
+// as the batched engine itself.
 
 // Incremental is a persistent multi-corner STA over one netlist: one
 // full evaluation at construction, then cone-sized re-analyses as the SP
 // profile moves. Not safe for concurrent use.
 type Incremental struct {
-	g     *TimingGraph
-	cfg   BatchConfig
-	libs  []*aging.Library
-	scale float64
-	K     int
-	st    *batchState
+	g    *TimingGraph
+	cfg  BatchConfig
+	libs []*aging.Library
+	K    int
+	st   *batchState
 
 	// Factor double-buffer, corner-major like Annotation.factor. Results
 	// hands out zero-copy views into the live factor buffer and marks it
@@ -77,7 +77,6 @@ func NewIncremental(nl *netlist.Netlist, cfg BatchConfig, corners []Corner) *Inc
 		g:           g,
 		cfg:         cfg,
 		libs:        a.libs,
-		scale:       a.scale,
 		K:           K,
 		st:          a.evaluate(),
 		factor:      a.factor,
@@ -143,6 +142,7 @@ func (inc *Incremental) beginUpdate() {
 	}
 	inc.touched = inc.touched[:0]
 	inc.factor, inc.spare = inc.spare, inc.factor
+	inc.st.factor = inc.factor
 	inc.escaped = false
 }
 
@@ -165,21 +165,17 @@ func (inc *Incremental) UpdateSP(changed []netlist.NetID) []*Result {
 	return inc.Results()
 }
 
-// touchCell recomputes cell i's delay lanes and, when they changed
-// bitwise, seeds the re-timing worklist: a combinational cell enqueues
-// its own op, a flip-flop refreshes its launch (Q) arrival and enqueues
-// the readers, a clock cell dirties the whole clock network.
+// touchCell recomputes cell i's factor lanes and, when they changed
+// bitwise (a delay is a pure function of its factor), seeds the
+// re-timing worklist: a combinational cell enqueues its own op, a
+// flip-flop refreshes its launch (Q) arrival and enqueues the readers,
+// a clock cell dirties the whole clock network.
 func (inc *Incremental) touchCell(i int, clocksDirty *bool) {
-	st, K := inc.st, inc.K
 	if !inc.inTouched[i] {
 		inc.inTouched[i] = true
 		inc.touched = append(inc.touched, int32(i))
 	}
-	base := i * K
-	copy(inc.oldHi, st.dmax[base:base+K])
-	copy(inc.oldLo, st.dmin[base:base+K])
-	inc.delaysForCell(i)
-	if lanesEqual(inc.oldHi, st.dmax[base:base+K]) && lanesEqual(inc.oldLo, st.dmin[base:base+K]) {
+	if !inc.factorsForCell(i) {
 		return
 	}
 	g := inc.g
@@ -196,30 +192,11 @@ func (inc *Incremental) touchCell(i int, clocksDirty *bool) {
 	}
 }
 
-// refreshEndpointQ rewrites DFF i's launch arrivals (clock arrival plus
-// clk-to-q delay, the same expression the full pass initializes
-// endpoints with) and seeds the Q net's readers if they moved.
+// refreshEndpointQ rewrites DFF i's launch arrivals with the full
+// pass's launch and seeds the Q net's readers if they moved.
 func (inc *Incremental) refreshEndpointQ(i int) {
-	st, g, K := inc.st, inc.g, inc.K
-	q, clk := g.outNet[i], g.clkNet[i]
-	qb, cb, kb := int(q)*K, i*K, int(clk)*K
-	am := st.arrMax[qb : qb+K : qb+K]
-	an := st.arrMin[qb : qb+K : qb+K]
-	ck := st.clk[kb : kb+K]
-	dx := st.dmax[cb : cb+K]
-	dn := st.dmin[cb : cb+K]
-	changed := false
-	for k := range am {
-		hi := ck[k] + dx[k]
-		lo := ck[k] + dn[k]
-		if hi != am[k] || lo != an[k] {
-			changed = true
-		}
-		am[k] = hi
-		an[k] = lo
-	}
-	if changed {
-		inc.seedReaders(q)
+	if inc.st.launch(i) {
+		inc.seedReaders(inc.g.outNet[i])
 	}
 }
 

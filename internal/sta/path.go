@@ -57,13 +57,13 @@ func WorstPath(nl *netlist.Netlist, cfg Config, end netlist.CellID) (*PathReport
 		return nil, fmt.Errorf("sta: endpoint %s is not a flip-flop", c.Name)
 	}
 	// One corner of the batched engine: with K = 1 the corner-contiguous
-	// layers are indexed by net or cell ID directly.
+	// layers are indexed by net or clock slot directly.
 	a := Annotate(nl, cfg.batch(), make([]Corner, 1))
 	g := a.g
 	st := a.evaluate()
 	defer st.release() // the report copies values, it keeps no view of the slab
 
-	d := c.In[0]
+	d, ck := c.In[0], st.clk[g.clkSlot[end]]
 	if st.arrMax[d] == negInf {
 		return nil, fmt.Errorf("sta: endpoint %s has no timed path", c.Name)
 	}
@@ -71,8 +71,8 @@ func WorstPath(nl *netlist.Netlist, cfg Config, end netlist.CellID) (*PathReport
 		Type:       Setup,
 		End:        end,
 		EndName:    c.Name,
-		CapturePs:  st.clk[c.Clk],
-		RequiredPs: cfg.PeriodPs + st.clk[c.Clk] - st.setup,
+		CapturePs:  ck,
+		RequiredPs: cfg.PeriodPs + ck - st.setup,
 		ArrivalPs:  st.arrMax[d],
 	}
 	rep.SlackPs = rep.RequiredPs - rep.ArrivalPs
@@ -87,14 +87,15 @@ func WorstPath(nl *netlist.Netlist, cfg Config, end netlist.CellID) (*PathReport
 			return nil, fmt.Errorf("sta: path backtrack reached an input net %s", nl.NetName(n))
 		}
 		dc := &nl.Cells[drv]
+		dx, _ := st.cellDelays(int(drv))
 		stages = append(stages, PathStage{
 			Cell: drv, Name: dc.Name, Kind: dc.Kind,
-			DelayPs: st.dmax[drv], ArrivalPs: st.arrMax[n], Factor: a.factor[drv],
+			DelayPs: dx[0], ArrivalPs: st.arrMax[n], Factor: a.factor[drv],
 		})
 		if dc.Kind == cell.DFF {
 			rep.Start = drv
 			rep.StartName = dc.Name
-			rep.LaunchPs = st.clk[dc.Clk]
+			rep.LaunchPs = st.clk[g.clkSlot[drv]]
 			break
 		}
 		best := netlist.NoNet
