@@ -104,10 +104,14 @@ func (l *Library) Factor(k cell.Kind, sp float64) float64 {
 	if sp >= 1 {
 		return l.factors[k][gridPoints-1]
 	}
-	pos := sp * float64(gridPoints-1)
+	// The conversions round the position and both products, so no
+	// compiler fuses them (arm64 would, to FNMSUBD and FMADDD): the
+	// batched STA's interpolation rounds the same way, and bit-identity
+	// with it must not rest on two call sites fusing alike.
+	pos := float64(sp * float64(gridPoints-1))
 	i := int(pos)
 	frac := pos - float64(i)
-	return l.factors[k][i]*(1-frac) + l.factors[k][i+1]*frac
+	return float64(l.factors[k][i]*(1-frac)) + float64(l.factors[k][i+1]*frac)
 }
 
 // FactorRow exposes the tabulated factor row for kind k (one value per

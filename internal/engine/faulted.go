@@ -212,27 +212,52 @@ func resize(s []uint64, n int) []uint64 {
 // pooled state — Seeded overwrites every word a settle reads.
 var seededPool = sync.Pool{New: func() any { return new(FaultedPacked) }}
 
-// Seeded returns an evaluator of fp in the state a snapshot of one lane
-// describes, broadcast to every lane: each state net holds its bit of
-// nets (ExtractLane's layout), site si's history register hists[si], the
-// LFSR lfsr, and no lane is retired. Combinational nets hold nothing
-// until the first Settle, which evaluates every run; settle before
-// reading or clocking. The evaluator's storage may come from one an
-// earlier continuation released; pair it with Release.
-func Seeded(fp *FaultedProgram, nets []uint64, hists []bool, lfsr uint16) *FaultedPacked {
+// Snapshot is one lane's state, everything a continuation of the lane
+// is seeded from: its bit of every state net, the history bits of the
+// sites whose lane mask holds it, and the shared LFSR.
+type Snapshot struct {
+	nets  []uint64 // the k-th state net in ascending net order is bit k%64 of word k/64
+	hists []bool   // in site order
+	lfsr  uint16
+}
+
+// Snapshot reads lane's state. Its history bits are those of the lane's
+// own sites, in site order: a continuation that compiles exactly those
+// sites, in that order, finds each one's register.
+func (e *FaultedPacked) Snapshot(lane int) Snapshot {
+	state := e.feeds.state
+	s := Snapshot{nets: make([]uint64, (len(state)+63)/64), lfsr: e.lfsr}
+	for k, n := range state {
+		s.nets[k/64] |= (e.vals[n] >> uint(lane) & 1) << uint(k%64)
+	}
+	for si := range e.fp.sites {
+		if e.fp.sites[si].lanes>>uint(lane)&1 == 1 {
+			s.hists = append(s.hists, e.hist[si]>>uint(lane)&1 == 1)
+		}
+	}
+	return s
+}
+
+// Seeded returns an evaluator of fp in the state snap describes,
+// broadcast to every lane, with no lane retired; site si's history
+// register holds snap's si-th history bit. Combinational nets hold
+// nothing until the first Settle, which evaluates every run; settle
+// before reading or clocking. The evaluator's storage may come from one
+// an earlier continuation released; pair it with Release.
+func Seeded(fp *FaultedProgram, snap Snapshot) *FaultedPacked {
 	e := seededPool.Get().(*FaultedPacked)
 	e.bind(fp)
 	for k, n := range e.feeds.state {
-		e.vals[n] = -(nets[k/64] >> uint(k%64) & 1)
+		e.vals[n] = -(snap.nets[k/64] >> uint(k%64) & 1)
 	}
 	e.full = true
-	for si, v := range hists[:len(e.hist)] {
+	for si, v := range snap.hists[:len(e.hist)] {
 		e.hist[si] = 0
 		if v {
 			e.hist[si] = ^uint64(0)
 		}
 	}
-	e.lfsr = lfsr
+	e.lfsr = snap.lfsr
 	e.ret = 0
 	return e
 }
@@ -302,32 +327,10 @@ func (e *FaultedPacked) Lane(n netlist.NetID, lane int) bool {
 	return e.vals[n]>>uint(lane)&1 == 1
 }
 
-// ExtractLane returns one lane's value of every state net — the nets no
-// op drives, which determine every settled net — one bit each (the k-th
-// state net in ascending net order is bit k%64 of word k/64): the
-// snapshot a retired lane's continuation is seeded from.
-func (e *FaultedPacked) ExtractLane(lane int) []uint64 {
-	state := e.feeds.state
-	dst := make([]uint64, (len(state)+63)/64)
-	for k, n := range state {
-		dst[k/64] |= (e.vals[n] >> uint(lane) & 1) << uint(k%64)
-	}
-	return dst
-}
-
-// HistLane reads one lane of site si's history register (meaningful for
-// setup sites with Start != End; false otherwise).
-func (e *FaultedPacked) HistLane(si, lane int) bool {
-	return e.hist[si]>>uint(lane)&1 == 1
-}
-
 // Retire removes lanes from overlay evaluation. Retired lanes keep
 // evaluating as (meaningless) golden traffic in the word-parallel base
 // update but cost nothing extra.
 func (e *FaultedPacked) Retire(mask uint64) { e.ret |= mask }
-
-// LFSR returns the shared CRandom LFSR state.
-func (e *FaultedPacked) LFSR() uint16 { return e.lfsr }
 
 // Settle propagates all 64 lanes through the combinational logic in
 // program order, evaluating a run only when one of the flags it reads is

@@ -98,7 +98,7 @@ func TestGuardCleanRandomOps(t *testing.T) {
 // property per guard (rather than per operation), so a failure names
 // the offending guard directly.
 func TestGuardCleanQuick(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 2000}
+	cfg := &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1))}
 	for _, g := range All(UnitFPU) {
 		g := g
 		prop := func(opRaw, a, b uint32) bool {

@@ -155,14 +155,15 @@ const (
 // retirement is one retired lane: where it diverged and the full lane
 // state snapshot its continuation is seeded from.
 type retirement struct {
-	lane  int // wave lane (1..63)
-	kind  retKind
-	op    uint64   // 0-based unit-op index of the physical divergence
-	wait  int      // retWait: driver wait-loop index at which golden rose
-	r, f  uint32   // retReturned: the lane's response
-	snap  []uint64 // one bit per state net (engine.ExtractLane): lane value at the snapshot settle
-	hists []bool   // per fault site: overlay history-register value
-	lfsr  uint16   // shared CRandom LFSR state
+	lane int // wave lane (1..63)
+	kind retKind
+	op   uint64 // 0-based unit-op index of the physical divergence
+	wait int    // retWait: driver wait-loop index at which golden rose
+	r, f uint32 // retReturned: the lane's response
+	// snap is the lane at the check's settle, before its clock edge:
+	// exactly the state a scalar driver holds when its wait-loop check
+	// runs.
+	snap engine.Snapshot
 }
 
 // packedBackend implements the unit backend over a FaultedPacked
@@ -170,10 +171,8 @@ type retirement struct {
 // against the behavioural model op by op); fault lanes retire at their
 // first divergent response.
 type packedBackend struct {
-	m      *module.Module
-	pe     *engine.FaultedPacked
-	siteLo []int // per lane: first overlay site index
-	siteHi []int // per lane: one past the last overlay site index
+	m  *module.Module
+	pe *engine.FaultedPacked
 
 	live uint64 // fault lanes still bit-identical to lane 0
 	ops  uint64
@@ -273,7 +272,7 @@ func (b *packedBackend) retireValues(mask uint64, k uint64) {
 				f |= 1 << uint(i)
 			}
 		}
-		b.rets = append(b.rets, b.snapshot(lane, retReturned, k, 0, r, f))
+		b.rets = append(b.rets, &retirement{lane: lane, kind: retReturned, op: k, r: r, f: f, snap: b.pe.Snapshot(lane)})
 	}
 	b.live &^= mask
 	b.pe.Retire(mask)
@@ -282,28 +281,10 @@ func (b *packedBackend) retireValues(mask uint64, k uint64) {
 func (b *packedBackend) retireWait(mask uint64, k uint64, i0 int) {
 	for m := mask; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros64(m)
-		b.rets = append(b.rets, b.snapshot(lane, retWait, k, i0, 0, 0))
+		b.rets = append(b.rets, &retirement{lane: lane, kind: retWait, op: k, wait: i0, snap: b.pe.Snapshot(lane)})
 	}
 	b.live &^= mask
 	b.pe.Retire(mask)
-}
-
-// snapshot captures a retiring lane at the current settled state:
-// original-net values, overlay history registers, LFSR. The snapshot is
-// taken before the clock edge of the check iteration — exactly the
-// state a scalar driver holds when its wait-loop check runs.
-func (b *packedBackend) snapshot(lane int, kind retKind, k uint64, i0 int, r, f uint32) *retirement {
-	ret := &retirement{
-		lane: lane, kind: kind, op: k, wait: i0, r: r, f: f,
-		snap: b.pe.ExtractLane(lane),
-		lfsr: b.pe.LFSR(),
-	}
-	lo, hi := b.siteLo[lane], b.siteHi[lane]
-	ret.hists = make([]bool, hi-lo)
-	for si := lo; si < hi; si++ {
-		ret.hists[si-lo] = b.pe.HistLane(si, lane)
-	}
-	return ret
 }
 
 // faultLane is the lane a continuation's single failure model runs in
@@ -416,7 +397,7 @@ func (b *resumeBackend) seed() error {
 	if err != nil {
 		return fmt.Errorf("inject: continuation for %s: %w", b.spec.String(), err)
 	}
-	b.pe = engine.Seeded(fp, b.ret.snap, b.ret.hists, b.ret.lfsr)
+	b.pe = engine.Seeded(fp, b.ret.snap)
 
 	nl := b.m.Netlist
 	ovPort, _ := nl.FindOutput(module.PortOutValid)
@@ -471,18 +452,13 @@ func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) 
 	var acct waveAcct
 
 	var overlays []engine.Overlay
-	siteLo := make([]int, len(idxs)+1)
-	siteHi := make([]int, len(idxs)+1)
 	for i, idx := range idxs {
-		lane := i + 1
-		siteLo[lane] = len(overlays)
 		for _, f := range cfg.Specs[idx].Faults {
 			if err := checkSite(cfg.Module, f); err != nil {
 				return nil, nil, acct, fmt.Errorf("injection %d (%s): %w", idx, cfg.Specs[idx].String(), err)
 			}
-			overlays = append(overlays, overlayFor(f, uint64(1)<<uint(lane)))
+			overlays = append(overlays, overlayFor(f, uint64(1)<<uint(i+1)))
 		}
-		siteHi[lane] = len(overlays)
 	}
 	fp, err := engine.CompileFaulted(engine.Cached(cfg.Module.Netlist), overlays)
 	if err != nil {
@@ -494,7 +470,6 @@ func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) 
 	flgPort, _ := nl.FindOutput(module.PortFlags)
 	pb := &packedBackend{
 		m: cfg.Module, pe: engine.NewFaultedPacked(fp),
-		siteLo: siteLo, siteHi: siteHi,
 		live:  (uint64(1)<<uint(len(idxs)+1) - 1) &^ 1,
 		ovNet: ovPort.Bits[0], resBits: resPort.Bits, flgBits: flgPort.Bits,
 	}

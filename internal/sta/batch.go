@@ -75,24 +75,37 @@ type BatchConfig struct {
 // pass and returns one Result per corner, each bit-identical to what
 // the scalar oracle produces for that corner alone.
 func AnalyzeCorners(nl *netlist.Netlist, cfg BatchConfig, corners []Corner) []*Result {
-	return Annotate(nl, cfg, corners).Analyze()
+	a := Annotate(nl, cfg, corners)
+	results := a.Analyze()
+	putSlab(&gridPool, a.gridSlab) // a is dropped here, and no Result views its grid
+	return results
 }
 
 // Annotation is a netlist characterized at K corners: its timing graph,
-// its corner libraries and every cell's aging factor at every corner.
-// The factors depend only on the libraries and each cell's SP, so a
-// caller that re-times one netlist under one profile (the fleet daemon's
-// warm sweep) keeps the Annotation and pays only for Analyze. It is
-// read-only once Annotate returns, so concurrent Analyze calls are safe.
+// its corner libraries, their factor grid and every cell's aging factor
+// at every corner. The factors depend only on the libraries and each
+// cell's SP, so a caller that re-times one netlist under one profile
+// (the fleet daemon's warm sweep) keeps the Annotation and pays only for
+// Analyze. It is read-only once Annotate returns, so concurrent Analyze
+// calls are safe; only an Incremental, which owns its Annotation,
+// rewrites factors.
 type Annotation struct {
 	g     *TimingGraph
 	cfg   BatchConfig
 	libs  []*aging.Library
 	scale float64
-	// factor holds K × cells float64s, corner-major; cols are its K
-	// per-corner columns, of which every Result.Factor is a view.
+	// factor holds K × cells float64s, corner-major; every Result.Factor
+	// is a view of one of its columns.
 	factor []float64
-	cols   [][]float64
+	// grid[kind] holds the kind's tabulated factors at every corner,
+	// corner-contiguous as [point*K + k] over the libraries' points grid
+	// points, for the kinds the netlist instantiates; it is nil when
+	// every corner is fresh. Its backing store, gridSlab, comes from
+	// gridPool. fresh lists the corners with no library.
+	grid     [cell.NumKinds][]float64
+	gridSlab []float64
+	points   int
+	fresh    []int
 }
 
 // Annotate is the characterization step of an analysis: it compiles (or
@@ -115,12 +128,9 @@ func Annotate(nl *netlist.Netlist, cfg BatchConfig, corners []Corner) *Annotatio
 		libs:   cornerLibs(nl.Name, cfg, corners),
 		scale:  scale,
 		factor: make([]float64, K*g.numCells),
-		cols:   make([][]float64, K),
 	}
-	for k := range a.cols {
-		a.cols[k] = a.factor[k*g.numCells : (k+1)*g.numCells : (k+1)*g.numCells]
-	}
-	a.computeFactors()
+	a.buildGrid()
+	a.interpolate(0, g.numCells)
 	return a
 }
 
@@ -129,11 +139,11 @@ func Annotate(nl *netlist.Netlist, cfg BatchConfig, corners []Corner) *Annotatio
 // returns one Result per corner, whose Factor is a read-only view of
 // the Annotation's column.
 func (a *Annotation) Analyze() []*Result {
-	if len(a.cols) == 0 {
+	if len(a.libs) == 0 {
 		return nil
 	}
 	st := a.evaluate()
-	results := checkAndEnumerate(a.g, st, a.cfg, len(a.cols), a.libs, a.cols)
+	results := a.check(st)
 	st.release() // walks are done; Results hold no views into the slab
 	return results
 }
@@ -141,7 +151,7 @@ func (a *Annotation) Analyze() []*Result {
 // evaluate runs the forward half of an analysis into a fresh pooled
 // state, which the caller releases.
 func (a *Annotation) evaluate() *batchState {
-	st := newBatchState(a.g, len(a.cols), a.factor, a.cfg.Base, a.scale)
+	st := newBatchState(a.g, len(a.libs), a.factor, a.cfg.Base, a.scale)
 	st.computeClockArrivals()
 	st.propagate()
 	return st
@@ -184,16 +194,14 @@ func cornerLibs(name string, cfg BatchConfig, corners []Corner) []*aging.Library
 	return aging.NewCornerGrid(cfg.Base, cfg.Model, years)
 }
 
-// checkAndEnumerate is the reporting half of a batched run: scan every
-// endpoint's slacks, enumerate the violating cones, and merge into one
-// Result per corner — without touching the propagation state, so the
-// incremental engine can call it repeatedly over a persistent state. The
-// factor columns to embed are passed in: the annotation's own, or the
-// incremental engine's live buffer, which no later update writes once
-// it has escaped.
-func checkAndEnumerate(g *TimingGraph, st *batchState, cfg BatchConfig, K int,
-	libs []*aging.Library, factorC [][]float64) []*Result {
-
+// check is the reporting half of a batched run: scan every endpoint's
+// slacks, enumerate the violating cones, and merge into one Result per
+// corner — without touching the propagation state, so the incremental
+// engine can call it repeatedly over a persistent state. Each Result's
+// Factor is a view of the annotation's column: an Incremental retires a
+// buffer it has handed out before its next update writes a factor.
+func (a *Annotation) check(st *batchState) []*Result {
+	g, cfg, K, nc := a.g, a.cfg, len(a.libs), a.g.numCells
 	maxPaths := cfg.MaxPaths
 	if maxPaths == 0 {
 		maxPaths = 200000
@@ -211,8 +219,8 @@ func checkAndEnumerate(g *TimingGraph, st *batchState, cfg BatchConfig, K int,
 			MaxPaths:    maxPaths,
 			PerEndpoint: perEndpoint,
 		}
-		if libs[k] != nil {
-			rcfg.Aged = libs[k]
+		if a.libs[k] != nil {
+			rcfg.Aged = a.libs[k]
 			rcfg.Profile = cfg.Profile
 		} else {
 			rcfg.Base = cfg.Base
@@ -221,7 +229,7 @@ func checkAndEnumerate(g *TimingGraph, st *batchState, cfg BatchConfig, K int,
 			Config:   rcfg,
 			WNSSetup: inf,
 			WNSHold:  inf,
-			Factor:   factorC[k],
+			Factor:   a.factor[k*nc : (k+1)*nc : (k+1)*nc],
 		}
 	}
 
@@ -467,16 +475,25 @@ type batchState struct {
 // read at all, so no clearing sweep is needed. In a sweep loop this
 // removes the dominant allocation: megabytes of zeroing plus the GC
 // pressure of churning them.
-var slabPool sync.Pool
+//
+// gridPool recycles the factor grids of the annotations AnalyzeCorners
+// drops. It is not slabPool, whose slabs a kept annotation would keep;
+// a grid allocated per call made BenchmarkLifetimeSweep/ALU/batched
+// 5–11 % slower.
+var slabPool, gridPool sync.Pool
 
-func getSlab(n int) []float64 {
-	if p, _ := slabPool.Get().(*[]float64); p != nil && cap(*p) >= n {
+func getSlab(pool *sync.Pool, n int) []float64 {
+	if p, _ := pool.Get().(*[]float64); p != nil && cap(*p) >= n {
 		return (*p)[:n]
 	}
 	return make([]float64, n)
 }
 
-func putSlab(s []float64) { slabPool.Put(&s) }
+func putSlab(pool *sync.Pool, s []float64) {
+	if s != nil {
+		pool.Put(&s)
+	}
+}
 
 func newBatchState(g *TimingGraph, K int, factor []float64, base *cell.Library, scale float64) *batchState {
 	st := &batchState{g: g, K: K, factor: factor, scale: scale}
@@ -486,7 +503,7 @@ func newBatchState(g *TimingGraph, K int, factor []float64, base *cell.Library, 
 	dff := base.Timing[cell.DFF]
 	st.setup, st.hold = dff.Setup*scale, dff.Hold*scale
 	netN, clkN := g.numNets*K, g.numClk*K
-	st.slab = getSlab(2*netN + clkN + 4*K)
+	st.slab = getSlab(&slabPool, 2*netN+clkN+4*K)
 	slab := st.slab
 	st.arrMax, slab = slab[:netN:netN], slab[netN:]
 	st.arrMin, slab = slab[:netN:netN], slab[netN:]
@@ -500,111 +517,99 @@ func newBatchState(g *TimingGraph, K int, factor []float64, base *cell.Library, 
 
 // release returns the pooled slab; the state must not be used after.
 func (st *batchState) release() {
-	putSlab(st.slab)
+	putSlab(&slabPool, st.slab)
 	st.slab = nil
 }
 
-// computeFactors writes every cell's aging factor at every corner — the
-// only interpolation loop of the batched engine. Factors go through the
-// same Library.Factor interpolation the scalar analysis uses — not the
-// separable shortcut — because bit-identity is the contract, and
-// interpolating tabulated 1+x values is not bitwise the same as 1 +
-// interpolating x. The grid position and interpolation weights depend
-// only on the cell's SP, so they are hoisted out of the corner loop and
-// applied to each corner's factor row directly.
-func (a *Annotation) computeFactors() {
-	g, K, cfg := a.g, len(a.cols), a.cfg
-	var freshLanes []int
-	points := 0
+// buildGrid re-lays the corner libraries' characterization grid
+// corner-contiguous, so interpolating a cell reads two contiguous K-runs
+// instead of K scattered per-corner rows. Values are copied verbatim,
+// and only the kinds the netlist instantiates get rows. A fresh corner's
+// slots keep what a recycled grid held (zero, or another grid's
+// factors): interpolate overwrites its lanes with an exact 1.
+func (a *Annotation) buildGrid() {
+	g, K := a.g, len(a.libs)
 	for k, lib := range a.libs {
 		if lib == nil {
-			freshLanes = append(freshLanes, k)
+			a.fresh = append(a.fresh, k)
 		} else {
-			points = len(lib.FactorRow(0))
+			a.points = len(lib.FactorRow(0))
 		}
 	}
-	if len(freshLanes) == K {
-		for i := range a.factor {
-			a.factor[i] = 1
-		}
+	if a.points == 0 {
 		return
 	}
-	// Fresh lanes are fixed up after the unconditional interpolation
-	// below: an exact factor of 1 is not representable as a grid interp
-	// (omf+frac need not round back to 1), and a per-lane branch in the
-	// hot loop costs more than re-writing the handful of fresh lanes.
-
-	// Re-lay the characterization grid corner-contiguous: gridSoA[kind]
-	// holds that kind's tabulated rows as [point*K + k], so the per-cell
-	// interpolation below reads two contiguous K-runs instead of K
-	// scattered per-corner rows. Values are copied verbatim — the
-	// interpolation expression stays row[i0]*omf + row[i0+1]*frac.
-	// Only the kinds the netlist instantiates get grid rows; the other
-	// rows' slots stay dirty in the pooled slab and are never read (the
-	// per-cell loop below indexes gridSoA by instantiated kinds only).
-	gridFlat := getSlab(cell.NumKinds * points * K)
-	var gridSoA [cell.NumKinds][]float64
-	for _, kd := range g.usedKinds {
-		gridSoA[kd] = gridFlat[int(kd)*points*K : (int(kd)+1)*points*K : (int(kd)+1)*points*K]
+	n := a.points * K
+	a.gridSlab = getSlab(&gridPool, len(g.usedKinds)*n)
+	for u, kd := range g.usedKinds {
+		a.grid[kd] = a.gridSlab[u*n : (u+1)*n : (u+1)*n]
 	}
 	for k, lib := range a.libs {
 		if lib == nil {
-			// Keep the pooled slab's fresh-lane slots deterministic; the
-			// interpolated value is discarded by the fixup either way.
-			for _, kd := range g.usedKinds {
-				dst := gridSoA[kd]
-				for i := 0; i < points; i++ {
-					dst[i*K+k] = 1
-				}
-			}
 			continue
 		}
 		for _, kd := range g.usedKinds {
-			dst := gridSoA[kd]
+			dst := a.grid[kd]
 			for i, v := range lib.FactorRow(kd) {
 				dst[i*K+k] = v
 			}
 		}
 	}
-	last := points - 1
+}
 
-	// The factor columns are corner-major; stores walk them with a
-	// strength-reduced flat index (one column apart per lane).
-	fFlat := a.factor
-	for i := 0; i < g.numCells; i++ {
-		var sp float64
-		if cfg.Profile != nil {
-			sp = cfg.Profile.SP[g.outNet[i]]
-		}
-		grid := gridSoA[g.kind[i]]
-		var s0, s1 []float64
-		var omf, frac float64
-		if sp <= 0 || sp >= 1 {
-			ci := 0
-			if sp >= 1 {
-				ci = last
+// interpolate writes the aging factor of cells lo..hi-1 at every corner:
+// the one interpolation of the engine, which Annotate runs over every
+// cell and an Incremental over each cell whose SP moved. It is
+// Library.Factor's expression — not the separable shortcut, because
+// bit-identity is the contract, and interpolating tabulated 1+x values
+// is not bitwise the same as 1 + interpolating x — with the grid
+// position and weights, which depend only on the cell's SP, hoisted out
+// of the corner loop. The explicit conversions round the position and
+// both products, as Factor does, so no compiler fuses them (arm64
+// would, to FNMSUBD and FMADDD). A fresh corner's factor is written as
+// an exact 1 afterwards: omf+frac need not round back to 1, and one
+// fixup costs less than a per-lane branch.
+func (a *Annotation) interpolate(lo, hi int) {
+	g, K, nc, last := a.g, len(a.libs), a.g.numCells, a.points-1
+	factor, fresh, grids := a.factor, a.fresh, &a.grid
+	var sps []float64
+	if a.cfg.Profile != nil {
+		sps = a.cfg.Profile.SP
+	}
+	for i := lo; i < hi; i++ {
+		if grid := grids[g.kind[i]]; grid != nil {
+			var sp float64
+			if sps != nil {
+				sp = sps[g.outNet[i]]
 			}
-			s0 = grid[ci*K : ci*K+K]
-			s1 = s0
-			omf, frac = 1, 0
-		} else {
-			pos := sp * float64(last)
-			i0 := int(pos)
-			frac = pos - float64(i0)
-			omf = 1 - frac
-			s0 = grid[i0*K : i0*K+K]
-			s1 = grid[(i0+1)*K : (i0+1)*K+K]
+			var s0, s1 []float64
+			var omf, frac float64
+			if sp <= 0 || sp >= 1 {
+				ci := 0
+				if sp >= 1 {
+					ci = last
+				}
+				s0 = grid[ci*K : ci*K+K]
+				s1 = s0
+				omf, frac = 1, 0
+			} else {
+				pos := float64(sp * float64(last))
+				i0 := int(pos)
+				frac = pos - float64(i0)
+				omf = 1 - frac
+				s0 = grid[i0*K : i0*K+K]
+				s1 = grid[(i0+1)*K : (i0+1)*K+K]
+			}
+			idx := i
+			for k := range s0 {
+				factor[idx] = float64(s0[k]*omf) + float64(s1[k]*frac)
+				idx += nc
+			}
 		}
-		idx := i
-		for k := range s0 {
-			fFlat[idx] = s0[k]*omf + s1[k]*frac
-			idx += g.numCells
-		}
-		for _, k := range freshLanes {
-			fFlat[k*g.numCells+i] = 1
+		for _, k := range fresh {
+			factor[k*nc+i] = 1
 		}
 	}
-	putSlab(gridFlat)
 }
 
 // cellDelays writes cell i's K max and min delay lanes into the delay
@@ -751,46 +756,4 @@ func (st *batchState) propOp(i int) {
 			on[k] = loS[k] + dn[k]
 		}
 	}
-}
-
-// factorsForCell recomputes cell i's factor lanes — the incremental
-// engine's per-cell form of computeFactors — and reports whether any
-// changed. It must mirror computeFactors bitwise: same interpolation
-// expression over the same tabulated values in the same order (the grid
-// SoA re-layout copies values verbatim, so reading the library rows
-// directly interpolates the identical operands). The differential tests
-// and FuzzIncrementalSTA hold the two to byte-identical Results.
-func (inc *Incremental) factorsForCell(i int) bool {
-	g, nc := inc.g, inc.g.numCells
-	var sp float64
-	if inc.cfg.Profile != nil {
-		sp = inc.cfg.Profile.SP[g.outNet[i]]
-	}
-	changed := false
-	for k, lib := range inc.libs {
-		f := 1.0
-		if lib != nil {
-			row := lib.FactorRow(g.kind[i])
-			last := len(row) - 1
-			var s0, s1, omf, frac float64
-			if sp <= 0 || sp >= 1 {
-				ci := 0
-				if sp >= 1 {
-					ci = last
-				}
-				s0, s1 = row[ci], row[ci]
-				omf, frac = 1, 0
-			} else {
-				pos := sp * float64(last)
-				i0 := int(pos)
-				frac = pos - float64(i0)
-				omf = 1 - frac
-				s0, s1 = row[i0], row[i0+1]
-			}
-			f = s0*omf + s1*frac
-		}
-		changed = changed || f != inc.factor[k*nc+i]
-		inc.factor[k*nc+i] = f
-	}
-	return changed
 }

@@ -256,24 +256,26 @@ func TestEvaluationSlabHoldsArrivalsOnly(t *testing.T) {
 
 // TestDelayKernelsDoNotFuse: every kernel that adds a derived delay to an
 // arrival must add the rounded product, as the scalar oracle does with
-// the delay it stored. Go lets a compiler fuse a multiply into an add,
-// and arm64 does (FMADDD), so this compiles the package for arm64 and
+// the delay it stored, and the factor interpolation must round its
+// position and products in the engine as in the oracle's
+// aging.Library.Factor. Go lets a compiler fuse a multiply into an add,
+// and arm64 does (FMADDD), so this compiles sta and aging for arm64 and
 // fails on a fused multiply-add in any of them.
 func TestDelayKernelsDoNotFuse(t *testing.T) {
 	goCmd, err := exec.LookPath("go")
 	if err != nil {
 		t.Skipf("no go command on PATH: %v", err)
 	}
-	cmd := exec.Command(goCmd, "build", "-gcflags=repro/internal/sta=-S", ".")
+	cmd := exec.Command(goCmd, "build", "-gcflags=repro/internal/sta=-S", "-gcflags=repro/internal/aging=-S", ".")
 	cmd.Env = append(os.Environ(), "GOARCH=arm64")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("arm64 build: %v\n%s", err, out)
 	}
-	listed := map[string]bool{}
+	listed := map[string]bool{"repro/internal/aging.(*Library).Factor": false}
 	for _, fn := range []string{"(*batchState).cellDelays", "(*batchState).launch", "(*batchState).propOp",
 		"(*batchState).propagate", "(*batchState).computeClockArrivals", "(*TimingGraph).walk",
-		"(*Incremental).refreshEndpointQ"} {
+		"(*Incremental).refreshEndpointQ", "(*Annotation).interpolate"} {
 		listed["repro/internal/sta."+fn] = false
 	}
 	fn := ""

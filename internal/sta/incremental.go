@@ -1,9 +1,6 @@
 package sta
 
-import (
-	"repro/internal/aging"
-	"repro/internal/netlist"
-)
+import "repro/internal/netlist"
 
 // This file is the incremental re-timing path of the batched STA
 // engine. A full AnalyzeCorners pass recomputes every cell's delay
@@ -27,20 +24,16 @@ import (
 // full evaluation at construction, then cone-sized re-analyses as the SP
 // profile moves. Not safe for concurrent use.
 type Incremental struct {
-	g    *TimingGraph
-	cfg  BatchConfig
-	libs []*aging.Library
-	K    int
-	st   *batchState
+	a  *Annotation // owned: updates rewrite its factors
+	st *batchState
 
-	// Factor double-buffer, corner-major like Annotation.factor. Results
-	// hands out zero-copy views into the live factor buffer and marks it
-	// escaped; the next update swaps in the spare buffer, patch-copying
-	// only the cells whose factors were written since the previous swap
-	// (the touched list) — so an escaped Result's Factor columns are never
-	// written again, at O(touched*K) patch cost instead of an O(cells*K)
-	// snapshot copy per Results.
-	factor    []float64
+	// Factor double-buffer, behind a.factor. Results hands out zero-copy
+	// views into the live factor buffer and marks it escaped; the next
+	// update swaps in the spare buffer, patch-copying only the cells whose
+	// factors were written since the previous swap (the touched list) — so
+	// an escaped Result's Factor columns are never written again, at
+	// O(touched*K) patch cost instead of an O(cells*K) snapshot copy per
+	// Results.
 	spare     []float64
 	touched   []int32
 	inTouched []bool
@@ -69,24 +62,16 @@ func NewIncremental(nl *netlist.Netlist, cfg BatchConfig, corners []Corner) *Inc
 	if K == 0 {
 		panic("sta: NewIncremental needs at least one corner")
 	}
-	// The annotation never escapes, so its factor buffer becomes the
-	// live one.
 	a := Annotate(nl, cfg, corners)
-	g := a.g
-	inc := &Incremental{
-		g:           g,
-		cfg:         cfg,
-		libs:        a.libs,
-		K:           K,
+	return &Incremental{
+		a:           a,
 		st:          a.evaluate(),
-		factor:      a.factor,
-		dirty:       make([]bool, len(g.combOps)),
-		inTouched:   make([]bool, g.numCells),
+		dirty:       make([]bool, len(a.g.combOps)),
+		inTouched:   make([]bool, a.g.numCells),
 		oldHi:       make([]float64, K),
 		oldLo:       make([]float64, K),
-		LastRetimed: len(g.combOps),
+		LastRetimed: len(a.g.combOps),
 	}
-	return inc
 }
 
 // Close returns the pooled evaluation slab. The Incremental must not be
@@ -108,13 +93,8 @@ func (inc *Incremental) Close() {
 // retires it to the double-buffer's read-only side — so later updates
 // never mutate an escaped Result.
 func (inc *Incremental) Results() []*Result {
-	nc := inc.g.numCells
-	cols := make([][]float64, inc.K)
-	for k := range cols {
-		cols[k] = inc.factor[k*nc : (k+1)*nc : (k+1)*nc]
-	}
 	inc.escaped = true
-	return checkAndEnumerate(inc.g, inc.st, inc.cfg, inc.K, inc.libs, cols)
+	return inc.a.check(inc.st)
 }
 
 // beginUpdate makes the live factor buffer private before the first
@@ -127,13 +107,14 @@ func (inc *Incremental) beginUpdate() {
 	if !inc.escaped {
 		return
 	}
+	a := inc.a
 	if inc.spare == nil {
-		inc.spare = append([]float64(nil), inc.factor...)
+		inc.spare = append([]float64(nil), a.factor...)
 	} else {
-		K, nc := inc.K, inc.g.numCells
+		nc := a.g.numCells
 		for _, ci := range inc.touched {
-			for k := 0; k < K; k++ {
-				inc.spare[k*nc+int(ci)] = inc.factor[k*nc+int(ci)]
+			for k := 0; k < inc.st.K; k++ {
+				inc.spare[k*nc+int(ci)] = a.factor[k*nc+int(ci)]
 			}
 		}
 	}
@@ -141,8 +122,8 @@ func (inc *Incremental) beginUpdate() {
 		inc.inTouched[ci] = false
 	}
 	inc.touched = inc.touched[:0]
-	inc.factor, inc.spare = inc.spare, inc.factor
-	inc.st.factor = inc.factor
+	a.factor, inc.spare = inc.spare, a.factor
+	inc.st.factor = a.factor
 	inc.escaped = false
 }
 
@@ -155,7 +136,7 @@ func (inc *Incremental) UpdateSP(changed []netlist.NetID) []*Result {
 	inc.beginUpdate()
 	clocksDirty := false
 	for _, n := range changed {
-		cid := inc.g.driver[n]
+		cid := inc.a.g.driver[n]
 		if cid == netlist.NoCell {
 			continue // primary input: no cell's delay is keyed by this net
 		}
@@ -165,20 +146,31 @@ func (inc *Incremental) UpdateSP(changed []netlist.NetID) []*Result {
 	return inc.Results()
 }
 
-// touchCell recomputes cell i's factor lanes and, when they changed
-// bitwise (a delay is a pure function of its factor), seeds the
+// touchCell re-interpolates cell i's factor lanes and, when they
+// changed bitwise (a delay is a pure function of its factor), seeds the
 // re-timing worklist: a combinational cell enqueues its own op, a
 // flip-flop refreshes its launch (Q) arrival and enqueues the readers,
-// a clock cell dirties the whole clock network.
+// a clock cell dirties the whole clock network. The old lanes wait in
+// the arrival scratch, which the drain refills before it reads it.
 func (inc *Incremental) touchCell(i int, clocksDirty *bool) {
 	if !inc.inTouched[i] {
 		inc.inTouched[i] = true
 		inc.touched = append(inc.touched, int32(i))
 	}
-	if !inc.factorsForCell(i) {
+	a, old := inc.a, inc.oldHi
+	nc := a.g.numCells
+	for k := range old {
+		old[k] = a.factor[k*nc+i]
+	}
+	a.interpolate(i, i+1)
+	changed := false
+	for k, f := range old {
+		changed = changed || f != a.factor[k*nc+i]
+	}
+	if !changed {
 		return
 	}
-	g := inc.g
+	g := a.g
 	switch g.class[i] {
 	case classComb:
 		inc.seed(g.combPos[i])
@@ -196,7 +188,7 @@ func (inc *Incremental) touchCell(i int, clocksDirty *bool) {
 // pass's launch and seeds the Q net's readers if they moved.
 func (inc *Incremental) refreshEndpointQ(i int) {
 	if inc.st.launch(i) {
-		inc.seedReaders(inc.g.outNet[i])
+		inc.seedReaders(inc.a.g.outNet[i])
 	}
 }
 
@@ -205,7 +197,7 @@ func (inc *Incremental) refreshEndpointQ(i int) {
 // data network, and its arrivals feed every endpoint) and every launch
 // arrival is refreshed.
 func (inc *Incremental) finishUpdate(clocksDirty bool) {
-	st, g := inc.st, inc.g
+	st, g, K := inc.st, inc.a.g, inc.st.K
 	if clocksDirty {
 		st.computeClockArrivals()
 		for ei := range g.endpoints {
@@ -217,12 +209,12 @@ func (inc *Incremental) finishUpdate(clocksDirty bool) {
 		p := inc.heapPop()
 		inc.dirty[p] = false
 		op := &g.combOps[p]
-		ob := int(op.out) * inc.K
-		copy(inc.oldHi, st.arrMax[ob:ob+inc.K])
-		copy(inc.oldLo, st.arrMin[ob:ob+inc.K])
+		ob := int(op.out) * K
+		copy(inc.oldHi, st.arrMax[ob:ob+K])
+		copy(inc.oldLo, st.arrMin[ob:ob+K])
 		st.propOp(int(p))
 		retimed++
-		if !lanesEqual(inc.oldHi, st.arrMax[ob:ob+inc.K]) || !lanesEqual(inc.oldLo, st.arrMin[ob:ob+inc.K]) {
+		if !lanesEqual(inc.oldHi, st.arrMax[ob:ob+K]) || !lanesEqual(inc.oldLo, st.arrMin[ob:ob+K]) {
 			inc.seedReaders(op.out)
 		}
 	}
@@ -242,7 +234,7 @@ func lanesEqual(a, b []float64) bool {
 // data pin. Readers sit at higher topological positions than n's driver,
 // so the ascending drain evaluates each cone member exactly once.
 func (inc *Incremental) seedReaders(n netlist.NetID) {
-	g := inc.g
+	g := inc.a.g
 	for j := g.fanLo[n]; j < g.fanLo[n+1]; j++ {
 		inc.seed(g.fanOp[j])
 	}

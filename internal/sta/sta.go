@@ -138,52 +138,15 @@ func sortPairs(ps []PairSummary) {
 // design just meets setup timing. It is used to calibrate the synthesis
 // margin (see Calibrate).
 func CriticalDelay(nl *netlist.Netlist, base *cell.Library) float64 {
-	// Runs on the compiled graph: Calibrate is called at workflow
-	// construction for the same netlists the batched engine analyzes, so
-	// the compile is shared. Fresh and unscaled means the max-delay
-	// vector is just the library's (x·1·1 is bitwise x, so this matches
-	// the oracle's computeCellTiming exactly).
-	g := CachedGraph(nl)
-	dmax := make([]float64, g.numCells)
-	for i := 0; i < g.numCells; i++ {
-		dmax[i] = base.Timing[g.kind[i]].DelayMax
-	}
-	clk := make([]float64, g.numNets)
-	for i := range g.clockOps {
-		op := &g.clockOps[i]
-		clk[op.out] = clk[op.in] + dmax[op.cellID]
-	}
-	arrMax := make([]float64, g.numNets)
-	for n := range arrMax {
-		arrMax[n] = -inf
-	}
-	for i := range g.endpoints {
-		e := &g.endpoints[i]
-		arrMax[e.q] = clk[e.clk] + dmax[e.cellID]
-	}
-	for i := range g.combOps {
-		op := &g.combOps[i]
-		hi := -inf
-		lo, hiIdx := g.cellInLo[op.cellID], g.cellInLo[op.cellID+1]
-		for j := lo; j < hiIdx; j++ {
-			if a := arrMax[g.cellIn[j]]; a > hi {
-				hi = a
-			}
-		}
-		if hi > -inf {
-			arrMax[op.out] = hi + dmax[op.cellID]
-		}
-	}
-	setup := base.Timing[cell.DFF].Setup
+	// One fresh corner of the batched evaluation: every factor is exactly
+	// 1 and the scale is 1, so each delay is bitwise the library's.
+	a := Annotate(nl, BatchConfig{Base: base}, make([]Corner, 1))
+	st := a.evaluate()
+	defer st.release()
 	worst := 0.0
-	for i := range g.endpoints {
-		e := &g.endpoints[i]
-		if arrMax[e.d] == -inf {
-			continue
-		}
-		eff := arrMax[e.d] - clk[e.clk] + setup
-		if eff > worst {
-			worst = eff
+	for _, e := range a.g.endpoints {
+		if am := st.arrMax[e.d]; am > negInf {
+			worst = max(worst, am-st.clk[e.clk]+st.setup)
 		}
 	}
 	return worst

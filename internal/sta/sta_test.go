@@ -150,6 +150,46 @@ func TestCalibrateHitsMargin(t *testing.T) {
 	}
 }
 
+// TestCriticalDelayMatchesOracle: CriticalDelay is bitwise the largest
+// launch-to-capture setup requirement of the scalar oracle's fresh,
+// unscaled arrivals — on the ALU, the FPU and random netlists whose
+// clock trees are gated — so the calibrated scale, and every period
+// derived from it, rests on the oracle's numbers and no tolerance.
+func TestCriticalDelayMatchesOracle(t *testing.T) {
+	lib := cell.Lib28()
+	oracle := func(nl *netlist.Netlist) float64 {
+		a := newAnalysis(nl, Config{Base: lib})
+		a.computeCellTiming()
+		a.computeClockArrivals()
+		a.propagateArrivals()
+		worst := 0.0
+		for i, c := range nl.Cells {
+			if c.Kind == cell.DFF && a.arrMax[c.In[0]] > -inf {
+				worst = max(worst, a.arrMax[c.In[0]]-a.clkEarly[i]+a.setup)
+			}
+		}
+		return worst
+	}
+	nls := []*netlist.Netlist{alu.Build().Netlist, fpu.Build().Netlist}
+	gated := false
+	for seed := int64(0); seed < 40; seed++ {
+		nl := randomTimedNetlist(seed)
+		for _, c := range nl.Cells {
+			gated = gated || c.Kind == cell.CLKGATE
+		}
+		nls = append(nls, nl)
+	}
+	if !gated {
+		t.Fatal("no random netlist has a gated clock tree")
+	}
+	for _, nl := range nls {
+		got, want := CriticalDelay(nl, lib), oracle(nl)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: CriticalDelay %v, the oracle's fresh arrivals give %v", nl.Name, got, want)
+		}
+	}
+}
+
 // profileModule drives the module with a synthetic workload (ops spaced
 // by the given idle gap) and returns the SP profile.
 func profileModule(m *module.Module, ops int, gap int, seed int64, opGen func(*rand.Rand) (uint32, uint32, uint32)) *engine.Profile {

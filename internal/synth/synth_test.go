@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -42,7 +43,7 @@ func TestAdder32(t *testing.T) {
 		want := uint64(a) + uint64(b)
 		return got == want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -55,7 +56,7 @@ func TestSub32(t *testing.T) {
 	f := func(a, b uint32) bool {
 		return evalBinop(s, uint64(a), uint64(b)) == uint64(a-b)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -81,7 +82,7 @@ func TestCompares(t *testing.T) {
 			evalBinop(lts, uint64(a), uint64(b)) == wantLts &&
 			evalBinop(eq, uint64(a), uint64(b)) == wantEq
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 	// Edge cases quick.Check may miss.
@@ -107,7 +108,7 @@ func TestShifts(t *testing.T) {
 		okSra := evalBinop(sra, uint64(a), uint64(sh)) == uint64(uint32(int32(a)>>sh))
 		return okSll && okSrl && okSra
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -117,7 +118,7 @@ func TestMul16(t *testing.T) {
 	f := func(a, b uint16) bool {
 		return evalBinop(s, uint64(a), uint64(b)) == uint64(a)*uint64(b)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -147,7 +148,7 @@ func TestLZC(t *testing.T) {
 		}
 		return cnt == lzc16(a) && zero == wantZero
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 	if !f(0) || !f(1) || !f(0x8000) || !f(0xffff) {
@@ -165,7 +166,7 @@ func TestOnesCount(t *testing.T) {
 		}
 		return evalBinop(s, uint64(x), 0) == want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -189,7 +190,7 @@ func TestDecoderAndSelect(t *testing.T) {
 		want := uint64(b) >> (2 * s) & 3
 		return evalBinop(s2, s, uint64(b)) == want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -243,7 +244,7 @@ func TestMuxBusAndExtend(t *testing.T) {
 		}
 		return evalBinop(s, in, uint64(b)) == want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -342,7 +343,7 @@ func TestAdderCSel(t *testing.T) {
 		f := func(a, b uint32) bool {
 			return evalBinop(s, uint64(a), uint64(b)) == uint64(a)+uint64(b)
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(1))}); err != nil {
 			t.Fatalf("block size %d: %v", bs, err)
 		}
 	}

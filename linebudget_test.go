@@ -87,7 +87,14 @@ import (
 //	        per-cell delay lanes, the per-net clock layer and the DFF
 //	        launch spelled twice deleted against cellDelays, launch and
 //	        the clock slots.
-const lineBudget = 26_617
+//	26,517  one spelling per computation: CriticalDelay is one fresh
+//	        corner of the batched evaluation, an Incremental re-times on
+//	        the Annotation it owns through the one factor interpolation
+//	        (over a grid the annotation keeps, from a pool of its own),
+//	        and a lane snapshot is one engine value; the private fresh
+//	        pass, factorsForCell, ExtractLane/HistLane/LFSR and inject's
+//	        per-lane site tables deleted.
+const lineBudget = 26_517
 
 // TestLineBudget is the ratchet behind ROADMAP's "same numbers from the
 // least code": it counts the lines of every non-test Go file the census
