@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -160,10 +161,9 @@ func CompileFaulted(p *Program, overlays []Overlay) (*FaultedProgram, error) {
 //
 // Settle is gated: it re-evaluates only the runs whose inputs may have
 // changed since the last settle. That holds because every writer of
-// vals either marks the change flag of each net whose word it changed
-// (SetInput, Edge) or forces the next settle to evaluate every run
-// (Reset, Seeded); Settle itself records, per run, whether an output
-// word changed, for the runs after it to read.
+// vals either marks pending the readers of each net whose word it
+// changed (SetInput, Edge) or every run (Reset, Seeded); Settle itself
+// marks pending the readers of each run that changed an output word.
 type FaultedPacked struct {
 	fp     *FaultedProgram
 	prog   *Program
@@ -174,13 +174,10 @@ type FaultedPacked struct {
 	lfsr   uint16   // shared CRandom source (all failing-netlist LFSRs run in lock-step)
 	ret    uint64   // retired-lane mask
 
-	// changed is the bitset of feedTable's flags. A run's is set during a
-	// settle that changed one of its output words, a state net's when it
-	// is written with a different word; every settle ends with all clear.
-	// Bit w%64 of sum is set whenever word w of changed may be nonzero.
-	changed []uint64
-	sum     uint64
-	full    bool // the next settle evaluates every run
+	// pend is the bitset of runs the next settle evaluates, run r at bit
+	// r%64 of word r/64; every settle ends with it clear.
+	pend      []uint64
+	evaluated int // runs evaluated by every settle so far
 }
 
 // NewFaultedPacked creates a faulted evaluator in the reset state.
@@ -198,7 +195,17 @@ func (e *FaultedPacked) bind(fp *FaultedProgram) {
 	e.vals = resize(e.vals, fp.Prog.NumNets)
 	e.dffBuf = resize(e.dffBuf, len(fp.Prog.DFFs))
 	e.hist = resize(e.hist, len(fp.sites))
-	e.changed = resize(e.changed, (len(fp.Prog.Runs)+len(e.feeds.state)+63)/64)
+	e.pend = resize(e.pend, (len(fp.Prog.Runs)+63)/64)
+}
+
+// pendAll makes the next settle evaluate every run.
+func (e *FaultedPacked) pendAll() {
+	for i := range e.pend {
+		e.pend[i] = ^uint64(0)
+	}
+	if r := len(e.prog.Runs) % 64; r != 0 {
+		e.pend[len(e.pend)-1] = 1<<uint(r) - 1
+	}
 }
 
 func resize(s []uint64, n int) []uint64 {
@@ -250,7 +257,7 @@ func Seeded(fp *FaultedProgram, snap Snapshot) *FaultedPacked {
 	for k, n := range e.feeds.state {
 		e.vals[n] = -(snap.nets[k/64] >> uint(k%64) & 1)
 	}
-	e.full = true
+	e.pendAll()
 	for si, v := range snap.hists[:len(e.hist)] {
 		e.hist[si] = 0
 		if v {
@@ -293,7 +300,7 @@ func (e *FaultedPacked) Reset() {
 	}
 	e.lfsr = overlayLFSRSeed
 	e.ret = 0
-	e.full = true
+	e.pendAll()
 }
 
 // SetInput drives a (multi-bit) input port with the low len(port) bits
@@ -309,13 +316,16 @@ func (e *FaultedPacked) SetInput(name string, val uint64) {
 	}
 }
 
-// write sets state net n to w and marks its flag if the word changed.
+// write sets state net n to w and, if the word changed, marks the runs
+// that read it pending.
 func (e *FaultedPacked) write(n int32, w uint64) {
-	x, s := e.vals[n]^w, e.feeds.slot[n]
-	c := (x | -x) >> 63
-	e.changed[s/64] |= c << uint(s%64)
-	e.sum |= c << uint(s/64%64)
+	if e.vals[n] == w {
+		return
+	}
 	e.vals[n] = w
+	for _, rs := range e.feeds.readers[e.feeds.slot[n]] {
+		e.pend[rs.word] |= rs.mask
+	}
 }
 
 // Word reads the current word of net n. Callers settle explicitly
@@ -332,38 +342,28 @@ func (e *FaultedPacked) Lane(n netlist.NetID, lane int) bool {
 // update but cost nothing extra.
 func (e *FaultedPacked) Retire(mask uint64) { e.ret |= mask }
 
-// Settle propagates all 64 lanes through the combinational logic in
-// program order, evaluating a run only when one of the flags it reads is
-// set (or every run, after Reset or Seeded): a run whose inputs hold the
-// words of the last settle still holds that settle's outputs. A run
-// none of whose flag words can be nonzero is passed over on one load.
+// Settle propagates all 64 lanes through the combinational logic,
+// evaluating only the pending runs, in program order: a run whose inputs
+// hold the words of the last settle still holds that settle's outputs.
+// A run that changes an output word marks its readers pending; they all
+// come after it, so one ascending walk of the bitset settles everything.
 func (e *FaultedPacked) Settle() {
-	t, ch, ops, vals, sum := e.feeds, e.changed, e.prog.Ops, e.vals, e.sum
-	var force uint64
-	if e.full {
-		force, sum = 1, ^uint64(0)
-	}
-	lo := int32(0)
-	for r, rn := range e.prog.Runs {
-		hi := t.readLo[r+1]
-		in := force
-		if t.words[r]&sum != 0 {
-			for ; lo < hi; lo += readBlock {
-				w, m := t.readWord[lo:lo+readBlock], t.readMask[lo:lo+readBlock]
-				in |= ch[w[0]]&m[0] | ch[w[1]]&m[1]
+	readers, pend, runs, ops, vals := e.feeds.readers, e.pend, e.prog.Runs, e.prog.Ops, e.vals
+	n := 0
+	for w := range pend {
+		for pend[w] != 0 {
+			r := w*64 + bits.TrailingZeros64(pend[w])
+			pend[w] &= pend[w] - 1
+			n++
+			rn := runs[r]
+			if settleRun(rn.Kind, ops[rn.Lo:rn.Hi], vals) != 0 {
+				for _, rs := range readers[r] {
+					pend[rs.word] |= rs.mask
+				}
 			}
 		}
-		lo = hi
-		if in == 0 {
-			continue
-		}
-		d := settleRun(rn.Kind, ops[rn.Lo:rn.Hi], vals)
-		c := (d | -d) >> 63
-		ch[r/64] |= c << uint(r%64)
-		sum |= c << uint(r/64%64)
 	}
-	clear(ch)
-	e.sum, e.full = 0, false
+	e.evaluated += n
 }
 
 // settleRun evaluates one same-kind run of a gated settle and returns

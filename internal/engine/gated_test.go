@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -154,6 +155,104 @@ func FuzzGatedSettle(f *testing.F) {
 			t.Fatal("a gated settle differs from a full one")
 		}
 	})
+}
+
+// reachedRuns counts the runs of p a gated settle must evaluate, given
+// every net's word before the writes and after a full settle: those that
+// read a state net whose word changed, or a net of another run that
+// changed one of its output words (a run's change is one flag).
+func reachedRuns(p *engine.Program, before, after []uint64) int {
+	driver := make([]int, len(before))
+	for n := range driver {
+		driver[n] = -1
+	}
+	moved := make([]bool, len(p.Runs))
+	for r, rn := range p.Runs {
+		for _, op := range p.Ops[rn.Lo:rn.Hi] {
+			driver[op.Out] = r
+			moved[r] = moved[r] || before[op.Out] != after[op.Out]
+		}
+	}
+	n := 0
+	for r, rn := range p.Runs {
+		for _, op := range p.Ops[rn.Lo:rn.Hi] {
+			if slices.ContainsFunc(op.In[:op.NIn], func(in int32) bool {
+				d := driver[in]
+				return d < 0 && before[in] != after[in] || d >= 0 && d != r && moved[d]
+			}) {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// evaluatesOnlyReached drives a faulted evaluator of nl for a number of
+// cycles, each an optional clock edge and new words on a random subset
+// of the input ports, so no state net is written twice between settles.
+// It holds the runs each settle evaluates to reachedRuns, taken from the
+// words before the writes and after a full settle in the netlist's own
+// topological order; a settle after Reset, or right after another
+// settle, must evaluate every run and none.
+func evaluatesOnlyReached(t *testing.T, nl *netlist.Netlist, seed int64, cycles int) bool {
+	rng := rand.New(rand.NewSource(seed))
+	p := engine.Compile(nl)
+	tp := topoOrder(p)
+	fp, err := engine.CompileFaulted(p, laneOverlays(rng, nl, 1+rng.Intn(engine.Lanes-1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.NewFaultedPacked(fp)
+	defer e.Release()
+	settle := func() int {
+		n := engine.Evaluated(e)
+		e.Settle()
+		return engine.Evaluated(e) - n
+	}
+	if got := settle(); got != len(p.Runs) {
+		t.Logf("%s seed %d: the settle after Reset evaluated %d of %d runs", nl.Name, seed, got, len(p.Runs))
+		return false
+	}
+	for cyc := 0; cyc < cycles; cyc++ {
+		before := words(e, nl.NumNets)
+		if rng.Intn(2) == 0 {
+			e.Edge()
+		}
+		for _, port := range nl.Inputs {
+			if rng.Intn(2) == 0 {
+				e.SetInput(port.Name, rng.Uint64())
+			}
+		}
+		e.Retire(rng.Uint64() &^ 1)
+		after := words(e, nl.NumNets)
+		tp.settlePacked(after)
+		if got, want := settle(), reachedRuns(p, before, after); got != want {
+			t.Logf("%s seed %d cycle %d: a settle evaluated %d runs, %d read a change", nl.Name, seed, cyc, got, want)
+			return false
+		}
+		if got := settle(); got != 0 {
+			t.Logf("%s seed %d cycle %d: a settle with no write since the last evaluated %d runs", nl.Name, seed, cyc, got)
+			return false
+		}
+	}
+	return true
+}
+
+// TestGatedSettleEvaluatesOnlyReachedRuns: a gated settle does exactly
+// the work its rule names, on random netlists and on the ALU and FPU. A
+// scheduler that evaluated more runs than changes reach would still
+// pass TestGatedSettleMatchesFull.
+func TestGatedSettleEvaluatesOnlyReachedRuns(t *testing.T) {
+	check := func(seed int64) bool { return evaluatesOnlyReached(t, randomNetlist(seed%1024), seed, 20) }
+	if err := quick.Check(check, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
+	for seed, m := range []*module.Module{alu.Build(), fpu.Build()} {
+		if !evaluatesOnlyReached(t, m.Netlist, int64(seed), 100) {
+			t.Fatalf("%s: a settle evaluated other runs than the changes reach", m.Name)
+		}
+	}
 }
 
 // TestStateSnapshotRoundTrip: a continuation seeded from one lane's

@@ -103,10 +103,11 @@ type Program struct {
 }
 
 // feedTable maps every net to the change flag that covers it and lists
-// the flags each dispatch run reads. Flag r is run r's "an output word
+// the runs that read each flag. Flag r is run r's "an output word
 // changed in this settle"; flag len(Runs)+k is state net k's "written
-// with a different word since the last settle". A FaultedPacked keeps
-// the flags as a bitset, flag f at bit f%64 of word f/64.
+// with a different word since the last settle". A FaultedPacked marks a
+// raised flag's readers in its bitset of pending runs, run r at bit r%64
+// of word r/64.
 type feedTable struct {
 	// slot is the flag of each net: its driving run's index, or
 	// len(Runs)+k for state[k].
@@ -116,27 +117,23 @@ type feedTable struct {
 	// values are a function of these alone, so they are all a snapshot
 	// holds.
 	state []int32
-	// readWord[readLo[r]:readLo[r+1]] and readMask, pairwise, select the
-	// flags run r's ops read, less run r's own: a bitset word and the
-	// mask of those flags in it, per word they fall in, padded to whole
-	// blocks with empty masks.
-	readLo   []int32
-	readWord []int32
-	readMask []uint64
-	// words[r] sets bit w%64 for every bitset word w run r reads.
-	words []uint64
+	// readers[f] selects the runs that read flag f, less the run f itself:
+	// a bitset word and the mask of those runs in it, per word they fall
+	// in, ascending. Runs are in dependency order, so every reader of run
+	// r's flag comes after r.
+	readers [][]runSet
 }
 
-// readBlock is how many (word, mask) pairs a gated settle reads per step
-// (Settle names each). Three in four of the FPU's runs read flags in at
-// most two words, so nearly every check is one step and its loop exit
-// predictable.
-const readBlock = 2
+// runSet is a set of runs within one word of a pending-run bitset.
+type runSet struct {
+	word int32
+	mask uint64
+}
 
 // feedTable returns p's gated-settle tables, building them once.
 func (p *Program) feedTable() *feedTable {
 	p.feedsOnce.Do(func() {
-		t := &feedTable{slot: make([]int32, p.NumNets), readLo: make([]int32, len(p.Runs)+1)}
+		t := &feedTable{slot: make([]int32, p.NumNets)}
 		for n := range t.slot {
 			t.slot[n] = -1
 		}
@@ -151,34 +148,23 @@ func (p *Program) feedTable() *feedTable {
 				t.state = append(t.state, int32(n))
 			}
 		}
-		// mask[w] gathers one run's flags in word w, listed in words.
-		mask := make([]uint64, (len(p.Runs)+len(t.state)+63)/64)
-		var words []int32
+		t.readers = make([][]runSet, len(p.Runs)+len(t.state))
 		for r, run := range p.Runs {
+			w, bit := int32(r/64), uint64(1)<<uint(r%64)
 			for _, op := range p.Ops[run.Lo:run.Hi] {
 				for _, in := range op.In[:op.NIn] {
-					if s := t.slot[in]; s != int32(r) {
-						if mask[s/64] == 0 {
-							words = append(words, s/64)
-						}
-						mask[s/64] |= 1 << uint(s%64)
+					s := t.slot[in]
+					if s == int32(r) {
+						continue
 					}
+					rs := t.readers[s]
+					if len(rs) == 0 || rs[len(rs)-1].word != w {
+						rs = append(rs, runSet{word: w})
+					}
+					rs[len(rs)-1].mask |= bit
+					t.readers[s] = rs
 				}
 			}
-			var sum uint64
-			for _, w := range words {
-				sum |= 1 << uint(w%64)
-				t.readWord = append(t.readWord, w)
-				t.readMask = append(t.readMask, mask[w])
-				mask[w] = 0
-			}
-			for len(t.readWord)%readBlock != 0 {
-				t.readWord = append(t.readWord, 0)
-				t.readMask = append(t.readMask, 0)
-			}
-			words = words[:0]
-			t.readLo[r+1] = int32(len(t.readWord))
-			t.words = append(t.words, sum)
 		}
 		p.feeds = t
 	})

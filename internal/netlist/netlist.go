@@ -30,13 +30,14 @@ type Bus []NetID
 
 // Cell is one instantiated standard cell. For clock cells the clock input
 // is In[0] (and EN is In[1] for CLKGATE). For DFF cells In[0] is the D pin
-// and Clk is the clock net; Init is the value Q takes at reset.
+// and Clk is the clock net; Init is the value Q takes at reset. The
+// one-byte fields come last, so they share one word of padding.
 type Cell struct {
-	Kind cell.Kind
 	Name string
 	In   []NetID
 	Clk  NetID // DFF only; NoNet otherwise
 	Out  NetID
+	Kind cell.Kind
 	Init bool // DFF only: reset value of Q
 }
 

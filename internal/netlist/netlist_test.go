@@ -2,6 +2,8 @@ package netlist
 
 import (
 	"fmt"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -32,6 +34,19 @@ func buildDemoAdder(t *testing.T) *Netlist {
 		t.Fatalf("Build: %v", err)
 	}
 	return nl
+}
+
+// TestCellSize pins Cell at 56 bytes on 64-bit platforms. A parsed
+// netlist holds one per cell, so on the million-gate core each 8 bytes
+// are 8 MB of live heap. Kind and Init share one word of padding only
+// while they sit next to each other.
+func TestCellSize(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("the pinned size is the 64-bit layout")
+	}
+	if got := reflect.TypeOf(Cell{}).Size(); got != 56 {
+		t.Errorf("Cell is %d bytes, want 56", got)
+	}
 }
 
 func TestBuildAdder(t *testing.T) {

@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/cell"
@@ -89,14 +90,16 @@ type TimingGraph struct {
 	// characterization grid is only materialized for these rows.
 	usedKinds []cell.Kind
 
-	// Incremental re-timing support (incremental.go). combPos maps each
-	// cell to its position in combOps (-1 for non-combinational cells);
-	// the fanout CSR lists, per net, the combOps positions reading it
-	// through a data pin: net n's readers are fanOp[fanLo[n]:fanLo[n+1]].
-	// Positions rather than cell IDs, because the incremental worklist is
-	// ordered by topological position — a reader's position is always
-	// greater than its driver's, so an ascending drain re-evaluates every
-	// cone member exactly once.
+	// Incremental re-timing support (incremental.go), built by the first
+	// NewIncremental through fanOnce: a full analysis never reads it.
+	// combPos maps each cell to its position in combOps (-1 for
+	// non-combinational cells); the fanout CSR lists, per net, the combOps
+	// positions reading it through a data pin: net n's readers are
+	// fanOp[fanLo[n]:fanLo[n+1]]. Positions rather than cell IDs, because
+	// the incremental worklist is ordered by topological position — a
+	// reader's position is always greater than its driver's, so an
+	// ascending drain re-evaluates every cone member exactly once.
+	fanOnce sync.Once
 	combPos []int32
 	fanLo   []int32
 	fanOp   []int32
@@ -124,6 +127,9 @@ func CompileGraph(nl *netlist.Netlist) *TimingGraph {
 	}
 	g.cellInLo = make([]int32, g.numCells+1)
 	g.cellIn = make([]netlist.NetID, 0, totalIn)
+	// Topo holds every cell but the flip-flops.
+	g.endpoints = make([]endpoint, 0, g.numCells-len(nl.Topo()))
+	numComb := 0
 	slots := make(map[netlist.NetID]int32) // clock net -> slot, compile only
 	slot := func(n netlist.NetID) int32 {
 		s, ok := slots[n]
@@ -152,9 +158,11 @@ func CompileGraph(nl *netlist.Netlist) *TimingGraph {
 			g.class[i] = classStop
 		default:
 			g.class[i] = classComb
+			numComb++
 		}
 	}
 	g.cellInLo[g.numCells] = int32(len(g.cellIn))
+	g.combOps = make([]combOp, 0, numComb)
 
 	for _, cid := range nl.Topo() {
 		switch g.class[cid] {
@@ -201,10 +209,14 @@ func CompileGraph(nl *netlist.Netlist) *TimingGraph {
 		}
 	}
 
-	// Fanout CSR for incremental re-timing: two counting passes, no
-	// per-net slice churn. A net read through several pins of one cell
-	// appears once per pin; the worklist's dirty bitmap makes duplicates
-	// harmless.
+	return g
+}
+
+// buildFanout builds the incremental re-timing tables; call it through
+// g.fanOnce. The fanout CSR takes two counting passes, no per-net slice
+// churn. A net read through several pins of one cell appears once per
+// pin; the worklist's dirty bitmap makes duplicates harmless.
+func (g *TimingGraph) buildFanout() {
 	g.combPos = make([]int32, g.numCells)
 	for i := range g.combPos {
 		g.combPos[i] = -1
@@ -233,7 +245,6 @@ func CompileGraph(nl *netlist.Netlist) *TimingGraph {
 			cursor[n]++
 		}
 	}
-	return g
 }
 
 // graphKey is CachedGraph's slot in netlist.Netlist.Memo.

@@ -52,8 +52,9 @@ type Incremental struct {
 	closed bool
 }
 
-// NewIncremental compiles (or reuses) nl's timing graph, runs one full
-// batched evaluation and returns the persistent analysis. The caller
+// NewIncremental compiles (or reuses) nl's timing graph, builds its
+// fanout tables if no earlier Incremental did, runs one full batched
+// evaluation and returns the persistent analysis. The caller
 // owns the lifetime: Close releases the pooled evaluation slab.
 // cfg.Profile is referenced, not copied — UpdateSP expects the caller to
 // mutate it in place and report which nets moved.
@@ -63,6 +64,7 @@ func NewIncremental(nl *netlist.Netlist, cfg BatchConfig, corners []Corner) *Inc
 		panic("sta: NewIncremental needs at least one corner")
 	}
 	a := Annotate(nl, cfg, corners)
+	a.g.fanOnce.Do(a.g.buildFanout)
 	return &Incremental{
 		a:           a,
 		st:          a.evaluate(),

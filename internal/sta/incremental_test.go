@@ -3,6 +3,7 @@ package sta
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -103,6 +104,56 @@ func TestIncrementalResultsAreStable(t *testing.T) {
 	}
 	if !reflect.DeepEqual(before[0].Factor, snapshot) {
 		t.Error("an update mutated a previously returned Result's Factor column")
+	}
+}
+
+// TestIncrementalSharesFanout: a full analysis leaves its timing graph
+// without the fanout tables only Incremental reads, and with its
+// traversal orders sized exactly. Four Incrementals started at once on
+// that cached graph build the tables once, equal to a graph's built
+// alone, and a later one keeps them.
+func TestIncrementalSharesFanout(t *testing.T) {
+	nl := randomTimedNetlist(7)
+	lib := cell.Lib28()
+	cfg := BatchConfig{
+		PeriodPs: CriticalDelay(nl, lib),
+		Base:     lib,
+		Model:    aging.Default(),
+		Profile:  randomNetSP(nl, 8),
+	}
+	corners := []Corner{{Years: 10}, {Years: 3}}
+	AnalyzeCorners(nl, cfg, corners)
+	g := CachedGraph(nl)
+	if g.combPos != nil || g.fanLo != nil || g.fanOp != nil {
+		t.Fatal("a full analysis built the fanout tables")
+	}
+	if len(g.combOps) != cap(g.combOps) || len(g.endpoints) != cap(g.endpoints) {
+		t.Errorf("combOps len %d cap %d, endpoints len %d cap %d: want len == cap",
+			len(g.combOps), cap(g.combOps), len(g.endpoints), cap(g.endpoints))
+	}
+	incs := make([]*Incremental, 5)
+	var wg sync.WaitGroup
+	for i := range incs[:4] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			incs[i] = NewIncremental(nl, cfg, corners)
+		}()
+	}
+	wg.Wait()
+	want := CompileGraph(nl)
+	want.buildFanout()
+	if !reflect.DeepEqual(g.combPos, want.combPos) || !reflect.DeepEqual(g.fanLo, want.fanLo) ||
+		!reflect.DeepEqual(g.fanOp, want.fanOp) {
+		t.Fatal("the shared fanout tables differ from a graph's built alone")
+	}
+	fanOp := &g.fanOp[0]
+	incs[4] = NewIncremental(nl, cfg, corners)
+	if &g.fanOp[0] != fanOp {
+		t.Error("a later NewIncremental rebuilt the fanout tables")
+	}
+	for _, inc := range incs {
+		inc.Close()
 	}
 }
 
