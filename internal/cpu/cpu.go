@@ -14,6 +14,7 @@ package cpu
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -123,11 +124,6 @@ func New(memSize int) *CPU {
 	}
 }
 
-// Mem is the CPU's memory, for reading only: a byte written through it
-// would escape the page tracking, and the next CPU Recycled from this
-// arena would not be New's.
-func (c *CPU) Mem() []byte { return c.mem }
-
 // touch marks the pages of mem[lo..hi] (inclusive, in range) written.
 func (c *CPU) touch(lo, hi uint32) {
 	for p := lo >> pageShift; p <= hi>>pageShift; p++ {
@@ -176,13 +172,26 @@ func (c *CPU) Release() {
 
 // Load copies an assembled image into memory and points the PC at its
 // base. Architectural state other than the PC is preserved (so test
-// cases can be spliced after a workload).
+// cases can be spliced after a workload). An image whose text or data
+// does not fit in memory is not written: the CPU faults instead.
 func (c *CPU) Load(img *isa.Image) {
-	for i, w := range img.Words {
-		c.storeWord(img.Base+4*uint32(i), w)
+	textEnd := int(img.Base) + 4*len(img.Words)
+	dataEnd := int(img.DataBase) + len(img.Data)
+	if textEnd > len(c.mem) || len(img.Data) > 0 && dataEnd > len(c.mem) {
+		c.fault("image text [%#x, %#x) or data [%#x, %#x) does not fit in %d bytes of memory",
+			img.Base, textEnd, img.DataBase, dataEnd, len(c.mem))
+		return
 	}
-	if n := copy(c.mem[img.DataBase:], img.Data); n > 0 {
-		c.touch(img.DataBase, img.DataBase+uint32(n)-1)
+	if len(img.Words) > 0 {
+		text := c.mem[img.Base:textEnd]
+		for i, w := range img.Words {
+			binary.LittleEndian.PutUint32(text[4*i:], w)
+		}
+		c.touch(img.Base, uint32(textEnd-1))
+	}
+	if len(img.Data) > 0 {
+		copy(c.mem[img.DataBase:], img.Data)
+		c.touch(img.DataBase, uint32(dataEnd-1))
 	}
 	c.PC = img.Base
 	c.Halt = Running
@@ -195,6 +204,62 @@ func (c *CPU) Load(img *isa.Image) {
 	c.textBase, c.other = img.Base, nil
 	// A stack at the top of memory.
 	c.X[isa.SP] = uint32(len(c.mem) - 16)
+}
+
+// FNV-1a 64's offset and prime, and fnvPage: the prime to the power of
+// a page's words.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+	pageWords = 1 << pageShift / 8
+)
+
+var fnvPage = func() uint64 {
+	p := uint64(1)
+	for range pageWords {
+		p *= fnvPrime
+	}
+	return p
+}()
+
+// Digest folds the architectural state into one hash: FNV-1a 64 lifted
+// to 64-bit words over the exit code, fflags, the X and F files, memory
+// as little-endian words with its byte tail packed into one more, and
+// memory's length. A whole page no write has marked is all zero, and
+// folding a zero word is one multiply by the prime, so such a page costs
+// one multiply by fnvPage: the digest pays for the pages a run wrote.
+func (c *CPU) Digest() uint64 {
+	h := uint64(fnvOffset)
+	mix := func(v uint64) {
+		h ^= v
+		h *= fnvPrime
+	}
+	mix(uint64(c.ExitCode))
+	mix(uint64(c.FFlags))
+	for _, v := range c.X {
+		mix(uint64(v))
+	}
+	for _, v := range c.F {
+		mix(uint64(v))
+	}
+	words := len(c.mem) / 8
+	for p, d := range c.dirty {
+		lo, hi := p*pageWords, min((p+1)*pageWords, words)
+		if d || hi-lo < pageWords {
+			for w := lo; w < hi; w++ {
+				mix(binary.LittleEndian.Uint64(c.mem[8*w:]))
+			}
+		} else {
+			h *= fnvPage
+		}
+	}
+	var tail uint64
+	for i, b := range c.mem[8*words:] {
+		tail |= uint64(b) << (8 * uint(i))
+	}
+	mix(tail)
+	mix(uint64(len(c.mem)))
+	return h
 }
 
 func (c *CPU) fault(format string, args ...any) {

@@ -2,9 +2,11 @@ package cpu
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/alu"
@@ -661,5 +663,131 @@ func TestRecycledStateEqualsNew(t *testing.T) {
 	}
 	if small := Recycled(memSize / 2); !reflect.DeepEqual(small, New(memSize/2)) {
 		t.Error("a different size must get a fresh CPU")
+	}
+}
+
+// fullDigest is Digest by a walk over every word of memory, written or
+// not: the oracle of TestDigestMatchesFullWalk.
+func fullDigest(c *CPU) uint64 {
+	h := uint64(fnvOffset)
+	mix := func(v uint64) {
+		h ^= v
+		h *= fnvPrime
+	}
+	mix(uint64(c.ExitCode))
+	mix(uint64(c.FFlags))
+	for _, v := range c.X {
+		mix(uint64(v))
+	}
+	for _, v := range c.F {
+		mix(uint64(v))
+	}
+	mem := c.mem
+	for len(mem) >= 8 {
+		mix(binary.LittleEndian.Uint64(mem))
+		mem = mem[8:]
+	}
+	var tail uint64
+	for i, b := range mem {
+		tail |= uint64(b) << (8 * uint(i))
+	}
+	mix(tail)
+	mix(uint64(len(c.mem)))
+	return h
+}
+
+// TestDigestMatchesFullWalk: the digest that folds each unwritten page in
+// one multiply equals a walk over all of memory — on a New CPU, on a
+// Recycled one after SB, SH, SW and Load wrote it, and with a page
+// written back to all zeros (dirty, zero content) — at memory sizes with
+// whole pages, a partial last page and a byte tail. Four goroutines
+// share the arenas, as the campaign's workers do.
+func TestDigestMatchesFullWalk(t *testing.T) {
+	a := isa.NewAsm()
+	a.Word("data", 0xdeadbeef, 0x01020304)
+	a.Ecall()
+	img := mustAsm(t, a)
+	store := func(c *CPU, op isa.Op, addr, v uint32) {
+		c.X[isa.T0], c.X[isa.T1] = addr, v
+		c.execute(isa.Inst{Op: op, Rs1: isa.T0, Rs2: isa.T1})
+		if c.Halt != Running {
+			t.Errorf("%v at %#x: %s", op, addr, c.FaultMsg)
+		}
+	}
+	check := func(c *CPU, size int, when string) {
+		if got, want := c.Digest(), fullDigest(c); got != want {
+			t.Errorf("memory %d, %s: digest %#x, full walk %#x", size, when, got, want)
+		}
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, size := range []int{1 << 20, 1 << 19, 4096 + 12, 5} {
+				c := New(size)
+				check(c, size, "New")
+				c.Release()
+				c = Recycled(size)
+				if size > 1<<pageShift {
+					im := *img
+					im.DataBase = uint32(min(int(img.DataBase), size-len(img.Data)))
+					c.Load(&im)
+					store(c, isa.SW, 1<<pageShift, 0x11223344)     // first word of page 1
+					store(c, isa.SH, uint32(size-6), 0xa5a5)       // in the last whole word
+					store(c, isa.SB, uint32(size/2)|3, 0x7f)       // mid-memory
+					store(c, isa.SW, uint32(size)/2-2, 0xffffffff) // straddling two pages at 1<<19 and 1<<20
+				}
+				store(c, isa.SB, uint32(size-1), 0x5a) // the last byte: a byte tail unless size%8 == 0
+				c.X[isa.A0], c.F[3], c.FFlags, c.ExitCode = 7, 8, 9, 10
+				check(c, size, "after stores")
+				store(c, isa.SB, uint32(size-1), 0)
+				if size > 1<<pageShift {
+					store(c, isa.SW, 1<<pageShift, 0)
+				}
+				check(c, size, "a page written back to zero")
+				c.Release()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestLoadFaultsOnImageThatDoesNotFit: an image whose text or data runs
+// past the end of memory halts the CPU with a fault before it writes a
+// byte or runs an instruction; one that ends exactly at the end, or has
+// no data to place, loads and runs.
+func TestLoadFaultsOnImageThatDoesNotFit(t *testing.T) {
+	const size = 4096
+	ecall, err := isa.Encode(isa.Inst{Op: isa.ECALL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		img   isa.Image
+		fault bool
+	}{
+		{"text past the end", isa.Image{Base: size - 4, Words: []uint32{ecall, ecall}}, true},
+		{"text ending at the end", isa.Image{Base: size - 4, Words: []uint32{ecall}}, false},
+		{"data running past the end", isa.Image{Words: []uint32{ecall}, DataBase: size - 2, Data: []byte{1, 2, 3}}, true},
+		{"data ending at the end", isa.Image{Words: []uint32{ecall}, DataBase: size - 3, Data: []byte{1, 2, 3}}, false},
+		{"data starting at the end", isa.Image{Words: []uint32{ecall}, DataBase: size, Data: []byte{1}}, true},
+		{"data base past the end", isa.Image{Words: []uint32{ecall}, DataBase: 0x40000, Data: []byte{1}}, true},
+		{"no data, data base past the end", isa.Image{Words: []uint32{ecall}, DataBase: 0x40000}, false},
+	} {
+		c := New(size)
+		c.Load(&tc.img)
+		halt := c.Run(1000)
+		written := fullDigest(c) != fullDigest(New(size))
+		switch {
+		case tc.fault && (halt != HaltFault || c.Instret != 0 || written):
+			t.Errorf("%s: halt %v after %d instructions (%s), memory written %v; want a fault before any",
+				tc.name, halt, c.Instret, c.FaultMsg, written)
+		case !tc.fault && halt != HaltExit:
+			t.Errorf("%s: halt %v (%s), want exit", tc.name, halt, c.FaultMsg)
+		case !tc.fault && len(tc.img.Data) > 0 && c.mem[size-1] != tc.img.Data[len(tc.img.Data)-1]:
+			t.Errorf("%s: the data's last byte was not loaded", tc.name)
+		}
 	}
 }

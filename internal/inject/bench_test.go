@@ -12,9 +12,7 @@ import (
 
 // benchCampaign runs one campaign per iteration.
 // The suite image (data segment at 256 KiB) fits in half the default
-// 1 MiB arena; oversizing memory makes the per-injection state digest
-// (a hash over all of memory) dominate and mask the simulation cost
-// the benchmark is measuring.
+// 1 MiB arena.
 func benchCampaign(b *testing.B, m *module.Module, cases int, perClass int) {
 	suite := lift.RandomSuite(m, cases, 7)
 	img, err := suite.Image()

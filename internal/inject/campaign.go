@@ -2,7 +2,6 @@ package inject
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -498,10 +497,9 @@ func runAttached(ctx context.Context, cfg *Config, idx int, g *goldenInfo, c *cp
 // finish classifies a completed (non-interrupted) injection run. Shared
 // by the behavioural replays, the packed path's continuations and the
 // scalar oracle, so all produce byte-identical results. The state digest
-// (an FNV pass over all of memory) is computed only for runs that
-// completed: a trapped or hung run's state is never compared against the
-// golden digest, and skipping the hash there is a large fraction of the
-// campaign cost.
+// (cpu.CPU.Digest, the golden-comparison oracle) is computed only for
+// runs that exited: a trapped or hung run's state is never compared
+// against the golden digest.
 //
 // A non-nil guard log adds the runtime-guard detection source: the
 // first fire is recorded on every outcome, and a completed run whose
@@ -516,7 +514,7 @@ func finish(cfg *Config, idx int, c *cpu.CPU, halt cpu.HaltReason, g *goldenInfo
 	var dig uint64
 	eq := false
 	if halt == cpu.HaltExit {
-		dig = digest(c)
+		dig = c.Digest()
 		eq = dig == g.digest
 	}
 	out := classify(halt, eq)
@@ -543,46 +541,6 @@ func finish(cfg *Config, idx int, c *cpu.CPU, halt cpu.HaltReason, g *goldenInfo
 		r.Case = lift.FailedCase(c.X[9])
 	}
 	return r
-}
-
-// digest folds the full architectural state (registers, FP state, exit
-// code, memory) into one hash — the golden-comparison oracle. The mix
-// is FNV-1a lifted to 64-bit words: hashing memory one word at a time
-// instead of byte-at-a-time makes the digest ~10x cheaper, and with a
-// megabyte-scale arena per injection the digest is a first-order cost
-// of the whole campaign. Any change to the word stream changes the
-// hash; the packed path and its scalar oracle share this function, so
-// their byte-identity contract is unaffected by the exact mix.
-func digest(c *cpu.CPU) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		h ^= v
-		h *= prime
-	}
-	mix(uint64(c.ExitCode))
-	mix(uint64(c.FFlags))
-	for _, v := range c.X {
-		mix(uint64(v))
-	}
-	for _, v := range c.F {
-		mix(uint64(v))
-	}
-	mem := c.Mem()
-	for len(mem) >= 8 {
-		mix(binary.LittleEndian.Uint64(mem))
-		mem = mem[8:]
-	}
-	var tail uint64
-	for i, b := range mem {
-		tail |= uint64(b) << (8 * uint(i))
-	}
-	mix(tail)
-	mix(uint64(len(c.Mem())))
-	return h
 }
 
 func persist(cfg *Config, results []Result, done []bool) error {

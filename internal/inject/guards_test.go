@@ -445,9 +445,9 @@ func TestGuardedRecordingTrackingCompose(t *testing.T) {
 			t.Errorf("%s: the wrapped Driver answered %d ops differently from the bare one's %d",
 				m.Name, len(stacked.seen), len(bare.seen))
 		}
-		if digest(sc) != digest(bc) || sc.Cycles != bc.Cycles {
+		if sc.Digest() != bc.Digest() || sc.Cycles != bc.Cycles {
 			t.Errorf("%s: wrapped run ended digest %#x after %d cycles, bare %#x after %d",
-				m.Name, digest(sc), sc.Cycles, digest(bc), bc.Cycles)
+				m.Name, sc.Digest(), sc.Cycles, bc.Digest(), bc.Cycles)
 		}
 		n := uint64(len(bare.seen))
 		if uint64(len(rec.Trace)) != n || log.Ops != n {

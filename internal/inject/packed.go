@@ -85,7 +85,7 @@ func goldenRun(cfg *Config) (*goldenInfo, error) {
 		return nil, fmt.Errorf("inject: guard %s fired on the fault-free golden run (op %d of %d) — "+
 			"false positive, refusing to classify with it", log.First, log.FirstOp, log.Ops)
 	}
-	g.digest = digest(c)
+	g.digest = c.Digest()
 	g.cycles = c.Cycles
 	return g, nil
 }
@@ -481,7 +481,7 @@ func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) 
 	if halt == cpu.HaltInterrupted {
 		return results, done, acct, nil // whole wave stays pending
 	}
-	if pb.void == nil && (halt != cpu.HaltExit || c.ExitCode != 0 || digest(c) != g.digest) {
+	if pb.void == nil && (halt != cpu.HaltExit || c.ExitCode != 0 || c.Digest() != g.digest) {
 		pb.void = fmt.Errorf("every lane-0 response matched the golden model, yet the run ended halt=%v exit=%d "+
 			"with a state digest that differs from the golden run's", halt, c.ExitCode)
 	}

@@ -3,6 +3,7 @@ package inject
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/alu"
@@ -40,7 +41,7 @@ func TestRecycledCPUEqualsNew(t *testing.T) {
 	if err := run(fresh, imgB); err != nil {
 		t.Fatal(err)
 	}
-	want := digest(fresh)
+	want := fresh.Digest()
 
 	reused := 0
 	check := func(count bool) error {
@@ -48,22 +49,29 @@ func TestRecycledCPUEqualsNew(t *testing.T) {
 		if err := run(c, imgA); err != nil {
 			return err
 		}
-		if digest(c) == want {
+		if c.Digest() == want {
 			return fmt.Errorf("image A leaves the same state as image B: the test proves nothing")
 		}
-		arena := &c.Mem()[0]
 		c.Release()
+		// A fresh arena allocates memSize bytes, a reused one none.
+		var before, after runtime.MemStats
+		if count {
+			runtime.ReadMemStats(&before)
+		}
 		c = cpu.Recycled(memSize)
 		defer c.Release()
-		if count && &c.Mem()[0] == arena {
-			reused++
+		if count {
+			runtime.ReadMemStats(&after)
+			if after.TotalAlloc-before.TotalAlloc < memSize {
+				reused++
+			}
 		}
 		if err := run(c, imgB); err != nil {
 			return err
 		}
 		if c.X != fresh.X || c.F != fresh.F || c.FFlags != fresh.FFlags || c.PC != fresh.PC ||
-			c.Cycles != fresh.Cycles || c.Instret != fresh.Instret || digest(c) != want {
-			return fmt.Errorf("recycled CPU diverged from a fresh one (digest %#x, want %#x)", digest(c), want)
+			c.Cycles != fresh.Cycles || c.Instret != fresh.Instret || c.Digest() != want {
+			return fmt.Errorf("recycled CPU diverged from a fresh one (digest %#x, want %#x)", c.Digest(), want)
 		}
 		return nil
 	}

@@ -48,12 +48,14 @@ var branchEnc = map[Op]uint32{
 	BEQ: 0, BNE: 1, BLT: 4, BGE: 5, BLTU: 6, BGEU: 7,
 }
 
-// fpEnc maps FP R-type ops to (funct7, rm-or-funct3, rs2-override).
-var fpEnc = map[Op]struct {
+type fpEncoding struct {
 	funct7 uint32
 	rm     uint32
 	rs2    int32 // -1: use Inst.Rs2
-}{
+}
+
+// fpEnc maps FP R-type ops to (funct7, rm-or-funct3, rs2-override).
+var fpEnc = map[Op]fpEncoding{
 	FADDS:   {0x00, 0, -1},
 	FSUBS:   {0x04, 0, -1},
 	FMULS:   {0x08, 0, -1},
@@ -75,6 +77,52 @@ var fpEnc = map[Op]struct {
 	FMVWX:   {0x78, 0, 0},
 }
 
+// funct3 is the funct3 field of the store and CSR ops, which have no
+// table above.
+var funct3 = [NumOps]uint32{SB: 0, SH: 1, SW: 2, FSW: 2, CSRRW: 1, CSRRS: 2, CSRRC: 3}
+
+// Decode's tables are derived from the ones above at init: the branch,
+// load, store, OP-IMM and CSR op of each funct3, the R-type op of each
+// (funct7, funct3), and the OP-FP ops of each funct7 in Op order. LUI,
+// the zero Op, has no funct3, so it marks an empty slot.
+const noOp = LUI
+
+var (
+	branchDec, loadDec, storeDec, opImmDec, csrDec [8]Op
+	rDec                                           [128][8]Op
+	fpDec                                          [128][]fpOp
+)
+
+type fpOp struct {
+	op Op
+	fpEncoding
+}
+
+func init() {
+	opImmDec[1], opImmDec[5] = SLLI, SRLI
+	for op := Op(0); op < NumOps; op++ {
+		switch {
+		case op >= BEQ && op <= BGEU:
+			branchDec[branchEnc[op]] = op
+		case op >= SB && op <= SW:
+			storeDec[funct3[op]] = op
+		case op >= CSRRW && op <= CSRRC:
+			csrDec[funct3[op]] = op
+		}
+		if e, ok := iEnc[op]; ok && e.opcode == opcLoad {
+			loadDec[e.funct3] = op
+		} else if ok && e.opcode == opcOpImm {
+			opImmDec[e.funct3] = op
+		}
+		if e, ok := rEnc[op]; ok {
+			rDec[e.funct7][e.funct3] = op
+		}
+		if e, ok := fpEnc[op]; ok {
+			fpDec[e.funct7] = append(fpDec[e.funct7], fpOp{op, e})
+		}
+	}
+}
+
 // Encode renders the instruction as its RV32 binary word.
 func Encode(i Inst) (uint32, error) {
 	rd, rs1, rs2 := uint32(i.Rd), uint32(i.Rs1), uint32(i.Rs2)
@@ -90,26 +138,21 @@ func Encode(i Inst) (uint32, error) {
 		}
 		v := imm>>20&1<<31 | imm>>1&0x3ff<<21 | imm>>11&1<<20 | imm>>12&0xff<<12
 		return v | rd<<7 | opcJAL, nil
-	case branchEnc[i.Op] != 0 || i.Op == BEQ:
-		if _, ok := branchEnc[i.Op]; !ok {
-			break
-		}
+	case i.Op >= BEQ && i.Op <= BGEU:
 		if i.Imm%2 != 0 || i.Imm < -(1<<12) || i.Imm >= 1<<12 {
 			return 0, fmt.Errorf("branch offset %d out of range", i.Imm)
 		}
-		f3 := branchEnc[i.Op]
 		v := imm>>12&1<<31 | imm>>5&0x3f<<25 | imm>>1&0xf<<8 | imm>>11&1<<7
-		return v | rs2<<20 | rs1<<15 | f3<<12 | opcBranch, nil
-	case i.Op == SB || i.Op == SH || i.Op == SW || i.Op == FSW:
+		return v | rs2<<20 | rs1<<15 | branchEnc[i.Op]<<12 | opcBranch, nil
+	case i.Op >= SB && i.Op <= SW || i.Op == FSW:
 		if i.Imm < -2048 || i.Imm > 2047 {
 			return 0, fmt.Errorf("store offset %d out of range", i.Imm)
 		}
-		f3 := map[Op]uint32{SB: 0, SH: 1, SW: 2, FSW: 2}[i.Op]
 		opc := uint32(opcStore)
 		if i.Op == FSW {
 			opc = opcFSW
 		}
-		return imm>>5&0x7f<<25 | rs2<<20 | rs1<<15 | f3<<12 | imm&0x1f<<7 | opc, nil
+		return imm>>5&0x7f<<25 | rs2<<20 | rs1<<15 | funct3[i.Op]<<12 | imm&0x1f<<7 | opc, nil
 	case i.Op == SLLI || i.Op == SRLI || i.Op == SRAI:
 		if i.Imm < 0 || i.Imm > 31 {
 			return 0, fmt.Errorf("shift amount %d out of range", i.Imm)
@@ -127,9 +170,8 @@ func Encode(i Inst) (uint32, error) {
 		return opcSystem, nil
 	case i.Op == EBREAK:
 		return 1<<20 | opcSystem, nil
-	case i.Op == CSRRW || i.Op == CSRRS || i.Op == CSRRC:
-		f3 := map[Op]uint32{CSRRW: 1, CSRRS: 2, CSRRC: 3}[i.Op]
-		return imm&0xfff<<20 | rs1<<15 | f3<<12 | rd<<7 | opcSystem, nil
+	case i.Op >= CSRRW && i.Op <= CSRRC:
+		return imm&0xfff<<20 | rs1<<15 | funct3[i.Op]<<12 | rd<<7 | opcSystem, nil
 	}
 	if e, ok := rEnc[i.Op]; ok {
 		return e.funct7<<25 | rs2<<20 | rs1<<15 | e.funct3<<12 | rd<<7 | e.opcode, nil
@@ -175,14 +217,11 @@ func Decode(w uint32) (Inst, error) {
 	case opcJALR:
 		return Inst{Op: JALR, Rd: rd, Rs1: rs1, Imm: immI}, nil
 	case opcBranch:
-		for op, bf3 := range branchEnc {
-			if bf3 == f3 {
-				return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: immB}, nil
-			}
+		if op := branchDec[f3]; op != noOp {
+			return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: immB}, nil
 		}
 	case opcLoad:
-		ops := map[uint32]Op{0: LB, 1: LH, 2: LW, 4: LBU, 5: LHU}
-		if op, ok := ops[f3]; ok {
+		if op := loadDec[f3]; op != noOp {
 			return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: immI}, nil
 		}
 	case opcFLW:
@@ -190,8 +229,7 @@ func Decode(w uint32) (Inst, error) {
 			return Inst{Op: FLW, Rd: rd, Rs1: rs1, Imm: immI}, nil
 		}
 	case opcStore:
-		ops := map[uint32]Op{0: SB, 1: SH, 2: SW}
-		if op, ok := ops[f3]; ok {
+		if op := storeDec[f3]; op != noOp {
 			return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: immS}, nil
 		}
 	case opcFSW:
@@ -199,32 +237,17 @@ func Decode(w uint32) (Inst, error) {
 			return Inst{Op: FSW, Rs1: rs1, Rs2: rs2, Imm: immS}, nil
 		}
 	case opcOpImm:
-		switch f3 {
-		case 0:
-			return Inst{Op: ADDI, Rd: rd, Rs1: rs1, Imm: immI}, nil
-		case 1:
-			return Inst{Op: SLLI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
-		case 2:
-			return Inst{Op: SLTI, Rd: rd, Rs1: rs1, Imm: immI}, nil
-		case 3:
-			return Inst{Op: SLTIU, Rd: rd, Rs1: rs1, Imm: immI}, nil
-		case 4:
-			return Inst{Op: XORI, Rd: rd, Rs1: rs1, Imm: immI}, nil
-		case 5:
-			if f7 == 0x20 {
-				return Inst{Op: SRAI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
-			}
-			return Inst{Op: SRLI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
-		case 6:
-			return Inst{Op: ORI, Rd: rd, Rs1: rs1, Imm: immI}, nil
-		case 7:
-			return Inst{Op: ANDI, Rd: rd, Rs1: rs1, Imm: immI}, nil
+		switch op := opImmDec[f3]; {
+		case op == SRLI && f7 == 0x20:
+			return Inst{Op: SRAI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
+		case op == SLLI || op == SRLI:
+			return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
+		default:
+			return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: immI}, nil
 		}
 	case opcOp:
-		for op, e := range rEnc {
-			if e.funct3 == f3 && e.funct7 == f7 {
-				return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, nil
-			}
+		if op := rDec[f7][f3]; op != noOp {
+			return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, nil
 		}
 	case opcSystem:
 		switch {
@@ -232,21 +255,16 @@ func Decode(w uint32) (Inst, error) {
 			return Inst{Op: ECALL}, nil
 		case w == 1<<20|opcSystem:
 			return Inst{Op: EBREAK}, nil
-		case f3 >= 1 && f3 <= 3:
-			op := []Op{CSRRW, CSRRS, CSRRC}[f3-1]
-			return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: int32(w >> 20)}, nil
+		case csrDec[f3] != noOp:
+			return Inst{Op: csrDec[f3], Rd: rd, Rs1: rs1, Imm: int32(w >> 20)}, nil
 		}
 	case opcOpFP:
-		for op, e := range fpEnc {
-			if e.funct7 != f7 {
-				continue
-			}
+		for _, e := range fpDec[f7] {
 			switch f7 {
 			case 0x10, 0x14, 0x50, 0x70:
 				if e.rm != f3 {
 					continue
 				}
-			case 0x60, 0x68, 0x70 | 0x100: // rs2-discriminated
 			}
 			if e.rs2 >= 0 {
 				if uint32(e.rs2) != uint32(rs2) {
@@ -254,9 +272,9 @@ func Decode(w uint32) (Inst, error) {
 				}
 				// The rs2 field is an encoding discriminator here, not a
 				// register operand.
-				return Inst{Op: op, Rd: rd, Rs1: rs1}, nil
+				return Inst{Op: e.op, Rd: rd, Rs1: rs1}, nil
 			}
-			return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, nil
+			return Inst{Op: e.op, Rd: rd, Rs1: rs1, Rs2: rs2}, nil
 		}
 	}
 	return Inst{}, fmt.Errorf("cannot decode %#08x", w)

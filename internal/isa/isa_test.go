@@ -110,6 +110,150 @@ func TestCSRRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeMatchesSearch: the table-driven Decode accepts and rejects
+// exactly the words the search decoder does, and decodes each to the
+// same instruction, on every combination of opcode, funct3, funct7 and
+// rs2, with the rd, rs1 and immediate bits drawn at random. Formatting
+// the two errors of an undefined word is most of its time, so each
+// funct3 runs in parallel.
+func TestDecodeMatchesSearch(t *testing.T) {
+	for f3 := uint32(0); f3 < 8; f3++ {
+		t.Run(fmt.Sprint("funct3=", f3), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(1))
+			for opc := uint32(0); opc < 128; opc++ {
+				for f7 := uint32(0); f7 < 128; f7++ {
+					for rs2 := uint32(0); rs2 < 32; rs2++ {
+						// rd (bits 7-11) and rs1 (15-19) carry the rest
+						// of every immediate.
+						w := f7<<25 | rs2<<20 | f3<<12 | opc | rng.Uint32()&(0x1f<<15|0x1f<<7)
+						got, err := Decode(w)
+						want, werr := searchDecode(w)
+						if got != want || (err == nil) != (werr == nil) {
+							t.Fatalf("Decode(%#08x) = %v, %v; search decoder: %v, %v", w, got, err, want, werr)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// searchDecode is Decode as it was before its tables: it finds a branch,
+// an R-type and an OP-FP op by ranging over the encode maps, and a load
+// and a store in a map it builds per call. It is the oracle of
+// TestDecodeMatchesSearch.
+func searchDecode(w uint32) (Inst, error) {
+	opc := w & 0x7f
+	rd := Reg(w >> 7 & 0x1f)
+	f3 := w >> 12 & 7
+	rs1 := Reg(w >> 15 & 0x1f)
+	rs2 := Reg(w >> 20 & 0x1f)
+	f7 := w >> 25
+
+	immI := int32(w) >> 20
+	immS := int32(w)>>25<<5 | int32(w>>7&0x1f)
+	immB := int32(w)>>31<<12 | int32(w>>7&1)<<11 | int32(w>>25&0x3f)<<5 | int32(w>>8&0xf)<<1
+	immU := int32(w & 0xfffff000)
+	immJ := int32(w)>>31<<20 | int32(w>>12&0xff)<<12 | int32(w>>20&1)<<11 | int32(w>>21&0x3ff)<<1
+
+	switch opc {
+	case opcLUI:
+		return Inst{Op: LUI, Rd: rd, Imm: immU}, nil
+	case opcAUIPC:
+		return Inst{Op: AUIPC, Rd: rd, Imm: immU}, nil
+	case opcJAL:
+		return Inst{Op: JAL, Rd: rd, Imm: immJ}, nil
+	case opcJALR:
+		return Inst{Op: JALR, Rd: rd, Rs1: rs1, Imm: immI}, nil
+	case opcBranch:
+		for op, bf3 := range branchEnc {
+			if bf3 == f3 {
+				return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: immB}, nil
+			}
+		}
+	case opcLoad:
+		ops := map[uint32]Op{0: LB, 1: LH, 2: LW, 4: LBU, 5: LHU}
+		if op, ok := ops[f3]; ok {
+			return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: immI}, nil
+		}
+	case opcFLW:
+		if f3 == 2 {
+			return Inst{Op: FLW, Rd: rd, Rs1: rs1, Imm: immI}, nil
+		}
+	case opcStore:
+		ops := map[uint32]Op{0: SB, 1: SH, 2: SW}
+		if op, ok := ops[f3]; ok {
+			return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: immS}, nil
+		}
+	case opcFSW:
+		if f3 == 2 {
+			return Inst{Op: FSW, Rs1: rs1, Rs2: rs2, Imm: immS}, nil
+		}
+	case opcOpImm:
+		switch f3 {
+		case 0:
+			return Inst{Op: ADDI, Rd: rd, Rs1: rs1, Imm: immI}, nil
+		case 1:
+			return Inst{Op: SLLI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
+		case 2:
+			return Inst{Op: SLTI, Rd: rd, Rs1: rs1, Imm: immI}, nil
+		case 3:
+			return Inst{Op: SLTIU, Rd: rd, Rs1: rs1, Imm: immI}, nil
+		case 4:
+			return Inst{Op: XORI, Rd: rd, Rs1: rs1, Imm: immI}, nil
+		case 5:
+			if f7 == 0x20 {
+				return Inst{Op: SRAI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
+			}
+			return Inst{Op: SRLI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
+		case 6:
+			return Inst{Op: ORI, Rd: rd, Rs1: rs1, Imm: immI}, nil
+		case 7:
+			return Inst{Op: ANDI, Rd: rd, Rs1: rs1, Imm: immI}, nil
+		}
+	case opcOp:
+		for op, e := range rEnc {
+			if e.funct3 == f3 && e.funct7 == f7 {
+				return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, nil
+			}
+		}
+	case opcSystem:
+		switch {
+		case w == opcSystem:
+			return Inst{Op: ECALL}, nil
+		case w == 1<<20|opcSystem:
+			return Inst{Op: EBREAK}, nil
+		case f3 >= 1 && f3 <= 3:
+			op := []Op{CSRRW, CSRRS, CSRRC}[f3-1]
+			return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: int32(w >> 20)}, nil
+		}
+	case opcOpFP:
+		for op, e := range fpEnc {
+			if e.funct7 != f7 {
+				continue
+			}
+			switch f7 {
+			case 0x10, 0x14, 0x50, 0x70:
+				if e.rm != f3 {
+					continue
+				}
+			case 0x60, 0x68, 0x70 | 0x100: // rs2-discriminated
+			}
+			if e.rs2 >= 0 {
+				if uint32(e.rs2) != uint32(rs2) {
+					continue
+				}
+				// The rs2 field is an encoding discriminator here, not a
+				// register operand.
+				return Inst{Op: op, Rd: rd, Rs1: rs1}, nil
+			}
+			return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, nil
+		}
+	}
+	return Inst{}, fmt.Errorf("cannot decode %#08x", w)
+}
+
 func TestOutOfRangeImmediatesRejected(t *testing.T) {
 	bad := []Inst{
 		{Op: ADDI, Rd: 1, Imm: 5000},

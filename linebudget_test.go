@@ -94,7 +94,12 @@ import (
 //	        and a lane snapshot is one engine value; the private fresh
 //	        pass, factorsForCell, ExtractLane/HistLane/LFSR and inject's
 //	        per-lane site tables deleted.
-const lineBudget = 26_517
+//	26,558  a fault replay pays for its gates: isa.Decode indexes funct3
+//	        and funct7 tables derived from the encode tables at init,
+//	        CPU.Digest (moved from inject) folds each unwritten page in one
+//	        multiply, and Load checks that text and data fit, then writes
+//	        the text in one pass; CPU.Mem deleted.
+const lineBudget = 26_558
 
 // TestLineBudget is the ratchet behind ROADMAP's "same numbers from the
 // least code": it counts the lines of every non-test Go file the census
