@@ -273,9 +273,7 @@ func TestCycleLimit(t *testing.T) {
 func randomALUProgram(t testing.TB, seed int64, n int) (*isa.Image, uint32) {
 	rng := rand.New(rand.NewSource(seed))
 	a := isa.NewAsm()
-	ops := []func(rd, rs1, rs2 isa.Reg){
-		a.Add, a.Sub, a.Sll, a.Slt, a.Sltu, a.Xor, a.Srl, a.Sra, a.Or, a.And,
-	}
+	ops := []isa.Op{isa.ADD, isa.SUB, isa.SLL, isa.SLT, isa.SLTU, isa.XOR, isa.SRL, isa.SRA, isa.OR, isa.AND}
 	goldenOps := []alu.Op{alu.OpAdd, alu.OpSub, alu.OpSll, alu.OpSlt, alu.OpSltu,
 		alu.OpXor, alu.OpSrl, alu.OpSra, alu.OpOr, alu.OpAnd}
 	x5, x6 := rng.Uint32(), rng.Uint32()
@@ -285,7 +283,7 @@ func randomALUProgram(t testing.TB, seed int64, n int) (*isa.Image, uint32) {
 	v5, v6 := x5, x6
 	for i := 0; i < n; i++ {
 		k := rng.Intn(len(ops))
-		ops[k](isa.T2, isa.T0, isa.T1)
+		a.R(ops[k], isa.T2, isa.T0, isa.T1)
 		res := alu.Eval(goldenOps[k], v5, v6)
 		a.Add(isa.T0, isa.T0, isa.T2)
 		v5 += res

@@ -220,50 +220,46 @@ func resize(s []uint64, n int) []uint64 {
 var seededPool = sync.Pool{New: func() any { return new(FaultedPacked) }}
 
 // Snapshot is one lane's state, everything a continuation of the lane
-// is seeded from: its bit of every state net, the history bits of the
-// sites whose lane mask holds it, and the shared LFSR.
+// is seeded from: its bit of every state net and of every site's history
+// register, and the shared LFSR. It belongs to the program it was taken
+// from.
 type Snapshot struct {
 	nets  []uint64 // the k-th state net in ascending net order is bit k%64 of word k/64
-	hists []bool   // in site order
+	hists []uint64 // in site order, the lane's bit broadcast
 	lfsr  uint16
 }
 
-// Snapshot reads lane's state. Its history bits are those of the lane's
-// own sites, in site order: a continuation that compiles exactly those
-// sites, in that order, finds each one's register.
+// Snapshot reads lane's state.
 func (e *FaultedPacked) Snapshot(lane int) Snapshot {
 	state := e.feeds.state
-	s := Snapshot{nets: make([]uint64, (len(state)+63)/64), lfsr: e.lfsr}
+	s := Snapshot{nets: make([]uint64, (len(state)+63)/64), hists: make([]uint64, len(e.hist)), lfsr: e.lfsr}
 	for k, n := range state {
 		s.nets[k/64] |= (e.vals[n] >> uint(lane) & 1) << uint(k%64)
 	}
-	for si := range e.fp.sites {
-		if e.fp.sites[si].lanes>>uint(lane)&1 == 1 {
-			s.hists = append(s.hists, e.hist[si]>>uint(lane)&1 == 1)
-		}
+	for si, h := range e.hist {
+		s.hists[si] = -(h >> uint(lane) & 1)
 	}
 	return s
 }
 
 // Seeded returns an evaluator of fp in the state snap describes,
-// broadcast to every lane, with no lane retired; site si's history
-// register holds snap's si-th history bit. Combinational nets hold
-// nothing until the first Settle, which evaluates every run; settle
-// before reading or clocking. The evaluator's storage may come from one
-// an earlier continuation released; pair it with Release.
+// broadcast to every lane, with no lane retired. snap must be taken from
+// an evaluator of fp's program and sites; Seeded panics when the site
+// counts differ. Combinational nets hold nothing until the first Settle,
+// which evaluates every run; settle before reading or clocking. The
+// evaluator's storage may come from one an earlier continuation
+// released; pair it with Release.
 func Seeded(fp *FaultedProgram, snap Snapshot) *FaultedPacked {
+	if len(snap.hists) != len(fp.sites) {
+		panic(fmt.Sprintf("engine: a snapshot of %d sites seeds a program of %d", len(snap.hists), len(fp.sites)))
+	}
 	e := seededPool.Get().(*FaultedPacked)
 	e.bind(fp)
 	for k, n := range e.feeds.state {
 		e.vals[n] = -(snap.nets[k/64] >> uint(k%64) & 1)
 	}
 	e.pendAll()
-	for si, v := range snap.hists[:len(e.hist)] {
-		e.hist[si] = 0
-		if v {
-			e.hist[si] = ^uint64(0)
-		}
-	}
+	copy(e.hist, snap.hists)
 	e.lfsr = snap.lfsr
 	e.ret = 0
 	return e

@@ -27,20 +27,6 @@ func laneOverlays(rng *rand.Rand, nl *netlist.Netlist, n int) []engine.Overlay {
 	return ovs
 }
 
-// ownSites is the continuation's overlays for lane: the sites whose mask
-// holds it, in order, moved to lane 1, as the injection plane compiles
-// them.
-func ownSites(ovs []engine.Overlay, lane int) []engine.Overlay {
-	var own []engine.Overlay
-	for _, o := range ovs {
-		if o.Lanes>>uint(lane)&1 == 1 {
-			o.Lanes = 1 << 1
-			own = append(own, o)
-		}
-	}
-	return own
-}
-
 // words reads every net of e.
 func words(e *engine.FaultedPacked, numNets int) []uint64 {
 	w := make([]uint64, numNets)
@@ -52,9 +38,9 @@ func words(e *engine.FaultedPacked, numNets int) []uint64 {
 
 // gatedMatchesFull runs the evaluator calls ops names on nl — stimulus,
 // settles, clock edges, retirements, resets and a reseed from one lane's
-// snapshot through the shared pool — and after every settle holds each
-// net's word to a full settle, in the netlist's own topological order,
-// of the same state nets.
+// snapshot through the shared pool, as a continuation of that lane — and
+// after every settle holds each net's word to a full settle, in the
+// netlist's own topological order, of the same state nets.
 func gatedMatchesFull(t *testing.T, nl *netlist.Netlist, seed int64, ops []byte) bool {
 	rng := rand.New(rand.NewSource(seed))
 	p := engine.Compile(nl)
@@ -105,14 +91,10 @@ func gatedMatchesFull(t *testing.T, nl *netlist.Netlist, seed int64, ops []byte)
 				return false
 			}
 			lane := rng.Intn(engine.Lanes)
-			ovs = ownSites(ovs, lane)
-			own, err := engine.CompileFaulted(p, ovs)
-			if err != nil {
-				t.Fatal(err)
-			}
 			snap := e.Snapshot(lane)
 			e.Release()
-			e = engine.Seeded(own, snap)
+			e = engine.Seeded(fp, snap)
+			e.Retire(^(uint64(1) << uint(lane)))
 			seeded = true
 		}
 	}
@@ -256,20 +238,18 @@ func TestGatedSettleEvaluatesOnlyReachedRuns(t *testing.T) {
 }
 
 // TestStateSnapshotRoundTrip: a continuation seeded from one lane's
-// state-net snapshot (its own failure model moved to lane 1, as the
-// injection plane does) settles to that lane's word on every net, and
-// stays equal to it, net for net, over the cycles that follow — for the
-// ALU and the FPU under random stimulus, with the lanes made to differ
-// by random failure models.
+// snapshot on the same program, with every other lane retired, as the
+// injection plane seeds it, settles to that lane's word on every net, and
+// its own lane stays equal to the lane, net for net, over the cycles that
+// follow — for the ALU and the FPU under random stimulus, with the lanes
+// made to differ by random failure models.
 func TestStateSnapshotRoundTrip(t *testing.T) {
 	for _, m := range []*module.Module{alu.Build(), fpu.Build()} {
 		t.Run(m.Name, func(t *testing.T) {
 			t.Parallel()
 			nl := m.Netlist
-			p := engine.Cached(nl)
 			rng := rand.New(rand.NewSource(int64(len(nl.Cells))))
-			ovs := laneOverlays(rng, nl, engine.Lanes-1)
-			fp, err := engine.CompileFaulted(p, ovs)
+			fp, err := engine.CompileFaulted(engine.Cached(nl), laneOverlays(rng, nl, engine.Lanes-1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,7 +266,7 @@ func TestStateSnapshotRoundTrip(t *testing.T) {
 				drive(e)
 				e.Settle()
 				if cyc%8 == 7 {
-					roundTrip(t, nl, e, fp.Prog, ovs, rng.Intn(engine.Lanes), drive)
+					roundTrip(t, nl, e, fp, rng.Intn(engine.Lanes), drive)
 				}
 				e.Edge()
 			}
@@ -296,22 +276,14 @@ func TestStateSnapshotRoundTrip(t *testing.T) {
 
 // roundTrip seeds a continuation of e's lane from its snapshot and
 // compares the two on every net for a few cycles: the continuation's
-// words are the lane's bit broadcast right after seeding, and its own
-// fault lane (lane 1, or lane 0 for the golden lane) follows the lane
-// after that. It advances e.
-func roundTrip(t *testing.T, nl *netlist.Netlist, e *engine.FaultedPacked, p *engine.Program,
-	ovs []engine.Overlay, lane int, drive func(...*engine.FaultedPacked)) {
+// words are the lane's bit broadcast right after seeding, and its lane
+// follows e's after that. It advances e.
+func roundTrip(t *testing.T, nl *netlist.Netlist, e *engine.FaultedPacked, fp *engine.FaultedProgram,
+	lane int, drive func(...*engine.FaultedPacked)) {
 	t.Helper()
-	cl := 0 // the continuation's lane that carries e's lane
-	if lane > 0 {
-		cl = 1
-	}
-	fp, err := engine.CompileFaulted(p, ownSites(ovs, lane))
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := engine.Seeded(fp, e.Snapshot(lane))
 	defer c.Release()
+	c.Retire(^(uint64(1) << uint(lane)))
 	for cyc := 0; cyc < 4; cyc++ {
 		if cyc > 0 {
 			e.Edge()
@@ -323,12 +295,38 @@ func roundTrip(t *testing.T, nl *netlist.Netlist, e *engine.FaultedPacked, p *en
 		for n := 0; n < nl.NumNets; n++ {
 			id := netlist.NetID(n)
 			want := e.Lane(id, lane)
-			if w := c.Word(id); cyc == 0 && w != -uint64(b2u(want)) || c.Lane(id, cl) != want {
+			if w := c.Word(id); cyc == 0 && w != -uint64(b2u(want)) || c.Lane(id, lane) != want {
 				t.Fatalf("lane %d, cycle %d after the snapshot: net %s is %#x in the continuation, %v in the lane",
 					lane, cyc, nl.NetName(id), w, want)
 			}
 		}
 	}
+}
+
+// TestSeededRefusesForeignSnapshot: a snapshot holds one history bit per
+// site of the program it was taken from, so seeding a program with
+// another site count panics instead of misreading it.
+func TestSeededRefusesForeignSnapshot(t *testing.T) {
+	nl := alu.Build().Netlist
+	rng := rand.New(rand.NewSource(1))
+	ovs := laneOverlays(rng, nl, 3)
+	fp, err := engine.CompileFaulted(engine.Cached(nl), ovs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fewer, err := engine.CompileFaulted(engine.Cached(nl), ovs[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.NewFaultedPacked(fp)
+	snap := e.Snapshot(1)
+	engine.Seeded(fp, snap).Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("Seeded accepted a snapshot of 3 sites for a program of 2")
+		}
+	}()
+	engine.Seeded(fewer, snap)
 }
 
 func b2u(b bool) uint64 {

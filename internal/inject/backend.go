@@ -3,9 +3,7 @@ package inject
 import (
 	"fmt"
 
-	"repro/internal/cell"
 	"repro/internal/cpu"
-	"repro/internal/fault"
 	"repro/internal/module"
 )
 
@@ -72,21 +70,5 @@ func Attach(m *module.Module, c *cpu.CPU, s Spec) error {
 		return fmt.Errorf("inject: class %v has no behavioural backend", s.Class)
 	}
 	*c.Unit(m.Name) = fl
-	return nil
-}
-
-// checkSite bounds-checks a failure site against the module's netlist:
-// both cells must exist and be flip-flops, or the overlay would
-// instrument garbage (or panic on an out-of-range ID).
-func checkSite(m *module.Module, f fault.Spec) error {
-	nl := m.Netlist
-	for _, id := range []int{int(f.Start), int(f.End)} {
-		if id < 0 || id >= len(nl.Cells) {
-			return fmt.Errorf("inject: cell %d out of range for %s (%d cells)", id, m.Name, len(nl.Cells))
-		}
-		if nl.Cells[id].Kind != cell.DFF {
-			return fmt.Errorf("inject: cell %d (%s) is not a flip-flop", id, nl.Cells[id].Name)
-		}
-	}
 	return nil
 }

@@ -28,16 +28,16 @@ import (
 //     voided wave is an error — a screening engine whose gate-level
 //     golden lane contradicts its own model says so.
 //  2. A fault lane retires at its first physically divergent response:
-//     a different result/flags word bit, out_valid high early, or
+//     out_valid high early, a different result/flags word bit, or
 //     out_valid still low when the golden lane's result rose. At
-//     retirement the lane's full netlist state (plus overlay history
-//     and LFSR state) is snapshotted.
-//  3. A retired lane finishes on a scalar continuation: golden
-//     responses up to the divergence op (the lane was bit-identical to
-//     golden until then), then a single-lane faulted evaluation seeded
-//     from the snapshot — byte-identical, by construction and by the
-//     TestPackedMatchesScalar differential, to a scalar replay of the
-//     failing netlist.
+//     retirement the lane's state (its bit of every state net and of
+//     every site's history register, and the LFSR) is snapshotted.
+//  3. A retired lane finishes on a continuation: golden responses up to
+//     the divergence op (the lane was bit-identical to golden until
+//     then), then the wave's own program seeded from the snapshot, with
+//     every other lane retired — byte-identical, by construction and by
+//     the TestPackedMatchesScalar differential, to a scalar replay of
+//     the failing netlist.
 //  4. A lane that never retires ran the whole image without any
 //     observable difference: classified Masked for free.
 //
@@ -143,27 +143,71 @@ func overlayFor(f fault.Spec, lanes uint64) engine.Overlay {
 type retKind uint8
 
 const (
-	// retReturned: out_valid rose with a divergent result/flags value
-	// (or rose early) — the response the CPU would have consumed is
-	// recorded in the retirement.
-	retReturned retKind = iota
+	// retEarly: out_valid rose before the golden lane's did; the early
+	// response is recorded in the retirement.
+	retEarly retKind = iota
+	// retValue: out_valid rose with the golden lane's but with a
+	// divergent result/flags value, recorded in the retirement.
+	retValue
 	// retWait: out_valid was still low when the golden lane's response
 	// rose — the continuation resumes the driver's wait loop.
 	retWait
 )
 
-// retirement is one retired lane: where it diverged and the full lane
-// state snapshot its continuation is seeded from.
+// retirement is one retired lane: where it diverged and the lane state
+// snapshot its continuation is seeded from.
 type retirement struct {
 	lane int // wave lane (1..63)
 	kind retKind
 	op   uint64 // 0-based unit-op index of the physical divergence
-	wait int    // retWait: driver wait-loop index at which golden rose
-	r, f uint32 // retReturned: the lane's response
+	wait int    // driver wait-loop index of the check that retired the lane
+	r, f uint32 // retEarly, retValue: the lane's response
 	// snap is the lane at the check's settle, before its clock edge:
 	// exactly the state a scalar driver holds when its wait-loop check
 	// runs.
 	snap engine.Snapshot
+}
+
+// unitPorts are the unit's output nets: out_valid and the result and
+// flags buses.
+type unitPorts struct {
+	ovNet   netlist.NetID
+	resBits netlist.Bus
+	flgBits netlist.Bus
+}
+
+func portsOf(nl *netlist.Netlist) unitPorts {
+	ov, _ := nl.FindOutput(module.PortOutValid)
+	res, _ := nl.FindOutput(module.PortResult)
+	flg, _ := nl.FindOutput(module.PortFlags)
+	return unitPorts{ov.Bits[0], res.Bits, flg.Bits}
+}
+
+// laneValues reads one lane's settled result and flags.
+func (p *unitPorts) laneValues(pe *engine.FaultedPacked, lane int) (r, f uint32) {
+	for i, n := range p.resBits {
+		if pe.Lane(n, lane) {
+			r |= 1 << uint(i)
+		}
+	}
+	for i, n := range p.flgBits {
+		if pe.Lane(n, lane) {
+			f |= 1 << uint(i)
+		}
+	}
+	return r, f
+}
+
+// present drives one operation into every lane as module.Driver.Exec
+// does: the operands with in_valid high for one cycle, then in_valid
+// low.
+func present(pe *engine.FaultedPacked, op, a, b uint32) {
+	pe.SetInput(module.PortInValid, 1)
+	pe.SetInput(module.PortOp, uint64(op))
+	pe.SetInput(module.PortA, uint64(a))
+	pe.SetInput(module.PortB, uint64(b))
+	pe.Step()
+	pe.SetInput(module.PortInValid, 0)
 }
 
 // packedBackend implements the unit backend over a FaultedPacked
@@ -172,7 +216,9 @@ type retirement struct {
 // first divergent response.
 type packedBackend struct {
 	m  *module.Module
+	fp *engine.FaultedProgram
 	pe *engine.FaultedPacked
+	unitPorts
 
 	live uint64 // fault lanes still bit-identical to lane 0
 	ops  uint64
@@ -180,10 +226,6 @@ type packedBackend struct {
 	// void is set when lane 0 disagreed with the behavioural model: lane
 	// comparisons then prove nothing and the wave fails with this error.
 	void error
-
-	ovNet   netlist.NetID
-	resBits netlist.Bus
-	flgBits netlist.Bus
 }
 
 // Exec implements module.Unit.
@@ -192,12 +234,7 @@ func (b *packedBackend) Exec(op, a, bb uint32) (uint32, uint32, bool) {
 	k := b.ops
 	b.ops++
 	pe := b.pe
-	pe.SetInput(module.PortInValid, 1)
-	pe.SetInput(module.PortOp, uint64(op))
-	pe.SetInput(module.PortA, uint64(a))
-	pe.SetInput(module.PortB, uint64(bb))
-	pe.Step()
-	pe.SetInput(module.PortInValid, 0)
+	present(pe, op, a, bb)
 	// The wait loop mirrors module.Driver.Exec: check the settled
 	// out_valid, step on miss, for Latency+StallLimit iterations.
 	i0 := -1
@@ -212,7 +249,7 @@ func (b *packedBackend) Exec(op, a, bb uint32) (uint32, uint32, bool) {
 		// Lanes whose out_valid rose before the golden lane's diverge
 		// by timing; their (early) response is what Exec would return.
 		if early := ov & b.live; early != 0 {
-			b.retireValues(early, k)
+			b.retire(early, retEarly, k, i)
 		}
 		pe.Edge()
 	}
@@ -229,12 +266,12 @@ func (b *packedBackend) Exec(op, a, bb uint32) (uint32, uint32, bool) {
 		return 0, 0, false
 	}
 	if late := ^pe.Word(b.ovNet) & b.live; late != 0 {
-		b.retireWait(late, k, i0)
+		b.retire(late, retWait, k, i0)
 	}
 	// After the late lanes retired, every live lane has out_valid high;
 	// those with a mismatching result/flags bit diverge by value.
 	if val := mism & b.live; val != 0 {
-		b.retireValues(val, k)
+		b.retire(val, retValue, k, i0)
 	}
 	return r0, f0, true
 }
@@ -258,182 +295,85 @@ func (b *packedBackend) readOutputs() (r0, f0 uint32, mism uint64) {
 	return r0, f0, mism
 }
 
-func (b *packedBackend) retireValues(mask uint64, k uint64) {
+// retire snapshots the lanes of mask, which diverged at unit op k in
+// wait-loop iteration i, and drops them from the wave.
+func (b *packedBackend) retire(mask uint64, kind retKind, k uint64, i int) {
 	for m := mask; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros64(m)
-		var r, f uint32
-		for i, n := range b.resBits {
-			if b.pe.Lane(n, lane) {
-				r |= 1 << uint(i)
-			}
+		ret := &retirement{lane: lane, kind: kind, op: k, wait: i, snap: b.pe.Snapshot(lane)}
+		if kind != retWait {
+			ret.r, ret.f = b.laneValues(b.pe, lane)
 		}
-		for i, n := range b.flgBits {
-			if b.pe.Lane(n, lane) {
-				f |= 1 << uint(i)
-			}
-		}
-		b.rets = append(b.rets, &retirement{lane: lane, kind: retReturned, op: k, r: r, f: f, snap: b.pe.Snapshot(lane)})
+		b.rets = append(b.rets, ret)
 	}
 	b.live &^= mask
 	b.pe.Retire(mask)
 }
-
-func (b *packedBackend) retireWait(mask uint64, k uint64, i0 int) {
-	for m := mask; m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros64(m)
-		b.rets = append(b.rets, &retirement{lane: lane, kind: retWait, op: k, wait: i0, snap: b.pe.Snapshot(lane)})
-	}
-	b.live &^= mask
-	b.pe.Retire(mask)
-}
-
-// faultLane is the lane a continuation's single failure model runs in
-// (lane 0 is reserved for the golden circuit).
-const faultLane = 1
 
 // resumeBackend finishes one retired lane: golden responses up to the
 // divergence op (the lane was bit-identical to the golden circuit until
 // then), the recorded divergent response (or the rest of the wait loop)
-// at the divergence op, then a single-lane faulted evaluation seeded
-// from the snapshot for every later op. Running the suffix on a
-// FaultedPacked — rather than a freshly instrumented failing netlist —
-// reuses the module's cached compiled Program: a continuation costs
-// only its overlay compilation, not a netlist build plus engine
-// compile per retired lane.
+// at the divergence op, then the wave's own program, seeded from the
+// snapshot with every other lane retired, for every later op.
 type resumeBackend struct {
-	m    *module.Module
-	spec Spec
-	ret  *retirement
-	n    uint64
-	err  error
-
-	pe      *engine.FaultedPacked
-	ovNet   netlist.NetID
-	resBits netlist.Bus
-	flgBits netlist.Bus
+	m  *module.Module
+	fp *engine.FaultedProgram
+	unitPorts
+	ret *retirement
+	n   uint64
+	pe  *engine.FaultedPacked
 }
 
 // Exec implements module.Unit.
 func (b *resumeBackend) Exec(op, a, bb uint32) (uint32, uint32, bool) {
 	n := b.n
 	b.n++
-	if n < b.ret.op {
+	switch {
+	case n < b.ret.op:
 		return b.m.Golden.Exec(op, a, bb)
+	case n > b.ret.op:
+		present(b.pe, op, a, bb)
+		return b.wait(0)
 	}
-	if n == b.ret.op {
-		if err := b.seed(); err != nil {
-			b.err = err
-			return 0, 0, false
-		}
-		if b.ret.kind == retReturned {
-			return b.ret.r, b.ret.f, true
-		}
-		// retWait: the packed check at iteration `wait` saw this lane's
-		// out_valid still low. Resume Driver.Exec's wait loop from the
-		// next iteration: the Step of the failed check first, then
-		// check-step until the response rises or the stall bound hits.
-		b.pe.Step()
-		for i := b.ret.wait + 1; i < b.m.Latency+module.StallLimit; i++ {
-			b.pe.Settle()
-			if r, f, ok := b.read(); ok {
-				return r, f, true
-			}
-			b.pe.Edge()
-		}
-		return 0, 0, false
+	b.pe = engine.Seeded(b.fp, b.ret.snap)
+	b.pe.Retire(^(uint64(1) << uint(b.ret.lane)))
+	if b.ret.kind != retWait {
+		return b.ret.r, b.ret.f, true
 	}
-	return b.execFaulted(op, a, bb)
+	// The wave's check at iteration `wait` saw this lane's out_valid
+	// still low: the Step of the failed check, then the rest of the loop.
+	b.pe.Step()
+	return b.wait(b.ret.wait + 1)
 }
 
-// execFaulted mirrors module.Driver.Exec over the seeded evaluator.
-func (b *resumeBackend) execFaulted(op, a, bb uint32) (uint32, uint32, bool) {
-	pe := b.pe
-	pe.SetInput(module.PortInValid, 1)
-	pe.SetInput(module.PortOp, uint64(op))
-	pe.SetInput(module.PortA, uint64(a))
-	pe.SetInput(module.PortB, uint64(bb))
-	pe.Step()
-	pe.SetInput(module.PortInValid, 0)
-	for i := 0; i < b.m.Latency+module.StallLimit; i++ {
-		pe.Settle()
-		if r, f, ok := b.read(); ok {
+// wait is module.Driver.Exec's wait loop over the retired lane, from
+// iteration i0: check the settled out_valid, step on miss.
+func (b *resumeBackend) wait(i0 int) (uint32, uint32, bool) {
+	for i := i0; i < b.m.Latency+module.StallLimit; i++ {
+		b.pe.Settle()
+		if b.pe.Lane(b.ovNet, b.ret.lane) {
+			r, f := b.laneValues(b.pe, b.ret.lane)
 			return r, f, true
 		}
-		pe.Edge()
+		b.pe.Edge()
 	}
 	return 0, 0, false
 }
 
-// read returns the fault lane's settled response, ok=false while
-// out_valid is low.
-func (b *resumeBackend) read() (uint32, uint32, bool) {
-	if !b.pe.Lane(b.ovNet, faultLane) {
-		return 0, 0, false
-	}
-	var r, f uint32
-	for i, n := range b.resBits {
-		if b.pe.Lane(n, faultLane) {
-			r |= 1 << uint(i)
-		}
-	}
-	for i, n := range b.flgBits {
-		if b.pe.Lane(n, faultLane) {
-			f |= 1 << uint(i)
-		}
-	}
-	return r, f, true
-}
-
-// seed compiles the spec's overlays and seeds a single-lane evaluator,
-// pooled storage, with the snapshotted state: every net's value
-// broadcast, the overlay history registers (site order matches fault
-// order on both sides), and the shared LFSR.
-func (b *resumeBackend) seed() error {
-	overlays := make([]engine.Overlay, len(b.spec.Faults))
-	for i, f := range b.spec.Faults {
-		overlays[i] = overlayFor(f, 1<<faultLane)
-	}
-	fp, err := engine.CompileFaulted(engine.Cached(b.m.Netlist), overlays)
-	if err != nil {
-		return fmt.Errorf("inject: continuation for %s: %w", b.spec.String(), err)
-	}
-	b.pe = engine.Seeded(fp, b.ret.snap)
-
-	nl := b.m.Netlist
-	ovPort, _ := nl.FindOutput(module.PortOutValid)
-	resPort, _ := nl.FindOutput(module.PortResult)
-	flgPort, _ := nl.FindOutput(module.PortFlags)
-	b.ovNet = ovPort.Bits[0]
-	b.resBits = resPort.Bits
-	b.flgBits = flgPort.Bits
-	return nil
-}
-
-// runContinuation classifies one retired lane by running the image on a
-// fresh CPU with the resume backend. ok=false means ctx interrupted the
-// run — the injection stays pending.
-func runContinuation(ctx context.Context, cfg *Config, g *goldenInfo, idx int, ret *retirement) (Result, bool, error) {
-	s := cfg.Specs[idx]
+// runContinuation classifies one retired lane of wave pb by running the
+// image on a fresh CPU with the resume backend. ok=false means ctx
+// interrupted the run — the injection stays pending.
+func runContinuation(ctx context.Context, cfg *Config, g *goldenInfo, idx int, pb *packedBackend, ret *retirement) (Result, bool, error) {
 	c := cpu.Recycled(cfg.MemSize)
 	defer c.Release()
-	rb := &resumeBackend{m: cfg.Module, spec: s, ret: ret}
+	rb := &resumeBackend{m: pb.m, fp: pb.fp, unitPorts: pb.unitPorts, ret: ret}
 	defer func() {
 		if rb.pe != nil {
 			rb.pe.Release()
 		}
 	}()
 	*c.Unit(cfg.Module.Name) = rb
-	d := track(cfg.Module, c)
-	log := attachGuards(cfg, c)
-	c.Load(cfg.Image)
-	halt := c.RunCtx(ctx, cfg.MaxCycles)
-	if halt == cpu.HaltInterrupted {
-		return Result{}, false, nil
-	}
-	if rb.err != nil {
-		return Result{}, false, fmt.Errorf("injection %d (%s): %w", idx, s.String(), rb.err)
-	}
-	return finish(cfg, idx, c, halt, g, d, log), true, nil
+	return runAttached(ctx, cfg, idx, g, c)
 }
 
 // waveAcct is one unit's contribution to the campaign's PackedStats.
@@ -443,35 +383,25 @@ type waveAcct struct {
 	behShortcut, behReplayed          int
 }
 
-// runPackedWave runs one packed wave of up to engine.Lanes-1
-// netlist-class injections. Returned slices are indexed like idxs;
-// done[i]=false means injection idxs[i] stays pending (interrupted).
-func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) ([]Result, []bool, waveAcct, error) {
-	results := make([]Result, len(idxs))
-	done := make([]bool, len(idxs))
-	var acct waveAcct
-
+// runWave runs the image once on the packed evaluator of a wave of up to
+// engine.Lanes-1 netlist-class injections, injection idxs[i] in lane
+// i+1. A nil backend means ctx interrupted the run.
+func runWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) (*packedBackend, error) {
+	name := fmt.Sprintf("%s %s wave (injections %d..%d)", cfg.Module.Name, cfg.Specs[idxs[0]].Class, idxs[0], idxs[len(idxs)-1])
 	var overlays []engine.Overlay
 	for i, idx := range idxs {
 		for _, f := range cfg.Specs[idx].Faults {
-			if err := checkSite(cfg.Module, f); err != nil {
-				return nil, nil, acct, fmt.Errorf("injection %d (%s): %w", idx, cfg.Specs[idx].String(), err)
-			}
 			overlays = append(overlays, overlayFor(f, uint64(1)<<uint(i+1)))
 		}
 	}
 	fp, err := engine.CompileFaulted(engine.Cached(cfg.Module.Netlist), overlays)
 	if err != nil {
-		return nil, nil, acct, fmt.Errorf("inject: packed wave: %w", err)
+		return nil, fmt.Errorf("inject: %s: %w", name, err)
 	}
-	nl := cfg.Module.Netlist
-	ovPort, _ := nl.FindOutput(module.PortOutValid)
-	resPort, _ := nl.FindOutput(module.PortResult)
-	flgPort, _ := nl.FindOutput(module.PortFlags)
 	pb := &packedBackend{
-		m: cfg.Module, pe: engine.NewFaultedPacked(fp),
-		live:  (uint64(1)<<uint(len(idxs)+1) - 1) &^ 1,
-		ovNet: ovPort.Bits[0], resBits: resPort.Bits, flgBits: flgPort.Bits,
+		m: cfg.Module, fp: fp, pe: engine.NewFaultedPacked(fp),
+		unitPorts: portsOf(cfg.Module.Netlist),
+		live:      (uint64(1)<<uint(len(idxs)+1) - 1) &^ 1,
 	}
 	c := cpu.Recycled(cfg.MemSize)
 	defer c.Release()
@@ -479,7 +409,7 @@ func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) 
 	c.Load(cfg.Image)
 	halt := c.RunCtx(ctx, cfg.MaxCycles)
 	if halt == cpu.HaltInterrupted {
-		return results, done, acct, nil // whole wave stays pending
+		return nil, nil
 	}
 	if pb.void == nil && (halt != cpu.HaltExit || c.ExitCode != 0 || c.Digest() != g.digest) {
 		pb.void = fmt.Errorf("every lane-0 response matched the golden model, yet the run ended halt=%v exit=%d "+
@@ -489,8 +419,21 @@ func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) 
 		// The gate-level golden lane disagreed with the behavioural
 		// model, so lane comparisons prove nothing: no lane of this wave
 		// is classified.
-		return nil, nil, acct, fmt.Errorf("inject: %s %s wave (injections %d..%d) voided at %w",
-			cfg.Module.Name, cfg.Specs[idxs[0]].Class, idxs[0], idxs[len(idxs)-1], pb.void)
+		return nil, fmt.Errorf("inject: %s voided at %w", name, pb.void)
+	}
+	return pb, nil
+}
+
+// runPackedWave runs one packed wave and the continuations of its
+// retired lanes. Returned slices are indexed like idxs; done[i]=false
+// means injection idxs[i] stays pending (interrupted).
+func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) ([]Result, []bool, waveAcct, error) {
+	results := make([]Result, len(idxs))
+	done := make([]bool, len(idxs))
+	var acct waveAcct
+	pb, err := runWave(ctx, cfg, g, idxs)
+	if pb == nil {
+		return results, done, acct, err // an interrupted wave stays pending
 	}
 	acct.waves = 1
 	acct.lanesUsed = len(idxs)
@@ -516,7 +459,7 @@ func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) 
 	// The retired lanes' continuations are independent replays: fan them
 	// out like the waves themselves, each landing in its own lane's slot.
 	outs, err := par.Map(ctx, len(pb.rets), cfg.Parallelism, func(ctx context.Context, k int) (taskOut, error) {
-		r, ok, err := runContinuation(ctx, cfg, g, idxs[pb.rets[k].lane-1], pb.rets[k])
+		r, ok, err := runContinuation(ctx, cfg, g, idxs[pb.rets[k].lane-1], pb, pb.rets[k])
 		return taskOut{r, ok}, err
 	})
 	for k, o := range outs {

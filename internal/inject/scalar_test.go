@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/cell"
 	"repro/internal/cpu"
 	"repro/internal/fault"
 	"repro/internal/module"
@@ -71,5 +72,22 @@ func attachScalar(m *module.Module, c *cpu.CPU, s Spec) error {
 		}
 	}
 	*c.Unit(m.Name) = module.NewDriverOn(m, nl)
+	return nil
+}
+
+// checkSite bounds-checks a failure site against the module's netlist:
+// both cells must exist and be flip-flops, or the instrumentation would
+// build garbage (or panic on an out-of-range ID). The packed path has
+// engine.CompileFaulted's own check.
+func checkSite(m *module.Module, f fault.Spec) error {
+	nl := m.Netlist
+	for _, id := range []int{int(f.Start), int(f.End)} {
+		if id < 0 || id >= len(nl.Cells) {
+			return fmt.Errorf("inject: cell %d out of range for %s (%d cells)", id, m.Name, len(nl.Cells))
+		}
+		if nl.Cells[id].Kind != cell.DFF {
+			return fmt.Errorf("inject: cell %d (%s) is not a flip-flop", id, nl.Cells[id].Name)
+		}
+	}
 	return nil
 }

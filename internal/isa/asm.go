@@ -127,11 +127,7 @@ func (a *Asm) R(op Op, rd, rs1, rs2 Reg) { a.r(op, rd, rs1, rs2) }
 func (a *Asm) Add(rd, rs1, rs2 Reg)    { a.r(ADD, rd, rs1, rs2) }
 func (a *Asm) Sub(rd, rs1, rs2 Reg)    { a.r(SUB, rd, rs1, rs2) }
 func (a *Asm) Sll(rd, rs1, rs2 Reg)    { a.r(SLL, rd, rs1, rs2) }
-func (a *Asm) Slt(rd, rs1, rs2 Reg)    { a.r(SLT, rd, rs1, rs2) }
-func (a *Asm) Sltu(rd, rs1, rs2 Reg)   { a.r(SLTU, rd, rs1, rs2) }
 func (a *Asm) Xor(rd, rs1, rs2 Reg)    { a.r(XOR, rd, rs1, rs2) }
-func (a *Asm) Srl(rd, rs1, rs2 Reg)    { a.r(SRL, rd, rs1, rs2) }
-func (a *Asm) Sra(rd, rs1, rs2 Reg)    { a.r(SRA, rd, rs1, rs2) }
 func (a *Asm) Or(rd, rs1, rs2 Reg)     { a.r(OR, rd, rs1, rs2) }
 func (a *Asm) And(rd, rs1, rs2 Reg)    { a.r(AND, rd, rs1, rs2) }
 func (a *Asm) Mul(rd, rs1, rs2 Reg)    { a.r(MUL, rd, rs1, rs2) }
@@ -148,16 +144,12 @@ func (a *Asm) Remu(rd, rs1, rs2 Reg)   { a.r(REMU, rd, rs1, rs2) }
 func (a *Asm) i(op Op, rd, rs1 Reg, imm int32) { a.emit(Inst{Op: op, Rd: rd, Rs1: rs1, Imm: imm}) }
 
 // Addi emits addi rd, rs1, imm; the other I-type helpers follow suit.
-func (a *Asm) Addi(rd, rs1 Reg, imm int32)  { a.i(ADDI, rd, rs1, imm) }
-func (a *Asm) Slti(rd, rs1 Reg, imm int32)  { a.i(SLTI, rd, rs1, imm) }
-func (a *Asm) Sltiu(rd, rs1 Reg, imm int32) { a.i(SLTIU, rd, rs1, imm) }
-func (a *Asm) Xori(rd, rs1 Reg, imm int32)  { a.i(XORI, rd, rs1, imm) }
-func (a *Asm) Ori(rd, rs1 Reg, imm int32)   { a.i(ORI, rd, rs1, imm) }
-func (a *Asm) Andi(rd, rs1 Reg, imm int32)  { a.i(ANDI, rd, rs1, imm) }
-func (a *Asm) Slli(rd, rs1 Reg, sh int32)   { a.i(SLLI, rd, rs1, sh) }
-func (a *Asm) Srli(rd, rs1 Reg, sh int32)   { a.i(SRLI, rd, rs1, sh) }
-func (a *Asm) Srai(rd, rs1 Reg, sh int32)   { a.i(SRAI, rd, rs1, sh) }
-func (a *Asm) Jalr(rd, rs1 Reg, imm int32)  { a.i(JALR, rd, rs1, imm) }
+func (a *Asm) Addi(rd, rs1 Reg, imm int32) { a.i(ADDI, rd, rs1, imm) }
+func (a *Asm) Xori(rd, rs1 Reg, imm int32) { a.i(XORI, rd, rs1, imm) }
+func (a *Asm) Andi(rd, rs1 Reg, imm int32) { a.i(ANDI, rd, rs1, imm) }
+func (a *Asm) Slli(rd, rs1 Reg, sh int32)  { a.i(SLLI, rd, rs1, sh) }
+func (a *Asm) Srli(rd, rs1 Reg, sh int32)  { a.i(SRLI, rd, rs1, sh) }
+func (a *Asm) Jalr(rd, rs1 Reg, imm int32) { a.i(JALR, rd, rs1, imm) }
 
 // Loads: rd, offset(rs1).
 func (a *Asm) Lb(rd Reg, off int32, rs1 Reg)  { a.i(LB, rd, rs1, off) }
@@ -178,9 +170,6 @@ func (a *Asm) Fsw(rs2 Reg, off int32, rs1 Reg) { a.emit(Inst{Op: FSW, Rs1: rs1, 
 // Lui emits lui rd, imm (imm is the full 32-bit value whose low 12 bits
 // are zero).
 func (a *Asm) Lui(rd Reg, imm uint32) { a.emit(Inst{Op: LUI, Rd: rd, Imm: int32(imm)}) }
-
-// Auipc emits auipc rd, imm.
-func (a *Asm) Auipc(rd Reg, imm uint32) { a.emit(Inst{Op: AUIPC, Rd: rd, Imm: int32(imm)}) }
 
 // Jal emits jal rd, label.
 func (a *Asm) Jal(rd Reg, label string) {
@@ -209,10 +198,9 @@ func (a *Asm) Ecall() { a.emit(Inst{Op: ECALL}) }
 // Ebreak emits ebreak (test-case failure trap, by this repo's ABI).
 func (a *Asm) Ebreak() { a.emit(Inst{Op: EBREAK}) }
 
-// Csrrw/Csrrs/Csrrc emit CSR accesses; csr is the CSR address.
+// Csrrw/Csrrs emit CSR accesses; csr is the CSR address.
 func (a *Asm) Csrrw(rd Reg, csr int32, rs1 Reg) { a.i(CSRRW, rd, rs1, csr) }
 func (a *Asm) Csrrs(rd Reg, csr int32, rs1 Reg) { a.i(CSRRS, rd, rs1, csr) }
-func (a *Asm) Csrrc(rd Reg, csr int32, rs1 Reg) { a.i(CSRRC, rd, rs1, csr) }
 
 // --- floating point (register indices are f-registers) ---
 
@@ -221,21 +209,14 @@ func (a *Asm) Fadd(rd, rs1, rs2 Reg)   { a.r(FADDS, rd, rs1, rs2) }
 func (a *Asm) Fsub(rd, rs1, rs2 Reg)   { a.r(FSUBS, rd, rs1, rs2) }
 func (a *Asm) Fmul(rd, rs1, rs2 Reg)   { a.r(FMULS, rd, rs1, rs2) }
 func (a *Asm) Fdiv(rd, rs1, rs2 Reg)   { a.r(FDIVS, rd, rs1, rs2) }
-func (a *Asm) Fmin(rd, rs1, rs2 Reg)   { a.r(FMINS, rd, rs1, rs2) }
 func (a *Asm) Fmax(rd, rs1, rs2 Reg)   { a.r(FMAXS, rd, rs1, rs2) }
 func (a *Asm) Fsgnj(rd, rs1, rs2 Reg)  { a.r(FSGNJS, rd, rs1, rs2) }
 func (a *Asm) Fsgnjn(rd, rs1, rs2 Reg) { a.r(FSGNJNS, rd, rs1, rs2) }
-func (a *Asm) Fsgnjx(rd, rs1, rs2 Reg) { a.r(FSGNJXS, rd, rs1, rs2) }
 func (a *Asm) Feq(rd, rs1, rs2 Reg)    { a.r(FEQS, rd, rs1, rs2) }
-func (a *Asm) Flt(rd, rs1, rs2 Reg)    { a.r(FLTS, rd, rs1, rs2) }
-func (a *Asm) Fle(rd, rs1, rs2 Reg)    { a.r(FLES, rd, rs1, rs2) }
 func (a *Asm) Fclass(rd, rs1 Reg)      { a.r(FCLASSS, rd, rs1, 0) }
 func (a *Asm) FmvXW(rd, rs1 Reg)       { a.r(FMVXW, rd, rs1, 0) }
 func (a *Asm) FmvWX(rd, rs1 Reg)       { a.r(FMVWX, rd, rs1, 0) }
 func (a *Asm) FcvtWS(rd, rs1 Reg)      { a.r(FCVTWS, rd, rs1, 0) }
-func (a *Asm) FcvtWUS(rd, rs1 Reg)     { a.r(FCVTWUS, rd, rs1, 0) }
-func (a *Asm) FcvtSW(rd, rs1 Reg)      { a.r(FCVTSW, rd, rs1, 0) }
-func (a *Asm) FcvtSWU(rd, rs1 Reg)     { a.r(FCVTSWU, rd, rs1, 0) }
 
 // --- pseudo-instructions ---
 
@@ -276,9 +257,6 @@ func (a *Asm) LwGlobal(rd Reg, dataLabel string) {
 
 // Mv copies a register.
 func (a *Asm) Mv(rd, rs Reg) { a.Addi(rd, rs, 0) }
-
-// Nop emits addi x0, x0, 0.
-func (a *Asm) Nop() { a.Addi(Zero, Zero, 0) }
 
 // J jumps unconditionally to a label.
 func (a *Asm) J(label string) { a.Jal(Zero, label) }

@@ -341,17 +341,11 @@ var orphanAllow = []allowGroup{
 		"internal/guard.GateCost",
 		"internal/guard.UnitGateCosts",
 	}},
-	{"ISA mnemonic for an op cpu.execute implements: the assembler covers the CPU's instruction set, " +
-		"not only what today's workloads and emitted tests happen to use", []string{
-		"internal/isa.Asm.Auipc", "internal/isa.Asm.Csrrc", "internal/isa.Asm.Divu", "internal/isa.Asm.Rem",
+	{"ISA mnemonic that cpu_test.go's instruction tests assemble; no workload or emitted test uses it yet", []string{
+		"internal/isa.Asm.Divu", "internal/isa.Asm.Rem",
 		"internal/isa.Asm.Mulh", "internal/isa.Asm.Mulhsu", "internal/isa.Asm.Mulhu",
 		"internal/isa.Asm.Lb", "internal/isa.Asm.Lh", "internal/isa.Asm.Lhu", "internal/isa.Asm.Sh",
-		"internal/isa.Asm.Nop", "internal/isa.Asm.Ori",
-		"internal/isa.Asm.Slt", "internal/isa.Asm.Slti", "internal/isa.Asm.Sltiu", "internal/isa.Asm.Sltu",
-		"internal/isa.Asm.Sra", "internal/isa.Asm.Srai", "internal/isa.Asm.Srl",
-		"internal/isa.Asm.FcvtSW", "internal/isa.Asm.FcvtSWU", "internal/isa.Asm.FcvtWS", "internal/isa.Asm.FcvtWUS",
-		"internal/isa.Asm.Feq", "internal/isa.Asm.Fle", "internal/isa.Asm.Flt",
-		"internal/isa.Asm.Fmax", "internal/isa.Asm.Fmin", "internal/isa.Asm.Fsgnjx",
+		"internal/isa.Asm.FcvtWS", "internal/isa.Asm.Feq", "internal/isa.Asm.Fmax",
 	}},
 	{"test harness support: crash matrices count I/O steps and crash points on the injected FS; " +
 		"bmc/fault/sta/sim fixtures look cells up by name; determinism and isolation tests shuffle a " +
