@@ -32,7 +32,7 @@ func runInject(ctx context.Context, args []string, out io.Writer) error {
 	checkpoint := fs.String("checkpoint", "", "checkpoint file for resume (atomic JSON)")
 	jsonOut := fs.String("json", "", "write the full report JSON to this file")
 	chaosPlan := fs.String("chaos", "", "TESTING ONLY: injected fault plan for checkpoint I/O, e.g. \"crash@3,flip@2:9\" (crash points exit the process)")
-	stats := fs.Bool("stats", false, "print packed-simulation accounting (wave occupancy, retired lanes, replay savings)")
+	stats := fs.Bool("stats", false, "print packed-simulation accounting (wave occupancy, retired lanes, replay savings, gang ops and settles)")
 	guards := fs.String("guards", "", "always-on runtime guards: \"all\" or comma-separated guard names (empty = unguarded)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -31,6 +31,7 @@ func TestRunSmokeStats(t *testing.T) {
 		"95% CI",
 		"Packed simulation accounting",
 		"Occup.",
+		"GangSettles",
 		"retired-lane savings:",
 		"totals: detected",
 	} {

@@ -99,11 +99,17 @@ type CPU struct {
 	textBase uint32
 	other    map[uint32]isa.Inst
 
-	// The memory is written only by the stores and Load, and each write
-	// marks its pages dirty, so Recycled can clear just those.
-	mem   []byte
-	dirty []bool // per 1<<pageShift-byte page
+	// Memory is a table of 1<<pageShift-byte pages, written only by the
+	// stores and Load. A nil page has not been written since New or
+	// Recycled and reads as zero, so a run holds just the pages it wrote;
+	// spare holds zeroed pages a released CPU left for the next to use.
+	pages []*page
+	spare []*page
+	size  int
 }
+
+// page is one page of memory.
+type page [1 << pageShift]byte
 
 // decoded is one slot of the decode cache; ok is false until the word
 // at its PC first executes.
@@ -112,31 +118,43 @@ type decoded struct {
 	ok   bool
 }
 
-// pageShift sizes the pages a CPU tracks its memory writes in: 4 KiB.
-const pageShift = 12
+// pageShift sizes the pages of memory: 4 KiB.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
 
 // New creates a CPU with the given memory size.
 func New(memSize int) *CPU {
 	return &CPU{
-		mem:   make([]byte, memSize),
-		dirty: make([]bool, (memSize+1<<pageShift-1)>>pageShift),
+		pages: make([]*page, (memSize+pageSize-1)>>pageShift),
+		size:  memSize,
 		text:  []decoded{},
 	}
 }
 
-// touch marks the pages of mem[lo..hi] (inclusive, in range) written.
-func (c *CPU) touch(lo, hi uint32) {
-	for p := lo >> pageShift; p <= hi>>pageShift; p++ {
-		c.dirty[p] = true
+// page returns page p of memory for writing, placing a zero page there
+// if it has none.
+func (c *CPU) page(p uint32) *page {
+	pg := c.pages[p]
+	if pg == nil {
+		if n := len(c.spare); n > 0 {
+			pg, c.spare = c.spare[n-1], c.spare[:n-1]
+		} else {
+			pg = new(page)
+		}
+		c.pages[p] = pg
 	}
+	return pg
 }
 
-// arena is a released CPU's memory with the record of its written pages,
-// and its decode slots for the next Load to reuse.
+// arena is a released CPU's page table, all nil, with the zeroed pages
+// it had written, and its decode slots for the next Load to reuse.
 type arena struct {
-	mem   []byte
-	dirty []bool
-	text  []decoded
+	pages, spare []*page
+	size         int
+	text         []decoded
 }
 
 // arenas holds the memories of released CPUs.
@@ -144,30 +162,31 @@ var arenas sync.Pool
 
 // Recycled is New for callers that run many short-lived CPUs (one per
 // injection replay): the CPU it returns is in exactly New(memSize)'s
-// state, but its memory is a released arena of that size when one is
-// available, with only the pages its last run wrote cleared. A replay
-// writes its image, data and stack — a few pages of a megabyte — so
-// this is far cheaper than zeroing the arena, let alone page-faulting a
-// fresh one in on first touch. Pair it with Release.
+// state, but the pages it writes come from a released CPU of that size
+// when one is available. A replay writes its image, data and stack — a
+// few pages of a megabyte — so it reuses a few zeroed pages instead of
+// allocating them. Pair it with Release.
 func Recycled(memSize int) *CPU {
 	a, _ := arenas.Get().(*arena)
-	if a == nil || len(a.mem) != memSize {
+	if a == nil || a.size != memSize {
 		return New(memSize)
 	}
-	for p, d := range a.dirty {
-		if d {
-			clear(a.mem[p<<pageShift : min((p+1)<<pageShift, memSize)])
-			a.dirty[p] = false
-		}
-	}
-	return &CPU{mem: a.mem, dirty: a.dirty, text: a.text[:0]}
+	return &CPU{pages: a.pages, spare: a.spare, size: memSize, text: a.text[:0]}
 }
 
-// Release hands c's memory to the next Recycled call and leaves c with
-// none, so a use after release faults instead of corrupting another run.
+// Release zeroes the pages c wrote and hands them, with its page table,
+// to the next Recycled call. It leaves c with no memory, so a use after
+// release faults instead of corrupting another run.
 func (c *CPU) Release() {
-	arenas.Put(&arena{c.mem, c.dirty, c.text})
-	c.mem, c.dirty, c.text = nil, nil, nil
+	for p, pg := range c.pages {
+		if pg != nil {
+			clear(pg[:])
+			c.spare = append(c.spare, pg)
+			c.pages[p] = nil
+		}
+	}
+	arenas.Put(&arena{c.pages, c.spare, c.size, c.text})
+	c.pages, c.spare, c.text, c.size = nil, nil, nil, 0
 }
 
 // Load copies an assembled image into memory and points the PC at its
@@ -177,21 +196,30 @@ func (c *CPU) Release() {
 func (c *CPU) Load(img *isa.Image) {
 	textEnd := int(img.Base) + 4*len(img.Words)
 	dataEnd := int(img.DataBase) + len(img.Data)
-	if textEnd > len(c.mem) || len(img.Data) > 0 && dataEnd > len(c.mem) {
+	if textEnd > c.size || len(img.Data) > 0 && dataEnd > c.size {
 		c.fault("image text [%#x, %#x) or data [%#x, %#x) does not fit in %d bytes of memory",
-			img.Base, textEnd, img.DataBase, dataEnd, len(c.mem))
+			img.Base, textEnd, img.DataBase, dataEnd, c.size)
 		return
 	}
-	if len(img.Words) > 0 {
-		text := c.mem[img.Base:textEnd]
-		for i, w := range img.Words {
-			binary.LittleEndian.PutUint32(text[4*i:], w)
+	// The text goes in a page at a time; only a word that straddles two
+	// pages, at a base that is not word-aligned, is stored on its own.
+	for words, addr := img.Words, img.Base; len(words) > 0; {
+		off := int(addr & pageMask)
+		n := min(len(words), (pageSize-off)/4)
+		if n == 0 {
+			c.write(addr, 4, words[0])
+			n = 1
+		} else {
+			pg := c.page(addr >> pageShift)
+			for i, w := range words[:n] {
+				binary.LittleEndian.PutUint32(pg[off+4*i:], w)
+			}
 		}
-		c.touch(img.Base, uint32(textEnd-1))
+		words, addr = words[n:], addr+uint32(4*n)
 	}
-	if len(img.Data) > 0 {
-		copy(c.mem[img.DataBase:], img.Data)
-		c.touch(img.DataBase, uint32(dataEnd-1))
+	for data, addr := img.Data, img.DataBase; len(data) > 0; {
+		n := copy(c.page(addr >> pageShift)[addr&pageMask:], data)
+		data, addr = data[n:], addr+uint32(n)
 	}
 	c.PC = img.Base
 	c.Halt = Running
@@ -203,7 +231,7 @@ func (c *CPU) Load(img *isa.Image) {
 	}
 	c.textBase, c.other = img.Base, nil
 	// A stack at the top of memory.
-	c.X[isa.SP] = uint32(len(c.mem) - 16)
+	c.X[isa.SP] = uint32(c.size - 16)
 }
 
 // FNV-1a 64's offset and prime, and fnvPage: the prime to the power of
@@ -225,7 +253,7 @@ var fnvPage = func() uint64 {
 // Digest folds the architectural state into one hash: FNV-1a 64 lifted
 // to 64-bit words over the exit code, fflags, the X and F files, memory
 // as little-endian words with its byte tail packed into one more, and
-// memory's length. A whole page no write has marked is all zero, and
+// memory's length. A whole page no write has placed is all zero, and
 // folding a zero word is one multiply by the prime, so such a page costs
 // one multiply by fnvPage: the digest pays for the pages a run wrote.
 func (c *CPU) Digest() uint64 {
@@ -242,23 +270,28 @@ func (c *CPU) Digest() uint64 {
 	for _, v := range c.F {
 		mix(uint64(v))
 	}
-	words := len(c.mem) / 8
-	for p, d := range c.dirty {
-		lo, hi := p*pageWords, min((p+1)*pageWords, words)
-		if d || hi-lo < pageWords {
-			for w := lo; w < hi; w++ {
-				mix(binary.LittleEndian.Uint64(c.mem[8*w:]))
+	words := c.size / 8
+	for p, pg := range c.pages {
+		n := min(pageWords, words-p*pageWords)
+		switch {
+		case pg != nil:
+			for w := range n {
+				mix(binary.LittleEndian.Uint64(pg[8*w:]))
 			}
-		} else {
+		case n == pageWords:
 			h *= fnvPage
+		default:
+			for range n {
+				mix(0)
+			}
 		}
 	}
 	var tail uint64
-	for i, b := range c.mem[8*words:] {
-		tail |= uint64(b) << (8 * uint(i))
+	for i := range c.size % 8 {
+		tail |= uint64(c.read(uint32(8*words+i), 1)) << (8 * uint(i))
 	}
 	mix(tail)
-	mix(uint64(len(c.mem)))
+	mix(uint64(c.size))
 	return h
 }
 
@@ -267,25 +300,66 @@ func (c *CPU) fault(format string, args ...any) {
 	c.FaultMsg = fmt.Sprintf(format, args...)
 }
 
-func (c *CPU) loadWord(addr uint32) (uint32, bool) {
-	if int(addr)+4 > len(c.mem) {
+// read returns the n-byte (1, 2 or 4) little-endian value at addr,
+// which lies in memory.
+func (c *CPU) read(addr uint32, n int) uint32 {
+	off := int(addr & pageMask)
+	if off+n > pageSize {
+		var v uint32
+		for i := range n {
+			v |= c.read(addr+uint32(i), 1) << (8 * i)
+		}
+		return v
+	}
+	pg := c.pages[addr>>pageShift]
+	switch {
+	case pg == nil:
+		return 0
+	case n == 1:
+		return uint32(pg[off])
+	case n == 2:
+		return uint32(binary.LittleEndian.Uint16(pg[off:]))
+	}
+	return binary.LittleEndian.Uint32(pg[off:])
+}
+
+// write stores the low n bytes (1, 2 or 4) of v at addr, which lies in
+// memory, little-endian.
+func (c *CPU) write(addr uint32, n int, v uint32) {
+	off := int(addr & pageMask)
+	if off+n > pageSize {
+		for i := range n {
+			c.write(addr+uint32(i), 1, v>>(8*i))
+		}
+		return
+	}
+	pg := c.page(addr >> pageShift)
+	switch n {
+	case 1:
+		pg[off] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(pg[off:], uint16(v))
+	default:
+		binary.LittleEndian.PutUint32(pg[off:], v)
+	}
+}
+
+// load is read with the bounds check of a load instruction.
+func (c *CPU) load(addr uint32, n int) (uint32, bool) {
+	if int(addr)+n > c.size {
 		c.fault("load out of range at %#x", addr)
 		return 0, false
 	}
-	return uint32(c.mem[addr]) | uint32(c.mem[addr+1])<<8 |
-		uint32(c.mem[addr+2])<<16 | uint32(c.mem[addr+3])<<24, true
+	return c.read(addr, n), true
 }
 
-func (c *CPU) storeWord(addr uint32, v uint32) bool {
-	if int(addr)+4 > len(c.mem) {
+// store is write with the bounds check of a store instruction.
+func (c *CPU) store(addr uint32, n int, v uint32) bool {
+	if int(addr)+n > c.size {
 		c.fault("store out of range at %#x", addr)
 		return false
 	}
-	c.touch(addr, addr+3)
-	c.mem[addr] = byte(v)
-	c.mem[addr+1] = byte(v >> 8)
-	c.mem[addr+2] = byte(v >> 16)
-	c.mem[addr+3] = byte(v >> 24)
+	c.write(addr, n, v)
 	return true
 }
 
@@ -366,7 +440,7 @@ func (c *CPU) fetch() (isa.Inst, bool) {
 	if inst, ok := c.other[c.PC]; ok {
 		return inst, true
 	}
-	w, ok := c.loadWord(c.PC)
+	w, ok := c.load(c.PC, 4)
 	if !ok {
 		return isa.Inst{}, false
 	}
@@ -397,6 +471,11 @@ var aluOps = [isa.NumOps]alu.Op{
 	isa.SLT: alu.OpSlt, isa.SLTU: alu.OpSltu, isa.XOR: alu.OpXor,
 	isa.SRL: alu.OpSrl, isa.SRA: alu.OpSra, isa.OR: alu.OpOr,
 	isa.AND: alu.OpAnd,
+}
+
+// width is the bytes a load or store instruction moves.
+var width = [isa.NumOps]int{
+	isa.LB: 1, isa.LBU: 1, isa.SB: 1, isa.LH: 2, isa.LHU: 2, isa.SH: 2, isa.LW: 4, isa.SW: 4,
 }
 
 var fpuOps = [isa.NumOps]fpu.Op{
@@ -455,59 +534,22 @@ func (c *CPU) execute(i isa.Inst) {
 		}
 
 	case isa.LB, isa.LH, isa.LW, isa.LBU, isa.LHU:
-		addr := rs1 + uint32(i.Imm)
 		cycles += cycleLoadExtra
-		switch i.Op {
-		case isa.LW:
-			v, ok := c.loadWord(addr)
-			if !ok {
-				return
-			}
-			c.X[i.Rd] = v
-		case isa.LB, isa.LBU:
-			if int(addr) >= len(c.mem) {
-				c.fault("load out of range at %#x", addr)
-				return
-			}
-			v := uint32(c.mem[addr])
-			if i.Op == isa.LB {
-				v = uint32(int32(v<<24) >> 24)
-			}
-			c.X[i.Rd] = v
-		case isa.LH, isa.LHU:
-			if int(addr)+2 > len(c.mem) {
-				c.fault("load out of range at %#x", addr)
-				return
-			}
-			v := uint32(c.mem[addr]) | uint32(c.mem[addr+1])<<8
-			if i.Op == isa.LH {
-				v = uint32(int32(v<<16) >> 16)
-			}
-			c.X[i.Rd] = v
+		v, ok := c.load(rs1+uint32(i.Imm), width[i.Op])
+		if !ok {
+			return
 		}
+		switch i.Op {
+		case isa.LB:
+			v = uint32(int32(v<<24) >> 24)
+		case isa.LH:
+			v = uint32(int32(v<<16) >> 16)
+		}
+		c.X[i.Rd] = v
 
 	case isa.SB, isa.SH, isa.SW:
-		addr := rs1 + uint32(i.Imm)
-		switch i.Op {
-		case isa.SW:
-			if !c.storeWord(addr, rs2) {
-				return
-			}
-		case isa.SB:
-			if int(addr) >= len(c.mem) {
-				c.fault("store out of range at %#x", addr)
-				return
-			}
-			c.touch(addr, addr)
-			c.mem[addr] = byte(rs2)
-		case isa.SH:
-			if int(addr)+2 > len(c.mem) {
-				c.fault("store out of range at %#x", addr)
-				return
-			}
-			c.touch(addr, addr+1)
-			c.mem[addr] = byte(rs2)
-			c.mem[addr+1] = byte(rs2 >> 8)
+		if !c.store(rs1+uint32(i.Imm), width[i.Op], rs2) {
+			return
 		}
 
 	case isa.ADDI, isa.SLTI, isa.SLTIU, isa.XORI, isa.ORI, isa.ANDI,
@@ -586,16 +628,14 @@ func (c *CPU) execute(i isa.Inst) {
 		c.X[i.Rd] = old
 
 	case isa.FLW:
-		addr := rs1 + uint32(i.Imm)
 		cycles += cycleLoadExtra
-		v, ok := c.loadWord(addr)
+		v, ok := c.load(rs1+uint32(i.Imm), 4)
 		if !ok {
 			return
 		}
 		c.F[i.Rd] = v
 	case isa.FSW:
-		addr := rs1 + uint32(i.Imm)
-		if !c.storeWord(addr, c.F[i.Rs2]) {
+		if !c.store(rs1+uint32(i.Imm), 4, c.F[i.Rs2]) {
 			return
 		}
 

@@ -232,16 +232,16 @@ func TestDecodeAtFirstExecution(t *testing.T) {
 		}
 	}
 	c.Load(img)
-	c.storeWord(outside, addi(isa.A2, 1))
+	c.store(outside, 4, addi(isa.A2, 1))
 	c.Step() // a0 += 1, decoded
-	c.storeWord(img.Base, addi(isa.A0, 100))
-	c.storeWord(img.Base+4, addi(isa.A1, 100))
+	c.store(img.Base, 4, addi(isa.A0, 100))
+	c.store(img.Base+4, 4, addi(isa.A1, 100))
 	c.Step() // a1 += 100: it had not executed before the store
 	c.Step() // j loop
 	c.Step() // a0 += 1 again: the store came after the decode
 	c.PC = outside
 	c.Step() // a2 += 1, decoded
-	c.storeWord(outside, addi(isa.A2, 100))
+	c.store(outside, 4, addi(isa.A2, 100))
 	c.PC = outside
 	c.Step() // a2 += 1 again
 	check("after the stores", [3]uint32{2, 100, 2})
@@ -575,26 +575,26 @@ func TestHaltStalledOnHungFPUHandshake(t *testing.T) {
 	}
 }
 
-// TestRecycledStateEqualsNew: whatever a released CPU held — memory its
-// program dirtied, registers, a halt, a backend — the next Recycled CPU
-// is deep-equal to New's, on a reused arena as on a fresh one, and a
-// request for another size never gets a recycled arena. The memory is
+// TestRecycledStateEqualsNew: whatever a released CPU held — pages its
+// program wrote, registers, a halt, a backend — the next Recycled CPU
+// is deep-equal to New's but for the zeroed pages it holds for reuse, on
+// a reused arena as on a fresh one, and a request for another size never
+// gets a recycled arena. The memory is
 // dirtied the only way it can be: by Load and by SB, SH and SW at the
 // first and the last byte of a page and of memory, across a page
 // boundary, and at the top of the stack.
 func TestRecycledStateEqualsNew(t *testing.T) {
-	const page = 1 << pageShift
 	type store struct {
 		width int
 		addr  uint32
 	}
 	var stores []store
 	for i, w := range []int{1, 2, 4} {
-		base := uint32(0x30000 + 4*i*page)
+		base := uint32(0x30000 + 4*i*pageSize)
 		stores = append(stores,
 			store{w, base},                           // first byte of a page
-			store{w, base + page - uint32(w)},        // ending on the last byte of a page
-			store{w, base + 2*page - 1},              // straddling two pages (SH, SW)
+			store{w, base + pageSize - uint32(w)},    // ending on the last byte of a page
+			store{w, base + 2*pageSize - 1},          // straddling two pages (SH, SW)
 			store{w, 0},                              // first byte of memory
 			store{w, uint32(memSize - w)},            // last byte of memory
 			store{w, uint32(memSize - 16 - 4*(i+1))}, // below the stack pointer
@@ -620,38 +620,55 @@ func TestRecycledStateEqualsNew(t *testing.T) {
 	img := mustAsm(t, a)
 
 	want := New(memSize)
+	// equalsNew: c is in New's state, but for the zeroed pages it may
+	// hold for its writes to reuse.
+	equalsNew := func(c *CPU) bool {
+		for _, pg := range c.spare {
+			if *pg != (page{}) {
+				return false
+			}
+		}
+		got := *c
+		got.spare = nil
+		return reflect.DeepEqual(&got, want)
+	}
 	reused := 0
 	for i := 0; i < 64; i++ {
 		c := Recycled(memSize)
-		if !reflect.DeepEqual(c, want) {
+		if !equalsNew(c) {
 			t.Fatalf("iteration %d: recycled CPU differs from New", i)
 		}
-		arena := &c.mem[0]
 		c.Load(img)
 		if halt := c.Run(10_000); halt != HaltExit {
 			t.Fatalf("dirtying program halted %v (%s)", halt, c.FaultMsg)
 		}
 		for _, st := range stores {
-			if c.mem[st.addr] == 0 || c.mem[st.addr+uint32(st.width)-1] == 0 {
+			if c.read(st.addr, 1) == 0 || c.read(st.addr+uint32(st.width)-1, 1) == 0 {
 				t.Fatalf("store of %d bytes at %#x left memory clean: the test proves nothing", st.width, st.addr)
 			}
 		}
-		if c.mem[img.DataBase] == 0 || c.mem[len(c.mem)-16] == 0 {
+		if c.read(img.DataBase, 1) == 0 || c.read(uint32(c.size-16), 1) == 0 {
 			t.Fatal("Load or the stack store left memory clean: the test proves nothing")
+		}
+		written := map[*page]bool{}
+		for _, pg := range c.pages {
+			if pg != nil {
+				written[pg] = true
+			}
 		}
 		c.X[5], c.F[7], c.FFlags, c.PC, c.Cycles, c.Instret = 1, 2, 3, 4, 5, 6
 		c.Halt, c.ExitCode, c.FaultMsg = HaltFault, 9, "dirty"
 		c.ALU = &Recording{}
 		c.other = map[uint32]isa.Inst{0: {Op: isa.ADD}}
 		c.Release()
-		if c.mem != nil || c.dirty != nil {
-			t.Fatal("a released CPU kept its arena")
+		if c.pages != nil || c.spare != nil {
+			t.Fatal("a released CPU kept its memory")
 		}
 		next := Recycled(memSize)
-		if &next.mem[0] == arena {
+		if len(next.spare) > 0 && written[next.spare[0]] {
 			reused++
 		}
-		if !reflect.DeepEqual(next, want) {
+		if !equalsNew(next) {
 			t.Fatalf("iteration %d: CPU recycled from a dirtied arena differs from New", i)
 		}
 		next.Release()
@@ -659,12 +676,24 @@ func TestRecycledStateEqualsNew(t *testing.T) {
 	if reused == 0 {
 		t.Error("no arena was ever reused: the recycle path went untested")
 	}
-	if small := Recycled(memSize / 2); !reflect.DeepEqual(small, New(memSize/2)) {
+	if small := Recycled(memSize - 1); !reflect.DeepEqual(small, New(memSize-1)) {
 		t.Error("a different size must get a fresh CPU")
 	}
 }
 
-// fullDigest is Digest by a walk over every word of memory, written or
+// flat is c's memory as one slice: each page placed at its offset, a nil
+// page as zeros.
+func flat(c *CPU) []byte {
+	mem := make([]byte, c.size)
+	for p, pg := range c.pages {
+		if pg != nil {
+			copy(mem[p<<pageShift:], pg[:])
+		}
+	}
+	return mem
+}
+
+// fullDigest is Digest by a walk over every word of memory, placed or
 // not: the oracle of TestDigestMatchesFullWalk.
 func fullDigest(c *CPU) uint64 {
 	h := uint64(fnvOffset)
@@ -680,7 +709,7 @@ func fullDigest(c *CPU) uint64 {
 	for _, v := range c.F {
 		mix(uint64(v))
 	}
-	mem := c.mem
+	mem := flat(c)
 	for len(mem) >= 8 {
 		mix(binary.LittleEndian.Uint64(mem))
 		mem = mem[8:]
@@ -690,16 +719,16 @@ func fullDigest(c *CPU) uint64 {
 		tail |= uint64(b) << (8 * uint(i))
 	}
 	mix(tail)
-	mix(uint64(len(c.mem)))
+	mix(uint64(c.size))
 	return h
 }
 
-// TestDigestMatchesFullWalk: the digest that folds each unwritten page in
-// one multiply equals a walk over all of memory — on a New CPU, on a
-// Recycled one after SB, SH, SW and Load wrote it, and with a page
-// written back to all zeros (dirty, zero content) — at memory sizes with
-// whole pages, a partial last page and a byte tail. Four goroutines
-// share the arenas, as the campaign's workers do.
+// TestDigestMatchesFullWalk: the digest that folds each nil page of the
+// page table in one multiply equals a walk over all of memory — on a New
+// CPU, on a Recycled one after SB, SH, SW and Load wrote it, and with a
+// page written back to all zeros (placed, zero content) — at memory
+// sizes with whole pages, a partial last page and a byte tail. Four
+// goroutines share the released pages, as the campaign's workers do.
 func TestDigestMatchesFullWalk(t *testing.T) {
 	a := isa.NewAsm()
 	a.Word("data", 0xdeadbeef, 0x01020304)
@@ -751,6 +780,47 @@ func TestDigestMatchesFullWalk(t *testing.T) {
 	wg.Wait()
 }
 
+// TestWordAcrossPageBoundary: a word stored across a page boundary loads
+// back whole by LW and as its two halves by LHU; a load that reaches
+// into a page no store placed reads zeros there and places none; and the
+// digest still equals a full walk.
+func TestWordAcrossPageBoundary(t *testing.T) {
+	c := New(memSize)
+	exec := func(op isa.Op, addr, v uint32) uint32 {
+		t.Helper()
+		c.X[isa.T0], c.X[isa.T1] = addr, v
+		c.execute(isa.Inst{Op: op, Rd: isa.T2, Rs1: isa.T0, Rs2: isa.T1})
+		if c.Halt != Running {
+			t.Fatalf("%v at %#x: %s", op, addr, c.FaultMsg)
+		}
+		return c.X[isa.T2]
+	}
+	const edge = 3 << pageShift
+	exec(isa.SW, edge-2, 0x44332211)
+	if c.pages[2] == nil || c.pages[3] == nil {
+		t.Fatal("a word stored across a page boundary did not place both pages")
+	}
+	if got := exec(isa.LW, edge-2, 0); got != 0x44332211 {
+		t.Errorf("LW across the boundary = %#x, want 0x44332211", got)
+	}
+	if lo, hi := exec(isa.LHU, edge-2, 0), exec(isa.LHU, edge, 0); lo != 0x2211 || hi != 0x4433 {
+		t.Errorf("LHU either side of the boundary = %#x, %#x; want 0x2211, 0x4433", lo, hi)
+	}
+	exec(isa.SB, 5<<pageShift-1, 0xa5) // page 4's last byte; page 5 stays unwritten
+	if got := exec(isa.LW, 5<<pageShift-1, 0); got != 0xa5 {
+		t.Errorf("LW into an unwritten page = %#x, want 0xa5", got)
+	}
+	if got := exec(isa.LH, 5<<pageShift-1, 0); got != 0xa5 {
+		t.Errorf("LH into an unwritten page = %#x, want 0xa5", got)
+	}
+	if c.pages[5] != nil {
+		t.Error("a load placed a page")
+	}
+	if got, want := c.Digest(), fullDigest(c); got != want {
+		t.Errorf("digest %#x, full walk %#x", got, want)
+	}
+}
+
 // TestLoadFaultsOnImageThatDoesNotFit: an image whose text or data runs
 // past the end of memory halts the CPU with a fault before it writes a
 // byte or runs an instruction; one that ends exactly at the end, or has
@@ -784,7 +854,7 @@ func TestLoadFaultsOnImageThatDoesNotFit(t *testing.T) {
 				tc.name, halt, c.Instret, c.FaultMsg, written)
 		case !tc.fault && halt != HaltExit:
 			t.Errorf("%s: halt %v (%s), want exit", tc.name, halt, c.FaultMsg)
-		case !tc.fault && len(tc.img.Data) > 0 && c.mem[size-1] != tc.img.Data[len(tc.img.Data)-1]:
+		case !tc.fault && len(tc.img.Data) > 0 && flat(c)[size-1] != tc.img.Data[len(tc.img.Data)-1]:
 			t.Errorf("%s: the data's last byte was not loaded", tc.name)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
 
 	"repro/internal/cell"
 	"repro/internal/netlist"
@@ -24,14 +23,19 @@ import (
 // where active compares X(t) with X(t-1) (setup, via a history
 // register) or with X(t+1)=X.D (hold), optionally edge-filtered, and C
 // is a constant or the output of a 16-bit LFSR clocked with the root
-// clock. Because every embedded LFSR in a failing netlist is seeded and
-// clocked identically, one shared LFSR word serves all lanes and sites.
+// clock. Every embedded LFSR in a failing netlist is seeded and clocked
+// identically, so one LFSR per lane serves all of the lane's sites; it is
+// bit-sliced, one word per LFSR bit, so that a lane held at an edge
+// keeps its LFSR while the others step.
 //
 // FaultedPacked exposes Settle and Edge as separate phases (instead of
 // the scalar simulator's fused Step) so a driver can read settled
 // outputs, compare lanes word-wise, and retire diverged lanes before
 // the clock edge — mirroring the check-then-step structure of
-// module.Driver.Exec exactly.
+// module.Driver.Exec exactly. A caller may also hold lanes at an edge
+// (Hold) and drive one lane's inputs (SetInputLanes), so lanes that run
+// different programs share one settle: each lane then sees exactly the
+// cycles it was not held at.
 
 // OverlayCheck selects the timing-violation flavor of an overlay.
 type OverlayCheck uint8
@@ -171,8 +175,11 @@ type FaultedPacked struct {
 	vals   []uint64 // current word of every net
 	dffBuf []uint64 // staged DFF next-state, one word per flip-flop
 	hist   []uint64 // per site: X(t-1) history words (setup sites)
-	lfsr   uint16   // shared CRandom source (all failing-netlist LFSRs run in lock-step)
-	ret    uint64   // retired-lane mask
+	// lfsr is every lane's CRandom source, bit-sliced: word k holds bit
+	// k of each lane's LFSR.
+	lfsr [16]uint64
+	ret  uint64 // retired-lane mask
+	hold uint64 // lanes the next edges leave as they are
 
 	// pend is the bitset of runs the next settle evaluates, run r at bit
 	// r%64 of word r/64; every settle ends with it clear.
@@ -182,20 +189,21 @@ type FaultedPacked struct {
 
 // NewFaultedPacked creates a faulted evaluator in the reset state.
 func NewFaultedPacked(fp *FaultedProgram) *FaultedPacked {
-	e := &FaultedPacked{}
-	e.bind(fp)
+	e := zeroed(fp)
 	e.Reset()
 	return e
 }
 
-// bind points e at fp, sizing its storage for it and reusing what it
-// already has. The contents are left for the caller to overwrite.
-func (e *FaultedPacked) bind(fp *FaultedProgram) {
-	e.fp, e.prog, e.feeds = fp, fp.Prog, fp.Prog.feedTable()
-	e.vals = resize(e.vals, fp.Prog.NumNets)
-	e.dffBuf = resize(e.dffBuf, len(fp.Prog.DFFs))
-	e.hist = resize(e.hist, len(fp.sites))
-	e.pend = resize(e.pend, (len(fp.Prog.Runs)+63)/64)
+// zeroed returns an evaluator of fp whose every word is zero.
+func zeroed(fp *FaultedProgram) *FaultedPacked {
+	p := fp.Prog
+	return &FaultedPacked{
+		fp: fp, prog: p, feeds: p.feedTable(),
+		vals:   make([]uint64, p.NumNets),
+		dffBuf: make([]uint64, len(p.DFFs)),
+		hist:   make([]uint64, len(fp.sites)),
+		pend:   make([]uint64, (len(p.Runs)+63)/64),
+	}
 }
 
 // pendAll makes the next settle evaluate every run.
@@ -208,73 +216,70 @@ func (e *FaultedPacked) pendAll() {
 	}
 }
 
-func resize(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
-// seededPool holds released evaluators' storage: pooled storage, never
-// pooled state — Seeded overwrites every word a settle reads.
-var seededPool = sync.Pool{New: func() any { return new(FaultedPacked) }}
-
 // Snapshot is one lane's state, everything a continuation of the lane
-// is seeded from: its bit of every state net and of every site's history
-// register, and the shared LFSR. It belongs to the program it was taken
-// from.
+// is seeded from: the lane, its bit of every state net and of every
+// site's history register, and its LFSR. It belongs to the program it
+// was taken from.
 type Snapshot struct {
+	lane  int
 	nets  []uint64 // the k-th state net in ascending net order is bit k%64 of word k/64
-	hists []uint64 // in site order, the lane's bit broadcast
+	hists []uint64 // in site order, the lane's bit
 	lfsr  uint16
 }
 
 // Snapshot reads lane's state.
 func (e *FaultedPacked) Snapshot(lane int) Snapshot {
 	state := e.feeds.state
-	s := Snapshot{nets: make([]uint64, (len(state)+63)/64), hists: make([]uint64, len(e.hist)), lfsr: e.lfsr}
+	s := Snapshot{lane: lane, nets: make([]uint64, (len(state)+63)/64), hists: make([]uint64, len(e.hist))}
 	for k, n := range state {
 		s.nets[k/64] |= (e.vals[n] >> uint(lane) & 1) << uint(k%64)
 	}
 	for si, h := range e.hist {
-		s.hists[si] = -(h >> uint(lane) & 1)
+		s.hists[si] = h >> uint(lane) & 1
+	}
+	for k, w := range e.lfsr {
+		s.lfsr |= uint16(w>>uint(lane)&1) << uint(k)
 	}
 	return s
 }
 
-// Seeded returns an evaluator of fp in the state snap describes,
-// broadcast to every lane, with no lane retired. snap must be taken from
-// an evaluator of fp's program and sites; Seeded panics when the site
-// counts differ. Combinational nets hold nothing until the first Settle,
-// which evaluates every run; settle before reading or clocking. The
-// evaluator's storage may come from one an earlier continuation
-// released; pair it with Release.
-func Seeded(fp *FaultedProgram, snap Snapshot) *FaultedPacked {
-	if len(snap.hists) != len(fp.sites) {
-		panic(fmt.Sprintf("engine: a snapshot of %d sites seeds a program of %d", len(snap.hists), len(fp.sites)))
-	}
-	e := seededPool.Get().(*FaultedPacked)
-	e.bind(fp)
-	for k, n := range e.feeds.state {
-		e.vals[n] = -(snap.nets[k/64] >> uint(k%64) & 1)
+// Seeded returns an evaluator of fp with each snapshot placed in the
+// lane it was taken from; every lane no snapshot names is retired, and
+// no lane is held. Each snapshot must be taken from an evaluator of fp's
+// program and sites, and no two from the same lane; Seeded panics when a
+// site count differs or a lane repeats. Combinational nets hold nothing
+// until the first Settle, which evaluates every run; settle before
+// reading or clocking.
+func Seeded(fp *FaultedProgram, snaps ...Snapshot) *FaultedPacked {
+	e := zeroed(fp)
+	var seeded uint64
+	for _, snap := range snaps {
+		if len(snap.hists) != len(fp.sites) {
+			panic(fmt.Sprintf("engine: a snapshot of %d sites seeds a program of %d", len(snap.hists), len(fp.sites)))
+		}
+		l := uint(snap.lane)
+		if seeded>>l&1 == 1 {
+			panic(fmt.Sprintf("engine: two snapshots seed lane %d", l))
+		}
+		seeded |= 1 << l
+		for k, n := range e.feeds.state {
+			e.vals[n] |= (snap.nets[k/64] >> uint(k%64) & 1) << l
+		}
+		for si, h := range snap.hists {
+			e.hist[si] |= h << l
+		}
+		for k := range e.lfsr {
+			e.lfsr[k] |= uint64(snap.lfsr>>uint(k)&1) << l
+		}
 	}
 	e.pendAll()
-	copy(e.hist, snap.hists)
-	e.lfsr = snap.lfsr
-	e.ret = 0
+	e.ret = ^seeded
 	return e
 }
 
-// Release hands e's storage to a later Seeded call; e must not be used
-// again.
-func (e *FaultedPacked) Release() {
-	e.fp, e.prog, e.feeds = nil, nil, nil
-	seededPool.Put(e)
-}
-
 // Reset re-applies reset values in every lane: DFF Init words, overlay
-// history registers from X's Init, the LFSR seed, and an empty
-// retired mask.
+// history registers from X's Init, the LFSR seed, and empty retired and
+// held masks.
 func (e *FaultedPacked) Reset() {
 	for i := range e.vals {
 		e.vals[i] = 0
@@ -294,21 +299,27 @@ func (e *FaultedPacked) Reset() {
 			e.hist[i] = 0
 		}
 	}
-	e.lfsr = overlayLFSRSeed
-	e.ret = 0
+	for k := range e.lfsr {
+		e.lfsr[k] = -uint64(overlayLFSRSeed >> k & 1)
+	}
+	e.ret, e.hold = 0, 0
 	e.pendAll()
 }
 
 // SetInput drives a (multi-bit) input port with the low len(port) bits
 // of val, broadcast to all 64 lanes: every lane sees the same stimulus,
 // as the packed campaign replays one program against 63 fault variants.
-func (e *FaultedPacked) SetInput(name string, val uint64) {
+func (e *FaultedPacked) SetInput(name string, val uint64) { e.SetInputLanes(name, ^uint64(0), val) }
+
+// SetInputLanes is SetInput in the lanes of mask only; the other lanes
+// keep what they were driven with.
+func (e *FaultedPacked) SetInputLanes(name string, mask, val uint64) {
 	p, ok := e.prog.Netlist.FindInput(name)
 	if !ok {
 		panic(fmt.Sprintf("engine: no input port %q on %s", name, e.prog.Netlist.Name))
 	}
 	for i, n := range p.Bits {
-		e.write(int32(n), -(val >> uint(i) & 1))
+		e.write(int32(n), e.vals[n]&^mask|-(val>>uint(i)&1)&mask)
 	}
 }
 
@@ -337,6 +348,11 @@ func (e *FaultedPacked) Lane(n netlist.NetID, lane int) bool {
 // evaluating as (meaningless) golden traffic in the word-parallel base
 // update but cost nothing extra.
 func (e *FaultedPacked) Retire(mask uint64) { e.ret |= mask }
+
+// Hold makes every following Edge leave the lanes of mask as they are:
+// their flip-flops, history registers and LFSR keep their words, as if
+// the lanes' clock were stopped. Hold(0) clocks every lane again.
+func (e *FaultedPacked) Hold(mask uint64) { e.hold = mask }
 
 // Settle propagates all 64 lanes through the combinational logic,
 // evaluating only the pending runs, in program order: a run whose inputs
@@ -432,24 +448,22 @@ func settleRun(kind cell.Kind, run []Op, vals []uint64) (d uint64) {
 	return d
 }
 
-// Edge completes the cycle: stage every flip-flop's base next-state,
-// mix in the lane-masked faulty values at the overlay endpoints, update
-// the overlay history registers, publish, and step the shared LFSR.
-// All reads see pre-edge settled values — flip-flops, history registers
-// and LFSR sample simultaneously, exactly like the instrumented cells
-// of a failing netlist under the scalar simulator.
+// Edge completes the cycle in every lane not held: stage every
+// flip-flop's base next-state, mix in the lane-masked faulty values at
+// the overlay endpoints, update the overlay history registers, publish,
+// and step the LFSRs. All reads see pre-edge settled values —
+// flip-flops, history registers and LFSR sample simultaneously, exactly
+// like the instrumented cells of a failing netlist under the scalar
+// simulator. A held lane sees its clock low.
 func (e *FaultedPacked) Edge() {
-	vals := e.vals
+	vals, hold := e.vals, e.hold
 	dffs := e.prog.DFFs
 	for i := range dffs {
 		f := &dffs[i]
-		clk := vals[f.Clk]
+		clk := vals[f.Clk] &^ hold
 		e.dffBuf[i] = (vals[f.D] & clk) | (vals[f.Out] &^ clk)
 	}
-	var cRnd uint64 // broadcast of the LFSR output bit (qs[15])
-	if e.lfsr>>15&1 == 1 {
-		cRnd = ^uint64(0)
-	}
+	cRnd := e.lfsr[15] // each lane's LFSR output bit (qs[15])
 	for si := range e.fp.sites {
 		s := &e.fp.sites[si]
 		m := s.lanes &^ e.ret
@@ -483,7 +497,7 @@ func (e *FaultedPacked) Edge() {
 			c = cRnd
 		}
 		f := &e.prog.DFFs[s.dff]
-		clk := vals[f.Clk]
+		clk := vals[f.Clk] &^ hold
 		faulty := (c & active) | (vals[f.D] &^ active)
 		staged := (faulty & clk) | (vals[f.Out] &^ clk)
 		e.dffBuf[s.dff] = (e.dffBuf[s.dff] &^ m) | (staged & m)
@@ -491,15 +505,19 @@ func (e *FaultedPacked) Edge() {
 	for si := range e.fp.sites {
 		s := &e.fp.sites[si]
 		if s.check == OverlaySetup && !s.same {
-			clk := vals[s.histClk]
+			clk := vals[s.histClk] &^ hold
 			e.hist[si] = (vals[s.xQ] & clk) | (e.hist[si] &^ clk)
 		}
 	}
 	for i := range dffs {
 		e.write(dffs[i].Out, e.dffBuf[i])
 	}
-	fb := (e.lfsr>>15 ^ e.lfsr>>13 ^ e.lfsr>>12 ^ e.lfsr>>10) & 1
-	e.lfsr = e.lfsr<<1 | fb
+	l := &e.lfsr
+	fb := l[15] ^ l[13] ^ l[12] ^ l[10]
+	for k := len(l) - 1; k > 0; k-- {
+		l[k] = l[k-1]&^hold | l[k]&hold
+	}
+	l[0] = fb&^hold | l[0]&hold
 }
 
 // Step is Settle followed by Edge — one full cycle for drivers that do

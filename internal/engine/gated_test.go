@@ -36,11 +36,12 @@ func words(e *engine.FaultedPacked, numNets int) []uint64 {
 	return w
 }
 
-// gatedMatchesFull runs the evaluator calls ops names on nl — stimulus,
-// settles, clock edges, retirements, resets and a reseed from one lane's
-// snapshot through the shared pool, as a continuation of that lane — and
-// after every settle holds each net's word to a full settle, in the
-// netlist's own topological order, of the same state nets.
+// gatedMatchesFull runs the evaluator calls ops names on nl — stimulus
+// to every lane and to a few, settles, clock edges, retirements, held
+// lanes, resets and a reseed from up to three lanes' snapshots, as a
+// gang of their continuations — and after every
+// settle holds each net's word to a full settle, in the netlist's own
+// topological order, of the same state nets.
 func gatedMatchesFull(t *testing.T, nl *netlist.Netlist, seed int64, ops []byte) bool {
 	rng := rand.New(rand.NewSource(seed))
 	p := engine.Compile(nl)
@@ -51,7 +52,6 @@ func gatedMatchesFull(t *testing.T, nl *netlist.Netlist, seed int64, ops []byte)
 		t.Fatal(err)
 	}
 	e := engine.NewFaultedPacked(fp)
-	defer func() { e.Release() }()
 	seeded := false // combinational nets undefined until the next settle
 	settle := func(step int) bool {
 		e.Settle()
@@ -62,14 +62,14 @@ func gatedMatchesFull(t *testing.T, nl *netlist.Netlist, seed int64, ops []byte)
 		for n := range got {
 			if got[n] != want[n] {
 				t.Logf("seed %d step %d (op %d): net %s = %#x, a full settle gives %#x",
-					seed, step, ops[step]%6, nl.NetName(netlist.NetID(n)), got[n], want[n])
+					seed, step, ops[step]%8, nl.NetName(netlist.NetID(n)), got[n], want[n])
 				return false
 			}
 		}
 		return true
 	}
 	for step, op := range ops {
-		switch op % 6 {
+		switch op % 8 {
 		case 0:
 			e.SetInput(nl.Inputs[rng.Intn(len(nl.Inputs))].Name, rng.Uint64())
 		case 1:
@@ -90,12 +90,16 @@ func gatedMatchesFull(t *testing.T, nl *netlist.Netlist, seed int64, ops []byte)
 			if seeded && !settle(step) {
 				return false
 			}
-			lane := rng.Intn(engine.Lanes)
-			snap := e.Snapshot(lane)
-			e.Release()
-			e = engine.Seeded(fp, snap)
-			e.Retire(^(uint64(1) << uint(lane)))
+			var snaps []engine.Snapshot
+			for _, lane := range rng.Perm(engine.Lanes)[:1+rng.Intn(3)] {
+				snaps = append(snaps, e.Snapshot(lane))
+			}
+			e = engine.Seeded(fp, snaps...)
 			seeded = true
+		case 6:
+			e.Hold(rng.Uint64())
+		case 7:
+			e.SetInputLanes(nl.Inputs[rng.Intn(len(nl.Inputs))].Name, rng.Uint64(), rng.Uint64())
 		}
 	}
 	return settle(len(ops) - 1)
@@ -129,6 +133,8 @@ func TestGatedSettleMatchesFull(t *testing.T) {
 func FuzzGatedSettle(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 1, 5, 2, 1, 0, 1})
 	f.Add(int64(42), []byte{2, 2, 1, 3, 0, 2, 1, 4, 1, 5, 5, 1})
+	// Held lanes and one lane's stimulus, around a gang reseed.
+	f.Add(int64(7), []byte{7, 6, 1, 2, 15, 2, 5, 14, 7, 1, 2, 6, 0, 2, 1})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) == 0 || len(ops) > 512 {
 			t.Skip()
@@ -186,7 +192,6 @@ func evaluatesOnlyReached(t *testing.T, nl *netlist.Netlist, seed int64, cycles 
 		t.Fatal(err)
 	}
 	e := engine.NewFaultedPacked(fp)
-	defer e.Release()
 	settle := func() int {
 		n := engine.Evaluated(e)
 		e.Settle()
@@ -237,12 +242,12 @@ func TestGatedSettleEvaluatesOnlyReachedRuns(t *testing.T) {
 	}
 }
 
-// TestStateSnapshotRoundTrip: a continuation seeded from one lane's
-// snapshot on the same program, with every other lane retired, as the
-// injection plane seeds it, settles to that lane's word on every net, and
-// its own lane stays equal to the lane, net for net, over the cycles that
-// follow — for the ALU and the FPU under random stimulus, with the lanes
-// made to differ by random failure models.
+// TestStateSnapshotRoundTrip: a gang seeded from a few lanes' snapshots
+// on the same program, each in its own lane, as the injection plane
+// seeds a wave's retired lanes, settles to each lane's word on every
+// net, and each lane stays equal to the lane it came from, net for net,
+// over the cycles that follow — for the ALU and the FPU under random
+// stimulus, with the lanes made to differ by random failure models.
 func TestStateSnapshotRoundTrip(t *testing.T) {
 	for _, m := range []*module.Module{alu.Build(), fpu.Build()} {
 		t.Run(m.Name, func(t *testing.T) {
@@ -266,7 +271,7 @@ func TestStateSnapshotRoundTrip(t *testing.T) {
 				drive(e)
 				e.Settle()
 				if cyc%8 == 7 {
-					roundTrip(t, nl, e, fp, rng.Intn(engine.Lanes), drive)
+					roundTrip(t, nl, e, fp, rng.Perm(engine.Lanes)[:1+rng.Intn(8)], drive)
 				}
 				e.Edge()
 			}
@@ -274,16 +279,16 @@ func TestStateSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// roundTrip seeds a continuation of e's lane from its snapshot and
-// compares the two on every net for a few cycles: the continuation's
-// words are the lane's bit broadcast right after seeding, and its lane
-// follows e's after that. It advances e.
+// roundTrip seeds a gang of e's lanes from their snapshots and compares
+// each with its lane of e on every net for a few cycles. It advances e.
 func roundTrip(t *testing.T, nl *netlist.Netlist, e *engine.FaultedPacked, fp *engine.FaultedProgram,
-	lane int, drive func(...*engine.FaultedPacked)) {
+	lanes []int, drive func(...*engine.FaultedPacked)) {
 	t.Helper()
-	c := engine.Seeded(fp, e.Snapshot(lane))
-	defer c.Release()
-	c.Retire(^(uint64(1) << uint(lane)))
+	var snaps []engine.Snapshot
+	for _, lane := range lanes {
+		snaps = append(snaps, e.Snapshot(lane))
+	}
+	c := engine.Seeded(fp, snaps...)
 	for cyc := 0; cyc < 4; cyc++ {
 		if cyc > 0 {
 			e.Edge()
@@ -294,10 +299,11 @@ func roundTrip(t *testing.T, nl *netlist.Netlist, e *engine.FaultedPacked, fp *e
 		c.Settle()
 		for n := 0; n < nl.NumNets; n++ {
 			id := netlist.NetID(n)
-			want := e.Lane(id, lane)
-			if w := c.Word(id); cyc == 0 && w != -uint64(b2u(want)) || c.Lane(id, lane) != want {
-				t.Fatalf("lane %d, cycle %d after the snapshot: net %s is %#x in the continuation, %v in the lane",
-					lane, cyc, nl.NetName(id), w, want)
+			for _, lane := range lanes {
+				if want := e.Lane(id, lane); c.Lane(id, lane) != want {
+					t.Fatalf("lane %d of %v, cycle %d after the snapshot: net %s is %v in the gang, %v in the lane",
+						lane, lanes, cyc, nl.NetName(id), !want, want)
+				}
 			}
 		}
 	}
@@ -305,7 +311,8 @@ func roundTrip(t *testing.T, nl *netlist.Netlist, e *engine.FaultedPacked, fp *e
 
 // TestSeededRefusesForeignSnapshot: a snapshot holds one history bit per
 // site of the program it was taken from, so seeding a program with
-// another site count panics instead of misreading it.
+// another site count panics instead of misreading it; so does seeding
+// one lane twice.
 func TestSeededRefusesForeignSnapshot(t *testing.T) {
 	nl := alu.Build().Netlist
 	rng := rand.New(rand.NewSource(1))
@@ -320,18 +327,22 @@ func TestSeededRefusesForeignSnapshot(t *testing.T) {
 	}
 	e := engine.NewFaultedPacked(fp)
 	snap := e.Snapshot(1)
-	engine.Seeded(fp, snap).Release()
-	defer func() {
-		if recover() == nil {
-			t.Error("Seeded accepted a snapshot of 3 sites for a program of 2")
-		}
-	}()
-	engine.Seeded(fewer, snap)
-}
-
-func b2u(b bool) uint64 {
-	if b {
-		return 1
+	engine.Seeded(fp, snap, e.Snapshot(2))
+	for _, tc := range []struct {
+		name string
+		fp   *engine.FaultedProgram
+		snap []engine.Snapshot
+	}{
+		{"a snapshot of 3 sites for a program of 2", fewer, []engine.Snapshot{snap}},
+		{"two snapshots of lane 1", fp, []engine.Snapshot{snap, e.Snapshot(1)}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Seeded accepted %s", tc.name)
+				}
+			}()
+			engine.Seeded(tc.fp, tc.snap...)
+		}()
 	}
-	return 0
 }

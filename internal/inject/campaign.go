@@ -352,13 +352,6 @@ func RunWithStats(ctx context.Context, cfg Config) (*Report, *PackedStats, error
 	return buildReport(&cfg, results, done), stats, nil
 }
 
-// taskOut is one replay's outcome inside a par.Map: ok=false means ctx
-// interrupted it and the injection stays pending.
-type taskOut struct {
-	r  Result
-	ok bool
-}
-
 // interrupted reports whether a pool stopped because its context was
 // cancelled or expired, which ends a campaign gracefully, not in error.
 func interrupted(err error) bool {
@@ -478,20 +471,22 @@ func runOne(ctx context.Context, cfg *Config, idx int, g *goldenInfo) (Result, b
 	if err := Attach(cfg.Module, c, s); err != nil {
 		return Result{}, false, fmt.Errorf("injection %d (%s): %w", idx, s.String(), err)
 	}
-	return runAttached(ctx, cfg, idx, g, c)
+	r, ok := runAttached(ctx, cfg, idx, g, c)
+	return r, ok, nil
 }
 
 // runAttached runs the image on a CPU whose faulty backend is already
-// installed and classifies the outcome.
-func runAttached(ctx context.Context, cfg *Config, idx int, g *goldenInfo, c *cpu.CPU) (Result, bool, error) {
+// installed and classifies the outcome; false means ctx interrupted the
+// run.
+func runAttached(ctx context.Context, cfg *Config, idx int, g *goldenInfo, c *cpu.CPU) (Result, bool) {
 	d := track(cfg.Module, c)
 	log := attachGuards(cfg, c)
 	c.Load(cfg.Image)
 	halt := c.RunCtx(ctx, cfg.MaxCycles)
 	if halt == cpu.HaltInterrupted {
-		return Result{}, false, nil
+		return Result{}, false
 	}
-	return finish(cfg, idx, c, halt, g, d, log), true, nil
+	return finish(cfg, idx, c, halt, g, d, log), true
 }
 
 // finish classifies a completed (non-interrupted) injection run. Shared

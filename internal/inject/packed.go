@@ -3,6 +3,7 @@ package inject
 import (
 	"context"
 	"fmt"
+	"iter"
 	"math/bits"
 
 	"repro/internal/cpu"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/module"
 	"repro/internal/netlist"
-	"repro/internal/par"
 	"repro/internal/sta"
 )
 
@@ -31,13 +31,17 @@ import (
 //     out_valid high early, a different result/flags word bit, or
 //     out_valid still low when the golden lane's result rose. At
 //     retirement the lane's state (its bit of every state net and of
-//     every site's history register, and the LFSR) is snapshotted.
-//  3. A retired lane finishes on a continuation: golden responses up to
-//     the divergence op (the lane was bit-identical to golden until
-//     then), then the wave's own program seeded from the snapshot, with
-//     every other lane retired — byte-identical, by construction and by
-//     the TestPackedMatchesScalar differential, to a scalar replay of
-//     the failing netlist.
+//     every site's history register, and its LFSR) is snapshotted.
+//  3. A wave's retired lanes finish as one gang: one evaluator of the
+//     wave's program, seeded with every retirement's snapshot in its own
+//     lane, and one CPU per lane, each a coroutine. A lane's CPU gets
+//     golden responses up to the divergence op (the lane was
+//     bit-identical to golden until then), then the gate level: every
+//     lane waiting on a unit op is clocked in lockstep, one settle and
+//     edge for all of them, while the others are held, so each lane sees
+//     exactly the cycles a lone replay of it would — byte-identical, by
+//     construction and by the TestPackedMatchesScalar differential, to
+//     a scalar replay of the failing netlist.
 //  4. A lane that never retires ran the whole image without any
 //     observable difference: classified Masked for free.
 //
@@ -198,16 +202,14 @@ func (p *unitPorts) laneValues(pe *engine.FaultedPacked, lane int) (r, f uint32)
 	return r, f
 }
 
-// present drives one operation into every lane as module.Driver.Exec
-// does: the operands with in_valid high for one cycle, then in_valid
-// low.
-func present(pe *engine.FaultedPacked, op, a, b uint32) {
-	pe.SetInput(module.PortInValid, 1)
-	pe.SetInput(module.PortOp, uint64(op))
-	pe.SetInput(module.PortA, uint64(a))
-	pe.SetInput(module.PortB, uint64(b))
-	pe.Step()
-	pe.SetInput(module.PortInValid, 0)
+// offer drives one operation into the lanes of mask as
+// module.Driver.Exec presents it: the operands with in_valid high. The
+// caller clocks one cycle, then drops in_valid.
+func offer(pe *engine.FaultedPacked, mask uint64, op, a, b uint32) {
+	pe.SetInputLanes(module.PortInValid, mask, 1)
+	pe.SetInputLanes(module.PortOp, mask, uint64(op))
+	pe.SetInputLanes(module.PortA, mask, uint64(a))
+	pe.SetInputLanes(module.PortB, mask, uint64(b))
 }
 
 // packedBackend implements the unit backend over a FaultedPacked
@@ -234,7 +236,9 @@ func (b *packedBackend) Exec(op, a, bb uint32) (uint32, uint32, bool) {
 	k := b.ops
 	b.ops++
 	pe := b.pe
-	present(pe, op, a, bb)
+	offer(pe, ^uint64(0), op, a, bb)
+	pe.Step()
+	pe.SetInput(module.PortInValid, 0)
 	// The wait loop mirrors module.Driver.Exec: check the settled
 	// out_valid, step on miss, for Latency+StallLimit iterations.
 	i0 := -1
@@ -310,76 +314,163 @@ func (b *packedBackend) retire(mask uint64, kind retKind, k uint64, i int) {
 	b.pe.Retire(mask)
 }
 
-// resumeBackend finishes one retired lane: golden responses up to the
-// divergence op (the lane was bit-identical to the golden circuit until
-// then), the recorded divergent response (or the rest of the wait loop)
-// at the divergence op, then the wave's own program, seeded from the
-// snapshot with every other lane retired, for every later op.
-type resumeBackend struct {
+// gang runs the continuations of a wave's retired lanes on one
+// evaluator of the wave's program, seeded with every retirement's
+// snapshot in its own lane. Each lane's CPU is a coroutine that runs
+// until its unit needs the gate level; the gang then steps every lane so
+// waiting in lockstep, one settle and one edge per step, and holds the
+// others, so a lane's flip-flops advance only on its own cycles.
+type gang struct {
 	m  *module.Module
-	fp *engine.FaultedProgram
+	pe *engine.FaultedPacked
 	unitPorts
-	ret *retirement
-	n   uint64
-	pe  *engine.FaultedPacked
+	lanes [engine.Lanes]*gangLane
+	// active is the lanes the next step clocks: each is presenting an op
+	// or in its wait loop.
+	active       uint64
+	ops, settles int
+}
+
+// gangLane is one retired lane's unit backend: golden responses up to
+// the divergence op, the recorded divergent response (or the rest of
+// the wait loop) at the divergence op, then the gang's gate level for
+// every later op.
+type gangLane struct {
+	g    *gang
+	ret  *retirement
+	bit  uint64
+	n    uint64 // unit ops the lane's CPU has asked for
+	i    int    // wait-loop iteration of the op in flight
+	edge bool   // the next step clocks the lane without a check
+	r, f uint32 // the response, once the lane has one
+	ok   bool
+
+	yield func(struct{}) bool // hands control back to the gang
+	next  func() (struct{}, bool)
 }
 
 // Exec implements module.Unit.
-func (b *resumeBackend) Exec(op, a, bb uint32) (uint32, uint32, bool) {
-	n := b.n
-	b.n++
+func (l *gangLane) Exec(op, a, bb uint32) (uint32, uint32, bool) {
+	n := l.n
+	l.n++
 	switch {
-	case n < b.ret.op:
-		return b.m.Golden.Exec(op, a, bb)
-	case n > b.ret.op:
-		present(b.pe, op, a, bb)
-		return b.wait(0)
+	case n < l.ret.op:
+		return l.g.m.Golden.Exec(op, a, bb)
+	case n > l.ret.op:
+		// Driver.Exec's present: the operands for one clocked cycle,
+		// then the wait loop from its first check.
+		offer(l.g.pe, l.bit, op, a, bb)
+		l.edge, l.i = true, 0
+	case l.ret.kind != retWait:
+		return l.ret.r, l.ret.f, true
+	default:
+		// The wave's check at iteration `wait` saw this lane's out_valid
+		// still low: the failed check's clock edge, then the rest of the
+		// loop.
+		l.edge, l.i = true, l.ret.wait+1
 	}
-	b.pe = engine.Seeded(b.fp, b.ret.snap)
-	b.pe.Retire(^(uint64(1) << uint(b.ret.lane)))
-	if b.ret.kind != retWait {
-		return b.ret.r, b.ret.f, true
+	l.g.active |= l.bit
+	l.g.ops++
+	if !l.yield(struct{}{}) {
+		return 0, 0, false
 	}
-	// The wave's check at iteration `wait` saw this lane's out_valid
-	// still low: the Step of the failed check, then the rest of the loop.
-	b.pe.Step()
-	return b.wait(b.ret.wait + 1)
+	return l.r, l.f, l.ok
 }
 
-// wait is module.Driver.Exec's wait loop over the retired lane, from
-// iteration i0: check the settled out_valid, step on miss.
-func (b *resumeBackend) wait(i0 int) (uint32, uint32, bool) {
-	for i := i0; i < b.m.Latency+module.StallLimit; i++ {
-		b.pe.Settle()
-		if b.pe.Lane(b.ovNet, b.ret.lane) {
-			r, f := b.laneValues(b.pe, b.ret.lane)
-			return r, f, true
-		}
-		b.pe.Edge()
+// resume runs lane l's CPU until it asks the gang for a unit op or its
+// run ends; a lane whose run ended is retired.
+func (g *gang) resume(l *gangLane) {
+	if _, more := l.next(); !more {
+		g.pe.Retire(l.bit)
 	}
-	return 0, 0, false
 }
 
-// runContinuation classifies one retired lane of wave pb by running the
-// image on a fresh CPU with the resume backend. ok=false means ctx
-// interrupted the run — the injection stays pending.
-func runContinuation(ctx context.Context, cfg *Config, g *goldenInfo, idx int, pb *packedBackend, ret *retirement) (Result, bool, error) {
-	c := cpu.Recycled(cfg.MemSize)
-	defer c.Release()
-	rb := &resumeBackend{m: pb.m, fp: pb.fp, unitPorts: pb.unitPorts, ret: ret}
-	defer func() {
-		if rb.pe != nil {
-			rb.pe.Release()
+// run steps the gang until no lane's CPU waits on it. One step is
+// module.Driver.Exec's loop body for every active lane at once: settle;
+// a lane in its wait loop with out_valid high has its response and is
+// held at the edge; every other active lane is clocked, and one whose
+// loop ran out has stalled. Lanes with a response then run on.
+func (g *gang) run() {
+	bound := g.m.Latency + module.StallLimit
+	for _, l := range g.lanes {
+		if l != nil {
+			g.resume(l)
 		}
-	}()
-	*c.Unit(cfg.Module.Name) = rb
-	return runAttached(ctx, cfg, idx, g, c)
+	}
+	pe := g.pe
+	for g.active != 0 {
+		pe.Settle()
+		g.settles++
+		var answered, edged uint64
+		for m := g.active; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros64(m)
+			l := g.lanes[lane]
+			switch {
+			case l.edge:
+				edged |= l.bit
+			case pe.Lane(g.ovNet, lane):
+				l.r, l.f = g.laneValues(pe, lane)
+				l.ok = true
+				answered |= l.bit
+			}
+		}
+		pe.Hold(^g.active | answered)
+		pe.Edge()
+		if edged != 0 {
+			pe.SetInputLanes(module.PortInValid, edged, 0)
+		}
+		for m := g.active &^ answered; m != 0; m &= m - 1 {
+			l := g.lanes[bits.TrailingZeros64(m)]
+			if l.edge {
+				l.edge = false
+			} else {
+				l.i++
+			}
+			if l.i >= bound {
+				l.r, l.f, l.ok = 0, 0, false
+				answered |= l.bit
+			}
+		}
+		g.active &^= answered
+		for m := answered; m != 0; m &= m - 1 {
+			g.resume(g.lanes[bits.TrailingZeros64(m)])
+		}
+	}
+}
+
+// runGang classifies every retired lane of wave pb, the injection of
+// lane i+1 being idxs[i], by running the image on one CPU per lane over
+// one gang. done[i]=false means ctx interrupted lane i+1's run: the
+// injection stays pending.
+func runGang(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int, pb *packedBackend, results []Result, done []bool) (ops, settles int) {
+	snaps := make([]engine.Snapshot, len(pb.rets))
+	for k, ret := range pb.rets {
+		snaps[k] = ret.snap
+	}
+	gg := &gang{m: cfg.Module, pe: engine.Seeded(pb.fp, snaps...), unitPorts: pb.unitPorts}
+	for _, ret := range pb.rets {
+		l := &gangLane{g: gg, ret: ret, bit: 1 << uint(ret.lane)}
+		i := ret.lane - 1
+		next, stop := iter.Pull(func(yield func(struct{}) bool) {
+			l.yield = yield
+			c := cpu.Recycled(cfg.MemSize)
+			defer c.Release()
+			*c.Unit(cfg.Module.Name) = l
+			results[i], done[i] = runAttached(ctx, cfg, idxs[i], g, c)
+		})
+		defer stop()
+		l.next = next
+		gg.lanes[ret.lane] = l
+	}
+	gg.run()
+	return gg.ops, gg.settles
 }
 
 // waveAcct is one unit's contribution to the campaign's PackedStats.
 type waveAcct struct {
 	waves, lanesUsed, retired, masked int
 	savedOps                          uint64
+	gangOps, gangSettles              int
 	behShortcut, behReplayed          int
 }
 
@@ -456,22 +547,8 @@ func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) 
 			acct.masked++
 		}
 	}
-	// The retired lanes' continuations are independent replays: fan them
-	// out like the waves themselves, each landing in its own lane's slot.
-	outs, err := par.Map(ctx, len(pb.rets), cfg.Parallelism, func(ctx context.Context, k int) (taskOut, error) {
-		r, ok, err := runContinuation(ctx, cfg, g, idxs[pb.rets[k].lane-1], pb, pb.rets[k])
-		return taskOut{r, ok}, err
-	})
-	for k, o := range outs {
-		if o.ok {
-			i := pb.rets[k].lane - 1
-			results[i], done[i] = o.r, true
-		}
-	}
-	if interrupted(err) {
-		err = nil // unfinished lanes stay pending
-	}
-	return results, done, acct, err
+	acct.gangOps, acct.gangSettles = runGang(ctx, cfg, g, idxs, pb, results, done)
+	return results, done, acct, nil
 }
 
 // flipFires reports whether a behavioural injection's flip condition
@@ -521,6 +598,11 @@ type PackedClassStats struct {
 	Retired      int    // lanes that physically diverged -> continuations
 	MaskedInWave int    // lanes classified Masked with no scalar work
 	SavedLaneOps uint64 // unit ops not simulated thanks to early retirement
+	// GangOps counts the unit ops the retired lanes' gangs ran at gate
+	// level, and GangSettles the lockstep steps (one settle each) that
+	// served them: the fewer settles per op, the more lanes shared one.
+	GangOps     int
+	GangSettles int
 	// Fallbacks is always 0: a voided wave is an error, not a replay on a
 	// second engine. The field stays because the ledger (internal/bench)
 	// reads it.
@@ -594,6 +676,8 @@ func (ps *PackedStats) merge(cl Class, a waveAcct) {
 		s.Retired += a.retired
 		s.MaskedInWave += a.masked
 		s.SavedLaneOps += a.savedOps
+		s.GangOps += a.gangOps
+		s.GangSettles += a.gangSettles
 		s.Shortcut += a.behShortcut
 		s.Replayed += a.behReplayed
 	}

@@ -33,8 +33,8 @@ func runScalar(ctx context.Context, cfg Config) (*Report, error) {
 		if err := attachScalar(cfg.Module, c, s); err != nil {
 			return taskOut{}, fmt.Errorf("injection %d (%s): %w", idx, s.String(), err)
 		}
-		r, ok, err := runAttached(ctx, &cfg, idx, g, c)
-		return taskOut{r, ok}, err
+		r, ok := runAttached(ctx, &cfg, idx, g, c)
+		return taskOut{r, ok}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -45,6 +45,13 @@ func runScalar(ctx context.Context, cfg Config) (*Report, error) {
 		results[i], done[i] = o.r, o.ok
 	}
 	return buildReport(&cfg, results, done), nil
+}
+
+// taskOut is one replay's outcome inside a par.Map: ok=false means ctx
+// interrupted it and the injection stays pending.
+type taskOut struct {
+	r  Result
+	ok bool
 }
 
 // attachScalar is Attach for every class: a netlist-class spec replaces

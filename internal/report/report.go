@@ -182,7 +182,7 @@ func EscapeTable(r *inject.Report) string {
 }
 
 // PackedStatsTable renders the packed campaign path's per-class wave
-// occupancy and savings accounting (inject.RunWithStats).
+// occupancy, savings and gang accounting (inject.RunWithStats).
 func PackedStatsTable(ps *inject.PackedStats) string {
 	var rows [][]string
 	for i := range ps.Classes {
@@ -203,10 +203,12 @@ func PackedStatsTable(ps *inject.PackedStats) string {
 			fmt.Sprint(c.Retired),
 			fmt.Sprint(c.MaskedInWave),
 			saved,
+			fmt.Sprint(c.GangOps),
+			fmt.Sprint(c.GangSettles),
 			fmt.Sprint(c.Shortcut),
 			fmt.Sprint(c.Replayed),
 		})
 	}
 	return Table([]string{"Class", "Waves", "Lanes", "Occup.", "Retired", "MaskedFree",
-		"SavedOps", "Shortcut", "Replayed"}, rows)
+		"SavedOps", "GangOps", "GangSettles", "Shortcut", "Replayed"}, rows)
 }

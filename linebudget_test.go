@@ -104,7 +104,13 @@ import (
 //	        the second handshake spelling and inject.checkSite (moved to
 //	        the scalar oracle's test file) deleted, and 18 ISA mnemonics
 //	        no code or test calls.
-const lineBudget = 26_457
+//	26,596  a wave's retired lanes continue as one gang of coroutines on
+//	        one evaluator: the engine's hold mask, lane-masked input
+//	        writes, seeding from many snapshots and a bit-sliced LFSR per
+//	        lane, and CPU memory as a page table, so a gang's 63 live CPUs
+//	        hold only the pages they wrote; resumeBackend, runContinuation,
+//	        the intra-wave par.Map and the evaluator pool deleted.
+const lineBudget = 26_596
 
 // TestLineBudget is the ratchet behind ROADMAP's "same numbers from the
 // least code": it counts the lines of every non-test Go file the census
