@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -32,7 +33,8 @@ func runInject(ctx context.Context, args []string, out io.Writer) error {
 	checkpoint := fs.String("checkpoint", "", "checkpoint file for resume (atomic JSON)")
 	jsonOut := fs.String("json", "", "write the full report JSON to this file")
 	chaosPlan := fs.String("chaos", "", "TESTING ONLY: injected fault plan for checkpoint I/O, e.g. \"crash@3,flip@2:9\" (crash points exit the process)")
-	stats := fs.Bool("stats", false, "print packed-simulation accounting (wave occupancy, retired lanes, replay savings, gang ops and settles)")
+	stats := fs.Bool("stats", false, "print packed-simulation accounting (wave occupancy, retired lanes, replay savings, gang ops and settles, wave ops skipped with the recorded golden run)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the campaign (lift excluded) to this file")
 	guards := fs.String("guards", "", "always-on runtime guards: \"all\" or comma-separated guard names (empty = unguarded)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -67,6 +69,17 @@ func runInject(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(os.Stderr, "vega inject: CHAOS MODE — fault plan %q armed on checkpoint I/O\n", plan.String())
 	}
 
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
+	}
 	start := time.Now()
 	rep, ps, err := w.InjectionCampaignStats(ctx, core.InjectOptions{
 		Seed:           *seed,

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -32,6 +33,7 @@ func TestRunSmokeStats(t *testing.T) {
 		"Packed simulation accounting",
 		"Occup.",
 		"GangSettles",
+		"SkippedOps",
 		"retired-lane savings:",
 		"totals: detected",
 	} {
@@ -49,6 +51,22 @@ func TestRunBadArgs(t *testing.T) {
 		if _, err := run(context.Background(), "inject", args); err == nil {
 			t.Errorf("expected an error for %v", args)
 		}
+	}
+}
+
+// TestInjectCPUProfile: -cpuprofile writes the campaign's CPU profile,
+// a gzip'd pprof protocol buffer, to the named file.
+func TestInjectCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	if _, err := run(context.Background(), "inject", []string{"-unit", "ALU", "-n", "2", "-seed", "3", "-j", "1", "-cpuprofile", path}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Fatalf("%s holds %d bytes that do not start with gzip's magic", path, len(data))
 	}
 }
 

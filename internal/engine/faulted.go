@@ -86,19 +86,17 @@ type Overlay struct {
 	Edge  OverlayEdge
 }
 
-// faultSite is one compiled overlay: net IDs resolved, the endpoint
-// mapped to its Program DFF slot.
+// faultSite is one compiled overlay, both flip-flops mapped to their
+// Program DFF slots. X's clock clocks a setup site's history register,
+// and X's reset value seeds it.
 type faultSite struct {
-	lanes    uint64
-	dff      int32 // index into Program.DFFs (the endpoint Y)
-	xQ       int32 // X's output net
-	xD       int32 // X's D-input net
-	histClk  int32 // X's clock net (clocks the setup history register)
-	check    OverlayCheck
-	c        OverlayC
-	edge     OverlayEdge
-	same     bool // Start == End: metastable, active unconditionally
-	histInit bool // X's reset value seeds the history register
+	lanes uint64
+	dff   int32 // the endpoint Y
+	xdff  int32 // the launching flip-flop X
+	check OverlayCheck
+	c     OverlayC
+	edge  OverlayEdge
+	same  bool // Start == End: metastable, active unconditionally
 }
 
 // FaultedProgram is a compiled Program plus compiled lane-masked
@@ -134,28 +132,24 @@ func CompileFaulted(p *Program, overlays []Overlay) (*FaultedProgram, error) {
 				return nil, fmt.Errorf("engine: overlay %d: cell %d (%s) is not a flip-flop", i, id, nl.Cells[id].Name)
 			}
 		}
-		// DFFs is in cell order, and End is a flip-flop, so it is there.
-		slot := int32(sort.Search(len(p.DFFs), func(k int) bool { return p.DFFs[k].Cell >= int32(o.End) }))
+		slot := dffSlot(p, o.End)
 		if endLanes[slot]&o.Lanes != 0 {
 			return nil, fmt.Errorf("engine: overlay %d: endpoint %s already faulted in an overlapping lane",
 				i, nl.Cells[o.End].Name)
 		}
 		endLanes[slot] |= o.Lanes
-		x := nl.Cells[o.Start]
 		fp.sites = append(fp.sites, faultSite{
-			lanes:    o.Lanes,
-			dff:      slot,
-			xQ:       int32(x.Out),
-			xD:       int32(x.In[0]),
-			histClk:  int32(x.Clk),
-			check:    o.Check,
-			c:        o.C,
-			edge:     o.Edge,
-			same:     o.Start == o.End,
-			histInit: x.Init,
+			lanes: o.Lanes, dff: slot, xdff: dffSlot(p, o.Start),
+			check: o.Check, c: o.C, edge: o.Edge, same: o.Start == o.End,
 		})
 	}
 	return fp, nil
+}
+
+// dffSlot is flip-flop cell id's index into p.DFFs, which is in cell
+// order.
+func dffSlot(p *Program, id netlist.CellID) int32 {
+	return int32(sort.Search(len(p.DFFs), func(k int) bool { return p.DFFs[k].Cell >= int32(id) }))
 }
 
 // FaultedPacked evaluates a FaultedProgram over 64 lanes: lane 0 is the
@@ -178,8 +172,9 @@ type FaultedPacked struct {
 	// lfsr is every lane's CRandom source, bit-sliced: word k holds bit
 	// k of each lane's LFSR.
 	lfsr [16]uint64
-	ret  uint64 // retired-lane mask
-	hold uint64 // lanes the next edges leave as they are
+	ret  uint64     // retired-lane mask
+	hold uint64     // lanes the next edges leave as they are
+	rec  *Recording // where Mark and Edge record lane 0, while recording
 
 	// pend is the bitset of runs the next settle evaluates, run r at bit
 	// r%64 of word r/64; every settle ends with it clear.
@@ -293,10 +288,9 @@ func (e *FaultedPacked) Reset() {
 		}
 	}
 	for i := range e.fp.sites {
-		if e.fp.sites[i].histInit {
+		e.hist[i] = 0
+		if e.prog.DFFs[e.fp.sites[i].xdff].Init {
 			e.hist[i] = ^uint64(0)
-		} else {
-			e.hist[i] = 0
 		}
 	}
 	for k := range e.lfsr {
@@ -458,6 +452,9 @@ func settleRun(kind cell.Kind, run []Op, vals []uint64) (d uint64) {
 func (e *FaultedPacked) Edge() {
 	vals, hold := e.vals, e.hold
 	dffs := e.prog.DFFs
+	if e.rec != nil {
+		e.rec.edge(vals, dffs, hold)
+	}
 	for i := range dffs {
 		f := &dffs[i]
 		clk := vals[f.Clk] &^ hold
@@ -474,11 +471,12 @@ func (e *FaultedPacked) Edge() {
 		if s.same {
 			active = ^uint64(0)
 		} else {
+			x := &dffs[s.xdff]
 			var prev, cur uint64
 			if s.check == OverlaySetup {
-				prev, cur = e.hist[si], vals[s.xQ]
+				prev, cur = e.hist[si], vals[x.Out]
 			} else {
-				prev, cur = vals[s.xQ], vals[s.xD]
+				prev, cur = vals[x.Out], vals[x.D]
 			}
 			switch s.edge {
 			case OverlayAnyChange:
@@ -496,7 +494,7 @@ func (e *FaultedPacked) Edge() {
 		case OverlayCRandom:
 			c = cRnd
 		}
-		f := &e.prog.DFFs[s.dff]
+		f := &dffs[s.dff]
 		clk := vals[f.Clk] &^ hold
 		faulty := (c & active) | (vals[f.D] &^ active)
 		staged := (faulty & clk) | (vals[f.Out] &^ clk)
@@ -505,8 +503,9 @@ func (e *FaultedPacked) Edge() {
 	for si := range e.fp.sites {
 		s := &e.fp.sites[si]
 		if s.check == OverlaySetup && !s.same {
-			clk := vals[s.histClk] &^ hold
-			e.hist[si] = (vals[s.xQ] & clk) | (e.hist[si] &^ clk)
+			x := &dffs[s.xdff]
+			clk := vals[x.Clk] &^ hold
+			e.hist[si] = (vals[x.Out] & clk) | (e.hist[si] &^ clk)
 		}
 	}
 	for i := range dffs {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/chaos"
 	"repro/internal/cpu"
@@ -393,22 +394,23 @@ func partitionUnits(cfg *Config, pending []int) []unit {
 // runPacked is the packed campaign loop: pending injections are
 // partitioned into per-class units (one wave, or one behavioural
 // batch), processed par.N at a time, checkpointing after every batch.
+// The first wave of a batch records the golden run when a later batch
+// has a wave, and every wave after that batch skips with the recording.
 func runPacked(ctx context.Context, cfg *Config, g *goldenInfo, stats *PackedStats, pending []int, results []Result, done []bool) error {
 	units := partitionUnits(cfg, pending)
 	batch := par.N(cfg.Parallelism)
+	var from *tape
 	for len(units) > 0 && ctx.Err() == nil {
 		n := min(batch, len(units))
 		cur := units[:n]
 		units = units[n:]
 
-		type unitOut struct {
-			rs   []Result
-			ok   []bool
-			acct waveAcct
+		recorder := -1
+		if from == nil && skipQuiet && slices.ContainsFunc(units, unit.packed) {
+			recorder = slices.IndexFunc(cur, unit.packed)
 		}
 		outs, err := par.Map(ctx, len(cur), cfg.Parallelism, func(ctx context.Context, i int) (unitOut, error) {
-			rs, ok, acct, err := runUnit(ctx, cfg, g, cur[i])
-			return unitOut{rs, ok, acct}, err
+			return runUnit(ctx, cfg, g, cur[i], from, i == recorder)
 		})
 		for i, o := range outs {
 			if o.rs == nil {
@@ -421,6 +423,9 @@ func runPacked(ctx context.Context, cfg *Config, g *goldenInfo, stats *PackedSta
 				}
 			}
 			stats.merge(cur[i].class, o.acct)
+			if o.tape != nil {
+				from = o.tape
+			}
 		}
 		if err != nil && !interrupted(err) {
 			return err
@@ -432,33 +437,39 @@ func runPacked(ctx context.Context, cfg *Config, g *goldenInfo, stats *PackedSta
 	return nil
 }
 
-// runUnit dispatches one work unit: a packed wave for netlist classes,
-// a shortcut-or-replay sweep for behavioural classes.
-func runUnit(ctx context.Context, cfg *Config, g *goldenInfo, u unit) ([]Result, []bool, waveAcct, error) {
-	if u.class == StuckAt || u.class == MultiFault {
-		return runPackedWave(ctx, cfg, g, u.idxs)
+// skipQuiet lets the campaign's waves answer quiet unit ops from a
+// recording of the golden run; off, every wave simulates every op.
+var skipQuiet = true
+
+// packed reports whether u is a wave: a netlist class.
+func (u unit) packed() bool { return u.class == StuckAt || u.class == MultiFault }
+
+// runUnit dispatches one work unit: a packed wave for netlist classes
+// (which skips with from, or records when record is set), a
+// shortcut-or-replay sweep for behavioural classes.
+func runUnit(ctx context.Context, cfg *Config, g *goldenInfo, u unit, from *tape, record bool) (unitOut, error) {
+	if u.packed() {
+		return runPackedWave(ctx, cfg, g, u.idxs, from, record)
 	}
-	results := make([]Result, len(u.idxs))
-	done := make([]bool, len(u.idxs))
-	var acct waveAcct
+	out := unitOut{rs: make([]Result, len(u.idxs)), ok: make([]bool, len(u.idxs))}
 	for i, idx := range u.idxs {
 		if ctx.Err() != nil {
 			break
 		}
 		r, ok, replayed, err := runBehavioural(ctx, cfg, g, idx)
 		if err != nil {
-			return results, done, acct, err
+			return out, err
 		}
 		if ok {
-			results[i], done[i] = r, true
+			out.rs[i], out.ok[i] = r, true
 			if replayed {
-				acct.behReplayed++
+				out.acct.behReplayed++
 			} else {
-				acct.behShortcut++
+				out.acct.behShortcut++
 			}
 		}
 	}
-	return results, done, acct, nil
+	return out, nil
 }
 
 // runOne executes one behavioural injection as a full replay. ok=false

@@ -44,6 +44,18 @@ import (
 //     a scalar replay of the failing netlist.
 //  4. A lane that never retires ran the whole image without any
 //     observable difference: classified Masked for free.
+//  5. Every wave replays the same golden stimulus, so the first wave of
+//     a Run that a later batch's wave will follow records its lane 0
+//     (engine.Recording): at each unit op's start the golden state
+//     bits, setup-history bits and LFSR, at each clock edge every
+//     flip-flop's Q, D and clock bit, and the op's request and
+//     response. A later wave skips op k when every live lane is golden
+//     at its start and no site of a live lane corrupts at any recorded
+//     edge of it (FaultedPacked.Quiet): the op checks its request
+//     against the recording (a mismatch voids the wave) and returns the
+//     recorded response with no settle and no edge. The first op it
+//     simulates after a skip restores every lane to the golden state at
+//     its start, then runs as above, lane 0 still cross-checked.
 //
 // Behavioural classes (transient, intermittent) are not packed — they
 // already run at behavioural speed — but get a shortcut: a flip whose
@@ -217,25 +229,57 @@ func offer(pe *engine.FaultedPacked, mask uint64, op, a, b uint32) {
 // against the behavioural model op by op); fault lanes retire at their
 // first divergent response.
 type packedBackend struct {
-	m  *module.Module
-	fp *engine.FaultedProgram
-	pe *engine.FaultedPacked
+	name string // unit, class and injection range, for errors
+	m    *module.Module
+	fp   *engine.FaultedProgram
+	pe   *engine.FaultedPacked
 	unitPorts
 
 	live uint64 // fault lanes still bit-identical to lane 0
 	ops  uint64
 	rets []*retirement
+	// rec, when set, is the recording of this wave's golden run that the
+	// campaign's later waves skip with; from, when set, is an earlier
+	// wave's.
+	rec, from *tape
+	// stale: the last op was answered from the recording, so the
+	// evaluator still holds the state at the start of the span.
+	stale             bool
+	skipped, restores int
 	// void is set when lane 0 disagreed with the behavioural model: lane
 	// comparisons then prove nothing and the wave fails with this error.
 	void error
 }
 
+// tape is one campaign's gate-level golden run: the engine's recording
+// of a wave's lane 0, one mark per unit op, and each op's request and
+// response.
+type tape struct {
+	*engine.Recording
+	ops []unitOp
+}
+
+type unitOp struct{ op, a, b, r, f uint32 }
+
 // Exec implements module.Unit.
 func (b *packedBackend) Exec(op, a, bb uint32) (uint32, uint32, bool) {
-	gr, gf := b.m.Golden(op, a, bb)
 	k := b.ops
 	b.ops++
+	if b.from != nil && b.quiet(int(k)) {
+		g := b.from.ops[k]
+		if g.op != op || g.a != a || g.b != bb {
+			b.void = fmt.Errorf("unit op %d (op=%d a=%#08x b=%#08x): the recorded golden run presented "+
+				"op=%d a=%#08x b=%#08x", k, op, a, bb, g.op, g.a, g.b)
+			return 0, 0, false
+		}
+		return g.r, g.f, true
+	}
+	gr, gf := b.m.Golden(op, a, bb)
 	pe := b.pe
+	if b.rec != nil {
+		pe.Mark()
+		b.rec.ops = append(b.rec.ops, unitOp{op, a, bb, gr, gf})
+	}
 	offer(pe, ^uint64(0), op, a, bb)
 	pe.Step()
 	pe.SetInput(module.PortInValid, 0)
@@ -278,6 +322,26 @@ func (b *packedBackend) Exec(op, a, bb uint32) (uint32, uint32, bool) {
 		b.retire(val, retValue, k, i0)
 	}
 	return r0, f0, true
+}
+
+// quiet reports whether unit op k is answered from the recording: every
+// live lane is golden at the op's start and none of their sites corrupts
+// at any of its edges, so no lane can leave golden in it. The first op
+// simulated after a skipped one starts with every lane restored to the
+// golden state at its start.
+func (b *packedBackend) quiet(k int) bool {
+	pe, rec := b.pe, b.from.Recording
+	if pe.Quiet(rec, k) && (b.stale || pe.Golden()) {
+		b.stale = true
+		b.skipped++
+		return true
+	}
+	if b.stale {
+		pe.Restore(rec, k)
+		b.stale = false
+		b.restores++
+	}
+	return false
 }
 
 // readOutputs extracts lane 0's result and flags and accumulates a
@@ -471,13 +535,15 @@ type waveAcct struct {
 	waves, lanesUsed, retired, masked int
 	savedOps                          uint64
 	gangOps, gangSettles              int
+	skippedOps                        int
 	behShortcut, behReplayed          int
 }
 
-// runWave runs the image once on the packed evaluator of a wave of up to
-// engine.Lanes-1 netlist-class injections, injection idxs[i] in lane
-// i+1. A nil backend means ctx interrupted the run.
-func runWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) (*packedBackend, error) {
+// newWave compiles a wave of up to engine.Lanes-1 netlist-class
+// injections, injection idxs[i] in lane i+1, onto a fresh evaluator. The
+// wave skips quiet ops with tape from when it is set, and records the
+// golden run into a tape of its own when record is set.
+func newWave(cfg *Config, idxs []int, from *tape, record bool) (*packedBackend, error) {
 	name := fmt.Sprintf("%s %s wave (injections %d..%d)", cfg.Module.Name, cfg.Specs[idxs[0]].Class, idxs[0], idxs[len(idxs)-1])
 	var overlays []engine.Overlay
 	for i, idx := range idxs {
@@ -490,17 +556,27 @@ func runWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) (*pack
 		return nil, fmt.Errorf("inject: %s: %w", name, err)
 	}
 	pb := &packedBackend{
-		m: cfg.Module, fp: fp, pe: engine.NewFaultedPacked(fp),
+		name: name, m: cfg.Module, fp: fp, pe: engine.NewFaultedPacked(fp),
 		unitPorts: portsOf(cfg.Module.Netlist),
 		live:      (uint64(1)<<uint(len(idxs)+1) - 1) &^ 1,
+		from:      from,
 	}
+	if record {
+		pb.rec = &tape{Recording: pb.pe.Record()}
+	}
+	return pb, nil
+}
+
+// run runs the image once on the wave. ok=false means ctx interrupted
+// the run.
+func (pb *packedBackend) run(ctx context.Context, cfg *Config, g *goldenInfo) (ok bool, err error) {
 	c := cpu.Recycled(cfg.MemSize)
 	defer c.Release()
 	*c.Unit(cfg.Module.Name) = pb
 	c.Load(cfg.Image)
 	halt := c.RunCtx(ctx, cfg.MaxCycles)
 	if halt == cpu.HaltInterrupted {
-		return nil, nil
+		return false, nil
 	}
 	if pb.void == nil && (halt != cpu.HaltExit || c.ExitCode != 0 || c.Digest() != g.digest) {
 		pb.void = fmt.Errorf("every lane-0 response matched the golden model, yet the run ended halt=%v exit=%d "+
@@ -510,25 +586,39 @@ func runWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) (*pack
 		// The gate-level golden lane disagreed with the behavioural
 		// model, so lane comparisons prove nothing: no lane of this wave
 		// is classified.
-		return nil, fmt.Errorf("inject: %s voided at %w", name, pb.void)
+		return false, fmt.Errorf("inject: %s voided at %w", pb.name, pb.void)
 	}
-	return pb, nil
+	return true, nil
 }
 
-// runPackedWave runs one packed wave and the continuations of its
-// retired lanes. Returned slices are indexed like idxs; done[i]=false
-// means injection idxs[i] stays pending (interrupted).
-func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) ([]Result, []bool, waveAcct, error) {
-	results := make([]Result, len(idxs))
-	done := make([]bool, len(idxs))
-	var acct waveAcct
-	pb, err := runWave(ctx, cfg, g, idxs)
-	if pb == nil {
-		return results, done, acct, err // an interrupted wave stays pending
+// unitOut is what one work unit hands back: its results (indexed like
+// its idxs; ok[i]=false means injection idxs[i] stays pending), its
+// accounting, and the golden run's tape when the unit was a wave that
+// recorded one.
+type unitOut struct {
+	rs   []Result
+	ok   []bool
+	acct waveAcct
+	tape *tape
+}
+
+// runPackedWave runs one packed wave (newWave) and the continuations of
+// its retired lanes.
+func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int, from *tape, record bool) (unitOut, error) {
+	out := unitOut{rs: make([]Result, len(idxs)), ok: make([]bool, len(idxs))}
+	pb, err := newWave(cfg, idxs, from, record)
+	if err != nil {
+		return out, err
 	}
+	if ok, err := pb.run(ctx, cfg, g); !ok {
+		return out, err // an interrupted wave stays pending
+	}
+	results, done, acct := out.rs, out.ok, &out.acct
+	out.tape = pb.rec
 	acct.waves = 1
 	acct.lanesUsed = len(idxs)
 	acct.retired = len(pb.rets)
+	acct.skippedOps = pb.skipped
 	for _, ret := range pb.rets {
 		acct.savedOps += g.ops - (ret.op + 1)
 	}
@@ -548,7 +638,7 @@ func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) 
 		}
 	}
 	acct.gangOps, acct.gangSettles = runGang(ctx, cfg, g, idxs, pb, results, done)
-	return results, done, acct, nil
+	return out, nil
 }
 
 // flipFires reports whether a behavioural injection's flip condition
@@ -603,6 +693,10 @@ type PackedClassStats struct {
 	// served them: the fewer settles per op, the more lanes shared one.
 	GangOps     int
 	GangSettles int
+	// SkippedOps counts the wave unit ops answered from the recording of
+	// the campaign's golden run: ops in which no live lane could leave
+	// the golden state, so the wave simulated nothing.
+	SkippedOps int
 	// Fallbacks is always 0: a voided wave is an error, not a replay on a
 	// second engine. The field stays because the ledger (internal/bench)
 	// reads it.
@@ -678,6 +772,7 @@ func (ps *PackedStats) merge(cl Class, a waveAcct) {
 		s.SavedLaneOps += a.savedOps
 		s.GangOps += a.gangOps
 		s.GangSettles += a.gangSettles
+		s.SkippedOps += a.skippedOps
 		s.Shortcut += a.behShortcut
 		s.Replayed += a.behReplayed
 	}

@@ -112,7 +112,11 @@ func fuzzSpec(dffs []netlist.CellID, class, p0, p1, p2, p3 byte, w uint16) (Spec
 
 // FuzzPackedFaultVsScalar fuzzes the differential over the spec space:
 // any spec the campaign accepts must classify identically on the packed
-// path and the scalar oracle.
+// path and the scalar oracle. Two fixed companions, a stuck-at and a
+// multi-fault spec on the result flip-flops, make the campaign two
+// waves, run one at a time: the stuck wave records the golden run and
+// the multi wave skips its quiet ops with it, whichever wave the fuzzed
+// spec lands in.
 func FuzzPackedFaultVsScalar(f *testing.F) {
 	m := alu.Build()
 	suite := lift.RandomSuite(m, 4, 11)
@@ -121,6 +125,21 @@ func FuzzPackedFaultVsScalar(f *testing.F) {
 		f.Fatal(err)
 	}
 	dffs := m.Netlist.DFFs()
+	res := portsOf(m.Netlist).resBits
+	resFF := func(bit int) fault.Spec {
+		for i := range m.Netlist.Cells {
+			if m.Netlist.Cells[i].Out == res[bit] {
+				id := netlist.CellID(i)
+				return fault.Spec{Start: id, End: id, C: fault.C1}
+			}
+		}
+		f.Fatalf("nothing drives result bit %d", bit)
+		return fault.Spec{}
+	}
+	companions := []Spec{
+		{Class: StuckAt, Unit: "ALU", Faults: []fault.Spec{resFF(0)}},
+		{Class: MultiFault, Unit: "ALU", Faults: []fault.Spec{resFF(0), resFF(1)}},
+	}
 
 	f.Add(byte(0), byte(0), byte(3), byte(7), byte(1), uint16(0))     // stuck, C0 any setup
 	f.Add(byte(0), byte(65), byte(9), byte(9), byte(0), uint16(0))    // stuck, same-DFF hold
@@ -128,6 +147,9 @@ func FuzzPackedFaultVsScalar(f *testing.F) {
 	f.Add(byte(1), byte(0), byte(12), byte(0), byte(0), uint16(3))    // transient
 	f.Add(byte(2), byte(0), byte(5), byte(4), byte(0), uint16(44193)) // intermittent
 	f.Add(byte(3), byte(4), byte(1), byte(8), byte(68), uint16(0))    // multi
+	// Multi, falling-edge setup and hold sites: its wave skips ops,
+	// restores, and the lane retires after the restore.
+	f.Add(byte(3), byte(33), byte(130), byte(101), byte(79), uint16(0))
 
 	f.Fuzz(func(t *testing.T, class, p0, p1, p2, p3 byte, w uint16) {
 		spec, ok := fuzzSpec(dffs, class, p0, p1, p2, p3, w)
@@ -135,11 +157,12 @@ func FuzzPackedFaultVsScalar(f *testing.F) {
 			return
 		}
 		cfg := Config{
-			Module:    m,
-			Image:     img,
-			Specs:     []Spec{spec},
-			MemSize:   memSize,
-			MaxCycles: 5_000_000,
+			Module:      m,
+			Image:       img,
+			Specs:       append([]Spec{spec}, companions...),
+			MemSize:     memSize,
+			MaxCycles:   5_000_000,
+			Parallelism: 1,
 		}
 		scalarRep, err := runScalar(context.Background(), cfg)
 		if err != nil {

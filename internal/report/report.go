@@ -182,7 +182,8 @@ func EscapeTable(r *inject.Report) string {
 }
 
 // PackedStatsTable renders the packed campaign path's per-class wave
-// occupancy, savings and gang accounting (inject.RunWithStats).
+// occupancy, savings, gang accounting and the wave ops answered from the
+// recorded golden run (inject.RunWithStats).
 func PackedStatsTable(ps *inject.PackedStats) string {
 	var rows [][]string
 	for i := range ps.Classes {
@@ -205,10 +206,11 @@ func PackedStatsTable(ps *inject.PackedStats) string {
 			saved,
 			fmt.Sprint(c.GangOps),
 			fmt.Sprint(c.GangSettles),
+			fmt.Sprint(c.SkippedOps),
 			fmt.Sprint(c.Shortcut),
 			fmt.Sprint(c.Replayed),
 		})
 	}
 	return Table([]string{"Class", "Waves", "Lanes", "Occup.", "Retired", "MaskedFree",
-		"SavedOps", "GangOps", "GangSettles", "Shortcut", "Replayed"}, rows)
+		"SavedOps", "GangOps", "GangSettles", "SkippedOps", "Shortcut", "Replayed"}, rows)
 }
