@@ -16,6 +16,30 @@ import (
 // and ROADMAP.md are history and plans: they may name what is gone.)
 var docs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 
+// docBudget is the ceiling, in bytes, on each document that describes
+// the system. A change that shortens one lowers its figure here in the
+// same diff; one that must add prose cuts as much elsewhere in it.
+var docBudget = map[string]int64{
+	"DESIGN.md":      114_763,
+	"EXPERIMENTS.md": 179_293,
+}
+
+// TestDocBudget is the ratchet behind documents that describe the
+// system, not its history: DESIGN.md and EXPERIMENTS.md may only shrink.
+func TestDocBudget(t *testing.T) {
+	for doc, budget := range docBudget {
+		fi, err := os.Stat(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := fi.Size(); n > budget {
+			t.Errorf("%s is %d bytes, over its ceiling of %d: cut it back", doc, n, budget)
+		} else if n < budget {
+			t.Logf("%s is %d bytes, %d under its ceiling: lower docBudget to lock the cut in", doc, n, budget-n)
+		}
+	}
+}
+
 var (
 	codeSpan = regexp.MustCompile("`[^`\n]+`")
 	// a binary, by its directory (./cmd/vega-fleetd) or by its name

@@ -236,7 +236,7 @@ func TestKernelTruthTables(t *testing.T) {
 		for r := range want {
 			w := want[r] == '1'
 			ref.SetInput("x", uint64(r))
-			fe.SetInput("x", uint64(r))
+			fe.SetInputLanes("x", ^uint64(0), uint64(r))
 			for i, n := range in {
 				word := uint64(1)<<63 | 1 // lanes 0 and 63 see the row
 				if r>>i&1 == 0 {

@@ -5,8 +5,16 @@ import "slices"
 // Evaluated is the number of runs e's settles have evaluated so far.
 func Evaluated(e *FaultedPacked) int { return e.evaluated }
 
-// SameState reports whether two snapshots, of any lanes, hold the same
-// state bits, history bits and LFSR.
-func SameState(a, b Snapshot) bool {
-	return slices.Equal(a.nets, b.nets) && slices.Equal(a.hists, b.hists) && a.lfsr == b.lfsr
+// LaneState is lane's bit of every state net, of every site's history
+// register and of its LFSR, in that order: all a lane keeps from one
+// clock edge to the next.
+func LaneState(e *FaultedPacked, lane int) []bool {
+	var s []bool
+	for _, n := range e.feeds.state {
+		s = append(s, e.vals[n]>>uint(lane)&1 == 1)
+	}
+	for _, w := range slices.Concat(e.hist, e.lfsr[:]) {
+		s = append(s, w>>uint(lane)&1 == 1)
+	}
+	return s
 }

@@ -30,12 +30,11 @@ import (
 //
 // FaultedPacked exposes Settle and Edge as separate phases (instead of
 // the scalar simulator's fused Step) so a driver can read settled
-// outputs, compare lanes word-wise, and retire diverged lanes before
-// the clock edge — mirroring the check-then-step structure of
-// module.Driver.Exec exactly. A caller may also hold lanes at an edge
-// (Hold) and drive one lane's inputs (SetInputLanes), so lanes that run
-// different programs share one settle: each lane then sees exactly the
-// cycles it was not held at.
+// outputs, compare lanes word-wise, and hold diverged lanes (Hold)
+// before the clock edge — mirroring the check-then-step structure of
+// module.Driver.Exec exactly. A caller may also drive one lane's inputs
+// (SetInputLanes), so lanes that run different programs share one
+// settle: each lane then sees exactly the cycles it was not held at.
 
 // OverlayCheck selects the timing-violation flavor of an overlay.
 type OverlayCheck uint8
@@ -146,6 +145,38 @@ func CompileFaulted(p *Program, overlays []Overlay) (*FaultedProgram, error) {
 	return fp, nil
 }
 
+// sample is the word site s makes its endpoint Y capture, lane by lane,
+// from what an edge reads: C where the site is active, Y's D elsewhere.
+// h is the site's history word, xq and xd are X's Q and D, yd is Y's D,
+// and rnd is the LFSR output word. A setup site compares X's Q with its
+// history (X at its last clocked edge), a hold site X's D with its Q,
+// and a metastable one (Start == End) is always active.
+func (s *faultSite) sample(h, xq, xd, yd, rnd uint64) uint64 {
+	active := ^uint64(0)
+	if !s.same {
+		prev, cur := h, xq
+		if s.check == OverlayHold {
+			prev, cur = xq, xd
+		}
+		switch s.edge {
+		case OverlayAnyChange:
+			active = prev ^ cur
+		case OverlayRisingEdge:
+			active = ^prev & cur
+		case OverlayFallingEdge:
+			active = prev &^ cur
+		}
+	}
+	var c uint64
+	switch s.c {
+	case OverlayC1:
+		c = ^uint64(0)
+	case OverlayCRandom:
+		c = rnd
+	}
+	return c&active | yd&^active
+}
+
 // dffSlot is flip-flop cell id's index into p.DFFs, which is in cell
 // order.
 func dffSlot(p *Program, id netlist.CellID) int32 {
@@ -154,13 +185,15 @@ func dffSlot(p *Program, id netlist.CellID) int32 {
 
 // FaultedPacked evaluates a FaultedProgram over 64 lanes: lane 0 is the
 // golden circuit, every other lane the golden circuit plus its overlay
-// sites. Retired lanes (Retire) drop out of overlay evaluation; the
-// word-parallel base update they share with live lanes is unaffected.
+// sites. A held lane (Hold) keeps its state: no edge clocks it, none of
+// its sites is evaluated, and Golden, Quiet and Restore pass it by, so a
+// driver can park a lane where it diverged and continue it later on the
+// same evaluator.
 //
 // Settle is gated: it re-evaluates only the runs whose inputs may have
 // changed since the last settle. That holds because every writer of
 // vals either marks pending the readers of each net whose word it
-// changed (SetInput, Edge) or every run (Reset, Seeded); Settle itself
+// changed (SetInputLanes, Edge, Restore) or every run (Reset); Settle itself
 // marks pending the readers of each run that changed an output word.
 type FaultedPacked struct {
 	fp     *FaultedProgram
@@ -172,7 +205,6 @@ type FaultedPacked struct {
 	// lfsr is every lane's CRandom source, bit-sliced: word k holds bit
 	// k of each lane's LFSR.
 	lfsr [16]uint64
-	ret  uint64     // retired-lane mask
 	hold uint64     // lanes the next edges leave as they are
 	rec  *Recording // where Mark and Edge record lane 0, while recording
 
@@ -184,97 +216,21 @@ type FaultedPacked struct {
 
 // NewFaultedPacked creates a faulted evaluator in the reset state.
 func NewFaultedPacked(fp *FaultedProgram) *FaultedPacked {
-	e := zeroed(fp)
-	e.Reset()
-	return e
-}
-
-// zeroed returns an evaluator of fp whose every word is zero.
-func zeroed(fp *FaultedProgram) *FaultedPacked {
 	p := fp.Prog
-	return &FaultedPacked{
+	e := &FaultedPacked{
 		fp: fp, prog: p, feeds: p.feedTable(),
 		vals:   make([]uint64, p.NumNets),
 		dffBuf: make([]uint64, len(p.DFFs)),
 		hist:   make([]uint64, len(fp.sites)),
 		pend:   make([]uint64, (len(p.Runs)+63)/64),
 	}
-}
-
-// pendAll makes the next settle evaluate every run.
-func (e *FaultedPacked) pendAll() {
-	for i := range e.pend {
-		e.pend[i] = ^uint64(0)
-	}
-	if r := len(e.prog.Runs) % 64; r != 0 {
-		e.pend[len(e.pend)-1] = 1<<uint(r) - 1
-	}
-}
-
-// Snapshot is one lane's state, everything a continuation of the lane
-// is seeded from: the lane, its bit of every state net and of every
-// site's history register, and its LFSR. It belongs to the program it
-// was taken from.
-type Snapshot struct {
-	lane  int
-	nets  []uint64 // the k-th state net in ascending net order is bit k%64 of word k/64
-	hists []uint64 // in site order, the lane's bit
-	lfsr  uint16
-}
-
-// Snapshot reads lane's state.
-func (e *FaultedPacked) Snapshot(lane int) Snapshot {
-	state := e.feeds.state
-	s := Snapshot{lane: lane, nets: make([]uint64, (len(state)+63)/64), hists: make([]uint64, len(e.hist))}
-	for k, n := range state {
-		s.nets[k/64] |= (e.vals[n] >> uint(lane) & 1) << uint(k%64)
-	}
-	for si, h := range e.hist {
-		s.hists[si] = h >> uint(lane) & 1
-	}
-	for k, w := range e.lfsr {
-		s.lfsr |= uint16(w>>uint(lane)&1) << uint(k)
-	}
-	return s
-}
-
-// Seeded returns an evaluator of fp with each snapshot placed in the
-// lane it was taken from; every lane no snapshot names is retired, and
-// no lane is held. Each snapshot must be taken from an evaluator of fp's
-// program and sites, and no two from the same lane; Seeded panics when a
-// site count differs or a lane repeats. Combinational nets hold nothing
-// until the first Settle, which evaluates every run; settle before
-// reading or clocking.
-func Seeded(fp *FaultedProgram, snaps ...Snapshot) *FaultedPacked {
-	e := zeroed(fp)
-	var seeded uint64
-	for _, snap := range snaps {
-		if len(snap.hists) != len(fp.sites) {
-			panic(fmt.Sprintf("engine: a snapshot of %d sites seeds a program of %d", len(snap.hists), len(fp.sites)))
-		}
-		l := uint(snap.lane)
-		if seeded>>l&1 == 1 {
-			panic(fmt.Sprintf("engine: two snapshots seed lane %d", l))
-		}
-		seeded |= 1 << l
-		for k, n := range e.feeds.state {
-			e.vals[n] |= (snap.nets[k/64] >> uint(k%64) & 1) << l
-		}
-		for si, h := range snap.hists {
-			e.hist[si] |= h << l
-		}
-		for k := range e.lfsr {
-			e.lfsr[k] |= uint64(snap.lfsr>>uint(k)&1) << l
-		}
-	}
-	e.pendAll()
-	e.ret = ^seeded
+	e.Reset()
 	return e
 }
 
 // Reset re-applies reset values in every lane: DFF Init words, overlay
-// history registers from X's Init, the LFSR seed, and empty retired and
-// held masks.
+// history registers from X's Init, the LFSR seed, and an empty hold
+// mask. The next settle evaluates every run.
 func (e *FaultedPacked) Reset() {
 	for i := range e.vals {
 		e.vals[i] = 0
@@ -296,17 +252,20 @@ func (e *FaultedPacked) Reset() {
 	for k := range e.lfsr {
 		e.lfsr[k] = -uint64(overlayLFSRSeed >> k & 1)
 	}
-	e.ret, e.hold = 0, 0
-	e.pendAll()
+	e.hold = 0
+	for i := range e.pend {
+		e.pend[i] = ^uint64(0)
+	}
+	if r := len(e.prog.Runs) % 64; r != 0 {
+		e.pend[len(e.pend)-1] = 1<<uint(r) - 1
+	}
 }
 
-// SetInput drives a (multi-bit) input port with the low len(port) bits
-// of val, broadcast to all 64 lanes: every lane sees the same stimulus,
-// as the packed campaign replays one program against 63 fault variants.
-func (e *FaultedPacked) SetInput(name string, val uint64) { e.SetInputLanes(name, ^uint64(0), val) }
-
-// SetInputLanes is SetInput in the lanes of mask only; the other lanes
-// keep what they were driven with.
+// SetInputLanes drives a (multi-bit) input port with the low len(port)
+// bits of val in the lanes of mask; the other lanes keep what they were
+// driven with. A wave drives all its unheld lanes alike, as the packed
+// campaign replays one program against 63 fault variants; a gang drives
+// each lane on its own.
 func (e *FaultedPacked) SetInputLanes(name string, mask, val uint64) {
 	p, ok := e.prog.Netlist.FindInput(name)
 	if !ok {
@@ -338,14 +297,11 @@ func (e *FaultedPacked) Lane(n netlist.NetID, lane int) bool {
 	return e.vals[n]>>uint(lane)&1 == 1
 }
 
-// Retire removes lanes from overlay evaluation. Retired lanes keep
-// evaluating as (meaningless) golden traffic in the word-parallel base
-// update but cost nothing extra.
-func (e *FaultedPacked) Retire(mask uint64) { e.ret |= mask }
-
 // Hold makes every following Edge leave the lanes of mask as they are:
 // their flip-flops, history registers and LFSR keep their words, as if
-// the lanes' clock were stopped. Hold(0) clocks every lane again.
+// the lanes' clock were stopped, and their sites cost nothing. A held
+// lane whose inputs are not written keeps every net's value. Hold(0)
+// clocks every lane again.
 func (e *FaultedPacked) Hold(mask uint64) { e.hold = mask }
 
 // Settle propagates all 64 lanes through the combinational logic,
@@ -452,8 +408,8 @@ func settleRun(kind cell.Kind, run []Op, vals []uint64) (d uint64) {
 func (e *FaultedPacked) Edge() {
 	vals, hold := e.vals, e.hold
 	dffs := e.prog.DFFs
-	if e.rec != nil {
-		e.rec.edge(vals, dffs, hold)
+	if e.rec != nil && hold&1 == 0 {
+		e.rec.edge(vals, dffs)
 	}
 	for i := range dffs {
 		f := &dffs[i]
@@ -463,40 +419,13 @@ func (e *FaultedPacked) Edge() {
 	cRnd := e.lfsr[15] // each lane's LFSR output bit (qs[15])
 	for si := range e.fp.sites {
 		s := &e.fp.sites[si]
-		m := s.lanes &^ e.ret
+		m := s.lanes &^ hold
 		if m == 0 {
 			continue
 		}
-		var active uint64
-		if s.same {
-			active = ^uint64(0)
-		} else {
-			x := &dffs[s.xdff]
-			var prev, cur uint64
-			if s.check == OverlaySetup {
-				prev, cur = e.hist[si], vals[x.Out]
-			} else {
-				prev, cur = vals[x.Out], vals[x.D]
-			}
-			switch s.edge {
-			case OverlayAnyChange:
-				active = prev ^ cur
-			case OverlayRisingEdge:
-				active = ^prev & cur
-			case OverlayFallingEdge:
-				active = prev &^ cur
-			}
-		}
-		var c uint64
-		switch s.c {
-		case OverlayC1:
-			c = ^uint64(0)
-		case OverlayCRandom:
-			c = cRnd
-		}
-		f := &dffs[s.dff]
+		x, f := &dffs[s.xdff], &dffs[s.dff]
+		faulty := s.sample(e.hist[si], vals[x.Out], vals[x.D], vals[f.D], cRnd)
 		clk := vals[f.Clk] &^ hold
-		faulty := (c & active) | (vals[f.D] &^ active)
 		staged := (faulty & clk) | (vals[f.Out] &^ clk)
 		e.dffBuf[s.dff] = (e.dffBuf[s.dff] &^ m) | (staged & m)
 	}

@@ -143,7 +143,7 @@ func TestFaultedPackedMatchesFailingNetlist(t *testing.T) {
 		}
 		for cyc := 0; cyc < 40; cyc++ {
 			in := rng.Uint64() & (1<<uint(xW) - 1)
-			pe.SetInput("x", in)
+			pe.SetInputLanes("x", ^uint64(0), in)
 			healthy.SetInput("x", in)
 			failing.SetInput("x", in)
 			pe.Settle()
@@ -168,9 +168,10 @@ func TestFaultedPackedMatchesFailingNetlist(t *testing.T) {
 	}
 }
 
-// TestFaultedPackedRetire: a lane retired at reset never sees its
-// overlay — it tracks the golden circuit for the whole run.
-func TestFaultedPackedRetire(t *testing.T) {
+// TestFaultedPackedHoldFreezesLane: a lane held from reset, its inputs
+// left alone, keeps every net at its reset settle and never sees its
+// overlay, while the golden lane runs on.
+func TestFaultedPackedHoldFreezesLane(t *testing.T) {
 	nl := randomSequentialNetlist(7)
 	dffs := dffCells(nl)
 	spec := fault.Spec{Type: sta.Setup, Start: dffs[0], End: dffs[1], C: fault.C1, Edge: fault.AnyChange}
@@ -179,24 +180,28 @@ func TestFaultedPackedRetire(t *testing.T) {
 		t.Fatal(err)
 	}
 	pe := engine.NewFaultedPacked(fp)
-	pe.Retire(1 << 5)
-	healthy := sim.New(nl)
+	pe.Settle()
+	reset := make([]bool, nl.NumNets)
+	for n := range reset {
+		reset[n] = pe.Lane(netlist.NetID(n), 5)
+	}
+	pe.Hold(1 << 5)
 	rng := rand.New(rand.NewSource(9))
+	moved := false
 	for cyc := 0; cyc < 30; cyc++ {
-		in := rng.Uint64() & 3
-		pe.SetInput("x", in)
-		healthy.SetInput("x", in)
+		pe.SetInputLanes("x", ^uint64(1<<5), rng.Uint64()&3)
 		pe.Settle()
-		for _, p := range nl.Outputs {
-			want := healthy.Output(p.Name)
-			for i, n := range p.Bits {
-				if got := pe.Lane(n, 5); got != (want>>uint(i)&1 == 1) {
-					t.Fatalf("cycle %d: retired lane %s[%d] = %v, golden %v", cyc, p.Name, i, got, !got)
-				}
+		for n := range reset {
+			id := netlist.NetID(n)
+			if pe.Lane(id, 5) != reset[n] {
+				t.Fatalf("cycle %d: held lane's net %s left its reset value", cyc, nl.NetName(id))
 			}
+			moved = moved || pe.Lane(id, 0) != reset[n]
 		}
 		pe.Edge()
-		healthy.Step()
+	}
+	if !moved {
+		t.Fatal("the golden lane never left its reset values either")
 	}
 }
 

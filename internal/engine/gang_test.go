@@ -14,8 +14,7 @@ import (
 
 // gangMatchesSolo drives a gang evaluator of nl for a number of cycles,
 // each new words on every input port, some of them in one lane only, a
-// settle, and an edge at which a random set of lanes is held; half way
-// it reseeds the gang from its watched lanes' snapshots. A solo
+// settle, and an edge at which a random set of lanes is held. A solo
 // evaluator per watched lane sees only that lane's words and is clocked
 // only at the edges the lane was not held at. After every settle the
 // watched lane of the gang must equal its solo evaluator on every net.
@@ -42,20 +41,13 @@ func gangMatchesSolo(t *testing.T, nl *netlist.Netlist, seed int64, cycles int) 
 		watched |= 1 << uint(l)
 	}
 	for cyc := 0; cyc < cycles; cyc++ {
-		if cyc == cycles/2 {
-			snaps := make([]engine.Snapshot, len(lanes))
-			for i, l := range lanes {
-				snaps[i] = gang.Snapshot(l)
-			}
-			gang = engine.Seeded(fp, snaps...)
-		}
 		for _, port := range nl.Inputs {
 			gang.SetInputLanes(port.Name, rng.Uint64()&^watched, rng.Uint64())
 			for i, l := range lanes {
 				if rng.Intn(3) > 0 {
 					v := rng.Uint64()
 					gang.SetInputLanes(port.Name, 1<<uint(l), v)
-					solos[i].SetInput(port.Name, v)
+					solos[i].SetInputLanes(port.Name, ^uint64(0), v)
 				}
 			}
 		}
@@ -84,7 +76,7 @@ func gangMatchesSolo(t *testing.T, nl *netlist.Netlist, seed int64, cycles int) 
 }
 
 // TestGangLaneMatchesSolo: a lane of an evaluator whose lanes are held
-// at random edges, driven lane by lane and reseeded as a gang equals an
+// at random edges and driven lane by lane equals an
 // evaluator of that lane alone clocked only at the edges it was not held
 // at, on random sequential netlists and on the ALU and FPU.
 func TestGangLaneMatchesSolo(t *testing.T) {

@@ -37,11 +37,10 @@ func words(e *engine.FaultedPacked, numNets int) []uint64 {
 }
 
 // gatedMatchesFull runs the evaluator calls ops names on nl — stimulus
-// to every lane and to a few, settles, clock edges, retirements, held
-// lanes, resets and a reseed from up to three lanes' snapshots, as a
-// gang of their continuations — and after every
-// settle holds each net's word to a full settle, in the netlist's own
-// topological order, of the same state nets.
+// to every lane and to a few, settles, clock edges, held lanes and
+// resets — and after every settle holds each net's word to a full
+// settle, in the netlist's own topological order, of the same state
+// nets.
 func gatedMatchesFull(t *testing.T, nl *netlist.Netlist, seed int64, ops []byte) bool {
 	rng := rand.New(rand.NewSource(seed))
 	p := engine.Compile(nl)
@@ -52,53 +51,35 @@ func gatedMatchesFull(t *testing.T, nl *netlist.Netlist, seed int64, ops []byte)
 		t.Fatal(err)
 	}
 	e := engine.NewFaultedPacked(fp)
-	seeded := false // combinational nets undefined until the next settle
 	settle := func(step int) bool {
 		e.Settle()
-		seeded = false
 		got := words(e, nl.NumNets)
 		want := append([]uint64(nil), got...)
 		tp.settlePacked(want)
 		for n := range got {
 			if got[n] != want[n] {
 				t.Logf("seed %d step %d (op %d): net %s = %#x, a full settle gives %#x",
-					seed, step, ops[step]%8, nl.NetName(netlist.NetID(n)), got[n], want[n])
+					seed, step, ops[step]%6, nl.NetName(netlist.NetID(n)), got[n], want[n])
 				return false
 			}
 		}
 		return true
 	}
 	for step, op := range ops {
-		switch op % 8 {
+		switch op % 6 {
 		case 0:
-			e.SetInput(nl.Inputs[rng.Intn(len(nl.Inputs))].Name, rng.Uint64())
+			e.SetInputLanes(nl.Inputs[rng.Intn(len(nl.Inputs))].Name, ^uint64(0), rng.Uint64())
 		case 1:
 			if !settle(step) {
 				return false
 			}
 		case 2:
-			if seeded && !settle(step) {
-				return false
-			}
 			e.Edge()
 		case 3:
-			e.Retire(rng.Uint64() &^ 1)
-		case 4:
 			e.Reset()
-			seeded = false
-		case 5:
-			if seeded && !settle(step) {
-				return false
-			}
-			var snaps []engine.Snapshot
-			for _, lane := range rng.Perm(engine.Lanes)[:1+rng.Intn(3)] {
-				snaps = append(snaps, e.Snapshot(lane))
-			}
-			e = engine.Seeded(fp, snaps...)
-			seeded = true
-		case 6:
+		case 4:
 			e.Hold(rng.Uint64())
-		case 7:
+		case 5:
 			e.SetInputLanes(nl.Inputs[rng.Intn(len(nl.Inputs))].Name, rng.Uint64(), rng.Uint64())
 		}
 	}
@@ -133,8 +114,8 @@ func TestGatedSettleMatchesFull(t *testing.T) {
 func FuzzGatedSettle(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 1, 5, 2, 1, 0, 1})
 	f.Add(int64(42), []byte{2, 2, 1, 3, 0, 2, 1, 4, 1, 5, 5, 1})
-	// Held lanes and one lane's stimulus, around a gang reseed.
-	f.Add(int64(7), []byte{7, 6, 1, 2, 15, 2, 5, 14, 7, 1, 2, 6, 0, 2, 1})
+	// Held lanes and one lane's stimulus, around a reset.
+	f.Add(int64(7), []byte{5, 4, 1, 2, 10, 2, 3, 11, 5, 1, 2, 4, 0, 2, 1})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) == 0 || len(ops) > 512 {
 			t.Skip()
@@ -177,7 +158,8 @@ func reachedRuns(p *engine.Program, before, after []uint64) int {
 }
 
 // evaluatesOnlyReached drives a faulted evaluator of nl for a number of
-// cycles, each an optional clock edge and new words on a random subset
+// cycles, each an optional clock edge under a random hold mask and new
+// words on a random subset
 // of the input ports, so no state net is written twice between settles.
 // It holds the runs each settle evaluates to reachedRuns, taken from the
 // words before the writes and after a full settle in the netlist's own
@@ -203,15 +185,15 @@ func evaluatesOnlyReached(t *testing.T, nl *netlist.Netlist, seed int64, cycles 
 	}
 	for cyc := 0; cyc < cycles; cyc++ {
 		before := words(e, nl.NumNets)
+		e.Hold(rng.Uint64())
 		if rng.Intn(2) == 0 {
 			e.Edge()
 		}
 		for _, port := range nl.Inputs {
 			if rng.Intn(2) == 0 {
-				e.SetInput(port.Name, rng.Uint64())
+				e.SetInputLanes(port.Name, ^uint64(0), rng.Uint64())
 			}
 		}
-		e.Retire(rng.Uint64() &^ 1)
 		after := words(e, nl.NumNets)
 		tp.settlePacked(after)
 		if got, want := settle(), reachedRuns(p, before, after); got != want {
@@ -242,107 +224,78 @@ func TestGatedSettleEvaluatesOnlyReachedRuns(t *testing.T) {
 	}
 }
 
-// TestStateSnapshotRoundTrip: a gang seeded from a few lanes' snapshots
-// on the same program, each in its own lane, as the injection plane
-// seeds a wave's retired lanes, settles to each lane's word on every
-// net, and each lane stays equal to the lane it came from, net for net,
-// over the cycles that follow — for the ALU and the FPU under random
-// stimulus, with the lanes made to differ by random failure models.
-func TestStateSnapshotRoundTrip(t *testing.T) {
+// TestHeldLaneResumes: lanes held over a span of cycles, while every
+// other lane runs on under stimulus of its own, and then released, each
+// equal an evaluator of that lane alone that never saw the span: on
+// every net after every settle, and on every state, history and LFSR
+// bit after every edge. That is how a wave parks a lane where it
+// diverged and its gang later continues it on the same evaluator. On
+// the ALU and the FPU, with every lane made to differ by a random
+// failure model, every other one a CRandom site.
+func TestHeldLaneResumes(t *testing.T) {
 	for _, m := range []*module.Module{alu.Build(), fpu.Build()} {
 		t.Run(m.Name, func(t *testing.T) {
 			t.Parallel()
 			nl := m.Netlist
 			rng := rand.New(rand.NewSource(int64(len(nl.Cells))))
-			fp, err := engine.CompileFaulted(engine.Cached(nl), laneOverlays(rng, nl, engine.Lanes-1))
+			ovs := laneOverlays(rng, nl, engine.Lanes-1)
+			for i := 0; i < len(ovs); i += 2 {
+				ovs[i].C = engine.OverlayCRandom
+			}
+			fp, err := engine.CompileFaulted(engine.Cached(nl), ovs)
 			if err != nil {
 				t.Fatal(err)
 			}
+			const cycles = 60
 			e := engine.NewFaultedPacked(fp)
-			drive := func(es ...*engine.FaultedPacked) {
+			lanes := rng.Perm(engine.Lanes)[:6]
+			solos := make([]*engine.FaultedPacked, len(lanes))
+			from, to := make([]int, len(lanes)), make([]int, len(lanes))
+			for i := range lanes {
+				solos[i] = engine.NewFaultedPacked(fp)
+				from[i] = rng.Intn(cycles - 10)
+				to[i] = from[i] + 1 + rng.Intn(cycles/3)
+			}
+			for cyc := 0; cyc < cycles; cyc++ {
+				var held uint64
+				for i, l := range lanes {
+					if from[i] <= cyc && cyc < to[i] {
+						held |= 1 << uint(l)
+					}
+				}
 				for _, port := range nl.Inputs {
-					v := rng.Uint64()
-					for _, x := range es {
-						x.SetInput(port.Name, v)
+					e.SetInputLanes(port.Name, ^held, rng.Uint64())
+					for i, l := range lanes {
+						if held>>uint(l)&1 == 0 {
+							v := rng.Uint64()
+							e.SetInputLanes(port.Name, 1<<uint(l), v)
+							solos[i].SetInputLanes(port.Name, ^uint64(0), v)
+						}
+					}
+				}
+				e.Settle()
+				for i, l := range lanes {
+					solos[i].Settle()
+					for n := 0; n < nl.NumNets; n++ {
+						id := netlist.NetID(n)
+						if g, s := e.Lane(id, l), solos[i].Lane(id, l); g != s {
+							t.Fatalf("lane %d, held over cycles %d..%d, cycle %d: net %s is %v, %v alone",
+								l, from[i], to[i], cyc, nl.NetName(id), g, s)
+						}
+					}
+				}
+				e.Hold(held)
+				e.Edge()
+				for i, l := range lanes {
+					if held>>uint(l)&1 == 0 {
+						solos[i].Edge()
+					}
+					if !slices.Equal(engine.LaneState(e, l), engine.LaneState(solos[i], l)) {
+						t.Fatalf("lane %d, held over cycles %d..%d, after the edge of cycle %d: its state, history or LFSR differs from the lane alone",
+							l, from[i], to[i], cyc)
 					}
 				}
 			}
-			for cyc := 0; cyc < 40; cyc++ {
-				drive(e)
-				e.Settle()
-				if cyc%8 == 7 {
-					roundTrip(t, nl, e, fp, rng.Perm(engine.Lanes)[:1+rng.Intn(8)], drive)
-				}
-				e.Edge()
-			}
 		})
-	}
-}
-
-// roundTrip seeds a gang of e's lanes from their snapshots and compares
-// each with its lane of e on every net for a few cycles. It advances e.
-func roundTrip(t *testing.T, nl *netlist.Netlist, e *engine.FaultedPacked, fp *engine.FaultedProgram,
-	lanes []int, drive func(...*engine.FaultedPacked)) {
-	t.Helper()
-	var snaps []engine.Snapshot
-	for _, lane := range lanes {
-		snaps = append(snaps, e.Snapshot(lane))
-	}
-	c := engine.Seeded(fp, snaps...)
-	for cyc := 0; cyc < 4; cyc++ {
-		if cyc > 0 {
-			e.Edge()
-			c.Edge()
-			drive(e, c)
-			e.Settle()
-		}
-		c.Settle()
-		for n := 0; n < nl.NumNets; n++ {
-			id := netlist.NetID(n)
-			for _, lane := range lanes {
-				if want := e.Lane(id, lane); c.Lane(id, lane) != want {
-					t.Fatalf("lane %d of %v, cycle %d after the snapshot: net %s is %v in the gang, %v in the lane",
-						lane, lanes, cyc, nl.NetName(id), !want, want)
-				}
-			}
-		}
-	}
-}
-
-// TestSeededRefusesForeignSnapshot: a snapshot holds one history bit per
-// site of the program it was taken from, so seeding a program with
-// another site count panics instead of misreading it; so does seeding
-// one lane twice.
-func TestSeededRefusesForeignSnapshot(t *testing.T) {
-	nl := alu.Build().Netlist
-	rng := rand.New(rand.NewSource(1))
-	ovs := laneOverlays(rng, nl, 3)
-	fp, err := engine.CompileFaulted(engine.Cached(nl), ovs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fewer, err := engine.CompileFaulted(engine.Cached(nl), ovs[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := engine.NewFaultedPacked(fp)
-	snap := e.Snapshot(1)
-	engine.Seeded(fp, snap, e.Snapshot(2))
-	for _, tc := range []struct {
-		name string
-		fp   *engine.FaultedProgram
-		snap []engine.Snapshot
-	}{
-		{"a snapshot of 3 sites for a program of 2", fewer, []engine.Snapshot{snap}},
-		{"two snapshots of lane 1", fp, []engine.Snapshot{snap, e.Snapshot(1)}},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Seeded accepted %s", tc.name)
-				}
-			}()
-			engine.Seeded(tc.fp, tc.snap...)
-		}()
 	}
 }

@@ -7,7 +7,7 @@ import "fmt"
 // keeps one evaluator's lane 0 once: at each mark (one per unit op, as
 // the driver chooses) the golden state, and at each clock edge what Edge
 // reads of every flip-flop. A later evaluator asks Quiet whether any of
-// its unretired lanes can leave the golden state between two marks;
+// its unheld lanes can leave the golden state between two marks;
 // where none can, the driver answers the span itself and simulates
 // nothing (concurrent fault simulation's rule, applied to whole spans),
 // and the next span it simulates starts from Restore.
@@ -20,7 +20,8 @@ type Recording struct {
 	prog   *Program
 	sw, dw int // words of one state bitset, of one flip-flop bitset
 
-	// At each mark: every state net's bit, in Snapshot's layout; each
+	// At each mark: every state net's bit, the k-th state net in
+	// ascending net order at bit k%64 of word k/64 of the mark's; each
 	// flip-flop's setup history bit (its Q at its last clocked edge, as
 	// the history register of a setup site launched from it holds it);
 	// the LFSR; and the index of the first edge after the mark.
@@ -36,8 +37,8 @@ type Recording struct {
 }
 
 // Record starts recording e's lane 0 and returns the Recording that
-// Mark and every Edge from now on add to. e must be at reset, and its
-// lane 0 must not be held while it records.
+// Mark and every Edge that clocks lane 0 add to from now on: an edge at
+// which lane 0 is held is not part of lane 0's run. e must be at reset.
 func (e *FaultedPacked) Record() *Recording {
 	p := e.prog
 	r := &Recording{prog: p, sw: (len(e.feeds.state) + 63) / 64, dw: (len(p.DFFs) + 63) / 64}
@@ -69,7 +70,7 @@ func (e *FaultedPacked) Mark() {
 }
 
 // edge records lane 0 of the pre-edge words Edge reads.
-func (r *Recording) edge(vals []uint64, dffs []DFF, hold uint64) {
+func (r *Recording) edge(vals []uint64, dffs []DFF) {
 	at := len(r.edges)
 	r.nedges++
 	r.edges = append(r.edges, make([]uint64, 3*r.dw)...)
@@ -79,7 +80,7 @@ func (r *Recording) edge(vals []uint64, dffs []DFF, hold uint64) {
 		w, b := i/64, uint(i%64)
 		q[w] |= (vals[f.Out] & 1) << b
 		d[w] |= (vals[f.D] & 1) << b
-		c[w] |= (vals[f.Clk] &^ hold & 1) << b
+		c[w] |= (vals[f.Clk] & 1) << b
 	}
 	for w := range r.gh {
 		r.gh[w] = q[w]&c[w] | r.gh[w]&^c[w]
@@ -96,11 +97,11 @@ func (r *Recording) own(e *FaultedPacked) {
 	}
 }
 
-// Golden reports whether every unretired lane equals lane 0 on every
-// state net, every site's history register and the LFSR: whether, from
-// here, a lane differs from lane 0 only where one of its sites makes it.
+// Golden reports whether every unheld lane equals lane 0 on every state
+// net, every site's history register and the LFSR: whether, from here,
+// such a lane differs from lane 0 only where one of its sites makes it.
 func (e *FaultedPacked) Golden() bool {
-	live := ^e.ret
+	live := ^e.hold
 	differs := func(w uint64) bool { return (w^-(w&1))&live != 0 }
 	for _, n := range e.feeds.state {
 		if differs(e.vals[n]) {
@@ -120,12 +121,13 @@ func (e *FaultedPacked) Golden() bool {
 	return true
 }
 
-// Quiet reports whether no site of an unretired lane of e corrupts at
+// Quiet reports whether no site of an unheld lane of e corrupts at
 // any edge r recorded after mark k and before mark k+1: whether lanes
 // that are Golden at mark k, driven with the recorded stimulus and never
 // held, are all still golden at mark k+1. A site corrupts at an edge when
-// its endpoint Y is clocked, it is active (as Edge decides from X) and
-// its C differs from Y's D: exactly when Edge would stage a value other
+// its endpoint Y is clocked and what the site makes Y sample
+// (faultSite.sample, Edge's rule, on each recorded bit broadcast to a
+// word) differs from Y's D: exactly when Edge would stage a value other
 // than lane 0's at Y.
 func (e *FaultedPacked) Quiet(r *Recording, k int) bool {
 	r.own(e)
@@ -136,7 +138,7 @@ func (e *FaultedPacked) Quiet(r *Recording, k int) bool {
 	}
 	for si := range e.fp.sites {
 		s := &e.fp.sites[si]
-		if s.lanes&^e.ret == 0 {
+		if s.lanes&^e.hold == 0 {
 			continue
 		}
 		h := bit(r.hist[k*dw:], s.xdff)
@@ -144,35 +146,13 @@ func (e *FaultedPacked) Quiet(r *Recording, k int) bool {
 		for ed := lo; ed < hi; ed++ {
 			at := ed * 3 * dw
 			q, d, c := r.edges[at:at+dw], r.edges[at+dw:at+2*dw], r.edges[at+2*dw:at+3*dw]
-			active := uint64(1)
-			if !s.same {
-				var prev, cur uint64
-				if s.check == OverlaySetup {
-					prev, cur = h, bit(q, s.xdff)
-					if bit(c, s.xdff) == 1 {
-						h = cur
-					}
-				} else {
-					prev, cur = bit(q, s.xdff), bit(d, s.xdff)
-				}
-				switch s.edge {
-				case OverlayAnyChange:
-					active = prev ^ cur
-				case OverlayRisingEdge:
-					active = ^prev & cur & 1
-				case OverlayFallingEdge:
-					active = prev &^ cur
-				}
-			}
-			var cv uint64
-			switch s.c {
-			case OverlayC1:
-				cv = 1
-			case OverlayCRandom:
-				cv = uint64(l >> 15)
-			}
-			if bit(c, s.dff)&active&(cv^bit(d, s.dff)) != 0 {
+			xq, yd := bit(q, s.xdff), bit(d, s.dff)
+			sampled := s.sample(-h, -xq, -bit(d, s.xdff), -yd, -uint64(l>>15))
+			if bit(c, s.dff)&(sampled^-yd) != 0 {
 				return false
+			}
+			if bit(c, s.xdff) == 1 {
+				h = xq
 			}
 			l = l<<1 | (l>>15^l>>13^l>>12^l>>10)&1
 		}
@@ -180,22 +160,23 @@ func (e *FaultedPacked) Quiet(r *Recording, k int) bool {
 	return true
 }
 
-// Restore puts every lane of e at lane 0's state at mark k of r: every
-// state net, the history register of every setup site, and the LFSR.
-// Combinational nets follow at the next Settle.
+// Restore puts every unheld lane of e at lane 0's state at mark k of r:
+// every state net, the history register of every setup site, and the
+// LFSR. Combinational nets follow at the next Settle.
 func (e *FaultedPacked) Restore(r *Recording, k int) {
 	r.own(e)
+	put := func(w, b uint64) uint64 { return w&e.hold | -b&^e.hold }
 	nets := r.nets[k*r.sw:]
 	for j, n := range e.feeds.state {
-		e.write(n, -(nets[j/64] >> uint(j%64) & 1))
+		e.write(n, put(e.vals[n], nets[j/64]>>uint(j%64)&1))
 	}
 	hist := r.hist[k*r.dw:]
 	for si := range e.fp.sites {
 		if s := &e.fp.sites[si]; s.check == OverlaySetup && !s.same {
-			e.hist[si] = -bit(hist, s.xdff)
+			e.hist[si] = put(e.hist[si], bit(hist, s.xdff))
 		}
 	}
 	for b := range e.lfsr {
-		e.lfsr[b] = -uint64(r.lfsr[k] >> uint(b) & 1)
+		e.lfsr[b] = put(e.lfsr[b], uint64(r.lfsr[k]>>uint(b)&1))
 	}
 }

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -44,7 +45,7 @@ func randomScript(rng *rand.Rand, nl *netlist.Netlist, marks int) script {
 func (s script) drive(e *engine.FaultedPacked, k int, edged func()) {
 	for _, cyc := range s[k] {
 		for _, w := range cyc {
-			e.SetInput(w.port, w.val)
+			e.SetInputLanes(w.port, ^uint64(0), w.val)
 		}
 		e.Settle()
 		e.Edge()
@@ -72,13 +73,13 @@ func mixedOverlays(rng *rand.Rand, nl *netlist.Netlist) []engine.Overlay {
 
 // recorded is a recorded run and, at each of its marks, what lane 0 of
 // an evaluator of the second program fp holds there: every net's bit
-// after a settle, and its snapshot.
+// after a settle, and its state (engine.LaneState).
 type recorded struct {
-	fp    *engine.FaultedProgram
-	s     script
-	rec   *engine.Recording
-	nets  [][]bool
-	snaps []engine.Snapshot
+	fp     *engine.FaultedProgram
+	s      script
+	rec    *engine.Recording
+	nets   [][]bool
+	states [][]bool
 }
 
 // recordRun records a random script on an evaluator of one set of
@@ -108,7 +109,7 @@ func recordRun(t *testing.T, rng *rand.Rand, nl *netlist.Netlist, marks int) *re
 			nets[n] = follower.Lane(netlist.NetID(n), 0)
 		}
 		r.nets = append(r.nets, nets)
-		r.snaps = append(r.snaps, follower.Snapshot(0))
+		r.states = append(r.states, engine.LaneState(follower, 0))
 		r.s.drive(recorder, k, nil)
 		r.s.drive(follower, k, nil)
 	}
@@ -118,8 +119,8 @@ func recordRun(t *testing.T, rng *rand.Rand, nl *netlist.Netlist, marks int) *re
 // restoreMatches restores, at every mark of a recorded run, a fresh
 // evaluator of the follower's program that first ran a few cycles of
 // its own stimulus; settled, every lane must equal the follower's lane
-// 0 at that mark on every net, and its snapshot (state nets, every
-// site's history bit, the LFSR) must equal lane 0's.
+// 0 at that mark on every net, and its state (state nets, every site's
+// history bit, the LFSR) must equal lane 0's.
 func restoreMatches(t *testing.T, nl *netlist.Netlist, seed int64, marks int) bool {
 	rng := rand.New(rand.NewSource(seed))
 	r := recordRun(t, rng, nl, marks)
@@ -127,7 +128,7 @@ func restoreMatches(t *testing.T, nl *netlist.Netlist, seed int64, marks int) bo
 		e := engine.NewFaultedPacked(r.fp)
 		for c := rng.Intn(5); c >= 0; c-- {
 			for _, port := range nl.Inputs {
-				e.SetInput(port.Name, rng.Uint64())
+				e.SetInputLanes(port.Name, ^uint64(0), rng.Uint64())
 			}
 			e.Settle()
 			e.Edge()
@@ -144,8 +145,8 @@ func restoreMatches(t *testing.T, nl *netlist.Netlist, seed int64, marks int) bo
 			}
 		}
 		for lane := 0; lane < engine.Lanes; lane++ {
-			if !engine.SameState(e.Snapshot(lane), r.snaps[k]) {
-				t.Logf("%s seed %d mark %d: lane %d's snapshot after Restore differs from lane 0's at the mark",
+			if !slices.Equal(engine.LaneState(e, lane), r.states[k]) {
+				t.Logf("%s seed %d mark %d: lane %d's state after Restore differs from lane 0's at the mark",
 					nl.Name, seed, k, lane)
 				return false
 			}
@@ -182,10 +183,10 @@ func TestRestoreMatchesRecording(t *testing.T) {
 
 // quietIsExact holds Quiet to brute force at every mark of a recorded
 // run: a fresh evaluator of the follower's program, with all but one to
-// three fault lanes retired, is restored at the mark and asked for its
+// three fault lanes held, is restored at the mark and asked for its
 // verdict, then driven through the mark's cycles. Across a quiet span no
-// unretired lane may leave the golden state at any edge, and across a
-// span that is not quiet one must. verdicts counts the spans found quiet
+// unheld lane may leave the golden state at any edge, and across a span
+// that is not quiet one must. verdicts counts the spans found quiet
 // and not.
 func quietIsExact(t *testing.T, nl *netlist.Netlist, seed int64, marks int, verdicts *[2]int) bool {
 	rng := rand.New(rand.NewSource(seed))
@@ -197,7 +198,7 @@ func quietIsExact(t *testing.T, nl *netlist.Netlist, seed int64, marks int, verd
 			for i := 1 + rng.Intn(3); i > 0; i-- {
 				keep |= 1 << uint(1+rng.Intn(engine.Lanes-1))
 			}
-			e.Retire(^keep &^ 1)
+			e.Hold(^keep &^ 1)
 			e.Restore(r.rec, k)
 			if !e.Golden() {
 				t.Logf("%s seed %d mark %d: a restored evaluator is not golden", nl.Name, seed, k)
@@ -268,5 +269,96 @@ func TestRecordingRefusesForeignProgram(t *testing.T) {
 			}()
 			use()
 		}()
+	}
+}
+
+// heldLanesPassedBy restores, at every mark of a recorded run, an
+// evaluator of the follower's program that first ran a few cycles of
+// its own stimulus, with a random set of fault lanes held. The held
+// lanes must keep their state through Restore, Golden must hold after
+// it although some held lane differs from lane 0, and Quiet must equal
+// the conjunction of its verdicts for each unheld lane alone (true with
+// every fault lane held). seen counts the marks at which a held lane
+// differs from lane 0 and the lanes alone found not quiet, so both rules
+// are seen to bite.
+func heldLanesPassedBy(t *testing.T, nl *netlist.Netlist, seed int64, marks int, seen *[2]int) bool {
+	rng := rand.New(rand.NewSource(seed))
+	r := recordRun(t, rng, nl, marks)
+	for k := range r.s {
+		e := engine.NewFaultedPacked(r.fp)
+		for c := 1 + rng.Intn(4); c > 0; c-- {
+			for _, port := range nl.Inputs {
+				e.SetInputLanes(port.Name, ^uint64(0), rng.Uint64())
+			}
+			e.Settle()
+			e.Edge()
+		}
+		held := rng.Uint64() &^ 1
+		e.Hold(held)
+		before := make([][]bool, engine.Lanes)
+		for lane := range before {
+			before[lane] = engine.LaneState(e, lane)
+		}
+		for lane := range before {
+			if held>>uint(lane)&1 == 1 && !slices.Equal(before[lane], before[0]) {
+				seen[0]++
+				break
+			}
+		}
+		e.Restore(r.rec, k)
+		for lane := range before {
+			if held>>uint(lane)&1 == 1 && !slices.Equal(engine.LaneState(e, lane), before[lane]) {
+				t.Logf("%s seed %d mark %d: Restore wrote held lane %d", nl.Name, seed, k, lane)
+				return false
+			}
+		}
+		if !e.Golden() {
+			t.Logf("%s seed %d mark %d: not golden after Restore", nl.Name, seed, k)
+			return false
+		}
+		quiet := true
+		for lane := 1; lane < engine.Lanes; lane++ {
+			if held>>uint(lane)&1 == 0 {
+				e.Hold(^uint64(1<<uint(lane)) &^ 1)
+				alone := e.Quiet(r.rec, k)
+				quiet = quiet && alone
+				if !alone {
+					seen[1]++
+				}
+			}
+		}
+		e.Hold(held)
+		if got := e.Quiet(r.rec, k); got != quiet {
+			t.Logf("%s seed %d mark %d: Quiet says %v with lanes %#x held, its unheld lanes alone %v", nl.Name, seed, k, got, held, quiet)
+			return false
+		}
+		e.Hold(^uint64(1))
+		if !e.Quiet(r.rec, k) {
+			t.Logf("%s seed %d mark %d: not quiet with every fault lane held", nl.Name, seed, k)
+			return false
+		}
+	}
+	return true
+}
+
+// TestRecordingPassesHeldLanesBy: Restore, Golden and Quiet look only at
+// the lanes that are not held, on random netlists with gated clocks and
+// on the ALU and FPU, with setup, hold, metastable and CRandom sites: a
+// wave holds each lane from the check it retires at to the end of its
+// gang, and a restore that wrote it would continue it from the golden
+// state.
+func TestRecordingPassesHeldLanesBy(t *testing.T) {
+	var seen [2]int
+	check := func(seed int64) bool { return heldLanesPassedBy(t, randomNetlist(seed%1024), seed, 8, &seen) }
+	if err := quick.Check(check, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
+	for seed, m := range []*module.Module{alu.Build(), fpu.Build()} {
+		if !heldLanesPassedBy(t, m.Netlist, int64(seed), 12, &seen) {
+			t.Fatalf("%s: Restore, Golden or Quiet looked at a held lane", m.Name)
+		}
+	}
+	if seen[0] == 0 || seen[1] == 0 {
+		t.Fatalf("%d marks with a held lane off golden, %d lanes alone not quiet; want both", seen[0], seen[1])
 	}
 }

@@ -29,19 +29,22 @@ import (
 //     golden lane contradicts its own model says so.
 //  2. A fault lane retires at its first physically divergent response:
 //     out_valid high early, a different result/flags word bit, or
-//     out_valid still low when the golden lane's result rose. At
-//     retirement the lane's state (its bit of every state net and of
-//     every site's history register, and its LFSR) is snapshotted.
-//  3. A wave's retired lanes finish as one gang: one evaluator of the
-//     wave's program, seeded with every retirement's snapshot in its own
-//     lane, and one CPU per lane, each a coroutine. A lane's CPU gets
-//     golden responses up to the divergence op (the lane was
+//     out_valid still low when the golden lane's result rose. It is
+//     held from that check on (engine.FaultedPacked.Hold): no later
+//     edge clocks it and no later op is offered to it, so its state
+//     nets, inputs included, its history registers and its LFSR stay
+//     where it diverged. Lanes the wave does not use are held from the
+//     start.
+//  3. After the wave's run, its retired lanes finish as one gang on the
+//     wave's own evaluator, one CPU per lane, each a coroutine. A lane's
+//     CPU gets golden responses up to the divergence op (the lane was
 //     bit-identical to golden until then), then the gate level: every
 //     lane waiting on a unit op is clocked in lockstep, one settle and
 //     edge for all of them, while the others are held, so each lane sees
 //     exactly the cycles a lone replay of it would — byte-identical, by
 //     construction and by the TestPackedMatchesScalar differential, to
-//     a scalar replay of the failing netlist.
+//     a scalar replay of the failing netlist. Lane 0 is held throughout,
+//     so a recording wave's recording ends with its run.
 //  4. A lane that never retires ran the whole image without any
 //     observable difference: classified Masked for free.
 //  5. Every wave replays the same golden stimulus, so the first wave of
@@ -54,8 +57,9 @@ import (
 //     edge of it (FaultedPacked.Quiet): the op checks its request
 //     against the recording (a mismatch voids the wave) and returns the
 //     recorded response with no settle and no edge. The first op it
-//     simulates after a skip restores every lane to the golden state at
-//     its start, then runs as above, lane 0 still cross-checked.
+//     simulates after a skip restores every unheld lane to the golden
+//     state at its start, then runs as above, lane 0 still
+//     cross-checked.
 //
 // Behavioural classes (transient, intermittent) are not packed — they
 // already run at behavioural speed — but get a shortcut: a flip whose
@@ -170,18 +174,15 @@ const (
 	retWait
 )
 
-// retirement is one retired lane: where it diverged and the lane state
-// snapshot its continuation is seeded from.
+// retirement is one retired lane and where it diverged. The lane is
+// held at the check's settle, before its clock edge: exactly the state a
+// scalar driver holds when its wait-loop check runs.
 type retirement struct {
 	lane int // wave lane (1..63)
 	kind retKind
 	op   uint64 // 0-based unit-op index of the physical divergence
 	wait int    // driver wait-loop index of the check that retired the lane
 	r, f uint32 // retEarly, retValue: the lane's response
-	// snap is the lane at the check's settle, before its clock edge:
-	// exactly the state a scalar driver holds when its wait-loop check
-	// runs.
-	snap engine.Snapshot
 }
 
 // unitPorts are the unit's output nets: out_valid and the result and
@@ -231,11 +232,12 @@ func offer(pe *engine.FaultedPacked, mask uint64, op, a, b uint32) {
 type packedBackend struct {
 	name string // unit, class and injection range, for errors
 	m    *module.Module
-	fp   *engine.FaultedProgram
 	pe   *engine.FaultedPacked
 	unitPorts
 
-	live uint64 // fault lanes still bit-identical to lane 0
+	// live is the fault lanes still bit-identical to lane 0; every other
+	// lane but lane 0 is held.
+	live uint64
 	ops  uint64
 	rets []*retirement
 	// rec, when set, is the recording of this wave's golden run that the
@@ -280,9 +282,9 @@ func (b *packedBackend) Exec(op, a, bb uint32) (uint32, uint32, bool) {
 		pe.Mark()
 		b.rec.ops = append(b.rec.ops, unitOp{op, a, bb, gr, gf})
 	}
-	offer(pe, ^uint64(0), op, a, bb)
+	offer(pe, b.live|1, op, a, bb)
 	pe.Step()
-	pe.SetInput(module.PortInValid, 0)
+	pe.SetInputLanes(module.PortInValid, b.live|1, 0)
 	// The wait loop mirrors module.Driver.Exec: check the settled
 	// out_valid, step on miss, for Latency+StallLimit iterations.
 	i0 := -1
@@ -363,27 +365,27 @@ func (b *packedBackend) readOutputs() (r0, f0 uint32, mism uint64) {
 	return r0, f0, mism
 }
 
-// retire snapshots the lanes of mask, which diverged at unit op k in
-// wait-loop iteration i, and drops them from the wave.
+// retire records the lanes of mask, which diverged at unit op k in
+// wait-loop iteration i, and holds them where they are for their gang.
 func (b *packedBackend) retire(mask uint64, kind retKind, k uint64, i int) {
 	for m := mask; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros64(m)
-		ret := &retirement{lane: lane, kind: kind, op: k, wait: i, snap: b.pe.Snapshot(lane)}
+		ret := &retirement{lane: lane, kind: kind, op: k, wait: i}
 		if kind != retWait {
 			ret.r, ret.f = b.laneValues(b.pe, lane)
 		}
 		b.rets = append(b.rets, ret)
 	}
 	b.live &^= mask
-	b.pe.Retire(mask)
+	b.pe.Hold(^(b.live | 1))
 }
 
-// gang runs the continuations of a wave's retired lanes on one
-// evaluator of the wave's program, seeded with every retirement's
-// snapshot in its own lane. Each lane's CPU is a coroutine that runs
-// until its unit needs the gate level; the gang then steps every lane so
-// waiting in lockstep, one settle and one edge per step, and holds the
-// others, so a lane's flip-flops advance only on its own cycles.
+// gang runs the continuations of a wave's retired lanes on the wave's
+// evaluator, each lane from where the wave held it. Each lane's CPU is a
+// coroutine that runs until its unit needs the gate level; the gang then
+// steps every lane so waiting in lockstep, one settle and one edge per
+// step, and holds the others, so a lane's flip-flops advance only on its
+// own cycles.
 type gang struct {
 	m  *module.Module
 	pe *engine.FaultedPacked
@@ -441,24 +443,17 @@ func (l *gangLane) Exec(op, a, bb uint32) (uint32, uint32, bool) {
 	return l.r, l.f, l.ok
 }
 
-// resume runs lane l's CPU until it asks the gang for a unit op or its
-// run ends; a lane whose run ended is retired.
-func (g *gang) resume(l *gangLane) {
-	if _, more := l.next(); !more {
-		g.pe.Retire(l.bit)
-	}
-}
-
 // run steps the gang until no lane's CPU waits on it. One step is
 // module.Driver.Exec's loop body for every active lane at once: settle;
 // a lane in its wait loop with out_valid high has its response and is
 // held at the edge; every other active lane is clocked, and one whose
-// loop ran out has stalled. Lanes with a response then run on.
+// loop ran out has stalled. Lanes with a response then run on, each
+// until it asks the gang for a unit op or its run ends.
 func (g *gang) run() {
 	bound := g.m.Latency + module.StallLimit
 	for _, l := range g.lanes {
 		if l != nil {
-			g.resume(l)
+			l.next()
 		}
 	}
 	pe := g.pe
@@ -497,21 +492,17 @@ func (g *gang) run() {
 		}
 		g.active &^= answered
 		for m := answered; m != 0; m &= m - 1 {
-			g.resume(g.lanes[bits.TrailingZeros64(m)])
+			g.lanes[bits.TrailingZeros64(m)].next()
 		}
 	}
 }
 
 // runGang classifies every retired lane of wave pb, the injection of
 // lane i+1 being idxs[i], by running the image on one CPU per lane over
-// one gang. done[i]=false means ctx interrupted lane i+1's run: the
-// injection stays pending.
+// one gang on the wave's evaluator. done[i]=false means ctx interrupted
+// lane i+1's run: the injection stays pending.
 func runGang(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int, pb *packedBackend, results []Result, done []bool) (ops, settles int) {
-	snaps := make([]engine.Snapshot, len(pb.rets))
-	for k, ret := range pb.rets {
-		snaps[k] = ret.snap
-	}
-	gg := &gang{m: cfg.Module, pe: engine.Seeded(pb.fp, snaps...), unitPorts: pb.unitPorts}
+	gg := &gang{m: cfg.Module, pe: pb.pe, unitPorts: pb.unitPorts}
 	for _, ret := range pb.rets {
 		l := &gangLane{g: gg, ret: ret, bit: 1 << uint(ret.lane)}
 		i := ret.lane - 1
@@ -540,9 +531,10 @@ type waveAcct struct {
 }
 
 // newWave compiles a wave of up to engine.Lanes-1 netlist-class
-// injections, injection idxs[i] in lane i+1, onto a fresh evaluator. The
-// wave skips quiet ops with tape from when it is set, and records the
-// golden run into a tape of its own when record is set.
+// injections, injection idxs[i] in lane i+1, onto a fresh evaluator
+// that holds every lane the wave does not use. The wave skips quiet ops
+// with tape from when it is set, and records the golden run into a tape
+// of its own when record is set.
 func newWave(cfg *Config, idxs []int, from *tape, record bool) (*packedBackend, error) {
 	name := fmt.Sprintf("%s %s wave (injections %d..%d)", cfg.Module.Name, cfg.Specs[idxs[0]].Class, idxs[0], idxs[len(idxs)-1])
 	var overlays []engine.Overlay
@@ -556,11 +548,12 @@ func newWave(cfg *Config, idxs []int, from *tape, record bool) (*packedBackend, 
 		return nil, fmt.Errorf("inject: %s: %w", name, err)
 	}
 	pb := &packedBackend{
-		name: name, m: cfg.Module, fp: fp, pe: engine.NewFaultedPacked(fp),
+		name: name, m: cfg.Module, pe: engine.NewFaultedPacked(fp),
 		unitPorts: portsOf(cfg.Module.Netlist),
 		live:      (uint64(1)<<uint(len(idxs)+1) - 1) &^ 1,
 		from:      from,
 	}
+	pb.pe.Hold(^(pb.live | 1))
 	if record {
 		pb.rec = &tape{Recording: pb.pe.Record()}
 	}

@@ -11,16 +11,18 @@ import (
 	"repro/internal/fpu"
 	"repro/internal/lift"
 	"repro/internal/module"
+	"repro/internal/netlist"
 )
 
 // TestWaveSkipMatchesFullWave: a wave that answers quiet unit ops from
 // the recorded golden run retires the same lanes as a wave that
 // simulates every op, each the same way (kind), at the same op and
-// wait-loop check, with the same response and snapshot; so does the wave
-// that records. Over an ALU and an FPU campaign of two waves per
-// netlist class, at least one op is skipped and one simulated op
-// restores. The campaign's report is byte-identical with skipping off
-// (fullWaves), and its stats count no skipped op then.
+// wait-loop check, with the same response, and holds each on every net
+// where the full wave holds it; so does the wave that records. Over an
+// ALU and an FPU campaign of two waves per netlist class, at least one
+// op is skipped and one simulated op restores. The campaign's report is
+// byte-identical with skipping off (fullWaves), and its stats count no
+// skipped op then.
 func TestWaveSkipMatchesFullWave(t *testing.T) {
 	for _, m := range []*module.Module{alu.Build(), fpu.Build()} {
 		t.Run(m.Name, func(t *testing.T) {
@@ -69,6 +71,17 @@ func TestWaveSkipMatchesFullWave(t *testing.T) {
 						}
 					}
 				}
+				retired := (uint64(1)<<uint(len(u.idxs)+1) - 2) &^ full.live
+				pb.pe.Settle()
+				full.pe.Settle()
+				for n := 0; n < m.Netlist.NumNets; n++ {
+					id := netlist.NetID(n)
+					if d := (pb.pe.Word(id) ^ full.pe.Word(id)) & retired; d != 0 {
+						t.Errorf("wave of injections %d..%d: held lanes %#x of net %s differ from the full wave's",
+							u.idxs[0], u.idxs[len(u.idxs)-1], d, m.Netlist.NetName(id))
+						break
+					}
+				}
 				skipped += pb.skipped
 				restores += pb.restores
 				waves++
@@ -102,5 +115,48 @@ func TestWaveSkipMatchesFullWave(t *testing.T) {
 				t.Errorf("stats count %d skipped ops, and %d with full waves; want %d and 0", n, nFull, skipped)
 			}
 		})
+	}
+}
+
+// TestRecorderTapeEndsWithItsWave: the gang of the wave that records the
+// golden run continues on the recorder's evaluator with lane 0 held, so
+// it adds nothing to the recording: the tape runPackedWave hands the
+// campaign's later waves equals, edge for edge and mark for mark, the
+// tape of the same wave run without its gang.
+func TestRecorderTapeEndsWithItsWave(t *testing.T) {
+	m := alu.Build()
+	img, err := lift.RandomSuite(m, 20, 5).Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Module: m, Image: img, Seed: 3, MemSize: memSize, MaxCycles: 20_000_000, Parallelism: 1}
+	var idxs []int
+	for _, s := range SampleUniverse(m, nil, engine.Lanes-1, 3) {
+		if s.Class == StuckAt {
+			idxs = append(idxs, len(cfg.Specs))
+			cfg.Specs = append(cfg.Specs, s)
+		}
+	}
+	g, err := prepare(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := runPackedWave(context.Background(), &cfg, g, idxs, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.acct.gangSettles == 0 {
+		t.Fatal("the wave's gang made no step")
+	}
+	pb, err := newWave(&cfg, idxs, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := pb.run(context.Background(), &cfg, g); !ok {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.tape, pb.rec) {
+		t.Errorf("the tape after the wave's gang (%d ops) differs from the tape at the end of its run (%d ops)",
+			len(out.tape.ops), len(pb.rec.ops))
 	}
 }

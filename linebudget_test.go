@@ -116,7 +116,12 @@ import (
 //	        Recording with its quiet test and restore, the wave's skip
 //	        and the choice of recorder), and vega inject -cpuprofile; a
 //	        fault site keeps only its two flip-flop slots.
-const lineBudget = 26_917
+//	26,820  a retired lane waits held where it diverged and its gang
+//	        continues on the wave's own evaluator: the engine's Snapshot,
+//	        Seeded, Retire with its mask, zeroed and the broadcast
+//	        SetInput deleted, and Edge and Quiet share one spelling of a
+//	        site's activation rule.
+const lineBudget = 26_820
 
 // TestLineBudget is the ratchet behind ROADMAP's "same numbers from the
 // least code": it counts the lines of every non-test Go file the census

@@ -302,8 +302,8 @@ var orphanAllow = []allowGroup{
 	}},
 	{"the scalar reference engine.Packed and engine.FaultedPacked are held to, which no binary links: " +
 		"FuzzPackedVsScalar, TestPackedLaneMatchesScalar, TestPackedSPAggregationIsExact, " +
-		"TestProfileAccumulatesAcrossReset, TestKernelTruthTables, TestFaultedPackedMatchesFailingNetlist " +
-		"and TestFaultedPackedRetire in engine; the failing-netlist and shadow-replica tests in fault; " +
+		"TestProfileAccumulatesAcrossReset, TestKernelTruthTables and TestFaultedPackedMatchesFailingNetlist " +
+		"in engine; the failing-netlist and shadow-replica tests in fault; " +
 		"TestClockTreeShape and the datapath tests in synth; sim's own tests", []string{
 		"internal/sim.New",
 		"internal/sim.Simulator",
