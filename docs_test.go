@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -20,8 +21,8 @@ var docs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 // the system. A change that shortens one lowers its figure here in the
 // same diff; one that must add prose cuts as much elsewhere in it.
 var docBudget = map[string]int64{
-	"DESIGN.md":      114_763,
-	"EXPERIMENTS.md": 179_293,
+	"DESIGN.md":      114_753,
+	"EXPERIMENTS.md": 179_280,
 }
 
 // TestDocBudget is the ratchet behind documents that describe the
@@ -47,16 +48,22 @@ var (
 	binary = regexp.MustCompile(`\./cmd/([\w-]+)|\b(vega-[a-z0-9]+)`)
 	// notBinaries are vega-NAME spellings that name something else.
 	notBinaries = map[string]bool{"vega-rec": true} // the job-record header
+	// testWord is a test, fuzz target or benchmark named without a
+	// package, or a method so named (core's Workflow.TestQuality); a
+	// trailing * makes it a prefix.
+	testWord = regexp.MustCompile(`(?:^|[^\w.])((?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*)(\*)?`)
 )
 
 // TestDocsHaveNoPlaceholders: the documents carry no unfilled _TODO
 // token, every back-ticked pkg.Name or pkg.Type.Member they cite, for
 // every package under internal/, is declared in that package (or is a
-// ledger metric of that name), and every binary they name is a
-// directory under cmd/, so a rename or a deletion cannot leave the
+// ledger metric of that name), every test, fuzz target and benchmark
+// they name is declared in a _test.go file, and every binary they name
+// is a directory under cmd/, so a rename or a deletion cannot leave the
 // prose behind.
 func TestDocsHaveNoPlaceholders(t *testing.T) {
 	metrics := ledgerMetrics(t)
+	tests := testFuncs(t)
 	declared := map[string]map[string]bool{}
 	for path, dir := range moduleDirs(t) {
 		if strings.HasPrefix(path, "repro/internal/") {
@@ -84,6 +91,13 @@ func TestDocsHaveNoPlaceholders(t *testing.T) {
 					t.Errorf("%s:%d: names %s, which is no directory under cmd/", doc, i+1, m[0])
 				}
 			}
+			for _, m := range testWord.FindAllStringSubmatch(line, -1) {
+				name, wild := m[1], m[2] != ""
+				method := slices.ContainsFunc(pkgs, func(pkg string) bool { return declared[pkg]["."+name] })
+				if !method && !slices.ContainsFunc(tests, func(fn string) bool { return fn == name || wild && strings.HasPrefix(fn, name) }) {
+					t.Errorf("%s:%d: names %s%s, which no _test.go file declares", doc, i+1, name, m[2])
+				}
+			}
 			for _, span := range codeSpan.FindAllString(line, -1) {
 				for _, m := range citation.FindAllStringSubmatch(span, -1) {
 					pkg, name, member, wild := m[1], strings.Trim(m[2], "(*)"), m[3], m[4]
@@ -100,6 +114,31 @@ func TestDocsHaveNoPlaceholders(t *testing.T) {
 			}
 		}
 	}
+}
+
+// testFuncs lists the tests, fuzz targets and benchmarks the module's
+// _test.go files declare.
+func testFuncs(t *testing.T) []string {
+	t.Helper()
+	var out []string
+	for _, dir := range moduleDirs(t) {
+		files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && testWord.MatchString(fn.Name.Name) {
+					out = append(out, fn.Name.Name)
+				}
+			}
+		}
+	}
+	return out
 }
 
 // ledgerMetrics reads the per-layer metric names (cpu.instret,

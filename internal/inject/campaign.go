@@ -399,7 +399,7 @@ func partitionUnits(cfg *Config, pending []int) []unit {
 func runPacked(ctx context.Context, cfg *Config, g *goldenInfo, stats *PackedStats, pending []int, results []Result, done []bool) error {
 	units := partitionUnits(cfg, pending)
 	batch := par.N(cfg.Parallelism)
-	var from *tape
+	var from *engine.Recording
 	for len(units) > 0 && ctx.Err() == nil {
 		n := min(batch, len(units))
 		cur := units[:n]
@@ -423,8 +423,8 @@ func runPacked(ctx context.Context, cfg *Config, g *goldenInfo, stats *PackedSta
 				}
 			}
 			stats.merge(cur[i].class, o.acct)
-			if o.tape != nil {
-				from = o.tape
+			if o.rec != nil {
+				from = o.rec
 			}
 		}
 		if err != nil && !interrupted(err) {
@@ -447,7 +447,7 @@ func (u unit) packed() bool { return u.class == StuckAt || u.class == MultiFault
 // runUnit dispatches one work unit: a packed wave for netlist classes
 // (which skips with from, or records when record is set), a
 // shortcut-or-replay sweep for behavioural classes.
-func runUnit(ctx context.Context, cfg *Config, g *goldenInfo, u unit, from *tape, record bool) (unitOut, error) {
+func runUnit(ctx context.Context, cfg *Config, g *goldenInfo, u unit, from *engine.Recording, record bool) (unitOut, error) {
 	if u.packed() {
 		return runPackedWave(ctx, cfg, g, u.idxs, from, record)
 	}

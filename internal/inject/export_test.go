@@ -12,7 +12,7 @@ func runWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int) (*pack
 	if err != nil {
 		return nil, err
 	}
-	if ok, err := pb.run(ctx, cfg, g); !ok {
+	if ok, err := pb.run(ctx, g); !ok {
 		return nil, err
 	}
 	return pb, nil

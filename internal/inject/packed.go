@@ -21,42 +21,45 @@ import (
 // in lane 0 and one failure model per other lane — instead of 63
 // full scalar golden-vs-faulty replays. The protocol per wave:
 //
-//  1. Run the image once on a CPU whose unit backend drives the packed
-//     evaluator with module.Driver.Exec's exact present/wait protocol.
-//     Lane 0's responses are cross-checked against the behavioural
-//     golden model every op; any disagreement voids the wave, and a
+//  1. Replay the golden run's unit-op trace on the packed evaluator with
+//     module.Driver.Exec's exact present/wait protocol. No CPU runs: the
+//     image is deterministic, so while lane 0 answers as the trace says,
+//     the next op the image would present is the trace's next. Lane 0's
+//     responses are cross-checked against the trace, the behavioural
+//     golden model's, every op; any disagreement voids the wave, and a
 //     voided wave is an error — a screening engine whose gate-level
 //     golden lane contradicts its own model says so.
 //  2. A fault lane retires at its first physically divergent response:
 //     out_valid high early, a different result/flags word bit, or
 //     out_valid still low when the golden lane's result rose. It is
-//     held from that check on (engine.FaultedPacked.Hold): no later
-//     edge clocks it and no later op is offered to it, so its state
-//     nets, inputs included, its history registers and its LFSR stay
-//     where it diverged. Lanes the wave does not use are held from the
+//     held from that check's settle on (engine.FaultedPacked.Hold): no
+//     later edge clocks it and no later op is offered to it, so its
+//     state nets, inputs included, its history registers and its LFSR
+//     stay where it diverged, and a settle shows its out_valid and
+//     response again. Lanes the wave does not use are held from the
 //     start.
-//  3. After the wave's run, its retired lanes finish as one gang on the
-//     wave's own evaluator, one CPU per lane, each a coroutine. A lane's
-//     CPU gets golden responses up to the divergence op (the lane was
-//     bit-identical to golden until then), then the gate level: every
-//     lane waiting on a unit op is clocked in lockstep, one settle and
-//     edge for all of them, while the others are held, so each lane sees
-//     exactly the cycles a lone replay of it would — byte-identical, by
-//     construction and by the TestPackedMatchesScalar differential, to
-//     a scalar replay of the failing netlist. Lane 0 is held throughout,
-//     so a recording wave's recording ends with its run.
+//  3. After the wave, its retired lanes finish as one gang on the wave's
+//     own evaluator, one CPU per lane, each a coroutine. A lane's CPU
+//     gets golden responses before the divergence op (the lane was
+//     bit-identical to golden until then); at that op it resumes its
+//     wait loop at the check that held it, and from there on the gate
+//     level answers: every lane waiting on a unit op is clocked in
+//     lockstep, one settle and edge for all of them, while the others
+//     are held, so each lane sees exactly the cycles a lone replay of it
+//     would — byte-identical, by construction and by the
+//     TestPackedMatchesScalar differential, to a scalar replay of the
+//     failing netlist. Lane 0 is held throughout, so a recording wave's
+//     recording ends with its replay.
 //  4. A lane that never retires ran the whole image without any
 //     observable difference: classified Masked for free.
-//  5. Every wave replays the same golden stimulus, so the first wave of
-//     a Run that a later batch's wave will follow records its lane 0
-//     (engine.Recording): at each unit op's start the golden state
-//     bits, setup-history bits and LFSR, at each clock edge every
-//     flip-flop's Q, D and clock bit, and the op's request and
-//     response. A later wave skips op k when every live lane is golden
-//     at its start and no site of a live lane corrupts at any recorded
-//     edge of it (FaultedPacked.Quiet): the op checks its request
-//     against the recording (a mismatch voids the wave) and returns the
-//     recorded response with no settle and no edge. The first op it
+//  5. Every wave replays the same golden trace, so the first wave of a
+//     Run that a later batch's wave will follow records its lane 0
+//     (engine.Recording): at each unit op's start the golden state bits,
+//     setup-history bits and LFSR, and at each clock edge every
+//     flip-flop's Q, D and clock bit. A later wave skips op k when every
+//     live lane is golden at its start and no site of a live lane
+//     corrupts at any recorded edge of it (FaultedPacked.Quiet): the
+//     trace answers the op, with no settle and no edge. The first op it
 //     simulates after a skip restores every unheld lane to the golden
 //     state at its start, then runs as above, lane 0 still
 //     cross-checked.
@@ -67,35 +70,43 @@ import (
 // so the injection is Masked without a replay.
 
 // goldenInfo caches what every injection is compared against: the
-// golden run's state digest, cycle count, and unit-operation count.
+// golden run's state digest, cycle count, and unit-op trace.
 type goldenInfo struct {
 	digest uint64
 	cycles uint64
-	ops    uint64 // unit (backend) operations the golden run executes
+	// trace is every unit op the golden run executes, in order: what a
+	// wave presents, and what lane 0 must answer.
+	trace []unitOp
 }
 
-// counting is the golden model counting its operations — behaviourally
-// identical to the nil backend.
-type counting struct {
+// unitOp is one unit op of the golden run: the request and the golden
+// model's response.
+type unitOp struct{ op, a, b, r, f uint32 }
+
+// tracing is the golden model appending each operation it answers to a
+// trace — behaviourally identical to the nil backend.
+type tracing struct {
 	golden module.GoldenFunc
-	n      *uint64
+	trace  *[]unitOp
 }
 
-func (c counting) Exec(op, a, b uint32) (uint32, uint32, bool) {
-	*c.n++
-	return c.golden.Exec(op, a, b)
+func (t tracing) Exec(op, a, b uint32) (uint32, uint32, bool) {
+	r, f := t.golden(op, a, b)
+	*t.trace = append(*t.trace, unitOp{op, a, b, r, f})
+	return r, f, true
 }
 
 // goldenRun executes the fault-free image and captures the oracle. When
 // guards are configured it also runs them over the golden execution and
 // fails the campaign if any fires: a guard that flags a fault-free run
 // violates the zero-false-positive contract, and every downstream
-// Escape-to-Detected reclassification would be meaningless.
+// Escape-to-Detected reclassification would be meaningless. Guards call
+// the unit once per op, so the trace is the same with them as without.
 func goldenRun(cfg *Config) (*goldenInfo, error) {
 	g := &goldenInfo{}
 	c := cpu.Recycled(cfg.MemSize)
 	defer c.Release()
-	*c.Unit(cfg.Module.Name) = counting{cfg.Module.Golden, &g.ops}
+	*c.Unit(cfg.Module.Name) = tracing{cfg.Module.Golden, &g.trace}
 	log := attachGuards(cfg, c)
 	c.Load(cfg.Image)
 	if halt := c.Run(cfg.MaxCycles); halt != cpu.HaltExit || c.ExitCode != 0 {
@@ -159,30 +170,14 @@ func overlayFor(f fault.Spec, lanes uint64) engine.Overlay {
 	return o
 }
 
-// retKind says how a lane's physical divergence presented.
-type retKind uint8
-
-const (
-	// retEarly: out_valid rose before the golden lane's did; the early
-	// response is recorded in the retirement.
-	retEarly retKind = iota
-	// retValue: out_valid rose with the golden lane's but with a
-	// divergent result/flags value, recorded in the retirement.
-	retValue
-	// retWait: out_valid was still low when the golden lane's response
-	// rose — the continuation resumes the driver's wait loop.
-	retWait
-)
-
-// retirement is one retired lane and where it diverged. The lane is
-// held at the check's settle, before its clock edge: exactly the state a
-// scalar driver holds when its wait-loop check runs.
+// retirement is one retired lane and the check it diverged at. The
+// lane is held at that check's settle, before its clock edge: exactly
+// the state a scalar driver holds when its wait-loop check runs, so a
+// settle of the held lane reproduces the check's out_valid and response.
 type retirement struct {
 	lane int // wave lane (1..63)
-	kind retKind
-	op   uint64 // 0-based unit-op index of the physical divergence
-	wait int    // driver wait-loop index of the check that retired the lane
-	r, f uint32 // retEarly, retValue: the lane's response
+	op   int // 0-based unit-op index of the physical divergence
+	wait int // driver wait-loop index of the check that retired the lane
 }
 
 // unitPorts are the unit's output nets: out_valid and the result and
@@ -225,10 +220,9 @@ func offer(pe *engine.FaultedPacked, mask uint64, op, a, b uint32) {
 	pe.SetInputLanes(module.PortB, mask, uint64(b))
 }
 
-// packedBackend implements the unit backend over a FaultedPacked
-// evaluator for one wave. Lane 0 recomputes the golden run (verified
-// against the behavioural model op by op); fault lanes retire at their
-// first divergent response.
+// packedBackend replays the golden trace over a FaultedPacked evaluator
+// for one wave. Lane 0 recomputes the golden run (verified against the
+// trace op by op); fault lanes retire at their first divergent response.
 type packedBackend struct {
 	name string // unit, class and injection range, for errors
 	m    *module.Module
@@ -238,108 +232,72 @@ type packedBackend struct {
 	// live is the fault lanes still bit-identical to lane 0; every other
 	// lane but lane 0 is held.
 	live uint64
-	ops  uint64
 	rets []*retirement
 	// rec, when set, is the recording of this wave's golden run that the
 	// campaign's later waves skip with; from, when set, is an earlier
 	// wave's.
-	rec, from *tape
-	// stale: the last op was answered from the recording, so the
-	// evaluator still holds the state at the start of the span.
+	rec, from *engine.Recording
+	// stale: the last op was skipped, so the evaluator still holds the
+	// state at the start of the span.
 	stale             bool
 	skipped, restores int
-	// void is set when lane 0 disagreed with the behavioural model: lane
-	// comparisons then prove nothing and the wave fails with this error.
-	void error
 }
 
-// tape is one campaign's gate-level golden run: the engine's recording
-// of a wave's lane 0, one mark per unit op, and each op's request and
-// response.
-type tape struct {
-	*engine.Recording
-	ops []unitOp
-}
-
-type unitOp struct{ op, a, b, r, f uint32 }
-
-// Exec implements module.Unit.
-func (b *packedBackend) Exec(op, a, bb uint32) (uint32, uint32, bool) {
-	k := b.ops
-	b.ops++
-	if b.from != nil && b.quiet(int(k)) {
-		g := b.from.ops[k]
-		if g.op != op || g.a != a || g.b != bb {
-			b.void = fmt.Errorf("unit op %d (op=%d a=%#08x b=%#08x): the recorded golden run presented "+
-				"op=%d a=%#08x b=%#08x", k, op, a, bb, g.op, g.a, g.b)
-			return 0, 0, false
-		}
-		return g.r, g.f, true
+// exec presents golden unit op k, u, to every unheld lane as
+// module.Driver.Exec does, unless it is quiet, and retires the lanes
+// that answer it otherwise than lane 0. It fails when lane 0 does not
+// answer u's response.
+func (b *packedBackend) exec(k int, u unitOp) error {
+	if b.from != nil && b.quiet(k) {
+		return nil
 	}
-	gr, gf := b.m.Golden(op, a, bb)
 	pe := b.pe
 	if b.rec != nil {
 		pe.Mark()
-		b.rec.ops = append(b.rec.ops, unitOp{op, a, bb, gr, gf})
 	}
-	offer(pe, b.live|1, op, a, bb)
+	offer(pe, b.live|1, u.op, u.a, u.b)
 	pe.Step()
 	pe.SetInputLanes(module.PortInValid, b.live|1, 0)
 	// The wait loop mirrors module.Driver.Exec: check the settled
 	// out_valid, step on miss, for Latency+StallLimit iterations.
-	i0 := -1
 	bound := b.m.Latency + module.StallLimit
 	for i := 0; i < bound; i++ {
 		pe.Settle()
 		ov := pe.Word(b.ovNet)
 		if ov&1 == 1 {
-			i0 = i
-			break
+			r0, f0, mism := b.readOutputs()
+			if r0 != u.r || f0 != u.f {
+				return fmt.Errorf("unit op %d (op=%d a=%#08x b=%#08x): golden model result=%#08x flags=%#x, "+
+					"gate-level lane 0 result=%#08x flags=%#x", k, u.op, u.a, u.b, u.r, u.f, r0, f0)
+			}
+			// Live lanes with out_valid still low diverge by timing,
+			// those with a different result/flags bit by value.
+			b.retire((^ov|mism)&b.live, k, i)
+			return nil
 		}
 		// Lanes whose out_valid rose before the golden lane's diverge
-		// by timing; their (early) response is what Exec would return.
-		if early := ov & b.live; early != 0 {
-			b.retire(early, retEarly, k, i)
-		}
+		// by timing.
+		b.retire(ov&b.live, k, i)
 		pe.Edge()
 	}
-	if i0 < 0 {
-		// ok=false stalls the CPU, which ends the voided wave's run here.
-		b.void = fmt.Errorf("unit op %d (op=%d a=%#08x b=%#08x): golden model result=%#08x flags=%#x, "+
-			"gate-level lane 0 never raised out_valid within %d cycles", k, op, a, bb, gr, gf, bound)
-		return 0, 0, false
-	}
-	r0, f0, mism := b.readOutputs()
-	if r0 != gr || f0 != gf {
-		b.void = fmt.Errorf("unit op %d (op=%d a=%#08x b=%#08x): golden model result=%#08x flags=%#x, "+
-			"gate-level lane 0 result=%#08x flags=%#x", k, op, a, bb, gr, gf, r0, f0)
-		return 0, 0, false
-	}
-	if late := ^pe.Word(b.ovNet) & b.live; late != 0 {
-		b.retire(late, retWait, k, i0)
-	}
-	// After the late lanes retired, every live lane has out_valid high;
-	// those with a mismatching result/flags bit diverge by value.
-	if val := mism & b.live; val != 0 {
-		b.retire(val, retValue, k, i0)
-	}
-	return r0, f0, true
+	return fmt.Errorf("unit op %d (op=%d a=%#08x b=%#08x): golden model result=%#08x flags=%#x, "+
+		"gate-level lane 0 never raised out_valid within %d cycles", k, u.op, u.a, u.b, u.r, u.f, bound)
 }
 
-// quiet reports whether unit op k is answered from the recording: every
+// quiet reports whether the wave skips unit op k, by the recording: every
 // live lane is golden at the op's start and none of their sites corrupts
 // at any of its edges, so no lane can leave golden in it. The first op
 // simulated after a skipped one starts with every lane restored to the
 // golden state at its start.
 func (b *packedBackend) quiet(k int) bool {
-	pe, rec := b.pe, b.from.Recording
-	if pe.Quiet(rec, k) && (b.stale || pe.Golden()) {
+	pe := b.pe
+	if pe.Quiet(b.from, k) && (b.stale || pe.Golden()) {
 		b.stale = true
 		b.skipped++
 		return true
 	}
 	if b.stale {
-		pe.Restore(rec, k)
+		pe.Restore(b.from, k)
 		b.stale = false
 		b.restores++
 	}
@@ -367,14 +325,9 @@ func (b *packedBackend) readOutputs() (r0, f0 uint32, mism uint64) {
 
 // retire records the lanes of mask, which diverged at unit op k in
 // wait-loop iteration i, and holds them where they are for their gang.
-func (b *packedBackend) retire(mask uint64, kind retKind, k uint64, i int) {
+func (b *packedBackend) retire(mask uint64, k, i int) {
 	for m := mask; m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros64(m)
-		ret := &retirement{lane: lane, kind: kind, op: k, wait: i}
-		if kind != retWait {
-			ret.r, ret.f = b.laneValues(b.pe, lane)
-		}
-		b.rets = append(b.rets, ret)
+		b.rets = append(b.rets, &retirement{lane: bits.TrailingZeros64(m), op: k, wait: i})
 	}
 	b.live &^= mask
 	b.pe.Hold(^(b.live | 1))
@@ -397,15 +350,15 @@ type gang struct {
 	ops, settles int
 }
 
-// gangLane is one retired lane's unit backend: golden responses up to
-// the divergence op, the recorded divergent response (or the rest of
-// the wait loop) at the divergence op, then the gang's gate level for
-// every later op.
+// gangLane is one retired lane's unit backend: golden responses before
+// the divergence op, then the gang's gate level: at the divergence op
+// from the check that held the lane, at every later op from its
+// present.
 type gangLane struct {
 	g    *gang
 	ret  *retirement
 	bit  uint64
-	n    uint64 // unit ops the lane's CPU has asked for
+	n    int    // unit ops the lane's CPU has asked for
 	i    int    // wait-loop iteration of the op in flight
 	edge bool   // the next step clocks the lane without a check
 	r, f uint32 // the response, once the lane has one
@@ -427,13 +380,10 @@ func (l *gangLane) Exec(op, a, bb uint32) (uint32, uint32, bool) {
 		// then the wait loop from its first check.
 		offer(l.g.pe, l.bit, op, a, bb)
 		l.edge, l.i = true, 0
-	case l.ret.kind != retWait:
-		return l.ret.r, l.ret.f, true
 	default:
-		// The wave's check at iteration `wait` saw this lane's out_valid
-		// still low: the failed check's clock edge, then the rest of the
-		// loop.
-		l.edge, l.i = true, l.ret.wait+1
+		// The lane is held at the settle of the check that retired it:
+		// the gang's next step makes that check again.
+		l.i = l.ret.wait
 	}
 	l.g.active |= l.bit
 	l.g.ops++
@@ -533,9 +483,9 @@ type waveAcct struct {
 // newWave compiles a wave of up to engine.Lanes-1 netlist-class
 // injections, injection idxs[i] in lane i+1, onto a fresh evaluator
 // that holds every lane the wave does not use. The wave skips quiet ops
-// with tape from when it is set, and records the golden run into a tape
-// of its own when record is set.
-func newWave(cfg *Config, idxs []int, from *tape, record bool) (*packedBackend, error) {
+// with recording from when it is set, and records its golden lane into
+// a recording of its own when record is set.
+func newWave(cfg *Config, idxs []int, from *engine.Recording, record bool) (*packedBackend, error) {
 	name := fmt.Sprintf("%s %s wave (injections %d..%d)", cfg.Module.Name, cfg.Specs[idxs[0]].Class, idxs[0], idxs[len(idxs)-1])
 	var overlays []engine.Overlay
 	for i, idx := range idxs {
@@ -555,68 +505,64 @@ func newWave(cfg *Config, idxs []int, from *tape, record bool) (*packedBackend, 
 	}
 	pb.pe.Hold(^(pb.live | 1))
 	if record {
-		pb.rec = &tape{Recording: pb.pe.Record()}
+		pb.rec = pb.pe.Record()
 	}
 	return pb, nil
 }
 
-// run runs the image once on the wave. ok=false means ctx interrupted
-// the run.
-func (pb *packedBackend) run(ctx context.Context, cfg *Config, g *goldenInfo) (ok bool, err error) {
-	c := cpu.Recycled(cfg.MemSize)
-	defer c.Release()
-	*c.Unit(cfg.Module.Name) = pb
-	c.Load(cfg.Image)
-	halt := c.RunCtx(ctx, cfg.MaxCycles)
-	if halt == cpu.HaltInterrupted {
-		return false, nil
-	}
-	if pb.void == nil && (halt != cpu.HaltExit || c.ExitCode != 0 || c.Digest() != g.digest) {
-		pb.void = fmt.Errorf("every lane-0 response matched the golden model, yet the run ended halt=%v exit=%d "+
-			"with a state digest that differs from the golden run's", halt, c.ExitCode)
-	}
-	if pb.void != nil {
-		// The gate-level golden lane disagreed with the behavioural
-		// model, so lane comparisons prove nothing: no lane of this wave
-		// is classified.
-		return false, fmt.Errorf("inject: %s voided at %w", pb.name, pb.void)
+// pollOps is how many unit ops a wave replays between context polls:
+// the interval at which cpu.CPU.RunCtx polls between instructions.
+const pollOps = 4096
+
+// run replays the golden trace on the wave. ok=false means ctx
+// interrupted the replay, or lane 0 disagreed with the golden model:
+// err then says where, and no lane of the wave is classified, since
+// lane comparisons prove nothing.
+func (b *packedBackend) run(ctx context.Context, g *goldenInfo) (ok bool, err error) {
+	for k, u := range g.trace {
+		if k%pollOps == 0 && ctx.Err() != nil {
+			return false, nil
+		}
+		if err := b.exec(k, u); err != nil {
+			return false, fmt.Errorf("inject: %s voided at %w", b.name, err)
+		}
 	}
 	return true, nil
 }
 
 // unitOut is what one work unit hands back: its results (indexed like
 // its idxs; ok[i]=false means injection idxs[i] stays pending), its
-// accounting, and the golden run's tape when the unit was a wave that
-// recorded one.
+// accounting, and the recording of the golden run when the unit was a
+// wave that recorded one.
 type unitOut struct {
 	rs   []Result
 	ok   []bool
 	acct waveAcct
-	tape *tape
+	rec  *engine.Recording
 }
 
 // runPackedWave runs one packed wave (newWave) and the continuations of
 // its retired lanes.
-func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int, from *tape, record bool) (unitOut, error) {
+func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int, from *engine.Recording, record bool) (unitOut, error) {
 	out := unitOut{rs: make([]Result, len(idxs)), ok: make([]bool, len(idxs))}
 	pb, err := newWave(cfg, idxs, from, record)
 	if err != nil {
 		return out, err
 	}
-	if ok, err := pb.run(ctx, cfg, g); !ok {
+	if ok, err := pb.run(ctx, g); !ok {
 		return out, err // an interrupted wave stays pending
 	}
 	results, done, acct := out.rs, out.ok, &out.acct
-	out.tape = pb.rec
+	out.rec = pb.rec
 	acct.waves = 1
 	acct.lanesUsed = len(idxs)
 	acct.retired = len(pb.rets)
 	acct.skippedOps = pb.skipped
 	for _, ret := range pb.rets {
-		acct.savedOps += g.ops - (ret.op + 1)
+		acct.savedOps += uint64(len(g.trace) - ret.op - 1)
 	}
 	// Lanes that never retired were bit-identical to the golden lane for
-	// the entire run: Masked, with the golden run's cycles and digest,
+	// the entire replay: Masked, with the golden run's cycles and digest,
 	// no replay needed.
 	for i, idx := range idxs {
 		if pb.live>>uint(i+1)&1 == 1 {
@@ -659,7 +605,7 @@ func flipFires(s Spec, ops uint64) bool {
 // otherwise. replayed=false marks the shortcut.
 func runBehavioural(ctx context.Context, cfg *Config, g *goldenInfo, idx int) (r Result, ok, replayed bool, err error) {
 	s := cfg.Specs[idx]
-	if !flipFires(s, g.ops) {
+	if !flipFires(s, uint64(len(g.trace))) {
 		return Result{
 			Index: idx, Spec: s.String(), Class: s.Class.String(),
 			Outcome: Masked.String(), Halt: cpu.HaltExit.String(),
@@ -682,13 +628,15 @@ type PackedClassStats struct {
 	MaskedInWave int    // lanes classified Masked with no scalar work
 	SavedLaneOps uint64 // unit ops not simulated thanks to early retirement
 	// GangOps counts the unit ops the retired lanes' gangs ran at gate
-	// level, and GangSettles the lockstep steps (one settle each) that
-	// served them: the fewer settles per op, the more lanes shared one.
+	// level, each lane's divergence op (resumed at the check that held
+	// it) included, and GangSettles the lockstep steps (one settle each)
+	// that served them: the fewer settles per op, the more lanes shared
+	// one.
 	GangOps     int
 	GangSettles int
-	// SkippedOps counts the wave unit ops answered from the recording of
-	// the campaign's golden run: ops in which no live lane could leave
-	// the golden state, so the wave simulated nothing.
+	// SkippedOps counts the wave unit ops the recording of the
+	// campaign's golden run let a wave skip: ops in which no live lane
+	// could leave the golden state, so the trace answered them.
 	SkippedOps int
 	// Fallbacks is always 0: a voided wave is an error, not a replay on a
 	// second engine. The field stays because the ledger (internal/bench)
@@ -744,7 +692,7 @@ func (s *PackedStats) TotalSavings() float64 {
 }
 
 func newPackedStats(g *goldenInfo) *PackedStats {
-	ps := &PackedStats{GoldenOps: g.ops}
+	ps := &PackedStats{GoldenOps: uint64(len(g.trace))}
 	for _, cl := range Classes() {
 		ps.Classes = append(ps.Classes, PackedClassStats{Class: cl.String()})
 	}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -315,12 +317,12 @@ func TestPackedStatsAccounting(t *testing.T) {
 }
 
 // TestVoidedWaveIsError: when the gate-level golden lane disagrees with
-// the behavioural model — here a Golden wrapped to flip one result bit
-// at unit op k — the wave proves nothing, and the campaign fails with an
-// error naming the unit, the op and both words: no report, and no
-// checkpoint claiming any of the wave's lanes done.
+// the behavioural model — here the module's netlist has result bit 7's
+// flip-flop stuck at 1, and its Golden stays honest — the wave proves
+// nothing, and the campaign fails with an error naming the wave, the
+// first op whose golden result has bit 7 clear, and both words: no
+// report, and no checkpoint claiming any of the wave's lanes done.
 func TestVoidedWaveIsError(t *testing.T) {
-	const k = 5
 	cfg, m := testCampaign(t, 3)
 	var stuck []Spec
 	for _, s := range cfg.Specs {
@@ -328,29 +330,23 @@ func TestVoidedWaveIsError(t *testing.T) {
 			stuck = append(stuck, s)
 		}
 	}
-	cfg.Specs = stuck // one wave, so it calls Golden once per unit op
+	cfg.Specs = stuck // one wave
 	cfg.Parallelism = 1
 	cfg.CheckpointPath = filepath.Join(t.TempDir(), "campaign.json")
 
-	// The golden run answers from Module.Golden too, once per unit op and
-	// before the wave does: the lie starts counting where it ends, so the
-	// oracle stays honest and only the wave's cross-check sees the flip.
 	honest := cfg
 	g, err := prepare(&honest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lying := *m
-	calls := uint64(0)
-	lying.Golden = func(op, a, b uint32) (uint32, uint32) {
-		r, f := m.Golden(op, a, b)
-		if calls == g.ops+k {
-			r ^= 1 << 7
-		}
-		calls++
-		return r, f
+	k := slices.IndexFunc(g.trace, func(u unitOp) bool { return u.r&(1<<7) == 0 })
+	if k < 0 {
+		t.Fatal("no golden result has bit 7 clear")
 	}
-	cfg.Module = &lying
+	bit7 := cellDriving(t, m.Netlist, portsOf(m.Netlist).resBits[7])
+	failing := *m
+	failing.Netlist = fault.FailingNetlist(m.Netlist, fault.Spec{Type: sta.Setup, Start: bit7, End: bit7, C: fault.C1, Edge: fault.AnyChange})
+	cfg.Module = &failing
 
 	rep, err := Run(context.Background(), cfg)
 	if err == nil {
@@ -359,12 +355,41 @@ func TestVoidedWaveIsError(t *testing.T) {
 	if rep != nil {
 		t.Errorf("error %v came with a report", err)
 	}
-	for _, want := range []string{"ALU stuck wave", "voided at unit op 5 ", "golden model result=", "gate-level lane 0 result="} {
+	u := g.trace[k]
+	for _, want := range []string{"ALU stuck wave", fmt.Sprintf("voided at unit op %d ", k),
+		fmt.Sprintf("golden model result=%#08x flags=%#x,", u.r, u.f), fmt.Sprintf("gate-level lane 0 result=%#08x flags=%#x", u.r|1<<7, u.f)} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error does not contain %q: %v", want, err)
 		}
 	}
 	if _, serr := os.Stat(cfg.CheckpointPath); !os.IsNotExist(serr) {
 		t.Errorf("a checkpoint was written for a voided wave (stat: %v)", serr)
+	}
+}
+
+// TestCancelledWaveClassifiesNothing: a wave whose context is cancelled
+// before it starts replays no op. It classifies no lane, accounts no
+// work, hands back no recording and returns no error, so its injections
+// stay pending for the next Run.
+func TestCancelledWaveClassifiesNothing(t *testing.T) {
+	cfg, _ := testCampaign(t, 3)
+	g, err := prepare(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idxs []int
+	for i, s := range cfg.Specs {
+		if s.Class == StuckAt {
+			idxs = append(idxs, i)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out, err := runPackedWave(ctx, &cfg, g, idxs, nil, true)
+	if err != nil {
+		t.Fatalf("a cancelled wave returned an error: %v", err)
+	}
+	if slices.Contains(out.ok, true) || out.acct != (waveAcct{}) || out.rec != nil {
+		t.Errorf("a cancelled wave classified %v, accounted %+v and recorded %v", out.ok, out.acct, out.rec != nil)
 	}
 }

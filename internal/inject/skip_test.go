@@ -15,10 +15,10 @@ import (
 )
 
 // TestWaveSkipMatchesFullWave: a wave that answers quiet unit ops from
-// the recorded golden run retires the same lanes as a wave that
-// simulates every op, each the same way (kind), at the same op and
-// wait-loop check, with the same response, and holds each on every net
-// where the full wave holds it; so does the wave that records. Over an
+// the golden trace retires the same lanes as a wave that simulates
+// every op, each at the same op and wait-loop check, and holds each on
+// every net where the full wave holds it, so each shows the same
+// out_valid and response at its check; so does the wave that records. Over an
 // ALU and an FPU campaign of two waves per netlist class, at least one
 // op is skipped and one simulated op restores. The campaign's report is
 // byte-identical with skipping off (fullWaves), and its stats count no
@@ -42,17 +42,17 @@ func TestWaveSkipMatchesFullWave(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wave := func(idxs []int, from *tape, record bool) *packedBackend {
+			wave := func(idxs []int, from *engine.Recording, record bool) *packedBackend {
 				pb, err := newWave(&cfg, idxs, from, record)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ok, err := pb.run(context.Background(), &cfg, g); !ok {
+				if ok, err := pb.run(context.Background(), g); !ok {
 					t.Fatal(err)
 				}
 				return pb
 			}
-			var from *tape
+			var from *engine.Recording
 			skipped, restores, waves := 0, 0, 0
 			for _, u := range partitionUnits(&cfg, all) {
 				full := wave(u.idxs, nil, false)
@@ -65,8 +65,8 @@ func TestWaveSkipMatchesFullWave(t *testing.T) {
 						u.idxs[0], u.idxs[len(u.idxs)-1], len(pb.rets), pb.live, len(full.rets), full.live)
 					for i := range min(len(pb.rets), len(full.rets)) {
 						if a, b := pb.rets[i], full.rets[i]; !reflect.DeepEqual(a, b) {
-							t.Errorf("  first difference: lane %d kind %d op %d wait %d r %#x f %#x, full lane %d kind %d op %d wait %d r %#x f %#x",
-								a.lane, a.kind, a.op, a.wait, a.r, a.f, b.lane, b.kind, b.op, b.wait, b.r, b.f)
+							t.Errorf("  first difference: lane %d op %d wait %d, full lane %d op %d wait %d",
+								a.lane, a.op, a.wait, b.lane, b.op, b.wait)
 							break
 						}
 					}
@@ -120,9 +120,9 @@ func TestWaveSkipMatchesFullWave(t *testing.T) {
 
 // TestRecorderTapeEndsWithItsWave: the gang of the wave that records the
 // golden run continues on the recorder's evaluator with lane 0 held, so
-// it adds nothing to the recording: the tape runPackedWave hands the
-// campaign's later waves equals, edge for edge and mark for mark, the
-// tape of the same wave run without its gang.
+// it adds nothing to the recording: the recording runPackedWave hands
+// the campaign's later waves equals, edge for edge and mark for mark,
+// the recording of the same wave run without its gang.
 func TestRecorderTapeEndsWithItsWave(t *testing.T) {
 	m := alu.Build()
 	img, err := lift.RandomSuite(m, 20, 5).Image()
@@ -152,11 +152,10 @@ func TestRecorderTapeEndsWithItsWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := pb.run(context.Background(), &cfg, g); !ok {
+	if ok, err := pb.run(context.Background(), g); !ok {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out.tape, pb.rec) {
-		t.Errorf("the tape after the wave's gang (%d ops) differs from the tape at the end of its run (%d ops)",
-			len(out.tape.ops), len(pb.rec.ops))
+	if out.rec == nil || !reflect.DeepEqual(out.rec, pb.rec) {
+		t.Error("the recording after the wave's gang differs from the recording at the end of its replay")
 	}
 }

@@ -121,7 +121,12 @@ import (
 //	        Seeded, Retire with its mask, zeroed and the broadcast
 //	        SetInput deleted, and Edge and Quiet share one spelling of a
 //	        site's activation rule.
-const lineBudget = 26_820
+//	26,768  a wave replays the golden run's unit-op trace and runs no
+//	        CPU, and a retired lane resumes at the check that retired
+//	        it: the tape type, the wave's module.Unit with its request
+//	        check and digest void, counting, the retirement kinds and
+//	        the recorded response deleted.
+const lineBudget = 26_768
 
 // TestLineBudget is the ratchet behind ROADMAP's "same numbers from the
 // least code": it counts the lines of every non-test Go file the census
