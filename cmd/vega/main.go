@@ -21,7 +21,6 @@ import (
 	"repro/internal/embench"
 	"repro/internal/integrate"
 	"repro/internal/lift"
-	"repro/internal/profile"
 	"repro/internal/report"
 	"repro/internal/sigctx"
 )
@@ -201,21 +200,12 @@ func runAll(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	prof := profile.Collect(img, core.MemSize, core.MaxCycles)
-	insts, err := merged.InstCount()
-	if err != nil {
-		return err
-	}
-	site, err := integrate.ChooseSite(prof, insts, *budget)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "  chosen block @%#x (count %d), throttle period %d, est overhead %.3f%%\n",
-		site.Block.Start, site.Block.Count, site.Period, site.EffOverhead*100)
 	o, err := integrate.MeasureOverhead("crc32", img, merged, *budget, core.MemSize, core.MaxCycles)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(out, "  chosen block @%#x (count %d), throttle period %d, est overhead %.3f%%\n",
+		o.Site.Block.Start, o.Site.Block.Count, o.Site.Period, o.Site.EffOverhead*100)
 	fmt.Fprintf(out, "  measured overhead: %.3f%% (%d -> %d cycles)\n",
 		o.Fraction*100, o.BaselineCycles, o.TestedCycles)
 

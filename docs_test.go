@@ -21,7 +21,7 @@ var docs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 // the system. A change that shortens one lowers its figure here in the
 // same diff; one that must add prose cuts as much elsewhere in it.
 var docBudget = map[string]int64{
-	"DESIGN.md":      114_753,
+	"DESIGN.md":      114_677,
 	"EXPERIMENTS.md": 179_280,
 }
 

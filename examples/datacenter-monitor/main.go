@@ -23,7 +23,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/lift"
 	"repro/internal/module"
-	"repro/internal/profile"
 )
 
 // buildService assembles the "service": batches of requests are hashed
@@ -125,24 +124,6 @@ func main() {
 	fmt.Printf("measured overhead on healthy silicon: %.3f%% (%d -> %d cycles), service exits clean\n",
 		o.Fraction*100, o.BaselineCycles, o.TestedCycles)
 
-	// Re-embed (the instrumented image) and run on aged silicon.
-	prof := profile.Collect(service, core.MemSize, core.MaxCycles)
-	if prof == nil {
-		log.Fatal("service failed during profiling")
-	}
-	suiteInsts, err := suite.InstCount()
-	if err != nil {
-		log.Fatal(err)
-	}
-	site, err := integrate.ChooseSite(prof, suiteInsts, 0.01)
-	if err != nil {
-		log.Fatal(err)
-	}
-	emb, err := integrate.Embed(service, suite, site)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	fmt.Println("\n== the fleet ages: injecting a 10-year aging failure into the ALU ==")
 	// A subtle failure mode: the endpoint driving the highest result bit,
 	// stuck at 0 on activation. Small loop counters never notice; wide
@@ -160,7 +141,7 @@ func main() {
 	})
 	c := cpu.New(core.MemSize)
 	c.ALU = module.NewDriverOn(w.Module, failing)
-	c.Load(emb.Image)
+	c.Load(o.Image) // the embedded image MeasureOverhead ran
 	// Watchdog budget: a handful of healthy runtimes. Corrupted loop
 	// counters can livelock the service, which the budget converts into
 	// a watchdog-visible symptom.

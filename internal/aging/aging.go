@@ -125,10 +125,10 @@ func (m *Model) DelayFactor(k cell.Kind, sp, years float64) float64 {
 }
 
 // delayFactorArr is DelayFactor with the Arrhenius factor supplied by the
-// caller, so bulk characterization (NewLibrary, NewCornerGrid, curve
-// sampling) computes the math.Exp once per corner instead of once per
-// grid point. The expression is kept term-for-term identical to the
-// inline form so hoisting never changes a single bit of the result.
+// caller, so bulk characterization (NewLibrary, NewCornerGrid) computes
+// the math.Exp once per corner instead of once per grid point. The
+// expression is kept term-for-term identical to the inline form so
+// hoisting never changes a single bit of the result.
 func (m *Model) delayFactorArr(k cell.Kind, sp, years, arr float64) float64 {
 	if years <= 0 {
 		return 1

@@ -132,21 +132,29 @@ func TestAgedTiming(t *testing.T) {
 	}
 }
 
+// TestDegradationCurveShape samples Figure 4's curves, XOR2 delay
+// factor over 0..10 years at SP 0.1 and 0.9, from Model.DelayFactor.
 func TestDegradationCurveShape(t *testing.T) {
 	m := Default()
-	curve := DegradationCurve(m, cell.XOR2, 0.1, 10, 21)
-	if len(curve) != 21 || curve[0].Years != 0 || curve[0].Factor != 1 {
-		t.Fatalf("curve anchors wrong: %+v", curve[0])
+	curve := func(sp float64) []float64 {
+		out := make([]float64, 21)
+		for i := range out {
+			out[i] = m.DelayFactor(cell.XOR2, sp, 10*float64(i)/20)
+		}
+		return out
 	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i].Factor < curve[i-1].Factor {
+	lo, hi := curve(0.1), curve(0.9)
+	if lo[0] != 1 {
+		t.Fatalf("curve anchors wrong: factor %v at year 0", lo[0])
+	}
+	for i := 1; i < len(lo); i++ {
+		if lo[i] < lo[i-1] {
 			t.Fatal("degradation curve must be nondecreasing")
 		}
 	}
 	// Lower SP curve dominates higher SP curve pointwise.
-	hi := DegradationCurve(m, cell.XOR2, 0.9, 10, 21)
-	for i := range curve {
-		if curve[i].Factor < hi[i].Factor {
+	for i := range lo {
+		if lo[i] < hi[i] {
 			t.Fatal("SP=0.1 curve should dominate SP=0.9 curve")
 		}
 	}

@@ -133,21 +133,3 @@ func (l *Library) AgedTiming(k cell.Kind, sp float64) cell.Timing {
 	t.DelayMax *= f
 	return t
 }
-
-// CurvePoint is one sample of a degradation curve (the paper's Figure 4).
-type CurvePoint struct {
-	Years  float64
-	Factor float64 // multiplicative delay factor
-}
-
-// DegradationCurve samples the delay degradation of a cell kind at a
-// fixed SP over time — one curve of Figure 4.
-func DegradationCurve(m *Model, k cell.Kind, sp float64, maxYears float64, points int) []CurvePoint {
-	arr := m.arrhenius()
-	out := make([]CurvePoint, points)
-	for i := 0; i < points; i++ {
-		yr := maxYears * float64(i) / float64(points-1)
-		out[i] = CurvePoint{Years: yr, Factor: m.delayFactorArr(k, sp, yr, arr)}
-	}
-	return out
-}

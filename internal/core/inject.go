@@ -9,7 +9,6 @@ import (
 	"repro/internal/inject"
 	"repro/internal/integrate"
 	"repro/internal/isa"
-	"repro/internal/profile"
 )
 
 // InjectOptions tunes Workflow.InjectionCampaign.
@@ -99,21 +98,9 @@ func (w *Workflow) InjectionCampaignStats(ctx context.Context, opts InjectOption
 		if err != nil {
 			return nil, nil, err
 		}
-		prof := profile.Collect(app, MemSize, MaxCycles)
-		if prof == nil {
-			return nil, nil, fmt.Errorf("core: %s did not exit cleanly during profiling", opts.Workload)
-		}
-		insts, err := suite.InstCount()
+		emb, err := integrate.ProfileGuided(app, suite, opts.Budget, MemSize, MaxCycles)
 		if err != nil {
-			return nil, nil, err
-		}
-		site, err := integrate.ChooseSite(prof, insts, opts.Budget)
-		if err != nil {
-			return nil, nil, err
-		}
-		emb, err := integrate.Embed(app, suite, site)
-		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("core: %s: %w", opts.Workload, err)
 		}
 		img = emb.Image
 	default:

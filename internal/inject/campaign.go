@@ -463,9 +463,9 @@ func runUnit(ctx context.Context, cfg *Config, g *goldenInfo, u unit, from *engi
 		if ok {
 			out.rs[i], out.ok[i] = r, true
 			if replayed {
-				out.acct.behReplayed++
+				out.acct.Replayed++
 			} else {
-				out.acct.behShortcut++
+				out.acct.Shortcut++
 			}
 		}
 	}

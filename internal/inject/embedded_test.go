@@ -12,7 +12,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/lift"
 	"repro/internal/module"
-	"repro/internal/profile"
 )
 
 // embeddedImage is minver carrying a random suite for m at the 1 %
@@ -25,20 +24,7 @@ func embeddedImage(t *testing.T, m *module.Module, cases int, seed int64) *isa.I
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := profile.Collect(app, memSize, 50_000_000)
-	if prof == nil {
-		t.Fatal("minver did not exit while profiling")
-	}
-	suite := lift.RandomSuite(m, cases, seed)
-	insts, err := suite.InstCount()
-	if err != nil {
-		t.Fatal(err)
-	}
-	site, err := integrate.ChooseSite(prof, insts, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emb, err := integrate.Embed(app, suite, site)
+	emb, err := integrate.ProfileGuided(app, lift.RandomSuite(m, cases, seed), 0.01, memSize, 50_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,10 @@ import (
 	"repro/internal/alu"
 	"repro/internal/chaos"
 	"repro/internal/cpu"
-	"repro/internal/embench"
 	"repro/internal/fpu"
 	"repro/internal/guard"
-	"repro/internal/integrate"
 	"repro/internal/lift"
 	"repro/internal/module"
-	"repro/internal/profile"
 )
 
 func runReport(t *testing.T, cfg Config) *Report {
@@ -197,34 +194,9 @@ func TestGuardedMatchesUnguarded(t *testing.T) {
 func minverCampaign(t *testing.T, perClass int) Config {
 	t.Helper()
 	m := fpu.Build()
-	suite := lift.RandomSuite(m, 3, 1)
-	b, ok := embench.ByName("minver")
-	if !ok {
-		t.Fatal("minver workload missing")
-	}
-	app, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof := profile.Collect(app, memSize, 50_000_000)
-	if prof == nil {
-		t.Fatal("minver did not exit cleanly during profiling")
-	}
-	insts, err := suite.InstCount()
-	if err != nil {
-		t.Fatal(err)
-	}
-	site, err := integrate.ChooseSite(prof, insts, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emb, err := integrate.Embed(app, suite, site)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return Config{
 		Module:    m,
-		Image:     emb.Image,
+		Image:     embeddedImage(t, m, 3, 1),
 		Mode:      "embedded",
 		Specs:     SampleUniverse(m, nil, perClass, 1),
 		Seed:      1,

@@ -471,15 +471,6 @@ func runGang(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int, pb *pa
 	return gg.ops, gg.settles
 }
 
-// waveAcct is one unit's contribution to the campaign's PackedStats.
-type waveAcct struct {
-	waves, lanesUsed, retired, masked int
-	savedOps                          uint64
-	gangOps, gangSettles              int
-	skippedOps                        int
-	behShortcut, behReplayed          int
-}
-
 // newWave compiles a wave of up to engine.Lanes-1 netlist-class
 // injections, injection idxs[i] in lane i+1, onto a fresh evaluator
 // that holds every lane the wave does not use. The wave skips quiet ops
@@ -532,12 +523,12 @@ func (b *packedBackend) run(ctx context.Context, g *goldenInfo) (ok bool, err er
 
 // unitOut is what one work unit hands back: its results (indexed like
 // its idxs; ok[i]=false means injection idxs[i] stays pending), its
-// accounting, and the recording of the golden run when the unit was a
-// wave that recorded one.
+// class's stats row, and the recording of the golden run when the unit
+// was a wave that recorded one.
 type unitOut struct {
 	rs   []Result
 	ok   []bool
-	acct waveAcct
+	acct PackedClassStats
 	rec  *engine.Recording
 }
 
@@ -554,12 +545,12 @@ func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int, 
 	}
 	results, done, acct := out.rs, out.ok, &out.acct
 	out.rec = pb.rec
-	acct.waves = 1
-	acct.lanesUsed = len(idxs)
-	acct.retired = len(pb.rets)
-	acct.skippedOps = pb.skipped
+	acct.Waves = 1
+	acct.LanesUsed = len(idxs)
+	acct.Retired = len(pb.rets)
+	acct.SkippedOps = pb.skipped
 	for _, ret := range pb.rets {
-		acct.savedOps += uint64(len(g.trace) - ret.op - 1)
+		acct.SavedLaneOps += uint64(len(g.trace) - ret.op - 1)
 	}
 	// Lanes that never retired were bit-identical to the golden lane for
 	// the entire replay: Masked, with the golden run's cycles and digest,
@@ -573,10 +564,10 @@ func runPackedWave(ctx context.Context, cfg *Config, g *goldenInfo, idxs []int, 
 				Cycles: g.cycles, Digest: g.digest,
 			}
 			done[i] = true
-			acct.masked++
+			acct.MaskedInWave++
 		}
 	}
-	acct.gangOps, acct.gangSettles = runGang(ctx, cfg, g, idxs, pb, results, done)
+	acct.GangOps, acct.GangSettles = runGang(ctx, cfg, g, idxs, pb, results, done)
 	return out, nil
 }
 
@@ -699,22 +690,19 @@ func newPackedStats(g *goldenInfo) *PackedStats {
 	return ps
 }
 
-func (ps *PackedStats) merge(cl Class, a waveAcct) {
-	for i := range ps.Classes {
-		if ps.Classes[i].Class != cl.String() {
-			continue
-		}
-		s := &ps.Classes[i]
-		s.Waves += a.waves
-		s.LaneSlots += a.waves * (engine.Lanes - 1)
-		s.LanesUsed += a.lanesUsed
-		s.Retired += a.retired
-		s.MaskedInWave += a.masked
-		s.SavedLaneOps += a.savedOps
-		s.GangOps += a.gangOps
-		s.GangSettles += a.gangSettles
-		s.SkippedOps += a.skippedOps
-		s.Shortcut += a.behShortcut
-		s.Replayed += a.behReplayed
-	}
+// merge adds one unit's row a to its class's row (ps.Classes holds one
+// row per Class, in Class order).
+func (ps *PackedStats) merge(cl Class, a PackedClassStats) {
+	s := &ps.Classes[cl]
+	s.Waves += a.Waves
+	s.LaneSlots = s.Waves * (engine.Lanes - 1)
+	s.LanesUsed += a.LanesUsed
+	s.Retired += a.Retired
+	s.MaskedInWave += a.MaskedInWave
+	s.SavedLaneOps += a.SavedLaneOps
+	s.GangOps += a.GangOps
+	s.GangSettles += a.GangSettles
+	s.SkippedOps += a.SkippedOps
+	s.Shortcut += a.Shortcut
+	s.Replayed += a.Replayed
 }

@@ -389,7 +389,7 @@ func TestCancelledWaveClassifiesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a cancelled wave returned an error: %v", err)
 	}
-	if slices.Contains(out.ok, true) || out.acct != (waveAcct{}) || out.rec != nil {
+	if slices.Contains(out.ok, true) || out.acct != (PackedClassStats{}) || out.rec != nil {
 		t.Errorf("a cancelled wave classified %v, accounted %+v and recorded %v", out.ok, out.acct, out.rec != nil)
 	}
 }

@@ -145,7 +145,7 @@ func TestRecorderTapeEndsWithItsWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.acct.gangSettles == 0 {
+	if out.acct.GangSettles == 0 {
 		t.Fatal("the wave's gang made no step")
 	}
 	pb, err := newWave(&cfg, idxs, nil, true)

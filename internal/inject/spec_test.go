@@ -1,83 +1,85 @@
 package inject
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/sta"
 )
 
-func TestSpecCodecRoundTrip(t *testing.T) {
-	specs := []Spec{
-		{Class: StuckAt, Unit: "ALU", Faults: []fault.Spec{
-			{Type: sta.Setup, Start: 12, End: 45, C: fault.C1, Edge: fault.AnyChange}}},
-		{Class: StuckAt, Unit: "FPU", Faults: []fault.Spec{
-			{Type: sta.Hold, Start: 3, End: 9, C: fault.CRandom, Edge: fault.RisingEdge}}},
-		{Class: MultiFault, Unit: "ALU", Faults: []fault.Spec{
-			{Type: sta.Setup, Start: 12, End: 45, C: fault.C0, Edge: fault.AnyChange},
-			{Type: sta.Hold, Start: 3, End: 9, C: fault.CRandom, Edge: fault.FallingEdge}}},
+// TestSpecStringSeparatesSpecs holds Spec.String, the key a checkpoint
+// stores each result under and the campaign dedups by, to injectivity
+// over the fields each class carries: for a spec of each class, every
+// one-field change (the unit; each site's type, start, end, C and edge;
+// the number and order of sites; the op index, bit, seed and period)
+// gives a string no other spec of the set has, and every string starts
+// with its own class's prefix and no other's.
+func TestSpecStringSeparatesSpecs(t *testing.T) {
+	a := fault.Spec{Type: sta.Setup, Start: 12, End: 45, C: fault.C1, Edge: fault.AnyChange}
+	b := fault.Spec{Type: sta.Hold, Start: 3, End: 9, C: fault.CRandom, Edge: fault.RisingEdge}
+	c := fault.Spec{Type: sta.Setup, Start: 7, End: 30, C: fault.C0, Edge: fault.FallingEdge}
+	siteEdits := []struct {
+		name string
+		edit func(*fault.Spec)
+	}{
+		{"type", func(f *fault.Spec) { f.Type = sta.Hold - f.Type }}, // setup <-> hold
+		{"start", func(f *fault.Spec) { f.Start++ }},
+		{"end", func(f *fault.Spec) { f.End++ }},
+		{"C", func(f *fault.Spec) { f.C = (f.C + 1) % 3 }},
+		{"edge", func(f *fault.Spec) { f.Edge = (f.Edge + 1) % 3 }},
+	}
+	bases := []Spec{
+		{Class: StuckAt, Unit: "ALU", Faults: []fault.Spec{a}},
+		{Class: MultiFault, Unit: "FPU", Faults: []fault.Spec{a, b}},
 		{Class: Transient, Unit: "ALU", OpIndex: 37, Bit: 12},
 		{Class: Intermittent, Unit: "FPU", Bit: 5, Seed: 44193, Period: 7},
 	}
-	for _, want := range specs {
-		str := want.String()
-		got, err := ParseSpec(str)
-		if err != nil {
-			t.Fatalf("ParseSpec(%q): %v", str, err)
-		}
-		if got.String() != str {
-			t.Errorf("round trip %q -> %q", str, got.String())
-		}
-	}
-}
 
-func TestParseSpecRejects(t *testing.T) {
-	bad := []string{
-		"",
-		"stuck",
-		"laser:ALU:s,1,2,0,any",                    // unknown class
-		"stuck:GPU:s,1,2,0,any",                    // unknown unit
-		"stuck:ALU:x,1,2,0,any",                    // unknown check type
-		"stuck:ALU:s,1,2,7,any",                    // unknown C
-		"stuck:ALU:s,1,2,0,sometimes",              // unknown edge
-		"stuck:ALU:s,1,2,0,any;s,3,4,0,any",        // stuck with two sites
-		"multi:ALU:s,1,2,0,any",                    // multi with one site
-		"multi:ALU:s,1,2,0,any;s,3,2,0,any",        // duplicate endpoint
-		"transient:ALU:5",                          // missing bit
-		"transient:ALU:5,40",                       // bit out of range
-		"intermittent:ALU:5,0,7",                   // zero LFSR seed
-		"intermittent:ALU:5,44193,1",               // degenerate period
-		"intermittent:ALU:5,44193,7,9",             // extra field
-		"stuck:ALU:s,99999999999999999999,2,0,any", // overflow
-	}
-	for _, s := range bad {
-		if _, err := ParseSpec(s); err == nil {
-			t.Errorf("ParseSpec(%q) accepted", s)
-		}
-	}
-}
-
-// FuzzSpecCodec checks that every accepted spec string survives a
-// String/Parse round trip unchanged — the property the checkpoint
-// format depends on.
-func FuzzSpecCodec(f *testing.F) {
-	f.Add("stuck:ALU:s,12,45,1,any")
-	f.Add("multi:FPU:s,12,45,0,any;h,3,9,R,rise")
-	f.Add("transient:ALU:37,12")
-	f.Add("intermittent:ALU:5,44193,7")
-	f.Add("stuck:FPU:h,0,1,R,fall")
-	f.Fuzz(func(t *testing.T, in string) {
-		s, err := ParseSpec(in)
-		if err != nil {
-			return
-		}
+	seen := map[string]string{} // spec string -> which spec rendered it
+	add := func(name string, s Spec) {
 		str := s.String()
-		s2, err := ParseSpec(str)
-		if err != nil {
-			t.Fatalf("re-parse of %q (from %q): %v", str, in, err)
+		if prev, ok := seen[str]; ok {
+			t.Errorf("%s and %s both render %q", prev, name, str)
 		}
-		if s2.String() != str {
-			t.Fatalf("unstable round trip: %q -> %q", str, s2.String())
+		seen[str] = name
+		for _, cl := range Classes() {
+			if strings.HasPrefix(str, cl.String()+":") != (cl == s.Class) {
+				t.Errorf("%s renders %q, which does not start with its class's prefix alone", name, str)
+			}
 		}
-	})
+	}
+	for _, base := range bases {
+		variant := func(edit func(*Spec)) Spec {
+			s := base
+			s.Faults = slices.Clone(base.Faults)
+			edit(&s)
+			return s
+		}
+		name := base.Class.String()
+		add(name, base)
+		add(name+" unit", variant(func(s *Spec) { s.Unit = map[string]string{"ALU": "FPU", "FPU": "ALU"}[s.Unit] }))
+		switch base.Class {
+		case StuckAt, MultiFault:
+			for i := range base.Faults {
+				for _, e := range siteEdits {
+					add(fmt.Sprintf("%s site %d %s", name, i, e.name), variant(func(s *Spec) { e.edit(&s.Faults[i]) }))
+				}
+			}
+			add(name+" one more site", variant(func(s *Spec) { s.Faults = append(s.Faults, c) }))
+			if len(base.Faults) > 1 {
+				add(name+" one site fewer", variant(func(s *Spec) { s.Faults = s.Faults[:1] }))
+				add(name+" sites reordered", variant(func(s *Spec) { slices.Reverse(s.Faults) }))
+			}
+		case Transient:
+			add(name+" op index", variant(func(s *Spec) { s.OpIndex++ }))
+			add(name+" bit", variant(func(s *Spec) { s.Bit++ }))
+		case Intermittent:
+			add(name+" bit", variant(func(s *Spec) { s.Bit++ }))
+			add(name+" seed", variant(func(s *Spec) { s.Seed++ }))
+			add(name+" period", variant(func(s *Spec) { s.Period++ }))
+		}
+	}
 }

@@ -1,10 +1,10 @@
 // Package integrate implements the paper's Test Integration phase
-// (§3.4): profile-guided embedding of a generated test suite into an
-// application at a routinely-but-not-hotly executed basic block, with an
-// instruction-count overhead estimate and a probability throttle that
-// keeps the expected overhead under a user budget; plus the generation
-// of a standalone software aging library (C source with inline assembly
-// and language wrappers).
+// (§3.4): profile-guided embedding (ProfileGuided) of a generated test
+// suite into an application at a routinely-but-not-hotly executed basic
+// block, with an instruction-count overhead estimate and a probability
+// throttle that keeps the expected overhead under a user budget; plus
+// the generation of a standalone software aging library (C source with
+// inline assembly and language wrappers).
 package integrate
 
 import (
@@ -30,6 +30,39 @@ type Site struct {
 	EffOverhead float64
 }
 
+// Embedded is an application with a suite embedded at a profile-chosen
+// site.
+type Embedded struct {
+	Image *isa.Image
+	Site  Site
+	// BaselineCycles is the cycle count of the profiling run: the
+	// application's own, since the block counters cost no cycles.
+	BaselineCycles uint64
+}
+
+// ProfileGuided is the paper's profile-guided integration (§3.4.2): it
+// profiles the application, whose run must exit with code 0, chooses
+// the suite's site under the overhead budget and embeds the suite there.
+func ProfileGuided(app *isa.Image, suite *lift.Suite, budget float64, memSize int, maxCycles uint64) (*Embedded, error) {
+	prof := profile.Collect(app, memSize, maxCycles)
+	if prof == nil {
+		return nil, fmt.Errorf("integrate: the profiling run did not exit with code 0")
+	}
+	insts, err := suite.InstCount()
+	if err != nil {
+		return nil, err
+	}
+	site, err := chooseSite(prof, insts, budget)
+	if err != nil {
+		return nil, err
+	}
+	img, err := embed(app, suite, site)
+	if err != nil {
+		return nil, err
+	}
+	return &Embedded{Image: img, Site: site, BaselineCycles: prof.TotalCycles}, nil
+}
+
 // minRoutineCount is the minimum dynamic execution count for a block to
 // count as "routinely accessed".
 const minRoutineCount = 4
@@ -44,12 +77,12 @@ const fixedBlobCycles = 34
 // estimate for site selection (loads and taken branches dominate).
 const suiteCyclesPerInst = 1.4
 
-// ChooseSite picks the integration point per §3.4.2: among routinely
+// chooseSite picks the integration point per §3.4.2: among routinely
 // executed blocks, the most frequent one whose estimated overhead still
 // fits the budget; if even the least frequent routine block exceeds the
 // budget, that block is chosen with an invocation-probability throttle
 // on the test burst.
-func ChooseSite(p *profile.Profile, suiteInsts int, budget float64) (Site, error) {
+func chooseSite(p *profile.Profile, suiteInsts int, budget float64) (Site, error) {
 	if p.TotalInsts == 0 {
 		return Site{}, fmt.Errorf("integrate: empty profile")
 	}
@@ -121,21 +154,12 @@ func savedIntRegs() []isa.Reg { return lift.ClobberedIntRegs() }
 // contains FPU cases (the emission templates use f1..f15).
 const fpSaveCount = 15
 
-// Embedded is an instrumented application image.
-type Embedded struct {
-	Image     *isa.Image
-	Site      Site
-	BlobInsts int
-	// CounterAddr is the throttle counter's memory location.
-	CounterAddr uint32
-}
-
-// Embed splices the suite into the application at the chosen site,
+// embed splices the suite into the application at the chosen site,
 // preserving every register (and fflags) the tests touch, bumping a
 // visit counter, and honoring the throttle period. All branch and jump
 // offsets crossing the insertion point are fixed up — the assembly-level
 // equivalent of the paper's LLVM instrumentation pass.
-func Embed(app *isa.Image, suite *lift.Suite, site Site) (*Embedded, error) {
+func embed(app *isa.Image, suite *lift.Suite, site Site) (*isa.Image, error) {
 	// The throttle counter lives right after the app's data segment.
 	counterAddr := app.DataBase + uint32((len(app.Data)+7) & ^7)
 
@@ -161,7 +185,7 @@ func Embed(app *isa.Image, suite *lift.Suite, site Site) (*Embedded, error) {
 		img.Data = append(img.Data, 0)
 	}
 	img.Data = append(img.Data, blobData...)
-	return &Embedded{Image: img, Site: site, BlobInsts: len(blob), CounterAddr: counterAddr}, nil
+	return img, nil
 }
 
 // buildBlob assembles the self-contained test blob. The cheap throttle

@@ -76,7 +76,7 @@ func TestChooseSiteWithinBudget(t *testing.T) {
 	img := mustBuild(t, b)
 	p := profile.Collect(img, memSize, 100_000_000)
 	suite := smallSuite(4)
-	site, err := ChooseSite(p, mustInsts(t, suite), 0.01)
+	site, err := chooseSite(p, mustInsts(t, suite), 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestChooseSiteThrottles(t *testing.T) {
 	p := profile.Collect(img, memSize, 100_000_000)
 	// A huge suite forces throttling everywhere.
 	suite := smallSuite(60)
-	site, err := ChooseSite(p, mustInsts(t, suite), 0.001)
+	site, err := chooseSite(p, mustInsts(t, suite), 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,16 +109,7 @@ func TestChooseSiteThrottles(t *testing.T) {
 func TestEmbedPreservesBehaviour(t *testing.T) {
 	suite := smallSuite(4)
 	for _, b := range embench.All {
-		img := mustBuild(t, b)
-		p := profile.Collect(img, memSize, 200_000_000)
-		if p == nil {
-			t.Fatalf("%s profiling failed", b.Name)
-		}
-		site, err := ChooseSite(p, mustInsts(t, suite), 0.01)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
-		}
-		emb, err := Embed(img, suite, site)
+		emb, err := ProfileGuided(mustBuild(t, b), suite, 0.01, memSize, 200_000_000)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
@@ -137,13 +128,7 @@ func TestEmbedFPUSuitePreservesFPState(t *testing.T) {
 	suite := fpuSuite(4)
 	for _, name := range []string{"minver", "st", "nbody"} {
 		b, _ := embench.ByName(name)
-		img := mustBuild(t, b)
-		p := profile.Collect(img, memSize, 200_000_000)
-		site, err := ChooseSite(p, mustInsts(t, suite), 0.05)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		emb, err := Embed(img, suite, site)
+		emb, err := ProfileGuided(mustBuild(t, b), suite, 0.05, memSize, 200_000_000)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -156,11 +141,15 @@ func TestEmbedFPUSuitePreservesFPState(t *testing.T) {
 	}
 }
 
+// TestMeasureOverheadWithinBudget also holds each application's
+// baseline, the profiling run's cycle count, to a run of the plain
+// application with no block counters attached.
 func TestMeasureOverheadWithinBudget(t *testing.T) {
 	suite := smallSuite(4)
 	for _, name := range []string{"crc32", "primecount", "statemate"} {
 		b, _ := embench.ByName(name)
-		o, err := MeasureOverhead(name, mustBuild(t, b), suite, 0.01, memSize, 400_000_000)
+		app := mustBuild(t, b)
+		o, err := MeasureOverhead(name, app, suite, 0.01, memSize, 400_000_000)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -172,6 +161,14 @@ func TestMeasureOverheadWithinBudget(t *testing.T) {
 		if o.TestedCycles <= o.BaselineCycles {
 			t.Errorf("%s: instrumented run not slower at all?", name)
 		}
+		plain := cpu.New(memSize)
+		plain.Load(app)
+		if halt := plain.Run(400_000_000); halt != cpu.HaltExit || plain.ExitCode != 0 {
+			t.Fatalf("%s: plain run halt=%v exit=%d", name, halt, plain.ExitCode)
+		}
+		if o.BaselineCycles != plain.Cycles {
+			t.Errorf("%s: baseline %d cycles, a plain run takes %d", name, o.BaselineCycles, plain.Cycles)
+		}
 	}
 }
 
@@ -181,13 +178,7 @@ func TestEmbeddedSuiteActuallyRuns(t *testing.T) {
 	suite := smallSuite(2)
 	suite.Cases[0].Expected[0].Result ^= 1
 	b, _ := embench.ByName("crc32")
-	img := mustBuild(t, b)
-	p := profile.Collect(img, memSize, 100_000_000)
-	site, err := ChooseSite(p, mustInsts(t, suite), 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emb, err := Embed(img, suite, site)
+	emb, err := ProfileGuided(mustBuild(t, b), suite, 0.01, memSize, 100_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,46 +6,25 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/lift"
-	"repro/internal/profile"
 )
 
 // Overhead is one application's integration measurement (a bar of the
 // paper's Figure 9).
 type Overhead struct {
-	App            string
-	Site           Site
-	BaselineCycles uint64
-	TestedCycles   uint64
+	App string
+	Embedded
+	TestedCycles uint64
 	// Fraction is (tested-baseline)/baseline.
 	Fraction float64
 }
 
-// MeasureOverhead profiles the application, chooses the integration
-// site for the suite under the overhead budget, embeds the tests, and
-// measures the actual cycle overhead of the instrumented binary against
-// the baseline.
+// MeasureOverhead integrates the suite into the application
+// (ProfileGuided) and measures the cycle overhead of one run of the
+// embedded image against the profiling run's baseline.
 func MeasureOverhead(name string, app *isa.Image, suite *lift.Suite, budget float64, memSize int, maxCycles uint64) (*Overhead, error) {
-	prof := profile.Collect(app, memSize, maxCycles)
-	if prof == nil {
-		return nil, fmt.Errorf("integrate: %s did not exit cleanly during profiling", name)
-	}
-	insts, err := suite.InstCount()
+	emb, err := ProfileGuided(app, suite, budget, memSize, maxCycles)
 	if err != nil {
-		return nil, fmt.Errorf("integrate: %s: %w", name, err)
-	}
-	site, err := ChooseSite(prof, insts, budget)
-	if err != nil {
-		return nil, fmt.Errorf("integrate: %s: %w", name, err)
-	}
-	emb, err := Embed(app, suite, site)
-	if err != nil {
-		return nil, err
-	}
-
-	base := cpu.New(memSize)
-	base.Load(app)
-	if base.Run(maxCycles) != cpu.HaltExit || base.ExitCode != 0 {
-		return nil, fmt.Errorf("integrate: %s baseline failed", name)
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	tested := cpu.New(memSize)
 	tested.Load(emb.Image)
@@ -53,13 +32,10 @@ func MeasureOverhead(name string, app *isa.Image, suite *lift.Suite, budget floa
 		return nil, fmt.Errorf("integrate: %s instrumented run failed (halt=%v exit=%d)",
 			name, halt, tested.ExitCode)
 	}
-
-	o := &Overhead{
-		App:            name,
-		Site:           site,
-		BaselineCycles: base.Cycles,
-		TestedCycles:   tested.Cycles,
-	}
-	o.Fraction = float64(tested.Cycles)/float64(base.Cycles) - 1
-	return o, nil
+	return &Overhead{
+		App:          name,
+		Embedded:     *emb,
+		TestedCycles: tested.Cycles,
+		Fraction:     float64(tested.Cycles)/float64(emb.BaselineCycles) - 1,
+	}, nil
 }

@@ -78,8 +78,8 @@ func Static(img *isa.Image) *Profile {
 
 // Collect runs the image on a fresh behavioural CPU with block counters
 // attached (the counter instrumentation of §3.4.2) and returns the
-// filled profile. The run must exit cleanly; a nil profile is returned
-// otherwise.
+// filled profile. The run must exit with code 0; a nil profile is
+// returned otherwise.
 func Collect(img *isa.Image, memSize int, maxCycles uint64) *Profile {
 	p := Static(img)
 	byAddr := make(map[uint32]*Block, len(p.Blocks))
@@ -93,7 +93,7 @@ func Collect(img *isa.Image, memSize int, maxCycles uint64) *Profile {
 		}
 	}
 	c.Load(img)
-	if c.Run(maxCycles) != cpu.HaltExit {
+	if c.Run(maxCycles) != cpu.HaltExit || c.ExitCode != 0 {
 		return nil
 	}
 	p.TotalInsts = c.Instret

@@ -79,3 +79,14 @@ func TestCollectFailure(t *testing.T) {
 		t.Error("non-exiting program must yield nil profile")
 	}
 }
+
+// TestCollectRejectsNonzeroExit: a run that exits with a nonzero code
+// failed its self-check, so it profiles nothing.
+func TestCollectRejectsNonzeroExit(t *testing.T) {
+	a := isa.NewAsm()
+	a.Li(isa.A0, 1)
+	a.Ecall()
+	if Collect(mustAsm(t, a), 1<<20, 1000) != nil {
+		t.Error("a run that exits with code 1 must yield nil profile")
+	}
+}

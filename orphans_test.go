@@ -327,10 +327,8 @@ var orphanAllow = []allowGroup{
 		"internal/lift.FuzzConstruct",
 		"internal/lift.FuzzConfig",
 	}},
-	{"aging-model physics the floor tests check directly (curve shape, front-loading, recovery, " +
-		"temperature acceleration); production reaches the model only through DelayFactor", []string{
-		"internal/aging.DegradationCurve",
-		"internal/aging.CurvePoint",
+	{"aging-model physics the floor tests check directly (front-loading, recovery, temperature " +
+		"acceleration); production reaches the model only through DelayFactor", []string{
 		"internal/aging.Model.DeltaVthNorm",
 		"internal/aging.Model.Recovery",
 	}},
@@ -357,10 +355,6 @@ var orphanAllow = []allowGroup{
 		"internal/module.Module.Clone",
 		"internal/netlist.Netlist.Clone",
 		"internal/netlist.Builder.Cell",
-	}},
-	{"floor test only — the inject spec parser, whose round trip checks that Spec.String, a " +
-		"checkpoint and dedup key, is injective", []string{
-		"internal/inject.ParseSpec",
 	}},
 	{"the daemon's full in-process record (the result read back from its frame in the log, the source " +
 		"from its blob) that the crash matrices, restart and quarantine tests hold the daemon to; the " +

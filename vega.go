@@ -29,7 +29,7 @@
 //	sta, _ := w.AgingAnalysis()              // phase 1
 //	results, _ := w.ErrorLifting()           // phase 2
 //	suite := w.Suite()                       // the generated tests
-//	rows := w.TestQuality(suite)             // run them against aged silicon
+//	rows, _ := w.TestQuality(suite)          // run them against aged silicon
 package vega
 
 import (
